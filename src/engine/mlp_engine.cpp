@@ -1,31 +1,12 @@
 #include "engine/mlp_engine.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/log.h"
 
 namespace rmssd::engine {
 
 namespace {
-
-/** Apply an activation in place. */
-void
-applyActivation(model::Vector &v, model::Activation act)
-{
-    for (float &x : v) {
-        switch (act) {
-          case model::Activation::None:
-            break;
-          case model::Activation::Relu:
-            x = x > 0.0f ? x : 0.0f;
-            break;
-          case model::Activation::Sigmoid:
-            x = 1.0f / (1.0f + std::exp(-x));
-            break;
-        }
-    }
-}
 
 EngineLayer
 makeLayer(std::string label, const model::LayerShape &shape,
@@ -187,22 +168,9 @@ decomposedForward(const model::DlrmModel &model,
     RMSSD_ASSERT(l0.inputs() == embWidth + bottomOut.size(),
                  "L0 input is not the interaction concat");
 
-    // Le: embedding columns of L0; Lb: bottom columns of L0 + bias.
-    model::Vector partial(l0.outputs(), 0.0f);
-    for (std::uint32_t r = 0; r < l0.outputs(); ++r) {
-        double acc = 0.0;
-        for (std::uint32_t c = 0; c < embWidth; ++c)
-            acc += static_cast<double>(l0.weights().at(r, c)) * pooled[c];
-        for (std::uint32_t c = 0; c < bottomOut.size(); ++c) {
-            acc += static_cast<double>(l0.weights().at(
-                       r, embWidth + c)) *
-                   bottomOut[c];
-        }
-        partial[r] = static_cast<float>(acc) + l0.bias()[r];
-    }
-    applyActivation(partial, l0.activation());
-
-    model::Vector v = std::move(partial);
+    // Le over the pooled columns and Lb over the bottom-MLP columns
+    // merge in one accumulator per output: no concat barrier.
+    model::Vector v = l0.forward(pooled, bottomOut);
     const auto &layers = model.topMlp().layers();
     for (std::size_t j = 1; j < layers.size(); ++j)
         v = layers[j].forward(v);

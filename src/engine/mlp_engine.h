@@ -87,8 +87,9 @@ Cycle sequentialCycles(const std::vector<EngineLayer> &layers,
  * Functional decomposed forward: computes the model output from dense
  * input and pooled embeddings along the decomposed topology (Le and
  * Lb evaluated separately, partial sums merged, then the remaining
- * top layers). Must equal DlrmModel::inferenceWithPooled bit-for-bit
- * up to float associativity.
+ * top layers). Le and Lb share L0's per-output accumulator through
+ * model::gemv(), so the result equals DlrmModel::inferenceWithPooled
+ * bit for bit.
  */
 float decomposedForward(const model::DlrmModel &model,
                         const model::Vector &dense,

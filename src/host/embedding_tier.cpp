@@ -32,17 +32,26 @@ EmbeddingTier::provision(const engine::TierPlan &plan)
             residentRows_ += cfg.rowsPerTable;
             continue;
         }
-        table.rows.reserve(entry.rows.size());
-        // det-safe: entry.rows is TierPlanEntry's std::vector (plan
-        // order), not this class's unordered residency set.
+        table.rows.reserve(table.rows.size() + entry.rows.size());
         for (const EvIndex row : entry.rows) {
             RMSSD_ASSERT(row.raw() < cfg.rowsPerTable,
                          "tier plan row out of range");
-            if (table.rows.insert(row.raw()).second)
-                ++residentRows_;
+            table.rows.push_back(row.raw());
         }
     }
+    for (TableResidency &table : tables_) {
+        std::sort(table.rows.begin(), table.rows.end());
+        table.rows.erase(std::unique(table.rows.begin(), table.rows.end()),
+                         table.rows.end());
+        residentRows_ += table.rows.size();
+    }
     residentBytes_ = Bytes{residentRows_ * cfg.vectorBytes()};
+}
+
+bool
+EmbeddingTier::TableResidency::contains(std::uint64_t row) const
+{
+    return whole || std::binary_search(rows.begin(), rows.end(), row);
 }
 
 bool
@@ -50,8 +59,7 @@ EmbeddingTier::resident(std::uint32_t globalTable,
                         std::uint64_t row) const
 {
     RMSSD_ASSERT(globalTable < tables_.size(), "table out of range");
-    const TableResidency &table = tables_[globalTable];
-    return table.whole || table.rows.contains(row);
+    return tables_[globalTable].contains(row);
 }
 
 EmbeddingTier::Intercept
@@ -76,8 +84,7 @@ EmbeddingTier::intercept(std::span<const model::Sample> samples,
                 (table.whole || !table.rows.empty()) &&
                 std::all_of(slice.begin(), slice.end(),
                             [&](std::uint64_t row) {
-                                return table.whole ||
-                                       table.rows.contains(row);
+                                return table.contains(row);
                             });
             if (!hit) {
                 sliceMisses_.inc();

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "engine/placement.h"
@@ -140,12 +139,10 @@ class EmbeddingTier
     struct TableResidency
     {
         bool whole = false;
-        /**
-         * Resident row ids. Determinism audit: contains() only; never
-         * iterated (bucket order is a platform artifact) — residency
-         * listings come from the TierPlan, which is ordered.
-         */
-        std::unordered_set<std::uint64_t> rows;
+        /** Resident row ids, sorted and unique (binary-searched). */
+        std::vector<std::uint64_t> rows;
+
+        bool contains(std::uint64_t row) const;
     };
 
     const model::DlrmModel &model_;

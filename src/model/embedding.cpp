@@ -41,9 +41,13 @@ Vector
 EmbeddingTableSpec::slsReference(
     std::span<const std::uint64_t> indices) const
 {
+    // Fold-left over the rows, added straight into the output: each
+    // element sees the rows in lookup order, as the device's EV sum.
     Vector acc(dim, 0.0f);
-    for (const std::uint64_t idx : indices)
-        accumulate(acc, row(idx));
+    for (const std::uint64_t idx : indices) {
+        for (std::uint32_t d = 0; d < dim; ++d)
+            acc[d] += value(idx, d);
+    }
     return acc;
 }
 

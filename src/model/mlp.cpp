@@ -19,7 +19,15 @@ FcLayer::FcLayer(std::uint32_t inputs, std::uint32_t outputs,
 Vector
 FcLayer::forward(const Vector &x) const
 {
-    Vector y = weights_.multiply(x);
+    return forward(x, {});
+}
+
+Vector
+FcLayer::forward(std::span<const float> head,
+                 std::span<const float> tail) const
+{
+    Vector y(outputs());
+    gemv(weights_, head, tail, y);
     for (std::uint32_t i = 0; i < outputs(); ++i) {
         y[i] += bias_[i];
         switch (activation_) {

@@ -9,6 +9,7 @@
 #define RMSSD_MODEL_MLP_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/tensor.h"
@@ -38,6 +39,14 @@ class FcLayer
     const Vector &bias() const { return bias_; }
 
     Vector forward(const Vector &x) const;
+
+    /**
+     * forward() of the input @p head ++ @p tail without concatenating
+     * it (the decomposed L0: Le's pooled columns, then Lb's bottom-MLP
+     * columns). Bit-identical to forward(concat(head, tail)).
+     */
+    Vector forward(std::span<const float> head,
+                   std::span<const float> tail) const;
 
     /** Parameter bytes (weights + bias) in fp32. */
     std::uint64_t paramBytes() const;

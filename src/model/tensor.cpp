@@ -43,19 +43,55 @@ Matrix::at(std::uint32_t r, std::uint32_t c) const
     return data_[static_cast<std::size_t>(r) * cols_ + c];
 }
 
-Vector
-Matrix::multiply(const Vector &x) const
+namespace {
+
+/** Rows in flight per gemv() block: independent add chains. */
+constexpr std::uint32_t kGemvRowBlock = 8;
+
+/**
+ * @p B consecutive rows of y = W (head ++ tail), starting at row
+ * pointer @p w. Each row's accumulator walks the columns in order;
+ * only the B rows interleave.
+ */
+template <std::uint32_t B>
+void
+gemvRows(const float *w, std::size_t stride, std::span<const float> head,
+         std::span<const float> tail, float *y)
 {
-    RMSSD_ASSERT(x.size() == cols_, "matvec dimension mismatch");
-    Vector y(rows_, 0.0f);
-    for (std::uint32_t r = 0; r < rows_; ++r) {
-        double acc = 0.0;
-        const float *row = &data_[static_cast<std::size_t>(r) * cols_];
-        for (std::uint32_t c = 0; c < cols_; ++c)
-            acc += static_cast<double>(row[c]) * x[c];
-        y[r] = static_cast<float>(acc);
+    double acc[B] = {};
+    for (std::size_t c = 0; c < head.size(); ++c) {
+        const double x = head[c];
+        for (std::uint32_t i = 0; i < B; ++i)
+            acc[i] += static_cast<double>(w[i * stride + c]) * x;
     }
-    return y;
+    const float *wt = w + head.size();
+    for (std::size_t c = 0; c < tail.size(); ++c) {
+        const double x = tail[c];
+        for (std::uint32_t i = 0; i < B; ++i)
+            acc[i] += static_cast<double>(wt[i * stride + c]) * x;
+    }
+    for (std::uint32_t i = 0; i < B; ++i)
+        y[i] = static_cast<float>(acc[i]);
+}
+
+} // namespace
+
+void
+gemv(const Matrix &w, std::span<const float> head,
+     std::span<const float> tail, std::span<float> y)
+{
+    RMSSD_ASSERT(head.size() + tail.size() == w.cols(),
+                 "matvec dimension mismatch");
+    RMSSD_ASSERT(y.size() == w.rows(), "matvec output size mismatch");
+    const std::size_t stride = w.cols();
+    const float *data = w.data().data();
+    std::uint32_t r = 0;
+    for (; r + kGemvRowBlock <= w.rows(); r += kGemvRowBlock) {
+        gemvRows<kGemvRowBlock>(data + r * stride, stride, head, tail,
+                                &y[r]);
+    }
+    for (; r < w.rows(); ++r)
+        gemvRows<1>(data + r * stride, stride, head, tail, &y[r]);
 }
 
 void

@@ -9,6 +9,7 @@
 #define RMSSD_MODEL_TENSOR_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace rmssd::model {
@@ -32,9 +33,6 @@ class Matrix
     float &at(std::uint32_t r, std::uint32_t c);
     float at(std::uint32_t r, std::uint32_t c) const;
 
-    /** y = this * x  (rows x cols) * (cols) -> (rows). */
-    Vector multiply(const Vector &x) const;
-
     const std::vector<float> &data() const { return data_; }
 
   private:
@@ -42,6 +40,24 @@ class Matrix
     std::uint32_t cols_ = 0;
     std::vector<float> data_;
 };
+
+/**
+ * The one GEMV kernel of the functional datapath: y = W (head ++ tail).
+ *
+ * The input is given as two contiguous segments, @p head then
+ * @p tail (the decomposed L0 feeds Le's pooled columns and Lb's
+ * bottom-MLP columns without a concat copy); @p tail may be empty.
+ *
+ * Bit-exactness contract: every row keeps its own double accumulator,
+ * starts at 0 and adds double(W[r][c]) * x[c] for c in strictly
+ * increasing order, then rounds once to float. Rows are processed in
+ * blocks only to overlap the add latency of independent rows; no sum
+ * is reassociated, so each output is bit-identical to the naive
+ * one-row loop. (A float-by-float product is exact in double, so FMA
+ * contraction could not change a bit either.)
+ */
+void gemv(const Matrix &w, std::span<const float> head,
+          std::span<const float> tail, std::span<float> y);
 
 /** Element-wise vector sum: acc += v. Sizes must match. */
 void accumulate(Vector &acc, const Vector &v);

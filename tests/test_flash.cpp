@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 #include <vector>
 
@@ -139,6 +140,96 @@ TEST(BackingStore, PartialWritePreservesFiller)
             EXPECT_EQ(after[i], 0xAB);
         else
             EXPECT_EQ(after[i], before[i]) << "offset " << i;
+    }
+}
+
+TEST(BackingStore, MatchesMapReferenceModel)
+{
+    // Random writes, partial writes, reads and erases against a
+    // std::map model: hundreds of live pages grow the index through
+    // several rehashes, erase-then-rewrite reuses slots, and unwritten
+    // pages must keep reading as filler.
+    constexpr std::uint64_t kPage = 64;
+    constexpr std::uint64_t kIdSpace = 400;
+    BackingStore store(Bytes{kPage});
+    BackingStore filler(Bytes{kPage}); // never written: filler oracle
+    std::map<std::uint64_t, std::vector<std::uint8_t>> model;
+    Rng rng(0xb5ULL);
+
+    const auto pageOf = [&](std::uint64_t id) {
+        // Sparse, clustered ids like physical page numbers.
+        return PageId{(id / 8) * 0x10000ULL + id % 8};
+    };
+    const auto expected = [&](std::uint64_t id) {
+        const auto it = model.find(id);
+        if (it != model.end())
+            return it->second;
+        std::vector<std::uint8_t> page(kPage);
+        filler.read(pageOf(id), Bytes{}, page);
+        return page;
+    };
+
+    std::size_t peakPages = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t id = rng.nextBounded(
+            step < 10000 ? kIdSpace / 4 + step / 40 : kIdSpace);
+        const PageId ppn = pageOf(id);
+        switch (rng.nextBounded(6)) {
+          case 0: {
+            std::vector<std::uint8_t> page(kPage);
+            for (auto &b : page)
+                b = static_cast<std::uint8_t>(rng.next());
+            store.writePage(ppn, page);
+            model[id] = page;
+            break;
+          }
+          case 1: {
+            const std::uint64_t off = rng.nextBounded(kPage);
+            std::vector<std::uint8_t> patch(
+                1 + rng.nextBounded(kPage - off));
+            for (auto &b : patch)
+                b = static_cast<std::uint8_t>(rng.next());
+            store.writePartial(ppn, Bytes{off}, patch);
+            std::vector<std::uint8_t> page = expected(id);
+            std::copy(patch.begin(), patch.end(),
+                      page.begin() + static_cast<std::ptrdiff_t>(off));
+            model[id] = page;
+            break;
+          }
+          case 2:
+            // Erases lag writes early on so the store keeps growing.
+            if (step < 10000 && rng.nextBounded(3) != 0)
+                break;
+            store.erasePage(ppn);
+            model.erase(id);
+            break;
+          default: {
+            const std::uint64_t off = rng.nextBounded(kPage);
+            std::vector<std::uint8_t> out(rng.nextBounded(kPage - off + 1));
+            store.read(ppn, Bytes{off}, out);
+            const std::vector<std::uint8_t> want = expected(id);
+            ASSERT_TRUE(std::equal(
+                out.begin(), out.end(),
+                want.begin() + static_cast<std::ptrdiff_t>(off)))
+                << "step " << step << " page " << id;
+            break;
+          }
+        }
+        ASSERT_EQ(store.isWritten(ppn), model.contains(id))
+            << "step " << step;
+        ASSERT_EQ(store.materializedPages(), model.size())
+            << "step " << step;
+        peakPages = std::max(peakPages, model.size());
+    }
+    // From 16 buckets at load factor 3/4: at least four rehashes.
+    EXPECT_GT(peakPages, 128u);
+
+    // Final sweep over the whole id space, written or not.
+    for (std::uint64_t id = 0; id < kIdSpace; ++id) {
+        std::vector<std::uint8_t> out(kPage);
+        store.read(pageOf(id), Bytes{}, out);
+        EXPECT_EQ(out, expected(id)) << "page " << id;
+        EXPECT_EQ(store.isWritten(pageOf(id)), model.contains(id));
     }
 }
 

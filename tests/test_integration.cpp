@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "engine/mlp_engine.h"
+#include "engine/placement.h"
 #include "engine/rm_ssd.h"
+#include "host/embedding_tier.h"
 #include "model/model_zoo.h"
 #include "model/tensor.h"
 #include "runtime/rm_api.h"
@@ -76,6 +81,63 @@ TEST_P(AllPathsAgree, EveryExecutionPathMatchesReference)
 
 INSTANTIATE_TEST_SUITE_P(Models, AllPathsAgree,
                          ::testing::Values("RMC1", "RMC3", "NCF"));
+
+class SearchedBitExact : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(SearchedBitExact, OutputsAreBitEqualToReference)
+{
+    // The device's decomposed MLP and EV sums, with or without a host
+    // tier serving whole slices, reproduce the host reference's bits.
+    const bool withTier = GetParam();
+    const model::ModelConfig cfg = tinyConfig();
+    engine::RmSsdOptions opt;
+    opt.functional = true;
+    engine::RmSsd device(cfg, opt);
+    device.loadTables();
+
+    workload::TraceConfig tc;
+    tc.hotRowsPerTable = 32;
+    tc.hotAccessFraction = 0.5;
+    tc.hotSkew = 2.0;
+    tc.seed = 0xb17eULL;
+    tc.tableHotFractions = {1.0, 1.0};
+    std::shared_ptr<host::EmbeddingTier> tier;
+    if (withTier) {
+        const workload::TraceGenerator planGen(cfg, tc);
+        const engine::TierPlan plan = engine::planHostTier(
+            cfg.rowsPerTable, Bytes{cfg.vectorBytes()},
+            workload::planTierShares(planGen.tableHistograms(4096)),
+            planGen.hotRowHeats(), Bytes{cfg.embeddingBytes() / 8});
+        tier = std::make_shared<host::EmbeddingTier>(device.model());
+        tier->provision(plan);
+        device.attachHostTier(tier);
+    }
+
+    workload::TraceGenerator gen(cfg, tc);
+    for (int r = 0; r < 8; ++r) {
+        const std::vector<model::Sample> batch = gen.nextBatch(3);
+        const auto out = device.infer(batch);
+        ASSERT_EQ(out.outputs.size(), batch.size());
+        for (std::size_t s = 0; s < batch.size(); ++s) {
+            const float ref = device.model().referenceInference(batch[s]);
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(out.outputs[s]),
+                      std::bit_cast<std::uint32_t>(ref))
+                << "request " << r << " sample " << s;
+        }
+    }
+    if (withTier) {
+        EXPECT_GT(tier->sliceHits().value(), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(HostTier, SearchedBitExact,
+                         ::testing::Values(false, true),
+                         [](const auto &info) {
+                             return std::string(info.param ? "WithTier"
+                                                           : "NoTier");
+                         });
 
 TEST(Integration, RuntimeApiMatchesDirectDeviceUse)
 {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "engine/fc_kernel.h"
 #include "engine/mlp_engine.h"
 #include "model/model_zoo.h"
@@ -159,6 +161,25 @@ TEST_P(DecomposedForwardTest, EqualsReferenceInference)
         const float ref = m.inferenceWithPooled(s.dense, pooled);
         const float dec = decomposedForward(m, s.dense, pooled);
         EXPECT_NEAR(ref, dec, 1e-5f) << GetParam() << " seed " << seed;
+    }
+}
+
+TEST_P(DecomposedForwardTest, BitEqualToReferenceInference)
+{
+    // Le and Lb share L0's accumulators through the one GEMV kernel,
+    // so the decomposed pass reproduces the reference's bits.
+    model::ModelConfig cfg = model::modelByName(GetParam());
+    cfg.withRowsPerTable(64);
+    const model::DlrmModel m(cfg);
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        const model::Sample s = m.makeSample(seed);
+        const model::Vector pooled =
+            m.embedding().pooledReference(s.indices);
+        const float ref = m.inferenceWithPooled(s.dense, pooled);
+        const float dec = decomposedForward(m, s.dense, pooled);
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(ref),
+                  std::bit_cast<std::uint32_t>(dec))
+            << GetParam() << " seed " << seed;
     }
 }
 

@@ -6,14 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "model/dlrm.h"
 #include "model/embedding.h"
 #include "model/mlp.h"
 #include "model/model_zoo.h"
 #include "model/tensor.h"
+#include "sim/rng.h"
 
 namespace rmssd::model {
 namespace {
@@ -27,7 +31,9 @@ TEST(Tensor, MultiplyMatchesManual)
     m.at(1, 0) = 4;
     m.at(1, 1) = 5;
     m.at(1, 2) = 6;
-    const Vector y = m.multiply({1.0f, 1.0f, 1.0f});
+    const Vector x{1.0f, 1.0f, 1.0f};
+    Vector y(2);
+    gemv(m, x, {}, y);
     EXPECT_FLOAT_EQ(y[0], 6.0f);
     EXPECT_FLOAT_EQ(y[1], 15.0f);
 }
@@ -48,6 +54,88 @@ TEST(Tensor, ConcatAndAccumulate)
     EXPECT_EQ(concat(a, b), (Vector{1, 2, 3, 4}));
     accumulate(a, b);
     EXPECT_EQ(a, (Vector{4, 6}));
+}
+
+/** The naive one-row loop gemv() must reproduce bit for bit. */
+Vector
+naiveGemv(const Matrix &w, const Vector &x)
+{
+    Vector y(w.rows());
+    for (std::uint32_t r = 0; r < w.rows(); ++r) {
+        double acc = 0.0;
+        for (std::uint32_t c = 0; c < w.cols(); ++c)
+            acc += static_cast<double>(w.at(r, c)) * x[c];
+        y[r] = static_cast<float>(acc);
+    }
+    return y;
+}
+
+TEST(Gemv, BitEqualToNaiveRowLoop)
+{
+    // Row counts below, at, between and above multiples of the row
+    // block; one column; every head/tail split including an empty tail
+    // (and an empty head). Each row adds moderate random terms between
+    // a 2^60 product in its first column and the exact negation in its
+    // last, so every partial sum rounds at 2^60's ulp: reordering any
+    // of a row's adds changes the float result, not only hidden
+    // low-order bits of the double accumulator.
+    Rng rng(0x6e3dULL);
+    const auto moderate = [&rng] {
+        const float v = static_cast<float>(1.0 + 63.0 * rng.nextDouble());
+        return rng.nextBounded(2) ? v : -v;
+    };
+    const float big = 0x1.0p30f;
+    const std::uint32_t rowCounts[] = {1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 31};
+    const std::uint32_t colCounts[] = {1, 2, 5, 33, 288};
+    for (const std::uint32_t rows : rowCounts) {
+        for (const std::uint32_t cols : colCounts) {
+            Matrix w(rows, cols);
+            Vector x(cols);
+            for (float &v : x)
+                v = moderate();
+            for (std::uint32_t r = 0; r < rows; ++r) {
+                for (std::uint32_t c = 0; c < cols; ++c)
+                    w.at(r, c) = moderate();
+                const float sign = rng.nextBounded(2) ? 1.0f : -1.0f;
+                w.at(r, 0) = sign * big;
+                if (cols > 1)
+                    w.at(r, cols - 1) = -sign * big;
+            }
+            x.front() = big;
+            x.back() = big;
+            const Vector want = naiveGemv(w, x);
+            const std::uint32_t splits[] = {cols, 0, cols / 2, cols - 1};
+            for (const std::uint32_t split : splits) {
+                const std::span<const float> all(x);
+                Vector got(rows);
+                gemv(w, all.first(split), all.subspan(split), got);
+                for (std::uint32_t r = 0; r < rows; ++r) {
+                    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[r]),
+                              std::bit_cast<std::uint32_t>(want[r]))
+                        << rows << "x" << cols << " split " << split
+                        << " row " << r;
+                }
+            }
+        }
+    }
+}
+
+TEST(Gemv, TwoSegmentLayerEqualsConcatenatedInput)
+{
+    const FcLayer layer(40, 19, Activation::Relu, 11);
+    Vector head(32);
+    Vector tail(8);
+    for (std::size_t i = 0; i < head.size(); ++i)
+        head[i] = 0.03f * static_cast<float>(i) - 0.4f;
+    for (std::size_t i = 0; i < tail.size(); ++i)
+        tail[i] = 0.5f - 0.07f * static_cast<float>(i);
+    const Vector split = layer.forward(head, tail);
+    const Vector joined = layer.forward(concat(head, tail));
+    ASSERT_EQ(split.size(), joined.size());
+    for (std::size_t i = 0; i < split.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(split[i]),
+                  std::bit_cast<std::uint32_t>(joined[i]));
+    }
 }
 
 TEST(Mlp, ReluClampsHiddenLayers)
@@ -106,6 +194,22 @@ TEST(Embedding, SlsReferenceSumsRows)
     for (std::uint32_t d = 0; d < 4; ++d) {
         EXPECT_FLOAT_EQ(pooled[d],
                         2 * spec.value(2, d) + spec.value(5, d));
+    }
+}
+
+TEST(Embedding, SlsReferenceIsRowOrderFold)
+{
+    // Bit-equal to folding materialized rows in lookup order.
+    EmbeddingTableSpec spec{3, 64, 16, 9};
+    const std::vector<std::uint64_t> idx{7, 63, 0, 7, 21, 42, 5, 7};
+    Vector fold(spec.dim, 0.0f);
+    for (const std::uint64_t i : idx)
+        accumulate(fold, spec.row(i));
+    const Vector pooled = spec.slsReference(idx);
+    ASSERT_EQ(pooled.size(), fold.size());
+    for (std::size_t d = 0; d < fold.size(); ++d) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(pooled[d]),
+                  std::bit_cast<std::uint32_t>(fold[d]));
     }
 }
 
