@@ -20,10 +20,10 @@
  *    (at saturation the deeper queue raises QPS AND lowers p99 — the
  *    same requests finish sooner);
  *  - p99 latency of the x4 fleet under a FIXED offered load (~90 % of
- *    its depth-1 saturation): below saturation the deep queue only
- *    adds in-device waiting (the host reaps results on its next
- *    wakeup), so the tail RISES — queue depth is a knob to open at
- *    saturation, not a free default.
+ *    its depth-1 saturation): the serving loop reads each result as
+ *    soon as it is ready, so below saturation the deep queue absorbs
+ *    arrival bursts instead of blocking them in submit and the tail
+ *    FALLS too.
  */
 
 #include <benchmark/benchmark.h>
@@ -145,10 +145,9 @@ runFigure()
     }
 
     // Fixed offered load on the x4 fleets: same arrivals, deeper
-    // queue. With the fleet below saturation the pipeline has nothing
-    // to overlap — requests just sit in the device queue and their
-    // results are reaped later, so the tail rises. The win at
-    // saturation above is not free at light load.
+    // queue. Below saturation a burst of arrivals still queues; at
+    // depth 1 it blocks in submit, at depth 4 the device overlaps it,
+    // and finished results are read at once — so the tail falls.
     std::printf("--- Fixed offered load (x4 fleet, 90%% of depth-1 "
                 "saturation) ---\n");
     bench::TextTable tail(
@@ -176,8 +175,9 @@ runFigure()
         "serving loop; cached fleets gain >1.2x at depth >= 4 (the "
         "scatter/gather host window stops serializing the shards); "
         "flat curves where flash is already saturated; and at fixed "
-        "sub-saturation load the deep queue RAISES the tail — depth "
-        "is worth opening only when the device is the bottleneck.\n");
+        "sub-saturation load the deep queue LOWERS the tail too — "
+        "bursts overlap in the device and results are read as soon "
+        "as they are ready.\n");
 }
 
 void

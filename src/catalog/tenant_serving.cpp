@@ -157,7 +157,7 @@ simulateFleetServing(TenantFleet &fleet,
     const auto parkedTenantCount = [&] {
         std::size_t count = 0;
         for (std::uint32_t j = 0; j < n; ++j)
-            count += parked[j].empty() ? 0 : 1;
+            count += parked[j].empty() ? 0u : 1u;
         return count;
     };
     // Issue parked requests in SFQ order while the backend has room

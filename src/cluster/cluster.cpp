@@ -357,8 +357,8 @@ RmSsdCluster::retireAt(std::size_t pos)
             (request.numSamples + mbSize - 1) / mbSize;
         const Cycle gatherSpan = gatherReady - t0;
         std::size_t mb = 0;
-        for (std::size_t pos = 0; pos < request.numSamples;
-             pos += mbSize, ++mb) {
+        for (std::size_t first = 0; first < request.numSamples;
+             first += mbSize, ++mb) {
             const Cycle sliceReady =
                 t0 + Cycle{gatherSpan.raw() * (mb + 1) / numMb};
             const Cycle bottomStart =

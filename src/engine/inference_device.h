@@ -107,7 +107,7 @@ class InferenceDevice
      * Pop the retired completion for @p id regardless of its queue
      * position; std::nullopt when @p id has not retired (or was
      * already consumed). Hosts that track requests by ticket — the
-     * cluster gather, the SLO serving loop — pair completions by id
+     * cluster gather, the serving loop — pair completions by id
      * instead of relying on FIFO ordering.
      */
     std::optional<AsyncCompletion> pollId(RequestId id);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <map>
 #include <optional>
 #include <utility>
@@ -108,20 +107,32 @@ timeWeightedDepth(const std::vector<std::pair<Cycle, Cycle>> &spans)
                           : static_cast<double>(spans.size());
 }
 
+} // namespace
+
 /**
- * The SLO control-plane serving loop: arrivals park in a
- * priority/EDF dispatch queue, finished requests harvest eagerly via
- * InferenceDevice::harvestDoneBy, and (optionally) a DepthController
- * walks the device queue depth against the latency SLO. With one
- * class and a static depth of 1 this replays the legacy blocking
- * loop's device schedule instruction for instruction: the eager
- * harvest at the dispatch clock retires exactly the request the
- * legacy backpressure would have, in the same op order.
+ * The serving loop, modelled on the paper's host (§IV-D): it polls
+ * the device and reads results as soon as they are ready. Arrivals
+ * park in a priority/EDF dispatch queue (FIFO with one best-effort
+ * class); finished requests harvest eagerly via
+ * InferenceDevice::harvestDoneBy; a full device queue blocks inside
+ * submit's own backpressure retire; and (optionally) a
+ * DepthController walks the device queue depth against the latency
+ * SLO. At depth 1 the eager harvest at the dispatch clock retires
+ * exactly the request submit's backpressure would, so the loop
+ * replays a serial submit-then-poll reference instruction for
+ * instruction.
  */
 ServingResult
-simulateServingSlo(engine::InferenceDevice &device, TraceGenerator &gen,
-                   const ServingConfig &config)
+simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
+                const ServingConfig &config)
 {
+    RMSSD_ASSERT(config.arrivalQps > 0.0, "non-positive arrival rate");
+    // The two pipelining knobs are mutually exclusive: an explicit
+    // queueDepth sweep (> 1) contradicts the controller owning the
+    // depth. Fail loudly instead of silently ignoring one.
+    RMSSD_ASSERT(!(config.slo.adaptiveDepth && config.queueDepth > 1),
+                 "adaptiveDepth and an explicit queueDepth sweep are "
+                 "mutually exclusive");
     const SloServingOptions &slo = config.slo;
 
     std::vector<ServingClass> classes = slo.classes;
@@ -154,7 +165,6 @@ simulateServingSlo(engine::InferenceDevice &device, TraceGenerator &gen,
         Cycle deadlineAt; //!< kNeverCycle = best-effort
         std::uint32_t cls = 0;
         std::uint64_t seq = 0;
-        std::vector<model::Sample> batch;
     };
     /** One dispatched-but-uncompleted request, keyed by ticket. */
     struct Pending
@@ -227,8 +237,7 @@ simulateServingSlo(engine::InferenceDevice &device, TraceGenerator &gen,
         q.deadlineAt = deadline > Nanos{0}
                            ? q.arrival + nanosToCycles(deadline)
                            : engine::kNeverCycle;
-        q.batch = gen.nextBatch(config.batchSize);
-        dispatchQ.push_back(std::move(q));
+        dispatchQ.push_back(q);
         ++generated;
         if (generated < config.numRequests)
             drawNextArrival();
@@ -249,7 +258,7 @@ simulateServingSlo(engine::InferenceDevice &device, TraceGenerator &gen,
                                 : a.seq < b.seq))
                 best = i;
         }
-        Queued q = std::move(dispatchQ[best]);
+        const Queued q = dispatchQ[best];
         dispatchQ.erase(dispatchQ.begin() +
                         static_cast<std::ptrdiff_t>(best));
         return q;
@@ -283,8 +292,8 @@ simulateServingSlo(engine::InferenceDevice &device, TraceGenerator &gen,
                 // The request's queue wait is the congestion signal:
                 // with presend, the blocking cost of a too-shallow
                 // queue lands inside submit's input transfer, so the
-                // force-retire itself barely moves the clock and the
-                // wait is the only place the cost is visible.
+                // backpressure retire itself barely moves the clock and
+                // the wait is the only place the cost is visible.
                 controller->onWait(wait);
                 if (controller->onCompletion(
                         latency, cyclesToNanos(device.deviceNow())))
@@ -326,16 +335,16 @@ simulateServingSlo(engine::InferenceDevice &device, TraceGenerator &gen,
 
         if (controller)
             controller->onBacklog(dispatchQ.size() - 1);
-        Queued q = pickEdf();
-        // Full queue: the host blocks on the oldest retire, exactly
-        // like the legacy backpressure inside submit.
-        while (device.inflight() >= device.maxInflight()) {
-            device.retireNext();
-            drainCompletions();
-        }
-        const engine::RequestId id = device.submit(q.batch);
-        // Same accept-instant convention as the legacy loop: the span
-        // and the wait/service split start when submit returns.
+        const Queued q = pickEdf();
+        // The batch is drawn at dispatch, not at arrival: a backlog
+        // then holds no sample vectors, and with one class dispatch
+        // order is arrival order. A full device queue blocks inside
+        // submit, which retires the oldest request itself (after a
+        // host tier has charged its DRAM time).
+        const engine::RequestId id =
+            device.submit(gen.nextBatch(config.batchSize));
+        // Accept instant = submit return: the span and the
+        // wait/service split start once the device owns the request.
         pending.emplace(id, Pending{q.arrival, device.deviceNow(),
                                     q.deadlineAt, q.cls});
         ++classRequests[q.cls];
@@ -372,7 +381,7 @@ simulateServingSlo(engine::InferenceDevice &device, TraceGenerator &gen,
         recordCompletion(completion);
     RMSSD_ASSERT(pending.empty() && dispatchQ.empty() &&
                      completed == config.numRequests,
-                 "SLO loop left requests unaccounted");
+                 "serving loop left requests unaccounted");
 
     result.offeredQps = config.arrivalQps;
     result.requests = config.numRequests;
@@ -428,152 +437,5 @@ simulateServingSlo(engine::InferenceDevice &device, TraceGenerator &gen,
     return result;
 }
 
-} // namespace
-
-ServingResult
-simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
-                const ServingConfig &config)
-{
-    RMSSD_ASSERT(config.arrivalQps > 0.0, "non-positive arrival rate");
-    // The two pipelining knobs are mutually exclusive: an explicit
-    // queueDepth sweep (> 1) contradicts the controller owning the
-    // depth. Fail loudly instead of silently ignoring one.
-    RMSSD_ASSERT(!(config.slo.adaptiveDepth && config.queueDepth > 1),
-                 "adaptiveDepth and an explicit queueDepth sweep are "
-                 "mutually exclusive");
-    RMSSD_ASSERT(!config.slo.adaptiveDepth || config.slo.enabled,
-                 "adaptiveDepth requires slo.enabled");
-    if (config.slo.enabled)
-        return simulateServingSlo(device, gen, config);
-
-    device.resetTiming();
-    device.setMaxInflight(
-        std::max<std::uint32_t>(config.queueDepth, 1));
-
-    Rng rng(config.seed);
-    const double meanGapNanos = 1e9 / config.arrivalQps;
-
-    LatencyRecorder latencies;
-    ServingResult result;
-    const bool cached = device.hasEvCache();
-    const std::uint64_t replansBefore = device.replanCount();
-    const std::uint64_t migratedBefore = device.migratedPageCount();
-    const std::uint64_t tierHitsBefore = device.tierSliceHits();
-    const std::uint64_t tierMissesBefore = device.tierSliceMisses();
-    std::uint64_t hitsBase = cached ? device.cacheHits() : 0;
-    std::uint64_t missesBase = cached ? device.cacheMisses() : 0;
-    std::uint64_t steadyHits = 0;
-    std::uint64_t steadyMisses = 0;
-    double arrivalNanos = 0.0;
-    double depthSum = 0.0;
-    Cycle lastCompletion;
-    std::vector<std::pair<Cycle, Cycle>> spans;
-    spans.reserve(config.numRequests);
-    // Arrival + submit cycles of submitted-but-not-completed
-    // requests, FIFO — completions pop in submission order.
-    std::deque<std::pair<Cycle, Cycle>> pendingArrivals;
-    const auto recordCompletion =
-        [&](const engine::AsyncCompletion &completion) {
-            const auto [reqArrival, submitAt] = pendingArrivals.front();
-            pendingArrivals.pop_front();
-            const Cycle end = completion.outcome.completionCycle;
-            latencies.add(cyclesToNanos(end - reqArrival));
-            // Breakdown: the host-block before the blocking submit is
-            // this loop's queue wait; the rest is device service.
-            result.queueWaitNanos.sample(static_cast<double>(
-                cyclesToNanos(submitAt - reqArrival).raw()));
-            result.serviceNanos.sample(static_cast<double>(
-                cyclesToNanos(end - submitAt).raw()));
-            spans.emplace_back(submitAt, end);
-            lastCompletion = std::max(lastCompletion, end);
-        };
-    for (std::uint32_t r = 0; r < config.numRequests; ++r) {
-        // Exponential inter-arrival gap (Poisson process).
-        const double u = std::max(rng.nextDouble(), 1e-12);
-        arrivalNanos += -meanGapNanos * std::log(u);
-        const Cycle arrival = nanosToCycles(
-            Nanos{static_cast<std::uint64_t>(arrivalNanos)});
-
-        // The device cannot start before the request arrives; when it
-        // is backed up, the request queues (FIFO) and its latency
-        // includes the waiting time.
-        if (device.deviceNow() < arrival) {
-            device.advanceHostClock(
-                cyclesToNanos(arrival - device.deviceNow()));
-        }
-        const auto batch = gen.nextBatch(config.batchSize);
-        device.submit(batch);
-        // Accept instant = submit return: any backpressure block (the
-        // wait for a device slot) has resolved, so wait vs service
-        // splits at the moment the device owns the request.
-        const Cycle submitAt = device.deviceNow();
-        pendingArrivals.emplace_back(arrival, submitAt);
-        depthSum += static_cast<double>(device.inflight());
-        while (const auto completion = device.poll())
-            recordCompletion(*completion);
-
-        if (cached) {
-            // Per-request hit ratio: the cache carries warm state
-            // across requests, so this climbs from the cold start
-            // toward the steady-state figure.
-            const std::uint64_t hits = device.cacheHits();
-            const std::uint64_t misses = device.cacheMisses();
-            const std::uint64_t reqHits = hits - hitsBase;
-            const std::uint64_t reqMisses = misses - missesBase;
-            hitsBase = hits;
-            missesBase = misses;
-            if (reqHits + reqMisses > 0)
-                result.requestHitRatio.sample(
-                    static_cast<double>(reqHits) /
-                    static_cast<double>(reqHits + reqMisses));
-            if (r >= config.numRequests / 2) {
-                steadyHits += reqHits;
-                steadyMisses += reqMisses;
-            }
-            if (config.replanThreshold > 0.0 &&
-                config.replanCheckEvery > 0 &&
-                (r + 1) % config.replanCheckEvery == 0)
-                device.replanIfDrifted(config.replanThreshold);
-        }
-        if (config.migrateCheckEvery > 0 &&
-            (r + 1) % config.migrateCheckEvery == 0)
-            device.migrateIfDrifted();
-    }
-    for (const engine::AsyncCompletion &completion : device.drain())
-        recordCompletion(completion);
-    RMSSD_ASSERT(pendingArrivals.empty(),
-                 "drain left requests unaccounted");
-
-    result.offeredQps = config.arrivalQps;
-    result.meanDepthOnSubmit =
-        config.numRequests > 0 ? depthSum / config.numRequests : 0.0;
-    result.meanQueueDepth = timeWeightedDepth(spans);
-    result.finalDepth = device.maxInflight();
-    result.requests = config.numRequests;
-    const double seconds = nanosToSeconds(cyclesToNanos(lastCompletion));
-    result.achievedQps =
-        seconds > 0.0 ? config.numRequests / seconds : 0.0;
-    result.meanLatency = latencies.mean();
-    result.p50 = latencies.percentile(50.0);
-    result.p95 = latencies.percentile(95.0);
-    result.p99 = latencies.percentile(99.0);
-    result.maxLatency = latencies.max();
-    if (steadyHits + steadyMisses > 0)
-        result.steadyHitRatio =
-            static_cast<double>(steadyHits) /
-            static_cast<double>(steadyHits + steadyMisses);
-    result.replans = device.replanCount() - replansBefore;
-    result.migratedPages =
-        device.migratedPageCount() - migratedBefore;
-    const std::uint64_t tierHits =
-        device.tierSliceHits() - tierHitsBefore;
-    const std::uint64_t tierMisses =
-        device.tierSliceMisses() - tierMissesBefore;
-    if (tierHits + tierMisses > 0)
-        result.tierHitRatio =
-            static_cast<double>(tierHits) /
-            static_cast<double>(tierHits + tierMisses);
-    return result;
-}
 
 } // namespace rmssd::workload

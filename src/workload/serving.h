@@ -52,7 +52,7 @@ class LatencyRecorder
     mutable bool sorted_ = true;
 };
 
-/** One request priority class of the SLO serving mode. */
+/** One request priority class of the serving loop. */
 struct ServingClass
 {
     std::string name = "default";
@@ -65,18 +65,17 @@ struct ServingClass
 };
 
 /**
- * SLO control-plane knobs. All default OFF: simulateServing then runs
- * the legacy FIFO blocking loop and existing results stay
- * byte-identical.
+ * SLO control-plane knobs of the one serving loop. The defaults (one
+ * best-effort class, a static depth) make it a FIFO open-loop server;
+ * classes add priority/EDF dispatch with deadlines, and adaptiveDepth
+ * hands the device queue depth to a DepthController.
  */
 struct SloServingOptions
 {
     /**
-     * Master switch for the SLO serving loop: arrivals park in a
-     * priority/EDF dispatch queue, finished requests harvest eagerly
-     * (InferenceDevice::harvestDoneBy) instead of only at FIFO
-     * backpressure points, and per-request queue-wait vs service time
-     * is recorded.
+     * No effect: simulateServing has one loop and runs it for every
+     * ServingConfig. Kept only so existing assignments still compile;
+     * set it nowhere new.
      */
     bool enabled = false;
     /**
@@ -108,15 +107,16 @@ struct ServingConfig
     std::uint64_t seed = 0x5e12e5ULL;
     /**
      * Static queue depth: requests kept in flight on the device
-     * (submit/poll pipelining). 1 (the default) reproduces the
-     * blocking infer() loop bit-for-bit; deeper queues overlap
-     * request r+1's embedding lookups with request r's MLP tail.
-     * This is no longer the only pipelining knob: with
+     * (submit/poll pipelining). 1 (the default) reproduces a serial
+     * submit-then-poll host bit-for-bit; deeper queues overlap
+     * request r+1's embedding lookups with request r's MLP tail, and
+     * the loop reads each result as soon as it is ready, so a deeper
+     * queue absorbs arrival bursts below saturation too. With
      * slo.adaptiveDepth the DepthController drives the depth at run
-     * time instead, and the two are mutually exclusive (asserted).
+     * time instead; the two are mutually exclusive (asserted).
      */
     std::uint32_t queueDepth = 1;
-    /** SLO control plane (off by default — legacy loop). */
+    /** SLO control plane: priority classes and adaptive depth. */
     SloServingOptions slo;
     /**
      * Adaptive re-planning: every @p replanCheckEvery requests, call
@@ -137,7 +137,7 @@ struct ServingConfig
     std::uint32_t migrateCheckEvery = 0;
 };
 
-/** Per-class slice of an SLO serving run. */
+/** Per-class slice of a serving run. */
 struct ClassServingResult
 {
     std::string name;
@@ -195,28 +195,31 @@ struct ServingResult
     /** Mean occupancy sampled right after each submit (legacy view). */
     double meanDepthOnSubmit = 0.0;
     /**
-     * Host dispatch-queue wait per request, arrival to dispatch
-     * (the `queue.waitNanos` breakdown; in the legacy loop this is
-     * the host-block time before the blocking submit).
+     * Host dispatch-queue wait per request, arrival to the return of
+     * its submit (the `queue.waitNanos` breakdown; it includes any
+     * block on submit's backpressure).
      */
     Distribution queueWaitNanos;
     /** Device service time per request, dispatch to completion. */
     Distribution serviceNanos;
-    /** Deadline misses across all classes (SLO mode with deadlines). */
+    /** Deadline misses across all classes (classes with deadlines). */
     std::uint64_t deadlineMisses = 0;
-    /** Per-class breakdown (SLO mode; one entry per class). */
+    /** Per-class breakdown (one entry per class). */
     std::vector<ClassServingResult> classes;
-    /** Depth-controller adjustments (SLO mode with adaptiveDepth). */
+    /** Depth-controller adjustments (with slo.adaptiveDepth). */
     std::uint64_t depthAdjustments = 0;
     /** Device queue depth when the run ended (controller's endpoint). */
     std::uint32_t finalDepth = 0;
 };
 
 /**
- * Drive @p device with Poisson arrivals from @p gen. Requests queue
- * FIFO; each request's latency spans its arrival to its results
- * being readable on the host. Works against any InferenceDevice —
- * a single RM-SSD or a multi-SSD cluster.
+ * Drive @p device with Poisson arrivals from @p gen. Arrived requests
+ * park in a priority/EDF dispatch queue (FIFO with one class); each
+ * draws its batch from @p gen when it is dispatched, and finished
+ * requests are read as soon as they are ready. A request's latency
+ * spans its arrival to its results being readable on the host. Works
+ * against any InferenceDevice — a single RM-SSD or a multi-SSD
+ * cluster.
  */
 ServingResult simulateServing(engine::InferenceDevice &device,
                               TraceGenerator &gen,

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,13 @@
 #include "runtime/rm_capi.h"
 
 namespace {
+
+/** A float's bit pattern: device outputs equal the reference bit for bit. */
+std::uint32_t
+bits(float value)
+{
+    return std::bit_cast<std::uint32_t>(value);
+}
 
 using namespace rmssd;
 
@@ -103,8 +112,9 @@ TEST(CApi, FullInferenceFlowMatchesReference)
     float out[2] = {0, 0};
     ASSERT_EQ(rm_read_outputs(s, out, 2), 2);
     for (int i = 0; i < 2; ++i) {
-        EXPECT_NEAR(out[i], reference.referenceInference(samples[i]),
-                    1e-4f);
+        EXPECT_EQ(bits(out[i]),
+                  bits(reference.referenceInference(samples[i])))
+            << i;
     }
     EXPECT_GT(rm_last_latency_ns(s), 0u);
     EXPECT_EQ(rm_pending_requests(s), 0u);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "engine/rm_ssd.h"
@@ -112,6 +114,13 @@ TEST(FlashErase, EraseThenProgramRestoresData)
 namespace rmssd::engine {
 namespace {
 
+/** A float's bit pattern: device outputs equal the reference bit for bit. */
+std::uint32_t
+bits(float value)
+{
+    return std::bit_cast<std::uint32_t>(value);
+}
+
 TEST(TimedLoad, ProvisioningIsTimedAndFunctional)
 {
     model::ModelConfig cfg = model::rmc1();
@@ -133,8 +142,8 @@ TEST(TimedLoad, ProvisioningIsTimedAndFunctional)
     // The freshly provisioned device serves correct inferences.
     std::vector<model::Sample> batch{dev.model().makeSample(5)};
     const auto out = dev.infer(batch);
-    EXPECT_NEAR(out.outputs[0],
-                dev.model().referenceInference(batch[0]), 1e-4f);
+    EXPECT_EQ(bits(out.outputs[0]),
+              bits(dev.model().referenceInference(batch[0])));
 }
 
 TEST(TimedLoad, TimingOnlyLoadDoesNotMaterializePages)

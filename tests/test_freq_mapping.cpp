@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <unordered_set>
@@ -26,6 +27,13 @@
 
 namespace rmssd::engine {
 namespace {
+
+/** A float's bit pattern: device outputs equal the reference bit for bit. */
+std::uint32_t
+bits(float value)
+{
+    return std::bit_cast<std::uint32_t>(value);
+}
 
 model::ModelConfig
 tinyConfig()
@@ -228,9 +236,8 @@ TEST(Placement, MigrationPreservesContentsMidServing)
         const auto out = dev.infer(batch);
         ASSERT_EQ(out.outputs.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i) {
-            EXPECT_NEAR(out.outputs[i],
-                        dev.model().referenceInference(batch[i]),
-                        1e-4f)
+            EXPECT_EQ(bits(out.outputs[i]),
+                      bits(dev.model().referenceInference(batch[i])))
                 << "request " << r << " sample " << i;
         }
         if (dev.migrateIfDrifted() > 0)
@@ -341,8 +348,8 @@ TEST(Placement, PacedMigrationDrainsQueueAndPreservesContents)
         const auto out = dev.infer(batch).outputs;
         // Results stay correct while queued swaps are mid-flight.
         for (std::size_t s = 0; s < batch.size(); ++s)
-            EXPECT_NEAR(out[s], model.referenceInference(batch[s]),
-                        1e-3f);
+            EXPECT_EQ(bits(out[s]), bits(model.referenceInference(batch[s])))
+                << "request " << r << " sample " << s;
         if ((r + 1) % 8 == 0)
             dev.migrateIfDrifted();
         sawPending = sawPending || dev.pendingMigrationSwaps() > 0;
@@ -376,9 +383,9 @@ TEST(Placement, AsyncDepthTwoStaysFunctionallyCorrect)
         const auto &batch = batches[retired++];
         ASSERT_EQ(completion.outcome.outputs.size(), batch.size());
         for (std::size_t i = 0; i < batch.size(); ++i)
-            EXPECT_NEAR(completion.outcome.outputs[i],
-                        dev.model().referenceInference(batch[i]),
-                        1e-4f);
+            EXPECT_EQ(bits(completion.outcome.outputs[i]),
+                      bits(dev.model().referenceInference(batch[i])))
+                << "request " << retired - 1 << " sample " << i;
     }
     EXPECT_EQ(retired, batches.size());
 }

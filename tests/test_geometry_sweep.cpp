@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <tuple>
 
 #include "engine/embedding_engine.h"
@@ -120,6 +122,13 @@ INSTANTIATE_TEST_SUITE_P(
 namespace rmssd::engine {
 namespace {
 
+/** A float's bit pattern: device outputs equal the reference bit for bit. */
+std::uint32_t
+bits(float value)
+{
+    return std::bit_cast<std::uint32_t>(value);
+}
+
 /** (variant, fragmented). */
 using MatrixParam = std::tuple<EngineVariant, bool>;
 
@@ -148,10 +157,10 @@ TEST_P(VariantMatrix, FunctionalAcrossVariantAndLayout)
                 dev.model().embedding().pooledReference(s.indices);
             ASSERT_EQ(out.outputs.size(), ref.size());
             for (std::size_t i = 0; i < ref.size(); ++i)
-                EXPECT_NEAR(out.outputs[i], ref[i], 1e-4f);
+                EXPECT_EQ(bits(out.outputs[i]), bits(ref[i])) << i;
         } else {
-            EXPECT_NEAR(out.outputs[0],
-                        dev.model().referenceInference(s), 1e-4f);
+            EXPECT_EQ(bits(out.outputs[0]),
+                      bits(dev.model().referenceInference(s)));
         }
     }
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,19 +64,22 @@ TEST_P(AllPathsAgree, EveryExecutionPathMatchesReference)
         const float ref = searched.model().referenceInference(s);
         const std::span<const model::Sample> span(&s, 1);
 
-        EXPECT_NEAR(searched.infer(span).outputs[0], ref, 1e-4f);
-        EXPECT_NEAR(naive.infer(span).outputs[0], ref, 1e-4f);
+        const auto bits = [](float v) {
+            return std::bit_cast<std::uint32_t>(v);
+        };
+        EXPECT_EQ(bits(searched.infer(span).outputs[0]), bits(ref));
+        EXPECT_EQ(bits(naive.infer(span).outputs[0]), bits(ref));
 
         // Embedding-only + host-side MLP equals the reference too.
         const auto pooledOut = embOnly.infer(span);
         const model::Vector pooled(pooledOut.outputs.begin(),
                                    pooledOut.outputs.end());
-        EXPECT_NEAR(
-            embOnly.model().inferenceWithPooled(s.dense, pooled), ref,
-            1e-4f);
-        EXPECT_NEAR(engine::decomposedForward(embOnly.model(), s.dense,
-                                              pooled),
-                    ref, 1e-4f);
+        EXPECT_EQ(
+            bits(embOnly.model().inferenceWithPooled(s.dense, pooled)),
+            bits(ref));
+        EXPECT_EQ(bits(engine::decomposedForward(embOnly.model(), s.dense,
+                                                 pooled)),
+                  bits(ref));
     }
 }
 

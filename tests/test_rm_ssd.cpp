@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "engine/rm_ssd.h"
@@ -15,6 +17,13 @@
 
 namespace rmssd::engine {
 namespace {
+
+/** A float's bit pattern: device outputs equal the reference bit for bit. */
+std::uint32_t
+bits(float value)
+{
+    return std::bit_cast<std::uint32_t>(value);
+}
 
 model::ModelConfig
 tinyConfig()
@@ -50,7 +59,7 @@ TEST(RmSsd, FunctionalInferenceMatchesReference)
     ASSERT_EQ(out.outputs.size(), 3u);
     for (int i = 0; i < 3; ++i) {
         const float ref = dev.model().referenceInference(batch[i]);
-        EXPECT_NEAR(out.outputs[i], ref, 1e-4f) << "sample " << i;
+        EXPECT_EQ(bits(out.outputs[i]), bits(ref)) << "sample " << i;
     }
 }
 
@@ -98,7 +107,7 @@ TEST(RmSsd, EmbeddingOnlyVariantReturnsPooledVectors)
         dev.model().embedding().pooledReference(batch[0].indices);
     ASSERT_EQ(out.outputs.size(), ref.size());
     for (std::size_t i = 0; i < ref.size(); ++i)
-        EXPECT_NEAR(out.outputs[i], ref[i], 1e-4f);
+        EXPECT_EQ(bits(out.outputs[i]), bits(ref[i])) << i;
 }
 
 TEST(RmSsd, Batch1HostTrafficIs64Bytes)
@@ -169,8 +178,8 @@ TEST(RmSsd, FragmentedTablesStillCorrect)
 
     std::vector<model::Sample> batch{dev.model().makeSample(77)};
     const auto out = dev.infer(batch);
-    EXPECT_NEAR(out.outputs[0],
-                dev.model().referenceInference(batch[0]), 1e-4f);
+    EXPECT_EQ(bits(out.outputs[0]),
+              bits(dev.model().referenceInference(batch[0])));
 }
 
 TEST(RmSsd, SteadyStateQpsIsPositiveAndStable)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "model/model_zoo.h"
@@ -14,6 +16,13 @@
 
 namespace rmssd::runtime {
 namespace {
+
+/** A float's bit pattern: device outputs equal the reference bit for bit. */
+std::uint32_t
+bits(float value)
+{
+    return std::bit_cast<std::uint32_t>(value);
+}
 
 model::ModelConfig
 tinyConfig()
@@ -78,9 +87,9 @@ TEST(RmRuntime, FullFlowMatchesReference)
     const std::vector<float> out = rt.RM_read_outputs();
     ASSERT_EQ(out.size(), 3u);
     for (int i = 0; i < 3; ++i) {
-        EXPECT_NEAR(out[i],
-                    rt.device().model().referenceInference(batch[i]),
-                    1e-4f);
+        EXPECT_EQ(bits(out[i]),
+                  bits(rt.device().model().referenceInference(batch[i])))
+            << i;
     }
     EXPECT_GT(rt.lastLatency(), Nanos{});
 }
@@ -184,8 +193,8 @@ TEST(RmRuntime, PreSendPipelineKeepsFifoOrder)
 
     const float refA = rt.device().model().referenceInference(a[0]);
     const float refB = rt.device().model().referenceInference(b[0]);
-    EXPECT_NEAR(rt.RM_read_outputs()[0], refA, 1e-4f);
-    EXPECT_NEAR(rt.RM_read_outputs()[0], refB, 1e-4f);
+    EXPECT_EQ(bits(rt.RM_read_outputs()[0]), bits(refA));
+    EXPECT_EQ(bits(rt.RM_read_outputs()[0]), bits(refB));
     EXPECT_EQ(rt.pendingRequests(), 0u);
 }
 

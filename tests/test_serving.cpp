@@ -1,13 +1,29 @@
 /**
  * @file
  * Tests for the online-serving simulation: latency recorder
- * percentiles, Poisson arrival behaviour, and the queueing knee.
+ * percentiles, Poisson arrival behaviour, the queueing knee, the
+ * serving loop against a serial reference host, and batch order
+ * under priority dispatch.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cluster/cluster.h"
+#include "engine/placement.h"
 #include "engine/rm_ssd.h"
+#include "host/embedding_tier.h"
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -271,6 +287,226 @@ TEST_F(ServingFixture, DeterministicForSameSeed)
     const ServingResult b = simulateServing(*device_, *gen_, sc);
     EXPECT_EQ(a.p99, b.p99);
     EXPECT_EQ(a.meanLatency, b.meanLatency);
+}
+
+// ---- The serving loop against a serial reference host --------------
+
+model::ModelConfig
+tinyConfig()
+{
+    model::ModelConfig config = model::rmc1().withRowsPerTable(512);
+    config.lookupsPerTable = 4;
+    return config;
+}
+
+/** Outcome of serialReference: the loop's headline numbers. */
+struct SerialRun
+{
+    LatencyRecorder latency;
+    double achievedQps = 0.0;
+};
+
+/**
+ * The simplest host there is: Poisson arrivals from Rng(config.seed),
+ * the host clock advanced to each arrival, then submit and drain
+ * poll(); latency = completion - arrival.
+ */
+SerialRun
+serialReference(engine::InferenceDevice &device, TraceGenerator &gen,
+                const ServingConfig &config)
+{
+    device.resetTiming();
+    device.setMaxInflight(1);
+    Rng rng(config.seed);
+    double arrivalNanos = 0.0;
+    std::deque<Cycle> arrivals;
+    Cycle last;
+    SerialRun run;
+    const auto record = [&](const engine::AsyncCompletion &completion) {
+        const Cycle end = completion.outcome.completionCycle;
+        run.latency.add(cyclesToNanos(end - arrivals.front()));
+        arrivals.pop_front();
+        last = std::max(last, end);
+    };
+    for (std::uint32_t r = 0; r < config.numRequests; ++r) {
+        const double u = std::max(rng.nextDouble(), 1e-12);
+        arrivalNanos += -1e9 / config.arrivalQps * std::log(u);
+        const Cycle arrival = nanosToCycles(
+            Nanos{static_cast<std::uint64_t>(arrivalNanos)});
+        if (device.deviceNow() < arrival)
+            device.advanceHostClock(
+                cyclesToNanos(arrival - device.deviceNow()));
+        arrivals.push_back(arrival);
+        device.submit(gen.nextBatch(config.batchSize));
+        while (const auto completion = device.poll())
+            record(*completion);
+    }
+    for (const engine::AsyncCompletion &completion : device.drain())
+        record(completion);
+    run.achievedQps =
+        config.numRequests / nanosToSeconds(cyclesToNanos(last));
+    return run;
+}
+
+TEST(ServingLoop, Depth1ReplaysSerialReference)
+{
+    // At depth 1 the eager-completion loop must replay the serial
+    // host's device schedule bit-for-bit, on a single device, behind
+    // a host tier (whose DRAM time submit charges before its
+    // backpressure retire) and on a sharded fleet.
+    const model::ModelConfig config = tinyConfig();
+    TraceConfig trace = localityK(0.3);
+    trace.hotRowsPerTable = 32;
+    trace.tableHotFractions = {1.0, 1.0};
+
+    const auto makeDevice = [&]() -> std::unique_ptr<engine::RmSsd> {
+        engine::RmSsdOptions options;
+        options.functional = true;
+        auto device = std::make_unique<engine::RmSsd>(config, options);
+        device->loadTables();
+        return device;
+    };
+    const auto makeTiered = [&]() -> std::unique_ptr<engine::RmSsd> {
+        auto device = makeDevice();
+        const TraceGenerator heat(config, trace);
+        const engine::TierPlan plan = engine::planHostTier(
+            config.rowsPerTable, Bytes{config.vectorBytes()},
+            planTierShares(heat.tableHistograms(4096)),
+            heat.hotRowHeats(), Bytes{config.embeddingBytes() / 4});
+        auto tier = std::make_shared<host::EmbeddingTier>(device->model());
+        tier->provision(plan);
+        device->attachHostTier(std::move(tier));
+        return device;
+    };
+    const auto makeFleet =
+        [&]() -> std::unique_ptr<engine::InferenceDevice> {
+        cluster::ClusterOptions options;
+        options.sharding.numDevices = 2;
+        return std::make_unique<cluster::RmSsdCluster>(config, options);
+    };
+    const std::vector<
+        std::pair<const char *,
+                  std::function<std::unique_ptr<engine::InferenceDevice>()>>>
+        devices = {{"device", makeDevice},
+                   {"tiered", makeTiered},
+                   {"fleet x2", makeFleet}};
+
+    for (const auto &[name, make] : devices) {
+        for (const double qps : {500.0, 5e6}) {
+            SCOPED_TRACE(std::string(name) + " @ " + std::to_string(qps));
+            const auto looped = make();
+            const auto serial = make();
+            TraceGenerator loopGen(config, trace);
+            TraceGenerator serialGen(config, trace);
+            ServingConfig sc;
+            sc.arrivalQps = qps;
+            sc.numRequests = 40;
+            const ServingResult r = simulateServing(*looped, loopGen, sc);
+            const SerialRun ref = serialReference(*serial, serialGen, sc);
+
+            EXPECT_EQ(r.meanLatency, ref.latency.mean());
+            EXPECT_EQ(r.p50, ref.latency.percentile(50.0));
+            EXPECT_EQ(r.p95, ref.latency.percentile(95.0));
+            EXPECT_EQ(r.p99, ref.latency.percentile(99.0));
+            EXPECT_EQ(r.maxLatency, ref.latency.max());
+            EXPECT_EQ(r.achievedQps, ref.achievedQps);
+            EXPECT_EQ(looped->deviceNow(), serial->deviceNow());
+            EXPECT_EQ(looped->lastCompletion(), serial->lastCompletion());
+        }
+    }
+}
+
+/**
+ * Synchronous fake backend (the base submit fallback): every request
+ * takes a fixed service time, and each batch is recorded in the order
+ * it reaches the device.
+ */
+class RecordingDevice final : public engine::InferenceDevice
+{
+  public:
+    RecordingDevice(const model::ModelConfig &config, Nanos service)
+        : model_(config), service_(nanosToCycles(service))
+    {
+    }
+
+    engine::InferenceOutcome
+    infer(std::span<const model::Sample> samples) override
+    {
+        batches.emplace_back(samples.begin(), samples.end());
+        const Cycle start = now_;
+        now_ = now_ + service_;
+        last_ = now_;
+        engine::InferenceOutcome outcome;
+        outcome.latency = cyclesToNanos(now_ - start);
+        outcome.completionCycle = now_;
+        return outcome;
+    }
+    const model::DlrmModel &model() const override { return model_; }
+    Cycle deviceNow() const override { return now_; }
+    Cycle lastCompletion() const override { return last_; }
+    void advanceHostClock(Nanos hostNanos) override
+    {
+        now_ = now_ + nanosToCycles(hostNanos);
+    }
+    void resetTiming() override
+    {
+        now_ = Cycle{};
+        last_ = Cycle{};
+    }
+    void registerStats(StatsRegistry &, const std::string &) const override
+    {
+    }
+    const Counter &hostBytesRead() const override { return bytes_; }
+    const Counter &hostBytesWritten() const override { return bytes_; }
+    std::uint32_t pipelineMicroBatch() const override { return 1; }
+
+    std::vector<std::vector<model::Sample>> batches;
+
+  private:
+    model::DlrmModel model_;
+    Cycle service_;
+    Cycle now_;
+    Cycle last_;
+    Counter bytes_;
+};
+
+TEST(ServingLoop, BatchesFollowDispatchOrder)
+{
+    // Two priority classes at a saturating rate: premium arrivals jump
+    // the backlog, so dispatch order is not arrival order. Batches are
+    // drawn at dispatch, so the device still sees the generator's
+    // stream in submission order.
+    const model::ModelConfig config = tinyConfig();
+    RecordingDevice device(config, Nanos{10'000});
+    TraceGenerator gen(config, localityK(0.3));
+
+    ServingConfig sc;
+    sc.arrivalQps = 5e6;
+    sc.batchSize = 2;
+    sc.numRequests = 60;
+    ServingClass premium;
+    premium.name = "premium";
+    premium.priority = 1;
+    ServingClass bulk;
+    bulk.name = "bulk";
+    bulk.share = 3.0;
+    sc.slo.classes = {premium, bulk};
+    const ServingResult r = simulateServing(device, gen, sc);
+
+    ASSERT_EQ(r.classes.size(), 2u);
+    EXPECT_LT(r.classes[0].meanQueueWait, r.classes[1].meanQueueWait);
+    ASSERT_EQ(device.batches.size(), sc.numRequests);
+    TraceGenerator fresh(config, localityK(0.3));
+    for (std::size_t i = 0; i < device.batches.size(); ++i) {
+        const std::vector<model::Sample> expected =
+            fresh.nextBatch(sc.batchSize);
+        const std::vector<model::Sample> &got = device.batches[i];
+        ASSERT_EQ(got.size(), expected.size()) << i;
+        for (std::size_t s = 0; s < got.size(); ++s) {
+            EXPECT_EQ(got[s].dense, expected[s].dense) << i;
+            EXPECT_EQ(got[s].indices, expected[s].indices) << i;
+        }
+    }
 }
 
 } // namespace

@@ -205,7 +205,7 @@ TEST(DepthController, ShedPatienceDelaysTheStepDown)
     EXPECT_EQ(ctl.depth(), 6u);
 }
 
-// ---- Serving-loop equivalence and the breakdown ---------------------
+// ---- Serving-loop breakdown and control plane ----------------------
 
 model::ModelConfig
 tinyConfig()
@@ -223,39 +223,6 @@ makeFunctionalDevice(const model::ModelConfig &config)
     auto device = std::make_unique<engine::RmSsd>(config, options);
     device->loadTables();
     return device;
-}
-
-TEST(SloServing, Depth1SingleClassMatchesLegacyLoopExactly)
-{
-    // The eager-completion loop at depth 1 with one best-effort class
-    // must replay the legacy blocking loop's device schedule
-    // bit-for-bit — the PR-5 depth-1 invariant carries over.
-    const model::ModelConfig config = tinyConfig();
-    for (const double qps : {500.0, 5e6}) {
-        auto legacyDev = makeFunctionalDevice(config);
-        auto sloDev = makeFunctionalDevice(config);
-        TraceGenerator gen(config, localityK(0.3));
-
-        ServingConfig sc;
-        sc.arrivalQps = qps;
-        sc.numRequests = 40;
-        sc.queueDepth = 1;
-        const ServingResult legacy =
-            simulateServing(*legacyDev, gen, sc);
-        gen.reset();
-        sc.slo.enabled = true;
-        const ServingResult slo = simulateServing(*sloDev, gen, sc);
-
-        EXPECT_EQ(slo.meanLatency, legacy.meanLatency) << qps;
-        EXPECT_EQ(slo.p50, legacy.p50) << qps;
-        EXPECT_EQ(slo.p95, legacy.p95) << qps;
-        EXPECT_EQ(slo.p99, legacy.p99) << qps;
-        EXPECT_EQ(slo.maxLatency, legacy.maxLatency) << qps;
-        EXPECT_EQ(slo.achievedQps, legacy.achievedQps) << qps;
-        EXPECT_EQ(sloDev->deviceNow(), legacyDev->deviceNow()) << qps;
-        EXPECT_EQ(sloDev->lastCompletion(), legacyDev->lastCompletion())
-            << qps;
-    }
 }
 
 TEST(SloServing, QueueWaitPlusServiceAccountsForLatency)
@@ -297,7 +264,6 @@ TEST(SloServing, AdaptiveDepthExcludesExplicitQueueDepthSweep)
     TraceGenerator gen(config, localityK(0.3));
     ServingConfig sc;
     sc.queueDepth = 4;
-    sc.slo.enabled = true;
     sc.slo.adaptiveDepth = true;
     EXPECT_DEATH((void)simulateServing(*device, gen, sc),
                  "mutually exclusive");
@@ -323,7 +289,6 @@ TEST(SloServing, ControllerConvergesUpAtSaturationDownWhenIdle)
 
     ServingConfig sc;
     sc.numRequests = 120;
-    sc.slo.enabled = true;
     sc.slo.adaptiveDepth = true;
     sc.slo.controller.maxDepth = 4;
     sc.slo.controller.windowRequests = 32;
@@ -356,7 +321,6 @@ TEST(SloServing, PriorityClassJumpsTheQueueAndDeadlinesAreCounted)
     ServingConfig sc;
     sc.arrivalQps = 5e6; // saturating: a dispatch queue actually forms
     sc.numRequests = 160;
-    sc.slo.enabled = true;
     ServingClass premium;
     premium.name = "premium";
     premium.share = 1.0;
