@@ -19,11 +19,11 @@
  *     ratio and tail latency in opposite directions.
  *
  * Honesty notes: colocated table content is defined by the union
- * model (unionSeed), so multi-tenant runs are not bit-comparable to a
- * tenant's standalone content — only the layout/shape mapping is
- * exact (see test_catalog). The per-tenant cap models a serial
- * per-tenant dispatcher: a capped tenant's next issue waits for its
- * own oldest completion.
+ * model (its fixed union seed), so multi-tenant runs are not
+ * bit-comparable to a tenant's standalone content — only the
+ * layout/shape mapping is exact (see test_catalog). The per-tenant
+ * cap models a serial per-tenant dispatcher: a capped tenant's next
+ * issue waits for its own oldest completion.
  */
 
 #include <benchmark/benchmark.h>

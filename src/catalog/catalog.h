@@ -1,7 +1,7 @@
 /**
  * @file
- * Model + system catalog: the successor of the flat string-keyed
- * `baseline::makeSystem` registry.
+ * Model + system catalog: the one factory for every comparison
+ * system, keyed by the paper's system names.
  *
  * A ModelCatalog holds two kinds of entries:
  *  - named model specs (`model::ModelConfig`) — the zoo models plus
@@ -13,8 +13,8 @@
  *
  * The paper-name strings ("DRAM", ..., "RM-SSD+part", "RM-SSD x4")
  * are builtin() entries, so every fig02–fig19 golden keeps building
- * byte-identical systems. `baseline::makeSystem` survives as a thin
- * compat shim over builtin().
+ * byte-identical systems; makeSystem() and allSystemNames() look them
+ * up in builtin().
  */
 
 #ifndef RMSSD_CATALOG_CATALOG_H

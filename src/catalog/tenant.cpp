@@ -1,15 +1,26 @@
 #include "catalog/tenant.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
-#include "baseline/system.h"
 #include "catalog/catalog.h"
 #include "sim/log.h"
-#include "workload/driver.h"
 
 namespace rmssd::catalog {
+
+namespace {
+
+/** Lookups per table profiled per tenant for the budget planners. */
+constexpr std::uint64_t kProfileLookups = 4096;
+
+/**
+ * Content seed of a multi-tenant union layout (colocated table content
+ * is defined by the union model — the honest reading for synthetic
+ * tables). Single-tenant fleets keep the tenant's seed.
+ */
+constexpr std::uint64_t kUnionSeed = 42;
+
+} // namespace
 
 UnionLayout
 buildUnionLayout(std::span<const TenantSpec> tenants,
@@ -72,8 +83,7 @@ buildUnionLayout(std::span<const TenantSpec> tenants,
 
 TenantFleet::TenantFleet(std::vector<TenantSpec> tenants,
                          const FleetOptions &options)
-    : layout_(buildUnionLayout(tenants, options.unionSeed)),
-      options_(options), hostCpu_(options.hostCpu)
+    : layout_(buildUnionLayout(tenants, kUnionSeed)), options_(options)
 {
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const TenantSpec &spec = tenants[i];
@@ -85,14 +95,12 @@ TenantFleet::TenantFleet(std::vector<TenantSpec> tenants,
                 fatal("duplicate tenant id '%s'", spec.id.c_str());
         auto state = std::make_unique<TenantState>();
         state->spec = spec;
-        state->model = std::make_unique<model::DlrmModel>(spec.config);
         tenants_.push_back(std::move(state));
     }
-    functionalBackend_ = options_.device.functional;
 
     const bool multi = tenants_.size() > 1;
     engine::RmSsdOptions devOpts = options_.device;
-    if (multi || options_.hostMlp)
+    if (multi)
         devOpts.variant = engine::EngineVariant::EmbeddingOnly;
 
     // Per-tenant traffic profiles feed every shared-resource planner:
@@ -105,8 +113,7 @@ TenantFleet::TenantFleet(std::vector<TenantSpec> tenants,
         for (const auto &st : tenants_) {
             workload::TraceGenerator gen(st->spec.config,
                                          st->spec.trace);
-            hists.push_back(
-                gen.tableHistograms(options_.profileLookups));
+            hists.push_back(gen.tableHistograms(kProfileLookups));
         }
     }
 
@@ -382,43 +389,6 @@ TenantFleet::finalize(engine::AsyncCompletion completion)
         outcome.outputs = std::move(sliced);
     }
 
-    if (options_.hostMlp) {
-        // Each tenant owns a host CPU running its own MLP above the
-        // embedding-only backend; requests of one tenant serialize on
-        // it while the shared device streams on. The device clock is
-        // untouched — host MLP time extends only this tenant's
-        // completion.
-        workload::Breakdown breakdown;
-        const Nanos hostNanos = baseline::addHostMlpCosts(
-            hostCpu_, st.spec.config,
-            static_cast<std::uint32_t>(front.numSamples), breakdown);
-        const Cycle start =
-            std::max(outcome.completionCycle, st.mlpFree);
-        const Cycle done = start + nanosToCycles(hostNanos);
-        st.mlpFree = done;
-        outcome.latency +=
-            cyclesToNanos(done - outcome.completionCycle);
-        outcome.completionCycle = done;
-        if (functionalBackend_ && !outcome.outputs.empty()) {
-            RMSSD_ASSERT(front.dense.size() == front.numSamples,
-                         "dense inputs lost for host MLP");
-            const std::size_t pooledLen =
-                outcome.outputs.size() / front.numSamples;
-            std::vector<float> ctrs(front.numSamples);
-            for (std::size_t s = 0; s < front.numSamples; ++s) {
-                const model::Vector pooled(
-                    outcome.outputs.begin() +
-                        static_cast<std::ptrdiff_t>(s * pooledLen),
-                    outcome.outputs.begin() +
-                        static_cast<std::ptrdiff_t>((s + 1) *
-                                                    pooledLen));
-                ctrs[s] = st.model->inferenceWithPooled(front.dense[s],
-                                                        pooled);
-            }
-            outcome.outputs = std::move(ctrs);
-        }
-    }
-
     RMSSD_ASSERT(st.inflightCount > 0, "tenant inflight underflow");
     --st.inflightCount;
     st.retired.inc();
@@ -472,11 +442,6 @@ TenantFleet::submitTenant(std::size_t i,
     FleetInflight entry;
     entry.tenant = i;
     entry.numSamples = samples.size();
-    if (options_.hostMlp && functionalBackend_) {
-        entry.dense.reserve(samples.size());
-        for (const model::Sample &sample : samples)
-            entry.dense.push_back(sample.dense);
-    }
     entry.submitCycle = device_->deviceNow();
     if (layout_.passthrough) {
         entry.deviceId = device_->submit(samples);
@@ -563,7 +528,6 @@ TenantFleet::resetTiming()
     clearCompletions();
     for (const auto &st : tenants_) {
         st->inflightCount = 0;
-        st->mlpFree = Cycle{};
         st->lastCompletion = Cycle{};
     }
     lastCompletion_ = Cycle{};

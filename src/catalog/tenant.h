@@ -50,7 +50,6 @@
 #include "cluster/cluster.h"
 #include "engine/inference_device.h"
 #include "engine/rm_ssd.h"
-#include "host/cpu_model.h"
 #include "host/embedding_tier.h"
 #include "model/dlrm.h"
 #include "sim/stats.h"
@@ -95,30 +94,14 @@ struct FleetOptions
     /**
      * Shared backend knobs (geometry, EV-cache pool, placement...).
      * The variant is forced to EmbeddingOnly whenever the union layout
-     * spans several tenants or hostMlp is on; a single-tenant fleet
-     * keeps the requested variant (bit-exact passthrough).
+     * spans several tenants (outputs are the tenants' pooled vectors);
+     * a single-tenant fleet keeps the requested variant (bit-exact
+     * passthrough).
      */
     engine::RmSsdOptions device;
-    /**
-     * Run each tenant's own MLP on the host above the embedding-only
-     * backend (EMB-VectorSum style): outputs become per-sample CTRs
-     * and completions extend by the tenant's serialized host MLP time.
-     * Off: outputs are the tenant's pooled vectors.
-     */
-    bool hostMlp = false;
-    /** Host CPU cost model for hostMlp. */
-    host::CpuCosts hostCpu;
     /** Shared host-DRAM embedding pool; 0 = no tier. */
     Bytes hostTierBytes;
     host::TierTiming tierTiming;
-    /** Lookups per table profiled per tenant for the budget planners. */
-    std::uint64_t profileLookups = 4096;
-    /**
-     * Content seed of a multi-tenant union layout (colocated table
-     * content is defined by the union model — the honest reading for
-     * synthetic tables). Single-tenant fleets keep the tenant's seed.
-     */
-    std::uint64_t unionSeed = 42;
 };
 
 /**
@@ -215,7 +198,7 @@ class TenantFleet : public engine::InferenceDevice
     engine::RequestId
     submit(std::span<const model::Sample> samples) override;
     bool retireNext() override;
-    /** Device-side status poll; a host-MLP tail may run past @p when. */
+    /** Device-side status poll: a queued completion or the backend's. */
     bool oldestDoneBy(Cycle when) const override
     {
         return hasQueuedCompletion() || device_->oldestDoneBy(when);
@@ -300,11 +283,7 @@ class TenantFleet : public engine::InferenceDevice
     struct TenantState
     {
         TenantSpec spec;
-        /** Tenant functional model (host MLP + reference shapes). */
-        std::unique_ptr<model::DlrmModel> model;
         std::uint32_t inflightCount = 0;
-        /** Host MLP serialization track (hostMlp mode). */
-        Cycle mlpFree;
         Cycle lastCompletion;
         Bytes tierBudget;
         Bytes tierPlanned;
@@ -325,8 +304,6 @@ class TenantFleet : public engine::InferenceDevice
         std::size_t tenant = 0;
         Cycle submitCycle;
         std::size_t numSamples = 0;
-        /** Original dense inputs (hostMlp + functional backends). */
-        std::vector<model::Vector> dense;
     };
 
     /** Remap tenant samples onto the union layout (lane duplication). */
@@ -372,8 +349,6 @@ class TenantFleet : public engine::InferenceDevice
     /** Shared host tier (references device_->model(); declared after
      *  device_ so it destructs first). */
     std::shared_ptr<host::EmbeddingTier> tier_;
-    host::CpuModel hostCpu_;
-    bool functionalBackend_ = false;
 
     std::deque<FleetInflight> inflight_;
     Cycle lastCompletion_;

@@ -41,6 +41,12 @@ simulateFleetServing(TenantFleet &fleet,
         const TenantLoad &load = config.loads[i];
         RMSSD_ASSERT(load.arrivalQps > 0.0,
                      "non-positive arrival rate");
+        // A zero multiplier would make the spike gap infinite; the
+        // comparison also rejects NaN.
+        RMSSD_ASSERT(load.spikeMultiplier > 0.0,
+                     "spikeMultiplier must be positive");
+        RMSSD_ASSERT(load.spikeStartRequest <= load.spikeEndRequest,
+                     "spike window ends before it starts");
         Rng rng(config.seed ^
                 (0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(i) + 1)));
         double arrivalNanos = 0.0;
@@ -83,8 +89,7 @@ simulateFleetServing(TenantFleet &fleet,
     Cycle fleetLast;
 
     // Arrival cycles of submitted-but-not-completed requests, global
-    // FIFO — fleet completions pop in submission order even when a
-    // per-tenant host MLP reorders completion *times* across tenants.
+    // FIFO — fleet completions pop in submission order.
     std::deque<std::pair<Cycle, std::uint32_t>> pending;
     const auto recordCompletion =
         [&](const engine::AsyncCompletion &completion) {
@@ -123,8 +128,7 @@ simulateFleetServing(TenantFleet &fleet,
     // Harvest every request whose status already reads done at `now`:
     // frees cap slots without blocking the clock on unfinished work.
     const auto harvest = [&](Cycle now) {
-        while (fleet.oldestDoneBy(now) && fleet.retireNext()) {
-        }
+        fleet.harvestDoneBy(now);
         while (const auto completion = fleet.poll())
             recordCompletion(*completion);
     };
@@ -142,111 +146,33 @@ simulateFleetServing(TenantFleet &fleet,
         }
     };
 
-    // Start-time fair queueing (SFQ) state for wfq mode: per-tenant
-    // virtual finish times against one global virtual clock. A
-    // dispatch starts at max(V, F_i) and finishes 1/weight_i later in
-    // virtual time, so over any contended interval tenant i's
-    // dispatch count tracks trafficShare_i / sum(trafficShare).
-    std::vector<double> vfinish(n, 0.0);
-    double vtime = 0.0;
-    std::vector<std::uint64_t> contendedDispatches(n, 0);
-    std::uint64_t contendedTotal = 0;
-    const auto backendRoom = [&] {
-        return fleet.inflight() < fleet.maxInflight();
-    };
-    const auto parkedTenantCount = [&] {
-        std::size_t count = 0;
-        for (std::uint32_t j = 0; j < n; ++j)
-            count += parked[j].empty() ? 0u : 1u;
-        return count;
-    };
-    // Issue parked requests in SFQ order while the backend has room
-    // (never force-blocking the shared clock — isolation comes first,
-    // fairness decides who uses the free slots).
-    const auto flushParkedWfq = [&] {
-        while (backendRoom()) {
-            std::size_t best = n;
-            double bestStart = 0.0;
-            for (std::uint32_t j = 0; j < n; ++j) {
-                if (parked[j].empty() || !underCap(j))
-                    continue;
-                const double start = std::max(vtime, vfinish[j]);
-                if (best == n || start < bestStart) {
-                    best = j;
-                    bestStart = start;
-                }
-            }
-            if (best == n)
-                return;
-            const bool contended = parkedTenantCount() >= 2;
-            const Parked head = std::move(parked[best].front());
-            parked[best].pop_front();
-            const double weight =
-                std::max(fleet.tenant(best).trafficShare, 1e-9);
-            vtime = bestStart;
-            vfinish[best] = bestStart + 1.0 / weight;
-            if (contended) {
-                ++contendedDispatches[best];
-                ++contendedTotal;
-            }
-            submitNow(static_cast<std::uint32_t>(best), head.arrival,
-                      head.batch);
-        }
-    };
-
     for (const Arrival &arrival : arrivals) {
         const Cycle when = nanosToCycles(Nanos{arrival.nanos});
         if (fleet.deviceNow() < when)
             fleet.advanceHostClock(
                 cyclesToNanos(when - fleet.deviceNow()));
         harvest(when);
-        if (config.wfq)
-            flushParkedWfq();
-        else
-            flushParked();
+        flushParked();
         auto batch = gens[arrival.tenant].nextBatch(
             config.loads[arrival.tenant].batchSize);
-        if (config.wfq) {
-            // WFQ: every arrival goes through its tenant's queue so
-            // the SFQ scheduler owns all dispatch ordering.
-            parked[arrival.tenant].push_back({when, std::move(batch)});
-            flushParkedWfq();
-        } else if (underCap(arrival.tenant) &&
-                   parked[arrival.tenant].empty()) {
+        if (underCap(arrival.tenant) && parked[arrival.tenant].empty())
             submitNow(arrival.tenant, when, batch);
-        } else {
-            parked[arrival.tenant].push_back(
-                {when, std::move(batch)});
-        }
+        else
+            parked[arrival.tenant].push_back({when, std::move(batch)});
     }
     // Tail: the capped backlogs issue at their owners' completion pace
     // (submitTenant's own gate advances the clock tenant-locally now
-    // that no further victim arrivals can be delayed by it). In WFQ
-    // mode the scheduler keeps picking; when the backend (or every
-    // backlogged tenant's cap) is full, retiring the oldest request
-    // forces progress.
-    if (config.wfq) {
-        while (parkedTenantCount() > 0) {
-            harvest(fleet.deviceNow());
-            flushParkedWfq();
-            if (parkedTenantCount() == 0)
-                break;
-            fleet.retireNext();
-            while (const auto completion = fleet.poll())
-                recordCompletion(*completion);
-        }
-    } else {
-        for (bool again = true; again;) {
-            again = false;
-            harvest(fleet.deviceNow());
-            for (std::uint32_t j = 0; j < n; ++j) {
-                if (parked[j].empty())
-                    continue;
-                const Parked head = std::move(parked[j].front());
-                parked[j].pop_front();
-                submitNow(j, head.arrival, head.batch);
-                again = true;
-            }
+    // that no further victim arrivals can be delayed by it).
+    for (bool again = true; again;) {
+        again = false;
+        harvest(fleet.deviceNow());
+        for (std::uint32_t j = 0; j < n; ++j) {
+            if (parked[j].empty())
+                continue;
+            const Parked head = std::move(parked[j].front());
+            parked[j].pop_front();
+            submitNow(j, head.arrival, head.batch);
+            again = true;
         }
     }
     for (const engine::AsyncCompletion &completion : fleet.drain())
@@ -281,10 +207,6 @@ simulateFleetServing(TenantFleet &fleet,
         if (hits + misses > 0)
             tr.tierHitRatio = static_cast<double>(hits) /
                               static_cast<double>(hits + misses);
-        if (contendedTotal > 0)
-            tr.contendedDispatchShare =
-                static_cast<double>(contendedDispatches[i]) /
-                static_cast<double>(contendedTotal);
         result.tenants.push_back(tr);
     }
     result.requests = totalRequests;

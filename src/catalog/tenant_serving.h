@@ -33,7 +33,8 @@ struct TenantLoad
      * Flash-crowd window: this tenant's requests
      * [spikeStartRequest, spikeEndRequest) arrive at
      * arrivalQps * spikeMultiplier — the co-tenant spike the
-     * per-tenant inflight caps are meant to contain.
+     * per-tenant inflight caps are meant to contain. The multiplier
+     * must be positive and the window must not end before it starts.
      */
     double spikeMultiplier = 1.0;
     std::uint32_t spikeStartRequest = 0;
@@ -49,16 +50,6 @@ struct FleetServingConfig
     std::uint32_t queueDepth = 1;
     /** Base seed; each tenant's arrival stream derives its own. */
     std::uint64_t seed = 0x5e12e5ULL;
-    /**
-     * Weighted fair queueing between tenants: every arrival parks in
-     * its tenant's dispatch queue and a start-time fair queueing
-     * (SFQ) scheduler — virtual start max(V, F_i), finish
-     * F_i = start + 1/weight_i, weight = TenantSpec::trafficShare —
-     * picks which queue issues next whenever the shared backend has a
-     * free slot. Off (the default) keeps the legacy arrival-order
-     * dispatch byte-identical.
-     */
-    bool wfq = false;
 };
 
 /** Per-tenant outcome of a fleet serving experiment. */
@@ -76,14 +67,6 @@ struct TenantServingResult
     double tierHitRatio = 0.0;
     /** Mean tenant inflight observed right after each of its submits. */
     double meanInflight = 0.0;
-    /**
-     * WFQ mode: this tenant's fraction of the dispatches made while
-     * the fleet was contended (>= 2 tenants had parked backlogs).
-     * Converges to trafficShare_i / sum(trafficShare) under sustained
-     * contention — the fairness check of the SFQ scheduler. 0 when
-     * wfq is off or the run never contended.
-     */
-    double contendedDispatchShare = 0.0;
 };
 
 /** Fleet-wide outcome. */

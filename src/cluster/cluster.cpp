@@ -601,14 +601,8 @@ RmSsdCluster::setMaxInflight(std::uint32_t depth)
     // Shrink the fleet queue first so shard queues never hold a
     // sub-request whose cluster request has already retired.
     engine::InferenceDevice::setMaxInflight(depth);
-    // Decoupled shard caps: a non-zero shardQueueDepth pins the
-    // shards' own backpressure bound regardless of the fleet depth
-    // (the id-paired gather tolerates shard-side force-retires).
-    const std::uint32_t shardDepth =
-        options_.shardQueueDepth != 0 ? options_.shardQueueDepth
-                                      : depth;
     for (const auto &shard : shards_)
-        shard->setMaxInflight(shardDepth);
+        shard->setMaxInflight(depth);
 }
 
 engine::InferenceOutcome

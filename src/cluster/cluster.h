@@ -68,16 +68,6 @@ struct ClusterOptions
     RouterPolicy policy = RouterPolicy::RoundRobin;
     /** Per-shard device options (variant is forced to EmbeddingOnly). */
     engine::RmSsdOptions device;
-    /**
-     * Per-shard in-flight cap decoupled from the cluster-wide depth:
-     * when non-zero, setMaxInflight leaves every shard's queue at
-     * this bound instead of mirroring the fleet depth. Safe because
-     * the gather pairs shard completions by sub-request id, not FIFO
-     * position — a shard force-retiring an early sub-request under
-     * its own backpressure parks the completion until its cluster
-     * request gathers. 0 (the default) mirrors the fleet depth.
-     */
-    std::uint32_t shardQueueDepth = 0;
     /** Hedged requests to replicas of hot tables (see HedgeOptions). */
     HedgeOptions hedge;
     /**
@@ -143,10 +133,7 @@ class RmSsdCluster : public engine::InferenceDevice
         return static_cast<std::uint32_t>(inflight_.size());
     }
 
-    /**
-     * Propagate the queue depth to every shard (or pin shards at
-     * ClusterOptions::shardQueueDepth when set), then resize.
-     */
+    /** Resize the queue and mirror the depth onto every shard. */
     void setMaxInflight(std::uint32_t depth) override;
 
     const model::DlrmModel &model() const override { return fullModel_; }

@@ -61,36 +61,21 @@ EvCache::EvCache(const EvCacheConfig &config, Bytes lineBytes)
 {
     RMSSD_ASSERT(lineBytes_ > Bytes{}, "zero EV cache line size");
     RMSSD_ASSERT(ways_ > 0, "zero EV cache associativity");
-    RMSSD_ASSERT(config.windowFraction >= 0.0 &&
-                     config.windowFraction < 1.0,
-                 "window fraction outside [0, 1)");
     const std::uint64_t lines = std::max<std::uint64_t>(
         1, config.capacityBytes / lineBytes_);
-    // The W-TinyLFU window is carved out of the same line budget so
-    // enabling it never grows the SRAM footprint; at least one line
-    // must remain on each side of the split.
-    std::uint64_t windowLines = static_cast<std::uint64_t>(
-        config.windowFraction * static_cast<double>(lines));
-    if (config.windowFraction > 0.0 && windowLines == 0 && lines > 1)
-        windowLines = 1;
-    windowLines = std::min(windowLines, lines - 1);
-    const std::uint64_t mainLines = lines - windowLines;
     ways_ = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(ways_, mainLines));
+        std::min<std::uint64_t>(ways_, lines));
     numSets_ = static_cast<std::uint32_t>(
-        std::max<std::uint64_t>(1, mainLines / ways_));
-    windowBase_ = static_cast<std::size_t>(numSets_) * ways_;
-    windowLines_ = static_cast<std::uint32_t>(windowLines);
+        std::max<std::uint64_t>(1, lines / ways_));
 
-    lines_.resize(windowBase_ + windowLines_);
+    lines_.resize(static_cast<std::size_t>(numSets_) * ways_);
 
     if (!config.tableShares.empty())
         partitions_ = planTablePartitions(numSets_, config.tableShares);
 
     if (config.admission == EvCacheAdmission::TinyLfu) {
         sketch_ = std::make_unique<FrequencySketch>(
-            lines * config.sketchCountersPerLine,
-            lines * config.sketchSamplePerLine);
+            lines * kSketchCountersPerLine, lines * kSketchSamplePerLine);
     }
 }
 
@@ -175,15 +160,10 @@ EvCache::lookup(TableId tableId, EvIndex index,
         sketch_->record(key);
     // A functional caller needs the bytes; a line installed by a
     // timing-only run has none, so it cannot serve the hit.
-    std::size_t line = find(windowBase_, windowLines_, key);
-    if (line != kNoLine && (!out || hasData(line))) {
-        admissionWindowHits_.inc();
-    } else {
-        line = find(setBase(tableId, key), ways_, key);
-        if (line == kNoLine || (out && !hasData(line))) {
-            misses_.inc();
-            return false;
-        }
+    const std::size_t line = find(setBase(tableId, key), ways_, key);
+    if (line == kNoLine || (out && !hasData(line))) {
+        misses_.inc();
+        return false;
     }
     lines_[line].lastUse = ++tick_;
     hits_.inc();
@@ -197,40 +177,6 @@ EvCache::fill(TableId tableId, EvIndex index,
               std::span<const std::uint8_t> data)
 {
     const std::uint64_t key = evKey(tableId, index);
-    if (windowLines_ == 0) {
-        fillMain(tableId, key, data);
-        return;
-    }
-
-    // Refresh wherever the key already lives (window or main);
-    // otherwise new keys serve their probation in the window and only
-    // its LRU spill may contend for main admission.
-    const std::size_t inWindow = find(windowBase_, windowLines_, key);
-    if (inWindow != kNoLine) {
-        install(inWindow, key, data);
-        fills_.inc();
-        return;
-    }
-    if (find(setBase(tableId, key), ways_, key) != kNoLine) {
-        fillMain(tableId, key, data);
-        return;
-    }
-    const std::size_t slot = lruLine(windowBase_, windowLines_);
-    if (lines_[slot].lastUse != 0) {
-        // Graduate the window victim toward the main cache; the
-        // TinyLFU filter inside fillMain decides admission.
-        const std::uint64_t victimKey = lines_[slot].key;
-        fillMain(TableId{static_cast<std::uint32_t>(victimKey >> 48)},
-                 victimKey, lineData(slot));
-    }
-    install(slot, key, data);
-    fills_.inc();
-}
-
-void
-EvCache::fillMain(TableId tableId, std::uint64_t key,
-                  std::span<const std::uint8_t> data)
-{
     const std::size_t base = setBase(tableId, key);
 
     // Refresh an existing line, else take the first free way, else
@@ -259,8 +205,7 @@ bool
 EvCache::contains(TableId tableId, EvIndex index) const
 {
     const std::uint64_t key = evKey(tableId, index);
-    return find(windowBase_, windowLines_, key) != kNoLine ||
-           find(setBase(tableId, key), ways_, key) != kNoLine;
+    return find(setBase(tableId, key), ways_, key) != kNoLine;
 }
 
 void

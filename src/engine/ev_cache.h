@@ -34,13 +34,13 @@
  * micro-batch into a single probe).
  *
  * Storage is flat, like the SRAM it models: one set-major array of
- * 16-byte {key, lastUse} ways (set s owns lines [s*ways, (s+1)*ways),
- * the admission window follows the last set), where lastUse == 0
- * marks a free line. Line bytes live in a parallel per-line array that
- * is only allocated by the first fill carrying real bytes, so a
- * timing-only run never pays for it. A probe reads one contiguous run
- * of tags — two host cache lines at 8 ways — and a hit hands out a
- * view of the line's bytes instead of copying the vector.
+ * 16-byte {key, lastUse} ways (set s owns lines [s*ways, (s+1)*ways)),
+ * where lastUse == 0 marks a free line. Line bytes live in a parallel
+ * per-line array that is only allocated by the first fill carrying
+ * real bytes, so a timing-only run never pays for it. A probe reads
+ * one contiguous run of tags — two host cache lines at 8 ways — and a
+ * hit hands out a view of the line's bytes instead of copying the
+ * vector.
  */
 
 #ifndef RMSSD_ENGINE_EV_CACHE_H
@@ -93,16 +93,6 @@ struct EvCacheConfig
     /** Fill-admission policy (AlwaysAdmit reproduces PR-1 exactly). */
     EvCacheAdmission admission = EvCacheAdmission::AlwaysAdmit;
     /**
-     * TinyLFU sketch sizing, in units of cache lines: the sketch gets
-     * lines*sketchCountersPerLine 4-bit counters and halves after
-     * lines*sketchSamplePerLine recorded accesses. 8 counters/line ≈
-     * 4x over-provisioning against the working set at kDepth=4, and a
-     * sample window of 16x the line count keeps roughly one cache
-     * generation of history.
-     */
-    std::uint32_t sketchCountersPerLine = 8;
-    std::uint32_t sketchSamplePerLine = 16;
-    /**
      * Optional static per-table partitioning: entry t is table t's
      * relative share of the set array (any positive scale; normalised
      * internally — per-table lookup counts from a trace histogram
@@ -111,17 +101,6 @@ struct EvCacheConfig
      * model's table count and every share must be > 0.
      */
     std::vector<double> tableShares;
-    /**
-     * W-TinyLFU admission window: this fraction of the line budget is
-     * carved out as a small fully-associative LRU window in front of
-     * the main set array. New keys land in the window first and only
-     * graduate into the main cache when the window evicts them AND
-     * their sketch frequency beats the main victim's — recency gets a
-     * probation period without letting the cold tail touch the main
-     * arrays. 0 (the default) disables the window and reproduces the
-     * plain cache bit-for-bit. Meaningful values are small (~0.01).
-     */
-    double windowFraction = 0.0;
 };
 
 /** Contiguous run of sets owned by one table (partitioned mode). */
@@ -159,6 +138,17 @@ evKey(TableId tableId, EvIndex index)
 class EvCache
 {
   public:
+    /**
+     * TinyLFU sketch sizing, in units of cache lines: the sketch gets
+     * lines*kSketchCountersPerLine 4-bit counters and halves after
+     * lines*kSketchSamplePerLine recorded accesses. 8 counters/line ≈
+     * 4x over-provisioning against the working set at kDepth=4, and a
+     * sample window of 16x the line count keeps roughly one cache
+     * generation of history.
+     */
+    static constexpr std::uint64_t kSketchCountersPerLine = 8;
+    static constexpr std::uint64_t kSketchSamplePerLine = 16;
+
     /**
      * @param lineBytes size of one cached vector (EVsize); capacity
      *        and associativity come from @p config
@@ -215,14 +205,6 @@ class EvCache
     const Counter &evictions() const { return evictions_; }
     /** Fills rejected by the TinyLFU admission filter. */
     const Counter &admissionRejects() const { return admissionRejects_; }
-    /** Hits served by the W-TinyLFU admission window. */
-    const Counter &admissionWindowHits() const
-    {
-        return admissionWindowHits_;
-    }
-
-    /** Lines in the admission window (0 = no window). */
-    std::uint32_t windowLines() const { return windowLines_; }
 
     /**
      * Bytes of line data held: zero until the first fill that carries
@@ -262,18 +244,12 @@ class EvCache
     void install(std::size_t line, std::uint64_t key,
                  std::span<const std::uint8_t> data);
 
-    /** Fill the main set array (shared by fill() and window spill). */
-    void fillMain(TableId tableId, std::uint64_t key,
-                  std::span<const std::uint8_t> data);
-
     Bytes lineBytes_;
     std::uint32_t ways_;
     Cycle hitCycles_;
     std::uint32_t numSets_ = 0;
-    std::size_t windowBase_ = 0; //!< first window line (= main lines)
-    std::uint32_t windowLines_ = 0; //!< W-TinyLFU window; 0 = off
     std::uint64_t tick_ = 0; //!< LRU clock, pre-incremented: stamps >= 1
-    std::vector<Line> lines_; //!< every set's ways, then the window
+    std::vector<Line> lines_; //!< every set's ways, set-major
     /** Per line: bytes present; empty until the first data fill. */
     std::vector<std::uint8_t> hasData_;
     /** lineBytes per line; empty until the first data fill. */
@@ -286,7 +262,6 @@ class EvCache
     Counter fills_;
     Counter evictions_;
     Counter admissionRejects_;
-    Counter admissionWindowHits_;
 };
 
 } // namespace rmssd::engine

@@ -58,11 +58,8 @@ RmSsd::makeMapping(const RmSsdOptions &options)
     if (!options.placement.enabled)
         return std::make_unique<ftl::LinearMapping>(totalPages);
 
-    ftl::FrequencyMapping::Options fm;
-    fm.sketchCounters = options.placement.sketchCounters;
-    fm.sketchSampleSize = options.placement.sketchSampleSize;
-    fm.candidateEstimate = options.placement.sketchCandidateEstimate;
-    return std::make_unique<ftl::FrequencyMapping>(totalPages, fm);
+    return std::make_unique<ftl::FrequencyMapping>(
+        totalPages, ftl::FrequencyMapping::Options{});
 }
 
 std::uint64_t
@@ -303,18 +300,7 @@ RmSsd::replanIfDrifted(double threshold)
     if (std::abs(measured - plannedHitRatio_) <= threshold)
         return false;
 
-    // Hysteresis: a re-plan rebuilds the MLP kernels, so drift seen
-    // before the cooldown elapses is skipped (the drift window above
-    // still advanced; a persistent shift re-triggers next check).
-    if (options_.replanCooldownRequests > 0 && replans_.value() > 0 &&
-        inferCalls_ - inferCallsAtLastReplan_ <
-            options_.replanCooldownRequests) {
-        replanSkips_.inc();
-        return false;
-    }
-
     plannedHitRatio_ = measured;
-    inferCallsAtLastReplan_ = inferCalls_;
     buildPlan(EmbeddingEngine::effectiveCyclesPerRead(
         options_.geometry, options_.timing, Bytes{config_.vectorBytes()},
         measured));
@@ -660,10 +646,7 @@ RmSsd::submitWith(std::span<const model::Sample> samples,
                     sizeof(float)}
             : Bytes{samples.size() * sizeof(float)};
 
-    // Request-level accounting happens at issue so the replan
-    // cooldown sees the same call counts as the blocking path.
     inferences_.inc(samples.size());
-    ++inferCalls_;
     submitted_.inc();
 
     // The host is busy until its inputs are sent; completions of
@@ -857,10 +840,7 @@ RmSsd::registerStats(StatsRegistry &registry,
         cache.addCounter("evictions", &evCache_->evictions());
         cache.addCounter("admissionRejects",
                          &evCache_->admissionRejects());
-        cache.addCounter("admissionWindowHits",
-                         &evCache_->admissionWindowHits());
         cache.addCounter("replans", &replans_);
-        cache.addCounter("replanSkips", &replanSkips_);
         cache.addRatio("hitRatio", &evCache_->hits(),
                        &evCache_->misses());
     }

@@ -83,10 +83,6 @@ struct PlacementOptions
      * the bound caps interference with foreground reads.
      */
     std::uint32_t maxSwapsPerPass = 32;
-    /** Online heat estimator shape (see FrequencyMapping::Options). */
-    std::uint64_t sketchCounters = 1ull << 16;
-    std::uint64_t sketchSampleSize = 1ull << 18;
-    std::uint32_t sketchCandidateEstimate = 2;
     /**
      * Migration pacing: spread a drifted pass's swaps evenly across
      * this many subsequent requests instead of bursting the whole
@@ -127,14 +123,6 @@ struct RmSsdOptions
     EvCacheConfig evCache = {};
     /** Fold duplicate (table, index) pairs within a micro-batch. */
     bool coalesceIndices = false;
-    /**
-     * Re-plan hysteresis: minimum number of infer() calls between two
-     * adaptive re-plans, so an adversarial trace that flips locality
-     * every drift window cannot thrash the kernel search. Drift seen
-     * during the cooldown is skipped (counted in replanSkips()). 0
-     * disables the cooldown (every drifted window may re-plan).
-     */
-    std::uint32_t replanCooldownRequests = 0;
     /** Frequency-aware flash data mapping (default: linear layout). */
     PlacementOptions placement = {};
 };
@@ -247,8 +235,6 @@ class RmSsd : public InferenceDevice
      * assumed. When the drift exceeds @p threshold, re-run the kernel
      * search with the observed ratio so the MLP kernels re-balance
      * against the real T_emb' (Eq. 2 with the measured bEV).
-     * Re-plans are rate-limited by
-     * RmSsdOptions::replanCooldownRequests (hysteresis).
      * @return true when the device re-planned
      */
     bool replanIfDrifted(double threshold) override;
@@ -331,8 +317,6 @@ class RmSsd : public InferenceDevice
 
     /** Number of adaptive re-plans performed. */
     const Counter &replans() const { return replans_; }
-    /** Drifted windows skipped because the cooldown had not elapsed. */
-    const Counter &replanSkips() const { return replanSkips_; }
     const model::DlrmModel &model() const override { return model_; }
     flash::FlashArray &flash() { return *flash_; }
     const flash::FlashArray &flash() const { return *flash_; }
@@ -502,9 +486,6 @@ class RmSsd : public InferenceDevice
     /** Cache-counter snapshots delimiting the current drift window. */
     std::uint64_t windowHitsBase_ = 0;
     std::uint64_t windowMissesBase_ = 0;
-    /** infer() calls served so far / at the last re-plan (cooldown). */
-    std::uint64_t inferCalls_ = 0;
-    std::uint64_t inferCallsAtLastReplan_ = 0;
 
     Cycle deviceNow_;
     Cycle lastCompletion_;
@@ -525,7 +506,6 @@ class RmSsd : public InferenceDevice
     Counter hostBytesWritten_;
     Counter inferences_;
     Counter replans_;
-    Counter replanSkips_;
     Counter migrationPasses_;
     Counter migratedPages_;
     /** Per-engine occupancy (utilization = busy / wall cycles). */

@@ -91,11 +91,16 @@ simulateBatchedServing(engine::InferenceDevice &device,
     RMSSD_ASSERT(pendingRanges.empty(),
                  "drain left batches unaccounted");
 
+    // An empty stream dispatches nothing: report zeros, not 0/0.
+    const double seconds = nanosToSeconds(cyclesToNanos(lastCompletion));
     result.achievedQps =
-        static_cast<double>(batchedQueries) /
-        nanosToSeconds(cyclesToNanos(lastCompletion));
-    result.meanBatchSize = static_cast<double>(batchedQueries) /
-                           static_cast<double>(result.dispatches);
+        seconds > 0.0 ? static_cast<double>(batchedQueries) / seconds
+                      : 0.0;
+    result.meanBatchSize =
+        result.dispatches > 0
+            ? static_cast<double>(batchedQueries) /
+                  static_cast<double>(result.dispatches)
+            : 0.0;
     result.meanLatency = latencies.mean();
     result.p95 = latencies.percentile(95.0);
     result.p99 = latencies.percentile(99.0);

@@ -148,7 +148,7 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
     std::uint32_t depth = std::max<std::uint32_t>(config.queueDepth, 1);
     std::optional<DepthController> controller;
     if (slo.adaptiveDepth) {
-        controller.emplace(slo.controller, slo.targetP99,
+        controller.emplace(slo.controller, Nanos{},
                            slo.controller.minDepth);
         controller->prime(cyclesToNanos(device.deviceNow()));
         depth = controller->depth();

@@ -81,14 +81,13 @@ struct SloServingOptions
     /**
      * Adaptive queue depth: a workload::DepthController walks the
      * device's maxInflight within [controller.minDepth,
-     * controller.maxDepth] against targetP99. Mutually exclusive with
-     * an explicit ServingConfig::queueDepth sweep (> 1) —
-     * simulateServing asserts rather than silently ignoring one of
-     * the two knobs.
+     * controller.maxDepth] on its backlog and wait-share signals
+     * (no latency target, so the tail guard is off). Mutually
+     * exclusive with an explicit ServingConfig::queueDepth sweep
+     * (> 1) — simulateServing asserts rather than silently ignoring
+     * one of the two knobs.
      */
     bool adaptiveDepth = false;
-    /** Latency SLO the controller's tail guard sheds against. */
-    Nanos targetP99{};
     DepthControllerConfig controller;
     /**
      * Priority classes; each arrival is assigned a class

@@ -171,5 +171,24 @@ TEST_F(BatcherFixture, DeterministicForSeed)
     EXPECT_EQ(a.dispatches, b.dispatches);
 }
 
+TEST(Batcher, EmptyStreamReportsZeros)
+{
+    // No queries means no dispatch and no completion: every rate and
+    // mean is zero, not 0/0.
+    const model::ModelConfig config =
+        model::rmc3().withRowsPerTable(100000);
+    engine::RmSsd device(config, engine::RmSsdOptions{});
+    device.loadTables();
+    TraceGenerator gen(config, localityK(0.3));
+    BatcherConfig bc;
+    bc.numQueries = 0;
+    const BatcherResult r = simulateBatchedServing(device, gen, bc);
+    EXPECT_EQ(r.dispatches, 0u);
+    EXPECT_EQ(r.achievedQps, 0.0);
+    EXPECT_EQ(r.meanBatchSize, 0.0);
+    EXPECT_EQ(r.meanLatency, Nanos{});
+    EXPECT_EQ(r.p99, Nanos{});
+}
+
 } // namespace
 } // namespace rmssd::workload

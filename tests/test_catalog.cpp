@@ -1,16 +1,19 @@
 /**
  * @file
  * Tests for the model/system catalog and the multi-tenant fleet:
- * every catalog entry builds and serves, the registry shim keeps the
- * paper names, a single-tenant TenantFleet is a bit-exact passthrough
- * over a bare device, lane-split tenants match the withTableSubset
- * reference, and the isolation knobs (inflight caps, cache/tier
- * carves) enforce their contracts deterministically.
+ * every catalog entry builds and serves, a single-tenant TenantFleet
+ * is a bit-exact passthrough over a bare device, lane-split tenants
+ * match the withTableSubset reference, the isolation knobs (inflight
+ * caps, cache/tier carves) enforce their contracts deterministically,
+ * fleet bookkeeping holds under random operation sequences, and
+ * malformed serving loads fail loudly.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "catalog/tenant_serving.h"
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -498,6 +502,147 @@ TEST(TenantFleet, BuildFleetFromCatalogResolvesModelNames)
     EXPECT_EQ(fleet.tenant(0).config.name, "tiny-narrow");
     EXPECT_EQ(fleet.tenant(1).config.name, "tiny-wide");
     EXPECT_EQ(fleet.unionConfig().embDim, 32u);
+}
+
+TEST(TenantFleetFuzz, InvariantsHoldUnderRandomOps)
+{
+    // Seeded random interleavings of every fleet entry point, on a
+    // single-device and a two-shard backend, with the wide tenant
+    // capped. After every operation the fleet's bookkeeping must
+    // agree with an independent ledger kept here.
+    for (const std::uint32_t devices : {1u, 2u}) {
+        for (const std::uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << devices << " device(s), seed " << seed);
+            std::vector<TenantSpec> specs = twoTenants();
+            specs[1].maxInflightCap = 2;
+            FleetOptions options;
+            options.numDevices = devices;
+            TenantFleet fleet(std::move(specs), options);
+            fleet.setMaxInflight(4);
+
+            std::vector<workload::TraceGenerator> gens;
+            for (std::size_t i = 0; i < fleet.numTenants(); ++i)
+                gens.emplace_back(fleet.tenant(i).config,
+                                  fleet.tenant(i).trace);
+
+            struct Issued
+            {
+                std::size_t tenant = 0;
+                Cycle submitted;
+                bool retired = false;
+            };
+            std::map<engine::RequestId, Issued> issued;
+            std::vector<std::uint64_t> submittedPerTenant(
+                fleet.numTenants(), 0);
+            const auto complete =
+                [&](const engine::AsyncCompletion &completion) {
+                    const auto it = issued.find(completion.id);
+                    ASSERT_NE(it, issued.end())
+                        << "unknown id " << completion.id;
+                    EXPECT_FALSE(it->second.retired)
+                        << "id " << completion.id << " retired twice";
+                    it->second.retired = true;
+                    EXPECT_GE(completion.outcome.completionCycle,
+                              it->second.submitted)
+                        << "id " << completion.id;
+                };
+            const auto checkLedger = [&] {
+                std::uint32_t sum = 0;
+                for (std::size_t i = 0; i < fleet.numTenants(); ++i) {
+                    EXPECT_EQ(submittedPerTenant[i],
+                              fleet.tenantRetired(i) +
+                                  fleet.tenantInflight(i))
+                        << "tenant " << i;
+                    sum += fleet.tenantInflight(i);
+                }
+                EXPECT_EQ(sum, fleet.inflight());
+                EXPECT_LE(fleet.inflight(), fleet.maxInflight());
+                EXPECT_LE(fleet.tenantInflight(1), 2u);
+            };
+
+            Rng rng(seed);
+            for (int op = 0; op < 300; ++op) {
+                const std::uint64_t action = rng.nextBounded(100);
+                if (action < 45) {
+                    const std::size_t i = rng.nextBounded(2);
+                    const auto batch = gens[i].nextBatch(
+                        1 + static_cast<std::uint32_t>(
+                                rng.nextBounded(3)));
+                    const Cycle before = fleet.deviceNow();
+                    const engine::RequestId id =
+                        fleet.submitTenant(i, batch);
+                    ASSERT_EQ(issued.count(id), 0u) << "id reused";
+                    issued[id] = Issued{i, before, false};
+                    ++submittedPerTenant[i];
+                } else if (action < 60) {
+                    while (const auto completion = fleet.poll())
+                        complete(*completion);
+                } else if (action < 75) {
+                    fleet.harvestDoneBy(
+                        fleet.deviceNow() +
+                        Cycle{rng.nextBounded(200000)});
+                } else if (action < 87) {
+                    fleet.retireNext();
+                } else if (action < 95) {
+                    fleet.setMaxInflight(
+                        1 + static_cast<std::uint32_t>(
+                                rng.nextBounded(6)));
+                } else {
+                    for (const auto &completion : fleet.drain())
+                        complete(completion);
+                    EXPECT_EQ(fleet.inflight(), 0u);
+                }
+                checkLedger();
+            }
+            for (const auto &completion : fleet.drain())
+                complete(completion);
+            checkLedger();
+            EXPECT_EQ(fleet.inflight(), 0u);
+            for (const auto &[id, entry] : issued)
+                EXPECT_TRUE(entry.retired) << "id " << id << " lost";
+            EXPECT_GT(issued.size(), 50u);
+        }
+    }
+}
+
+/**
+ * Serve twoTenants() with tenant 1 spiking by @p multiplier over its
+ * requests [@p start, @p end).
+ */
+void
+serveWithSpike(double multiplier, std::uint32_t start, std::uint32_t end)
+{
+    TenantFleet fleet(twoTenants(), FleetOptions{});
+    FleetServingConfig sc;
+    sc.loads.resize(2);
+    sc.loads[0].numRequests = 10;
+    sc.loads[1].numRequests = 10;
+    sc.loads[1].spikeMultiplier = multiplier;
+    sc.loads[1].spikeStartRequest = start;
+    sc.loads[1].spikeEndRequest = end;
+    simulateFleetServing(fleet, sc);
+}
+
+TEST(FleetServingDeathTest, ZeroSpikeMultiplierDies)
+{
+    EXPECT_DEATH(serveWithSpike(0.0, 2, 6),
+                 "spikeMultiplier must be positive");
+}
+
+TEST(FleetServingDeathTest, NegativeOrNanSpikeMultiplierDies)
+{
+    EXPECT_DEATH(serveWithSpike(-2.0, 2, 6),
+                 "spikeMultiplier must be positive");
+    EXPECT_DEATH(
+        serveWithSpike(std::numeric_limits<double>::quiet_NaN(), 2, 6),
+        "spikeMultiplier must be positive");
+}
+
+TEST(FleetServingDeathTest, InvertedSpikeWindowDies)
+{
+    EXPECT_DEATH(serveWithSpike(10.0, 6, 2),
+                 "spike window ends before it starts");
 }
 
 } // namespace

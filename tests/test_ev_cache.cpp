@@ -435,106 +435,7 @@ TEST(TinyLfuAdmission, AlwaysAdmitKeepsPr1Behaviour)
     EXPECT_EQ(cache.admissionRejects().value(), 0u);
 }
 
-/** A cache of @p lines lines with a W-TinyLFU admission window. */
-EvCache
-windowCache(std::uint32_t lines, double fraction,
-            EvCacheAdmission admission = EvCacheAdmission::AlwaysAdmit)
-{
-    EvCacheConfig cc;
-    cc.enabled = true;
-    cc.capacityBytes = Bytes{static_cast<std::uint64_t>(lines) * 16};
-    cc.ways = 2;
-    cc.windowFraction = fraction;
-    cc.admission = admission;
-    return EvCache(cc, Bytes{16});
-}
-
-TEST(WTinyLfuWindow, CarvedFromLineBudget)
-{
-    // The window shares the line budget with the main array: no SRAM
-    // beyond what the plain cache already used.
-    const EvCache cache = windowCache(8, 0.25);
-    EXPECT_EQ(cache.windowLines(), 2u);
-    EXPECT_EQ(cache.numSets() * cache.ways(), 6u);
-
-    // A tiny positive fraction still gets one probation line.
-    EXPECT_EQ(windowCache(8, 0.01).windowLines(), 1u);
-
-    // Fraction 0 is the plain cache, exactly.
-    const EvCache plain = windowCache(8, 0.0);
-    EXPECT_EQ(plain.windowLines(), 0u);
-    EXPECT_EQ(plain.numSets() * plain.ways(), 8u);
-}
-
-TEST(WTinyLfuWindow, WindowHitsCountedSeparately)
-{
-    EvCache cache = windowCache(8, 0.25);
-    cache.fill(TableId{}, EvIndex{1}, {}); // new key -> window
-    EXPECT_TRUE(cache.contains(TableId{}, EvIndex{1}));
-    EXPECT_TRUE(cache.lookup(TableId{}, EvIndex{1}, nullptr));
-    EXPECT_EQ(cache.hits().value(), 1u);
-    EXPECT_EQ(cache.admissionWindowHits().value(), 1u);
-}
-
-TEST(WTinyLfuWindow, EvictedVictimGraduatesToMain)
-{
-    // One-line window: filling a second key spills the first toward
-    // the main array (AlwaysAdmit lets it straight in).
-    EvCache cache = windowCache(8, 0.01);
-    ASSERT_EQ(cache.windowLines(), 1u);
-    cache.fill(TableId{}, EvIndex{1}, {});
-    cache.fill(TableId{}, EvIndex{2}, {});
-    EXPECT_TRUE(cache.contains(TableId{}, EvIndex{1}));
-    EXPECT_TRUE(cache.contains(TableId{}, EvIndex{2}));
-
-    // Index 1 now lives in the main array: hitting it is a main hit,
-    // not a window hit.
-    EXPECT_TRUE(cache.lookup(TableId{}, EvIndex{1}, nullptr));
-    EXPECT_EQ(cache.admissionWindowHits().value(), 0u);
-}
-
-TEST(WTinyLfuWindow, GraduationRunsThroughTinyLfuFilter)
-{
-    // Two main lines (one set), one window line, TinyLFU admission.
-    EvCache cache = windowCache(3, 0.34, EvCacheAdmission::TinyLfu);
-    ASSERT_EQ(cache.windowLines(), 1u);
-    ASSERT_EQ(cache.numSets() * cache.ways(), 2u);
-
-    // Two popular residents occupy the main set.
-    for (const std::uint64_t idx : {1, 2}) {
-        cache.fill(TableId{}, EvIndex{idx}, {});
-        cache.fill(TableId{}, EvIndex{99}, {}); // spill idx from window
-    }
-    for (int i = 0; i < 3; ++i) {
-        cache.lookup(TableId{}, EvIndex{1}, nullptr);
-        cache.lookup(TableId{}, EvIndex{2}, nullptr);
-    }
-    ASSERT_TRUE(cache.contains(TableId{}, EvIndex{1}));
-    ASSERT_TRUE(cache.contains(TableId{}, EvIndex{2}));
-
-    // A one-hit wonder enjoys its window probation but bounces off
-    // the admission filter when a newer key spills it toward main.
-    cache.lookup(TableId{}, EvIndex{9}, nullptr);
-    cache.fill(TableId{}, EvIndex{9}, {});
-    EXPECT_TRUE(cache.contains(TableId{}, EvIndex{9})); // in window
-    const std::uint64_t rejectsBefore =
-        cache.admissionRejects().value();
-    cache.fill(TableId{}, EvIndex{10}, {}); // spills 9
-    EXPECT_FALSE(cache.contains(TableId{}, EvIndex{9}));
-    EXPECT_GT(cache.admissionRejects().value(), rejectsBefore);
-    EXPECT_TRUE(cache.contains(TableId{}, EvIndex{1}));
-    EXPECT_TRUE(cache.contains(TableId{}, EvIndex{2}));
-}
-
-TEST(WTinyLfuWindow, InvalidateCoversWindow)
-{
-    EvCache cache = windowCache(8, 0.25);
-    cache.fill(TableId{}, EvIndex{1}, {}); // in window
-    cache.invalidate();
-    EXPECT_FALSE(cache.contains(TableId{}, EvIndex{1}));
-}
-
-TEST(WTinyLfuWindow, PooledOutputsBitIdenticalWithWindow)
+TEST(TinyLfuAdmission, PooledOutputsBitIdentical)
 {
     const model::ModelConfig cfg = tinyConfig();
     RmSsdOptions plainOpt;
@@ -543,10 +444,9 @@ TEST(WTinyLfuWindow, PooledOutputsBitIdenticalWithWindow)
     plain.loadTables();
 
     RmSsdOptions opt = cachedOptions();
-    opt.evCache.windowFraction = 0.05;
     opt.evCache.admission = EvCacheAdmission::TinyLfu;
-    RmSsd windowed(cfg, opt);
-    windowed.loadTables();
+    RmSsd cached(cfg, opt);
+    cached.loadTables();
 
     std::vector<model::Sample> batch;
     for (int i = 0; i < 6; ++i)
@@ -555,9 +455,9 @@ TEST(WTinyLfuWindow, PooledOutputsBitIdenticalWithWindow)
     const EmbeddingResult a =
         plain.embeddingEngine().run(Cycle{}, std::span(batch), true);
     const EmbeddingResult b =
-        windowed.embeddingEngine().run(Cycle{}, std::span(batch), true);
+        cached.embeddingEngine().run(Cycle{}, std::span(batch), true);
     const EmbeddingResult c =
-        windowed.embeddingEngine().run(Cycle{}, std::span(batch), true);
+        cached.embeddingEngine().run(Cycle{}, std::span(batch), true);
 
     ASSERT_EQ(a.pooled.size(), b.pooled.size());
     for (std::size_t s = 0; s < a.pooled.size(); ++s) {
@@ -569,7 +469,7 @@ TEST(WTinyLfuWindow, PooledOutputsBitIdenticalWithWindow)
                 << "warm sample " << s << " dim " << d;
         }
     }
-    EXPECT_GT(windowed.evCache()->windowLines(), 0u);
+    EXPECT_GT(cached.evCache()->hits().value(), 0u);
 }
 
 TEST(PartitionPlanner, LargestRemainderWithFloor)
@@ -762,14 +662,14 @@ class ReferenceCache
   public:
     ReferenceCache(const EvCacheConfig &config, const EvCache &shape)
         : sets_(shape.numSets(), std::vector<Line>(shape.ways())),
-          window_(shape.windowLines()), partitions_(shape.partitions())
+          partitions_(shape.partitions())
     {
         if (config.admission == EvCacheAdmission::TinyLfu) {
             const std::uint64_t lines =
                 config.capacityBytes.raw() / shape.lineBytes().raw();
             sketch_ = std::make_unique<FrequencySketch>(
-                lines * config.sketchCountersPerLine,
-                lines * config.sketchSamplePerLine);
+                lines * EvCache::kSketchCountersPerLine,
+                lines * EvCache::kSketchSamplePerLine);
         }
     }
 
@@ -779,15 +679,10 @@ class ReferenceCache
         const std::uint64_t key = evKey(table, index);
         if (sketch_)
             sketch_->record(key);
-        Line *line = findIn(window_, key);
-        if (line && (!out || !line->data.empty())) {
-            ++windowHits;
-        } else {
-            line = findIn(set(table, key), key);
-            if (!line || (out && line->data.empty())) {
-                ++misses;
-                return false;
-            }
+        Line *line = findIn(set(table, key), key);
+        if (!line || (out && line->data.empty())) {
+            ++misses;
+            return false;
         }
         line->lastUse = ++tick_;
         ++hits;
@@ -800,33 +695,31 @@ class ReferenceCache
               const std::vector<std::uint8_t> &data)
     {
         const std::uint64_t key = evKey(table, index);
-        if (window_.empty())
-            return fillMain(table, key, data);
-        if (Line *line = findIn(window_, key)) {
-            *line = Line{true, key, ++tick_, data};
-            ++fills;
-            return;
+        std::vector<Line> &s = set(table, key);
+        Line *victim = findIn(s, key);
+        for (Line &line : s)
+            if (!victim && !line.valid)
+                victim = &line;
+        if (!victim) {
+            victim = &*std::min_element(
+                s.begin(), s.end(), [](const Line &a, const Line &b) {
+                    return a.lastUse < b.lastUse;
+                });
+            if (sketch_ &&
+                sketch_->estimate(key) <= sketch_->estimate(victim->key)) {
+                ++rejects;
+                return;
+            }
+            ++evictions;
         }
-        if (findIn(set(table, key), key))
-            return fillMain(table, key, data);
-        Line &slot = *std::min_element(
-            window_.begin(), window_.end(),
-            [](const Line &a, const Line &b) {
-                if (a.valid != b.valid)
-                    return !a.valid;
-                return a.lastUse < b.lastUse;
-            });
-        if (slot.valid)
-            fillMain(TableId{static_cast<std::uint32_t>(slot.key >> 48)},
-                     slot.key, slot.data);
-        slot = Line{true, key, ++tick_, data};
+        *victim = Line{true, key, ++tick_, data};
         ++fills;
     }
 
     bool contains(TableId table, EvIndex index)
     {
         const std::uint64_t key = evKey(table, index);
-        return findIn(window_, key) || findIn(set(table, key), key);
+        return findIn(set(table, key), key) != nullptr;
     }
 
     void invalidate()
@@ -834,12 +727,10 @@ class ReferenceCache
         for (auto &s : sets_)
             for (Line &line : s)
                 line = Line{};
-        for (Line &line : window_)
-            line = Line{};
     }
 
     std::uint64_t hits = 0, misses = 0, fills = 0, evictions = 0,
-                  rejects = 0, windowHits = 0;
+                  rejects = 0;
 
   private:
     struct Line
@@ -867,33 +758,8 @@ class ReferenceCache
         return nullptr;
     }
 
-    void fillMain(TableId table, std::uint64_t key,
-                  std::vector<std::uint8_t> data)
-    {
-        std::vector<Line> &s = set(table, key);
-        Line *victim = findIn(s, key);
-        for (Line &line : s)
-            if (!victim && !line.valid)
-                victim = &line;
-        if (!victim) {
-            victim = &*std::min_element(
-                s.begin(), s.end(), [](const Line &a, const Line &b) {
-                    return a.lastUse < b.lastUse;
-                });
-            if (sketch_ &&
-                sketch_->estimate(key) <= sketch_->estimate(victim->key)) {
-                ++rejects;
-                return;
-            }
-            ++evictions;
-        }
-        *victim = Line{true, key, ++tick_, std::move(data)};
-        ++fills;
-    }
-
     std::uint64_t tick_ = 0;
     std::vector<std::vector<Line>> sets_;
-    std::vector<Line> window_;
     std::vector<EvCachePartition> partitions_;
     std::unique_ptr<FrequencySketch> sketch_;
 };
@@ -914,16 +780,10 @@ layoutConfigs()
 
     EvCacheConfig parts = lfu;
     parts.tableShares = {3.0, 1.0, 2.0};
-
-    EvCacheConfig lruWindow = plain;
-    lruWindow.windowFraction = 0.1;
-
-    EvCacheConfig lfuWindow = lfu;
-    lfuWindow.windowFraction = 0.1;
-    return {{"always-admit", plain},       {"odd-sets", odd},
-            {"tinylfu", lfu},              {"partitioned", parts},
-            {"window-always-admit", lruWindow},
-            {"window-tinylfu", lfuWindow}};
+    return {{"always-admit", plain},
+            {"odd-sets", odd},
+            {"tinylfu", lfu},
+            {"partitioned", parts}};
 }
 
 TEST(EvCacheDifferential, FlatLayoutMatchesReferenceModel)
@@ -986,7 +846,6 @@ TEST(EvCacheDifferential, FlatLayoutMatchesReferenceModel)
         EXPECT_EQ(cache.fills().value(), ref.fills);
         EXPECT_EQ(cache.evictions().value(), ref.evictions);
         EXPECT_EQ(cache.admissionRejects().value(), ref.rejects);
-        EXPECT_EQ(cache.admissionWindowHits().value(), ref.windowHits);
         for (const auto &[t, i] : touched) {
             ASSERT_EQ(cache.contains(TableId{t}, EvIndex{i}),
                       ref.contains(TableId{t}, EvIndex{i}))
@@ -997,9 +856,6 @@ TEST(EvCacheDifferential, FlatLayoutMatchesReferenceModel)
         EXPECT_GT(ref.evictions, 0u);
         if (cc.admission == EvCacheAdmission::TinyLfu) {
             EXPECT_GT(ref.rejects, 0u);
-        }
-        if (cc.windowFraction > 0.0) {
-            EXPECT_GT(ref.windowHits, 0u);
         }
     }
 }

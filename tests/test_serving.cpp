@@ -242,40 +242,6 @@ TEST_F(CachedServingFixture, ReplansWhenPlannedRatioIsWrong)
     EXPECT_LT(dev->plannedHitRatio(), 0.9);
 }
 
-TEST_F(CachedServingFixture, ReplanCooldownSkipsDriftedWindows)
-{
-    // Plan for a hit ratio the trace can't deliver, but arm a cooldown
-    // longer than the test: the first drifted window re-plans, every
-    // later one is skipped and counted instead of thrashing the
-    // kernel search.
-    engine::RmSsdOptions opt;
-    opt.evCache.enabled = true;
-    opt.evCache.expectedHitRatio = 0.99;
-    opt.coalesceIndices = true;
-    opt.replanCooldownRequests = 1000000;
-    auto dev = std::make_unique<engine::RmSsd>(config_, opt);
-    dev->loadTables();
-
-    TraceConfig tc = localityK(2.0);
-    tc.hotRowsPerTable = 200;
-    TraceGenerator gen(config_, tc);
-
-    for (int b = 0; b < 8; ++b)
-        dev->infer(gen.nextBatch(4));
-    EXPECT_TRUE(dev->replanIfDrifted(0.05));
-    EXPECT_EQ(dev->replans().value(), 1u);
-
-    // Zero threshold makes every later window count as drifted; the
-    // cooldown must absorb all of them.
-    for (int round = 0; round < 4; ++round) {
-        for (int b = 0; b < 8; ++b)
-            dev->infer(gen.nextBatch(4));
-        EXPECT_FALSE(dev->replanIfDrifted(0.0));
-    }
-    EXPECT_EQ(dev->replans().value(), 1u);
-    EXPECT_GE(dev->replanSkips().value(), 1u);
-}
-
 TEST_F(ServingFixture, DeterministicForSameSeed)
 {
     ServingConfig sc;

@@ -3,9 +3,8 @@
  * Tests for the SLO-aware serving control plane: eager completion
  * (harvestDoneBy / nextDoneCycle, out-of-order cluster retires), the
  * adaptive queue-depth controller, priority/EDF dispatch with
- * deadlines, hedged requests against replicated tables, weighted fair
- * queueing between tenants, and the queue-wait vs service-time
- * breakdown plus LatencyRecorder::merge.
+ * deadlines, hedged requests against replicated tables, and the
+ * queue-wait vs service-time breakdown plus LatencyRecorder::merge.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "catalog/tenant.h"
-#include "catalog/tenant_serving.h"
 #include "cluster/cluster.h"
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
@@ -495,29 +492,6 @@ TEST(EagerCompletion, ClusterRetiresOutOfOrderAcrossDisjointShards)
               completion->outcome.completionCycle);
 }
 
-TEST(EagerCompletion, ShardQueueDepthDecouplesFromClusterDepth)
-{
-    const model::ModelConfig config = tinyConfig();
-    ClusterOptions options;
-    options.sharding.numDevices = 2;
-    options.embeddingOnly = true;
-    options.device.functional = true;
-    options.shardQueueDepth = 8;
-    RmSsdCluster fleet(config, options);
-    fleet.setMaxInflight(2);
-
-    EXPECT_EQ(fleet.maxInflight(), 2u);
-    for (std::uint32_t d = 0; d < fleet.numDevices(); ++d)
-        EXPECT_EQ(fleet.shard(d).maxInflight(), 8u);
-
-    workload::TraceGenerator gen(config, workload::localityK(0.3));
-    for (int r = 0; r < 6; ++r) {
-        fleet.submit(gen.nextBatch(2));
-        EXPECT_LE(fleet.inflight(), 2u);
-    }
-    EXPECT_EQ(fleet.drain().size(), 6u);
-}
-
 TEST(HedgedRequests, WinnerBytesMatchReferenceAndHedgesFire)
 {
     // Replicated hot table + a backed-up home shard: the router
@@ -560,88 +534,3 @@ TEST(HedgedRequests, WinnerBytesMatchReferenceAndHedgesFire)
 } // namespace
 } // namespace rmssd::cluster
 
-namespace rmssd::catalog {
-namespace {
-
-model::ModelConfig
-tinyConfig()
-{
-    model::ModelConfig config = model::rmc1().withRowsPerTable(512);
-    config.lookupsPerTable = 4;
-    return config;
-}
-
-TEST(WeightedFairQueueing, ContendedDispatchSharesTrackWeights)
-{
-    // Two identical tenants, weights 3:1, both saturating the shared
-    // backend: while both have parked backlogs the SFQ scheduler must
-    // hand out dispatch slots 3:1.
-    std::vector<TenantSpec> specs(2);
-    specs[0].id = "gold";
-    specs[0].config = tinyConfig();
-    specs[0].trace = workload::localityK(0.3);
-    specs[0].trafficShare = 3.0;
-    specs[1].id = "bronze";
-    specs[1].config = tinyConfig();
-    specs[1].trace = workload::localityK(0.3);
-    specs[1].trafficShare = 1.0;
-    FleetOptions options;
-    options.device.functional = true;
-    TenantFleet fleet(std::move(specs), options);
-
-    FleetServingConfig sc;
-    sc.loads.resize(2);
-    sc.loads[0].arrivalQps = 5e6;
-    sc.loads[0].numRequests = 120;
-    sc.loads[1].arrivalQps = 5e6;
-    sc.loads[1].numRequests = 120;
-    sc.queueDepth = 4;
-    sc.wfq = true;
-    const FleetServingResult r = simulateFleetServing(fleet, sc);
-
-    ASSERT_EQ(r.tenants.size(), 2u);
-    EXPECT_EQ(r.requests, 240u);
-    const double gold = r.tenants[0].contendedDispatchShare;
-    const double bronze = r.tenants[1].contendedDispatchShare;
-    ASSERT_GT(gold + bronze, 0.99); // shares partition the contended run
-    EXPECT_NEAR(gold, 0.75, 0.05);
-    EXPECT_NEAR(bronze, 0.25, 0.05);
-    // The favored tenant's backlog drains faster, so its tail is no
-    // worse under the same offered load.
-    EXPECT_LE(r.tenants[0].p99.raw(), r.tenants[1].p99.raw());
-}
-
-TEST(WeightedFairQueueing, OffByDefaultKeepsLegacyDispatch)
-{
-    const auto run = [&](bool wfq) {
-        std::vector<TenantSpec> specs(2);
-        specs[0].id = "a";
-        specs[0].config = tinyConfig();
-        specs[0].trace = workload::localityK(0.3);
-        specs[1].id = "b";
-        specs[1].config = tinyConfig();
-        specs[1].trace = workload::localityK(0.3);
-        FleetOptions options;
-        options.device.functional = true;
-        TenantFleet fleet(std::move(specs), options);
-        FleetServingConfig sc;
-        sc.loads.resize(2);
-        sc.loads[0].arrivalQps = 800.0;
-        sc.loads[0].numRequests = 30;
-        sc.loads[1].arrivalQps = 800.0;
-        sc.loads[1].numRequests = 30;
-        sc.queueDepth = 2;
-        sc.wfq = wfq;
-        return simulateFleetServing(fleet, sc);
-    };
-    const FleetServingResult legacy = run(false);
-    EXPECT_EQ(legacy.tenants[0].contendedDispatchShare, 0.0);
-    EXPECT_EQ(legacy.tenants[1].contendedDispatchShare, 0.0);
-    // Equal weights, light load: wfq ordering degenerates to arrival
-    // order, so fleet throughput is unchanged.
-    const FleetServingResult wfq = run(true);
-    EXPECT_EQ(wfq.achievedQps, legacy.achievedQps);
-}
-
-} // namespace
-} // namespace rmssd::catalog
