@@ -297,15 +297,14 @@ BM_DepthControllerDecision(benchmark::State &state)
 {
     workload::DepthControllerConfig config;
     config.adjustEvery = 1;
-    workload::DepthController ctl(config, Nanos{200'000}, 1);
+    workload::DepthController ctl(config, 1);
     std::uint64_t latency = 100'000;
     std::uint64_t now = 0;
     for (auto _ : state) {
         ctl.onBacklog(3);
         ctl.onWait(Nanos{latency / 8});
         now += latency;
-        benchmark::DoNotOptimize(
-            ctl.onCompletion(Nanos{latency}, Nanos{now}));
+        benchmark::DoNotOptimize(ctl.onCompletion(Nanos{now}));
         latency = latency * 1'664'525 % 300'000 + 1;
     }
 }

@@ -151,7 +151,7 @@ RmSsdCluster::submitResidual(std::span<const model::Sample> samples,
     // before a new one scatters (host backpressure). At depth 1 this
     // reproduces the blocking infer() loop op-for-op.
     while (inflight_.size() >= maxInflight())
-        retireOldest();
+        retireAt(0);
 
     const std::uint32_t numDevices = plan_.numDevices();
     ClusterInflight request;
@@ -265,12 +265,6 @@ RmSsdCluster::submitResidual(std::span<const model::Sample> samples,
     inflight_.push_back(std::move(request));
     queueDepthOnSubmit_.sample(static_cast<double>(inflight_.size()));
     return id;
-}
-
-void
-RmSsdCluster::retireOldest()
-{
-    retireAt(0);
 }
 
 void
@@ -481,47 +475,7 @@ RmSsdCluster::retireNext()
 {
     if (inflight_.empty())
         return false;
-    retireOldest();
-    return true;
-}
-
-bool
-RmSsdCluster::requestReadyBy(const ClusterInflight &request,
-                             Cycle when) const
-{
-    const auto subDoneBy = [&](std::uint32_t d) {
-        for (const auto &[pd, subId] : request.participants) {
-            if (pd == d)
-                return shards_[d]->requestDoneBy(subId, when);
-        }
-        return false;
-    };
-    if (request.hedged.empty()) {
-        // Every participant gates; the sub-request is paired by id,
-        // so this holds even after out-of-order retires broke the
-        // per-shard FIFO alignment.
-        for (const auto &[d, subId] : request.participants) {
-            if (!shards_[d]->requestDoneBy(subId, when))
-                return false;
-        }
-        return true;
-    }
-    // Hedged: a table is ready once EITHER serving replica is done.
-    for (std::uint32_t g = 0; g < config_.numTables; ++g) {
-        if (request.tableLookups[g] == 0)
-            continue;
-        bool ready = subDoneBy(request.chosen[g]);
-        if (!ready) {
-            for (const auto &[hg, hd] : request.hedged) {
-                if (hg == g && subDoneBy(hd)) {
-                    ready = true;
-                    break;
-                }
-            }
-        }
-        if (!ready)
-            return false;
-    }
+    retireAt(0);
     return true;
 }
 
@@ -537,10 +491,11 @@ RmSsdCluster::requestReadyCycle(const ClusterInflight &request) const
     };
     Cycle ready;
     if (request.hedged.empty()) {
-        for (const auto &[d, subId] : request.participants) {
-            (void)subId;
-            ready = std::max(ready, subDoneCycle(d));
-        }
+        // Every participant gates; the sub-request is paired by id,
+        // so this holds even after out-of-order retires broke the
+        // per-shard FIFO alignment.
+        for (const auto &[d, subId] : request.participants)
+            ready = std::max(ready, shards_[d]->requestDoneCycle(subId));
         return ready;
     }
     for (std::uint32_t g = 0; g < config_.numTables; ++g) {
@@ -567,7 +522,7 @@ RmSsdCluster::oldestDoneBy(Cycle when) const
     // (or, per hedged table, the first of the two) read done at
     // `when`. Only the gather + home-MLP tail runs past `when` at
     // retire.
-    return requestReadyBy(inflight_.front(), when);
+    return requestReadyCycle(inflight_.front()) <= when;
 }
 
 std::uint32_t
@@ -576,7 +531,7 @@ RmSsdCluster::harvestDoneBy(Cycle when)
     std::uint32_t retired = 0;
     std::size_t pos = 0;
     while (pos < inflight_.size()) {
-        if (requestReadyBy(inflight_[pos], when)) {
+        if (requestReadyCycle(inflight_[pos]) <= when) {
             retireAt(pos);
             ++retired;
         } else {
@@ -593,6 +548,18 @@ RmSsdCluster::nextDoneCycle() const
     for (const ClusterInflight &request : inflight_)
         earliest = std::min(earliest, requestReadyCycle(request));
     return earliest;
+}
+
+Cycle
+RmSsdCluster::requestDoneCycle(engine::RequestId id) const
+{
+    if (hasCompletionFor(id))
+        return Cycle{0};
+    for (const ClusterInflight &request : inflight_) {
+        if (request.id == id)
+            return requestReadyCycle(request);
+    }
+    return engine::kNeverCycle;
 }
 
 void

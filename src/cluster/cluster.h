@@ -127,6 +127,13 @@ class RmSsdCluster : public engine::InferenceDevice
     /** Earliest gather-ready cycle among in-flight fleet requests. */
     Cycle nextDoneCycle() const override;
 
+    /**
+     * Gather-ready cycle of fleet request @p id, the per-id twin of
+     * engine::RmSsd::requestDoneCycle: Cycle{0} once its completion is
+     * queued, kNeverCycle for unknown ids.
+     */
+    Cycle requestDoneCycle(engine::RequestId id) const;
+
     /** Requests issued but not yet retired. */
     std::uint32_t inflight() const override
     {
@@ -240,21 +247,19 @@ class RmSsdCluster : public engine::InferenceDevice
         std::vector<std::uint64_t> tableLookups;
     };
 
-    /** Retire stage: shard gather + home MLP + presend bookkeeping. */
-    void retireOldest();
-
-    /** Retire the in-flight request at queue position @p pos. */
+    /**
+     * Retire stage (shard gather + home MLP + presend bookkeeping) of
+     * the in-flight request at queue position @p pos.
+     */
     void retireAt(std::size_t pos);
 
     /**
-     * Whether @p request can gather by @p when: every table with
-     * lookups is done on at least one of its serving replicas (the
-     * chosen home, or — for hedged tables — the alternate too).
+     * First cycle @p request can gather: every table with lookups is
+     * done on at least one of its serving replicas (the chosen home,
+     * or — for hedged tables — the alternate too). Every done-probe
+     * (oldestDoneBy, harvestDoneBy, nextDoneCycle) compares it
+     * against its `when`; kNeverCycle = not yet known.
      */
-    bool requestReadyBy(const ClusterInflight &request,
-                        Cycle when) const;
-
-    /** First cycle @p request can gather (kNeverCycle = not yet known). */
     Cycle requestReadyCycle(const ClusterInflight &request) const;
 
     /** Route/scatter stage over the (possibly residual) samples. */

@@ -72,13 +72,7 @@ RmSsd::applyHotSet(std::span<const PageId> hot, bool timed,
         freqMapping_->planHotSet(hot);
     if (swaps.size() > maxSwaps)
         swaps.resize(maxSwaps);
-    return executeSwaps(swaps, timed);
-}
 
-std::uint64_t
-RmSsd::executeSwaps(std::span<const ftl::FrequencyMapping::Swap> swaps,
-                    bool timed)
-{
     const std::size_t pageSize =
         static_cast<std::size_t>(options_.geometry.pageSizeBytes.raw());
     std::vector<std::uint8_t> bufA(pageSize);
@@ -122,32 +116,10 @@ RmSsd::planPlacement(std::span<const RowHeat> rows)
     freqMapping_->resetObservation();
 }
 
-void
-RmSsd::runPendingMigration()
-{
-    if (pendingSwaps_.empty())
-        return;
-    const std::size_t n =
-        std::min(paceChunk_, pendingSwaps_.size());
-    std::vector<ftl::FrequencyMapping::Swap> chunk(
-        pendingSwaps_.begin(),
-        pendingSwaps_.begin() +
-            static_cast<std::ptrdiff_t>(n));
-    pendingSwaps_.erase(pendingSwaps_.begin(),
-                        pendingSwaps_.begin() +
-                            static_cast<std::ptrdiff_t>(n));
-    migratedPages_.inc(executeSwaps(chunk, /*timed=*/true));
-}
-
 std::uint64_t
 RmSsd::migrateIfDrifted()
 {
     if (!freqMapping_)
-        return 0;
-    // A paced pass is still draining; let it finish before judging
-    // drift again (queued swaps were planned against the current
-    // mapping and must commit before a new plan).
-    if (!pendingSwaps_.empty())
         return 0;
     if (freqMapping_->observedReads() <
         options_.placement.minObservedReads)
@@ -172,27 +144,6 @@ RmSsd::migrateIfDrifted()
     if (missing == 0 ||
         drift <= options_.placement.migrationDriftThreshold) {
         freqMapping_->resetObservation();
-        return 0;
-    }
-
-    if (options_.placement.migrationPaceRequests > 0) {
-        // Paced: plan now, execute in even chunks across the next
-        // migrationPaceRequests submissions. Pages count as migrated
-        // when they actually move, so counter deltas stay honest.
-        std::vector<ftl::FrequencyMapping::Swap> swaps =
-            freqMapping_->planHotSet(hot);
-        if (swaps.size() > options_.placement.maxSwapsPerPass)
-            swaps.resize(options_.placement.maxSwapsPerPass);
-        freqMapping_->resetObservation();
-        if (swaps.empty())
-            return 0;
-        migrationPasses_.inc();
-        paceChunk_ =
-            (swaps.size() + options_.placement.migrationPaceRequests -
-             1) /
-            options_.placement.migrationPaceRequests;
-        pendingSwaps_.insert(pendingSwaps_.end(), swaps.begin(),
-                             swaps.end());
         return 0;
     }
 
@@ -546,17 +497,12 @@ RmSsd::submitWith(std::span<const model::Sample> samples,
 {
     RMSSD_ASSERT(!samples.empty(), "empty inference request");
 
-    // Paced migration: drain one chunk of a planned pass per request,
-    // so relocation traffic trickles into the foreground stream
-    // instead of bursting all at once.
-    runPendingMigration();
-
     // Bounded queue depth: when full, the oldest request retires
     // before the new one issues (host backpressure). At depth 1 this
     // reproduces the blocking infer() loop op-for-op: retire r, then
     // issue r+1, with the same DMA/MMIO call order.
     while (inflight_.size() >= maxInflight())
-        retireOldest();
+        retireAt(0);
 
     const MlpPlan &plan = searchResult_.plan;
     InflightRequest request;
@@ -661,12 +607,6 @@ RmSsd::submitWith(std::span<const model::Sample> samples,
 }
 
 void
-RmSsd::retireOldest()
-{
-    retireAt(0);
-}
-
-void
 RmSsd::retireAt(std::size_t pos)
 {
     RMSSD_ASSERT(pos < inflight_.size(), "no request in flight");
@@ -718,7 +658,7 @@ RmSsd::retireNext()
 {
     if (inflight_.empty())
         return false;
-    retireOldest();
+    retireAt(0);
     return true;
 }
 
@@ -757,18 +697,6 @@ RmSsd::nextDoneCycle() const
     for (const InflightRequest &request : inflight_)
         earliest = std::min(earliest, request.lastDone);
     return earliest;
-}
-
-bool
-RmSsd::requestDoneBy(RequestId id, Cycle when) const
-{
-    if (hasCompletionFor(id))
-        return true;
-    for (const InflightRequest &request : inflight_) {
-        if (request.id == id)
-            return request.lastDone <= when;
-    }
-    return false;
 }
 
 Cycle

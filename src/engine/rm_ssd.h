@@ -83,15 +83,6 @@ struct PlacementOptions
      * the bound caps interference with foreground reads.
      */
     std::uint32_t maxSwapsPerPass = 32;
-    /**
-     * Migration pacing: spread a drifted pass's swaps evenly across
-     * this many subsequent requests instead of bursting the whole
-     * maxSwapsPerPass batch at once — a burst piles four flash ops
-     * per swap onto the dies right when foreground reads need them,
-     * which is exactly the p99 spike pacing removes. 0 keeps the
-     * legacy burst behavior (bit-identical).
-     */
-    std::uint32_t migrationPaceRequests = 0;
 };
 
 /** Device construction options. */
@@ -193,16 +184,10 @@ class RmSsd : public InferenceDevice
     Cycle nextDoneCycle() const override;
 
     /**
-     * Whether request @p id would read done at a status poll at
-     * @p when: its completion is already queued, or its engine work
-     * finishes by @p when. False for unknown ids.
-     */
-    bool requestDoneBy(RequestId id, Cycle when) const;
-
-    /**
-     * Engine-completion cycle of in-flight request @p id; Cycle{0}
-     * when its completion is already queued (done in the past),
-     * kNeverCycle for unknown ids.
+     * Engine-completion cycle of in-flight request @p id — the first
+     * cycle a status poll reads it done, so it is done by `when` iff
+     * requestDoneCycle(id) <= when. Cycle{0} when its completion is
+     * already queued (done in the past), kNeverCycle for unknown ids.
      */
     Cycle requestDoneCycle(RequestId id) const;
 
@@ -265,11 +250,6 @@ class RmSsd : public InferenceDevice
     const Counter &migrationPasses() const { return migrationPasses_; }
     /** Pages relocated (hot page + displaced partner count as 2). */
     const Counter &migratedPages() const { return migratedPages_; }
-    /** Planned swaps queued but not yet executed (pacing only). */
-    std::size_t pendingMigrationSwaps() const
-    {
-        return pendingSwaps_.size();
-    }
 
     // ---- Host-DRAM embedding tier (off by default) ----------------
 
@@ -415,10 +395,10 @@ class RmSsd : public InferenceDevice
         std::vector<float> outputs;
     };
 
-    /** Retire stage: result readback + presend clock bookkeeping. */
-    void retireOldest();
-
-    /** Retire the in-flight request at queue position @p pos. */
+    /**
+     * Retire stage (result readback + presend clock bookkeeping) of
+     * the in-flight request at queue position @p pos.
+     */
     void retireAt(std::size_t pos);
 
     /**
@@ -430,18 +410,6 @@ class RmSsd : public InferenceDevice
     RequestId
     submitWith(std::span<const model::Sample> samples,
                const host::EmbeddingTier::Intercept *icpt);
-
-    /**
-     * Execute planned swaps now: functional page copies plus (when
-     * @p timed) background flash traffic from the current device
-     * time, then the mapping commits. @return pages moved (2/swap)
-     */
-    std::uint64_t
-    executeSwaps(std::span<const ftl::FrequencyMapping::Swap> swaps,
-                 bool timed);
-
-    /** Run one pacing chunk of queued migration swaps (if any). */
-    void runPendingMigration();
 
     /** (Re)build searchResult_ for the variant at the given bEV. */
     void buildPlan(double readCyclesPerVector);
@@ -475,10 +443,6 @@ class RmSsd : public InferenceDevice
     /** Host-DRAM embedding tier; nullptr without one. */
     std::shared_ptr<host::EmbeddingTier> hostTier_;
     bool chargeActualIndexBytes_ = false;
-    /** Migration swaps awaiting paced execution (pacing only). */
-    std::deque<ftl::FrequencyMapping::Swap> pendingSwaps_;
-    /** Swaps executed per request while the queue drains. */
-    std::size_t paceChunk_ = 0;
 
     SearchResult searchResult_;
     bool tablesLoaded_ = false;

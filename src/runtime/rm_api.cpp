@@ -1,5 +1,7 @@
 #include "runtime/rm_api.h"
 
+#include <algorithm>
+
 #include "sim/log.h"
 
 namespace rmssd::runtime {
@@ -12,7 +14,8 @@ RmRuntime::RmRuntime(const model::ModelConfig &config,
       fs_(Sectors{options.geometry.capacityBytes() /
                   options.geometry.sectorSizeBytes.raw()},
           options.geometry.sectorSizeBytes,
-          options.geometry.sectorsPerPage(), options.maxExtentSectors)
+          options.geometry.sectorsPerPage(), options.maxExtentSectors),
+      tableOpen_(config.numTables, false)
 {
 }
 
@@ -42,7 +45,7 @@ RmRuntime::RM_open_table(std::uint32_t tableId, const std::string &path)
 
     const int fd = static_cast<int>(openFds_.size());
     openFds_.push_back(static_cast<int>(tableId));
-    ++tablesOpen_;
+    tableOpen_[tableId] = true;
     return fd;
 }
 
@@ -55,7 +58,8 @@ RmRuntime::RM_send_inputs(int fd, std::uint32_t indicesPerLookup,
     // the authentication token for the read phase).
     if (fd < 0 || static_cast<std::size_t>(fd) >= openFds_.size())
         return false;
-    if (tablesOpen_ < config_.numTables)
+    if (std::find(tableOpen_.begin(), tableOpen_.end(), false) !=
+        tableOpen_.end())
         return false; // not all tables registered yet
     if (indicesPerLookup != config_.lookupsPerTable)
         return false;
@@ -67,6 +71,13 @@ RmRuntime::RM_send_inputs(int fd, std::uint32_t indicesPerLookup,
         return false;
     const std::size_t batch = sparseIn.size() / perSampleSparse;
     if (batch == 0 || denseIn.size() / denseDim != batch)
+        return false;
+    // Row indices come from the caller: an out-of-range one is a
+    // rejected request, not a device fault.
+    if (std::any_of(sparseIn.begin(), sparseIn.end(),
+                    [&](std::uint64_t row) {
+                        return row >= config_.rowsPerTable;
+                    }))
         return false;
 
     // Reassemble framework-flattened arrays into device requests.

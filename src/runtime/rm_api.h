@@ -58,9 +58,10 @@ class RmRuntime
      * RM_send_inputs: queue one inference request.
      * @param fd descriptor from RM_open_table (validated)
      * @param indicesPerLookup lookups per table (must match config)
-     * @param sparseIn flattened [batch][table][lookup] row indices
+     * @param sparseIn flattened [batch][table][lookup] row indices,
+     *        each below rowsPerTable
      * @param denseIn flattened [batch][denseDim] dense features
-     * @return false when validation fails
+     * @return false when validation fails (nothing is queued)
      */
     bool RM_send_inputs(int fd, std::uint32_t indicesPerLookup,
                         std::span<const std::uint64_t> sparseIn,
@@ -92,7 +93,12 @@ class RmRuntime
     std::unique_ptr<engine::RmSsd> device_;
     TableFs fs_;
     std::vector<int> openFds_; //!< fd -> tableId
-    std::uint32_t tablesOpen_ = 0;
+    /**
+     * Per table: registered on the device by some RM_open_table.
+     * Inference unlocks once every table is, however often each one
+     * was opened.
+     */
+    std::vector<bool> tableOpen_;
 
     struct PendingRequest
     {

@@ -7,6 +7,9 @@
  *
  * All functions are non-throwing; failures are negative errno-style
  * returns. The session owns a simulated RM-SSD device.
+ *
+ * reachability: entry-point — the C binding surface, called by
+ * framework bindings outside this repo.
  */
 
 #ifndef RMSSD_RUNTIME_RM_CAPI_H

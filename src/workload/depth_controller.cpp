@@ -1,23 +1,19 @@
 #include "workload/depth_controller.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/log.h"
 
 namespace rmssd::workload {
 
 DepthController::DepthController(const DepthControllerConfig &config,
-                                 Nanos sloP99,
                                  std::uint32_t initialDepth)
-    : config_(config), slo_(sloP99), depth_(initialDepth)
+    : config_(config), depth_(initialDepth)
 {
     RMSSD_ASSERT(config_.minDepth >= 1, "minDepth must be >= 1");
     RMSSD_ASSERT(config_.maxDepth >= config_.minDepth,
                  "maxDepth below minDepth");
-    RMSSD_ASSERT(config_.windowRequests >= 1 &&
-                     config_.adjustEvery >= 1,
-                 "window and cooldown must be >= 1");
+    RMSSD_ASSERT(config_.adjustEvery >= 1, "cooldown must be >= 1");
     RMSSD_ASSERT(config_.backlogLow <= config_.backlogHigh,
                  "backlog band inverted");
     RMSSD_ASSERT(config_.waitLow <= config_.waitHigh,
@@ -25,7 +21,6 @@ DepthController::DepthController(const DepthControllerConfig &config,
     RMSSD_ASSERT(config_.shedPatience >= 1,
                  "shedPatience must be >= 1");
     depth_ = std::clamp(depth_, config_.minDepth, config_.maxDepth);
-    window_.reserve(config_.windowRequests);
 }
 
 void
@@ -48,34 +43,11 @@ DepthController::prime(Nanos now)
     primed_ = true;
 }
 
-Nanos
-DepthController::windowP99() const
-{
-    if (window_.empty())
-        return Nanos{};
-    // Same clamped-rank percentile as LatencyRecorder, over a sorted
-    // copy of the ring (the ring itself must keep insertion order).
-    std::vector<Nanos> sorted(window_);
-    std::sort(sorted.begin(), sorted.end());
-    const double rank =
-        0.99 * static_cast<double>(sorted.size() - 1);
-    const std::size_t idx =
-        static_cast<std::size_t>(std::llround(rank));
-    return sorted[std::min(idx, sorted.size() - 1)];
-}
-
 bool
-DepthController::onCompletion(Nanos latency, Nanos now)
+DepthController::onCompletion(Nanos now)
 {
     if (!primed_)
         prime(now);
-    if (window_.size() < config_.windowRequests) {
-        window_.push_back(latency);
-        windowFull_ = window_.size() == config_.windowRequests;
-    } else {
-        window_[windowNext_] = latency;
-        windowNext_ = (windowNext_ + 1) % window_.size();
-    }
     ++completions_;
     if (completions_ % config_.adjustEvery != 0)
         return false;
@@ -109,22 +81,16 @@ DepthController::onCompletion(Nanos latency, Nanos now)
     //    overlap; the extra depth only parks requests inside the
     //    device (the Fig. 17 sub-saturation finding). Shed ONE step,
     //    and only after shedPatience consecutive quiet decisions — a
-    //    burst lull must not throw away the working depth;
-    //  - SLO guard: a blown window p99 WITHOUT congestion evidence
-    //    also votes to shed (in-device waiting is the only cause
-    //    depth can fix by shrinking). The guard waits for a full
-    //    window so a few cold-start samples cannot trigger it.
+    //    burst lull must not throw away the working depth.
     const bool grow = backlog > config_.backlogHigh ||
                       waitShare > config_.waitHigh;
     const bool quiet = backlog < config_.backlogLow &&
                        waitShare < config_.waitLow;
-    const bool tailBlown =
-        slo_ > Nanos{0} && windowFull_ && windowP99() > slo_;
     std::uint32_t next = depth_;
     if (grow) {
         shedStreak_ = 0;
         next = std::min(depth_ * 2, config_.maxDepth);
-    } else if (quiet || tailBlown) {
+    } else if (quiet) {
         if (++shedStreak_ >= config_.shedPatience) {
             shedStreak_ = 0;
             next = std::max(depth_ - 1, config_.minDepth);

@@ -18,20 +18,19 @@
  *
  * Either signal past its high-water mark doubles the depth; the depth
  * steps down by one only after both have stayed below their low-water
- * marks for shedPatience consecutive decisions. The observed latency
- * tail over a sliding completion window guards the SLO: a blown p99
- * without congestion evidence sheds depth too.
+ * marks for shedPatience consecutive decisions. The law has no latency
+ * target: it reads congestion, not the tail itself.
  *
  * Everything is driven by the simulated clock and the request stream
- * — the window slides per completion, never by wall-clock time — so
- * controller runs replay bit-for-bit.
+ * — decisions fall every adjustEvery completions, never on wall-clock
+ * time — so controller runs replay bit-for-bit.
  */
 
 #ifndef RMSSD_WORKLOAD_DEPTH_CONTROLLER_H
 #define RMSSD_WORKLOAD_DEPTH_CONTROLLER_H
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sim/types.h"
 
@@ -42,8 +41,6 @@ struct DepthControllerConfig
 {
     std::uint32_t minDepth = 1;
     std::uint32_t maxDepth = 8;
-    /** Sliding completion window sizing the tail estimate. */
-    std::uint32_t windowRequests = 64;
     /** Completions between depth decisions (decision cooldown). */
     std::uint32_t adjustEvery = 2;
     /**
@@ -85,18 +82,14 @@ struct DepthControllerConfig
  * Walks a device's maxInflight between minDepth and maxDepth with
  * hysteresis. The owner samples the dispatch backlog via onBacklog()
  * at every dispatch, reports each completed request's queue wait via
- * onWait(), and feeds its latency (plus the current device clock) to
- * onCompletion(); when the latter returns true the depth changed and
- * the owner pushes depth() to the device.
+ * onWait(), and calls onCompletion() with the current device clock;
+ * when the latter returns true the depth changed and the owner pushes
+ * depth() to the device.
  */
 class DepthController
 {
   public:
-    /**
-     * @param sloP99 the latency target the tail guard sheds against;
-     *        Nanos{0} disables the guard (backlog-only control law)
-     */
-    DepthController(const DepthControllerConfig &config, Nanos sloP99,
+    DepthController(const DepthControllerConfig &config,
                     std::uint32_t initialDepth);
 
     /**
@@ -127,24 +120,16 @@ class DepthController
      * completions the control law re-evaluates the depth.
      * @return true when the depth changed (push depth() to the device)
      */
-    bool onCompletion(Nanos latency, Nanos now);
+    bool onCompletion(Nanos now);
 
     /** Current depth target. */
     std::uint32_t depth() const { return depth_; }
     /** Depth changes performed so far. */
     std::uint64_t adjustments() const { return adjustments_; }
-    /** Latency p99 over the sliding window (Nanos{0} while empty). */
-    Nanos windowP99() const;
 
   private:
     DepthControllerConfig config_;
-    Nanos slo_;
     std::uint32_t depth_;
-
-    /** Completion-latency ring buffer (the sliding window). */
-    std::vector<Nanos> window_;
-    std::size_t windowNext_ = 0;
-    bool windowFull_ = false;
 
     /** Backlog samples accumulated since the last decision. */
     double backlogSum_ = 0.0;

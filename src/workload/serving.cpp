@@ -116,8 +116,8 @@ timeWeightedDepth(const std::vector<std::pair<Cycle, Cycle>> &spans)
  * class); finished requests harvest eagerly via
  * InferenceDevice::harvestDoneBy; a full device queue blocks inside
  * submit's own backpressure retire; and (optionally) a
- * DepthController walks the device queue depth against the latency
- * SLO. At depth 1 the eager harvest at the dispatch clock retires
+ * DepthController walks the device queue depth on its congestion
+ * signals. At depth 1 the eager harvest at the dispatch clock retires
  * exactly the request submit's backpressure would, so the loop
  * replays a serial submit-then-poll reference instruction for
  * instruction.
@@ -148,8 +148,7 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
     std::uint32_t depth = std::max<std::uint32_t>(config.queueDepth, 1);
     std::optional<DepthController> controller;
     if (slo.adaptiveDepth) {
-        controller.emplace(slo.controller, Nanos{},
-                           slo.controller.minDepth);
+        controller.emplace(slo.controller, slo.controller.minDepth);
         controller->prime(cyclesToNanos(device.deviceNow()));
         depth = controller->depth();
     }
@@ -296,7 +295,7 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
                 // the wait is the only place the cost is visible.
                 controller->onWait(wait);
                 if (controller->onCompletion(
-                        latency, cyclesToNanos(device.deviceNow())))
+                        cyclesToNanos(device.deviceNow())))
                     depthDirty = true;
             }
         };

@@ -81,11 +81,10 @@ struct SloServingOptions
     /**
      * Adaptive queue depth: a workload::DepthController walks the
      * device's maxInflight within [controller.minDepth,
-     * controller.maxDepth] on its backlog and wait-share signals
-     * (no latency target, so the tail guard is off). Mutually
-     * exclusive with an explicit ServingConfig::queueDepth sweep
-     * (> 1) — simulateServing asserts rather than silently ignoring
-     * one of the two knobs.
+     * controller.maxDepth] on its backlog and wait-share signals; it
+     * has no latency target. Mutually exclusive with an explicit
+     * ServingConfig::queueDepth sweep (> 1) — simulateServing asserts
+     * rather than silently ignoring one of the two knobs.
      */
     bool adaptiveDepth = false;
     DepthControllerConfig controller;

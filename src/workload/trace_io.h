@@ -7,6 +7,9 @@
  * Format: a one-line text header binding the trace to its model
  * shape, then one line per sample (dense floats, then indices per
  * table). Human-diffable on purpose.
+ *
+ * reachability: entry-point — users load their own recorded traces
+ * through it; nothing in the repo replays one yet.
  */
 
 #ifndef RMSSD_WORKLOAD_TRACE_IO_H

@@ -145,6 +145,37 @@ TEST(CApi, SendValidationFailures)
               -1);
 }
 
+TEST(CApi, BadRowIndexAndReopenedTableReturnErrors)
+{
+    // Out-of-range row index: an error return, nothing queued.
+    {
+        Session session("RMC1", 128, 1);
+        rm_session *s = session.get();
+        setupTables(s);
+        std::vector<uint64_t> sparse(8 * 80, 0);
+        std::vector<float> dense(128, 0.0f);
+        sparse[5] = 128;
+        EXPECT_EQ(rm_send_inputs(s, 0, 80, sparse.data(), sparse.size(),
+                                 dense.data(), dense.size()),
+                  -1);
+        EXPECT_EQ(rm_pending_requests(s), 0u);
+    }
+    // One table opened num_tables times: inference stays locked.
+    {
+        Session session("RMC1", 128, 1);
+        rm_session *s = session.get();
+        ASSERT_EQ(rm_create_table(s, 0, "/capi/t0"), 0);
+        for (uint32_t i = 0; i < rm_num_tables(s); ++i)
+            ASSERT_GE(rm_open_table(s, 0, "/capi/t0"), 0);
+        std::vector<uint64_t> sparse(8 * 80, 0);
+        std::vector<float> dense(128, 0.0f);
+        EXPECT_EQ(rm_send_inputs(s, 0, 80, sparse.data(), sparse.size(),
+                                 dense.data(), dense.size()),
+                  -1);
+        EXPECT_EQ(rm_pending_requests(s), 0u);
+    }
+}
+
 TEST(CApi, ReadFailuresDoNotCrash)
 {
     Session session("RMC1", 128, 1);

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <set>
@@ -268,99 +267,6 @@ TEST(Placement, ServingLoopDrivesMigration)
     EXPECT_EQ(r.requests, 48u);
     EXPECT_GT(r.migratedPages, 0u);
     EXPECT_EQ(r.migratedPages, dev.migratedPageCount());
-}
-
-/**
- * Per-request device wall-time windows for a migration-heavy run.
- * Each window spans from the previous request's end, so a burst pass
- * executed between requests is charged to the request it delays —
- * the same accounting either way.
- */
-std::vector<std::uint64_t>
-migrationServiceWindows(RmSsd &dev)
-{
-    workload::TraceGenerator gen(tinyConfig(), skewedTrace());
-    std::vector<std::uint64_t> windows;
-    windows.reserve(120);
-    for (int r = 0; r < 120; ++r) {
-        const Cycle before = dev.deviceNow();
-        dev.infer(gen.nextBatch(2));
-        windows.push_back(dev.deviceNow().raw() - before.raw());
-        if ((r + 1) % 8 == 0)
-            dev.migrateIfDrifted();
-    }
-    std::sort(windows.begin(), windows.end());
-    return windows;
-}
-
-TEST(Placement, PacedMigrationShrinksLatencySpike)
-{
-    // Burst: a drifted check relocates maxSwapsPerPass swaps (four
-    // flash ops each) in one lump, and the next request eats the
-    // whole stall. Paced: the same swaps drip out over the next N
-    // requests, so no single request sees more than a chunk's worth
-    // of contention — the p99/max service-time spike must shrink.
-    const model::ModelConfig cfg = tinyConfig();
-    RmSsdOptions burstOpt = placementOptions();
-    burstOpt.placement.hotPageCount = 16;
-    burstOpt.placement.minObservedReads = 64;
-    burstOpt.placement.maxSwapsPerPass = 64;
-    RmSsdOptions pacedOpt = burstOpt;
-    pacedOpt.placement.migrationPaceRequests = 8;
-
-    RmSsd burst(cfg, burstOpt);
-    RmSsd paced(cfg, pacedOpt);
-    burst.loadTables();
-    paced.loadTables();
-    const auto wb = migrationServiceWindows(burst);
-    const auto wp = migrationServiceWindows(paced);
-
-    // Both runs migrate comparably — the comparison below is about
-    // when the relocation work executes, not how much of it ran.
-    ASSERT_GT(burst.migrationPasses().value(), 0u);
-    EXPECT_EQ(paced.migrationPasses().value(),
-              burst.migrationPasses().value());
-    ASSERT_GT(paced.migratedPageCount(), 0u);
-
-    const auto p99 = [](const std::vector<std::uint64_t> &w) {
-        return w[(w.size() * 99) / 100];
-    };
-    EXPECT_LT(p99(wp), p99(wb));
-    EXPECT_LT(wp.back(), wb.back());
-}
-
-TEST(Placement, PacedMigrationDrainsQueueAndPreservesContents)
-{
-    const model::ModelConfig cfg = tinyConfig();
-    RmSsdOptions opt = placementOptions();
-    opt.placement.hotPageCount = 16;
-    opt.placement.minObservedReads = 64;
-    opt.placement.maxSwapsPerPass = 64;
-    opt.placement.migrationPaceRequests = 4;
-    RmSsd dev(cfg, opt);
-    dev.loadTables();
-
-    workload::TraceGenerator gen(cfg, skewedTrace());
-    const model::DlrmModel &model = dev.model();
-    bool sawPending = false;
-    for (int r = 0; r < 64; ++r) {
-        const auto batch = gen.nextBatch(2);
-        const auto out = dev.infer(batch).outputs;
-        // Results stay correct while queued swaps are mid-flight.
-        for (std::size_t s = 0; s < batch.size(); ++s)
-            EXPECT_EQ(bits(out[s]), bits(model.referenceInference(batch[s])))
-                << "request " << r << " sample " << s;
-        if ((r + 1) % 8 == 0)
-            dev.migrateIfDrifted();
-        sawPending = sawPending || dev.pendingMigrationSwaps() > 0;
-    }
-    EXPECT_TRUE(sawPending);
-    EXPECT_GT(dev.migratedPageCount(), 0u);
-    // Each request executes one chunk, so a handful of extra requests
-    // fully drains whatever the last pass queued.
-    for (int r = 0; r < 20 && dev.pendingMigrationSwaps() > 0; ++r)
-        dev.infer(gen.nextBatch(1));
-    EXPECT_EQ(dev.pendingMigrationSwaps(), 0u);
 }
 
 TEST(Placement, AsyncDepthTwoStaysFunctionallyCorrect)

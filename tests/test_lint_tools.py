@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Self-tests for the repo's static-analysis tooling.
 
-Runs tools/lint_units.py, tools/lint_determinism.py, and
-tools/diff_bench.py against fixtures with KNOWN findings
-(tests/lint_fixtures/ plus generated JSON dumps) and asserts both the
-exit codes and the findings text. A lint that silently stops seeing a
+Runs tools/lint_units.py, tools/lint_determinism.py,
+tools/lint_reachability.py and tools/diff_bench.py against fixtures
+with KNOWN findings (tests/lint_fixtures/ plus generated JSON dumps)
+and asserts both the exit codes and the findings text. A lint that silently stops seeing a
 hazard class fails CI here instead of slipping through review.
 
 Registered with ctest as ``lint_tools`` (see tests/CMakeLists.txt);
@@ -85,6 +85,27 @@ class LintDeterminismTest(unittest.TestCase):
 
     def test_repo_sources_are_clean(self):
         r = run_tool("lint_determinism.py")
+        self.assertEqual(r.returncode, 0, r.stdout)
+
+
+class LintReachabilityTest(unittest.TestCase):
+    def test_flags_test_only_header_and_reasonless_marker(self):
+        r = run_tool("lint_reachability.py", "--root",
+                     FIXTURES / "reachability")
+        self.assertEqual(r.returncode, 1, r.stdout)
+        self.assertIn("src/core/orphan.h: no includer", r.stdout)
+        self.assertIn("src/core/bad_marker.h: entry-point marker has "
+                      "no reason", r.stdout)
+        # Reached by bench/, by a same-directory include, or marked
+        # with a reason: none of these may be flagged.
+        for ok in ("used.h", "sibling.h", "entry.h"):
+            self.assertNotIn(f"src/core/{ok}", r.stdout)
+        self.assertEqual(
+            sum(l.startswith("  ") for l in r.stdout.splitlines()), 2,
+            f"expected exactly 2 findings:\n{r.stdout}")
+
+    def test_repo_headers_are_reachable(self):
+        r = run_tool("lint_reachability.py")
         self.assertEqual(r.returncode, 0, r.stdout)
 
 

@@ -171,6 +171,45 @@ TEST(RmRuntime, SendBeforeAllTablesOpenFails)
         rt.RM_send_inputs(fd, cfg.lookupsPerTable, sparse, dense));
 }
 
+TEST(RmRuntime, SendWithOutOfRangeRowIndexFails)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    RmRuntime rt(cfg, functionalOptions(), 1000);
+    const int fd = setupTables(rt, cfg);
+
+    std::vector<model::Sample> batch{rt.device().model().makeSample(0)};
+    std::vector<std::uint64_t> sparse;
+    std::vector<float> dense;
+    flatten(cfg, batch, sparse, dense);
+    // The last table's last lookup points one row past the table.
+    sparse.back() = cfg.rowsPerTable;
+    EXPECT_FALSE(
+        rt.RM_send_inputs(fd, cfg.lookupsPerTable, sparse, dense));
+    EXPECT_EQ(rt.pendingRequests(), 0u);
+    sparse.back() = cfg.rowsPerTable - 1;
+    EXPECT_TRUE(
+        rt.RM_send_inputs(fd, cfg.lookupsPerTable, sparse, dense));
+    EXPECT_EQ(rt.pendingRequests(), 1u);
+}
+
+TEST(RmRuntime, ReopeningOneTableDoesNotUnlockInference)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    RmRuntime rt(cfg, functionalOptions(), 1000);
+    EXPECT_EQ(rt.RM_create_table(0, "/t0"), 0);
+    int fd = -1;
+    for (std::uint32_t i = 0; i < cfg.numTables; ++i) {
+        fd = rt.RM_open_table(0, "/t0");
+        ASSERT_GE(fd, 0);
+    }
+
+    std::vector<std::uint64_t> sparse(cfg.lookupsPerSample(), 0);
+    std::vector<float> dense(cfg.denseInputDim(), 0.0f);
+    EXPECT_FALSE(
+        rt.RM_send_inputs(fd, cfg.lookupsPerTable, sparse, dense));
+    EXPECT_EQ(rt.pendingRequests(), 0u);
+}
+
 TEST(RmRuntime, PreSendPipelineKeepsFifoOrder)
 {
     const model::ModelConfig cfg = tinyConfig();

@@ -1,95 +1,19 @@
 /**
  * @file
- * Unit tests for the simulation core: event queue ordering, stats,
- * deterministic RNG, and time conversions.
+ * Unit tests for the simulation core: stats, deterministic RNG, and
+ * time conversions.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <vector>
 
-#include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
 namespace rmssd {
 namespace {
-
-TEST(EventQueue, FiresInTimeOrder)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(Cycle{30}, [&] { order.push_back(3); });
-    eq.schedule(Cycle{10}, [&] { order.push_back(1); });
-    eq.schedule(Cycle{20}, [&] { order.push_back(2); });
-    EXPECT_EQ(eq.pending(), 3u);
-    EXPECT_EQ(eq.run(), Cycle{30});
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SameCycleIsFifo)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    for (int i = 0; i < 8; ++i)
-        eq.schedule(Cycle{5}, [&order, i] { order.push_back(i); });
-    eq.run();
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, CallbacksCanScheduleMore)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(Cycle{1}, [&] {
-        ++fired;
-        eq.scheduleAfter(Cycle{4}, [&] { ++fired; });
-    });
-    EXPECT_EQ(eq.run(), Cycle{5});
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, RunUntilStopsAtLimit)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(Cycle{10}, [&] { ++fired; });
-    eq.schedule(Cycle{20}, [&] { ++fired; });
-    EXPECT_EQ(eq.runUntil(Cycle{15}), Cycle{10});
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.pending(), 1u);
-    // Events exactly at the limit still fire.
-    EXPECT_EQ(eq.runUntil(Cycle{20}), Cycle{20});
-    EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, RunUntilAdvancesClockWhenEmpty)
-{
-    EventQueue eq;
-    EXPECT_EQ(eq.runUntil(Cycle{100}), Cycle{100});
-    EXPECT_EQ(eq.now(), Cycle{100});
-}
-
-TEST(EventQueue, ResetClearsEverything)
-{
-    EventQueue eq;
-    eq.schedule(Cycle{10}, [] {});
-    eq.reset();
-    EXPECT_EQ(eq.pending(), 0u);
-    EXPECT_EQ(eq.now(), Cycle{});
-}
-
-TEST(EventQueue, SchedulingIntoThePastDies)
-{
-    EventQueue eq;
-    eq.schedule(Cycle{10}, [] {});
-    eq.run();
-    EXPECT_DEATH(eq.schedule(Cycle{5}, [] {}),
-                 "scheduling into the past");
-}
 
 TEST(Stats, CounterAccumulates)
 {

@@ -9,13 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/depth_controller.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
@@ -63,7 +67,6 @@ fastConfig()
     DepthControllerConfig config;
     config.minDepth = 1;
     config.maxDepth = 8;
-    config.windowRequests = 16;
     config.adjustEvery = 4;
     // Pin the bands and the patience so the law tests stay valid if
     // the bench-tuned defaults move.
@@ -88,12 +91,12 @@ struct FakeClock
 
 TEST(DepthController, SustainedBacklogGrowsToMaxDepth)
 {
-    DepthController ctl(fastConfig(), Nanos{}, 1);
+    DepthController ctl(fastConfig(), 1);
     FakeClock clk;
     for (int round = 0; round < 16; ++round) {
         for (int i = 0; i < 4; ++i) {
             ctl.onBacklog(10);
-            ctl.onCompletion(Nanos{1000}, clk.tick());
+            ctl.onCompletion(clk.tick());
         }
     }
     EXPECT_EQ(ctl.depth(), 8u);
@@ -103,12 +106,12 @@ TEST(DepthController, SustainedBacklogGrowsToMaxDepth)
 
 TEST(DepthController, EmptyBacklogShedsToMinDepth)
 {
-    DepthController ctl(fastConfig(), Nanos{}, 8);
+    DepthController ctl(fastConfig(), 8);
     FakeClock clk;
     for (int round = 0; round < 16; ++round) {
         for (int i = 0; i < 4; ++i) {
             ctl.onBacklog(0);
-            ctl.onCompletion(Nanos{1000}, clk.tick());
+            ctl.onCompletion(clk.tick());
         }
     }
     EXPECT_EQ(ctl.depth(), 1u);
@@ -117,12 +120,12 @@ TEST(DepthController, EmptyBacklogShedsToMinDepth)
 TEST(DepthController, HoldBandHoldsAndLoadDropSheds)
 {
     // Mid-band backlog: no movement (the hysteresis band).
-    DepthController ctl(fastConfig(), Nanos{}, 4);
+    DepthController ctl(fastConfig(), 4);
     FakeClock clk;
     for (int round = 0; round < 8; ++round) {
         for (int i = 0; i < 4; ++i) {
             ctl.onBacklog(i == 0 ? 2 : 0); // mean 0.5 — inside band
-            ctl.onCompletion(Nanos{1000}, clk.tick());
+            ctl.onCompletion(clk.tick());
         }
     }
     EXPECT_EQ(ctl.depth(), 4u);
@@ -132,26 +135,11 @@ TEST(DepthController, HoldBandHoldsAndLoadDropSheds)
     for (int round = 0; round < 16; ++round) {
         for (int i = 0; i < 4; ++i) {
             ctl.onBacklog(0);
-            ctl.onCompletion(Nanos{1000}, clk.tick());
+            ctl.onCompletion(clk.tick());
         }
     }
     EXPECT_EQ(ctl.depth(), 1u);
     EXPECT_GT(ctl.adjustments(), adjustmentsBefore);
-}
-
-TEST(DepthController, TailGuardShedsInsideHoldBand)
-{
-    DepthControllerConfig config = fastConfig();
-    DepthController ctl(config, Nanos{500}, 4);
-    FakeClock clk;
-    // Mid-band backlog but a blown window p99: the SLO guard sheds.
-    for (int round = 0; round < 8; ++round) {
-        for (int i = 0; i < 4; ++i) {
-            ctl.onBacklog(i == 0 ? 2 : 0);
-            ctl.onCompletion(Nanos{10'000}, clk.tick());
-        }
-    }
-    EXPECT_EQ(ctl.depth(), 1u);
 }
 
 TEST(DepthController, WaitShareGrowsDepthWithoutBacklog)
@@ -159,7 +147,7 @@ TEST(DepthController, WaitShareGrowsDepthWithoutBacklog)
     // Below saturation the eager dispatcher keeps the dispatch queue
     // empty and the under-provisioning cost shows up as queue wait:
     // the wait share alone must drive growth.
-    DepthController ctl(fastConfig(), Nanos{}, 1);
+    DepthController ctl(fastConfig(), 1);
     FakeClock clk;
     ctl.prime(Nanos{0});
     for (int round = 0; round < 16; ++round) {
@@ -167,7 +155,7 @@ TEST(DepthController, WaitShareGrowsDepthWithoutBacklog)
             ctl.onBacklog(0);
             ctl.onWait(Nanos{10'000}); // 10 us waited per request
             // 100 us elapsed per completion: wait share 0.1 > high.
-            ctl.onCompletion(Nanos{1000}, clk.tick(100'000));
+            ctl.onCompletion(clk.tick(100'000));
         }
     }
     EXPECT_EQ(ctl.depth(), 8u);
@@ -177,13 +165,13 @@ TEST(DepthController, ShedPatienceDelaysTheStepDown)
 {
     DepthControllerConfig config = fastConfig();
     config.shedPatience = 3;
-    DepthController ctl(config, Nanos{}, 4);
+    DepthController ctl(config, 4);
     FakeClock clk;
     ctl.prime(Nanos{0});
     const auto quietDecision = [&] {
         for (int i = 0; i < 4; ++i) {
             ctl.onBacklog(0);
-            ctl.onCompletion(Nanos{1000}, clk.tick());
+            ctl.onCompletion(clk.tick());
         }
     };
     quietDecision();
@@ -194,7 +182,7 @@ TEST(DepthController, ShedPatienceDelaysTheStepDown)
     // A grow signal resets the streak.
     for (int i = 0; i < 4; ++i) {
         ctl.onBacklog(10);
-        ctl.onCompletion(Nanos{1000}, clk.tick());
+        ctl.onCompletion(clk.tick());
     }
     EXPECT_EQ(ctl.depth(), 6u);
     quietDecision();
@@ -288,7 +276,6 @@ TEST(SloServing, ControllerConvergesUpAtSaturationDownWhenIdle)
     sc.numRequests = 120;
     sc.slo.adaptiveDepth = true;
     sc.slo.controller.maxDepth = 4;
-    sc.slo.controller.windowRequests = 32;
     sc.slo.controller.adjustEvery = 8;
 
     auto saturated = makeFleet();
@@ -490,6 +477,141 @@ TEST(EagerCompletion, ClusterRetiresOutOfOrderAcrossDisjointShards)
     EXPECT_EQ(rest[0].id, slow);
     EXPECT_GT(rest[0].outcome.completionCycle,
               completion->outcome.completionCycle);
+}
+
+/**
+ * Random submit / harvestDoneBy / oldestDoneBy / poll / drain steps
+ * against one device. Every done-probe must agree with the per-id
+ * ready cycle: harvestDoneBy(w) retires exactly the in-flight ids
+ * ready by w, nextDoneCycle() is the earliest of them, oldestDoneBy(w)
+ * reads the oldest one, and every id retires exactly once.
+ */
+template <typename Device>
+void
+checkProbeAgreement(Device &dev, const model::ModelConfig &config,
+                    std::uint64_t seed)
+{
+    workload::TraceGenerator gen(config, workload::localityK(0.3));
+    Rng rng(seed);
+    std::vector<engine::RequestId> open; // submitted, not yet polled
+    std::set<engine::RequestId> polled;
+    const auto consume = [&](engine::RequestId id) {
+        EXPECT_TRUE(polled.insert(id).second) << "id " << id;
+        EXPECT_EQ(std::erase(open, id), 1u) << "id " << id;
+    };
+    // Not-yet-retired ids in submit order with their ready cycles
+    // (Cycle{0} marks a retired id whose completion is queued).
+    const auto live = [&] {
+        std::vector<std::pair<engine::RequestId, Cycle>> out;
+        for (const engine::RequestId id : open) {
+            const Cycle ready = dev.requestDoneCycle(id);
+            EXPECT_NE(ready, engine::kNeverCycle) << "id " << id;
+            if (ready != Cycle{0})
+                out.emplace_back(id, ready);
+        }
+        return out;
+    };
+    const auto harvest = [&](Cycle when) {
+        const auto before = live();
+        std::uint32_t expected = 0;
+        for (const auto &entry : before)
+            expected += entry.second <= when ? 1 : 0;
+        EXPECT_EQ(dev.harvestDoneBy(when), expected);
+        for (const auto &[id, ready] : before)
+            EXPECT_EQ(dev.requestDoneCycle(id) == Cycle{0}, ready <= when)
+                << "id " << id;
+        EXPECT_GT(dev.nextDoneCycle(), when);
+        return expected;
+    };
+
+    std::size_t submitted = 0;
+    for (int step = 0; step < 300; ++step) {
+        const auto inflight = live();
+        ASSERT_EQ(dev.inflight(), inflight.size());
+        Cycle next = engine::kNeverCycle;
+        for (const auto &entry : inflight)
+            next = std::min(next, entry.second);
+        ASSERT_EQ(dev.nextDoneCycle(), next);
+        const bool queued = inflight.size() < open.size();
+        const Cycle probe =
+            inflight.empty()
+                ? dev.deviceNow()
+                : inflight[rng.nextBounded(inflight.size())].second +
+                      Cycle{rng.nextBounded(3)} - Cycle{1};
+        EXPECT_EQ(dev.oldestDoneBy(probe),
+                  queued || (!inflight.empty() &&
+                             inflight.front().second <= probe));
+
+        switch (rng.nextBounded(12)) {
+          case 0: case 1: case 2:
+            open.push_back(dev.submit(gen.nextBatch(
+                1 + static_cast<std::uint32_t>(rng.nextBounded(3)))));
+            ++submitted;
+            break;
+          case 3: case 4: {
+            // One table, light or heavy: on a fleet it can finish
+            // ahead of older requests queued on other shards.
+            const std::vector<model::Sample> one{singleTableSample(
+                config,
+                static_cast<std::uint32_t>(
+                    rng.nextBounded(config.numTables)),
+                1 + rng.nextBounded(200))};
+            open.push_back(dev.submit(one));
+            ++submitted;
+            break;
+          }
+          case 5: case 6:
+            if (next != engine::kNeverCycle) {
+                EXPECT_EQ(harvest(next - Cycle{1}), 0u);
+                EXPECT_GE(harvest(next), 1u);
+            }
+            break;
+          case 7: case 8:
+            harvest(probe);
+            break;
+          case 9: case 10:
+            if (const auto completion = dev.poll()) {
+                EXPECT_EQ(dev.requestDoneCycle(completion->id),
+                          engine::kNeverCycle);
+                consume(completion->id);
+            }
+            break;
+          default:
+            for (const auto &completion : dev.drain())
+                consume(completion.id);
+            EXPECT_EQ(dev.inflight(), 0u);
+            break;
+        }
+    }
+    for (const auto &completion : dev.drain())
+        consume(completion.id);
+    EXPECT_TRUE(open.empty());
+    EXPECT_EQ(polled.size(), submitted);
+}
+
+TEST(EagerCompletion, RandomProbeSequencesAgreeOnOneReadyCycle)
+{
+    const model::ModelConfig config = tinyConfig();
+    for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+        SCOPED_TRACE(seed);
+        engine::RmSsd device(config, engine::RmSsdOptions{});
+        device.loadTables();
+        device.setMaxInflight(4);
+        checkProbeAgreement(device, config, seed);
+
+        workload::TraceGenerator histGen(config,
+                                         workload::localityK(0.0));
+        ClusterOptions options;
+        options.sharding.numDevices = 2;
+        options.sharding.replicateHottest = 1;
+        options.histograms = histGen.tableHistograms(2000);
+        options.hedge.enabled = true;
+        options.hedge.queueThreshold = 1;
+        RmSsdCluster fleet(config, options);
+        fleet.setMaxInflight(4);
+        checkProbeAgreement(fleet, config, seed);
+        EXPECT_GT(fleet.hedgesIssued().value(), 0u);
+    }
 }
 
 TEST(HedgedRequests, WinnerBytesMatchReferenceAndHedgesFire)

@@ -14,7 +14,7 @@ that assumption:
 2. Wall-clock and entropy sources: ``std::random_device``, ``rand()``
    / ``srand()``, ``time()``, ``clock()``, ``gettimeofday`` /
    ``clock_gettime``, and the ``std::chrono`` clocks. Simulated time
-   comes from the event queue; host time must never leak into results.
+   is the Cycle clock; host time must never leak into results.
 3. Environment reads (``getenv``): the determinism gate varies the
    environment between runs, so results must not depend on it.
 4. Pointer-keyed ordered containers (``std::map<T*, ...>`` /
@@ -68,16 +68,15 @@ BANNED = [
     (re.compile(r"\bs?rand\s*\("),
      "rand()/srand() draw from global libc state; use rmssd::Rng"),
     (re.compile(r"\btime\s*\("),
-     "time() is wall clock; simulated time comes from the event queue"),
+     "time() is wall clock; simulated time is the Cycle clock"),
     (re.compile(r"\bclock\s*\(\s*\)"),
-     "clock() is host CPU time; simulated time comes from the event "
-     "queue"),
+     "clock() is host CPU time; simulated time is the Cycle clock"),
     (re.compile(r"\b(?:gettimeofday|clock_gettime)\s*\("),
      "host wall clock must not leak into simulation results"),
     (re.compile(r"\bstd::chrono::(?:system_clock|steady_clock|"
                 r"high_resolution_clock)\b"),
-     "std::chrono clocks are host time; simulated time comes from the "
-     "event queue"),
+     "std::chrono clocks are host time; simulated time is the Cycle "
+     "clock"),
     (re.compile(r"\bgetenv\s*\("),
      "environment reads make results depend on the launch "
      "environment (the determinism gate varies it)"),
