@@ -22,8 +22,9 @@
  * model (its fixed union seed), so multi-tenant runs are not
  * bit-comparable to a tenant's standalone content — only the
  * layout/shape mapping is exact (see test_catalog). The per-tenant
- * cap models a serial per-tenant dispatcher: a capped tenant's next
- * issue waits for its own oldest completion.
+ * cap is the serving loop's class cap: a capped tenant's arrivals
+ * wait while the other tenant dispatches, and once arrivals run out
+ * its next issue waits for its own oldest completion.
  */
 
 #include <benchmark/benchmark.h>
@@ -73,11 +74,9 @@ makeSpecs()
     specs[0].id = "rmc1";
     specs[0].config = tenantModel(false);
     specs[0].trace = tenantTrace(specs[0].config, 0x20aULL);
-    specs[0].trafficShare = 0.8;
     specs[1].id = "rmc2";
     specs[1].config = tenantModel(true);
     specs[1].trace = tenantTrace(specs[1].config, 0x20bULL);
-    specs[1].trafficShare = 0.2;
     return specs;
 }
 
@@ -106,13 +105,13 @@ closedLoopQps(catalog::TenantFleet &fleet,
 
 void
 addTenantRows(bench::TextTable &table, const std::string &label,
-              const catalog::TenantFleet &fleet,
-              const catalog::FleetServingResult &r)
+              const catalog::FleetServingConfig &load,
+              const workload::ServingResult &r)
 {
-    for (std::size_t i = 0; i < r.tenants.size(); ++i) {
-        const catalog::TenantServingResult &t = r.tenants[i];
-        table.addRow({label, fleet.tenant(i).id,
-                      bench::fmt(t.offeredQps, 0),
+    for (std::size_t i = 0; i < r.classes.size(); ++i) {
+        const workload::ClassServingResult &t = r.classes[i];
+        table.addRow({label, t.name,
+                      bench::fmt(load.loads[i].arrivalQps, 0),
                       bench::fmt(t.achievedQps, 0),
                       bench::fmt(t.p99.raw() / 1e3, 1),
                       bench::fmt(t.meanInflight, 2)});
@@ -160,10 +159,9 @@ runFigure()
                                     "achieved QPS", "p99 (us)",
                                     "mean inflight"});
     consolidation.setCaption("consolidated x4 vs dedicated 2+2");
-    const catalog::FleetServingResult onShared =
+    const workload::ServingResult onShared =
         simulateFleetServing(consolidated, load);
-    addTenantRows(consolidation, "consolidated x4", consolidated,
-                  onShared);
+    addTenantRows(consolidation, "consolidated x4", load, onShared);
 
     double dedicatedHeavyP99 = 0.0;
     for (std::size_t i = 0; i < 2; ++i) {
@@ -171,15 +169,15 @@ runFigure()
         catalog::FleetServingConfig solo;
         solo.queueDepth = 8;
         solo.loads = {load.loads[i]};
-        const catalog::FleetServingResult r =
+        const workload::ServingResult r =
             simulateFleetServing(dedicated, solo);
-        addTenantRows(consolidation, "dedicated x2", dedicated, r);
+        addTenantRows(consolidation, "dedicated x2", solo, r);
         if (i == 0)
-            dedicatedHeavyP99 = r.tenants[0].p99.raw() / 1e3;
+            dedicatedHeavyP99 = r.classes[0].p99.raw() / 1e3;
     }
     consolidation.print();
     const double consolidatedHeavyP99 =
-        onShared.tenants[0].p99.raw() / 1e3;
+        onShared.classes[0].p99.raw() / 1e3;
     std::printf("\nConsolidation: heavy-tenant p99 %.1f us on the "
                 "shared x4 vs %.1f us on its dedicated x2 "
                 "(%.2fx)\n\n",
@@ -195,9 +193,7 @@ runFigure()
     double victimP99Off = 0.0;
     double victimP99On = 0.0;
     for (const std::uint32_t cap : {0u, 2u}) {
-        std::vector<catalog::TenantSpec> specs = makeSpecs();
-        specs[1].maxInflightCap = cap; // aggressor
-        catalog::TenantFleet fleet(std::move(specs), shared);
+        catalog::TenantFleet fleet(makeSpecs(), shared);
 
         catalog::FleetServingConfig sc;
         sc.queueDepth = 8;
@@ -209,9 +205,10 @@ runFigure()
         sc.loads[1].spikeMultiplier = 8.0;
         sc.loads[1].spikeStartRequest = 40;
         sc.loads[1].spikeEndRequest = 80;
-        const catalog::FleetServingResult r =
+        sc.loads[1].maxInflight = cap; // aggressor
+        const workload::ServingResult r =
             simulateFleetServing(fleet, sc);
-        const double vp99 = r.tenants[0].p99.raw() / 1e3;
+        const double vp99 = r.classes[0].p99.raw() / 1e3;
         if (cap == 0)
             victimP99Off = vp99;
         else
@@ -219,9 +216,9 @@ runFigure()
         isolation.addRow(
             {cap == 0 ? "off" : "aggressor <= 2",
              bench::fmt(vp99, 1),
-             bench::fmt(r.tenants[0].maxLatency.raw() / 1e3, 1),
-             bench::fmt(r.tenants[1].p99.raw() / 1e3, 1),
-             bench::fmt(r.tenants[1].achievedQps, 0)});
+             bench::fmt(r.classes[0].maxLatency.raw() / 1e3, 1),
+             bench::fmt(r.classes[1].p99.raw() / 1e3, 1),
+             bench::fmt(r.classes[1].achievedQps, 0)});
     }
     isolation.print();
     std::printf("\nAcceptance: caps protect the victim p99 by %.2fx "
@@ -261,7 +258,7 @@ runFigure()
         sc.loads[0].numRequests = 120;
         sc.loads[1].arrivalQps = 0.03 * soloCapacity;
         sc.loads[1].numRequests = 30;
-        const catalog::FleetServingResult r =
+        const workload::ServingResult r =
             simulateFleetServing(fleet, sc);
         for (std::size_t i = 0; i < 2; ++i) {
             carve.addRow(
@@ -272,8 +269,8 @@ runFigure()
                  bench::fmt(fleet.tenantTierPlannedBytes(i).raw() /
                                 (1024.0 * 1024.0),
                             1),
-                 bench::fmt(r.tenants[i].tierHitRatio * 100.0, 1),
-                 bench::fmt(r.tenants[i].p99.raw() / 1e3, 1)});
+                 bench::fmt(r.classes[i].tierHitRatio * 100.0, 1),
+                 bench::fmt(r.classes[i].p99.raw() / 1e3, 1)});
         }
     }
     carve.print();

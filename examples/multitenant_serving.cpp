@@ -27,22 +27,19 @@ namespace {
 using namespace rmssd;
 
 std::vector<catalog::TenantSpec>
-makeSpecs(std::uint32_t aggressorCap)
+makeSpecs()
 {
     std::vector<catalog::TenantSpec> specs(2);
     specs[0].id = "ncf";
     specs[0].config = model::ncf().withRowsPerTable(1ull << 16);
     specs[0].trace = workload::localityK(0.3);
     specs[0].trace.seed = 7;
-    specs[0].trafficShare = 0.7;
     specs[0].tierShare = 3.0;
     specs[1].id = "wnd";
     specs[1].config = model::wnd().withRowsPerTable(1ull << 16);
     specs[1].trace = workload::localityK(0.3);
     specs[1].trace.seed = 11;
-    specs[1].trafficShare = 0.3;
     specs[1].tierShare = 1.0;
-    specs[1].maxInflightCap = aggressorCap;
     return specs;
 }
 
@@ -83,7 +80,7 @@ main(int argc, char **argv)
     options.numDevices = numDevices;
     options.hostTierBytes = Bytes{32ull << 20};
 
-    catalog::TenantFleet fleet(makeSpecs(0), options);
+    catalog::TenantFleet fleet(makeSpecs(), options);
 
     // The union layout: every tenant table becomes one or more union
     // slots (wider dims split into lanes of the fleet dim).
@@ -113,7 +110,7 @@ main(int argc, char **argv)
     std::printf("\n%-14s %-6s %12s %12s %10s %10s\n", "caps", "tenant",
                 "offered", "achieved", "p99 (us)", "hit ratio");
     for (const std::uint32_t cap : {0u, 2u}) {
-        catalog::TenantFleet run(makeSpecs(cap), options);
+        catalog::TenantFleet run(makeSpecs(), options);
         catalog::FleetServingConfig sc;
         sc.queueDepth = 8;
         sc.loads.resize(2);
@@ -124,17 +121,17 @@ main(int argc, char **argv)
         sc.loads[1].spikeMultiplier = 8.0;
         sc.loads[1].spikeStartRequest = 40;
         sc.loads[1].spikeEndRequest = 80;
-        const catalog::FleetServingResult r =
-            simulateFleetServing(run, sc);
+        sc.loads[1].maxInflight = cap;
+        const workload::ServingResult r = simulateFleetServing(run, sc);
         for (std::size_t i = 0; i < 2; ++i) {
             std::printf("%-14s %-6s %12.0f %12.0f %10.1f %9.0f%%\n",
                         cap == 0 ? "off" : "aggressor<=2",
-                        run.tenant(i).id.c_str(),
-                        r.tenants[i].offeredQps,
-                        r.tenants[i].achievedQps,
-                        static_cast<double>(r.tenants[i].p99.raw()) /
+                        r.classes[i].name.c_str(),
+                        sc.loads[i].arrivalQps,
+                        r.classes[i].achievedQps,
+                        static_cast<double>(r.classes[i].p99.raw()) /
                             1e3,
-                        r.tenants[i].tierHitRatio * 100.0);
+                        r.classes[i].tierHitRatio * 100.0);
         }
     }
     std::printf(

@@ -88,8 +88,6 @@ TenantFleet::TenantFleet(std::vector<TenantSpec> tenants,
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const TenantSpec &spec = tenants[i];
         RMSSD_ASSERT(!spec.id.empty(), "tenant id must be non-empty");
-        RMSSD_ASSERT(spec.cacheShare > 0.0,
-                     "tenant cacheShare must be positive");
         for (std::size_t j = 0; j < i; ++j)
             if (tenants[j].id == spec.id)
                 fatal("duplicate tenant id '%s'", spec.id.c_str());
@@ -181,8 +179,8 @@ TenantFleet::carveEvCacheShares(
         std::vector<workload::TraceGenerator::TableHistogram>>
         &histograms) const
 {
-    // Each tenant's cacheShare buys a fixed fraction of the shared
-    // set array regardless of its lane count; within a tenant the
+    // Each tenant buys an equal fraction of the shared set array
+    // regardless of its lane count; within a tenant the
     // budget follows the trace's per-table hot working sets. Dividing
     // by the lane count keeps a 2-lane table from drawing twice its
     // tenant's budget (its lanes each get half of the table's share).
@@ -202,8 +200,7 @@ TenantFleet::carveEvCacheShares(
                 shares[layout_.slots[i][static_cast<std::size_t>(t) *
                                             layout_.lanes[i] +
                                         l]] =
-                    st.spec.cacheShare * w[t] /
-                    (sum * layout_.lanes[i]);
+                    w[t] / (sum * layout_.lanes[i]);
     }
     deviceOptions.evCache.tableShares = std::move(shares);
 }
@@ -400,26 +397,6 @@ TenantFleet::finalize(engine::AsyncCompletion completion)
     pushCompletion({front.fleetId, std::move(outcome)});
 }
 
-void
-TenantFleet::gateOnTenantCompletion(std::size_t i)
-{
-    auto &st = *tenants_[i];
-    const std::uint32_t cap = st.spec.maxInflightCap;
-    while (st.inflightCount >= cap)
-        if (!retireNext())
-            break;
-    // Admission gate: the freed slot opens when the tenant's own
-    // oldest request completed, so hold the host clock to that cycle
-    // before issuing. Retiring alone is bookkeeping — the device
-    // schedules engine work at submit time — so *delaying the issue*
-    // is what keeps a capped flash crowd from piling work onto the
-    // shared occupancy tracks ahead of its neighbours. This models a
-    // serial per-tenant dispatcher blocking on the capped slot.
-    if (st.lastCompletion > device_->deviceNow())
-        device_->advanceHostClock(
-            cyclesToNanos(st.lastCompletion - device_->deviceNow()));
-}
-
 engine::RequestId
 TenantFleet::submitTenant(std::size_t i,
                           std::span<const model::Sample> samples)
@@ -429,9 +406,6 @@ TenantFleet::submitTenant(std::size_t i,
     auto &st = *tenants_[i];
 
     harvest();
-    if (st.spec.maxInflightCap > 0 &&
-        st.inflightCount >= st.spec.maxInflightCap)
-        gateOnTenantCompletion(i);
     // Fleet-level backpressure mirrors the backend queue 1:1, so the
     // backend never force-retires behind the fleet's back.
     while (inflight_.size() >= maxInflight())
@@ -442,7 +416,6 @@ TenantFleet::submitTenant(std::size_t i,
     FleetInflight entry;
     entry.tenant = i;
     entry.numSamples = samples.size();
-    entry.submitCycle = device_->deviceNow();
     if (layout_.passthrough) {
         entry.deviceId = device_->submit(samples);
     } else {
@@ -551,12 +524,6 @@ TenantFleet::tenantTierPlannedBytes(std::size_t i) const
     return tenants_[i]->tierPlanned;
 }
 
-const workload::LatencyRecorder &
-TenantFleet::tenantLatencies(std::size_t i) const
-{
-    return tenants_[i]->latencies;
-}
-
 std::uint64_t
 TenantFleet::tenantRetired(std::size_t i) const
 {
@@ -564,21 +531,21 @@ TenantFleet::tenantRetired(std::size_t i) const
 }
 
 std::uint64_t
-TenantFleet::tenantTierSliceHits(std::size_t i) const
+TenantFleet::tierSliceHits() const
 {
-    return tenants_[i]->tierSliceHits.value();
+    std::uint64_t hits = 0;
+    for (const auto &st : tenants_)
+        hits += st->tierSliceHits.value();
+    return hits;
 }
 
 std::uint64_t
-TenantFleet::tenantTierSliceMisses(std::size_t i) const
+TenantFleet::tierSliceMisses() const
 {
-    return tenants_[i]->tierSliceMisses.value();
-}
-
-Cycle
-TenantFleet::tenantLastCompletion(std::size_t i) const
-{
-    return tenants_[i]->lastCompletion;
+    std::uint64_t misses = 0;
+    for (const auto &st : tenants_)
+        misses += st->tierSliceMisses.value();
+    return misses;
 }
 
 void

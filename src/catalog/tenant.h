@@ -4,8 +4,8 @@
  * (RMC1's 32-dim tables beside RMC2's 64-dim ones) on one shared
  * RM-SSD / RmSsdCluster, with per-tenant isolation and stats.
  *
- * A TenantSpec binds a model spec to a tenant id, traffic share and
- * resource policy. TenantFleet is an engine::InferenceDevice front:
+ * A TenantSpec binds a model spec to a tenant id, a locality profile
+ * and a host-DRAM share. TenantFleet is an engine::InferenceDevice front:
  * tenant-tagged requests flow through the existing submit/poll/drain
  * path of one shared backend whose flash holds the union layout of
  * every tenant's tables.
@@ -22,15 +22,16 @@
  * Union slots are globally numbered, so tenants' tables coexist on
  * one flash layout without id collisions.
  *
- * **Isolation.** Per-tenant inflight caps sit on top of the backend's
- * maxInflight: a tenant at its cap has its next issue gated until its
- * own oldest request completes, so a flash-crowd tenant cannot queue
- * unbounded work ahead of its neighbors. Per-tenant EV-cache byte
- * budgets carve the shared device cache via
- * EvCacheConfig::tableShares (engine::planTablePartitions'
- * largest-remainder quotas make the split structural: one tenant's
- * traffic cannot evict another's partition), and per-tenant host-DRAM
- * budgets carve the shared tier pool via engine::planHostTier.
+ * **Isolation.** Per-tenant inflight caps are not enforced here: they
+ * are class caps of the serving loop (TenantLoad::maxInflight ->
+ * workload::ServingClass::maxInflight), which holds a tenant at its
+ * cap out of dispatch so a flash-crowd tenant cannot queue unbounded
+ * work ahead of its neighbors. The fleet carves the shared device
+ * EV cache per tenant via EvCacheConfig::tableShares
+ * (engine::planTablePartitions' largest-remainder quotas make the
+ * split structural: one tenant's traffic cannot evict another's
+ * partition), and per-tenant host-DRAM budgets carve the shared tier
+ * pool via engine::planHostTier.
  *
  * **Stats.** Every tenant exports namespaced `tenant.<id>.*` counters
  * (submitted/retired/samples, service-latency percentiles, QPS, tier
@@ -69,17 +70,6 @@ struct TenantSpec
     model::ModelConfig config;
     /** Locality profile; drives the budget planners' traffic profiling. */
     workload::TraceConfig trace;
-    /** Fraction of fleet traffic this tenant is expected to carry. */
-    double trafficShare = 1.0;
-    /**
-     * Fair-share inflight cap on top of the backend's maxInflight:
-     * with this many of the tenant's requests outstanding, the next
-     * issue waits for the tenant's own oldest completion. 0 = no cap
-     * (the tenant may fill the whole queue).
-     */
-    std::uint32_t maxInflightCap = 0;
-    /** Relative weight of the shared EV-cache capacity carve. */
-    double cacheShare = 1.0;
     /** Relative weight of the shared host-DRAM pool carve. */
     double tierShare = 1.0;
 };
@@ -155,8 +145,9 @@ class TenantFleet : public engine::InferenceDevice
     /**
      * Issue one request for tenant @p i. Samples are in the TENANT's
      * shape (its numTables / embDim); the fleet remaps them onto the
-     * union layout. Applies the tenant's inflight cap, then the
-     * backend's own maxInflight backpressure.
+     * union layout. Applies the backend's maxInflight backpressure;
+     * a tenant's inflight cap is the serving loop's class cap
+     * (TenantLoad::maxInflight), not a gate here.
      */
     engine::RequestId submitTenant(std::size_t i,
                                    std::span<const model::Sample> samples);
@@ -171,20 +162,9 @@ class TenantFleet : public engine::InferenceDevice
     Bytes tenantTierBudget(std::size_t i) const;
     /** Bytes the tier actually planned for tenant @p i. */
     Bytes tenantTierPlannedBytes(std::size_t i) const;
-    /** Service latencies (submit to completion) of tenant @p i. */
-    const workload::LatencyRecorder &
-    tenantLatencies(std::size_t i) const;
     /** Requests retired for tenant @p i. */
     std::uint64_t tenantRetired(std::size_t i) const;
-    /** Tier slice hits attributed to tenant @p i (tenant-table slices). */
-    std::uint64_t tenantTierSliceHits(std::size_t i) const;
-    std::uint64_t tenantTierSliceMisses(std::size_t i) const;
-    /** Completion cycle of tenant @p i's most recent request. */
-    Cycle tenantLastCompletion(std::size_t i) const;
 
-    /** The shared backend (for attach/inspection in tests/benches). */
-    engine::InferenceDevice &backend() { return *device_; }
-    const engine::InferenceDevice &backend() const { return *device_; }
     /** The shared host tier; nullptr without one. */
     const host::EmbeddingTier *sharedTier() const
     {
@@ -265,14 +245,13 @@ class TenantFleet : public engine::InferenceDevice
     {
         return device_->hostTier();
     }
-    std::uint64_t tierSliceHits() const override
-    {
-        return device_->tierSliceHits();
-    }
-    std::uint64_t tierSliceMisses() const override
-    {
-        return device_->tierSliceMisses();
-    }
+    /**
+     * Tier slices attributed to the tenants, summed: only a tenant's
+     * own table slices count. (The backend's union counters also
+     * count every other tenant's empty slots as hits.)
+     */
+    std::uint64_t tierSliceHits() const override;
+    std::uint64_t tierSliceMisses() const override;
     void setChargeActualIndexBytes(bool on) override
     {
         device_->setChargeActualIndexBytes(on);
@@ -302,7 +281,6 @@ class TenantFleet : public engine::InferenceDevice
         engine::RequestId fleetId = 0;
         engine::RequestId deviceId = 0;
         std::size_t tenant = 0;
-        Cycle submitCycle;
         std::size_t numSamples = 0;
     };
 
@@ -320,13 +298,6 @@ class TenantFleet : public engine::InferenceDevice
 
     /** Harvest every backend completion already retired. */
     void harvest();
-
-    /**
-     * Inflight-cap gate: retire forward (FIFO) until one of tenant
-     * @p i's requests completes, then hold the host clock to that
-     * completion so the tenant's next issue cannot start earlier.
-     */
-    void gateOnTenantCompletion(std::size_t i);
 
     /** Carve the EV-cache pool into per-tenant tableShares. */
     void carveEvCacheShares(

@@ -1,15 +1,11 @@
 /**
  * @file
- * Multi-tenant online-serving simulation: one Poisson arrival stream
- * per tenant — optionally with a flash-crowd spike window — merged
- * into one global FIFO against a shared TenantFleet, with per-tenant
- * tail-latency statistics.
- *
- * This is the multi-tenant twin of workload::simulateServing: same
- * arrival model, same latency accounting (request arrival to results
- * readable), but each tenant gets its own trace stream, its own
- * offered load, and its own recorder — the consolidation and
- * isolation experiments of Fig. 20 read per-victim p99 from here.
+ * Multi-tenant online serving: the fleet's arrival source for the one
+ * serving loop, workload::simulateServing. One Poisson stream per
+ * tenant — optionally with a flash-crowd spike window — merges into
+ * one arrival list; each tenant is one class of the loop (named by
+ * tenant id, capped by TenantLoad::maxInflight), so the per-class
+ * results are the per-tenant tails Fig. 20 reads.
  */
 
 #ifndef RMSSD_CATALOG_TENANT_SERVING_H
@@ -19,7 +15,7 @@
 #include <vector>
 
 #include "catalog/tenant.h"
-#include "sim/types.h"
+#include "workload/serving.h"
 
 namespace rmssd::catalog {
 
@@ -39,6 +35,14 @@ struct TenantLoad
     double spikeMultiplier = 1.0;
     std::uint32_t spikeStartRequest = 0;
     std::uint32_t spikeEndRequest = 0;
+    /**
+     * Fair-share inflight cap on top of the backend's maxInflight
+     * (the tenant's class cap, workload::ServingClass::maxInflight):
+     * with this many of the tenant's requests outstanding, its
+     * arrivals wait while other tenants dispatch. 0 = no cap (the
+     * tenant may fill the whole queue).
+     */
+    std::uint32_t maxInflight = 0;
 };
 
 /** Configuration of one fleet serving experiment. */
@@ -52,39 +56,15 @@ struct FleetServingConfig
     std::uint64_t seed = 0x5e12e5ULL;
 };
 
-/** Per-tenant outcome of a fleet serving experiment. */
-struct TenantServingResult
-{
-    double offeredQps = 0.0;  //!< base arrival rate (requests/s)
-    double achievedQps = 0.0; //!< completed requests/s of sim time
-    Nanos meanLatency;
-    Nanos p50;
-    Nanos p95;
-    Nanos p99;
-    Nanos maxLatency;
-    std::uint64_t requests = 0;
-    /** Tenant-attributed host-tier slice hit ratio over the run. */
-    double tierHitRatio = 0.0;
-    /** Mean tenant inflight observed right after each of its submits. */
-    double meanInflight = 0.0;
-};
-
-/** Fleet-wide outcome. */
-struct FleetServingResult
-{
-    std::vector<TenantServingResult> tenants;
-    /** Completed requests/s across all tenants. */
-    double achievedQps = 0.0;
-    std::uint64_t requests = 0;
-};
-
 /**
  * Drive @p fleet with one merged Poisson arrival stream per tenant.
  * Arrivals interleave by timestamp (ties resolve by tenant order, so
  * runs are deterministic); each request's latency spans its arrival
- * to its results being readable on the host.
+ * to its results being readable on the host. The result has one
+ * class per tenant, in tenant order; its offeredQps is the sum of the
+ * tenants' base rates.
  */
-FleetServingResult
+workload::ServingResult
 simulateFleetServing(TenantFleet &fleet,
                      const FleetServingConfig &config);
 

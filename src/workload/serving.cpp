@@ -113,17 +113,18 @@ timeWeightedDepth(const std::vector<std::pair<Cycle, Cycle>> &spans)
  * The serving loop, modelled on the paper's host (§IV-D): it polls
  * the device and reads results as soon as they are ready. Arrivals
  * park in a priority/EDF dispatch queue (FIFO with one best-effort
- * class); finished requests harvest eagerly via
- * InferenceDevice::harvestDoneBy; a full device queue blocks inside
- * submit's own backpressure retire; and (optionally) a
- * DepthController walks the device queue depth on its congestion
- * signals. At depth 1 the eager harvest at the dispatch clock retires
- * exactly the request submit's backpressure would, so the loop
- * replays a serial submit-then-poll reference instruction for
- * instruction.
+ * class) where a class at its inflight cap sits out; finished
+ * requests harvest eagerly via InferenceDevice::harvestDoneBy; a full
+ * device queue blocks inside submit's own backpressure retire; and
+ * (optionally) a DepthController walks the device queue depth on its
+ * congestion signals. At depth 1 the eager harvest at the dispatch
+ * clock retires exactly the request submit's backpressure would, so
+ * the loop replays a serial submit-then-poll reference instruction
+ * for instruction.
  */
 ServingResult
-simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
+simulateServing(engine::InferenceDevice &device,
+                std::span<const Arrival> arrivals, const IssueFn &issue,
                 const ServingConfig &config)
 {
     RMSSD_ASSERT(config.arrivalQps > 0.0, "non-positive arrival rate");
@@ -134,15 +135,13 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
                  "adaptiveDepth and an explicit queueDepth sweep are "
                  "mutually exclusive");
     const SloServingOptions &slo = config.slo;
-
     std::vector<ServingClass> classes = slo.classes;
     if (classes.empty())
         classes.push_back(ServingClass{});
-    double shareSum = 0.0;
-    for (const ServingClass &cls : classes) {
-        RMSSD_ASSERT(cls.share > 0.0, "non-positive class share");
-        shareSum += cls.share;
-    }
+    const bool capped =
+        std::any_of(classes.begin(), classes.end(),
+                    [](const ServingClass &c) { return c.maxInflight > 0; });
+    const std::size_t numRequests = arrivals.size();
 
     device.resetTiming();
     std::uint32_t depth = std::max<std::uint32_t>(config.queueDepth, 1);
@@ -153,9 +152,6 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
         depth = controller->depth();
     }
     device.setMaxInflight(depth);
-
-    Rng rng(config.seed);
-    const double meanGapNanos = 1e9 / config.arrivalQps;
 
     /** One parked arrival awaiting dispatch. */
     struct Queued
@@ -168,23 +164,31 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
     /** One dispatched-but-uncompleted request, keyed by ticket. */
     struct Pending
     {
-        Cycle arrival;
+        Queued queued;
         Cycle dispatched;
-        Cycle deadlineAt;
-        std::uint32_t cls = 0;
+    };
+    /** Per-class accumulators. */
+    struct ClassState
+    {
+        LatencyRecorder latency;
+        LatencyRecorder wait;
+        std::uint64_t misses = 0;
+        std::uint32_t inflight = 0;
+        double inflightSum = 0.0; //!< inflight after each submit
+        Cycle lastCompletion;
+        std::uint64_t tierHits = 0;
+        std::uint64_t tierMisses = 0;
     };
 
     std::vector<Queued> dispatchQ;
     std::map<engine::RequestId, Pending> pending;
-    std::vector<LatencyRecorder> classLatency(classes.size());
-    std::vector<LatencyRecorder> classWait(classes.size());
-    std::vector<std::uint64_t> classRequests(classes.size(), 0);
-    std::vector<std::uint64_t> classMisses(classes.size(), 0);
+    std::vector<ClassState> perClass(classes.size());
     std::vector<std::pair<Cycle, Cycle>> spans;
-    spans.reserve(config.numRequests);
+    spans.reserve(numRequests);
 
     ServingResult result;
     const bool cached = device.hasEvCache();
+    const bool tiered = device.hostTier() != nullptr;
     const std::uint64_t replansBefore = device.replanCount();
     const std::uint64_t migratedBefore = device.migratedPageCount();
     const std::uint64_t tierHitsBefore = device.tierSliceHits();
@@ -194,73 +198,55 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
     std::uint64_t steadyHits = 0;
     std::uint64_t steadyMisses = 0;
 
-    double arrivalNanos = 0.0;
-    std::uint32_t generated = 0;
-    std::uint32_t dispatched = 0;
+    std::size_t generated = 0;
+    std::size_t dispatched = 0;
     std::uint64_t completed = 0;
     double depthOnSubmitSum = 0.0;
     Cycle lastCompletion;
     bool depthDirty = false;
 
-    // The next not-yet-enqueued arrival (time + class), drawn from
-    // one RNG stream so a class split perturbs nothing else.
-    Cycle nextArrivalCycle;
-    std::uint32_t nextClass = 0;
-    const auto drawNextArrival = [&] {
-        const double u = std::max(rng.nextDouble(), 1e-12);
-        arrivalNanos += -meanGapNanos * std::log(u);
-        nextArrivalCycle = nanosToCycles(
-            Nanos{static_cast<std::uint64_t>(arrivalNanos)});
-        nextClass = 0;
-        if (classes.size() > 1) {
-            const double pick = rng.nextDouble() * shareSum;
-            double acc = 0.0;
-            nextClass = static_cast<std::uint32_t>(classes.size() - 1);
-            for (std::size_t i = 0; i < classes.size(); ++i) {
-                acc += classes[i].share;
-                if (pick < acc) {
-                    nextClass = static_cast<std::uint32_t>(i);
-                    break;
-                }
-            }
-        }
+    const auto advanceTo = [&](Cycle when) {
+        if (device.deviceNow() < when)
+            device.advanceHostClock(
+                cyclesToNanos(when - device.deviceNow()));
     };
-    drawNextArrival();
-
     const auto enqueueNextArrival = [&] {
-        Queued q;
-        q.arrival = nextArrivalCycle;
-        q.cls = nextClass;
-        q.seq = generated;
-        const Nanos deadline = classes[nextClass].deadline;
-        q.deadlineAt = deadline > Nanos{0}
-                           ? q.arrival + nanosToCycles(deadline)
-                           : engine::kNeverCycle;
-        dispatchQ.push_back(q);
-        ++generated;
-        if (generated < config.numRequests)
-            drawNextArrival();
+        const Arrival &next = arrivals[generated];
+        RMSSD_ASSERT(next.cls < classes.size() &&
+                         (generated == 0 ||
+                          arrivals[generated - 1].at <= next.at),
+                     "arrival list unsorted or naming an unknown class");
+        const Nanos deadline = classes[next.cls].deadline;
+        dispatchQ.push_back({next.at,
+                             deadline > Nanos{0}
+                                 ? next.at + nanosToCycles(deadline)
+                                 : engine::kNeverCycle,
+                             next.cls, generated++});
     };
-
+    const auto underCap = [&](std::uint32_t cls) {
+        return classes[cls].maxInflight == 0 ||
+               perClass[cls].inflight < classes[cls].maxInflight;
+    };
     // Priority first, earliest deadline within a priority, arrival
     // order among deadline ties (so one best-effort class is FIFO).
-    const auto pickEdf = [&]() -> Queued {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < dispatchQ.size(); ++i) {
-            const Queued &a = dispatchQ[i];
-            const Queued &b = dispatchQ[best];
-            const std::uint32_t pa = classes[a.cls].priority;
-            const std::uint32_t pb = classes[b.cls].priority;
-            if (pa != pb ? pa > pb
-                         : (a.deadlineAt != b.deadlineAt
-                                ? a.deadlineAt < b.deadlineAt
-                                : a.seq < b.seq))
+    const auto before = [&](const Queued &a, const Queued &b) {
+        const std::uint32_t pa = classes[a.cls].priority;
+        const std::uint32_t pb = classes[b.cls].priority;
+        return pa != pb ? pa > pb
+                        : (a.deadlineAt != b.deadlineAt
+                               ? a.deadlineAt < b.deadlineAt
+                               : a.seq < b.seq);
+    };
+    // The best queued request; with @p eligibleOnly a class at its cap
+    // sits out. dispatchQ.size() when none qualifies.
+    const auto pickEdf = [&](bool eligibleOnly) {
+        std::size_t best = dispatchQ.size();
+        for (std::size_t i = 0; i < dispatchQ.size(); ++i)
+            if ((!eligibleOnly || !capped || underCap(dispatchQ[i].cls)) &&
+                (best == dispatchQ.size() ||
+                 before(dispatchQ[i], dispatchQ[best])))
                 best = i;
-        }
-        const Queued q = dispatchQ[best];
-        dispatchQ.erase(dispatchQ.begin() +
-                        static_cast<std::ptrdiff_t>(best));
-        return q;
+        return best;
     };
 
     const auto recordCompletion =
@@ -268,24 +254,26 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
             const auto it = pending.find(completion.id);
             RMSSD_ASSERT(it != pending.end(),
                          "completion for unknown request");
-            const Pending req = it->second;
+            const auto [req, dispatchedAt] = it->second;
             pending.erase(it);
+            ClassState &cls = perClass[req.cls];
             const Cycle end = completion.outcome.completionCycle;
-            const Nanos latency = cyclesToNanos(end - req.arrival);
-            const Nanos wait = cyclesToNanos(req.dispatched - req.arrival);
-            classLatency[req.cls].add(latency);
-            classWait[req.cls].add(wait);
+            const Nanos wait = cyclesToNanos(dispatchedAt - req.arrival);
+            cls.latency.add(cyclesToNanos(end - req.arrival));
+            cls.wait.add(wait);
             result.queueWaitNanos.sample(
                 static_cast<double>(wait.raw()));
             result.serviceNanos.sample(static_cast<double>(
-                cyclesToNanos(end - req.dispatched).raw()));
+                cyclesToNanos(end - dispatchedAt).raw()));
             if (req.deadlineAt != engine::kNeverCycle &&
                 end > req.deadlineAt) {
-                ++classMisses[req.cls];
+                ++cls.misses;
                 ++result.deadlineMisses;
             }
-            spans.emplace_back(req.dispatched, end);
+            spans.emplace_back(dispatchedAt, end);
             lastCompletion = std::max(lastCompletion, end);
+            cls.lastCompletion = std::max(cls.lastCompletion, end);
+            --cls.inflight;
             ++completed;
             if (controller) {
                 // The request's queue wait is the congestion signal:
@@ -313,12 +301,13 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
         }
     };
 
-    while (dispatched < config.numRequests) {
-        if (dispatchQ.empty()) {
-            // Idle host: advance to the next arrival.
-            if (device.deviceNow() < nextArrivalCycle)
-                device.advanceHostClock(cyclesToNanos(
-                    nextArrivalCycle - device.deviceNow()));
+    while (dispatched < numRequests) {
+        // Idle host, or only capped classes waiting: advance to the
+        // next arrival.
+        if (generated < numRequests &&
+            (dispatchQ.empty() ||
+             (capped && pickEdf(true) == dispatchQ.size()))) {
+            advanceTo(arrivals[generated].at);
             enqueueNextArrival();
         }
         // Eager completion: everything finished by now retires —
@@ -328,27 +317,56 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
         drainCompletions();
         // Pull in every request that has arrived by now; they compete
         // in the EDF queue.
-        while (generated < config.numRequests &&
-               nextArrivalCycle <= device.deviceNow())
+        while (generated < numRequests &&
+               arrivals[generated].at <= device.deviceNow())
             enqueueNextArrival();
+
+        std::size_t pick = pickEdf(true);
+        if (pick == dispatchQ.size()) {
+            if (generated < numRequests)
+                continue;
+            // No arrivals left and every waiting class is at its cap:
+            // retire forward until the best waiting request's class is
+            // under its cap, then hold the host clock to that class's
+            // latest completion. Retiring is bookkeeping (the device
+            // schedules engine work at submit), so delaying the issue
+            // is what keeps a capped class from piling work onto the
+            // shared engines: a serial per-class dispatcher.
+            pick = pickEdf(false);
+            const std::uint32_t cls = dispatchQ[pick].cls;
+            while (!underCap(cls) && device.retireNext())
+                drainCompletions();
+            RMSSD_ASSERT(underCap(cls), "capped class cannot retire");
+            advanceTo(perClass[cls].lastCompletion);
+        }
 
         if (controller)
             controller->onBacklog(dispatchQ.size() - 1);
-        const Queued q = pickEdf();
+        const Queued q = dispatchQ[pick];
+        dispatchQ.erase(dispatchQ.begin() +
+                        static_cast<std::ptrdiff_t>(pick));
+        ClassState &cls = perClass[q.cls];
+        const std::uint64_t tierHitsPre =
+            tiered ? device.tierSliceHits() : 0;
+        const std::uint64_t tierMissesPre =
+            tiered ? device.tierSliceMisses() : 0;
         // The batch is drawn at dispatch, not at arrival: a backlog
-        // then holds no sample vectors, and with one class dispatch
+        // then holds no sample vectors, and within a class dispatch
         // order is arrival order. A full device queue blocks inside
         // submit, which retires the oldest request itself (after a
         // host tier has charged its DRAM time).
-        const engine::RequestId id =
-            device.submit(gen.nextBatch(config.batchSize));
+        const engine::RequestId id = issue(q.cls);
+        if (tiered) {
+            cls.tierHits += device.tierSliceHits() - tierHitsPre;
+            cls.tierMisses += device.tierSliceMisses() - tierMissesPre;
+        }
         // Accept instant = submit return: the span and the
         // wait/service split start once the device owns the request.
-        pending.emplace(id, Pending{q.arrival, device.deviceNow(),
-                                    q.deadlineAt, q.cls});
-        ++classRequests[q.cls];
+        pending.emplace(id, Pending{q, device.deviceNow()});
+        ++cls.inflight;
         depthOnSubmitSum += static_cast<double>(device.inflight());
         drainCompletions();
+        cls.inflightSum += static_cast<double>(cls.inflight);
         ++dispatched;
 
         if (cached) {
@@ -362,7 +380,7 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
                 result.requestHitRatio.sample(
                     static_cast<double>(reqHits) /
                     static_cast<double>(reqHits + reqMisses));
-            if (dispatched > config.numRequests / 2) {
+            if (dispatched > numRequests / 2) {
                 steadyHits += reqHits;
                 steadyMisses += reqMisses;
             }
@@ -379,62 +397,113 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
     for (const engine::AsyncCompletion &completion : device.drain())
         recordCompletion(completion);
     RMSSD_ASSERT(pending.empty() && dispatchQ.empty() &&
-                     completed == config.numRequests,
+                     completed == numRequests,
                  "serving loop left requests unaccounted");
 
+    const auto ratio = [](std::uint64_t hits, std::uint64_t misses) {
+        return hits + misses > 0 ? static_cast<double>(hits) /
+                                       static_cast<double>(hits + misses)
+                                 : 0.0;
+    };
+    const auto qps = [](std::uint64_t requests, Cycle end) {
+        const double seconds = nanosToSeconds(cyclesToNanos(end));
+        return seconds > 0.0 ? static_cast<double>(requests) / seconds
+                             : 0.0;
+    };
     result.offeredQps = config.arrivalQps;
-    result.requests = config.numRequests;
+    result.requests = numRequests;
     result.meanQueueDepth = timeWeightedDepth(spans);
     result.meanDepthOnSubmit =
-        config.numRequests > 0
-            ? depthOnSubmitSum / config.numRequests
+        numRequests > 0
+            ? depthOnSubmitSum / static_cast<double>(numRequests)
             : 0.0;
-    const double seconds =
-        nanosToSeconds(cyclesToNanos(lastCompletion));
-    result.achievedQps =
-        seconds > 0.0 ? config.numRequests / seconds : 0.0;
+    result.achievedQps = qps(numRequests, lastCompletion);
 
     // Fleet-wide percentiles compose from the per-class recorders —
     // the merge path, not a parallel re-recording.
     LatencyRecorder all;
-    for (const LatencyRecorder &recorder : classLatency)
-        all.merge(recorder);
+    for (const ClassState &cls : perClass)
+        all.merge(cls.latency);
     result.meanLatency = all.mean();
     result.p50 = all.percentile(50.0);
     result.p95 = all.percentile(95.0);
     result.p99 = all.percentile(99.0);
     result.maxLatency = all.max();
     for (std::size_t i = 0; i < classes.size(); ++i) {
-        ClassServingResult cls;
+        const ClassState &st = perClass[i];
+        ClassServingResult &cls = result.classes.emplace_back();
         cls.name = classes[i].name;
-        cls.requests = classRequests[i];
-        cls.deadlineMisses = classMisses[i];
-        cls.p99 = classLatency[i].percentile(99.0);
-        cls.meanLatency = classLatency[i].mean();
-        cls.meanQueueWait = classWait[i].mean();
-        result.classes.push_back(std::move(cls));
+        cls.requests = st.latency.count();
+        cls.deadlineMisses = st.misses;
+        cls.p50 = st.latency.percentile(50.0);
+        cls.p95 = st.latency.percentile(95.0);
+        cls.p99 = st.latency.percentile(99.0);
+        cls.maxLatency = st.latency.max();
+        cls.meanLatency = st.latency.mean();
+        cls.meanQueueWait = st.wait.mean();
+        cls.achievedQps = qps(cls.requests, st.lastCompletion);
+        cls.meanInflight =
+            cls.requests > 0
+                ? st.inflightSum / static_cast<double>(cls.requests)
+                : 0.0;
+        cls.tierHitRatio = ratio(st.tierHits, st.tierMisses);
     }
     result.depthAdjustments =
         controller ? controller->adjustments() : 0;
     result.finalDepth = device.maxInflight();
 
-    if (steadyHits + steadyMisses > 0)
-        result.steadyHitRatio =
-            static_cast<double>(steadyHits) /
-            static_cast<double>(steadyHits + steadyMisses);
+    result.steadyHitRatio = ratio(steadyHits, steadyMisses);
     result.replans = device.replanCount() - replansBefore;
     result.migratedPages =
         device.migratedPageCount() - migratedBefore;
-    const std::uint64_t tierHits =
-        device.tierSliceHits() - tierHitsBefore;
-    const std::uint64_t tierMisses =
-        device.tierSliceMisses() - tierMissesBefore;
-    if (tierHits + tierMisses > 0)
-        result.tierHitRatio =
-            static_cast<double>(tierHits) /
-            static_cast<double>(tierHits + tierMisses);
+    result.tierHitRatio =
+        ratio(device.tierSliceHits() - tierHitsBefore,
+              device.tierSliceMisses() - tierMissesBefore);
     return result;
 }
 
+ServingResult
+simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
+                const ServingConfig &config)
+{
+    RMSSD_ASSERT(config.arrivalQps > 0.0, "non-positive arrival rate");
+    const std::vector<ServingClass> &classes = config.slo.classes;
+    double shareSum = 0.0;
+    for (const ServingClass &cls : classes) {
+        RMSSD_ASSERT(cls.share > 0.0, "non-positive class share");
+        shareSum += cls.share;
+    }
+    // One RNG stream in arrival order — a gap per request, then its
+    // class pick with two or more classes — so a class split
+    // perturbs nothing else.
+    Rng rng(config.seed);
+    const double meanGapNanos = 1e9 / config.arrivalQps;
+    double arrivalNanos = 0.0;
+    std::vector<Arrival> arrivals(config.numRequests);
+    for (Arrival &arrival : arrivals) {
+        const double u = std::max(rng.nextDouble(), 1e-12);
+        arrivalNanos += -meanGapNanos * std::log(u);
+        arrival.at = nanosToCycles(
+            Nanos{static_cast<std::uint64_t>(arrivalNanos)});
+        if (classes.size() > 1) {
+            const double pick = rng.nextDouble() * shareSum;
+            double acc = 0.0;
+            arrival.cls = static_cast<std::uint32_t>(classes.size() - 1);
+            for (std::size_t i = 0; i < classes.size(); ++i) {
+                acc += classes[i].share;
+                if (pick < acc) {
+                    arrival.cls = static_cast<std::uint32_t>(i);
+                    break;
+                }
+            }
+        }
+    }
+    return simulateServing(
+        device, arrivals,
+        [&](std::uint32_t) {
+            return device.submit(gen.nextBatch(config.batchSize));
+        },
+        config);
+}
 
 } // namespace rmssd::workload

@@ -1,9 +1,10 @@
 /**
  * @file
- * Online-serving simulation: Poisson request arrivals against any
- * InferenceDevice (a single RM-SSD or a sharded cluster), with
- * tail-latency statistics — the service-level agreement context that
- * motivates the paper ("to meet the strict service level agreement
+ * Online-serving simulation: the one open-loop serving loop, over a
+ * request arrival list against any InferenceDevice (a single RM-SSD,
+ * a sharded cluster or a multi-tenant fleet), with tail-latency
+ * statistics — the service-level agreement context that motivates
+ * the paper ("to meet the strict service level agreement
  * requirements of recommendation systems").
  */
 
@@ -11,6 +12,8 @@
 #define RMSSD_WORKLOAD_SERVING_H
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,31 +55,33 @@ class LatencyRecorder
     mutable bool sorted_ = true;
 };
 
-/** One request priority class of the serving loop. */
+/** One request class of the serving loop (a priority class or a tenant). */
 struct ServingClass
 {
     std::string name = "default";
-    /** Relative share of requests assigned to this class. */
+    /** Relative share of requests assigned to this class (Poisson form). */
     double share = 1.0;
     /** Dispatch priority: higher dispatches first (EDF within). */
     std::uint32_t priority = 0;
     /** Completion deadline budget from arrival; Nanos{0} = best-effort. */
     Nanos deadline{};
+    /**
+     * Inflight cap: at this many outstanding requests the class sits
+     * out of dispatch while other classes go ahead. 0 = uncapped.
+     */
+    std::uint32_t maxInflight = 0;
 };
 
 /**
  * SLO control-plane knobs of the one serving loop. The defaults (one
  * best-effort class, a static depth) make it a FIFO open-loop server;
- * classes add priority/EDF dispatch with deadlines, and adaptiveDepth
- * hands the device queue depth to a DepthController.
+ * classes add priority/EDF dispatch with deadlines and per-class
+ * inflight caps, and adaptiveDepth hands the device queue depth to a
+ * DepthController.
  */
 struct SloServingOptions
 {
-    /**
-     * No effect: simulateServing has one loop and runs it for every
-     * ServingConfig. Kept only so existing assignments still compile;
-     * set it nowhere new.
-     */
+    /** No effect (one loop serves every config); set it nowhere new. */
     bool enabled = false;
     /**
      * Adaptive queue depth: a workload::DepthController walks the
@@ -89,9 +94,9 @@ struct SloServingOptions
     bool adaptiveDepth = false;
     DepthControllerConfig controller;
     /**
-     * Priority classes; each arrival is assigned a class
-     * deterministically (by share, drawn from the arrival RNG
-     * stream). Empty = one best-effort class.
+     * Request classes; the Poisson form assigns each arrival a class
+     * by share from the arrival RNG stream. Empty = one best-effort
+     * class.
      */
     std::vector<ServingClass> classes;
 };
@@ -142,9 +147,17 @@ struct ClassServingResult
     std::uint64_t requests = 0;
     /** Completions past arrival + class deadline (0 if best-effort). */
     std::uint64_t deadlineMisses = 0;
+    Nanos p50;
+    Nanos p95;
     Nanos p99;
+    Nanos maxLatency;
     Nanos meanLatency;
     Nanos meanQueueWait;
+    double achievedQps = 0.0; //!< requests/s to the class's last completion
+    /** Mean class in-flight count after each of its submits. */
+    double meanInflight = 0.0;
+    /** Host-tier slice hit ratio over the class's issues (0 without a tier). */
+    double tierHitRatio = 0.0;
 };
 
 /** Outcome of a serving experiment. */
@@ -183,11 +196,9 @@ struct ServingResult
      */
     double tierHitRatio = 0.0;
     /**
-     * Mean device queue occupancy, time-weighted over the span from
-     * the first dispatch to the last completion (each request counts
-     * from its dispatch cycle to its completion cycle). The pre-PR-10
-     * submit-sampled reading — biased toward submit instants — lives
-     * on as meanDepthOnSubmit.
+     * Mean device queue occupancy, time-weighted from the first
+     * dispatch to the last completion (each request counts from its
+     * dispatch cycle to its completion cycle).
      */
     double meanQueueDepth = 0.0;
     /** Mean occupancy sampled right after each submit (legacy view). */
@@ -210,14 +221,34 @@ struct ServingResult
     std::uint32_t finalDepth = 0;
 };
 
+/** One scheduled request arrival. */
+struct Arrival
+{
+    Cycle at;
+    std::uint32_t cls = 0; //!< index into the run's classes
+};
+
+/** Draws a class-@p cls batch and submits it; returns the device id. */
+using IssueFn = std::function<engine::RequestId(std::uint32_t cls)>;
+
 /**
- * Drive @p device with Poisson arrivals from @p gen. Arrived requests
- * park in a priority/EDF dispatch queue (FIFO with one class); each
- * draws its batch from @p gen when it is dispatched, and finished
- * requests are read as soon as they are ready. A request's latency
- * spans its arrival to its results being readable on the host. Works
- * against any InferenceDevice — a single RM-SSD or a multi-SSD
- * cluster.
+ * The serving loop over a time-sorted arrival list. Arrived requests
+ * park in a priority/EDF dispatch queue (FIFO with one class) where a
+ * class at its cap sits out (once arrivals run out, the loop blocks on
+ * that class's own completions); @p issue submits each at dispatch, and
+ * finished requests are read as soon as they are ready. Latency spans
+ * arrival to results readable on the host. config.numRequests and
+ * config.seed are not read.
+ */
+ServingResult simulateServing(engine::InferenceDevice &device,
+                              std::span<const Arrival> arrivals,
+                              const IssueFn &issue,
+                              const ServingConfig &config);
+
+/**
+ * The loop over Poisson arrivals drawn from Rng(config.seed): per
+ * request one exponential gap, then (two or more classes) one class
+ * pick by share. Each dispatch submits gen.nextBatch(batchSize).
  */
 ServingResult simulateServing(engine::InferenceDevice &device,
                               TraceGenerator &gen,

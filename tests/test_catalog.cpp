@@ -325,38 +325,81 @@ TEST(TenantFleet, TwoTenantInterleavingIsDeterministic)
         TenantFleet fleet(twoTenants(), FleetOptions{});
         return simulateFleetServing(fleet, sc);
     };
-    const FleetServingResult a = run();
-    const FleetServingResult b = run();
+    const workload::ServingResult a = run();
+    const workload::ServingResult b = run();
 
-    ASSERT_EQ(a.tenants.size(), 2u);
+    ASSERT_EQ(a.classes.size(), 2u);
     EXPECT_EQ(a.requests, 60u);
+    EXPECT_EQ(a.offeredQps, 1200.0);
     EXPECT_EQ(a.achievedQps, b.achievedQps);
     for (std::size_t i = 0; i < 2; ++i) {
-        EXPECT_EQ(a.tenants[i].meanLatency, b.tenants[i].meanLatency);
-        EXPECT_EQ(a.tenants[i].p99, b.tenants[i].p99);
-        EXPECT_EQ(a.tenants[i].requests, sc.loads[i].numRequests);
-        EXPECT_GT(a.tenants[i].achievedQps, 0.0);
+        EXPECT_EQ(a.classes[i].name, twoTenants()[i].id);
+        EXPECT_EQ(a.classes[i].meanLatency, b.classes[i].meanLatency);
+        EXPECT_EQ(a.classes[i].p99, b.classes[i].p99);
+        EXPECT_EQ(a.classes[i].requests, sc.loads[i].numRequests);
+        EXPECT_GT(a.classes[i].achievedQps, 0.0);
     }
 }
 
-TEST(TenantFleet, InflightCapBoundsATenantsOutstandingWork)
+TEST(TenantFleet, LoopCapBoundsATenantsOutstandingWork)
 {
-    std::vector<TenantSpec> specs = twoTenants();
-    specs[0].maxInflightCap = 2;
-    TenantFleet fleet(std::move(specs), FleetOptions{});
-    fleet.setMaxInflight(8);
+    // A burst of 12 wide-tenant requests at t = 0 ahead of six narrow
+    // ones. The serving loop is the one place a tenant cap is
+    // enforced: with the wide tenant capped at 2, its class sits out
+    // of dispatch while the narrow tenant goes ahead, and once the
+    // arrivals run out the rest of its burst issues on its own
+    // completions. Every issue of a capped tenant must find it under
+    // its cap.
+    constexpr std::uint32_t kCap = 2;
+    std::vector<workload::Arrival> arrivals;
+    for (int r = 0; r < 12; ++r)
+        arrivals.push_back({Cycle{0}, 1});
+    for (std::uint64_t r = 1; r <= 6; ++r)
+        arrivals.push_back({Cycle{r}, 0});
 
-    workload::TraceGenerator gen(fleet.tenant(0).config,
-                                 workload::localityK(0.3));
-    for (int r = 0; r < 12; ++r) {
-        fleet.submitTenant(0, gen.nextBatch(1));
-        EXPECT_LE(fleet.tenantInflight(0), 2u);
-        EXPECT_LE(fleet.inflight(), 8u);
-    }
-    while (fleet.retireNext()) {
-    }
-    EXPECT_EQ(fleet.tenantInflight(0), 0u);
-    EXPECT_EQ(fleet.tenantRetired(0), 12u);
+    const auto run = [&](std::uint32_t cap, std::uint32_t &peak) {
+        TenantFleet fleet(twoTenants(), FleetOptions{});
+        std::vector<workload::TraceGenerator> gens;
+        for (std::size_t i = 0; i < fleet.numTenants(); ++i)
+            gens.emplace_back(fleet.tenant(i).config,
+                              fleet.tenant(i).trace);
+        workload::ServingConfig sc;
+        sc.queueDepth = 8;
+        sc.slo.classes.resize(2);
+        sc.slo.classes[0].name = "narrow";
+        sc.slo.classes[1].name = "wide";
+        sc.slo.classes[1].maxInflight = cap;
+        peak = 0;
+        const workload::ServingResult r = workload::simulateServing(
+            fleet, arrivals,
+            [&](std::uint32_t t) {
+                if (cap > 0 && t == 1) {
+                    EXPECT_LT(fleet.tenantInflight(1), cap);
+                }
+                const engine::RequestId id =
+                    fleet.submitTenant(t, gens[t].nextBatch(1));
+                peak = std::max(peak, fleet.tenantInflight(1));
+                EXPECT_LE(fleet.inflight(), 8u);
+                return id;
+            },
+            sc);
+        EXPECT_EQ(r.requests, 18u);
+        EXPECT_EQ(r.classes[1].requests, 12u);
+        EXPECT_EQ(fleet.inflight(), 0u);
+        EXPECT_EQ(fleet.tenantRetired(1), 12u);
+        return r;
+    };
+    std::uint32_t cappedPeak = 0;
+    std::uint32_t uncappedPeak = 0;
+    const workload::ServingResult capped = run(kCap, cappedPeak);
+    const workload::ServingResult uncapped = run(0, uncappedPeak);
+    EXPECT_LE(cappedPeak, kCap);
+    EXPECT_GT(uncappedPeak, kCap) << "the burst must exceed the cap";
+    EXPECT_LE(capped.classes[1].meanInflight,
+              static_cast<double>(kCap));
+    EXPECT_LE(capped.classes[0].meanQueueWait,
+              uncapped.classes[0].meanQueueWait)
+        << "capping the burst must not slow the other tenant";
 }
 
 TEST(TenantFleet, CapsProtectVictimP99DuringCoTenantSpike)
@@ -392,9 +435,7 @@ TEST(TenantFleet, CapsProtectVictimP99DuringCoTenantSpike)
         capacity = capacityQps(probe);
     }
     const auto victimP99 = [&](std::uint32_t aggressorCap) {
-        std::vector<TenantSpec> specs = twoTenants();
-        specs[1].maxInflightCap = aggressorCap;
-        TenantFleet fleet(std::move(specs), FleetOptions{});
+        TenantFleet fleet(twoTenants(), FleetOptions{});
 
         FleetServingConfig sc;
         sc.loads.resize(2);
@@ -406,8 +447,9 @@ TEST(TenantFleet, CapsProtectVictimP99DuringCoTenantSpike)
         sc.loads[1].spikeMultiplier = 10.0;
         sc.loads[1].spikeStartRequest = 40;
         sc.loads[1].spikeEndRequest = 80;
-        const FleetServingResult r = simulateFleetServing(fleet, sc);
-        return r.tenants[0].p99.raw();
+        sc.loads[1].maxInflight = aggressorCap;
+        const workload::ServingResult r = simulateFleetServing(fleet, sc);
+        return r.classes[0].p99.raw();
     };
     const std::uint64_t uncapped = victimP99(0);
     const std::uint64_t capped = victimP99(2);
@@ -437,6 +479,38 @@ TEST(TenantFleet, TierBudgetsFollowSharesAndStayInPool)
     EXPECT_NEAR(ratio, 3.0, 0.2);
     EXPECT_LE(fleet.tenantTierPlannedBytes(0).raw(), a.raw());
     EXPECT_LE(fleet.tenantTierPlannedBytes(1).raw(), b.raw());
+}
+
+TEST(TenantFleet, TierCountersCountOnlyTenantSlices)
+{
+    // A union sample carries empty index lists for every other
+    // tenant's slots; those are no lookups of the tenant's. The
+    // fleet's tier counters must count only the issuing tenant's own
+    // table slices, so a serving run's tier hit ratio is the tenants'.
+    FleetOptions options;
+    options.hostTierBytes = Bytes{1u << 20};
+    TenantFleet fleet(twoTenants(), options);
+    ASSERT_NE(fleet.hostTier(), nullptr);
+    StatsRegistry registry;
+    fleet.registerStats(registry);
+
+    workload::TraceGenerator gen0(fleet.tenant(0).config,
+                                  fleet.tenant(0).trace);
+    workload::TraceGenerator gen1(fleet.tenant(1).config,
+                                  fleet.tenant(1).trace);
+    fleet.inferTenant(0, gen0.nextBatch(4));
+    const std::uint64_t slices0 = 4ull * fleet.tenant(0).config.numTables;
+    EXPECT_EQ(fleet.tierSliceHits() + fleet.tierSliceMisses(), slices0);
+    EXPECT_EQ(fleet.tierSliceHits(),
+              registry.counterValue("fleet.tenant.narrow.tier.sliceHits"));
+
+    fleet.inferTenant(1, gen1.nextBatch(2));
+    const std::uint64_t slices1 = 2ull * fleet.tenant(1).config.numTables;
+    EXPECT_EQ(fleet.tierSliceHits() + fleet.tierSliceMisses(),
+              slices0 + slices1);
+    EXPECT_EQ(fleet.tierSliceMisses(),
+              registry.counterValue("fleet.tenant.narrow.tier.sliceMisses") +
+                  registry.counterValue("fleet.tenant.wide.tier.sliceMisses"));
 }
 
 TEST(TenantFleet, StatsExportUnderTenantNamespaces)
@@ -478,10 +552,10 @@ TEST(TenantFleet, ClusterBackendServesBothTenants)
     sc.loads.resize(2);
     sc.loads[0].numRequests = 10;
     sc.loads[1].numRequests = 10;
-    const FleetServingResult r = simulateFleetServing(fleet, sc);
+    const workload::ServingResult r = simulateFleetServing(fleet, sc);
     EXPECT_EQ(r.requests, 20u);
-    EXPECT_GT(r.tenants[0].achievedQps, 0.0);
-    EXPECT_GT(r.tenants[1].achievedQps, 0.0);
+    EXPECT_GT(r.classes[0].achievedQps, 0.0);
+    EXPECT_GT(r.classes[1].achievedQps, 0.0);
 }
 
 TEST(TenantFleet, BuildFleetFromCatalogResolvesModelNames)
@@ -507,18 +581,15 @@ TEST(TenantFleet, BuildFleetFromCatalogResolvesModelNames)
 TEST(TenantFleetFuzz, InvariantsHoldUnderRandomOps)
 {
     // Seeded random interleavings of every fleet entry point, on a
-    // single-device and a two-shard backend, with the wide tenant
-    // capped. After every operation the fleet's bookkeeping must
+    // single-device and a two-shard backend. After every operation the fleet's bookkeeping must
     // agree with an independent ledger kept here.
     for (const std::uint32_t devices : {1u, 2u}) {
         for (const std::uint64_t seed : {1u, 2u, 3u}) {
             SCOPED_TRACE(::testing::Message()
                          << devices << " device(s), seed " << seed);
-            std::vector<TenantSpec> specs = twoTenants();
-            specs[1].maxInflightCap = 2;
             FleetOptions options;
             options.numDevices = devices;
-            TenantFleet fleet(std::move(specs), options);
+            TenantFleet fleet(twoTenants(), options);
             fleet.setMaxInflight(4);
 
             std::vector<workload::TraceGenerator> gens;
@@ -558,7 +629,6 @@ TEST(TenantFleetFuzz, InvariantsHoldUnderRandomOps)
                 }
                 EXPECT_EQ(sum, fleet.inflight());
                 EXPECT_LE(fleet.inflight(), fleet.maxInflight());
-                EXPECT_LE(fleet.tenantInflight(1), 2u);
             };
 
             Rng rng(seed);

@@ -2,8 +2,9 @@
 """Self-tests for the repo's static-analysis tooling.
 
 Runs tools/lint_units.py, tools/lint_determinism.py,
-tools/lint_reachability.py and tools/diff_bench.py against fixtures
-with KNOWN findings (tests/lint_fixtures/ plus generated JSON dumps)
+tools/lint_reachability.py, tools/diff_bench.py and
+tools/compare_outputs.py against fixtures with KNOWN findings
+(tests/lint_fixtures/ plus generated JSON dumps and fake build trees)
 and asserts both the exit codes and the findings text. A lint that silently stops seeing a
 hazard class fails CI here instead of slipping through review.
 
@@ -171,6 +172,83 @@ class DiffBenchTest(unittest.TestCase):
         r = run_tool("diff_bench.py", REPO / "bench" / "goldens",
                      REPO / "bench" / "goldens")
         self.assertEqual(r.returncode, 0, r.stdout)
+
+
+class CompareOutputsTest(unittest.TestCase):
+    """Two fake build trees whose 'binaries' are shell scripts."""
+
+    @staticmethod
+    def script(path: pathlib.Path, body: str) -> None:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("#!/bin/sh\n" + body)
+        path.chmod(0o755)
+
+    def build_tree(self, root: pathlib.Path, *, p99: str = "5.0",
+                   status: int = 0, dump: str = '{"qps": 10}',
+                   extra: bool = False) -> pathlib.Path:
+        self.script(root / "bench" / "fig01",
+                    'echo "args: $*"\n'
+                    f"echo '{dump}' > BENCH_fig01.json\n")
+        # Not executable: ignored, like CMake's Makefile.
+        (root / "bench" / "Makefile").write_text("all:\n")
+        self.script(root / "examples" / "demo",
+                    f'echo "tenant a p99 {p99}"\necho done\n'
+                    f"exit {status}\n")
+        if extra:
+            self.script(root / "examples" / "extra", "echo hi\n")
+        return root
+
+    def compare(self, parent_kwargs: dict, change_kwargs: dict):
+        with tempfile.TemporaryDirectory() as td:
+            parent = self.build_tree(pathlib.Path(td) / "parent",
+                                     **parent_kwargs)
+            change = self.build_tree(pathlib.Path(td) / "change",
+                                     **change_kwargs)
+            return run_tool("compare_outputs.py", parent, change,
+                            "--jobs", "1")
+
+    def test_identical_trees_pass(self):
+        r = self.compare({}, {})
+        self.assertEqual(r.returncode, 0, r.stdout)
+        self.assertIn("compared 2 binaries and 1 BENCH_*.json dumps",
+                      r.stdout)
+        self.assertIn("identical", r.stdout)
+
+    def test_bench_binaries_skip_the_microbenchmarks(self):
+        # The parent's fig01 echoes its argv; the change's prints the
+        # argv the tool must pass. Equal only if bench binaries get
+        # --benchmark_filter=NONE_ (and examples get no flag).
+        with tempfile.TemporaryDirectory() as td:
+            parent = self.build_tree(pathlib.Path(td) / "parent")
+            change = self.build_tree(pathlib.Path(td) / "change")
+            self.script(change / "bench" / "fig01",
+                        'echo "args: --benchmark_filter=NONE_"\n'
+                        "echo '{\"qps\": 10}' > BENCH_fig01.json\n")
+            r = run_tool("compare_outputs.py", parent, change)
+            self.assertEqual(r.returncode, 0, r.stdout)
+
+    def test_reports_every_difference(self):
+        r = self.compare({}, {"p99": "6.5", "status": 3,
+                              "dump": '{"qps": 11}', "extra": True})
+        self.assertEqual(r.returncode, 1, r.stdout)
+        for needle in (
+                "examples/demo: exit status 0 -> 3",
+                "examples/demo: stdout differs",
+                "  - tenant a p99 5.0",
+                "  + tenant a p99 6.5",
+                "BENCH_fig01.json: contents differ",
+                '  - {"qps": 10}',
+                '  + {"qps": 11}',
+                "examples/extra: only in the change build",
+                "DIFFERENT"):
+            self.assertIn(needle, r.stdout)
+        # The unchanged second line of the example is not reported.
+        self.assertNotIn("done", r.stdout)
+
+    def test_missing_build_tree_is_an_error(self):
+        r = run_tool("compare_outputs.py", REPO / "no-such-build",
+                     REPO / "no-such-build")
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
 
 
 if __name__ == "__main__":

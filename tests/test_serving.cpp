@@ -2,8 +2,9 @@
  * @file
  * Tests for the online-serving simulation: latency recorder
  * percentiles, Poisson arrival behaviour, the queueing knee, the
- * serving loop against a serial reference host, and batch order
- * under priority dispatch.
+ * serving loop against a serial reference host, the Poisson form
+ * against the explicit arrival-list form, and batch order under
+ * priority dispatch.
  */
 
 #include <gtest/gtest.h>
@@ -378,6 +379,121 @@ TEST(ServingLoop, Depth1ReplaysSerialReference)
             EXPECT_EQ(r.achievedQps, ref.achievedQps);
             EXPECT_EQ(looped->deviceNow(), serial->deviceNow());
             EXPECT_EQ(looped->lastCompletion(), serial->lastCompletion());
+        }
+    }
+}
+
+/** Field-by-field equality of two serving results. */
+void
+expectSameResult(const ServingResult &a, const ServingResult &b)
+{
+    const auto sameDist = [](const Distribution &x, const Distribution &y) {
+        EXPECT_EQ(x.count(), y.count());
+        EXPECT_EQ(x.sum(), y.sum());
+        EXPECT_EQ(x.min(), y.min());
+        EXPECT_EQ(x.max(), y.max());
+    };
+    EXPECT_EQ(a.offeredQps, b.offeredQps);
+    EXPECT_EQ(a.achievedQps, b.achievedQps);
+    EXPECT_EQ(a.meanLatency, b.meanLatency);
+    EXPECT_EQ(a.p50, b.p50);
+    EXPECT_EQ(a.p95, b.p95);
+    EXPECT_EQ(a.p99, b.p99);
+    EXPECT_EQ(a.maxLatency, b.maxLatency);
+    EXPECT_EQ(a.requests, b.requests);
+    sameDist(a.requestHitRatio, b.requestHitRatio);
+    EXPECT_EQ(a.steadyHitRatio, b.steadyHitRatio);
+    EXPECT_EQ(a.replans, b.replans);
+    EXPECT_EQ(a.migratedPages, b.migratedPages);
+    EXPECT_EQ(a.tierHitRatio, b.tierHitRatio);
+    EXPECT_EQ(a.meanQueueDepth, b.meanQueueDepth);
+    EXPECT_EQ(a.meanDepthOnSubmit, b.meanDepthOnSubmit);
+    sameDist(a.queueWaitNanos, b.queueWaitNanos);
+    sameDist(a.serviceNanos, b.serviceNanos);
+    EXPECT_EQ(a.deadlineMisses, b.deadlineMisses);
+    EXPECT_EQ(a.depthAdjustments, b.depthAdjustments);
+    EXPECT_EQ(a.finalDepth, b.finalDepth);
+    ASSERT_EQ(a.classes.size(), b.classes.size());
+    for (std::size_t i = 0; i < a.classes.size(); ++i) {
+        SCOPED_TRACE("class " + std::to_string(i));
+        const ClassServingResult &x = a.classes[i];
+        const ClassServingResult &y = b.classes[i];
+        EXPECT_EQ(x.name, y.name);
+        EXPECT_EQ(x.requests, y.requests);
+        EXPECT_EQ(x.deadlineMisses, y.deadlineMisses);
+        EXPECT_EQ(x.p50, y.p50);
+        EXPECT_EQ(x.p95, y.p95);
+        EXPECT_EQ(x.p99, y.p99);
+        EXPECT_EQ(x.maxLatency, y.maxLatency);
+        EXPECT_EQ(x.meanLatency, y.meanLatency);
+        EXPECT_EQ(x.meanQueueWait, y.meanQueueWait);
+        EXPECT_EQ(x.achievedQps, y.achievedQps);
+        EXPECT_EQ(x.meanInflight, y.meanInflight);
+        EXPECT_EQ(x.tierHitRatio, y.tierHitRatio);
+    }
+}
+
+TEST(ServingLoop, PoissonFormReplaysFromSeed)
+{
+    // The Poisson form is the explicit-list form over arrivals drawn
+    // from Rng(config.seed): one exponential gap per request, then a
+    // class pick by share only with two or more classes. The
+    // benchmark's latency check replays exactly this sequence.
+    const model::ModelConfig config = tinyConfig();
+    ServingClass premium;
+    premium.name = "premium";
+    premium.priority = 1;
+    premium.deadline = Nanos{200'000};
+    ServingClass bulk;
+    bulk.name = "bulk";
+    bulk.share = 3.0;
+    const std::vector<std::vector<ServingClass>> classSets = {
+        {}, {premium, bulk}};
+    for (const std::vector<ServingClass> &classes : classSets) {
+        SCOPED_TRACE(std::to_string(classes.size()) + " class(es)");
+        ServingConfig sc;
+        sc.arrivalQps = 20'000.0;
+        sc.numRequests = 80;
+        sc.queueDepth = 4;
+        sc.slo.classes = classes;
+
+        engine::RmSsd poissonDevice(config, engine::RmSsdOptions{});
+        poissonDevice.loadTables();
+        TraceGenerator poissonGen(config, localityK(0.3));
+        const ServingResult poisson =
+            simulateServing(poissonDevice, poissonGen, sc);
+
+        Rng rng(sc.seed);
+        double shareSum = 0.0;
+        for (const ServingClass &cls : classes)
+            shareSum += cls.share;
+        double arrivalNanos = 0.0;
+        std::vector<Arrival> arrivals;
+        for (std::uint32_t r = 0; r < sc.numRequests; ++r) {
+            const double u = std::max(rng.nextDouble(), 1e-12);
+            arrivalNanos += -1e9 / sc.arrivalQps * std::log(u);
+            Arrival arrival;
+            arrival.at = nanosToCycles(
+                Nanos{static_cast<std::uint64_t>(arrivalNanos)});
+            if (classes.size() > 1) {
+                const double pick = rng.nextDouble() * shareSum;
+                arrival.cls = pick < classes[0].share ? 0 : 1;
+            }
+            arrivals.push_back(arrival);
+        }
+        engine::RmSsd listDevice(config, engine::RmSsdOptions{});
+        listDevice.loadTables();
+        TraceGenerator listGen(config, localityK(0.3));
+        const ServingResult listed = simulateServing(
+            listDevice, arrivals,
+            [&](std::uint32_t) {
+                return listDevice.submit(listGen.nextBatch(sc.batchSize));
+            },
+            sc);
+        expectSameResult(poisson, listed);
+        if (classes.size() > 1) {
+            EXPECT_GT(poisson.classes[0].requests, 0u);
+            EXPECT_GT(poisson.classes[1].requests, 0u);
         }
     }
 }
