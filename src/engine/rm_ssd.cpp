@@ -9,6 +9,28 @@
 
 namespace rmssd::engine {
 
+namespace {
+
+/** fatal() unless @p placement describes a usable hot tier. */
+void
+validatePlacement(const PlacementOptions &placement,
+                  std::uint64_t totalPages)
+{
+    if (placement.hotPageCount < 1 || placement.hotPageCount > totalPages)
+        fatal("placement.hotPageCount is %llu; it must be in [1, %llu] "
+              "(the device's page count)",
+              static_cast<unsigned long long>(placement.hotPageCount),
+              static_cast<unsigned long long>(totalPages));
+    // Written so that NaN fails too.
+    const double threshold = placement.migrationDriftThreshold;
+    if (!(threshold >= 0.0 && threshold <= 1.0))
+        fatal("placement.migrationDriftThreshold is %g; it must be a "
+              "fraction in [0, 1]",
+              threshold);
+}
+
+} // namespace
+
 RmSsd::RmSsd(const model::ModelConfig &config, const RmSsdOptions &options)
     : config_(config), options_(options), model_(config),
       flash_(std::make_unique<flash::FlashArray>(options.geometry,
@@ -29,9 +51,12 @@ RmSsd::RmSsd(const model::ModelConfig &config, const RmSsdOptions &options)
         fatal("embedding tables (%.1f GB) exceed device capacity",
               static_cast<double>(config_.embeddingBytes()) / 1e9);
 
-    if (options_.placement.enabled)
+    if (options_.placement.enabled) {
+        validatePlacement(options_.placement,
+                          options_.geometry.totalPages());
         freqMapping_ =
             static_cast<ftl::FrequencyMapping *>(&ftl_->mapping());
+    }
 
     // The kernel search balances the MLP against T_emb; with the EV
     // cache on, the expected hit ratio shrinks the effective per-read
@@ -73,19 +98,27 @@ RmSsd::applyHotSet(std::span<const PageId> hot, bool timed,
     if (swaps.size() > maxSwaps)
         swaps.resize(maxSwaps);
 
+    // Only a functional device keeps page bytes, so only it has
+    // content to move: a timing-only device writes no table bytes and
+    // returns no outputs, so copies there would be unobservable.
+    const bool copyBytes = options_.functional;
     const std::size_t pageSize =
-        static_cast<std::size_t>(options_.geometry.pageSizeBytes.raw());
+        copyBytes ? static_cast<std::size_t>(
+                        options_.geometry.pageSizeBytes.raw())
+                  : 0;
     std::vector<std::uint8_t> bufA(pageSize);
     std::vector<std::uint8_t> bufB(pageSize);
     flash::BackingStore &store = flash_->store();
     for (const ftl::FrequencyMapping::Swap &swap : swaps) {
-        // Functional copy first: materialize both pages (unwritten
-        // pages read as PPN-keyed filler, so the bytes must move with
-        // the logical page for reads to stay byte-stable), then swap.
-        store.read(swap.fromPpn, Bytes{}, bufA);
-        store.read(swap.toPpn, Bytes{}, bufB);
-        store.writePage(swap.toPpn, bufA);
-        store.writePage(swap.fromPpn, bufB);
+        if (copyBytes) {
+            // Materialize both pages (unwritten pages read as
+            // PPN-keyed filler, so the bytes must move with the
+            // logical page for reads to stay byte-stable), then swap.
+            store.read(swap.fromPpn, Bytes{}, bufA);
+            store.read(swap.toPpn, Bytes{}, bufB);
+            store.writePage(swap.toPpn, bufA);
+            store.writePage(swap.fromPpn, bufB);
+        }
 
         if (timed) {
             // Background traffic: the copies occupy dies and channel

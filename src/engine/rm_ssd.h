@@ -58,6 +58,9 @@ enum class EngineVariant : std::uint8_t
  * ftl::FrequencyMapping: hot pages stripe round-robin across
  * channels x dies, cold pages stay packed, and a background
  * migration pass re-stripes when the online heat estimate drifts.
+ * When enabled, RmSsd's constructor fatal()s unless
+ * 1 <= hotPageCount <= the device's page count and
+ * migrationDriftThreshold is in [0, 1].
  */
 struct PlacementOptions
 {
@@ -226,9 +229,10 @@ class RmSsd : public InferenceDevice
 
     /**
      * Offline placement planning: aggregate @p rows to page heat and
-     * re-stripe the hot tier now, through functional (untimed) page
-     * copies — the operator's provisioning-time layout pass. Only
-     * meaningful with placement.enabled; call after loadTables().
+     * re-stripe the hot tier now, untimed (page bytes move only on a
+     * functional device) — the operator's provisioning-time layout
+     * pass. Only meaningful with placement.enabled; call after
+     * loadTables().
      */
     void planPlacement(std::span<const RowHeat> rows);
 
@@ -419,9 +423,11 @@ class RmSsd : public InferenceDevice
     makeMapping(const RmSsdOptions &options);
 
     /**
-     * Execute a hot-set plan: data copies (functional, plus timed
-     * flash traffic when @p timed) followed by mapping commits, up to
-     * @p maxSwaps relocations. @return pages moved (2 per swap)
+     * Execute a hot-set plan, up to @p maxSwaps relocations: per swap,
+     * the page-byte copy (functional devices only; a timing-only
+     * device keeps no bytes to move), the timed flash reads and
+     * programs (when @p timed), then the mapping commit.
+     * @return pages moved (2 per swap)
      */
     std::uint64_t applyHotSet(std::span<const PageId> hot, bool timed,
                               std::uint64_t maxSwaps);

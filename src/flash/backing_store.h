@@ -8,12 +8,11 @@
  * are physically written and round-trip byte-exactly; the 30 GB
  * benchmark tables run in timing-only mode and never materialize data.
  *
- * Pages are found through a flat open-addressed index (page id ->
- * slot, linear probing, backward-shift deletion): one probe of a
- * contiguous array per functional EV read instead of a hash-node walk.
- * Each materialized page is its own allocation, released on erase; the
- * slot is reused by the next new page. Only grow() walks the index, to
- * reinsert; no result depends on bucket order.
+ * Pages are found through a FlatMap index (page id -> slot): one
+ * probe of a contiguous array per functional EV read instead of a
+ * hash-node walk. Each materialized page is its own allocation,
+ * released on erase; the slot is reused by the next new page. Nothing
+ * iterates the index, so no result depends on bucket order.
  */
 
 #ifndef RMSSD_FLASH_BACKING_STORE_H
@@ -24,6 +23,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/flat_map.h"
 #include "sim/types.h"
 
 namespace rmssd::flash {
@@ -55,26 +55,14 @@ class BackingStore
     void erasePage(PageId ppn);
 
     /** Number of pages currently materialized. */
-    std::size_t materializedPages() const { return live_; }
+    std::size_t materializedPages() const { return index_.size(); }
 
     Bytes pageSizeBytes() const { return pageSize_; }
 
   private:
-    /** Index bucket: a page id and its slot, or kEmpty. */
-    struct Bucket
-    {
-        PageId ppn;
-        std::uint32_t slot = kEmpty;
-    };
-    static constexpr std::uint32_t kEmpty = UINT32_MAX;
-
     /** Deterministic filler byte for unwritten storage. */
     static std::uint8_t fillerByte(PageId ppn, std::uint64_t off);
 
-    /** Home bucket of @p ppn (index_ must be non-empty). */
-    std::size_t home(PageId ppn) const;
-    /** Bucket holding @p ppn, or the empty bucket ending its probe. */
-    std::size_t probe(PageId ppn) const;
     /** Content of @p ppn, or nullptr when unwritten. */
     const std::uint8_t *find(PageId ppn) const;
     /**
@@ -82,14 +70,11 @@ class BackingStore
      * @p created is set; the caller fills all of it.
      */
     std::uint8_t *materialize(PageId ppn, bool &created);
-    /** Double the index (at least 16 buckets) and reinsert. */
-    void grow();
 
     Bytes pageSize_;
-    std::vector<Bucket> index_; //!< size is a power of two, or 0
+    FlatMap<std::uint32_t> index_; //!< page id -> slot in slots_
     std::vector<std::unique_ptr<std::uint8_t[]>> slots_;
     std::vector<std::uint32_t> freeSlots_;
-    std::size_t live_ = 0;
 };
 
 } // namespace rmssd::flash

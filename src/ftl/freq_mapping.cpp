@@ -1,9 +1,6 @@
 #include "ftl/freq_mapping.h"
 
 #include <algorithm>
-#include <unordered_set>
-
-#include "sim/log.h"
 
 namespace rmssd::ftl {
 
@@ -21,15 +18,6 @@ FrequencyMapping::FrequencyMapping(std::uint64_t totalPages,
 }
 
 PageId
-FrequencyMapping::translate(PageId lpn) const
-{
-    RMSSD_ASSERT(lpn.raw() < totalPages_,
-                 "logical page out of device range");
-    const auto it = l2p_.find(lpn);
-    return it == l2p_.end() ? lpn : it->second;
-}
-
-PageId
 FrequencyMapping::assignForWrite(PageId lpn)
 {
     // In-place overwrite: writes land wherever the page currently
@@ -43,16 +31,7 @@ FrequencyMapping::noteRead(PageId lpn)
     ++observedReads_;
     sketch_.record(lpn.raw());
     if (sketch_.estimate(lpn.raw()) >= options_.candidateEstimate)
-        ++candidates_[lpn];
-}
-
-PageId
-FrequencyMapping::inverse(PageId ppn) const
-{
-    RMSSD_ASSERT(ppn.raw() < totalPages_,
-                 "physical page out of device range");
-    const auto it = p2l_.find(ppn);
-    return it == p2l_.end() ? ppn : it->second;
+        ++candidates_[lpn.raw()];
 }
 
 std::vector<FrequencyMapping::Swap>
@@ -63,11 +42,13 @@ FrequencyMapping::planHotSet(
     // distinct page.
     std::vector<PageId> hot;
     hot.reserve(hotLpnsByHeat.size());
-    std::unordered_set<PageId> seen;
+    FlatMap<bool> seen;
     for (const PageId lpn : hotLpnsByHeat) {
         RMSSD_ASSERT(lpn.raw() < totalPages_,
                      "hot page out of device range");
-        if (seen.insert(lpn).second)
+        bool created = false;
+        seen.findOrInsert(lpn.raw(), created);
+        if (created)
             hot.push_back(lpn);
     }
     const std::uint64_t tier =
@@ -115,11 +96,11 @@ void
 FrequencyMapping::setMapping(PageId lpn, PageId ppn)
 {
     if (lpn == ppn) {
-        l2p_.erase(lpn);
-        p2l_.erase(ppn);
+        l2p_.erase(lpn.raw());
+        p2l_.erase(ppn.raw());
     } else {
-        l2p_[lpn] = ppn;
-        p2l_[ppn] = lpn;
+        l2p_[lpn.raw()] = ppn;
+        p2l_[ppn.raw()] = lpn;
     }
 }
 
@@ -128,18 +109,26 @@ FrequencyMapping::observedHot(std::size_t k) const
 {
     std::vector<std::pair<std::uint64_t, PageId>> byCount;
     byCount.reserve(candidates_.size());
-    // det-safe: extraction order is erased by the total-order sort
-    // below (count desc, PageId asc).
-    for (const auto &[lpn, count] : candidates_)
-        byCount.emplace_back(count, lpn);
-    std::sort(byCount.begin(), byCount.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first != b.first)
-                      return a.first > b.first;
-                  return a.second < b.second;
-              });
-    if (byCount.size() > k)
+    // det-safe: extraction order is erased by the total-order
+    // selection and sort below (count desc, PageId asc).
+    candidates_.forEachUnordered(
+        [&](std::uint64_t lpn, std::uint64_t count) {
+            byCount.emplace_back(count, PageId{lpn});
+        });
+    const auto hotter = [](const auto &a, const auto &b) {
+        if (a.first != b.first)
+            return a.first > b.first;
+        return a.second < b.second;
+    };
+    // The order is total, so the k survivors of the selection are the
+    // k first of a full sort; only they need sorting.
+    if (byCount.size() > k) {
+        std::nth_element(byCount.begin(),
+                         byCount.begin() + static_cast<std::ptrdiff_t>(k),
+                         byCount.end(), hotter);
         byCount.resize(k);
+    }
+    std::sort(byCount.begin(), byCount.end(), hotter);
     std::vector<PageId> hot;
     hot.reserve(byCount.size());
     for (const auto &[count, lpn] : byCount)

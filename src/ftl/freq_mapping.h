@@ -17,8 +17,11 @@
  *
  * The permutation is stored sparsely (only non-identity entries), so
  * memory scales with the hot-tier size rather than the 8.4 M-page
- * device. Online heat comes through Mapping::noteRead: a 4-bit
- * count-min sketch (the TinyLFU FrequencySketch) gates an exact
+ * device. Both overlays (logical -> physical and its inverse) and the
+ * heat counters are flat open-addressed tables (sim/flat_map.h), so
+ * translate() -- called on every EV read -- is one inline probe of a
+ * contiguous array. Online heat comes through Mapping::noteRead: a
+ * 4-bit count-min sketch (the TinyLFU FrequencySketch) gates an exact
  * per-page candidate counter, so one-shot cold reads never allocate
  * counter state and the tracker stays bounded by the true hot set
  * plus sketch false positives.
@@ -29,19 +32,20 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 // The sketch is a self-contained utility (depends on sim/ only); the
 // FTL reuses it rather than growing a second count-min implementation.
 #include "engine/freq_sketch.h"
 #include "ftl/mapping.h"
+#include "sim/flat_map.h"
+#include "sim/log.h"
 #include "sim/types.h"
 
 namespace rmssd::ftl {
 
 /** Hot-striping mapping with sketch-fed online heat tracking. */
-class FrequencyMapping : public Mapping
+class FrequencyMapping final : public Mapping
 {
   public:
     /** Online heat-tracker sizing. */
@@ -76,12 +80,27 @@ class FrequencyMapping : public Mapping
     explicit FrequencyMapping(std::uint64_t totalPages);
     FrequencyMapping(std::uint64_t totalPages, const Options &options);
 
-    PageId translate(PageId lpn) const override;
+    PageId
+    translate(PageId lpn) const override
+    {
+        RMSSD_ASSERT(lpn.raw() < totalPages_,
+                     "logical page out of device range");
+        const PageId *ppn = l2p_.find(lpn.raw());
+        return ppn == nullptr ? lpn : *ppn;
+    }
+
     PageId assignForWrite(PageId lpn) override;
     void noteRead(PageId lpn) override;
 
     /** Logical page currently mapped onto physical page @p ppn. */
-    PageId inverse(PageId ppn) const;
+    PageId
+    inverse(PageId ppn) const
+    {
+        RMSSD_ASSERT(ppn.raw() < totalPages_,
+                     "physical page out of device range");
+        const PageId *lpn = p2l_.find(ppn.raw());
+        return lpn == nullptr ? ppn : *lpn;
+    }
 
     /**
      * Plan the minimal swap set that brings @p hotLpnsByHeat (hottest
@@ -123,17 +142,17 @@ class FrequencyMapping : public Mapping
     std::uint64_t totalPages_;
     Options options_;
     /** Sparse permutation: absent keys map to themselves. */
-    std::unordered_map<PageId, PageId> l2p_;
-    std::unordered_map<PageId, PageId> p2l_;
+    FlatMap<PageId> l2p_;
+    FlatMap<PageId> p2l_;
 
     engine::FrequencySketch sketch_;
     /**
      * Exact read counts for pages past the sketch admission bar.
-     * Determinism audit: the only iteration (observedHot) re-sorts
-     * with a (count desc, PageId asc) total order before any rank
-     * leaks out; keep it that way.
+     * Determinism audit: the only iteration (observedHot) ranks by
+     * a (count desc, PageId asc) total order before any rank leaks
+     * out; keep it that way.
      */
-    std::unordered_map<PageId, std::uint64_t> candidates_;
+    FlatMap<std::uint64_t> candidates_;
     std::uint64_t observedReads_ = 0;
 };
 

@@ -22,32 +22,4 @@ LinearMapping::assignForWrite(PageId lpn)
     return translate(lpn);
 }
 
-PageTableMapping::PageTableMapping(std::uint64_t totalPages)
-    : totalPages_(totalPages)
-{
-}
-
-PageId
-PageTableMapping::translate(PageId lpn) const
-{
-    auto it = map_.find(lpn);
-    if (it != map_.end())
-        return it->second;
-    // Deterministic fallback for never-written pages: mirror the
-    // linear layout from the top of the physical space.
-    return PageId{totalPages_ - 1 - (lpn.raw() % totalPages_)};
-}
-
-PageId
-PageTableMapping::assignForWrite(PageId lpn)
-{
-    auto it = map_.find(lpn);
-    if (it != map_.end())
-        return it->second;
-    RMSSD_ASSERT(nextPhys_ < totalPages_, "physical space exhausted");
-    const PageId ppn{nextPhys_++};
-    map_.emplace(lpn, ppn);
-    return ppn;
-}
-
 } // namespace rmssd::ftl

@@ -2,9 +2,8 @@
  * @file
  * Logical-to-physical mapping strategies for the FTL.
  *
- * The paper's prototype uses a linear mapping (Section V-A); a
- * page-table mapping is provided as well for generality and to test
- * that nothing above the FTL depends on the linear layout. Page
+ * The paper's prototype uses a linear mapping (Section V-A);
+ * placement swaps in ftl::FrequencyMapping (freq_mapping.h). Page
  * numbers are the tagged PageId type: logical and physical page
  * numbers share a representation, and the mapping is the only place
  * the two meanings meet.
@@ -14,7 +13,6 @@
 #define RMSSD_FTL_MAPPING_H
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "sim/types.h"
 
@@ -56,30 +54,6 @@ class LinearMapping : public Mapping
 
   private:
     std::uint64_t totalPages_;
-};
-
-/**
- * Demand-allocated page-table mapping: logical pages get physical
- * pages in first-write order. Unwritten logical pages translate to a
- * deterministic fallback so reads are always defined.
- */
-class PageTableMapping : public Mapping
-{
-  public:
-    explicit PageTableMapping(std::uint64_t totalPages);
-
-    PageId translate(PageId lpn) const override;
-    PageId assignForWrite(PageId lpn) override;
-
-    std::uint64_t allocatedPages() const { return nextPhys_; }
-
-  private:
-    std::uint64_t totalPages_;
-    std::uint64_t nextPhys_ = 0;
-    // Determinism audit: L2P point lookups only; never iterate
-    // (bucket order is a platform artifact). GC victim selection, when
-    // it lands, must rank by (wear, PageId) — not by map order.
-    std::unordered_map<PageId, PageId> map_;
 };
 
 } // namespace rmssd::ftl

@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -21,6 +26,7 @@
 #include "engine/rm_ssd.h"
 #include "ftl/freq_mapping.h"
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/serving.h"
 #include "workload/trace_gen.h"
 
@@ -158,6 +164,260 @@ TEST(FrequencyMapping, ObservedHotRanksByReadFrequency)
     EXPECT_TRUE(mapping.observedHot(2).empty());
 }
 
+/**
+ * The node-based FrequencyMapping the flat tables replaced, kept as a
+ * reference model: std::unordered_map overlays and counters, an
+ * unordered_set dedup in planHotSet and a full sort in observedHot.
+ */
+class ReferenceMapping
+{
+  public:
+    using Swap = ftl::FrequencyMapping::Swap;
+
+    ReferenceMapping(std::uint64_t totalPages,
+                     const ftl::FrequencyMapping::Options &options)
+        : totalPages_(totalPages), options_(options),
+          sketch_(options.sketchCounters, options.sketchSampleSize)
+    {
+    }
+
+    PageId
+    translate(PageId lpn) const
+    {
+        const auto it = l2p_.find(lpn);
+        return it == l2p_.end() ? lpn : it->second;
+    }
+
+    PageId
+    inverse(PageId ppn) const
+    {
+        const auto it = p2l_.find(ppn);
+        return it == p2l_.end() ? ppn : it->second;
+    }
+
+    void
+    noteRead(PageId lpn)
+    {
+        ++observedReads_;
+        sketch_.record(lpn.raw());
+        if (sketch_.estimate(lpn.raw()) >= options_.candidateEstimate)
+            ++candidates_[lpn];
+    }
+
+    std::vector<Swap>
+    planHotSet(std::span<const PageId> hotLpnsByHeat) const
+    {
+        std::vector<PageId> hot;
+        std::unordered_set<PageId> seen;
+        for (const PageId lpn : hotLpnsByHeat) {
+            if (seen.insert(lpn).second)
+                hot.push_back(lpn);
+        }
+        const std::uint64_t tier =
+            std::min<std::uint64_t>(hot.size(), totalPages_);
+        hot.resize(tier);
+        std::vector<bool> slotTaken(tier, false);
+        for (const PageId lpn : hot) {
+            if (translate(lpn).raw() < tier)
+                slotTaken[translate(lpn).raw()] = true;
+        }
+        std::vector<Swap> swaps;
+        std::uint64_t slot = 0;
+        for (const PageId lpn : hot) {
+            const PageId from = translate(lpn);
+            if (from.raw() < tier)
+                continue;
+            while (slot < tier && slotTaken[slot])
+                ++slot;
+            const PageId target{slot};
+            slotTaken[slot] = true;
+            swaps.push_back(Swap{lpn, from, target, inverse(target)});
+        }
+        return swaps;
+    }
+
+    void
+    commitSwap(const Swap &swap)
+    {
+        setMapping(swap.hotLpn, swap.toPpn);
+        setMapping(swap.displacedLpn, swap.fromPpn);
+    }
+
+    /** Every candidate, hottest first (count desc, LPN asc). */
+    std::vector<std::pair<std::uint64_t, PageId>>
+    ranked() const
+    {
+        std::vector<std::pair<std::uint64_t, PageId>> byCount;
+        for (const auto &[lpn, count] : candidates_)
+            byCount.emplace_back(count, lpn);
+        std::sort(byCount.begin(), byCount.end(),
+                  [](const auto &a, const auto &b) {
+                      if (a.first != b.first)
+                          return a.first > b.first;
+                      return a.second < b.second;
+                  });
+        return byCount;
+    }
+
+    std::vector<PageId>
+    observedHot(std::size_t k) const
+    {
+        std::vector<PageId> hot;
+        for (const auto &[count, lpn] : ranked()) {
+            if (hot.size() == k)
+                break;
+            hot.push_back(lpn);
+        }
+        return hot;
+    }
+
+    void
+    resetObservation()
+    {
+        candidates_.clear();
+        observedReads_ = 0;
+        sketch_.clear();
+    }
+
+    std::size_t candidateCount() const { return candidates_.size(); }
+    std::uint64_t observedReads() const { return observedReads_; }
+    std::size_t
+    remappedEntries() const
+    {
+        return l2p_.size() + p2l_.size();
+    }
+
+  private:
+    void
+    setMapping(PageId lpn, PageId ppn)
+    {
+        if (lpn == ppn) {
+            l2p_.erase(lpn);
+            p2l_.erase(ppn);
+        } else {
+            l2p_[lpn] = ppn;
+            p2l_[ppn] = lpn;
+        }
+    }
+
+    std::uint64_t totalPages_;
+    ftl::FrequencyMapping::Options options_;
+    std::unordered_map<PageId, PageId> l2p_;
+    std::unordered_map<PageId, PageId> p2l_;
+    FrequencySketch sketch_;
+    std::unordered_map<PageId, std::uint64_t> candidates_;
+    std::uint64_t observedReads_ = 0;
+};
+
+/** Each swap's (hot, from, to, displaced) pages, for list equality. */
+std::vector<std::array<PageId, 4>>
+swapPages(const std::vector<ftl::FrequencyMapping::Swap> &swaps)
+{
+    std::vector<std::array<PageId, 4>> pages;
+    for (const auto &swap : swaps)
+        pages.push_back({swap.hotLpn, swap.fromPpn, swap.toPpn,
+                         swap.displacedLpn});
+    return pages;
+}
+
+TEST(FrequencyMappingDifferential, MatchesMapReferenceModel)
+{
+    // A random stream of reads, plans, prefix commits, resets and
+    // top-k queries against the reference model. The device is small
+    // next to the hot pool so plans keep displacing each other's
+    // pages, a small sketch ages often, and read counts stay low so
+    // ties at the top-k boundary are common.
+    constexpr std::uint64_t kPages = 512;
+    ftl::FrequencyMapping::Options opt;
+    opt.sketchCounters = 1u << 10;
+    opt.sketchSampleSize = 1u << 12;
+    ftl::FrequencyMapping mapping(kPages, opt);
+    ReferenceMapping reference(kPages, opt);
+    Rng rng(0xd1ffULL);
+
+    std::set<std::uint64_t> touched;
+    const auto randomPage = [&] {
+        // 3/4 of reads hit a 96-page pool spread over the device.
+        if (rng.nextBounded(4) != 0)
+            return PageId{(rng.nextBounded(96) * 37) % kPages};
+        return PageId{rng.nextBounded(kPages)};
+    };
+    const auto plan = [&](const std::vector<PageId> &hot) {
+        const auto swaps = mapping.planHotSet(hot);
+        ASSERT_EQ(swapPages(swaps), swapPages(reference.planHotSet(hot)));
+        const std::size_t prefix = rng.nextBounded(swaps.size() + 1);
+        for (std::size_t i = 0; i < prefix; ++i) {
+            mapping.commitSwap(swaps[i]);
+            reference.commitSwap(swaps[i]);
+            for (const PageId p : {swaps[i].hotLpn, swaps[i].fromPpn,
+                                   swaps[i].toPpn,
+                                   swaps[i].displacedLpn})
+                touched.insert(p.raw());
+        }
+    };
+
+    bool sawBelow = false, sawAt = false, sawAbove = false;
+    bool sawBoundaryTie = false;
+    for (int step = 0; step < 6000; ++step) {
+        const std::uint64_t op = rng.nextBounded(16);
+        if (op < 10) {
+            for (std::uint64_t n = 1 + rng.nextBounded(40); n > 0; --n) {
+                const PageId lpn = randomPage();
+                mapping.noteRead(lpn);
+                reference.noteRead(lpn);
+            }
+        } else if (op < 13) {
+            const std::size_t count = reference.candidateCount();
+            std::size_t k = 0;
+            switch (rng.nextBounded(4)) {
+              case 0: k = count > 0 ? count - 1 : 0; break;
+              case 1: k = count; break;
+              case 2: k = count + 1 + rng.nextBounded(4); break;
+              default: k = rng.nextBounded(count + 1); break;
+            }
+            sawBelow |= k < count;
+            sawAt |= k == count && count > 0;
+            sawAbove |= k > count;
+            const auto ranked = reference.ranked();
+            if (k > 0 && k < ranked.size() &&
+                ranked[k - 1].first == ranked[k].first)
+                sawBoundaryTie = true;
+            const std::vector<PageId> hot = mapping.observedHot(k);
+            ASSERT_EQ(hot, reference.observedHot(k)) << "step " << step;
+            if (op == 12)
+                plan(hot);
+        } else if (op < 15) {
+            // An offline-style plan with duplicates, not ranked by
+            // observation.
+            std::vector<PageId> hot;
+            for (std::uint64_t n = rng.nextBounded(48); n > 0; --n)
+                hot.push_back(randomPage());
+            plan(hot);
+        } else {
+            mapping.resetObservation();
+            reference.resetObservation();
+        }
+        if (HasFatalFailure())
+            return;
+
+        ASSERT_EQ(mapping.observedReads(), reference.observedReads());
+        ASSERT_EQ(mapping.remappedEntries(), reference.remappedEntries())
+            << "step " << step;
+        for (const std::uint64_t p : touched) {
+            ASSERT_EQ(mapping.translate(PageId{p}),
+                      reference.translate(PageId{p}))
+                << "step " << step << " page " << p;
+            ASSERT_EQ(mapping.inverse(PageId{p}),
+                      reference.inverse(PageId{p}))
+                << "step " << step << " page " << p;
+        }
+    }
+    EXPECT_TRUE(sawBelow && sawAt && sawAbove);
+    EXPECT_TRUE(sawBoundaryTie);
+    EXPECT_FALSE(touched.empty());
+    EXPECT_GT(mapping.remappedEntries(), 0u);
+}
+
 TEST(Placement, PlanHotPagesAggregatesRowsToPages)
 {
     const model::ModelConfig cfg = tinyConfig();
@@ -247,6 +507,39 @@ TEST(Placement, MigrationPreservesContentsMidServing)
     EXPECT_GT(dev.migrationPasses().value(), 0u);
 }
 
+TEST(Placement, TimingOnlyMigrationMaterializesNoPages)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    RmSsdOptions opt = placementOptions();
+    opt.functional = false;
+    opt.placement.hotPageCount = 16;
+    opt.placement.minObservedReads = 64;
+    opt.placement.maxSwapsPerPass = 64;
+    RmSsd dev(cfg, opt);
+    dev.loadTables();
+    // A stale plan: the served trace's hot rows come from another
+    // seed, so the online estimate drifts off the planned tier.
+    workload::TraceGenerator heatGen(cfg, skewedTrace());
+    dev.planPlacement(heatGen.hotRowHeats());
+    EXPECT_GT(dev.frequencyMapping()->remappedEntries(), 0u);
+
+    const std::uint64_t programsBefore = dev.flash().totalPagePrograms();
+    workload::TraceGenerator gen(cfg, skewedTrace(0xd1f7ULL));
+    std::uint64_t moved = 0;
+    for (int r = 0; r < 64 && moved == 0; ++r) {
+        dev.infer(gen.nextBatch(2));
+        moved = dev.migrateIfDrifted();
+    }
+    ASSERT_GT(moved, 0u);
+    EXPECT_GT(dev.migratedPageCount(), 0u);
+    // A timing-only device keeps no page bytes, so neither the
+    // untimed plan nor the timed pass copied any; the timed pass still
+    // programs both pages of every swap.
+    EXPECT_EQ(dev.flash().store().materializedPages(), 0u);
+    EXPECT_EQ(dev.flash().totalPagePrograms() - programsBefore,
+              dev.migratedPageCount());
+}
+
 TEST(Placement, ServingLoopDrivesMigration)
 {
     const model::ModelConfig cfg = tinyConfig();
@@ -294,6 +587,47 @@ TEST(Placement, AsyncDepthTwoStaysFunctionallyCorrect)
                 << "request " << retired - 1 << " sample " << i;
     }
     EXPECT_EQ(retired, batches.size());
+}
+
+TEST(Placement, RejectsHotPageCountOutsideTheDevice)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    RmSsdOptions opt = placementOptions();
+    opt.placement.hotPageCount = 0;
+    EXPECT_EXIT(RmSsd(cfg, opt), ::testing::ExitedWithCode(1),
+                "placement.hotPageCount is 0");
+    opt.placement.hotPageCount = opt.geometry.totalPages() + 1;
+    EXPECT_EXIT(RmSsd(cfg, opt), ::testing::ExitedWithCode(1),
+                "placement.hotPageCount");
+
+    // The whole device is a valid (if pointless) tier, and a disabled
+    // placement is not validated at all.
+    opt.placement.hotPageCount = opt.geometry.totalPages();
+    RmSsd whole(cfg, opt);
+    EXPECT_NE(whole.frequencyMapping(), nullptr);
+    opt.placement.enabled = false;
+    opt.placement.hotPageCount = 0;
+    RmSsd off(cfg, opt);
+    EXPECT_EQ(off.frequencyMapping(), nullptr);
+}
+
+TEST(Placement, RejectsDriftThresholdOutsideUnitInterval)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    RmSsdOptions opt = placementOptions();
+    for (const double bad :
+         {std::nan(""), -0.1, 1.5,
+          std::numeric_limits<double>::infinity()}) {
+        opt.placement.migrationDriftThreshold = bad;
+        EXPECT_EXIT(RmSsd(cfg, opt), ::testing::ExitedWithCode(1),
+                    "placement.migrationDriftThreshold")
+            << "threshold " << bad;
+    }
+    for (const double ok : {0.0, 0.5, 1.0}) {
+        opt.placement.migrationDriftThreshold = ok;
+        RmSsd dev(cfg, opt);
+        EXPECT_NE(dev.frequencyMapping(), nullptr);
+    }
 }
 
 TEST(Placement, KnobOffLeavesLinearMappingInPlace)

@@ -27,17 +27,6 @@ TEST(LinearMapping, IsIdentityWithinRange)
                  "beyond device capacity");
 }
 
-TEST(PageTableMapping, AllocatesInWriteOrder)
-{
-    PageTableMapping m(100);
-    EXPECT_EQ(m.assignForWrite(PageId{50}), PageId{});
-    EXPECT_EQ(m.assignForWrite(PageId{7}), PageId{1});
-    EXPECT_EQ(m.assignForWrite(PageId{50}), PageId{}); // idempotent
-    EXPECT_EQ(m.translate(PageId{50}), PageId{});
-    EXPECT_EQ(m.translate(PageId{7}), PageId{1});
-    EXPECT_EQ(m.allocatedPages(), 2u);
-}
-
 TEST(ExtentList, LocatesBytesAcrossExtents)
 {
     ExtentList list;

@@ -84,6 +84,16 @@ class LintDeterminismTest(unittest.TestCase):
         self.assertIn("range-for over unordered container 'heat_'",
                       r.stdout)
 
+    def test_flags_unannotated_flat_map_iteration(self):
+        r = run_tool("lint_determinism.py",
+                     FIXTURES / "det_flat_map.cpp")
+        self.assertEqual(r.returncode, 1, r.stdout)
+        findings = [l for l in r.stdout.splitlines()
+                    if l.startswith("  ")]
+        self.assertEqual(len(findings), 1, r.stdout)
+        self.assertIn("det_flat_map.cpp:15: FlatMap::forEachUnordered",
+                      findings[0])
+
     def test_repo_sources_are_clean(self):
         r = run_tool("lint_determinism.py")
         self.assertEqual(r.returncode, 0, r.stdout)

@@ -1,13 +1,18 @@
 /**
  * @file
- * Unit tests for the simulation core: stats, deterministic RNG, and
- * time conversions.
+ * Unit tests for the simulation core: stats, deterministic RNG, the
+ * flat hash map, and time conversions.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "sim/flat_map.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
 #include "sim/types.h"
@@ -119,6 +124,86 @@ TEST(Rng, HashToUnitFloatRange)
         EXPECT_GE(v, -1.0f);
         EXPECT_LT(v, 1.0f);
     }
+}
+
+TEST(FlatMap, MatchesMapReferenceModel)
+{
+    // Random inserts, updates, erases and clears against a std::map
+    // model. The key space is small next to the live set, so probe
+    // runs are long and overlap; an erase that broke a run (no
+    // backward shift) would hide a later key of that run from find().
+    constexpr std::uint64_t kKeySpace = 600;
+    FlatMap<std::uint64_t> map;
+    std::map<std::uint64_t, std::uint64_t> model;
+    Rng rng(0xf1a7ULL);
+
+    const auto keyOf = [](std::uint64_t id) {
+        // Sparse, clustered ids like physical page numbers.
+        return (id / 8) * 0x10000ULL + id % 8;
+    };
+    const auto checkAll = [&](int step) {
+        for (std::uint64_t id = 0; id < kKeySpace; ++id) {
+            const std::uint64_t *got = map.find(keyOf(id));
+            const auto it = model.find(keyOf(id));
+            ASSERT_EQ(got != nullptr, it != model.end())
+                << "step " << step << " id " << id;
+            if (got != nullptr) {
+                ASSERT_EQ(*got, it->second) << "step " << step;
+            }
+        }
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
+        map.forEachUnordered([&](std::uint64_t key, std::uint64_t value) {
+            seen.emplace_back(key, value);
+        });
+        std::sort(seen.begin(), seen.end());
+        const std::vector<std::pair<std::uint64_t, std::uint64_t>> want(
+            model.begin(), model.end());
+        ASSERT_EQ(seen, want) << "step " << step;
+    };
+
+    for (int step = 0; step < 40000; ++step) {
+        // Inserts outpace erases early, then the live set churns.
+        const std::uint64_t key = keyOf(rng.nextBounded(kKeySpace));
+        const std::uint64_t op = rng.nextBounded(step < 4000 ? 4 : 2);
+        if (op == 0) {
+            const bool present = model.contains(key);
+            ASSERT_EQ(map.erase(key), present) << "step " << step;
+            model.erase(key);
+        } else {
+            bool created = false;
+            std::uint64_t &value = map.findOrInsert(key, created);
+            ASSERT_EQ(created, !model.contains(key)) << "step " << step;
+            if (created) {
+                ASSERT_EQ(value, 0u);
+            }
+            value = rng.next();
+            model[key] = value;
+        }
+        ASSERT_EQ(map.size(), model.size()) << "step " << step;
+        if (step % 97 == 0)
+            checkAll(step);
+        if (step == 30000) {
+            map.clear();
+            model.clear();
+            checkAll(step);
+        }
+    }
+    checkAll(-1);
+}
+
+TEST(FlatMap, EmptyMapFindsAndErasesNothing)
+{
+    FlatMap<int> map;
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_EQ(map.find(3), nullptr);
+    EXPECT_FALSE(map.erase(3));
+    ++map[3];
+    ++map[3];
+    ASSERT_NE(map.find(3), nullptr);
+    EXPECT_EQ(*map.find(3), 2);
+    EXPECT_TRUE(map.erase(3));
+    EXPECT_EQ(map.size(), 0u);
+    EXPECT_DEATH(map[FlatMap<int>::kEmptyKey], "empty mark");
 }
 
 TEST(Time, CycleNanosConversionsMatchFpgaClock)

@@ -10,7 +10,10 @@ that assumption:
 1. Iteration over ``std::unordered_map``/``unordered_set`` (range-for
    or ``.begin()``/``.cbegin()`` iterator extraction). Hash-bucket
    order is libstdc++-version- and sometimes address-dependent; any
-   tie broken by it turns a golden into a platform artifact.
+   tie broken by it turns a golden into a platform artifact. Calls of
+   ``rmssd::FlatMap::forEachUnordered`` (sim/flat_map.h), the flat
+   table's only iteration method, are flagged the same way: its bucket
+   order depends on insertion history and capacity.
 2. Wall-clock and entropy sources: ``std::random_device``, ``rand()``
    / ``srand()``, ``time()``, ``clock()``, ``gettimeofday`` /
    ``clock_gettime``, and the ``std::chrono`` clocks. Simulated time
@@ -59,6 +62,9 @@ IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 RANGE_FOR_RE = re.compile(
     r"\bfor\s*\([^;()]*?:\s*(?P<expr>[A-Za-z_][\w.\->]*)\s*\)")
+
+# The one iteration method of rmssd::FlatMap, called on any object.
+FLAT_ITER_RE = re.compile(r"(?:\.|->)\s*forEachUnordered\s*\(")
 
 DET_SAFE_RE = re.compile(r"//\s*det-safe\s*:?(?P<reason>[^\n]*)")
 
@@ -246,6 +252,14 @@ def lint_file(path: pathlib.Path) -> list[str]:
                 f"'{m.group('name')}': hash-bucket order is not "
                 f"deterministic; sort with a total-order tie-breaker "
                 f"(or annotate det-safe with a reason)")
+
+    for m in FLAT_ITER_RE.finditer(masked):
+        findings.add(
+            path, line_of(masked, m.start()),
+            "FlatMap::forEachUnordered visits entries in bucket order, "
+            "which depends on insertion history; sort with a "
+            "total-order tie-breaker (or annotate det-safe with a "
+            "reason)")
 
     for pattern, why in BANNED:
         for m in pattern.finditer(masked):
