@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "sim/log.h"
+#include "workload/trace_gen.h"
 
 namespace rmssd::bench {
 
@@ -202,6 +203,25 @@ workload::TraceConfig
 defaultTrace()
 {
     return workload::localityK(0.3);
+}
+
+double
+traceQps(engine::InferenceDevice &dev, const workload::TraceConfig &tc,
+         std::uint32_t batches)
+{
+    const model::ModelConfig &cfg = dev.model().config();
+    workload::TraceGenerator gen(cfg, tc);
+    dev.resetTiming();
+    dev.setMaxInflight(4);
+    const Cycle start = dev.deviceNow();
+    for (std::uint32_t r = 0; r < batches; ++r)
+        dev.submit(gen.nextBatch(4));
+    Cycle completed = start;
+    for (const engine::AsyncCompletion &c : dev.drain())
+        completed = std::max(completed, c.outcome.completionCycle);
+    const double seconds =
+        nanosToSeconds(cyclesToNanos(completed - start));
+    return static_cast<double>(batches) * 4.0 / seconds;
 }
 
 int

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/inference_device.h"
 #include "model/dlrm.h"
 #include "workload/driver.h"
 #include "workload/trace.h"
@@ -90,6 +91,17 @@ struct RunScale
 
 /** The paper's default synthetic trace (K = 0.3). */
 workload::TraceConfig defaultTrace();
+
+/**
+ * Closed-loop throughput on the trace itself (samples/s, batch 4,
+ * depth 4, @p batches requests). InferenceDevice::steadyStateQps()
+ * feeds a uniform sample stream, which scatters evenly over the dies
+ * no matter the layout; placement and tiering only show up under the
+ * skewed trace they were planned for.
+ */
+double traceQps(engine::InferenceDevice &dev,
+                const workload::TraceConfig &tc,
+                std::uint32_t batches = 32);
 
 /**
  * Hand control to google-benchmark for the cases the binary

@@ -121,31 +121,6 @@ dieConflicts(engine::RmSsd &dev)
     return total;
 }
 
-/**
- * Closed-loop throughput on the trace itself (samples/s, batch 4,
- * depth 4). InferenceDevice::steadyStateQps() feeds a uniform sample
- * stream, which scatters evenly over the dies no matter the layout;
- * placement only shows up under the skewed trace it was planned for.
- */
-double
-traceQps(engine::RmSsd &dev, const workload::TraceConfig &tc,
-         std::uint32_t batches = 32)
-{
-    const model::ModelConfig &cfg = dev.model().config();
-    workload::TraceGenerator gen(cfg, tc);
-    dev.resetTiming();
-    dev.setMaxInflight(4);
-    const Cycle start = dev.deviceNow();
-    for (std::uint32_t r = 0; r < batches; ++r)
-        dev.submit(gen.nextBatch(4));
-    Cycle completed = start;
-    for (const engine::AsyncCompletion &c : dev.drain())
-        completed = std::max(completed, c.outcome.completionCycle);
-    const double seconds =
-        nanosToSeconds(cyclesToNanos(completed - start));
-    return static_cast<double>(batches) * 4.0 / seconds;
-}
-
 struct MeasuredDevice
 {
     double qps = 0.0;
@@ -160,7 +135,7 @@ measure(engine::RmSsd &dev, const workload::TraceConfig &tc,
 {
     const model::ModelConfig &cfg = dev.model().config();
     MeasuredDevice m;
-    m.qps = traceQps(dev, tc);
+    m.qps = bench::traceQps(dev, tc);
 
     workload::TraceGenerator gen(cfg, tc);
     workload::ServingConfig sc;
@@ -214,7 +189,7 @@ runFigure()
         // Same offered load for both mappings: a fixed fraction of
         // the linear device's capacity, so p99 differences are purely
         // the layout's doing.
-        const double lanes = traceQps(*linear, tc, 8) * 0.7;
+        const double lanes = bench::traceQps(*linear, tc, 8) * 0.7;
         const MeasuredDevice l = measure(*linear, tc, lanes);
         const MeasuredDevice f = measure(*freq, tc, lanes);
 
@@ -255,7 +230,7 @@ runFigure()
     drift.setCaption("RMC1 drift (planned for A, serving B)");
 
     auto linearD = makeDevice(cfg, {}, false);
-    const double driftLoad = traceQps(*linearD, drifted, 8) * 0.7;
+    const double driftLoad = bench::traceQps(*linearD, drifted, 8) * 0.7;
     const MeasuredDevice lD = measure(*linearD, drifted, driftLoad);
     drift.addRow({"linear", bench::fmt(lD.qps, 0),
                   bench::fmt(lD.serving.p99.raw() / 1e3, 1),

@@ -125,26 +125,6 @@ attachTier(engine::RmSsd &dev, const workload::TraceConfig &tc,
     return tier;
 }
 
-/** Closed-loop throughput on the trace (samples/s, batch 4, depth 4). */
-double
-traceQps(engine::RmSsd &dev, const workload::TraceConfig &tc,
-         std::uint32_t batches = 32)
-{
-    const model::ModelConfig &cfg = dev.model().config();
-    workload::TraceGenerator gen(cfg, tc);
-    dev.resetTiming();
-    dev.setMaxInflight(4);
-    const Cycle start = dev.deviceNow();
-    for (std::uint32_t r = 0; r < batches; ++r)
-        dev.submit(gen.nextBatch(4));
-    Cycle completed = start;
-    for (const engine::AsyncCompletion &c : dev.drain())
-        completed = std::max(completed, c.outcome.completionCycle);
-    const double seconds =
-        nanosToSeconds(cyclesToNanos(completed - start));
-    return static_cast<double>(batches) * 4.0 / seconds;
-}
-
 struct Measured
 {
     double qps = 0.0;
@@ -157,7 +137,7 @@ measure(engine::RmSsd &dev, const workload::TraceConfig &tc,
 {
     const model::ModelConfig &cfg = dev.model().config();
     Measured m;
-    m.qps = traceQps(dev, tc);
+    m.qps = bench::traceQps(dev, tc);
     workload::TraceGenerator gen(cfg, tc);
     workload::ServingConfig sc;
     sc.arrivalQps = arrivalQps;
@@ -204,7 +184,7 @@ runFigure()
                 // fraction of the bare device's capacity — so p99
                 // differences are purely the tier's doing.
                 if (frac == 0.0)
-                    offeredQps = traceQps(*dev, tc, 8) * 0.7;
+                    offeredQps = bench::traceQps(*dev, tc, 8) * 0.7;
                 const Measured m = measure(*dev, tc, offeredQps);
                 if (frac == 0.0) {
                     baseQps = m.qps;
@@ -276,7 +256,7 @@ runFigure()
         if (sc.tiered)
             attachTier(*dev, tc, 1.0 / 16);
         if (sc.replanThreshold == 0.0 && !sc.tiered)
-            load = traceQps(*dev, tc, 8) * 0.7;
+            load = bench::traceQps(*dev, tc, 8) * 0.7;
         const Measured m =
             measure(*dev, tc, load, sc.replanThreshold);
         interact.addRow(

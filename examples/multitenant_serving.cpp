@@ -71,8 +71,13 @@ main(int argc, char **argv)
 {
     const std::uint32_t numDevices =
         argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 2;
-    if (numDevices == 0) {
-        std::printf("devices must be >= 1\n");
+    const std::vector<catalog::TenantSpec> specs = makeSpecs();
+    // The seed sets table content only, not the union table count.
+    const std::uint32_t unionTables =
+        catalog::buildUnionLayout(specs, 0).config.numTables;
+    if (numDevices == 0 || numDevices > unionTables) {
+        std::printf("devices must be in [1, %u] (union tables)\n",
+                    unionTables);
         return 1;
     }
 
@@ -80,7 +85,7 @@ main(int argc, char **argv)
     options.numDevices = numDevices;
     options.hostTierBytes = Bytes{32ull << 20};
 
-    catalog::TenantFleet fleet(makeSpecs(), options);
+    catalog::TenantFleet fleet(specs, options);
 
     // The union layout: every tenant table becomes one or more union
     // slots (wider dims split into lanes of the fleet dim).

@@ -32,6 +32,10 @@ main(int argc, char **argv)
     const std::string modelName = argc > 1 ? argv[1] : "RMC1";
     const std::uint32_t batch =
         argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 4;
+    if (batch == 0) {
+        std::printf("batch must be >= 1\n");
+        return 1;
+    }
 
     const model::ModelConfig config = model::modelByName(modelName);
     engine::RmSsdOptions options;

@@ -2,53 +2,6 @@
 
 namespace rmssd::baseline {
 
-HostVectorCache::HostVectorCache(std::uint64_t capacityVectors)
-    : capacity_(capacityVectors)
-{
-}
-
-HostVectorCache::Key
-HostVectorCache::makeKey(std::uint32_t table, std::uint64_t row)
-{
-    return (static_cast<std::uint64_t>(table) << 48) ^ row;
-}
-
-bool
-HostVectorCache::access(std::uint32_t table, std::uint64_t row)
-{
-    const Key key = makeKey(table, row);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        ++hits_;
-        return true;
-    }
-    ++misses_;
-    if (capacity_ != 0 && map_.size() >= capacity_) {
-        map_.erase(lru_.back());
-        lru_.pop_back();
-    }
-    lru_.push_front(key);
-    map_[key] = lru_.begin();
-    return false;
-}
-
-double
-HostVectorCache::hitRatio() const
-{
-    const std::uint64_t total = hits_ + misses_;
-    return total == 0 ? 0.0
-                      : static_cast<double>(hits_) /
-                            static_cast<double>(total);
-}
-
-void
-HostVectorCache::resetStats()
-{
-    hits_ = 0;
-    misses_ = 0;
-}
-
 RecssdSystem::RecssdSystem(const model::ModelConfig &config,
                            std::uint64_t cacheVectorsPerTable,
                            const host::CpuCosts &cpuCosts)
@@ -73,7 +26,7 @@ RecssdSystem::run(workload::TraceGenerator &gen,
             gen.traceConfig().hotRowsPerTable;
         for (std::uint64_t r = hotRows; r-- > 0;) {
             for (std::uint32_t t = 0; t < config_.numTables; ++t)
-                cache_.access(t, gen.hotRow(t, r));
+                cache_.access({t, gen.hotRow(t, r)});
         }
     }
     for (std::uint32_t b = 0; b < warmupBatches; ++b) {
@@ -81,7 +34,7 @@ RecssdSystem::run(workload::TraceGenerator &gen,
         for (const model::Sample &sample : batch) {
             for (std::uint32_t t = 0; t < config_.numTables; ++t) {
                 for (const std::uint64_t row : sample.indices[t])
-                    cache_.access(t, row);
+                    cache_.access({t, row});
             }
         }
     }
@@ -103,7 +56,7 @@ RecssdSystem::run(workload::TraceGenerator &gen,
             std::uint64_t hostHits = 0;
             const auto cached = [&](std::uint32_t table,
                                     std::uint64_t row) {
-                const bool hit = cache_.access(table, row);
+                const bool hit = cache_.access({table, row});
                 if (hit)
                     ++hostHits;
                 return hit;

@@ -12,40 +12,13 @@
 #define RMSSD_BASELINE_RECSSD_SYSTEM_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "baseline/emb_pagesum_system.h"
 #include "baseline/system.h"
+#include "host/page_cache.h"
 #include "nvme/dma.h"
 
 namespace rmssd::baseline {
-
-/** Host-side LRU cache of embedding vectors keyed by (table, row). */
-class HostVectorCache
-{
-  public:
-    explicit HostVectorCache(std::uint64_t capacityVectors);
-
-    /** Access a vector: hit refreshes, miss inserts. @return hit. */
-    bool access(std::uint32_t table, std::uint64_t row);
-
-    double hitRatio() const;
-    void resetStats();
-
-  private:
-    using Key = std::uint64_t;
-    static Key makeKey(std::uint32_t table, std::uint64_t row);
-
-    std::uint64_t capacity_;
-    std::list<Key> lru_;
-    // Determinism audit: point lookups only; recency order lives in
-    // lru_. Never iterate this map (bucket order is a platform
-    // artifact — see tools/lint_determinism.py).
-    std::unordered_map<Key, std::list<Key>::iterator> map_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-};
 
 /** RecSSD: page-grain ISC pooling + host vector cache. */
 class RecssdSystem : public InferenceSystem
@@ -78,7 +51,7 @@ class RecssdSystem : public InferenceSystem
     host::CpuModel cpu_;
     SimulatedSsd ssd_;
     PageGrainPooler pooler_;
-    HostVectorCache cache_;
+    host::PageCache cache_; //!< host vector cache keyed {table, row}
     nvme::DmaEngine dma_;
     Cycle deviceNow_;
 };

@@ -85,6 +85,10 @@ TenantFleet::TenantFleet(std::vector<TenantSpec> tenants,
                          const FleetOptions &options)
     : layout_(buildUnionLayout(tenants, kUnionSeed)), options_(options)
 {
+    if (options_.numDevices > layout_.config.numTables)
+        fatal("FleetOptions::numDevices %u exceeds the %u union tables",
+              static_cast<unsigned>(options_.numDevices),
+              static_cast<unsigned>(layout_.config.numTables));
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const TenantSpec &spec = tenants[i];
         RMSSD_ASSERT(!spec.id.empty(), "tenant id must be non-empty");
@@ -125,8 +129,6 @@ TenantFleet::TenantFleet(std::vector<TenantSpec> tenants,
         device->loadTables();
         device_ = std::move(device);
     } else {
-        RMSSD_ASSERT(options_.numDevices <= layout_.config.numTables,
-                     "more devices than union tables");
         cluster::ClusterOptions copts;
         copts.sharding.numDevices = options_.numDevices;
         copts.policy = options_.policy;

@@ -197,17 +197,17 @@ RmSsd::buildPlan(double readCyclesPerVector)
     const KernelSearch search(options_.search);
     searchResult_ = {};
 
-    switch (options_.variant) {
-      case EngineVariant::Searched:
+    if (options_.variant == EngineVariant::Searched) {
         searchResult_ = search.search(config_, rcpv);
-        break;
-      case EngineVariant::DefaultKernels:
-      case EngineVariant::EmbeddingOnly: {
+    } else {
+        // Fixed max-size kernels; only the naive engine gives up
+        // decomposition and composition.
+        const bool split = options_.variant != EngineVariant::Naive;
         MlpPlan plan = makePlan(
             config_,
             KernelConfig{options_.search.maxKernelDim,
                          options_.search.maxKernelDim},
-            /*decompose=*/true, /*compose=*/true);
+            /*decompose=*/split, /*compose=*/split);
         plan.ii = options_.search.ii;
         search.placeWeights(plan, searchResult_.notes);
         search.chooseMicroBatch(plan, config_, rcpv,
@@ -221,29 +221,6 @@ RmSsd::buildPlan(double readCyclesPerVector)
             ResourceModel(options_.search.costs)
                 .engineResources(plan.allLayers(), plan.ii);
         searchResult_.feasible = true;
-        break;
-      }
-      case EngineVariant::Naive: {
-        MlpPlan plan = makePlan(
-            config_,
-            KernelConfig{options_.search.maxKernelDim,
-                         options_.search.maxKernelDim},
-            /*decompose=*/false, /*compose=*/false);
-        plan.ii = options_.search.ii;
-        search.placeWeights(plan, searchResult_.notes);
-        search.chooseMicroBatch(plan, config_, rcpv,
-                                searchResult_.notes);
-        searchResult_.plan = plan;
-        searchResult_.embReadCycles =
-            search.embReadCycles(config_, rcpv, plan.microBatch);
-        searchResult_.timing =
-            planTiming(plan, searchResult_.embReadCycles);
-        searchResult_.resources =
-            ResourceModel(options_.search.costs)
-                .engineResources(plan.allLayers(), plan.ii);
-        searchResult_.feasible = true;
-        break;
-      }
     }
     searchResult_.readCyclesPerVector = rcpv;
 }

@@ -1,20 +1,22 @@
 /**
  * @file
- * Host page cache: an LRU over 4 KB file pages.
+ * Host LRU cache keyed by (file id, page index): the one LRU in the
+ * tree.
  *
  * SSD-S and SSD-M in the paper limit DRAM to 1/4 and 1/2 of the total
  * embedding bytes; the page cache capacity is what turns that limit
  * into the hit ratios behind Fig. 2 and the read amplification of
- * Fig. 3.
+ * Fig. 3. RecSSD's host vector cache is the same LRU keyed by
+ * (table, row).
  */
 
 #ifndef RMSSD_HOST_PAGE_CACHE_H
 #define RMSSD_HOST_PAGE_CACHE_H
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/flat_map.h"
 #include "sim/stats.h"
 
 namespace rmssd::host {
@@ -28,18 +30,13 @@ struct PageKey
     bool operator==(const PageKey &) const = default;
 };
 
-struct PageKeyHash
-{
-    std::size_t
-    operator()(const PageKey &k) const
-    {
-        return static_cast<std::size_t>(
-            (static_cast<std::uint64_t>(k.fileId) << 48) ^ k.pageIndex ^
-            (k.pageIndex >> 13) * 0x9e3779b97f4a7c15ULL);
-    }
-};
-
-/** LRU page cache (metadata only; page content lives in the device). */
+/**
+ * LRU cache of keys (metadata only; content lives in the device).
+ * A flat map takes a key to its slot; the slots form a doubly linked
+ * recency list by index, so a hit relinks one slot and a miss in a
+ * full cache reuses the tail slot. Keys pack as fileId << 48 |
+ * pageIndex, which needs fileId < 2^15 and pageIndex < 2^48.
+ */
 class PageCache
 {
   public:
@@ -56,10 +53,8 @@ class PageCache
     /** Non-mutating membership probe. */
     bool contains(const PageKey &key) const;
 
-    void clear();
-
     std::uint64_t capacityPages() const { return capacity_; }
-    std::size_t residentPages() const { return map_.size(); }
+    std::size_t residentPages() const { return slots_.size(); }
 
     const Counter &hits() const { return hits_; }
     const Counter &misses() const { return misses_; }
@@ -71,16 +66,24 @@ class PageCache
     void resetStats();
 
   private:
-    void insert(const PageKey &key);
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+    struct Slot
+    {
+        std::uint64_t key = 0;
+        std::uint32_t prev = kNoSlot; //!< toward the most recent
+        std::uint32_t next = kNoSlot; //!< toward the least recent
+    };
+
+    static std::uint64_t packKey(const PageKey &key);
+    void unlink(std::uint32_t slot);
+    void pushFront(std::uint32_t slot);
 
     std::uint64_t capacity_;
-    std::list<PageKey> lru_; //!< front = most recent
-    // Determinism audit: point lookups only; recency order lives in
-    // lru_. Never iterate this map (bucket order is a platform
-    // artifact — see tools/lint_determinism.py).
-    std::unordered_map<PageKey, std::list<PageKey>::iterator,
-                       PageKeyHash>
-        map_;
+    FlatMap<std::uint32_t> slotOf_; //!< packed key -> slot
+    std::vector<Slot> slots_;
+    std::uint32_t head_ = kNoSlot; //!< most recent
+    std::uint32_t tail_ = kNoSlot; //!< least recent
 
     Counter hits_;
     Counter misses_;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
+#include "sim/flat_map.h"
 #include "sim/log.h"
 
 namespace rmssd::workload {
@@ -13,17 +13,6 @@ TraceGenerator::TraceGenerator(const model::ModelConfig &config,
     : config_(config), trace_(trace), rng_(trace.seed)
 {
     RMSSD_ASSERT(trace_.hotRowsPerTable > 0, "empty hot set");
-    hotSorted_.resize(config_.numTables);
-    for (std::uint32_t t = 0; t < config_.numTables; ++t) {
-        std::vector<std::uint64_t> &sorted = hotSorted_[t];
-        sorted.reserve(trace_.hotRowsPerTable);
-        for (std::uint64_t r = 0; r < trace_.hotRowsPerTable; ++r)
-            sorted.push_back(hotRow(t, r));
-        // Two ranks may hash to the same row; membership keeps one.
-        std::sort(sorted.begin(), sorted.end());
-        sorted.erase(std::unique(sorted.begin(), sorted.end()),
-                     sorted.end());
-    }
 }
 
 std::uint64_t
@@ -36,14 +25,6 @@ TraceGenerator::hotRow(std::uint32_t table, std::uint64_t rank) const
     const std::uint64_t h =
         hashCombine(hashCombine(trace_.seed, table), rank);
     return h % config_.rowsPerTable;
-}
-
-bool
-TraceGenerator::isHotRow(std::uint32_t table, std::uint64_t row) const
-{
-    RMSSD_ASSERT(table < hotSorted_.size(), "table out of range");
-    return std::binary_search(hotSorted_[table].begin(),
-                              hotSorted_[table].end(), row);
 }
 
 std::uint64_t
@@ -102,8 +83,7 @@ TraceGenerator::reset()
 TraceGenerator::HistogramSummary
 TraceGenerator::histogram(std::uint64_t lookups, std::uint32_t topN)
 {
-    std::unordered_map<std::uint64_t, std::uint64_t> counts;
-    counts.reserve(lookups / 2);
+    FlatMap<std::uint64_t> counts;
     for (std::uint64_t i = 0; i < lookups; ++i)
         ++counts[drawIndex(0)];
 
@@ -114,11 +94,11 @@ TraceGenerator::histogram(std::uint64_t lookups, std::uint32_t topN)
     byCount.reserve(counts.size());
     // det-safe: onceAccessed is a commutative sum; byCount is given a
     // total order by the sort below before any rank is extracted.
-    for (const auto &[idx, n] : counts) {
+    counts.forEachUnordered([&](std::uint64_t idx, std::uint64_t n) {
         if (n == 1)
             ++summary.onceAccessed;
         byCount.emplace_back(n, idx);
-    }
+    });
     // Total order: count desc, then index asc. Without the index
     // tie-breaker, equally-hot rows at the top-N boundary would be
     // ranked by hash-bucket order — a platform artifact, not a result.
@@ -149,16 +129,26 @@ TraceGenerator::tableHistograms(std::uint64_t lookupsPerTable) const
     Rng rng(hashCombine(trace_.seed, 0x7ab1e815ULL));
 
     std::vector<TableHistogram> hist(config_.numTables);
-    std::unordered_map<std::uint64_t, std::uint64_t> counts;
+    std::vector<std::uint64_t> hotSorted;
+    hotSorted.reserve(trace_.hotRowsPerTable);
+    FlatMap<std::uint64_t> counts;
     for (std::uint32_t t = 0; t < config_.numTables; ++t) {
+        // Two ranks may hash to the same row; membership keeps one.
+        hotSorted.clear();
+        for (std::uint64_t r = 0; r < trace_.hotRowsPerTable; ++r)
+            hotSorted.push_back(hotRow(t, r));
+        std::sort(hotSorted.begin(), hotSorted.end());
+        hotSorted.erase(std::unique(hotSorted.begin(), hotSorted.end()),
+                        hotSorted.end());
+
         counts.clear();
-        counts.reserve(lookupsPerTable / 2);
         TableHistogram &h = hist[t];
         h.totalLookups = lookupsPerTable;
         for (std::uint64_t i = 0; i < lookupsPerTable; ++i) {
             const std::uint64_t idx = drawIndexWith(rng, t);
             const bool first = ++counts[idx] == 1;
-            if (isHotRow(t, idx)) {
+            if (std::binary_search(hotSorted.begin(), hotSorted.end(),
+                                   idx)) {
                 ++h.hotLookups;
                 if (first)
                     ++h.uniqueHotIndices;

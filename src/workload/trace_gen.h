@@ -37,9 +37,6 @@ class TraceGenerator
     /** The hot-set row for hot rank @p rank of table @p table. */
     std::uint64_t hotRow(std::uint32_t table, std::uint64_t rank) const;
 
-    /** Whether a row belongs to the hot set (RecSSD cache oracle). */
-    bool isHotRow(std::uint32_t table, std::uint64_t row) const;
-
     const TraceConfig &traceConfig() const { return trace_; }
     const model::ModelConfig &modelConfig() const { return config_; }
 
@@ -97,8 +94,6 @@ class TraceGenerator
     model::ModelConfig config_;
     TraceConfig trace_;
     Rng rng_;
-    /** Per table, the distinct hot rows in ascending order (isHotRow). */
-    std::vector<std::vector<std::uint64_t>> hotSorted_;
 };
 
 /**

@@ -127,17 +127,6 @@ TEST(RecssdSystemTest, ThroughputDegradesWithLocality)
     EXPECT_GT(rHot.qps(), rCold.qps());
 }
 
-TEST(HostVectorCacheTest, LruSemantics)
-{
-    HostVectorCache cache(2);
-    EXPECT_FALSE(cache.access(0, 1));
-    EXPECT_FALSE(cache.access(0, 2));
-    EXPECT_TRUE(cache.access(0, 1));
-    EXPECT_FALSE(cache.access(0, 3)); // evicts row 2
-    EXPECT_FALSE(cache.access(0, 2));
-    EXPECT_NEAR(cache.hitRatio(), 1.0 / 5.0, 1e-9);
-}
-
 TEST(SystemOrdering, MatchesThePaperQualitatively)
 {
     // RM-SSD > RecSSD > SSD-S in throughput; RM-SSD >> SSD-S.

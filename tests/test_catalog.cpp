@@ -215,6 +215,19 @@ twoTenants()
     return specs;
 }
 
+TEST(TenantFleetDeathTest, MoreDevicesThanUnionTablesIsFatal)
+{
+    const std::uint32_t unionTables =
+        buildUnionLayout(twoTenants(), 1).config.numTables;
+    FleetOptions options;
+    options.numDevices = unionTables + 1;
+    EXPECT_EXIT({ TenantFleet fleet(twoTenants(), options); },
+                ::testing::ExitedWithCode(1),
+                "FleetOptions::numDevices " +
+                    std::to_string(unionTables + 1) + " exceeds the " +
+                    std::to_string(unionTables) + " union tables");
+}
+
 TEST(TenantFleet, SingleTenantEqualsBareDeviceAtDepths1And4)
 {
     const model::ModelConfig config = tinyConfig();

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <unordered_map>
 #include <vector>
 
 #include "flash/flash_array.h"
@@ -15,6 +17,7 @@
 #include "host/host_system.h"
 #include "host/page_cache.h"
 #include "nvme/nvme.h"
+#include "sim/rng.h"
 
 namespace rmssd::host {
 namespace {
@@ -56,6 +59,119 @@ TEST(PageCache, DistinguishesFiles)
     PageCache cache(8);
     cache.access({0, 5});
     EXPECT_FALSE(cache.access({1, 5}));
+}
+
+TEST(PageCache, LruSemantics)
+{
+    // The access sequence RecSSD's host vector cache was first tested
+    // with, keyed {table, row}.
+    PageCache cache(2);
+    EXPECT_FALSE(cache.access({0, 1}));
+    EXPECT_FALSE(cache.access({0, 2}));
+    EXPECT_TRUE(cache.access({0, 1}));
+    EXPECT_FALSE(cache.access({0, 3})); // evicts row 2
+    EXPECT_FALSE(cache.access({0, 2}));
+    EXPECT_NEAR(cache.hitRatio(), 1.0 / 5.0, 1e-9);
+}
+
+TEST(PageCacheDeathTest, RejectsKeysOutsideThePacking)
+{
+    PageCache cache(4);
+    EXPECT_DEATH((void)cache.access({1U << 15, 0}),
+                 "file id exceeds key space");
+    EXPECT_DEATH((void)cache.contains({0, 1ULL << 48}),
+                 "page index exceeds key space");
+}
+
+/**
+ * Reference model of the page cache as it was first written: a
+ * std::list in recency order plus an unordered_map from key to list
+ * node. The flat cache must match it call for call.
+ */
+class ReferencePageCache
+{
+  public:
+    explicit ReferencePageCache(std::uint64_t capacity) : capacity_(capacity)
+    {
+    }
+
+    bool
+    access(const PageKey &key)
+    {
+        auto it = map_.find(key);
+        if (it != map_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second);
+            ++hits;
+            return true;
+        }
+        ++misses;
+        if (capacity_ != 0 && map_.size() >= capacity_) {
+            map_.erase(lru_.back());
+            lru_.pop_back();
+            ++evictions;
+        }
+        lru_.push_front(key);
+        map_[key] = lru_.begin();
+        return false;
+    }
+
+    bool contains(const PageKey &key) const { return map_.contains(key); }
+    std::size_t size() const { return map_.size(); }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    struct Hash
+    {
+        std::size_t
+        operator()(const PageKey &k) const
+        {
+            return static_cast<std::size_t>(
+                splitmix64(k.pageIndex ^ (std::uint64_t{k.fileId} << 48)));
+        }
+    };
+
+    std::uint64_t capacity_;
+    std::list<PageKey> lru_; //!< front = most recent
+    std::unordered_map<PageKey, std::list<PageKey>::iterator, Hash> map_;
+};
+
+TEST(PageCacheDifferential, MatchesListMapReference)
+{
+    constexpr int kOps = 20000;
+    for (const std::uint64_t capacity : {0u, 1u, 2u, 7u, 64u}) {
+        SCOPED_TRACE(capacity);
+        PageCache cache(capacity);
+        ReferencePageCache ref(capacity);
+        Rng rng(23);
+        for (int op = 0; op < kOps; ++op) {
+            // Skewed pages over several files, the edges of the key
+            // packing included: enough reuse for hits, enough spread
+            // for evictions at every capacity.
+            constexpr std::uint32_t kFiles[] = {0, 1, 5, (1U << 15) - 1};
+            const std::uint32_t file = kFiles[rng.nextBounded(4)];
+            std::uint64_t page = rng.nextBounded(8) == 0
+                                     ? rng.nextBounded(4096)
+                                     : rng.nextBounded(96);
+            if (rng.nextBounded(64) == 0)
+                page = (1ULL << 48) - 1 - page;
+            const PageKey key{file, page};
+            if (rng.nextBounded(5) == 0) {
+                ASSERT_EQ(cache.contains(key), ref.contains(key))
+                    << "contains, op " << op;
+            } else {
+                ASSERT_EQ(cache.access(key), ref.access(key))
+                    << "access, op " << op;
+            }
+            ASSERT_EQ(cache.residentPages(), ref.size()) << "op " << op;
+            ASSERT_EQ(cache.hits().value(), ref.hits) << "op " << op;
+            ASSERT_EQ(cache.misses().value(), ref.misses) << "op " << op;
+            ASSERT_EQ(cache.evictions().value(), ref.evictions)
+                << "op " << op;
+        }
+    }
 }
 
 TEST(CpuModel, MlpCostScalesWithFlopsAndBatch)
