@@ -12,10 +12,11 @@
  *
  * Usage: ./build/examples/sla_serving [model] [batch]
  *        model = RMC1 | RMC2 | RMC3 | NCF | WnD   (default RMC1)
- *        batch = samples per request               (default 4)
+ *        batch = samples per request, 1..4096      (default 4)
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "engine/rm_ssd.h"
@@ -30,12 +31,14 @@ main(int argc, char **argv)
     using namespace rmssd;
 
     const std::string modelName = argc > 1 ? argv[1] : "RMC1";
-    const std::uint32_t batch =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 4;
-    if (batch == 0) {
-        std::printf("batch must be >= 1\n");
+    // Parsed signed: a negative batch must not wrap to a huge one.
+    constexpr std::uint32_t kMaxBatch = 4096;
+    const long long batchArg = argc > 2 ? std::atoll(argv[2]) : 4;
+    if (batchArg < 1 || batchArg > kMaxBatch) {
+        std::printf("batch must be >= 1 and <= %u\n", kMaxBatch);
         return 1;
     }
+    const auto batch = static_cast<std::uint32_t>(batchArg);
 
     const model::ModelConfig config = model::modelByName(modelName);
     engine::RmSsdOptions options;

@@ -8,6 +8,7 @@
  *        (default 1 GB; the paper's full models use 30 GB)
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -20,7 +21,9 @@ main(int argc, char **argv)
     using namespace rmssd;
 
     const double gigabytes = argc > 1 ? std::atof(argv[1]) : 1.0;
-    if (gigabytes <= 0.0 || gigabytes > 32.0) {
+    // NaN fails both comparisons below, so reject it first.
+    if (!std::isfinite(gigabytes) || gigabytes <= 0.0 ||
+        gigabytes > 32.0) {
         std::printf("table size must be in (0, 32] GB\n");
         return 1;
     }

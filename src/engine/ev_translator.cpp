@@ -42,13 +42,6 @@ EvTranslator::registerTable(TableId tableId,
     tables_[tableId.raw()] = std::move(meta);
 }
 
-bool
-EvTranslator::hasTable(TableId tableId) const
-{
-    return tableId.raw() < tables_.size() &&
-           tables_[tableId.raw()].evBytes != Bytes{};
-}
-
 std::uint32_t
 EvTranslator::numTables() const
 {
@@ -60,42 +53,10 @@ EvTranslator::numTables() const
     return n;
 }
 
-const EvTranslator::TableMeta &
-EvTranslator::meta(TableId tableId) const
+void
+EvTranslator::unknownTable(TableId tableId)
 {
-    if (!hasTable(tableId))
-        fatal("embedding table %u is not registered", tableId.raw());
-    return tables_[tableId.raw()];
-}
-
-EvReadRequest
-EvTranslator::translate(TableId tableId, EvIndex index) const
-{
-    const TableMeta &m = meta(tableId);
-    RMSSD_ASSERT(index.raw() < m.numRows,
-                 "embedding index out of range");
-
-    // Step 3: find the covering extent. The hardware checks all index
-    // ranges in parallel; ranges are sorted, so binary search gives
-    // the same answer.
-    const auto it = std::upper_bound(
-        m.ranges.begin(), m.ranges.end(), index,
-        [](EvIndex idx, const ExtentRange &r) {
-            return idx < r.lastIndex;
-        });
-    RMSSD_ASSERT(it != m.ranges.end() && index >= it->firstIndex,
-                 "no extent covers the index");
-
-    // Steps 4-5: start LBA plus the index offset within the extent.
-    const Bytes byteOffset{(index - it->firstIndex).raw() *
-                           m.evBytes.raw()};
-    EvReadRequest req;
-    req.lba = it->startLba + Sectors{byteOffset.raw() /
-                                     sectorSize_.raw()};
-    req.byteInSector = byteOffset % sectorSize_.raw();
-    req.bytes = m.evBytes;
-    req.tableId = tableId;
-    return req;
+    fatal("embedding table %u is not registered", tableId.raw());
 }
 
 Cycle

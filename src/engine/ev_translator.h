@@ -15,10 +15,12 @@
 #ifndef RMSSD_ENGINE_EV_TRANSLATOR_H
 #define RMSSD_ENGINE_EV_TRANSLATOR_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "ftl/extent.h"
+#include "sim/log.h"
 #include "sim/types.h"
 
 namespace rmssd::engine {
@@ -50,11 +52,48 @@ class EvTranslator
     void registerTable(TableId tableId, const ftl::ExtentList &extents,
                        Bytes evBytes, std::uint64_t numRows);
 
-    bool hasTable(TableId tableId) const;
+    bool
+    hasTable(TableId tableId) const
+    {
+        return tableId.raw() < tables_.size() &&
+               tables_[tableId.raw()].evBytes != Bytes{};
+    }
+
     std::uint32_t numTables() const;
 
     /** Fig. 6 steps 2-5 for one index. Fatal on unknown table/index. */
-    EvReadRequest translate(TableId tableId, EvIndex index) const;
+    EvReadRequest
+    translate(TableId tableId, EvIndex index) const
+    {
+        const TableMeta &m = meta(tableId);
+        RMSSD_ASSERT(index.raw() < m.numRows,
+                     "embedding index out of range");
+
+        // Step 3: find the covering extent. The hardware checks all
+        // index ranges in parallel; ranges are sorted, so binary
+        // search gives the same answer (and one extent needs none).
+        auto it = m.ranges.begin();
+        if (m.ranges.size() > 1) {
+            it = std::upper_bound(m.ranges.begin(), m.ranges.end(), index,
+                                  [](EvIndex idx, const ExtentRange &r) {
+                                      return idx < r.lastIndex;
+                                  });
+        }
+        RMSSD_ASSERT(it != m.ranges.end() && it->firstIndex <= index &&
+                         index < it->lastIndex,
+                     "no extent covers the index");
+
+        // Steps 4-5: start LBA plus the index offset within the extent.
+        const Bytes byteOffset{(index - it->firstIndex).raw() *
+                               m.evBytes.raw()};
+        EvReadRequest req;
+        req.lba = it->startLba + Sectors{byteOffset.raw() /
+                                         sectorSize_.raw()};
+        req.byteInSector = byteOffset % sectorSize_.raw();
+        req.bytes = m.evBytes;
+        req.tableId = tableId;
+        return req;
+    }
 
     /**
      * Step 1: per-batch metadata scan cost — the widest table's
@@ -81,7 +120,16 @@ class EvTranslator
         std::vector<ExtentRange> ranges;
     };
 
-    const TableMeta &meta(TableId tableId) const;
+    const TableMeta &
+    meta(TableId tableId) const
+    {
+        if (!hasTable(tableId))
+            unknownTable(tableId);
+        return tables_[tableId.raw()];
+    }
+
+    /** fatal() for a lookup on a table that was never registered. */
+    [[noreturn]] static void unknownTable(TableId tableId);
 
     Bytes sectorSize_;
     std::vector<TableMeta> tables_; //!< indexed by tableId

@@ -10,6 +10,7 @@
 #ifndef RMSSD_FLASH_CHANNEL_H
 #define RMSSD_FLASH_CHANNEL_H
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/types.h"
@@ -26,14 +27,26 @@ class ChannelBus
      * the end of the previous bus transfer.
      * @return the completion cycle.
      */
-    Cycle transfer(Cycle ready, Cycle duration);
+    Cycle
+    transfer(Cycle ready, Cycle duration)
+    {
+        const Cycle start = std::max(ready, nextFree_);
+        nextFree_ = start + duration;
+        busy_ += duration;
+        return nextFree_;
+    }
 
     Cycle nextFree() const { return nextFree_; }
 
     /** Total bus-busy cycles (bandwidth utilization stat). */
     Cycle busyCycles() const { return busy_; }
 
-    void reset();
+    void
+    reset()
+    {
+        nextFree_ = {};
+        busy_ = {};
+    }
 
   private:
     Cycle nextFree_;

@@ -12,6 +12,8 @@
 #ifndef RMSSD_FLASH_DIE_H
 #define RMSSD_FLASH_DIE_H
 
+#include <algorithm>
+
 #include "sim/types.h"
 
 namespace rmssd::flash {
@@ -25,7 +27,14 @@ class FlashDie
      * @p earliest and no earlier than the die's previous operation.
      * @return the cycle at which the operation completes.
      */
-    Cycle acquire(Cycle earliest, Cycle duration);
+    Cycle
+    acquire(Cycle earliest, Cycle duration)
+    {
+        const Cycle start = std::max(earliest, nextFree_);
+        nextFree_ = start + duration;
+        busy_ += duration;
+        return nextFree_;
+    }
 
     /** First cycle at which the die is idle. */
     Cycle nextFree() const { return nextFree_; }
@@ -34,7 +43,12 @@ class FlashDie
     Cycle busyCycles() const { return busy_; }
 
     /** Forget all timing state. */
-    void reset();
+    void
+    reset()
+    {
+        nextFree_ = {};
+        busy_ = {};
+    }
 
   private:
     Cycle nextFree_;

@@ -7,7 +7,8 @@
 namespace rmssd::flash {
 
 FlashArray::FlashArray(const Geometry &geometry, const NandTiming &timing)
-    : geometry_(geometry), timing_(timing), store_(geometry.pageSizeBytes)
+    : geometry_(geometry), timing_(timing),
+      totalPages_(geometry.totalPages()), store_(geometry.pageSizeBytes)
 {
     geometry_.validate();
     if (timing_.pageSizeBytes != geometry_.pageSizeBytes)
@@ -37,15 +38,20 @@ ReadTiming
 FlashArray::readVector(Cycle issue, PageId ppn, Bytes colOffset,
                        Bytes bytes, std::span<std::uint8_t> out)
 {
-    const Pba pba = geometry_.decompose(ppn);
+    // Only the (channel, die) pair times a read; the plane, block
+    // and page fields of Geometry::decompose are never needed here.
+    RMSSD_ASSERT(ppn.raw() < totalPages_, "ppn out of range");
+    const std::uint64_t channel = ppn.raw() % geometry_.numChannels;
+    const std::uint64_t die =
+        ppn.raw() / geometry_.numChannels % geometry_.diesPerChannel;
     if (!out.empty()) {
         RMSSD_ASSERT(out.size() == bytes.raw(),
                      "vector read size mismatch");
     }
     RMSSD_ASSERT(colOffset + bytes <= geometry_.pageSizeBytes,
                  "vector read crosses page boundary");
-    const ReadTiming t =
-        fmcs_[pba.channel]->readVector(issue, pba.die, bytes);
+    const ReadTiming t = fmcs_[channel]->readVector(
+        issue, static_cast<std::uint32_t>(die), bytes);
     if (!out.empty())
         store_.read(ppn, colOffset, out);
     return t;

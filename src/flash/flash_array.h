@@ -102,6 +102,8 @@ class FlashArray
 
     Geometry geometry_;
     NandTiming timing_;
+    /** geometry_.totalPages(), fixed at construction. */
+    std::uint64_t totalPages_;
     BackingStore store_;
     std::vector<std::unique_ptr<Fmc>> fmcs_;
     // Determinism audit: point lookups plus one det-safe max fold

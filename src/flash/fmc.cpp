@@ -5,7 +5,9 @@
 namespace rmssd::flash {
 
 Fmc::Fmc(std::uint32_t numDies, const NandTiming &timing)
-    : timing_(timing), dies_(numDies)
+    : timing_(timing), flushCycles_(timing.flushCycles()),
+      pageTransferCycles_(timing.pageReadCycles - flushCycles_),
+      dies_(numDies)
 {
     RMSSD_ASSERT(numDies > 0, "channel with no dies");
 }
@@ -17,9 +19,8 @@ Fmc::readPage(Cycle issue, std::uint32_t die)
     if (dies_[die].nextFree() > issue)
         dieConflicts_.inc();
     ReadTiming t;
-    t.flushDone = dies_[die].acquire(issue, timing_.flushCycles());
-    t.done = bus_.transfer(
-        t.flushDone, timing_.transferCycles(timing_.pageSizeBytes));
+    t.flushDone = dies_[die].acquire(issue, flushCycles_);
+    t.done = bus_.transfer(t.flushDone, pageTransferCycles_);
     pageReads_.inc();
     busBytes_.inc(timing_.pageSizeBytes.raw());
     return t;
@@ -32,8 +33,10 @@ Fmc::readVector(Cycle issue, std::uint32_t die, Bytes bytes)
     if (dies_[die].nextFree() > issue)
         dieConflicts_.inc();
     ReadTiming t;
-    t.flushDone = dies_[die].acquire(issue, timing_.flushCycles());
-    t.done = bus_.transfer(t.flushDone, timing_.transferCycles(bytes));
+    t.flushDone = dies_[die].acquire(issue, flushCycles_);
+    t.done = bus_.transfer(
+        t.flushDone, scaledTransferCycles(pageTransferCycles_, bytes,
+                                          timing_.pageSizeBytes));
     vectorReads_.inc();
     busBytes_.inc(bytes.raw());
     return t;
@@ -44,8 +47,7 @@ Fmc::programPage(Cycle issue, std::uint32_t die)
 {
     RMSSD_ASSERT(die < dies_.size(), "die index out of range");
     // Data first crosses the bus into the die buffer, then programs.
-    const Cycle busDone = bus_.transfer(
-        issue, timing_.transferCycles(timing_.pageSizeBytes));
+    const Cycle busDone = bus_.transfer(issue, pageTransferCycles_);
     busBytes_.inc(timing_.pageSizeBytes.raw());
     pagePrograms_.inc();
     return dies_[die].acquire(busDone, timing_.pageProgramCycles);

@@ -80,6 +80,10 @@ class Fmc
 
   private:
     NandTiming timing_;
+    /** NandTiming::flushCycles(), fixed at construction. */
+    Cycle flushCycles_;
+    /** Bus cycles of a whole page: pageReadCycles - flushCycles_. */
+    Cycle pageTransferCycles_;
     std::vector<FlashDie> dies_;
     ChannelBus bus_;
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "sim/log.h"
-
 namespace rmssd::flash {
 
 Cycle
@@ -17,14 +15,8 @@ NandTiming::flushCycles() const
 Cycle
 NandTiming::transferCycles(Bytes bytes) const
 {
-    RMSSD_ASSERT(bytes <= pageSizeBytes,
-                 "transfer larger than a page");
-    // Integer ceil-division off the exact flush cycle count; a
-    // floating-point (1 - flushFraction) would round 0.3 up.
-    const Cycle fullTransfer = pageReadCycles - flushCycles();
-    return Cycle{(fullTransfer.raw() * bytes.raw() +
-                  pageSizeBytes.raw() - 1) /
-                 pageSizeBytes.raw()};
+    return scaledTransferCycles(pageReadCycles - flushCycles(), bytes,
+                                pageSizeBytes);
 }
 
 Cycle

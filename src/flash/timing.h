@@ -19,9 +19,24 @@
 
 #include <cstdint>
 
+#include "sim/log.h"
 #include "sim/types.h"
 
 namespace rmssd::flash {
+
+/**
+ * Bus cycles to move @p bytes out of a @p pageSize page whose whole
+ * transfer takes @p pageTransfer cycles. Integer ceil-division off the
+ * exact cycle count; a floating-point (1 - flushFraction) would round
+ * 0.3 up.
+ */
+inline Cycle
+scaledTransferCycles(Cycle pageTransfer, Bytes bytes, Bytes pageSize)
+{
+    RMSSD_ASSERT(bytes <= pageSize, "transfer larger than a page");
+    return Cycle{(pageTransfer.raw() * bytes.raw() + pageSize.raw() - 1) /
+                 pageSize.raw()};
+}
 
 /** Tunable NAND latencies, all in device cycles (5 ns each). */
 struct NandTiming

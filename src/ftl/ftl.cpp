@@ -7,7 +7,12 @@
 namespace rmssd::ftl {
 
 Ftl::Ftl(flash::FlashArray &array, std::unique_ptr<Mapping> mapping)
-    : array_(array), mapping_(std::move(mapping))
+    : array_(array), mapping_(std::move(mapping)),
+      sectorsPerPage_(array.geometry().sectorsPerPage()),
+      sectorSize_(static_cast<std::uint32_t>(
+          array.geometry().sectorSizeBytes.raw())),
+      pageSize_(static_cast<std::uint32_t>(
+          array.geometry().pageSizeBytes.raw()))
 {
     RMSSD_ASSERT(mapping_ != nullptr, "FTL without a mapping");
 }
@@ -19,34 +24,19 @@ Ftl::makeLinear(flash::FlashArray &array)
                           array.geometry().totalPages()));
 }
 
-std::uint32_t
-Ftl::sectorsPerPage() const
-{
-    return array_.geometry().sectorsPerPage();
-}
-
-std::uint32_t
-Ftl::sectorSize() const
-{
-    return static_cast<std::uint32_t>(
-        array_.geometry().sectorSizeBytes.raw());
-}
-
-std::uint32_t
-Ftl::pageSize() const
-{
-    return static_cast<std::uint32_t>(
-        array_.geometry().pageSizeBytes.raw());
-}
-
 Ftl::PhysLoc
 Ftl::translate(Lba lba, Bytes byteInSector) const
 {
-    const std::uint32_t spp = sectorsPerPage();
-    const PageId lpn{lba.raw() / spp};
-    const std::uint64_t sectorInPage = lba.raw() % spp;
+    return locate(PageId{lba.raw() / sectorsPerPage_}, lba, byteInSector);
+}
+
+Ftl::PhysLoc
+Ftl::locate(PageId lpn, Lba lba, Bytes byteInSector) const
+{
+    const std::uint64_t sectorInPage =
+        lba.raw() - lpn.raw() * sectorsPerPage_;
     return PhysLoc{mapping_->translate(lpn),
-                   Bytes{sectorInPage * sectorSize()} + byteInSector};
+                   Bytes{sectorInPage * sectorSize_} + byteInSector};
 }
 
 Cycle
@@ -56,12 +46,10 @@ Ftl::readSectors(Cycle issue, Lba lba, Sectors sectors,
     RMSSD_ASSERT(sectors > Sectors{}, "zero-sector read");
     recordPath(RequestPath::BlockIo);
 
-    const std::uint32_t spp = sectorsPerPage();
-    const std::uint32_t secSize = sectorSize();
     if (!out.empty()) {
         RMSSD_ASSERT(out.size() ==
                          static_cast<std::size_t>(sectors.raw()) *
-                             secSize,
+                             sectorSize_,
                      "block read buffer size mismatch");
     }
 
@@ -72,11 +60,11 @@ Ftl::readSectors(Cycle issue, Lba lba, Sectors sectors,
     std::size_t outPos = 0;
     std::vector<std::uint8_t> pageBuf;
     while (remaining > 0) {
-        const PageId lpn{sector.raw() / spp};
+        const PageId lpn{sector.raw() / sectorsPerPage_};
         const std::uint32_t first =
-            static_cast<std::uint32_t>(sector.raw() % spp);
+            static_cast<std::uint32_t>(sector.raw() % sectorsPerPage_);
         const std::uint32_t inPage = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(remaining, spp - first));
+            std::min<std::uint64_t>(remaining, sectorsPerPage_ - first));
 
         const PageId ppn = mapping_->translate(lpn);
         const Cycle reqIssue = issue + kTranslateCycles;
@@ -84,15 +72,15 @@ Ftl::readSectors(Cycle issue, Lba lba, Sectors sectors,
             done = std::max(
                 done, array_.readPage(reqIssue, ppn, {}).done);
         } else {
-            pageBuf.resize(pageSize());
+            pageBuf.resize(pageSize_);
             done = std::max(
                 done, array_.readPage(reqIssue, ppn, pageBuf).done);
             std::copy_n(pageBuf.begin() +
-                            static_cast<std::ptrdiff_t>(first * secSize),
-                        static_cast<std::size_t>(inPage) * secSize,
+                            static_cast<std::ptrdiff_t>(first * sectorSize_),
+                        static_cast<std::size_t>(inPage) * sectorSize_,
                         out.begin() +
                             static_cast<std::ptrdiff_t>(outPos));
-            outPos += static_cast<std::size_t>(inPage) * secSize;
+            outPos += static_cast<std::size_t>(inPage) * sectorSize_;
         }
         sector = sector + Sectors{inPage};
         remaining -= inPage;
@@ -107,9 +95,10 @@ Ftl::readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes,
     recordPath(RequestPath::Embedding);
     // Feed frequency-aware mappings their online heat signal. Keyed
     // by the logical page: heat follows the data through relocations.
-    mapping_->noteRead(PageId{lba.raw() / sectorsPerPage()});
-    const PhysLoc loc = translate(lba, byteInSector);
-    RMSSD_ASSERT((loc.pageByteOffset + bytes).raw() <= pageSize(),
+    const PageId lpn{lba.raw() / sectorsPerPage_};
+    mapping_->noteRead(lpn);
+    const PhysLoc loc = locate(lpn, lba, byteInSector);
+    RMSSD_ASSERT((loc.pageByteOffset + bytes).raw() <= pageSize_,
                  "EV read crosses flash page boundary");
     return array_
         .readVector(issue + kTranslateCycles, loc.ppn,
@@ -121,13 +110,13 @@ void
 Ftl::writeBytesFunctional(Lba lba, Bytes byteInSector,
                           std::span<const std::uint8_t> data)
 {
-    Bytes byteAddr = Bytes{lba.raw() * sectorSize()} + byteInSector;
+    Bytes byteAddr = Bytes{lba.raw() * sectorSize_} + byteInSector;
     std::size_t pos = 0;
     while (pos < data.size()) {
-        const PageId lpn{byteAddr.raw() / pageSize()};
-        const Bytes inPageOff = byteAddr % pageSize();
+        const PageId lpn{byteAddr.raw() / pageSize_};
+        const Bytes inPageOff = byteAddr % pageSize_;
         const std::size_t chunk = std::min<std::size_t>(
-            data.size() - pos, pageSize() - inPageOff.raw());
+            data.size() - pos, pageSize_ - inPageOff.raw());
         const PageId ppn = mapping_->assignForWrite(lpn);
         array_.writePartialFunctional(
             ppn, inPageOff, data.subspan(pos, chunk));

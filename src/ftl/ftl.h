@@ -43,9 +43,9 @@ class Ftl
     /** Build with the paper's linear mapping. */
     static Ftl makeLinear(flash::FlashArray &array);
 
-    std::uint32_t sectorsPerPage() const;
-    std::uint32_t sectorSize() const;
-    std::uint32_t pageSize() const;
+    std::uint32_t sectorsPerPage() const { return sectorsPerPage_; }
+    std::uint32_t sectorSize() const { return sectorSize_; }
+    std::uint32_t pageSize() const { return pageSize_; }
 
     /** Physical location of a logical byte address. */
     struct PhysLoc
@@ -89,8 +89,15 @@ class Ftl
     const Mapping &mapping() const { return *mapping_; }
 
   private:
+    /** translate() for an @p lba whose logical page @p lpn is known. */
+    PhysLoc locate(PageId lpn, Lba lba, Bytes byteInSector) const;
+
     flash::FlashArray &array_;
     std::unique_ptr<Mapping> mapping_;
+    // Geometry constants, fixed at construction.
+    std::uint32_t sectorsPerPage_;
+    std::uint32_t sectorSize_;
+    std::uint32_t pageSize_;
 
     Counter blockRequests_;
     Counter evRequests_;

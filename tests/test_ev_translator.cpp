@@ -145,5 +145,71 @@ TEST(EvTranslator, UndersizedExtentsAreFatal)
                 ::testing::ExitedWithCode(1), "extents cover");
 }
 
+TEST(EvTranslator, EveryExtentEdgeMatchesFlatFileOffset)
+{
+    // 96 B vectors (not a power of two) over extents of 48, 16, 32 and
+    // 48 vectors (multiples of 3 sectors), and a one-extent table whose
+    // rows stop short of the extent: each side of every extent edge
+    // must land where the flat file offset says.
+    EvTranslator tr(kSectorSize);
+    ftl::ExtentList multi;
+    multi.append(ftl::Extent{Lba{300}, Sectors{9}});
+    multi.append(ftl::Extent{Lba{20}, Sectors{3}});
+    multi.append(ftl::Extent{Lba{5000}, Sectors{6}});
+    multi.append(ftl::Extent{Lba{77}, Sectors{9}});
+    tr.registerTable(TableId{}, multi, Bytes{96}, 144);
+    ftl::ExtentList single;
+    single.append(ftl::Extent{Lba{900}, Sectors{12}}); // 64 vectors
+    tr.registerTable(TableId{1}, single, Bytes{96}, 60);
+
+    const auto expectFlat = [&](TableId table,
+                                const ftl::ExtentList &extents,
+                                std::uint64_t idx) {
+        const EvReadRequest req = tr.translate(table, EvIndex{idx});
+        const auto loc = extents.locateByte(Bytes{idx * 96}, kSectorSize);
+        EXPECT_EQ(req.lba, loc.lba) << "index " << idx;
+        EXPECT_EQ(req.byteInSector, loc.byteInSector) << "index " << idx;
+        EXPECT_EQ(req.bytes, Bytes{96});
+        EXPECT_EQ(req.tableId, table);
+    };
+    for (const std::uint64_t edge : {0ull, 48ull, 64ull, 96ull, 144ull}) {
+        if (edge > 0)
+            expectFlat(TableId{}, multi, edge - 1);
+        if (edge < 144)
+            expectFlat(TableId{}, multi, edge);
+    }
+    for (const std::uint64_t idx : {0ull, 1ull, 58ull, 59ull})
+        expectFlat(TableId{1}, single, idx);
+}
+
+TEST(EvTranslatorDeathTest, HoleInTheTableIdsIsFatal)
+{
+    EvTranslator tr(kSectorSize);
+    ftl::ExtentList extents;
+    extents.append(ftl::Extent{Lba{}, Sectors{8}});
+    tr.registerTable(TableId{2}, extents, Bytes{128}, 32);
+    EXPECT_EXIT(tr.translate(TableId{1}, EvIndex{}),
+                ::testing::ExitedWithCode(1), "table 1 is not registered");
+}
+
+TEST(EvTranslatorDeathTest, IndexPastTheLastExtentDies)
+{
+    EvTranslator tr(kSectorSize);
+    ftl::ExtentList extents;
+    extents.append(ftl::Extent{Lba{}, Sectors{8}});
+    extents.append(ftl::Extent{Lba{1000}, Sectors{8}});
+    tr.registerTable(TableId{}, extents, Bytes{128}, 64);
+    EXPECT_DEATH(tr.translate(TableId{}, EvIndex{64}), "out of range");
+
+    // Rows that stop short of a one-extent table's end are still
+    // bounded by the row count.
+    EvTranslator shortTable(kSectorSize);
+    ftl::ExtentList one;
+    one.append(ftl::Extent{Lba{}, Sectors{8}});
+    shortTable.registerTable(TableId{}, one, Bytes{128}, 20);
+    EXPECT_DEATH(shortTable.translate(TableId{}, EvIndex{20}),
+                 "out of range");
+}
+
 } // namespace
 } // namespace rmssd::engine

@@ -373,5 +373,138 @@ TEST(FlashArray, ResetTimingKeepsData)
     EXPECT_EQ(out, page);
 }
 
+/**
+ * A non-power-of-two geometry with non-default timing: channel and die
+ * counts that no shift or mask can stand in for, and a flush fraction
+ * whose transfer share leaves a remainder on almost every byte count.
+ */
+Geometry
+oddGeometry()
+{
+    Geometry g;
+    g.numChannels = 3;
+    g.diesPerChannel = 5;
+    g.planesPerDie = 2;
+    g.blocksPerPlane = 7;
+    g.pagesPerBlock = 11;
+    return g;
+}
+
+NandTiming
+oddTiming()
+{
+    NandTiming t;
+    t.flushFraction = 0.65;
+    t.pageReadCycles = Cycle{3999};
+    return t;
+}
+
+TEST(FlashArrayDifferential, MatchesDecomposeAndNandTimingReference)
+{
+    // Vector reads route by (channel, die) only and the FMC fixes its
+    // flush and transfer cycles at construction. Over a fixed-seed
+    // stream of vector reads (plus page reads and programs, which
+    // share the dies and buses) every read must charge exactly the die
+    // and channel Geometry::decompose names, at exactly the cycles a
+    // reference built from NandTiming's own formulas gives.
+    const Geometry g = oddGeometry();
+    const NandTiming t = oddTiming();
+    FlashArray array(g, t);
+    ASSERT_EQ(t.flushCycles(), Cycle{2599});
+    ASSERT_EQ(t.transferCycles(g.pageSizeBytes), Cycle{1400});
+
+    const std::uint32_t numDies = g.numChannels * g.diesPerChannel;
+    std::vector<Cycle> dieFree(numDies);
+    std::vector<Cycle> dieBusy(numDies);
+    std::vector<Cycle> busFree(g.numChannels);
+    std::vector<std::uint64_t> vectorReads(g.numChannels);
+    const std::uint64_t pageBytes = g.pageSizeBytes.raw();
+
+    Rng rng(0x5eed);
+    Cycle issue;
+    for (int step = 0; step < 4000; ++step) {
+        // Idle gaps shorter than a flush keep dies and buses contended.
+        issue += Cycle{rng.nextBounded(1500)};
+        const PageId ppn{step % 97 == 0 ? g.totalPages() - 1
+                                        : rng.nextBounded(g.totalPages())};
+        const Pba pba = g.decompose(ppn);
+        const std::uint32_t d = pba.channel * g.diesPerChannel + pba.die;
+        const std::uint64_t op = rng.nextBounded(8);
+
+        if (op == 0) {
+            const Cycle busDone = std::max(issue, busFree[pba.channel]) +
+                                  t.transferCycles(g.pageSizeBytes);
+            busFree[pba.channel] = busDone;
+            dieFree[d] = std::max(busDone, dieFree[d]) + t.pageProgramCycles;
+            dieBusy[d] += t.pageProgramCycles;
+            ASSERT_EQ(array.programPage(issue, ppn, {}), dieFree[d])
+                << "step " << step;
+        } else {
+            const bool page = op == 1;
+            const std::uint64_t bytes =
+                page ? pageBytes : 1 + rng.nextBounded(pageBytes);
+            const std::uint64_t col =
+                page ? 0 : rng.nextBounded(pageBytes - bytes + 1);
+            const Cycle flushDone =
+                std::max(issue, dieFree[d]) + t.flushCycles();
+            dieFree[d] = flushDone;
+            dieBusy[d] += t.flushCycles();
+            // Pin the reference itself: the bus share is the exact ceil
+            // of 1400 cycles scaled by bytes / 4096 (exact in double).
+            ASSERT_EQ(t.transferCycles(Bytes{bytes}),
+                      Cycle{static_cast<std::uint64_t>(std::ceil(
+                          1400.0 * static_cast<double>(bytes) / 4096.0))});
+            const Cycle done = std::max(flushDone, busFree[pba.channel]) +
+                               t.transferCycles(Bytes{bytes});
+            busFree[pba.channel] = done;
+
+            const ReadTiming r =
+                page ? array.readPage(issue, ppn, {})
+                     : array.readVector(issue, ppn, Bytes{col},
+                                        Bytes{bytes}, {});
+            ASSERT_EQ(r.flushDone, flushDone) << "step " << step;
+            ASSERT_EQ(r.done, done) << "step " << step;
+            if (!page)
+                ++vectorReads[pba.channel];
+        }
+
+        // Only the named die and channel moved.
+        for (std::uint32_t c = 0; c < g.numChannels; ++c) {
+            ASSERT_EQ(array.fmc(c).vectorReads().value(), vectorReads[c])
+                << "step " << step;
+            for (std::uint32_t die = 0; die < g.diesPerChannel; ++die) {
+                ASSERT_EQ(array.fmc(c).dieBusyCycles(die),
+                          dieBusy[c * g.diesPerChannel + die])
+                    << "step " << step << " channel " << c << " die "
+                    << die;
+            }
+        }
+    }
+}
+
+TEST(FlashArrayDeathTest, VectorReadPastLastPageDies)
+{
+    const Geometry g = oddGeometry();
+    FlashArray array(g, oddTiming());
+    EXPECT_DEATH(array.readVector(Cycle{}, PageId{g.totalPages()},
+                                  Bytes{}, Bytes{128}, {}),
+                 "ppn out of range");
+}
+
+TEST(FlashArrayDeathTest, VectorReadAcrossPageBoundaryDies)
+{
+    FlashArray array(oddGeometry(), oddTiming());
+    EXPECT_DEATH(array.readVector(Cycle{}, PageId{5}, Bytes{4000},
+                                  Bytes{128}, {}),
+                 "crosses page boundary");
+}
+
+TEST(FmcDeathTest, TransferLargerThanAPageDies)
+{
+    Fmc fmc(5, oddTiming());
+    EXPECT_DEATH(fmc.readVector(Cycle{}, 0, Bytes{4097}),
+                 "transfer larger than a page");
+}
+
 } // namespace
 } // namespace rmssd::flash

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "flash/flash_array.h"
 #include "ftl/extent.h"
+#include "ftl/freq_mapping.h"
 #include "ftl/ftl.h"
 #include "ftl/mapping.h"
 #include "sim/rng.h"
@@ -196,6 +198,105 @@ TEST_F(FtlFixture, EvReadAcrossPageBoundaryDies)
     EXPECT_DEATH(
         ftl_.readBytes(Cycle{}, Lba{7}, Bytes{500}, Bytes{128}, {}),
         "crosses flash page boundary");
+}
+
+/** 3 channels x 5 dies x 2 planes: no power-of-two routing (960 pages). */
+flash::FlashArray
+makeOddArray()
+{
+    flash::Geometry g;
+    g.numChannels = 3;
+    g.diesPerChannel = 5;
+    g.planesPerDie = 2;
+    g.blocksPerPlane = 4;
+    g.pagesPerBlock = 8;
+    flash::FlashArray array(g, flash::tableIITiming());
+    // Every physical page holds distinct bytes, so a read's contents
+    // name the (ppn, offset) it came from.
+    Rng fill(0xf111);
+    std::vector<std::uint8_t> page(g.pageSizeBytes.raw());
+    for (std::uint64_t ppn = 0; ppn < g.totalPages(); ++ppn) {
+        for (auto &b : page)
+            b = static_cast<std::uint8_t>(fill.next());
+        array.writePageFunctional(PageId{ppn}, page);
+    }
+    return array;
+}
+
+/**
+ * Drive a fixed-seed stream of EV reads through Ftl::readBytes and
+ * check each one reads where Ftl::translate says: the bytes equal the
+ * store's at (ppn, offset) and the read lands on decompose(ppn)'s
+ * channel and die. Half the reads hit 16 hot pages so a frequency
+ * mapping's heat tracker sees repeats. Returns the LBAs read.
+ */
+std::vector<Lba>
+expectReadBytesFollowsTranslate(flash::FlashArray &array, Ftl &ftl)
+{
+    const flash::Geometry &g = array.geometry();
+    const std::uint64_t spp = ftl.sectorsPerPage();
+    Rng rng(0x7a11);
+    std::vector<Lba> lbas;
+    for (int step = 0; step < 3000; ++step) {
+        const std::uint64_t pages =
+            rng.nextBounded(2) == 0 ? 16 : g.totalPages();
+        const Lba lba{rng.nextBounded(pages * spp)};
+        const Bytes byteInSector{rng.nextBounded(ftl.sectorSize())};
+        const Ftl::PhysLoc loc = ftl.translate(lba, byteInSector);
+        const Bytes bytes{
+            1 + rng.nextBounded(ftl.pageSize() - loc.pageByteOffset.raw())};
+        const flash::Pba pba = g.decompose(loc.ppn);
+        const flash::Fmc &fmc = array.fmc(pba.channel);
+        const std::uint64_t readsBefore = fmc.vectorReads().value();
+        const Cycle busyBefore = fmc.dieBusyCycles(pba.die);
+
+        std::vector<std::uint8_t> out(bytes.raw());
+        std::vector<std::uint8_t> want(bytes.raw());
+        ftl.readBytes(Cycle{}, lba, byteInSector, bytes, out);
+        array.store().read(loc.ppn, loc.pageByteOffset, want);
+        EXPECT_EQ(out, want) << "step " << step;
+        EXPECT_EQ(fmc.vectorReads().value(), readsBefore + 1)
+            << "step " << step;
+        EXPECT_EQ(fmc.dieBusyCycles(pba.die),
+                  busyBefore + array.timing().flushCycles())
+            << "step " << step;
+        lbas.push_back(lba);
+    }
+    return lbas;
+}
+
+TEST(FtlDifferential, ReadBytesFollowsTranslateUnderLinearMapping)
+{
+    flash::FlashArray array = makeOddArray();
+    Ftl ftl = Ftl::makeLinear(array);
+    expectReadBytesFollowsTranslate(array, ftl);
+    EXPECT_EQ(ftl.evRequests().value(), 3000u);
+}
+
+TEST(FtlDifferential, ReadBytesFollowsTranslateUnderFrequencyMapping)
+{
+    flash::FlashArray array = makeOddArray();
+    const std::uint64_t pages = array.geometry().totalPages();
+    auto owned = std::make_unique<FrequencyMapping>(pages);
+    FrequencyMapping &mapping = *owned;
+    std::vector<PageId> hot;
+    for (std::uint64_t i = 0; i < 40; ++i)
+        hot.push_back(PageId{pages - 1 - 23 * i});
+    const auto swaps = mapping.planHotSet(hot);
+    ASSERT_FALSE(swaps.empty());
+    for (const auto &swap : swaps)
+        mapping.commitSwap(swap);
+    Ftl ftl(array, std::move(owned));
+
+    const std::vector<Lba> lbas = expectReadBytesFollowsTranslate(array, ftl);
+
+    // readBytes fed the heat tracker the logical page of every read.
+    FrequencyMapping reference(pages);
+    for (const Lba lba : lbas)
+        reference.noteRead(PageId{lba.raw() / ftl.sectorsPerPage()});
+    EXPECT_EQ(mapping.observedReads(), reference.observedReads());
+    EXPECT_EQ(mapping.observedHot(32), reference.observedHot(32));
+    EXPECT_FALSE(mapping.observedHot(32).empty());
 }
 
 } // namespace
