@@ -21,44 +21,46 @@ CoalescingTable::reset(std::size_t maxKeys)
 }
 
 std::size_t
-CoalescingTable::home(std::uint64_t key) const
+CoalescingTable::probe(std::uint64_t key, std::uint64_t hash) const
 {
-    return static_cast<std::size_t>(splitmix64(key)) & (slots_.size() - 1);
+    RMSSD_ASSERT(!slots_.empty(), "coalescing table probed before reset");
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(hash) & mask;
+    while (slots_[i].epoch == epoch_ && slots_[i].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+CoalescingTable::insertAt(std::size_t slot, std::uint64_t key, Cycle done,
+                          std::span<const std::uint8_t> data)
+{
+    RMSSD_ASSERT(2 * (size_ + 1) <= slots_.size(),
+                 "coalescing table sized below the batch's lookups");
+    RMSSD_ASSERT(!entry(slot), "key already coalesced");
+    RMSSD_ASSERT(arena_.size() + data.size() <= ~std::uint32_t{0},
+                 "coalesced bytes exceed the arena's offset range");
+    Entry &e = slots_[slot];
+    e.key = key;
+    e.done = done;
+    e.epoch = epoch_;
+    e.offset = static_cast<std::uint32_t>(arena_.size());
+    e.length = static_cast<std::uint32_t>(data.size());
+    arena_.insert(arena_.end(), data.begin(), data.end());
+    ++size_;
 }
 
 const CoalescingTable::Entry *
 CoalescingTable::find(std::uint64_t key) const
 {
-    for (std::size_t i = home(key);; i = (i + 1) & (slots_.size() - 1)) {
-        const Entry &slot = slots_[i];
-        if (slot.epoch != epoch_)
-            return nullptr;
-        if (slot.key == key)
-            return &slot;
-    }
+    return entry(probe(key, splitmix64(key)));
 }
 
 void
 CoalescingTable::insert(std::uint64_t key, Cycle done,
                         std::span<const std::uint8_t> data)
 {
-    RMSSD_ASSERT(2 * (size_ + 1) <= slots_.size(),
-                 "coalescing table sized below the batch's lookups");
-    std::size_t i = home(key);
-    while (slots_[i].epoch == epoch_) {
-        RMSSD_ASSERT(slots_[i].key != key, "key already coalesced");
-        i = (i + 1) & (slots_.size() - 1);
-    }
-    RMSSD_ASSERT(arena_.size() + data.size() <= ~std::uint32_t{0},
-                 "coalesced bytes exceed the arena's offset range");
-    Entry &slot = slots_[i];
-    slot.key = key;
-    slot.done = done;
-    slot.epoch = epoch_;
-    slot.offset = static_cast<std::uint32_t>(arena_.size());
-    slot.length = static_cast<std::uint32_t>(data.size());
-    arena_.insert(arena_.end(), data.begin(), data.end());
-    ++size_;
+    insertAt(probe(key, splitmix64(key)), key, done, data);
 }
 
 } // namespace rmssd::engine

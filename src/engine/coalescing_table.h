@@ -14,7 +14,10 @@
  * nothing.
  *
  * Entries are only ever found by key, never iterated, so the slot
- * layout cannot leak into simulated results.
+ * layout cannot leak into simulated results. One probe() serves both
+ * halves of a lookup: the slot it returns either holds the key (a
+ * duplicate) or is the free slot the key's insertAt() fills after
+ * the read.
  */
 
 #ifndef RMSSD_ENGINE_COALESCING_TABLE_H
@@ -48,13 +51,32 @@ class CoalescingTable
      */
     void reset(std::size_t maxKeys);
 
+    /**
+     * The slot holding @p key this batch, else the free slot an
+     * insertAt() of @p key would take. @p hash is splitmix64(key),
+     * which the caller may share with the EV cache's set index. The
+     * free slot stays valid until the next insert.
+     */
+    std::size_t probe(std::uint64_t key, std::uint64_t hash) const;
+
+    /** The entry in @p slot this batch, or nullptr when it is free. */
+    const Entry *entry(std::size_t slot) const
+    {
+        return slots_[slot].epoch == epoch_ ? &slots_[slot] : nullptr;
+    }
+
+    /**
+     * Record @p key, served at @p done, into the free @p slot that
+     * probe() returned for it; @p data is copied into the arena
+     * (empty when timing-only).
+     */
+    void insertAt(std::size_t slot, std::uint64_t key, Cycle done,
+                  std::span<const std::uint8_t> data);
+
     /** This batch's entry for @p key, or nullptr. */
     const Entry *find(std::uint64_t key) const;
 
-    /**
-     * Record @p key (not yet present this batch), served at @p done;
-     * @p data is copied into the arena (empty when timing-only).
-     */
+    /** Record @p key (not yet present this batch); see insertAt(). */
     void insert(std::uint64_t key, Cycle done,
                 std::span<const std::uint8_t> data);
 
@@ -70,8 +92,6 @@ class CoalescingTable
     std::size_t capacity() const { return slots_.size(); }
 
   private:
-    std::size_t home(std::uint64_t key) const;
-
     std::vector<Entry> slots_;
     std::vector<std::uint8_t> arena_;
     std::uint64_t epoch_ = 0;

@@ -4,6 +4,7 @@
 
 #include "engine/ev_sum.h"
 #include "sim/log.h"
+#include "sim/rng.h"
 
 namespace rmssd::engine {
 
@@ -68,11 +69,17 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
             for (const std::uint64_t rawIndex : sample.indices[t]) {
                 const EvIndex index{rawIndex};
                 const std::uint64_t key = evKey(tableId, index);
+                // The coalescing table's home and the cache's set both
+                // come from this one hash.
+                const std::uint64_t hash =
+                    coalesce_ || cache_ ? splitmix64(key) : 0;
                 std::span<const std::uint8_t> bytes;
                 Cycle done;
 
+                const std::size_t seenSlot =
+                    coalesce_ ? seen_.probe(key, hash) : 0;
                 const CoalescingTable::Entry *dup =
-                    coalesce_ ? seen_.find(key) : nullptr;
+                    coalesce_ ? seen_.entry(seenSlot) : nullptr;
                 if (dup) {
                     // Duplicate within the batch: the vector was read
                     // once already; fanning it into this sample's EV
@@ -81,8 +88,11 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                     bytes = seen_.data(*dup);
                     coalesced_.inc();
                 } else {
+                    const EvCache::Slot cached =
+                        cache_ ? cache_->probe(tableId, key, hash)
+                               : EvCache::Slot{};
                     if (cache_ &&
-                        cache_->lookup(tableId, index,
+                        cache_->lookup(cached, key,
                                        functional ? &bytes : nullptr)) {
                         done = issue + cache_->hitCycles();
                     } else {
@@ -100,10 +110,10 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                         flashReads_.inc();
                         lookupBytes_.inc(req.bytes.raw());
                         if (cache_)
-                            cache_->fill(tableId, index, bytes);
+                            cache_->fill(cached, key, bytes);
                     }
                     if (coalesce_)
-                        seen_.insert(key, done, bytes);
+                        seen_.insertAt(seenSlot, key, done, bytes);
                 }
 
                 tableDone = std::max(tableDone, done);

@@ -79,10 +79,9 @@ EvCache::EvCache(const EvCacheConfig &config, Bytes lineBytes)
     }
 }
 
-std::size_t
-EvCache::setBase(TableId tableId, std::uint64_t key) const
+EvCache::Slot
+EvCache::probe(TableId tableId, std::uint64_t key, std::uint64_t hash) const
 {
-    const std::uint64_t hash = splitmix64(key);
     std::size_t set;
     if (partitions_.empty()) {
         set = static_cast<std::size_t>(hash % numSets_);
@@ -92,7 +91,8 @@ EvCache::setBase(TableId tableId, std::uint64_t key) const
         const EvCachePartition &p = partitions_[tableId.raw()];
         set = p.firstSet + static_cast<std::size_t>(hash % p.numSets);
     }
-    return set * ways_;
+    const std::size_t base = set * ways_;
+    return Slot{base, find(base, ways_, key)};
 }
 
 std::size_t
@@ -110,11 +110,16 @@ std::size_t
 EvCache::lruLine(std::size_t first, std::size_t count) const
 {
     // Free lines carry stamp 0, so the first of them wins before any
-    // valid line is considered for eviction.
+    // valid line is considered for eviction. Strict "<" keeps the
+    // first of equal stamps; the selects compile to cmovs, since the
+    // stamps' order is unpredictable.
     std::size_t victim = first;
+    std::uint64_t oldest = lines_[first].lastUse;
     for (std::size_t line = first + 1; line < first + count; ++line) {
-        if (lines_[line].lastUse < lines_[victim].lastUse)
-            victim = line;
+        const std::uint64_t stamp = lines_[line].lastUse;
+        const bool older = stamp < oldest;
+        victim = older ? line : victim;
+        oldest = older ? stamp : oldest;
     }
     return victim;
 }
@@ -152,38 +157,33 @@ EvCache::install(std::size_t line, std::uint64_t key,
 }
 
 bool
-EvCache::lookup(TableId tableId, EvIndex index,
+EvCache::lookup(const Slot &slot, std::uint64_t key,
                 std::span<const std::uint8_t> *out)
 {
-    const std::uint64_t key = evKey(tableId, index);
     if (sketch_)
         sketch_->record(key);
     // A functional caller needs the bytes; a line installed by a
     // timing-only run has none, so it cannot serve the hit.
-    const std::size_t line = find(setBase(tableId, key), ways_, key);
-    if (line == kNoLine || (out && !hasData(line))) {
+    if (slot.line == kNoLine || (out && !hasData(slot.line))) {
         misses_.inc();
         return false;
     }
-    lines_[line].lastUse = ++tick_;
+    lines_[slot.line].lastUse = ++tick_;
     hits_.inc();
     if (out)
-        *out = lineData(line);
+        *out = lineData(slot.line);
     return true;
 }
 
 void
-EvCache::fill(TableId tableId, EvIndex index,
+EvCache::fill(const Slot &slot, std::uint64_t key,
               std::span<const std::uint8_t> data)
 {
-    const std::uint64_t key = evKey(tableId, index);
-    const std::size_t base = setBase(tableId, key);
-
     // Refresh an existing line, else take the first free way, else
     // the least recently used one.
-    std::size_t victim = find(base, ways_, key);
+    std::size_t victim = slot.line;
     if (victim == kNoLine) {
-        victim = lruLine(base, ways_);
+        victim = lruLine(slot.base, ways_);
         if (lines_[victim].lastUse != 0) {
             // TinyLFU admission: displacing a valid line must be
             // earned — the candidate's estimated frequency has to beat
@@ -202,10 +202,26 @@ EvCache::fill(TableId tableId, EvIndex index,
 }
 
 bool
+EvCache::lookup(TableId tableId, EvIndex index,
+                std::span<const std::uint8_t> *out)
+{
+    const std::uint64_t key = evKey(tableId, index);
+    return lookup(probe(tableId, key, splitmix64(key)), key, out);
+}
+
+void
+EvCache::fill(TableId tableId, EvIndex index,
+              std::span<const std::uint8_t> data)
+{
+    const std::uint64_t key = evKey(tableId, index);
+    fill(probe(tableId, key, splitmix64(key)), key, data);
+}
+
+bool
 EvCache::contains(TableId tableId, EvIndex index) const
 {
     const std::uint64_t key = evKey(tableId, index);
-    return find(setBase(tableId, key), ways_, key) != kNoLine;
+    return probe(tableId, key, splitmix64(key)).line != kNoLine;
 }
 
 void

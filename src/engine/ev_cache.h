@@ -40,7 +40,10 @@
  * real bytes, so a timing-only run never pays for it. A probe reads
  * one contiguous run of tags — two host cache lines at 8 ways — and a
  * hit hands out a view of the line's bytes instead of copying the
- * vector.
+ * vector. A lookup is one probe(): a miss hands its Slot to the fill,
+ * so the set is hashed and scanned once per unique vector. Keys and
+ * stamps stay interleaved: a hit reads its key and its stamp from one
+ * host cache line, where two arrays would put them in two.
  */
 
 #ifndef RMSSD_ENGINE_EV_CACHE_H
@@ -155,29 +158,56 @@ class EvCache
      */
     EvCache(const EvCacheConfig &config, Bytes lineBytes);
 
+    /** Where a key lives: its set, and its line if it is cached. */
+    struct Slot
+    {
+        std::size_t base = 0; //!< first line of the key's set
+        std::size_t line = 0; //!< line holding the key, or kNoLine
+    };
+
+    /** Slot::line when no line of the set holds the key. */
+    static constexpr std::size_t kNoLine = ~std::size_t{0};
+
     /**
-     * Probe for (table, index). On a hit the line becomes
+     * Hash @p key (evKey of @p tableId's vector) to its set and scan
+     * the set for it. @p hash is splitmix64(key), which the caller may
+     * share with the coalescing table's home slot.
+     */
+    Slot probe(TableId tableId, std::uint64_t key,
+               std::uint64_t hash) const;
+
+    /**
+     * Look @p key up in its probed @p slot. On a hit the line becomes
      * most-recently-used and, when @p out is non-null, *out is set to
      * a view of the line's bytes, valid until the next fill() or
      * invalidate(). A non-null @p out demands data: a line installed
      * by a timing-only run carries none and reports a miss (the caller
      * re-reads flash and the fill refreshes the line with real bytes).
-     * Under TinyLFU admission the probe also records the key in the
+     * Under TinyLFU admission the lookup also records the key in the
      * frequency sketch (the sketch read runs in parallel with the tag
      * lookup, so it adds no cycles).
      * @return true on hit
      */
-    bool lookup(TableId tableId, EvIndex index,
+    bool lookup(const Slot &slot, std::uint64_t key,
                 std::span<const std::uint8_t> *out);
 
     /**
-     * Install (table, index) after a miss was served from flash.
+     * Install @p key into its probed @p slot after a miss was served
+     * from flash; no fill or hit may touch the cache in between.
      * @p data is empty for timing-only runs and otherwise exactly
      * lineBytes() long. Evicts the set's LRU line when the set is
      * full — unless TinyLFU admission rejects the fill (victim
      * estimated at least as popular as the candidate), in which case
      * the set is left untouched.
      */
+    void fill(const Slot &slot, std::uint64_t key,
+              std::span<const std::uint8_t> data);
+
+    /** lookup() of (table, index) through a fresh probe(). */
+    bool lookup(TableId tableId, EvIndex index,
+                std::span<const std::uint8_t> *out);
+
+    /** fill() of (table, index) through a fresh probe(). */
     void fill(TableId tableId, EvIndex index,
               std::span<const std::uint8_t> data);
 
@@ -223,11 +253,6 @@ class EvCache
         std::uint64_t lastUse = 0;
     };
 
-    /** find() result when no line matches. */
-    static constexpr std::size_t kNoLine = ~std::size_t{0};
-
-    /** First line of the set (table, key) maps to. */
-    std::size_t setBase(TableId tableId, std::uint64_t key) const;
     /** Line holding @p key among [first, first+count); kNoLine if none. */
     std::size_t find(std::size_t first, std::size_t count,
                      std::uint64_t key) const;

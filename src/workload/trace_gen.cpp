@@ -8,11 +8,39 @@
 
 namespace rmssd::workload {
 
+std::uint64_t
+hotRank(double u, double skew, std::uint64_t hotRows)
+{
+    const double n = static_cast<double>(hotRows);
+    if (skew == 2.0 && hotRows < (std::uint64_t{1} << 52)) {
+        // glibc's pow is within ~0.52 ULP, so pow(u, 2) and fl(u * u)
+        // are equal or adjacent doubles, and after "* n" the two
+        // products differ by a few ULP of x. Away from an integer by
+        // far more than that (2^-40 relative is ~4096 ULP), both
+        // products floor to the same rank. There is no add, so FMA
+        // contraction cannot change x either. With fewer than 2^52
+        // rows, floor(x) + 1 is exact and the signed cast floors x
+        // (x >= 0) in one instruction.
+        const double x = u * u * n;
+        const auto rank = static_cast<std::int64_t>(x);
+        const double f = static_cast<double>(rank);
+        const double guard = 0x1p-40 * std::max(x, 1.0);
+        if (x - f > guard && (f + 1.0) - x > guard)
+            return std::min(static_cast<std::uint64_t>(rank), hotRows - 1);
+    }
+    const auto rank =
+        static_cast<std::uint64_t>(std::pow(u, skew) * n);
+    return std::min(rank, hotRows - 1);
+}
+
 TraceGenerator::TraceGenerator(const model::ModelConfig &config,
                                const TraceConfig &trace)
     : config_(config), trace_(trace), rng_(trace.seed)
 {
     RMSSD_ASSERT(trace_.hotRowsPerTable > 0, "empty hot set");
+    tableSeeds_.reserve(config_.numTables);
+    for (std::uint32_t t = 0; t < config_.numTables; ++t)
+        tableSeeds_.push_back(hashCombine(trace_.seed, t));
 }
 
 std::uint64_t
@@ -22,9 +50,8 @@ TraceGenerator::hotRow(std::uint32_t table, std::uint64_t rank) const
     // rows land on distinct flash/cache pages. Hashing on every draw
     // beats a precomputed rank table: with 10k hot rows per table the
     // table falls out of the host cache while the device runs.
-    const std::uint64_t h =
-        hashCombine(hashCombine(trace_.seed, table), rank);
-    return h % config_.rowsPerTable;
+    RMSSD_ASSERT(table < tableSeeds_.size(), "table out of range");
+    return hashCombine(tableSeeds_[table], rank) % config_.rowsPerTable;
 }
 
 std::uint64_t
@@ -32,12 +59,8 @@ TraceGenerator::drawIndexWith(Rng &rng, std::uint32_t table) const
 {
     if (rng.nextDouble() < trace_.tableHotFraction(table)) {
         // Zipf-skewed rank inside the hot set.
-        const double u = rng.nextDouble();
-        const std::uint64_t rank = static_cast<std::uint64_t>(
-            std::pow(u, trace_.hotSkew) *
-            static_cast<double>(trace_.hotRowsPerTable));
-        return hotRow(table,
-                      std::min(rank, trace_.hotRowsPerTable - 1));
+        return hotRow(table, hotRank(rng.nextDouble(), trace_.hotSkew,
+                                     trace_.hotRowsPerTable));
     }
     return rng.nextBounded(config_.rowsPerTable);
 }
@@ -131,7 +154,7 @@ TraceGenerator::tableHistograms(std::uint64_t lookupsPerTable) const
     std::vector<TableHistogram> hist(config_.numTables);
     std::vector<std::uint64_t> hotSorted;
     hotSorted.reserve(trace_.hotRowsPerTable);
-    FlatMap<std::uint64_t> counts;
+    std::vector<bool> seen; // per hotSorted entry: drawn this table
     for (std::uint32_t t = 0; t < config_.numTables; ++t) {
         // Two ranks may hash to the same row; membership keeps one.
         hotSorted.clear();
@@ -140,21 +163,24 @@ TraceGenerator::tableHistograms(std::uint64_t lookupsPerTable) const
         std::sort(hotSorted.begin(), hotSorted.end());
         hotSorted.erase(std::unique(hotSorted.begin(), hotSorted.end()),
                         hotSorted.end());
+        seen.assign(hotSorted.size(), false);
 
-        counts.clear();
         TableHistogram &h = hist[t];
         h.totalLookups = lookupsPerTable;
         for (std::uint64_t i = 0; i < lookupsPerTable; ++i) {
             const std::uint64_t idx = drawIndexWith(rng, t);
-            const bool first = ++counts[idx] == 1;
-            if (std::binary_search(hotSorted.begin(), hotSorted.end(),
-                                   idx)) {
-                ++h.hotLookups;
-                if (first)
-                    ++h.uniqueHotIndices;
+            const auto it =
+                std::lower_bound(hotSorted.begin(), hotSorted.end(), idx);
+            if (it == hotSorted.end() || *it != idx)
+                continue;
+            ++h.hotLookups;
+            const auto pos =
+                static_cast<std::size_t>(it - hotSorted.begin());
+            if (!seen[pos]) {
+                seen[pos] = true;
+                ++h.uniqueHotIndices;
             }
         }
-        h.uniqueIndices = counts.size();
     }
     return hist;
 }

@@ -18,6 +18,14 @@
 
 namespace rmssd::workload {
 
+/**
+ * Hot rank of uniform draw @p u in [0, 1) over @p hotRows rows:
+ * floor(pow(u, skew) * hotRows), clamped to the last row. Bit-exact
+ * with that expression; at skew 2 it multiplies instead of calling
+ * pow, except within a guard band around an integer boundary.
+ */
+std::uint64_t hotRank(double u, double skew, std::uint64_t hotRows);
+
 /** Deterministic sample stream for one model + locality profile. */
 class TraceGenerator
 {
@@ -63,7 +71,6 @@ class TraceGenerator
     struct TableHistogram
     {
         std::uint64_t totalLookups = 0;
-        std::uint64_t uniqueIndices = 0;
         std::uint64_t hotLookups = 0; //!< lookups into the hot set
         /** Distinct hot-set rows seen — the cacheable working set. */
         std::uint64_t uniqueHotIndices = 0;
@@ -94,6 +101,8 @@ class TraceGenerator
     model::ModelConfig config_;
     TraceConfig trace_;
     Rng rng_;
+    /** hashCombine(seed, table) per table: hotRow's first hash. */
+    std::vector<std::uint64_t> tableSeeds_;
 };
 
 /**

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/driver.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -99,6 +101,180 @@ TEST(TraceGenerator, StreamMatchesPinnedFingerprint)
     }
     EXPECT_EQ(fingerprint, 0xc1145659656a757eULL);
     EXPECT_EQ(hotDraws, 27262u);
+}
+
+/**
+ * libm's pow, called for real. Given a constant exponent of 2, the
+ * compiler would fold pow(u, 2.0) into u * u, the very rewrite under
+ * test; reading the exponent through a volatile stops that.
+ */
+double
+libmPow(double u, double skew)
+{
+    const volatile double exponent = skew;
+    return std::pow(u, exponent);
+}
+
+/** The rank expression hotRank() must reproduce bit for bit. */
+std::uint64_t
+powRank(double u, double skew, std::uint64_t hotRows)
+{
+    const auto rank = static_cast<std::uint64_t>(
+        libmPow(u, skew) * static_cast<double>(hotRows));
+    return std::min(rank, hotRows - 1);
+}
+
+/** Hot-set sizes: tiny, the benchmarks' and figures', and odd ones. */
+const std::uint64_t kRankSizes[] = {1,    7,     200,          512,
+                                    1024, 10000, (1u << 20) + 3};
+
+TEST(HotRank, SquareMatchesPowOnAMillionDraws)
+{
+    for (const std::uint64_t n : kRankSizes) {
+        SCOPED_TRACE(n);
+        Rng rng(0x5eed0000 + n);
+        std::uint64_t mismatches = 0;
+        std::uint64_t inexactSquares = 0;
+        for (int i = 0; i < 1000000; ++i) {
+            const double u = rng.nextDouble();
+            mismatches += hotRank(u, 2.0, n) != powRank(u, 2.0, n);
+            inexactSquares += libmPow(u, 2.0) != u * u;
+        }
+        EXPECT_EQ(mismatches, 0u);
+        // pow is not correctly rounded, so the draws include squares
+        // where the multiply and pow disagree in the last bit.
+        EXPECT_GT(inexactSquares, 0u);
+    }
+}
+
+TEST(HotRank, DrawsAtARankBoundaryTakeThePowPath)
+{
+    // u = sqrt(k / n) puts u * u * n on the integer k, where the two
+    // products could floor differently. Walk 8 doubles either side:
+    // each lies inside the guard band, so hotRank must fall back to
+    // pow and agree with it exactly.
+    for (const std::uint64_t n : kRankSizes) {
+        SCOPED_TRACE(n);
+        const double nd = static_cast<double>(n);
+        const std::uint64_t step = std::max<std::uint64_t>(1, n / 997);
+        for (std::uint64_t k = 1; k < n; k += step) {
+            double u = std::sqrt(static_cast<double>(k) / nd);
+            for (int i = 0; i < 8; ++i)
+                u = std::nextafter(u, 0.0);
+            for (int i = 0; i < 17; ++i, u = std::nextafter(u, 1.0)) {
+                const double x = u * u * nd;
+                ASSERT_LE(std::abs(x - static_cast<double>(k)),
+                          0x1p-40 * static_cast<double>(k))
+                    << "u outside the guard band, k " << k;
+                ASSERT_EQ(hotRank(u, 2.0, n), powRank(u, 2.0, n))
+                    << "k " << k << " u " << u;
+            }
+        }
+    }
+}
+
+TEST(HotRank, OtherSkewsStayExact)
+{
+    for (const double skew : {1.5, 3.0}) {
+        for (const std::uint64_t n : kRankSizes) {
+            Rng rng(n);
+            for (int i = 0; i < 100000; ++i) {
+                const double u = rng.nextDouble();
+                ASSERT_EQ(hotRank(u, skew, n), powRank(u, skew, n))
+                    << "skew " << skew << " n " << n << " u " << u;
+            }
+        }
+    }
+    // The top of [0, 1) clamps to the last row at any skew.
+    const double top = std::nextafter(1.0, 0.0);
+    for (const double skew : {1.5, 2.0, 3.0})
+        EXPECT_EQ(hotRank(top, skew, 200), 199u);
+    EXPECT_EQ(hotRank(0.0, 2.0, 200), 0u);
+}
+
+/**
+ * Fingerprint of the first @p draws indices a generator produces,
+ * sample by sample, table by table.
+ */
+std::uint64_t
+drawFingerprint(const model::ModelConfig &cfg, const TraceConfig &trace,
+                std::uint64_t draws)
+{
+    TraceGenerator gen(cfg, trace);
+    std::uint64_t fingerprint = 0;
+    std::uint64_t n = 0;
+    while (n < draws) {
+        const model::Sample s = gen.next();
+        for (const auto &table : s.indices) {
+            for (const std::uint64_t idx : table) {
+                if (n++ < draws)
+                    fingerprint = hashCombine(fingerprint, idx);
+            }
+        }
+    }
+    return fingerprint;
+}
+
+/** The four trace shapes the benchmark workloads serve. */
+struct TraceShape
+{
+    const char *name;
+    model::ModelConfig model;
+    TraceConfig trace;
+};
+
+std::vector<TraceShape>
+benchmarkTraceShapes()
+{
+    // Each shape at the serving-trace seed the benchmark derives from
+    // run seed 1.
+    const std::uint64_t seed = hashCombine(1, 1);
+
+    TraceConfig cached = localityK(0.0);
+    cached.hotRowsPerTable = 200;
+    cached.seed = seed;
+
+    TraceConfig cold = localityK(2.0);
+    cold.seed = seed;
+
+    TraceConfig crowd;
+    crowd.hotRowsPerTable = 512;
+    crowd.hotSkew = 2.0;
+    crowd.hotAccessFraction = 0.8;
+    crowd.seed = seed;
+
+    TraceConfig hotHead;
+    hotHead.hotRowsPerTable = 1024;
+    hotHead.hotAccessFraction = 0.5;
+    hotHead.hotSkew = 2.0;
+    hotHead.seed = seed;
+    hotHead.tableHotFractions.assign(2, 1.0);
+    model::ModelConfig small = model::rmc1();
+    small.withRowsPerTable(1ull << 14);
+
+    return {{"cached K=0, 200 hot rows", model::rmc1(), cached},
+            {"localityK(2.0)", model::rmc2(), cold},
+            {"flash crowd, 512 hot rows", model::rmc1(), crowd},
+            {"hot head, 1024 hot rows", small, hotHead}};
+}
+
+TEST(TraceGenerator, BenchmarkShapesMatchPinnedFingerprints)
+{
+    // 10^5 draws of each benchmark trace shape, fingerprinted as the
+    // generator produced them when every hot rank still called pow.
+    const std::uint64_t pinned[] = {
+        0x8e96613a70c6ba58ULL,
+        0x59fe664bbc007d99ULL,
+        0x2423534535bd4cd4ULL,
+        0x7e47f3f7b9983768ULL,
+    };
+    const std::vector<TraceShape> shapes = benchmarkTraceShapes();
+    ASSERT_EQ(shapes.size(), std::size(pinned));
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        EXPECT_EQ(drawFingerprint(shapes[i].model, shapes[i].trace, 100000),
+                  pinned[i])
+            << shapes[i].name;
+    }
 }
 
 TEST(TraceGenerator, ResetRestartsTheStream)

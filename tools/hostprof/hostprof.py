@@ -1,0 +1,170 @@
+#!/usr/bin/env python3
+"""Profile one command with the hostprof sampler and print its hot spots.
+
+Runs COMMAND with ``libhostprof.so`` preloaded, which samples the
+program counter on a CPU-time timer (``setitimer(ITIMER_PROF)``: 1 ms
+asked, one scheduler tick at the coarsest). Then it symbolizes the
+samples: ``addr2line`` names addresses in objects with a symbol table,
+and the dynamic symbols (``nm -D``) name the rest. Time inside a
+stripped libm or libc is therefore counted, per object and per
+function. gprof cannot show that time at all: it only sees functions
+built with -pg, so a simulator spending a sixth of its time in libm's
+pow looks, under gprof, as if that time belonged to nobody.
+
+Usage:
+    hostprof.py --lib build/tools/hostprof/libhostprof.so [--top N] \\
+        [--repeat N] -- COMMAND [ARGS...]
+
+``--repeat N`` runs COMMAND N times and pools the samples, for commands
+too short to collect many.
+
+COMMAND's stdout and stderr go to stderr; the report goes to stdout.
+Only COMMAND's own process is measured. Samples are self time. Without
+debug info an inlined callee is charged to the function it was inlined
+into; with -g, addr2line names the inlined function itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import bisect
+import collections
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+
+def read_samples(paths: list[pathlib.Path]
+                 ) -> tuple[dict[str, list[int]], int, int]:
+    """{object path: [address, ...]}, unplaced samples and CPU ns."""
+    by_object: dict[str, list[int]] = collections.defaultdict(list)
+    unplaced = 0
+    cpu_ns = 0
+    for path in paths:
+        for line in path.read_text().splitlines():
+            obj, _, value = line.partition("\t")
+            if obj == "?":
+                unplaced += int(value)
+            elif obj == "=cpu_ns":
+                cpu_ns += int(value)
+            else:
+                by_object[obj].append(int(value, 16))
+    return by_object, unplaced, cpu_ns
+
+
+def addr2line(obj: str, addrs: list[int]) -> list[str]:
+    """Function name per address ("??" where addr2line has none)."""
+    proc = subprocess.run(["addr2line", "-f", "-C", "-e", obj],
+                          input="".join(f"{a:x}\n" for a in addrs),
+                          capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if proc.returncode or len(lines) != 2 * len(addrs):
+        return ["??"] * len(addrs)
+    return lines[0::2]
+
+
+def symbols(obj: str, dynamic: bool) -> list[tuple[int, int, str]]:
+    """Sorted (start, end, name) of @p obj's function symbols."""
+    proc = subprocess.run(["nm", *(["-D"] if dynamic else []), "-C", "-S",
+                           "--defined-only", obj],
+                          capture_output=True, text=True)
+    table = []
+    for line in proc.stdout.splitlines():
+        parts = line.split(None, 3)
+        if len(parts) == 4 and parts[2] in "TtWwiI":
+            start, size = int(parts[0], 16), int(parts[1], 16)
+            table.append((start, start + size, parts[3]))
+    return sorted(table)
+
+
+def symbolize(obj: str, addrs: list[int]) -> list[str]:
+    """Function name per address of @p obj.
+
+    An object with a symbol table goes through addr2line, which also
+    names inlined functions when the object has debug info. A stripped
+    system library (libc, libm) keeps only its dynamic symbols; an
+    address outside all of them is internal code, named after the
+    exported function it follows (glibc's pow@@GLIBC_2.29 is a short
+    wrapper, so its work shows as "?? (after pow@@GLIBC_2.29)").
+    """
+    unique = sorted(set(addrs))
+    if symbols(obj, dynamic=False):
+        names = dict(zip(unique, addr2line(obj, unique)))
+    else:
+        table = symbols(obj, dynamic=True)
+        starts = [t[0] for t in table]
+        names = {}
+        for a in unique:
+            i = bisect.bisect_right(starts, a) - 1
+            if i < 0:
+                names[a] = "??"
+            elif a < table[i][1]:
+                names[a] = table[i][2]
+            else:
+                names[a] = f"?? (after {table[i][2]})"
+    return [names[a] for a in addrs]
+
+
+def report(paths: list[pathlib.Path], top: int) -> None:
+    by_object, unplaced, cpu_ns = read_samples(paths)
+    total = unplaced + sum(len(a) for a in by_object.values())
+    if total == 0:
+        print("hostprof: no samples (the command used too little CPU)")
+        return
+    per_function: collections.Counter[tuple[str, str]] = collections.Counter()
+    per_object: collections.Counter[str] = collections.Counter()
+    for obj, addrs in by_object.items():
+        short = os.path.basename(obj)
+        per_object[short] += len(addrs)
+        for name in symbolize(obj, addrs):
+            per_function[(name, short)] += 1
+    print(f"hostprof: {total} samples over {cpu_ns / 1e9:.3f} s of CPU "
+          f"(one per {cpu_ns / 1e6 / total:.2f} ms)")
+    print("\nper object")
+    for short, n in per_object.most_common():
+        print(f"  {100.0 * n / total:6.2f} %  {n:8d}  {short}")
+    if unplaced:
+        print(f"  {100.0 * unplaced / total:6.2f} %  {unplaced:8d}  "
+              "(outside every object, or past the sample buffer)")
+    print(f"\ntop {top} functions (self time)")
+    for (name, short), n in per_function.most_common(top):
+        print(f"  {100.0 * n / total:6.2f} %  {n:8d}  {name}  [{short}]")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--lib", type=pathlib.Path, required=True,
+                        help="the libhostprof.so to preload")
+    parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="run the command this many times")
+    parser.add_argument("command", nargs=argparse.REMAINDER)
+    args = parser.parse_args()
+    command = args.command[1:] if args.command[:1] == ["--"] else args.command
+
+    if not command:
+        parser.error("no command to profile")
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i in range(args.repeat):
+            paths.append(pathlib.Path(tmp) / f"samples.{i}.txt")
+            env = dict(os.environ, LD_PRELOAD=str(args.lib.resolve()),
+                       HOSTPROF_OUT=str(paths[-1]))
+            status = status or subprocess.run(
+                command, env=env, stdout=sys.stderr,
+                stderr=sys.stderr).returncode
+            if not paths[-1].exists():
+                print("hostprof: the command wrote no samples",
+                      file=sys.stderr)
+                return 1
+        report(paths, args.top)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
