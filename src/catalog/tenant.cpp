@@ -442,13 +442,7 @@ engine::InferenceOutcome
 TenantFleet::inferTenant(std::size_t i,
                          std::span<const model::Sample> samples)
 {
-    const engine::RequestId id = submitTenant(i, samples);
-    auto completions = drain();
-    for (auto &completion : completions)
-        if (completion.id == id)
-            return std::move(completion.outcome);
-    fatal("fleet request %llu lost in drain",
-          static_cast<unsigned long long>(id));
+    return drainFor(submitTenant(i, samples));
 }
 
 engine::InferenceOutcome

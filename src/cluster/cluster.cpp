@@ -12,7 +12,8 @@ namespace rmssd::cluster {
 
 RmSsdCluster::RmSsdCluster(const model::ModelConfig &config,
                            const ClusterOptions &options)
-    : config_(config), options_(options),
+    : PipelinedDevice(options.device.functional), config_(config),
+      options_(options),
       plan_(planTableSharding(config, options.sharding,
                               options.histograms)),
       fullModel_(config)
@@ -127,35 +128,12 @@ RmSsdCluster::chooseHome(const std::vector<std::uint64_t> &assignedLookups)
     return 0;
 }
 
-engine::RequestId
-RmSsdCluster::submit(std::span<const model::Sample> samples)
+ClusterRequest
+RmSsdCluster::issue(std::span<const model::Sample> samples,
+                    host::EmbeddingTier::Intercept *icpt)
 {
-    RMSSD_ASSERT(!samples.empty(), "empty inference request");
-    if (!hostTier_ || !hostTier_->active())
-        return submitResidual(samples, nullptr);
-
-    // Tier above the router: intercept the full-model request first,
-    // charge the DRAM service time, then shard only the residual —
-    // tables the tier fully absorbed route nowhere.
-    host::EmbeddingTier::Intercept icpt =
-        hostTier_->intercept(samples, options_.device.functional);
-    advanceHostClock(icpt.hostNanos);
-    return submitResidual(icpt.residual, &icpt);
-}
-
-engine::RequestId
-RmSsdCluster::submitResidual(std::span<const model::Sample> samples,
-                             host::EmbeddingTier::Intercept *icpt)
-{
-    // Bounded queue depth: the oldest request gathers and retires
-    // before a new one scatters (host backpressure). At depth 1 this
-    // reproduces the blocking infer() loop op-for-op.
-    while (inflight_.size() >= maxInflight())
-        retireAt(0);
-
     const std::uint32_t numDevices = plan_.numDevices();
-    ClusterInflight request;
-    request.id = allocateRequestId();
+    ClusterRequest request;
     request.t0 = clusterNow_;
     request.numSamples = samples.size();
 
@@ -259,21 +237,12 @@ RmSsdCluster::submitResidual(std::span<const model::Sample> samples,
         request.samples.assign(samples.begin(), samples.end());
     if (icpt)
         request.tierServed = std::move(icpt->served);
-
-    submitted_.inc();
-    const engine::RequestId id = request.id;
-    inflight_.push_back(std::move(request));
-    queueDepthOnSubmit_.sample(static_cast<double>(inflight_.size()));
-    return id;
+    return request;
 }
 
-void
-RmSsdCluster::retireAt(std::size_t pos)
+engine::InferenceOutcome
+RmSsdCluster::retire(ClusterRequest request)
 {
-    RMSSD_ASSERT(pos < inflight_.size(), "no request in flight");
-    ClusterInflight request = std::move(inflight_[pos]);
-    inflight_.erase(inflight_.begin() +
-                    static_cast<std::ptrdiff_t>(pos));
     const Cycle t0 = request.t0;
 
     // Gather: pop each participating shard's completion, paired by
@@ -373,11 +342,10 @@ RmSsdCluster::retireAt(std::size_t pos)
     // by placing every chosen replica's partial slice at its global
     // offset — a pure placement copy, so the result is byte-identical
     // to the unsharded device's pooled vector.
-    engine::AsyncCompletion done;
-    done.id = request.id;
+    engine::InferenceOutcome done;
     if (options_.device.functional) {
         const std::uint32_t dim = config_.embDim;
-        done.outcome.outputs.reserve(
+        done.outputs.reserve(
             request.numSamples *
             (options_.embeddingOnly
                  ? static_cast<std::size_t>(config_.numTables) * dim
@@ -440,11 +408,10 @@ RmSsdCluster::retireAt(std::size_t pos)
                                 static_cast<std::size_t>(g) * dim);
             }
             if (options_.embeddingOnly) {
-                done.outcome.outputs.insert(done.outcome.outputs.end(),
-                                            pooled.begin(),
-                                            pooled.end());
+                done.outputs.insert(done.outputs.end(), pooled.begin(),
+                                    pooled.end());
             } else {
-                done.outcome.outputs.push_back(
+                done.outputs.push_back(
                     engine::decomposedForward(
                         fullModel_, request.samples[s].dense, pooled));
             }
@@ -464,23 +431,13 @@ RmSsdCluster::retireAt(std::size_t pos)
     lastCompletion_ = end;
     requests_.inc();
 
-    done.outcome.latency = cyclesToNanos(end - t0);
-    done.outcome.completionCycle = end;
-    retired_.inc();
-    pushCompletion(std::move(done));
-}
-
-bool
-RmSsdCluster::retireNext()
-{
-    if (inflight_.empty())
-        return false;
-    retireAt(0);
-    return true;
+    done.latency = cyclesToNanos(end - t0);
+    done.completionCycle = end;
+    return done;
 }
 
 Cycle
-RmSsdCluster::requestReadyCycle(const ClusterInflight &request) const
+RmSsdCluster::readyCycle(const ClusterRequest &request) const
 {
     const auto subDoneCycle = [&](std::uint32_t d) {
         for (const auto &[pd, subId] : request.participants) {
@@ -511,57 +468,6 @@ RmSsdCluster::requestReadyCycle(const ClusterInflight &request) const
     return ready;
 }
 
-bool
-RmSsdCluster::oldestDoneBy(Cycle when) const
-{
-    if (hasQueuedCompletion())
-        return true;
-    if (inflight_.empty())
-        return false;
-    // The oldest fleet request's status poll: all of its sub-requests
-    // (or, per hedged table, the first of the two) read done at
-    // `when`. Only the gather + home-MLP tail runs past `when` at
-    // retire.
-    return requestReadyCycle(inflight_.front()) <= when;
-}
-
-std::uint32_t
-RmSsdCluster::harvestDoneBy(Cycle when)
-{
-    std::uint32_t retired = 0;
-    std::size_t pos = 0;
-    while (pos < inflight_.size()) {
-        if (requestReadyCycle(inflight_[pos]) <= when) {
-            retireAt(pos);
-            ++retired;
-        } else {
-            ++pos;
-        }
-    }
-    return retired;
-}
-
-Cycle
-RmSsdCluster::nextDoneCycle() const
-{
-    Cycle earliest = engine::kNeverCycle;
-    for (const ClusterInflight &request : inflight_)
-        earliest = std::min(earliest, requestReadyCycle(request));
-    return earliest;
-}
-
-Cycle
-RmSsdCluster::requestDoneCycle(engine::RequestId id) const
-{
-    if (hasCompletionFor(id))
-        return Cycle{0};
-    for (const ClusterInflight &request : inflight_) {
-        if (request.id == id)
-            return requestReadyCycle(request);
-    }
-    return engine::kNeverCycle;
-}
-
 void
 RmSsdCluster::setMaxInflight(std::uint32_t depth)
 {
@@ -570,18 +476,6 @@ RmSsdCluster::setMaxInflight(std::uint32_t depth)
     engine::InferenceDevice::setMaxInflight(depth);
     for (const auto &shard : shards_)
         shard->setMaxInflight(depth);
-}
-
-engine::InferenceOutcome
-RmSsdCluster::infer(std::span<const model::Sample> samples)
-{
-    const engine::RequestId id = submit(samples);
-    engine::InferenceOutcome outcome;
-    for (engine::AsyncCompletion &completion : drain()) {
-        if (completion.id == id)
-            outcome = std::move(completion.outcome);
-    }
-    return outcome;
 }
 
 std::uint32_t
@@ -650,11 +544,7 @@ RmSsdCluster::migrateIfDrifted()
 void
 RmSsdCluster::attachHostTier(std::shared_ptr<host::EmbeddingTier> tier)
 {
-    if (tier)
-        RMSSD_ASSERT(tier->model().config().numTables ==
-                         config_.numTables,
-                     "tier model shape does not match the cluster");
-    hostTier_ = std::move(tier);
+    PipelinedDevice::attachHostTier(std::move(tier));
     // Residual sub-requests carry variable-length lookup lists, so the
     // shards must charge input DMA by what they actually receive (the
     // config formula would charge full-size payloads for slices the
@@ -662,7 +552,7 @@ RmSsdCluster::attachHostTier(std::shared_ptr<host::EmbeddingTier> tier)
     // layer above (e.g. a multi-tenant front) asked for actual-count
     // accounting independently.
     for (const auto &shard : shards_)
-        shard->setChargeActualIndexBytes(hostTier_ != nullptr ||
+        shard->setChargeActualIndexBytes(hostTier() != nullptr ||
                                          chargeActualIndexBytes_);
 }
 
@@ -671,7 +561,7 @@ RmSsdCluster::setChargeActualIndexBytes(bool on)
 {
     chargeActualIndexBytes_ = on;
     for (const auto &shard : shards_)
-        shard->setChargeActualIndexBytes(on || hostTier_ != nullptr);
+        shard->setChargeActualIndexBytes(on || hostTier() != nullptr);
 }
 
 std::uint64_t
@@ -700,8 +590,7 @@ RmSsdCluster::resetTiming()
     std::fill(topFree_.begin(), topFree_.end(), Cycle{});
     rrHome_ = 0;
     std::fill(rrReplica_.begin(), rrReplica_.end(), 0);
-    inflight_.clear();
-    clearCompletions();
+    clearRequests();
 }
 
 void
@@ -725,9 +614,9 @@ RmSsdCluster::registerStats(StatsRegistry &registry,
     const ScopedStats host = stats.scoped("host");
     host.addCounter("bytesRead", &hostBytesRead_);
     host.addCounter("bytesWritten", &hostBytesWritten_);
-    if (hostTier_) {
-        const ScopedStats tier = host.scoped("tier");
-        hostTier_->registerStats(tier.registry(), tier.prefix());
+    if (const host::EmbeddingTier *tier = hostTier()) {
+        const ScopedStats tierStats = host.scoped("tier");
+        tier->registerStats(tierStats.registry(), tierStats.prefix());
     }
     for (std::uint32_t d = 0; d < plan_.numDevices(); ++d) {
         const ScopedStats dev =

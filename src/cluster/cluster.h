@@ -16,13 +16,13 @@
 #define RMSSD_CLUSTER_CLUSTER_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "cluster/sharding.h"
 #include "engine/inference_device.h"
+#include "engine/pipelined_device.h"
 #include "engine/rm_ssd.h"
 #include "host/embedding_tier.h"
 #include "model/dlrm.h"
@@ -83,62 +83,47 @@ struct ClusterOptions
     std::vector<workload::TraceGenerator::TableHistogram> histograms;
 };
 
-/** A fleet of RM-SSD shards serving one model. */
-class RmSsdCluster : public engine::InferenceDevice
+/** One scattered-but-not-gathered fleet request (async pipeline). */
+struct ClusterRequest
+{
+    engine::RequestId id = 0;
+    Cycle t0; //!< fleet clock at scatter time
+    std::size_t numSamples = 0;
+    /** Serving replica chosen per global table. */
+    std::vector<std::uint32_t> chosen;
+    std::vector<std::uint64_t> assignedLookups;
+    /** (device, shard ticket) per participant, in device order. */
+    std::vector<std::pair<std::uint32_t, engine::RequestId>>
+        participants;
+    /** Request samples, kept for the functional gather. */
+    std::vector<model::Sample> samples;
+    /** Host-tier served slices per sample (empty without a tier);
+     *  slice.table is the GLOBAL table id (full-model samples). */
+    std::vector<std::vector<host::EmbeddingTier::ServedSlice>>
+        tierServed;
+    /** Hedged tables: (global table, alternate device) pairs. */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> hedged;
+    /** Per-table lookup counts (filled only when hedging). */
+    std::vector<std::uint64_t> tableLookups;
+};
+
+/**
+ * A fleet of RM-SSD shards serving one model. Requests pipeline
+ * through the shared async queue (engine::PipelinedDevice): submit
+ * routes and scatters — each shard's sub-request issues through its
+ * own async queue, so shard clocks stay independent between scatters
+ * and least-outstanding routing observes real per-device depths — and
+ * the gather, the home MLP and the completion bookkeeping run when the
+ * request retires. A request is done once every table's lookups are
+ * done on at least one serving replica; the home-MLP and readout tail
+ * still run at retire, so out-of-order finishers (disjoint shard sets,
+ * hedge wins) retire past a straggler.
+ */
+class RmSsdCluster : public engine::PipelinedDevice<ClusterRequest>
 {
   public:
     RmSsdCluster(const model::ModelConfig &config,
                  const ClusterOptions &options);
-
-    /**
-     * Scatter one request's lookups to the owning shards, gather the
-     * partial pooled sums, and (unless embeddingOnly) run the MLP on
-     * the router-chosen home device. Implemented as submit() +
-     * drain(), so any other outstanding submissions retire with it.
-     */
-    engine::InferenceOutcome
-    infer(std::span<const model::Sample> samples) override;
-
-    /**
-     * Issue one request asynchronously: route and scatter now (each
-     * shard's sub-request issues through its own async queue, so
-     * shard clocks stay independent between scatters and
-     * least-outstanding routing observes real per-device depths);
-     * defer the gather, the home MLP, and the completion bookkeeping
-     * until the request retires.
-     */
-    engine::RequestId
-    submit(std::span<const model::Sample> samples) override;
-
-    /** Retire the oldest outstanding request; false when idle. */
-    bool retireNext() override;
-
-    bool oldestDoneBy(Cycle when) const override;
-
-    /**
-     * Eager completion scan: retire every in-flight fleet request
-     * whose gather inputs are ready by @p when — every table's
-     * lookups done on at least one serving replica (the home-MLP and
-     * readout tail still run at retire). Out-of-order finishers
-     * (disjoint shard sets, hedge wins) retire past a straggler.
-     */
-    std::uint32_t harvestDoneBy(Cycle when) override;
-
-    /** Earliest gather-ready cycle among in-flight fleet requests. */
-    Cycle nextDoneCycle() const override;
-
-    /**
-     * Gather-ready cycle of fleet request @p id, the per-id twin of
-     * engine::RmSsd::requestDoneCycle: Cycle{0} once its completion is
-     * queued, kNeverCycle for unknown ids.
-     */
-    Cycle requestDoneCycle(engine::RequestId id) const;
-
-    /** Requests issued but not yet retired. */
-    std::uint32_t inflight() const override
-    {
-        return static_cast<std::uint32_t>(inflight_.size());
-    }
 
     /** Resize the queue and mirror the depth onto every shard. */
     void setMaxInflight(std::uint32_t depth) override;
@@ -180,18 +165,6 @@ class RmSsdCluster : public engine::InferenceDevice
      */
     void attachHostTier(std::shared_ptr<host::EmbeddingTier> tier)
         override;
-    const host::EmbeddingTier *hostTier() const override
-    {
-        return hostTier_.get();
-    }
-    std::uint64_t tierSliceHits() const override
-    {
-        return hostTier_ ? hostTier_->sliceHits().value() : 0;
-    }
-    std::uint64_t tierSliceMisses() const override
-    {
-        return hostTier_ ? hostTier_->sliceMisses().value() : 0;
-    }
 
     /**
      * Forward actual-index-count DMA accounting to every shard (a
@@ -209,7 +182,7 @@ class RmSsdCluster : public engine::InferenceDevice
     }
     /** Fleet-level requests served. */
     const Counter &requests() const { return requests_; }
-    /** Shard infer() calls issued by the scatter stage. */
+    /** Shard sub-requests submitted by the scatter stage. */
     const Counter &subRequests() const { return subRequests_; }
     /** Hedged table lookups issued to an alternate replica. */
     const Counter &hedgesIssued() const { return hedgesIssued_; }
@@ -223,57 +196,26 @@ class RmSsdCluster : public engine::InferenceDevice
     std::uint32_t chooseHome(
         const std::vector<std::uint64_t> &assignedLookups);
 
-    /** One scattered-but-not-gathered request (async pipeline). */
-    struct ClusterInflight
-    {
-        engine::RequestId id = 0;
-        Cycle t0; //!< fleet clock at scatter time
-        std::size_t numSamples = 0;
-        /** Serving replica chosen per global table. */
-        std::vector<std::uint32_t> chosen;
-        std::vector<std::uint64_t> assignedLookups;
-        /** (device, shard ticket) per participant, in device order. */
-        std::vector<std::pair<std::uint32_t, engine::RequestId>>
-            participants;
-        /** Request samples, kept for the functional gather. */
-        std::vector<model::Sample> samples;
-        /** Host-tier served slices per sample (empty without a tier);
-         *  slice.table is the GLOBAL table id (full-model samples). */
-        std::vector<std::vector<host::EmbeddingTier::ServedSlice>>
-            tierServed;
-        /** Hedged tables: (global table, alternate device) pairs. */
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> hedged;
-        /** Per-table lookup counts (filled only when hedging). */
-        std::vector<std::uint64_t> tableLookups;
-    };
-
-    /**
-     * Retire stage (shard gather + home MLP + presend bookkeeping) of
-     * the in-flight request at queue position @p pos.
-     */
-    void retireAt(std::size_t pos);
+    /** Route/scatter stage over the (possibly residual) samples. */
+    ClusterRequest issue(std::span<const model::Sample> samples,
+                         host::EmbeddingTier::Intercept *icpt) override;
 
     /**
      * First cycle @p request can gather: every table with lookups is
      * done on at least one of its serving replicas (the chosen home,
-     * or — for hedged tables — the alternate too). Every done-probe
-     * (oldestDoneBy, harvestDoneBy, nextDoneCycle) compares it
-     * against its `when`; kNeverCycle = not yet known.
+     * or — for hedged tables — the alternate too). kNeverCycle = not
+     * yet known.
      */
-    Cycle requestReadyCycle(const ClusterInflight &request) const;
+    Cycle readyCycle(const ClusterRequest &request) const override;
 
-    /** Route/scatter stage over the (possibly residual) samples. */
-    engine::RequestId
-    submitResidual(std::span<const model::Sample> samples,
-                   host::EmbeddingTier::Intercept *icpt);
+    /** Retire stage: shard gather + home MLP + presend bookkeeping. */
+    engine::InferenceOutcome retire(ClusterRequest request) override;
 
     model::ModelConfig config_;
     ClusterOptions options_;
     ShardPlan plan_;
     model::DlrmModel fullModel_;
     std::vector<std::unique_ptr<engine::RmSsd>> shards_;
-    /** Host-DRAM embedding tier above the router; nullptr without. */
-    std::shared_ptr<host::EmbeddingTier> hostTier_;
     /** Actual-count DMA accounting requested from above the cluster. */
     bool chargeActualIndexBytes_ = false;
 
@@ -291,8 +233,6 @@ class RmSsdCluster : public engine::InferenceDevice
     /** Round-robin rotation state. */
     std::uint64_t rrHome_ = 0;
     std::vector<std::uint64_t> rrReplica_;
-
-    std::deque<ClusterInflight> inflight_;
 
     Counter requests_;
     Counter subRequests_;

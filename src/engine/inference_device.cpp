@@ -82,6 +82,17 @@ InferenceDevice::drain()
     return out;
 }
 
+InferenceOutcome
+InferenceDevice::drainFor(RequestId id)
+{
+    for (AsyncCompletion &completion : drain()) {
+        if (completion.id == id)
+            return std::move(completion.outcome);
+    }
+    fatal("request %llu missing from the drained completions",
+          static_cast<unsigned long long>(id));
+}
+
 void
 InferenceDevice::setMaxInflight(std::uint32_t depth)
 {

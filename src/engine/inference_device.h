@@ -297,6 +297,13 @@ class InferenceDevice
                           std::uint32_t queueDepth = 1);
 
   protected:
+    /**
+     * drain(), then return the outcome of request @p id (the tail of
+     * every synchronous infer()); fatal() when no drained completion
+     * carries @p id.
+     */
+    InferenceOutcome drainFor(RequestId id);
+
     /** Allocate the next submission ticket. */
     RequestId allocateRequestId() { return ++requestIdCounter_; }
     /** Queue a retired request for poll()/drain(). */

@@ -32,7 +32,8 @@ validatePlacement(const PlacementOptions &placement,
 } // namespace
 
 RmSsd::RmSsd(const model::ModelConfig &config, const RmSsdOptions &options)
-    : config_(config), options_(options), model_(config),
+    : PipelinedDevice(options.functional), config_(config),
+      options_(options), model_(config),
       flash_(std::make_unique<flash::FlashArray>(options.geometry,
                                                  options.timing)),
       ftl_(std::make_unique<ftl::Ftl>(*flash_, makeMapping(options))),
@@ -485,40 +486,13 @@ RmSsd::runMicroBatch(
     return out;
 }
 
-RequestId
-RmSsd::submit(std::span<const model::Sample> samples)
+RmSsdRequest
+RmSsd::issue(std::span<const model::Sample> samples,
+             host::EmbeddingTier::Intercept *icpt)
 {
-    RMSSD_ASSERT(!samples.empty(), "empty inference request");
-    if (!hostTier_ || !hostTier_->active())
-        return submitWith(samples, nullptr);
-
-    // Host tier in front of the device: serve fully-resident slices
-    // from DRAM, charge that host time before the doorbell (the next
-    // issue cannot start earlier), and forward only the residual.
-    const host::EmbeddingTier::Intercept icpt =
-        hostTier_->intercept(samples, options_.functional);
-    advanceHostClock(icpt.hostNanos);
-    return submitWith(icpt.residual, &icpt);
-}
-
-RequestId
-RmSsd::submitWith(std::span<const model::Sample> samples,
-                  const host::EmbeddingTier::Intercept *icpt)
-{
-    RMSSD_ASSERT(!samples.empty(), "empty inference request");
-
-    // Bounded queue depth: when full, the oldest request retires
-    // before the new one issues (host backpressure). At depth 1 this
-    // reproduces the blocking infer() loop op-for-op: retire r, then
-    // issue r+1, with the same DMA/MMIO call order.
-    while (inflight_.size() >= maxInflight())
-        retireAt(0);
-
     const MlpPlan &plan = searchResult_.plan;
-    InflightRequest request;
-    request.id = allocateRequestId();
+    RmSsdRequest request;
     request.t0 = deviceNow_;
-    request.numSamples = samples.size();
 
     // Host sends control parameters over MMIO (posted writes) and the
     // indices + dense inputs via DMA (RM_send_inputs). With a tier in
@@ -603,27 +577,17 @@ RmSsd::submitWith(std::span<const model::Sample> samples,
             : Bytes{samples.size() * sizeof(float)};
 
     inferences_.inc(samples.size());
-    submitted_.inc();
 
     // The host is busy until its inputs are sent; completions of
     // older requests fold in at their retire (max-accumulation, so
     // issue/retire interleavings cannot move the clock backward).
     deviceNow_ = std::max(deviceNow_, request.inputsReady);
-
-    const RequestId id = request.id;
-    inflight_.push_back(std::move(request));
-    queueDepthOnSubmit_.sample(static_cast<double>(inflight_.size()));
-    return id;
+    return request;
 }
 
-void
-RmSsd::retireAt(std::size_t pos)
+InferenceOutcome
+RmSsd::retire(RmSsdRequest request)
 {
-    RMSSD_ASSERT(pos < inflight_.size(), "no request in flight");
-    InflightRequest request = std::move(inflight_[pos]);
-    inflight_.erase(inflight_.begin() +
-                    static_cast<std::ptrdiff_t>(pos));
-
     // Results: the host polls the status register; small results ride
     // the 64-byte MMIO read, larger ones take a DMA transfer.
     mmio_.poke(static_cast<std::uint32_t>(nvme::RmReg::ResultStatus), 1);
@@ -654,105 +618,10 @@ RmSsd::retireAt(std::size_t pos)
     secondLastCompletion_ = lastCompletion_;
     lastCompletion_ = end;
 
-    AsyncCompletion completion;
-    completion.id = request.id;
-    completion.outcome.latency = cyclesToNanos(end - request.t0);
-    completion.outcome.completionCycle = end;
-    completion.outcome.outputs = std::move(request.outputs);
-    retired_.inc();
-    pushCompletion(std::move(completion));
-}
-
-bool
-RmSsd::retireNext()
-{
-    if (inflight_.empty())
-        return false;
-    retireAt(0);
-    return true;
-}
-
-bool
-RmSsd::oldestDoneBy(Cycle when) const
-{
-    // A status poll at `when` reads done once the last micro-batch is
-    // through the engines; the result readout (MMIO/DMA) still runs at
-    // retire time, so the retire clock may trail slightly past `when`.
-    return hasQueuedCompletion() ||
-           (!inflight_.empty() && inflight_.front().lastDone <= when);
-}
-
-std::uint32_t
-RmSsd::harvestDoneBy(Cycle when)
-{
-    std::uint32_t retired = 0;
-    // Scan in queue order; retire every finished request, including
-    // mid-queue finishers parked behind an unfinished straggler.
-    std::size_t pos = 0;
-    while (pos < inflight_.size()) {
-        if (inflight_[pos].lastDone <= when) {
-            retireAt(pos);
-            ++retired;
-        } else {
-            ++pos;
-        }
-    }
-    return retired;
-}
-
-Cycle
-RmSsd::nextDoneCycle() const
-{
-    Cycle earliest = kNeverCycle;
-    for (const InflightRequest &request : inflight_)
-        earliest = std::min(earliest, request.lastDone);
-    return earliest;
-}
-
-Cycle
-RmSsd::requestDoneCycle(RequestId id) const
-{
-    if (hasCompletionFor(id))
-        return Cycle{0};
-    for (const InflightRequest &request : inflight_) {
-        if (request.id == id)
-            return request.lastDone;
-    }
-    return kNeverCycle;
-}
-
-bool
-RmSsd::retireById(RequestId id)
-{
-    for (std::size_t pos = 0; pos < inflight_.size(); ++pos) {
-        if (inflight_[pos].id == id) {
-            retireAt(pos);
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-RmSsd::attachHostTier(std::shared_ptr<host::EmbeddingTier> tier)
-{
-    if (tier)
-        RMSSD_ASSERT(&tier->model().config() == &config_ ||
-                         tier->model().config().numTables ==
-                             config_.numTables,
-                     "tier model shape does not match the device");
-    hostTier_ = std::move(tier);
-}
-
-InferenceOutcome
-RmSsd::infer(std::span<const model::Sample> samples)
-{
-    const RequestId id = submit(samples);
     InferenceOutcome outcome;
-    for (AsyncCompletion &completion : drain()) {
-        if (completion.id == id)
-            outcome = std::move(completion.outcome);
-    }
+    outcome.latency = cyclesToNanos(end - request.t0);
+    outcome.completionCycle = end;
+    outcome.outputs = std::move(request.outputs);
     return outcome;
 }
 
@@ -782,9 +651,9 @@ RmSsd::registerStats(StatsRegistry &registry,
         cache.addRatio("hitRatio", &evCache_->hits(),
                        &evCache_->misses());
     }
-    if (hostTier_) {
-        const ScopedStats tier = host.scoped("tier");
-        hostTier_->registerStats(tier.registry(), tier.prefix());
+    if (const host::EmbeddingTier *tier = hostTier()) {
+        const ScopedStats tierStats = host.scoped("tier");
+        tier->registerStats(tierStats.registry(), tierStats.prefix());
     }
     const ScopedStats ftl = stats.scoped("ftl");
     ftl.addCounter("blockRequests", &ftl_->blockRequests());
@@ -855,8 +724,7 @@ RmSsd::resetTiming()
     bottomUnitFree_ = {};
     topUnitFree_ = {};
     embIssueFree_ = {};
-    inflight_.clear();
-    clearCompletions();
+    clearRequests();
 }
 
 } // namespace rmssd::engine

@@ -14,7 +14,6 @@
 #define RMSSD_ENGINE_RM_SSD_H
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "engine/inference_device.h"
 #include "engine/kernel_search.h"
 #include "engine/mlp_engine.h"
+#include "engine/pipelined_device.h"
 #include "engine/placement.h"
 #include "flash/flash_array.h"
 #include "ftl/freq_mapping.h"
@@ -121,8 +121,28 @@ struct RmSsdOptions
     PlacementOptions placement = {};
 };
 
-/** The RM-SSD device. */
-class RmSsd : public InferenceDevice
+/** One issued-but-not-retired RmSsd request (async pipeline). */
+struct RmSsdRequest
+{
+    RequestId id = 0;
+    Cycle t0;          //!< host issue time (request arrival)
+    Cycle inputsReady; //!< indices + dense inputs DMA'd in
+    Cycle lastDone;    //!< last micro-batch through the engines
+    Bytes resultBytes; //!< result payload awaiting readback
+    std::vector<float> outputs;
+};
+
+/**
+ * The RM-SSD device. Requests pipeline through the shared async queue
+ * (PipelinedDevice): the issue stage runs at submit — inputs DMA in
+ * and the micro-batches are scheduled onto the engine occupancy tracks
+ * (embedding issue port, bottom/top MLP units), overlapping with up to
+ * maxInflight()-1 older requests still draining through the MLP — and
+ * the retire stage (result readback + host presend bookkeeping) runs
+ * when the request leaves the queue. A request is done once its last
+ * micro-batch is through the engines.
+ */
+class RmSsd : public PipelinedDevice<RmSsdRequest>
 {
   public:
     RmSsd(const model::ModelConfig &config, const RmSsdOptions &options);
@@ -145,63 +165,6 @@ class RmSsd : public InferenceDevice
      */
     void registerTable(TableId tableId,
                        const ftl::ExtentList &extents);
-
-    /**
-     * Run one inference request of arbitrary batch size. Large
-     * batches partition into micro-batches that stream through the
-     * engines (Section IV-D's system-level pipeline). Implemented as
-     * submit() + drain(), so any other outstanding submissions retire
-     * with it.
-     */
-    InferenceOutcome
-    infer(std::span<const model::Sample> samples) override;
-
-    /**
-     * Issue one request asynchronously (cross-request pipelining).
-     * The issue stage runs immediately: inputs DMA in and the
-     * micro-batches are scheduled onto the engine occupancy tracks
-     * (embedding issue port, bottom/top MLP units), overlapping with
-     * up to maxInflight()-1 older requests still draining through the
-     * MLP. The retire stage (result readback + host presend
-     * bookkeeping) is deferred until the request leaves the queue.
-     * When the queue is full the oldest request retires first
-     * (backpressure).
-     */
-    RequestId submit(std::span<const model::Sample> samples) override;
-
-    /** Retire the oldest outstanding request; false when idle. */
-    bool retireNext() override;
-
-    bool oldestDoneBy(Cycle when) const override;
-
-    /**
-     * Eager completion scan: retire every in-flight request whose
-     * last micro-batch is through the engines by @p when, regardless
-     * of queue position — a mid-queue finisher behind a straggler
-     * retires too. As with retireNext, only the result-readout tail
-     * may run slightly past @p when.
-     */
-    std::uint32_t harvestDoneBy(Cycle when) override;
-
-    /** Earliest lastDone among in-flight requests (kNeverCycle if none). */
-    Cycle nextDoneCycle() const override;
-
-    /**
-     * Engine-completion cycle of in-flight request @p id — the first
-     * cycle a status poll reads it done, so it is done by `when` iff
-     * requestDoneCycle(id) <= when. Cycle{0} when its completion is
-     * already queued (done in the past), kNeverCycle for unknown ids.
-     */
-    Cycle requestDoneCycle(RequestId id) const;
-
-    /** Retire in-flight request @p id regardless of queue position. */
-    bool retireById(RequestId id);
-
-    /** Requests issued but not yet retired. */
-    std::uint32_t inflight() const override
-    {
-        return static_cast<std::uint32_t>(inflight_.size());
-    }
 
     const MlpPlan &plan() const { return searchResult_.plan; }
     const SearchResult &searchResult() const { return searchResult_; }
@@ -254,31 +217,6 @@ class RmSsd : public InferenceDevice
     const Counter &migrationPasses() const { return migrationPasses_; }
     /** Pages relocated (hot page + displaced partner count as 2). */
     const Counter &migratedPages() const { return migratedPages_; }
-
-    // ---- Host-DRAM embedding tier (off by default) ----------------
-
-    /**
-     * Attach a host tier: submit() intercepts each request on the
-     * host, serves fully tier-resident (sample, table) slices from
-     * DRAM at TierTiming cost and forwards only the residual indices;
-     * served pooled partials merge back into the device results
-     * byte-exactly. Attaching also switches input-DMA accounting to
-     * the actual residual index count. Detach with nullptr.
-     */
-    void attachHostTier(std::shared_ptr<host::EmbeddingTier> tier)
-        override;
-    const host::EmbeddingTier *hostTier() const override
-    {
-        return hostTier_.get();
-    }
-    std::uint64_t tierSliceHits() const override
-    {
-        return hostTier_ ? hostTier_->sliceHits().value() : 0;
-    }
-    std::uint64_t tierSliceMisses() const override
-    {
-        return hostTier_ ? hostTier_->sliceMisses().value() : 0;
-    }
 
     /**
      * Charge input DMA by the actual per-sample index counts instead
@@ -387,33 +325,20 @@ class RmSsd : public InferenceDevice
         std::span<const std::vector<host::EmbeddingTier::ServedSlice>>
             served = {});
 
-    /** One issued-but-not-retired request (async pipeline). */
-    struct InflightRequest
+    /**
+     * Issue stage: MMIO doorbell, input DMA and the micro-batch
+     * pipeline. With a host tier, @p icpt's served partials merge into
+     * the micro-batch results and its byte counts shape the DMA
+     * accounting.
+     */
+    RmSsdRequest issue(std::span<const model::Sample> samples,
+                       host::EmbeddingTier::Intercept *icpt) override;
+    Cycle readyCycle(const RmSsdRequest &request) const override
     {
-        RequestId id = 0;
-        Cycle t0;          //!< host issue time (request arrival)
-        Cycle inputsReady; //!< indices + dense inputs DMA'd in
-        Cycle lastDone;    //!< last micro-batch through the engines
-        Bytes resultBytes; //!< result payload awaiting readback
-        std::size_t numSamples = 0;
-        std::vector<float> outputs;
-    };
-
-    /**
-     * Retire stage (result readback + presend clock bookkeeping) of
-     * the in-flight request at queue position @p pos.
-     */
-    void retireAt(std::size_t pos);
-
-    /**
-     * Issue stage shared by the tiered and legacy paths. @p icpt is
-     * the host-tier intercept whose residual IS @p samples (nullptr
-     * without a tier); its served partials merge into the micro-batch
-     * results and its byte counts shape the DMA accounting.
-     */
-    RequestId
-    submitWith(std::span<const model::Sample> samples,
-               const host::EmbeddingTier::Intercept *icpt);
+        return request.lastDone;
+    }
+    /** Retire stage: result readback + presend clock bookkeeping. */
+    InferenceOutcome retire(RmSsdRequest request) override;
 
     /** (Re)build searchResult_ for the variant at the given bEV. */
     void buildPlan(double readCyclesPerVector);
@@ -446,8 +371,6 @@ class RmSsd : public InferenceDevice
     std::unique_ptr<EmbeddingEngine> embeddingEngine_;
     /** Borrowed from ftl_; nullptr when placement is off. */
     ftl::FrequencyMapping *freqMapping_ = nullptr;
-    /** Host-DRAM embedding tier; nullptr without one. */
-    std::shared_ptr<host::EmbeddingTier> hostTier_;
     bool chargeActualIndexBytes_ = false;
 
     SearchResult searchResult_;
@@ -469,8 +392,6 @@ class RmSsd : public InferenceDevice
      * never applied this bound (bit-for-bit compatibility).
      */
     Cycle embIssueFree_;
-
-    std::deque<InflightRequest> inflight_;
 
     Counter hostBytesRead_;
     Counter hostBytesWritten_;

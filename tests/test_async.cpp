@@ -3,18 +3,27 @@
  * Tests for the asynchronous submit/poll surface: depth-1 equivalence
  * with the blocking infer() path (outputs, clocks and stats), FIFO
  * completion ordering, drain() idempotence, bounded queue depth, the
- * cross-request pipelining win, and least-outstanding routing against
- * real per-shard queue depths.
+ * cross-request pipelining win, least-outstanding routing against
+ * real per-shard queue depths, and pinned fingerprints of seeded
+ * completion streams on a device, a cluster and a tenant fleet.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "catalog/tenant.h"
 #include "cluster/cluster.h"
+#include "engine/placement.h"
 #include "engine/rm_ssd.h"
+#include "host/embedding_tier.h"
 #include "model/model_zoo.h"
+#include "sim/rng.h"
+#include "sim/stats.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -291,3 +300,228 @@ TEST(AsyncCluster, PipeliningRaisesSaturatedClusterThroughput)
 
 } // namespace
 } // namespace rmssd::cluster
+
+// ---- Pinned completion streams ---------------------------------------
+//
+// One seeded mix of submit, harvestDoneBy, retireNext, setMaxInflight
+// (shrink and grow), poll, drain and resetTiming per backend. Every
+// completion's id, completion cycle, latency and output bits, the
+// clock after every step, and the final stats dump fold into one
+// FNV-1a fingerprint. The pinned values were taken from the code
+// before the device and the cluster shared one request queue; any
+// reordering of intercept, backpressure, issue or retire moves them.
+
+namespace rmssd::engine {
+namespace {
+
+/** FNV-1a over raw bytes. */
+class StreamHash
+{
+  public:
+    void add(const void *data, std::size_t size)
+    {
+        const auto *bytes = static_cast<const unsigned char *>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            hash_ ^= bytes[i];
+            hash_ *= 0x100000001b3ULL;
+        }
+    }
+    void add(std::uint64_t value) { add(&value, sizeof value); }
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/**
+ * Run the seeded op mix on @p dev; @p submitOne issues one request
+ * drawn with the given RNG. @return the stream fingerprint
+ */
+std::uint64_t
+completionStreamHash(InferenceDevice &dev,
+                     const std::function<RequestId(Rng &)> &submitOne,
+                     std::uint64_t seed)
+{
+    Rng rng(seed);
+    StreamHash hash;
+    const auto record = [&hash](const AsyncCompletion &completion) {
+        hash.add(completion.id);
+        hash.add(completion.outcome.completionCycle.raw());
+        hash.add(completion.outcome.latency.raw());
+        const std::vector<float> &out = completion.outcome.outputs;
+        hash.add(out.size());
+        hash.add(out.data(), out.size() * sizeof(float));
+    };
+    for (int step = 0; step < 240; ++step) {
+        switch (rng.nextBounded(20)) {
+          case 0: case 1: case 2: case 3: case 4: case 5: case 6:
+            hash.add(submitOne(rng));
+            break;
+          case 7: case 8: case 9: {
+            const Cycle next = dev.nextDoneCycle();
+            const Cycle base =
+                next == kNeverCycle ? dev.deviceNow() : next;
+            const Cycle slack{
+                rng.nextBounded(2) == 0 ? 0 : rng.nextBounded(20000)};
+            hash.add(dev.harvestDoneBy(base + slack));
+            break;
+          }
+          case 10: case 11:
+            hash.add(dev.retireNext() ? 1 : 0);
+            break;
+          case 12: case 13:
+            dev.setMaxInflight(
+                1 + static_cast<std::uint32_t>(rng.nextBounded(6)));
+            break;
+          case 14: case 15: case 16:
+            while (const auto completion = dev.poll())
+                record(*completion);
+            break;
+          case 17: case 18:
+            for (const AsyncCompletion &completion : dev.drain())
+                record(completion);
+            break;
+          default:
+            if (rng.nextBounded(4) == 0)
+                dev.resetTiming();
+            break;
+        }
+        hash.add(dev.inflight());
+        hash.add(dev.deviceNow().raw());
+    }
+    for (const AsyncCompletion &completion : dev.drain())
+        record(completion);
+    hash.add(dev.deviceNow().raw());
+    hash.add(dev.lastCompletion().raw());
+    StatsRegistry registry;
+    dev.registerStats(registry, "dev");
+    std::ostringstream dump;
+    registry.dump(dump);
+    const std::string text = dump.str();
+    hash.add(text.data(), text.size());
+    return hash.value();
+}
+
+/** Tier holding @p frac of the embedding bytes, hottest rows first. */
+std::shared_ptr<host::EmbeddingTier>
+provisionTier(const model::DlrmModel &model,
+              const workload::TraceGenerator &gen, double frac)
+{
+    const model::ModelConfig &cfg = model.config();
+    const engine::TierPlan plan = engine::planHostTier(
+        cfg.rowsPerTable, Bytes{cfg.vectorBytes()},
+        workload::planTierShares(gen.tableHistograms(4096)),
+        gen.hotRowHeats(),
+        Bytes{static_cast<std::uint64_t>(
+            static_cast<double>(cfg.embeddingBytes()) * frac)});
+    auto tier = std::make_shared<host::EmbeddingTier>(model);
+    tier->provision(plan);
+    return tier;
+}
+
+/**
+ * A request of 1-3 samples from @p gen, or — one time in two — one
+ * sample that touches a single random table with up to 256 lookups,
+ * so that on a fleet a later request can finish ahead of older ones.
+ */
+std::vector<model::Sample>
+mixedRequest(const model::ModelConfig &config,
+             workload::TraceGenerator &gen, Rng &rng)
+{
+    if (rng.nextBounded(2) != 0)
+        return gen.nextBatch(
+            1 + static_cast<std::uint32_t>(rng.nextBounded(3)));
+    model::Sample sample;
+    sample.dense.assign(config.denseInputDim(), 0.5f);
+    sample.indices.resize(config.numTables);
+    const std::uint64_t table = rng.nextBounded(config.numTables);
+    const std::uint64_t lookups = 1 + rng.nextBounded(256);
+    for (std::uint64_t l = 0; l < lookups; ++l)
+        sample.indices[table].push_back(
+            rng.nextBounded(config.rowsPerTable));
+    return {sample};
+}
+
+workload::TraceConfig
+skewedTrace()
+{
+    workload::TraceConfig trace = workload::localityK(0.3);
+    trace.hotRowsPerTable = 32;
+    return trace;
+}
+
+TEST(PinnedStreams, FunctionalDeviceBehindAHostTier)
+{
+    const model::ModelConfig config = tinyConfig();
+    auto device = makeFunctionalDevice(config);
+    workload::TraceGenerator gen(config, skewedTrace());
+    device->attachHostTier(provisionTier(device->model(), gen, 0.25));
+    device->setMaxInflight(4);
+    const std::uint64_t hash = completionStreamHash(
+        *device,
+        [&](Rng &rng) {
+            return device->submit(mixedRequest(config, gen, rng));
+        },
+        7);
+    EXPECT_GT(device->tierSliceHits(), 0u);
+    EXPECT_EQ(hash, 0xd9232212e8ab55e4ULL);
+}
+
+TEST(PinnedStreams, HedgedClusterBehindAHostTier)
+{
+    const model::ModelConfig config = tinyConfig();
+    workload::TraceGenerator histGen(config, workload::localityK(0.0));
+    cluster::ClusterOptions options;
+    options.sharding.numDevices = 2;
+    options.sharding.replicateHottest = 1;
+    options.histograms = histGen.tableHistograms(2000);
+    options.hedge.enabled = true;
+    options.hedge.queueThreshold = 1;
+    options.device.functional = true;
+    cluster::RmSsdCluster fleet(config, options);
+    workload::TraceGenerator gen(config, skewedTrace());
+    fleet.attachHostTier(provisionTier(fleet.model(), gen, 0.25));
+    fleet.setMaxInflight(4);
+    const std::uint64_t hash = completionStreamHash(
+        fleet,
+        [&](Rng &rng) {
+            return fleet.submit(mixedRequest(config, gen, rng));
+        },
+        11);
+    EXPECT_GT(fleet.hedgesIssued().value(), 0u);
+    EXPECT_GT(fleet.tierSliceHits(), 0u);
+    EXPECT_EQ(hash, 0x5dc95dae814d8ec3ULL);
+}
+
+TEST(PinnedStreams, TenantFleetOverACluster)
+{
+    std::vector<catalog::TenantSpec> specs(2);
+    specs[0].id = "a";
+    specs[0].config = tinyConfig();
+    specs[0].trace = skewedTrace();
+    specs[1].id = "b";
+    specs[1].config = tinyConfig().withRowsPerTable(256);
+    specs[1].trace = workload::localityK(1);
+    catalog::FleetOptions options;
+    options.numDevices = 2;
+    options.device.functional = true;
+    options.hostTierBytes = Bytes{1u << 16};
+    catalog::TenantFleet fleet(specs, options);
+    fleet.setMaxInflight(4);
+    std::vector<workload::TraceGenerator> gens;
+    for (const catalog::TenantSpec &spec : specs)
+        gens.emplace_back(spec.config, spec.trace);
+    const std::uint64_t hash = completionStreamHash(
+        fleet,
+        [&](Rng &rng) {
+            const std::size_t i = rng.nextBounded(gens.size());
+            return fleet.submitTenant(
+                i, mixedRequest(specs[i].config, gens[i], rng));
+        },
+        13);
+    EXPECT_GT(fleet.tierSliceHits(), 0u);
+    EXPECT_EQ(hash, 0xaa8a35ec88a3246cULL);
+}
+
+} // namespace
+} // namespace rmssd::engine

@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "engine/placement.h"
 #include "engine/rm_ssd.h"
+#include "host/embedding_tier.h"
 #include "model/model_zoo.h"
 #include "sim/rng.h"
 #include "workload/depth_controller.h"
@@ -413,6 +415,21 @@ referencePooled(const model::ModelConfig &config,
     return device.infer(batch).outputs;
 }
 
+/** Host tier holding the hottest quarter of @p model's rows. */
+std::shared_ptr<host::EmbeddingTier>
+quarterTier(const model::DlrmModel &model)
+{
+    const model::ModelConfig &config = model.config();
+    const workload::TraceGenerator gen(config, workload::localityK(0.3));
+    const engine::TierPlan plan = engine::planHostTier(
+        config.rowsPerTable, Bytes{config.vectorBytes()},
+        workload::planTierShares(gen.tableHistograms(4096)),
+        gen.hotRowHeats(), Bytes{config.embeddingBytes() / 4});
+    auto tier = std::make_shared<host::EmbeddingTier>(model);
+    tier->provision(plan);
+    return tier;
+}
+
 /** A sample touching a single table with @p lookups indices. */
 model::Sample
 singleTableSample(const model::ModelConfig &config, std::uint32_t table,
@@ -480,11 +497,13 @@ TEST(EagerCompletion, ClusterRetiresOutOfOrderAcrossDisjointShards)
 }
 
 /**
- * Random submit / harvestDoneBy / oldestDoneBy / poll / drain steps
- * against one device. Every done-probe must agree with the per-id
- * ready cycle: harvestDoneBy(w) retires exactly the in-flight ids
- * ready by w, nextDoneCycle() is the earliest of them, oldestDoneBy(w)
- * reads the oldest one, and every id retires exactly once.
+ * Random submit / harvestDoneBy / oldestDoneBy / retireNext /
+ * setMaxInflight / poll / drain steps against one device. Every
+ * done-probe must agree with the per-id ready cycle: harvestDoneBy(w)
+ * retires exactly the in-flight ids ready by w, nextDoneCycle() is the
+ * earliest of them, oldestDoneBy(w) reads the oldest one, and every id
+ * retires exactly once. After every step the queue stays within
+ * maxInflight() and the device clock never moves backward.
  */
 template <typename Device>
 void
@@ -525,6 +544,7 @@ checkProbeAgreement(Device &dev, const model::ModelConfig &config,
     };
 
     std::size_t submitted = 0;
+    Cycle lastNow = dev.deviceNow();
     for (int step = 0; step < 300; ++step) {
         const auto inflight = live();
         ASSERT_EQ(dev.inflight(), inflight.size());
@@ -542,7 +562,7 @@ checkProbeAgreement(Device &dev, const model::ModelConfig &config,
                   queued || (!inflight.empty() &&
                              inflight.front().second <= probe));
 
-        switch (rng.nextBounded(12)) {
+        switch (rng.nextBounded(15)) {
           case 0: case 1: case 2:
             open.push_back(dev.submit(gen.nextBatch(
                 1 + static_cast<std::uint32_t>(rng.nextBounded(3)))));
@@ -576,12 +596,35 @@ checkProbeAgreement(Device &dev, const model::ModelConfig &config,
                 consume(completion->id);
             }
             break;
+          case 11: case 12:
+            // Force-retire the oldest in-flight request, finished or
+            // not; its completion queues.
+            EXPECT_EQ(dev.retireNext(), !inflight.empty());
+            if (!inflight.empty()) {
+                EXPECT_EQ(dev.requestDoneCycle(inflight.front().first),
+                          Cycle{0});
+            }
+            break;
+          case 13: {
+            // Shrink or grow the queue; a shrink retires the oldest
+            // requests down to the new bound.
+            const auto depth =
+                1 + static_cast<std::uint32_t>(rng.nextBounded(6));
+            dev.setMaxInflight(depth);
+            EXPECT_EQ(dev.maxInflight(), depth);
+            EXPECT_EQ(dev.inflight(),
+                      std::min<std::size_t>(inflight.size(), depth));
+            break;
+          }
           default:
             for (const auto &completion : dev.drain())
                 consume(completion.id);
             EXPECT_EQ(dev.inflight(), 0u);
             break;
         }
+        EXPECT_LE(dev.inflight(), dev.maxInflight());
+        EXPECT_GE(dev.deviceNow(), lastNow);
+        lastNow = dev.deviceNow();
     }
     for (const auto &completion : dev.drain())
         consume(completion.id);
@@ -611,6 +654,14 @@ TEST(EagerCompletion, RandomProbeSequencesAgreeOnOneReadyCycle)
         fleet.setMaxInflight(4);
         checkProbeAgreement(fleet, config, seed);
         EXPECT_GT(fleet.hedgesIssued().value(), 0u);
+
+        // The same fleet shape behind a host tier: every probe also
+        // runs on the intercept-then-reshard path.
+        RmSsdCluster tiered(config, options);
+        tiered.attachHostTier(quarterTier(tiered.model()));
+        tiered.setMaxInflight(4);
+        checkProbeAgreement(tiered, config, seed);
+        EXPECT_GT(tiered.tierSliceHits(), 0u);
     }
 }
 
