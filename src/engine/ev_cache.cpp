@@ -92,7 +92,7 @@ EvCache::probe(TableId tableId, std::uint64_t key, std::uint64_t hash) const
         set = p.firstSet + static_cast<std::size_t>(hash % p.numSets);
     }
     const std::size_t base = set * ways_;
-    return Slot{base, find(base, ways_, key)};
+    return Slot{base, find(base, ways_, key), hash};
 }
 
 std::size_t
@@ -161,7 +161,7 @@ EvCache::lookup(const Slot &slot, std::uint64_t key,
                 std::span<const std::uint8_t> *out)
 {
     if (sketch_)
-        sketch_->record(key);
+        sketch_->record(key, slot.hash);
     // A functional caller needs the bytes; a line installed by a
     // timing-only run has none, so it cannot serve the hit.
     if (slot.line == kNoLine || (out && !hasData(slot.line))) {
@@ -189,7 +189,7 @@ EvCache::fill(const Slot &slot, std::uint64_t key,
             // earned — the candidate's estimated frequency has to beat
             // the victim's, otherwise the one-hit cold tail would keep
             // flushing hot lines exactly as under plain LRU.
-            if (sketch_ && sketch_->estimate(key) <=
+            if (sketch_ && sketch_->estimate(key, slot.hash) <=
                                sketch_->estimate(lines_[victim].key)) {
                 admissionRejects_.inc();
                 return;

@@ -163,6 +163,8 @@ class EvCache
     {
         std::size_t base = 0; //!< first line of the key's set
         std::size_t line = 0; //!< line holding the key, or kNoLine
+        /** splitmix64(key): the set's hash, reused as sketch row 0. */
+        std::uint64_t hash = 0;
     };
 
     /** Slot::line when no line of the set holds the key. */
@@ -185,7 +187,7 @@ class EvCache
      * re-reads flash and the fill refreshes the line with real bytes).
      * Under TinyLFU admission the lookup also records the key in the
      * frequency sketch (the sketch read runs in parallel with the tag
-     * lookup, so it adds no cycles).
+     * lookup, so it adds no cycles), on the slot's hash.
      * @return true on hit
      */
     bool lookup(const Slot &slot, std::uint64_t key,

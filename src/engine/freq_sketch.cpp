@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <bit>
 
-#include "sim/log.h"
-
 namespace rmssd::engine {
 
 namespace {
 
-/** splitmix64 finalizer; one seed per sketch row. */
+/** splitmix64 finalizer; one seed per sketch row (row 0 is splitmix64). */
 std::uint64_t
 mixRow(std::uint64_t x, std::uint32_t row)
 {
@@ -31,57 +29,58 @@ FrequencySketch::FrequencySketch(std::uint64_t counters,
     table_.assign(width / 2, 0); // two 4-bit counters per byte
 }
 
-std::uint64_t
-FrequencySketch::slotOf(std::uint64_t key, std::uint32_t row) const
+void
+FrequencySketch::slotsOf(std::uint64_t key, std::uint64_t hash,
+                         std::uint64_t (&slots)[kDepth]) const
 {
-    return mixRow(key, row) & mask_;
+    // mixRow(key, 0) is splitmix64(key), so row 0 reuses the caller's
+    // hash; the other rows hash with their own seeds.
+    slots[0] = hash & mask_;
+    for (std::uint32_t row = 1; row < kDepth; ++row)
+        slots[row] = mixRow(key, row) & mask_;
 }
 
 std::uint32_t
-FrequencySketch::counterAt(std::uint64_t slot) const
+FrequencySketch::record(std::uint64_t key, std::uint64_t hash)
 {
-    const std::uint8_t byte = table_[slot >> 1];
-    return (slot & 1) ? (byte >> 4) : (byte & 0x0f);
-}
-
-void
-FrequencySketch::setCounterAt(std::uint64_t slot, std::uint32_t v)
-{
-    RMSSD_ASSERT(v <= kMaxCount, "sketch counter overflow");
-    std::uint8_t &byte = table_[slot >> 1];
-    if (slot & 1)
-        byte = static_cast<std::uint8_t>((byte & 0x0f) | (v << 4));
-    else
-        byte = static_cast<std::uint8_t>((byte & 0xf0) | v);
-}
-
-void
-FrequencySketch::record(std::uint64_t key)
-{
-    // Conservative update: only the row counters equal to the current
-    // minimum grow, which tightens the count-min overestimate.
-    std::uint32_t minCount = kMaxCount;
     std::uint64_t slots[kDepth];
-    for (std::uint32_t row = 0; row < kDepth; ++row) {
-        slots[row] = slotOf(key, row);
-        minCount = std::min(minCount, counterAt(slots[row]));
-    }
+    slotsOf(key, hash, slots);
+    std::uint32_t minCount = kMaxCount;
+    for (const std::uint64_t slot : slots)
+        minCount = std::min(minCount, counterAt(slot));
+    // Conservative update: only the row counters equal to the current
+    // minimum grow, which tightens the count-min overestimate. A row
+    // that shares another row's slot sees it already grown and skips
+    // it. Every grown counter is below kMaxCount, so adding one at its
+    // nibble never carries into the neighbour.
     if (minCount < kMaxCount) {
-        for (std::uint32_t row = 0; row < kDepth; ++row) {
-            if (counterAt(slots[row]) == minCount)
-                setCounterAt(slots[row], minCount + 1);
+        for (const std::uint64_t slot : slots) {
+            if (counterAt(slot) == minCount) {
+                std::uint8_t &byte = table_[slot >> 1];
+                byte = static_cast<std::uint8_t>(
+                    byte + (1u << nibbleShift(slot)));
+            }
         }
+        // Every counter now reads at least minCount + 1, and the grown
+        // ones exactly that: the post-update estimate.
+        ++minCount;
     }
-    if (++additions_ >= sampleSize_)
+    if (++additions_ >= sampleSize_) {
         halve();
+        // Halving every counter halves their minimum.
+        minCount >>= 1;
+    }
+    return minCount;
 }
 
 std::uint32_t
-FrequencySketch::estimate(std::uint64_t key) const
+FrequencySketch::estimate(std::uint64_t key, std::uint64_t hash) const
 {
+    std::uint64_t slots[kDepth];
+    slotsOf(key, hash, slots);
     std::uint32_t minCount = kMaxCount;
-    for (std::uint32_t row = 0; row < kDepth; ++row)
-        minCount = std::min(minCount, counterAt(slotOf(key, row)));
+    for (const std::uint64_t slot : slots)
+        minCount = std::min(minCount, counterAt(slot));
     return minCount;
 }
 

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/rng.h"
 #include "sim/stats.h"
 
 namespace rmssd::engine {
@@ -50,11 +51,32 @@ class FrequencySketch
      */
     FrequencySketch(std::uint64_t counters, std::uint64_t sampleSize);
 
-    /** Count one access to @p key; may trigger the periodic halving. */
-    void record(std::uint64_t key);
+    /**
+     * Count one access to @p key; may trigger the periodic halving.
+     * @return estimate(key) after the update, from the same pass:
+     *         min(minCount + 1, kMaxCount), halved when this access
+     *         triggered the halving
+     */
+    std::uint32_t record(std::uint64_t key)
+    {
+        return record(key, splitmix64(key));
+    }
+
+    /**
+     * record() of @p key with its row-0 hash supplied: @p hash must be
+     * splitmix64(key), the hash a FlatMap homes the same key by, so a
+     * caller probing both pays for it once.
+     */
+    std::uint32_t record(std::uint64_t key, std::uint64_t hash);
 
     /** Estimated access frequency of @p key in [0, kMaxCount]. */
-    std::uint32_t estimate(std::uint64_t key) const;
+    std::uint32_t estimate(std::uint64_t key) const
+    {
+        return estimate(key, splitmix64(key));
+    }
+
+    /** estimate() with @p hash = splitmix64(key) supplied. */
+    std::uint32_t estimate(std::uint64_t key, std::uint64_t hash) const;
 
     /** Actual counter count after power-of-two rounding. */
     std::uint64_t numCounters() const { return mask_ + 1; }
@@ -68,9 +90,22 @@ class FrequencySketch
     void clear();
 
   private:
-    std::uint32_t counterAt(std::uint64_t slot) const;
-    void setCounterAt(std::uint64_t slot, std::uint32_t v);
-    std::uint64_t slotOf(std::uint64_t key, std::uint32_t row) const;
+    /** Bit offset of @p slot's nibble within its byte: 0 or 4. */
+    static std::uint32_t
+    nibbleShift(std::uint64_t slot)
+    {
+        return static_cast<std::uint32_t>(slot & 1) << 2;
+    }
+
+    std::uint32_t
+    counterAt(std::uint64_t slot) const
+    {
+        return (std::uint32_t{table_[slot >> 1]} >> nibbleShift(slot)) & 0x0fu;
+    }
+
+    /** The kDepth counter slots of @p key; row 0 is @p hash itself. */
+    void slotsOf(std::uint64_t key, std::uint64_t hash,
+                 std::uint64_t (&slots)[kDepth]) const;
     void halve();
 
     std::vector<std::uint8_t> table_; //!< two 4-bit counters per byte

@@ -94,10 +94,8 @@ RmSsd::applyHotSet(std::span<const PageId> hot, bool timed,
 {
     RMSSD_ASSERT(freqMapping_ != nullptr,
                  "placement pass without a frequency mapping");
-    std::vector<ftl::FrequencyMapping::Swap> swaps =
-        freqMapping_->planHotSet(hot);
-    if (swaps.size() > maxSwaps)
-        swaps.resize(maxSwaps);
+    const std::vector<ftl::FrequencyMapping::Swap> swaps =
+        freqMapping_->planHotSet(hot, maxSwaps);
 
     // Only a functional device keeps page bytes, so only it has
     // content to move: a timing-only device writes no table bytes and

@@ -1,6 +1,9 @@
 #include "ftl/freq_mapping.h"
 
 #include <algorithm>
+#include <utility>
+
+#include "sim/rng.h"
 
 namespace rmssd::ftl {
 
@@ -25,31 +28,41 @@ FrequencyMapping::assignForWrite(PageId lpn)
     return translate(lpn);
 }
 
-void
-FrequencyMapping::noteRead(PageId lpn)
+PageId
+FrequencyMapping::readPage(PageId lpn)
 {
+    RMSSD_ASSERT(lpn.raw() < totalPages_,
+                 "logical page out of device range");
     ++observedReads_;
-    sketch_.record(lpn.raw());
-    if (sketch_.estimate(lpn.raw()) >= options_.candidateEstimate)
-        ++candidates_[lpn.raw()];
+    const std::uint64_t hash = splitmix64(lpn.raw());
+    if (sketch_.record(lpn.raw(), hash) >= options_.candidateEstimate) {
+        bool created = false;
+        ++candidates_.findOrInsert(lpn.raw(), hash, created);
+    }
+    const PageId *ppn = l2p_.find(lpn.raw(), hash);
+    return ppn == nullptr ? lpn : *ppn;
 }
 
 std::vector<FrequencyMapping::Swap>
-FrequencyMapping::planHotSet(
-    std::span<const PageId> hotLpnsByHeat) const
+FrequencyMapping::planHotSet(std::span<const PageId> hotLpnsByHeat,
+                             std::uint64_t maxSwaps) const
 {
     // Dedup while keeping heat order; the hot tier is one slot per
-    // distinct page.
-    std::vector<PageId> hot;
+    // distinct page. Each page is hashed and translated once here: the
+    // dedup set and the overlay share its hash.
+    std::vector<std::pair<PageId, PageId>> hot; // (lpn, ppn)
     hot.reserve(hotLpnsByHeat.size());
     FlatMap<bool> seen;
     for (const PageId lpn : hotLpnsByHeat) {
         RMSSD_ASSERT(lpn.raw() < totalPages_,
                      "hot page out of device range");
+        const std::uint64_t hash = splitmix64(lpn.raw());
         bool created = false;
-        seen.findOrInsert(lpn.raw(), created);
-        if (created)
-            hot.push_back(lpn);
+        seen.findOrInsert(lpn.raw(), hash, created);
+        if (created) {
+            const PageId *ppn = l2p_.find(lpn.raw(), hash);
+            hot.emplace_back(lpn, ppn == nullptr ? lpn : *ppn);
+        }
     }
     const std::uint64_t tier =
         std::min<std::uint64_t>(hot.size(), totalPages_);
@@ -58,16 +71,16 @@ FrequencyMapping::planHotSet(
     // Hot pages already inside [0, tier) keep their slot; their slots
     // are not free for incoming pages.
     std::vector<bool> slotTaken(tier, false);
-    for (const PageId lpn : hot) {
-        const PageId ppn = translate(lpn);
+    for (const auto &[lpn, ppn] : hot) {
         if (ppn.raw() < tier)
             slotTaken[ppn.raw()] = true;
     }
 
     std::vector<Swap> swaps;
     std::uint64_t slot = 0;
-    for (const PageId lpn : hot) {
-        const PageId from = translate(lpn);
+    for (const auto &[lpn, from] : hot) {
+        if (swaps.size() >= maxSwaps)
+            break;
         if (from.raw() < tier)
             continue; // already striped
         while (slot < tier && slotTaken[slot])

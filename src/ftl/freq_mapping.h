@@ -19,12 +19,15 @@
  * memory scales with the hot-tier size rather than the 8.4 M-page
  * device. Both overlays (logical -> physical and its inverse) and the
  * heat counters are flat open-addressed tables (sim/flat_map.h), so
- * translate() -- called on every EV read -- is one inline probe of a
- * contiguous array. Online heat comes through Mapping::noteRead: a
+ * a translation is one probe of a contiguous array. Online heat comes
+ * through Mapping::readPage, called on every EV read: a
  * 4-bit count-min sketch (the TinyLFU FrequencySketch) gates an exact
  * per-page candidate counter, so one-shot cold reads never allocate
  * counter state and the tracker stays bounded by the true hot set
- * plus sketch false positives.
+ * plus sketch false positives. One splitmix64 of the page number
+ * serves the sketch's row 0, the candidate counter's home bucket and
+ * the overlay's, so a read costs four hashes (three more sketch
+ * rows), not ten.
  */
 
 #ifndef RMSSD_FTL_FREQ_MAPPING_H
@@ -90,7 +93,7 @@ class FrequencyMapping final : public Mapping
     }
 
     PageId assignForWrite(PageId lpn) override;
-    void noteRead(PageId lpn) override;
+    PageId readPage(PageId lpn) override;
 
     /** Logical page currently mapped onto physical page @p ppn. */
     PageId
@@ -110,14 +113,17 @@ class FrequencyMapping final : public Mapping
      * dies — so a re-plan over a stable hot set yields zero swaps.
      * Swaps touch pairwise-disjoint pages, so they can be committed
      * (and their data copied) one at a time in any prefix order.
+     * Planning stops after @p maxSwaps swaps: the result is the first
+     * @p maxSwaps swaps of the unbounded plan.
      */
     std::vector<Swap> planHotSet(
-        std::span<const PageId> hotLpnsByHeat) const;
+        std::span<const PageId> hotLpnsByHeat,
+        std::uint64_t maxSwaps = UINT64_MAX) const;
 
     /** Apply one planned swap to the mapping (after the data copy). */
     void commitSwap(const Swap &swap);
 
-    /** Reads observed through noteRead since the last reset. */
+    /** Reads observed through readPage since the last reset. */
     std::uint64_t observedReads() const { return observedReads_; }
 
     /**

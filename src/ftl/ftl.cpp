@@ -27,16 +27,17 @@ Ftl::makeLinear(flash::FlashArray &array)
 Ftl::PhysLoc
 Ftl::translate(Lba lba, Bytes byteInSector) const
 {
-    return locate(PageId{lba.raw() / sectorsPerPage_}, lba, byteInSector);
+    const PageId lpn{lba.raw() / sectorsPerPage_};
+    return PhysLoc{mapping_->translate(lpn),
+                   pageByteOffset(lpn, lba, byteInSector)};
 }
 
-Ftl::PhysLoc
-Ftl::locate(PageId lpn, Lba lba, Bytes byteInSector) const
+Bytes
+Ftl::pageByteOffset(PageId lpn, Lba lba, Bytes byteInSector) const
 {
     const std::uint64_t sectorInPage =
         lba.raw() - lpn.raw() * sectorsPerPage_;
-    return PhysLoc{mapping_->translate(lpn),
-                   Bytes{sectorInPage * sectorSize_} + byteInSector};
+    return Bytes{sectorInPage * sectorSize_} + byteInSector;
 }
 
 Cycle
@@ -93,16 +94,16 @@ Ftl::readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes,
                std::span<std::uint8_t> out)
 {
     recordPath(RequestPath::Embedding);
-    // Feed frequency-aware mappings their online heat signal. Keyed
-    // by the logical page: heat follows the data through relocations.
+    // One mapping call per read: it translates the page and feeds a
+    // frequency-aware mapping its online heat signal, keyed by the
+    // logical page so heat follows the data through relocations.
     const PageId lpn{lba.raw() / sectorsPerPage_};
-    mapping_->noteRead(lpn);
-    const PhysLoc loc = locate(lpn, lba, byteInSector);
-    RMSSD_ASSERT((loc.pageByteOffset + bytes).raw() <= pageSize_,
+    const PageId ppn = mapping_->readPage(lpn);
+    const Bytes offset = pageByteOffset(lpn, lba, byteInSector);
+    RMSSD_ASSERT((offset + bytes).raw() <= pageSize_,
                  "EV read crosses flash page boundary");
     return array_
-        .readVector(issue + kTranslateCycles, loc.ppn,
-                    loc.pageByteOffset, bytes, out)
+        .readVector(issue + kTranslateCycles, ppn, offset, bytes, out)
         .done;
 }
 

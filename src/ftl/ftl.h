@@ -89,8 +89,8 @@ class Ftl
     const Mapping &mapping() const { return *mapping_; }
 
   private:
-    /** translate() for an @p lba whose logical page @p lpn is known. */
-    PhysLoc locate(PageId lpn, Lba lba, Bytes byteInSector) const;
+    /** Byte offset of (lba, byteInSector) within its page @p lpn. */
+    Bytes pageByteOffset(PageId lpn, Lba lba, Bytes byteInSector) const;
 
     flash::FlashArray &array_;
     std::unique_ptr<Mapping> mapping_;

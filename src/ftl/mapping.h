@@ -31,11 +31,11 @@ class Mapping
     virtual PageId assignForWrite(PageId lpn) = 0;
 
     /**
-     * Observe one EV-path read of @p lpn. Frequency-aware mappings
-     * feed their online heat estimate from this hook; the default is
-     * a no-op so plain mappings stay stateless.
+     * Note one EV-path read of @p lpn and return its physical page:
+     * the one per-read hook. Frequency-aware mappings feed their
+     * online heat estimate from it; a plain mapping just translates.
      */
-    virtual void noteRead(PageId lpn) { (void)lpn; }
+    virtual PageId readPage(PageId lpn) = 0;
 };
 
 /**
@@ -51,6 +51,7 @@ class LinearMapping : public Mapping
 
     PageId translate(PageId lpn) const override;
     PageId assignForWrite(PageId lpn) override;
+    PageId readPage(PageId lpn) override { return translate(lpn); }
 
   private:
     std::uint64_t totalPages_;

@@ -41,9 +41,22 @@ class FlatMap
     const V *
     find(std::uint64_t key) const
     {
+        // An empty map answers without hashing.
+        return buckets_.empty() ? nullptr : find(key, splitmix64(key));
+    }
+
+    /**
+     * find() with the key's home hash supplied: @p hash must be
+     * splitmix64(key). A caller that hashes the key for another
+     * splitmix64-keyed structure (a FrequencySketch row 0, another
+     * FlatMap) passes that hash instead of paying for it again.
+     */
+    const V *
+    find(std::uint64_t key, std::uint64_t hash) const
+    {
         if (buckets_.empty())
             return nullptr;
-        const Bucket &bucket = buckets_[probe(key)];
+        const Bucket &bucket = buckets_[probe(key, hash)];
         return bucket.key == kEmptyKey ? nullptr : &bucket.value;
     }
 
@@ -55,12 +68,19 @@ class FlatMap
     V &
     findOrInsert(std::uint64_t key, bool &created)
     {
+        return findOrInsert(key, splitmix64(key), created);
+    }
+
+    /** findOrInsert() with @p hash = splitmix64(key) supplied. */
+    V &
+    findOrInsert(std::uint64_t key, std::uint64_t hash, bool &created)
+    {
         RMSSD_ASSERT(key != kEmptyKey, "flat map key is the empty mark");
         // Grow before probing, so the load factor stays at most 3/4
         // after this insertion.
         if (4 * (size_ + 1) > 3 * buckets_.size())
             grow();
-        Bucket &bucket = buckets_[probe(key)];
+        Bucket &bucket = buckets_[probe(key, hash)];
         created = bucket.key == kEmptyKey;
         if (created) {
             bucket = Bucket{key, V{}};
@@ -147,8 +167,15 @@ class FlatMap
     std::size_t
     probe(std::uint64_t key) const
     {
+        return probe(key, splitmix64(key));
+    }
+
+    /** probe() from @p key's home hash, splitmix64(key). */
+    std::size_t
+    probe(std::uint64_t key, std::uint64_t hash) const
+    {
         const std::size_t mask = buckets_.size() - 1;
-        std::size_t b = home(key);
+        std::size_t b = static_cast<std::size_t>(hash) & mask;
         while (buckets_[b].key != kEmptyKey && buckets_[b].key != key)
             b = (b + 1) & mask;
         return b;

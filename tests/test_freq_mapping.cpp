@@ -147,11 +147,11 @@ TEST(FrequencyMapping, ObservedHotRanksByReadFrequency)
     ftl::FrequencyMapping mapping(4096, opt);
 
     for (int i = 0; i < 10; ++i)
-        mapping.noteRead(PageId{7});
+        mapping.readPage(PageId{7});
     for (int i = 0; i < 5; ++i)
-        mapping.noteRead(PageId{11});
+        mapping.readPage(PageId{11});
     for (int i = 0; i < 2; ++i)
-        mapping.noteRead(PageId{13});
+        mapping.readPage(PageId{13});
 
     EXPECT_EQ(mapping.observedReads(), 17u);
     const std::vector<PageId> hot = mapping.observedHot(2);
@@ -165,9 +165,152 @@ TEST(FrequencyMapping, ObservedHotRanksByReadFrequency)
 }
 
 /**
+ * FrequencySketch as it was before record() returned its estimate:
+ * record and estimate are separate passes that each hash all four
+ * rows, and nibbles are read and written through a branch on the
+ * slot's parity. The reference model for the fused record.
+ */
+class TwoPassSketch
+{
+  public:
+    TwoPassSketch(std::uint64_t counters, std::uint64_t sampleSize)
+        : sampleSize_(std::max<std::uint64_t>(1, sampleSize))
+    {
+        const std::uint64_t width =
+            std::bit_ceil(std::max<std::uint64_t>(64, counters));
+        mask_ = width - 1;
+        table_.assign(width / 2, 0);
+    }
+
+    void
+    record(std::uint64_t key)
+    {
+        std::uint32_t minCount = FrequencySketch::kMaxCount;
+        std::uint64_t slots[FrequencySketch::kDepth];
+        for (std::uint32_t row = 0; row < FrequencySketch::kDepth; ++row) {
+            slots[row] = slotOf(key, row);
+            minCount = std::min(minCount, counterAt(slots[row]));
+        }
+        if (minCount < FrequencySketch::kMaxCount) {
+            for (const std::uint64_t slot : slots) {
+                if (counterAt(slot) == minCount)
+                    setCounterAt(slot, minCount + 1);
+            }
+        }
+        if (++additions_ >= sampleSize_) {
+            for (std::uint8_t &byte : table_)
+                byte = static_cast<std::uint8_t>((byte >> 1) & 0x77);
+            additions_ /= 2;
+        }
+    }
+
+    std::uint32_t
+    estimate(std::uint64_t key) const
+    {
+        std::uint32_t minCount = FrequencySketch::kMaxCount;
+        for (std::uint32_t row = 0; row < FrequencySketch::kDepth; ++row)
+            minCount = std::min(minCount, counterAt(slotOf(key, row)));
+        return minCount;
+    }
+
+    void
+    clear()
+    {
+        std::fill(table_.begin(), table_.end(), std::uint8_t{0});
+        additions_ = 0;
+    }
+
+  private:
+    std::uint64_t
+    slotOf(std::uint64_t key, std::uint32_t row) const
+    {
+        std::uint64_t x = key + 0x9e3779b97f4a7c15ULL * (row + 1);
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return (x ^ (x >> 31)) & mask_;
+    }
+
+    std::uint32_t
+    counterAt(std::uint64_t slot) const
+    {
+        const std::uint8_t byte = table_[slot >> 1];
+        return (slot & 1) ? (byte >> 4) : (byte & 0x0f);
+    }
+
+    void
+    setCounterAt(std::uint64_t slot, std::uint32_t v)
+    {
+        std::uint8_t &byte = table_[slot >> 1];
+        if (slot & 1)
+            byte = static_cast<std::uint8_t>((byte & 0x0f) | (v << 4));
+        else
+            byte = static_cast<std::uint8_t>((byte & 0xf0) | v);
+    }
+
+    std::vector<std::uint8_t> table_;
+    std::uint64_t mask_;
+    std::uint64_t sampleSize_;
+    std::uint64_t additions_ = 0;
+};
+
+TEST(FrequencySketchDifferential, FusedRecordMatchesTwoPassReference)
+{
+    // 256 counters and a halving every 97 records: a few hot keys
+    // saturate at 15 between halvings, and the cold tail collides
+    // often enough that rows share slots.
+    FrequencySketch sketch(256, 97);
+    TwoPassSketch reference(256, 97);
+    Rng rng(0x5ce7cULL);
+
+    std::vector<std::uint64_t> probes;
+    for (std::uint64_t k = 0; k < 64; ++k)
+        probes.push_back(splitmix64(k));
+    bool sawSaturated = false, sawHalvedRecord = false;
+    bool sawHalvedFromPeak = false;
+    for (int step = 0; step < 40000; ++step) {
+        const std::uint64_t key = rng.nextBounded(4) != 0
+                                      ? probes[rng.nextBounded(3)]
+                                      : probes[rng.nextBounded(64)] ^
+                                            rng.nextBounded(1u << 20);
+        const std::uint64_t halvingsBefore = sketch.halvings().value();
+        // Both record overloads, the hash-taking one with the row-0
+        // hash a FlatMap would share.
+        const std::uint32_t fused = step % 2 == 0
+                                        ? sketch.record(key)
+                                        : sketch.record(key,
+                                                        splitmix64(key));
+        reference.record(key);
+        ASSERT_EQ(fused, reference.estimate(key)) << "step " << step;
+        ASSERT_EQ(sketch.estimate(key, splitmix64(key)), fused)
+            << "step " << step;
+        sawSaturated |= fused == FrequencySketch::kMaxCount;
+        if (sketch.halvings().value() != halvingsBefore) {
+            sawHalvedRecord = true;
+            sawHalvedFromPeak |= fused == FrequencySketch::kMaxCount / 2;
+        }
+        if (step % 101 == 0) {
+            for (const std::uint64_t probe : probes)
+                ASSERT_EQ(sketch.estimate(probe),
+                          reference.estimate(probe))
+                    << "step " << step;
+        }
+        if (step == 30000) {
+            sketch.clear();
+            reference.clear();
+        }
+    }
+    EXPECT_TRUE(sawSaturated);
+    EXPECT_TRUE(sawHalvedRecord);
+    EXPECT_TRUE(sawHalvedFromPeak);
+    EXPECT_GT(sketch.halvings().value(), 100u);
+}
+
+/**
  * The node-based FrequencyMapping the flat tables replaced, kept as a
  * reference model: std::unordered_map overlays and counters, an
- * unordered_set dedup in planHotSet and a full sort in observedHot.
+ * unordered_set dedup in planHotSet, a full sort in observedHot, and
+ * the two-pass sketch behind a noteRead() that the caller follows
+ * with translate(), as the FTL's read path did before readPage().
  */
 class ReferenceMapping
 {
@@ -304,7 +447,7 @@ class ReferenceMapping
     ftl::FrequencyMapping::Options options_;
     std::unordered_map<PageId, PageId> l2p_;
     std::unordered_map<PageId, PageId> p2l_;
-    FrequencySketch sketch_;
+    TwoPassSketch sketch_;
     std::unordered_map<PageId, std::uint64_t> candidates_;
     std::uint64_t observedReads_ = 0;
 };
@@ -318,6 +461,46 @@ swapPages(const std::vector<ftl::FrequencyMapping::Swap> &swaps)
         pages.push_back({swap.hotLpn, swap.fromPpn, swap.toPpn,
                          swap.displacedLpn});
     return pages;
+}
+
+TEST(FrequencyMapping, BoundedPlanIsPrefixOfUnboundedPlan)
+{
+    // A device partly placed already, so the plan mixes pages that
+    // stay, pages that move and slots held by earlier hot pages.
+    ftl::FrequencyMapping mapping(2048);
+    std::vector<PageId> earlier;
+    for (std::uint64_t i = 0; i < 24; ++i)
+        earlier.push_back(PageId{700 + 29 * i});
+    for (const auto &swap : mapping.planHotSet(earlier))
+        mapping.commitSwap(swap);
+
+    Rng rng(0xb0dULL);
+    for (int round = 0; round < 40; ++round) {
+        std::vector<PageId> hot;
+        for (std::uint64_t n = 1 + rng.nextBounded(80); n > 0; --n) {
+            hot.push_back(rng.nextBounded(3) == 0
+                              ? earlier[rng.nextBounded(earlier.size())]
+                              : PageId{rng.nextBounded(2048)});
+        }
+        const auto full = mapping.planHotSet(hot);
+        for (const std::uint64_t m :
+             {std::uint64_t{0}, std::uint64_t{1}, full.size() / 2,
+              full.size(), full.size() + 3}) {
+            const auto bounded = mapping.planHotSet(hot, m);
+            const std::size_t want =
+                std::min<std::size_t>(m, full.size());
+            ASSERT_EQ(bounded.size(), want) << "round " << round;
+            ASSERT_EQ(swapPages(bounded),
+                      swapPages({full.begin(),
+                                 full.begin() +
+                                     static_cast<std::ptrdiff_t>(want)}))
+                << "round " << round << " bound " << m;
+        }
+        // Commit a prefix so later rounds plan over a moved mapping.
+        const auto some = mapping.planHotSet(hot, rng.nextBounded(8));
+        for (const auto &swap : some)
+            mapping.commitSwap(swap);
+    }
 }
 
 TEST(FrequencyMappingDifferential, MatchesMapReferenceModel)
@@ -363,8 +546,9 @@ TEST(FrequencyMappingDifferential, MatchesMapReferenceModel)
         if (op < 10) {
             for (std::uint64_t n = 1 + rng.nextBounded(40); n > 0; --n) {
                 const PageId lpn = randomPage();
-                mapping.noteRead(lpn);
                 reference.noteRead(lpn);
+                ASSERT_EQ(mapping.readPage(lpn), reference.translate(lpn))
+                    << "step " << step << " page " << lpn.raw();
             }
         } else if (op < 13) {
             const std::size_t count = reference.candidateCount();

@@ -293,7 +293,7 @@ TEST(FtlDifferential, ReadBytesFollowsTranslateUnderFrequencyMapping)
     // readBytes fed the heat tracker the logical page of every read.
     FrequencyMapping reference(pages);
     for (const Lba lba : lbas)
-        reference.noteRead(PageId{lba.raw() / ftl.sectorsPerPage()});
+        reference.readPage(PageId{lba.raw() / ftl.sectorsPerPage()});
     EXPECT_EQ(mapping.observedReads(), reference.observedReads());
     EXPECT_EQ(mapping.observedHot(32), reference.observedHot(32));
     EXPECT_FALSE(mapping.observedHot(32).empty());

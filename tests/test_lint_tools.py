@@ -4,7 +4,8 @@
 Runs tools/lint_units.py, tools/lint_determinism.py,
 tools/lint_reachability.py, tools/diff_bench.py and
 tools/compare_outputs.py against fixtures with KNOWN findings
-(tests/lint_fixtures/ plus generated JSON dumps and fake build trees)
+(tests/lint_fixtures/ plus generated JSON dumps, fake build trees and
+fake benchmark drivers)
 and asserts both the exit codes and the findings text. A lint that silently stops seeing a
 hazard class fails CI here instead of slipping through review.
 
@@ -258,6 +259,69 @@ class CompareOutputsTest(unittest.TestCase):
     def test_missing_build_tree_is_an_error(self):
         r = run_tool("compare_outputs.py", REPO / "no-such-build",
                      REPO / "no-such-build")
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+
+    def fake_driver(self, path: pathlib.Path, *, req_per_s: str,
+                    moved_p99: str = "5.0", failed: str = "0") -> None:
+        """A benchmark driver printing one result line per run.
+
+        It refuses any argv but the one the tool must pass. Seed 1009
+        of sls_rmc1_drift_migrate reports @p moved_p99 as its
+        lat_hi.p99_us, and rmc1_tier_functional @p failed failures.
+        """
+        result = json.dumps({"failed": "FAILED", "end_to_end": {
+            "lat_hi.p99_us": {"value": "P99", "unit": "us"},
+            "sat_qps": {"value": 700.5, "unit": "samples/s"},
+            "sim_req_per_s": {"value": float(req_per_s), "unit": "req/s"},
+        }}).replace('"FAILED"', "$failed").replace('"P99"', "$p99")
+        self.script(path, f"""\
+[ "$1 $3 $5 $6 $7 $8" = "--workload --seed --seconds 1 --trace 0" ] || exit 3
+p99=5.0
+failed=0
+[ "$2 $4" = "sls_rmc1_drift_migrate 1009" ] && p99={moved_p99}
+[ "$2" = rmc1_tier_functional ] && failed={failed}
+echo "serving $2"
+cat <<EOF
+{result}
+EOF
+""")
+
+    def compare_drivers(self, change_kwargs: dict):
+        with tempfile.TemporaryDirectory() as td:
+            parent = pathlib.Path(td) / "parent" / "rmssd_perf"
+            change = pathlib.Path(td) / "change" / "rmssd_perf"
+            self.fake_driver(parent, req_per_s="7000")
+            self.fake_driver(change, req_per_s="9000", **change_kwargs)
+            return run_tool("compare_outputs.py", "--perf", parent,
+                            change, "--jobs", "2")
+
+    def test_perf_drivers_agreeing_on_simulated_metrics_pass(self):
+        # Only the host-noisy sim_req_per_s differs: printed, not a
+        # finding.
+        r = self.compare_drivers({})
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("compared 8 benchmark runs per side", r.stdout)
+        self.assertIn("sls_rmc2_cold seed 1009: sim_req_per_s 7000 -> 9000",
+                      r.stdout)
+        self.assertIn("identical", r.stdout)
+
+    def test_perf_reports_moved_metric_and_failures(self):
+        r = self.compare_drivers({"moved_p99": "6.5", "failed": "2"})
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        for needle in (
+                "sls_rmc1_drift_migrate seed 1009: lat_hi.p99_us "
+                "5.0 -> 6.5",
+                "rmc1_tier_functional seed 1: change failed 2 operations",
+                "rmc1_tier_functional seed 1009: change failed 2 "
+                "operations",
+                "DIFFERENT"):
+            self.assertIn(needle, r.stdout)
+        # The unmoved seed of the same workload is not reported.
+        self.assertNotIn("sls_rmc1_drift_migrate seed 1: lat_hi", r.stdout)
+
+    def test_perf_driver_must_be_executable(self):
+        r = run_tool("compare_outputs.py", "--perf", REPO / "no-such-driver",
+                     REPO / "no-such-driver")
         self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
 
 

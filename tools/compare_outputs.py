@@ -14,17 +14,30 @@ Every differing line pair is printed (``-`` parent, ``+`` change).
 Use it to show that a refactor changes no simulated output, or
 exactly the lines it is meant to change.
 
+With ``--perf`` the two arguments are instead two ``rmssd_perf``
+benchmark drivers (``build-perf/driver/rmssd_perf`` of each tree).
+Both run every benchmark workload at the default and the held-out
+seed with ``--seconds 1 --trace 0``, and their end-to-end metrics are
+compared. Every simulated metric (all but the host-noisy
+``sim_req_per_s``, ``setup_s`` and ``peak_rss_mb``) must be equal,
+and ``failed`` must be 0 on both sides. The host-noisy metrics are
+printed side by side for information only.
+
 Usage:
     compare_outputs.py PARENT_BUILD CHANGE_BUILD [--jobs N] [--keep]
+    compare_outputs.py --perf PARENT_DRIVER CHANGE_DRIVER [--jobs N]
 
-Exit status: 0 when both trees produce identical outputs, 1 on any
-difference (a binary present on one side only counts as one).
+Exit status: 0 when both sides produce identical outputs, 1 on any
+difference (a binary present on one side only counts as one), 2 on
+bad arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import importlib.util
+import json
 import os
 import pathlib
 import shutil
@@ -131,22 +144,115 @@ def compare(parent_build: pathlib.Path, change_build: pathlib.Path,
             shutil.rmtree(scratch, ignore_errors=True)
 
 
+# End-to-end metrics that time the host, not the simulated device.
+HOST_METRICS = ("sim_req_per_s", "setup_s", "peak_rss_mb")
+
+
+def perf_runs() -> list[tuple[str, int]]:
+    """(workload, seed) pairs: every benchmark workload at both seeds."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_run", pathlib.Path(__file__).resolve().parent / "perf" /
+        "run.py")
+    run_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_py)
+    return [(workload, seed) for workload in run_py.WORKLOADS
+            for seed in (run_py.DEFAULT_SEED, run_py.HELD_OUT_SEED)]
+
+
+def run_driver(driver: pathlib.Path, workload: str, seed: int) -> dict:
+    """One driver run; its last stdout line is the JSON result."""
+    cmd = [str(driver), "--workload", workload, "--seed", str(seed),
+           "--seconds", "1", "--trace", "0"]
+    r = subprocess.run(cmd, capture_output=True, text=True,
+                       errors="replace")
+    lines = r.stdout.strip().splitlines()
+    if r.returncode or not lines:
+        return {"error": f"exit status {r.returncode}"}
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return {"error": "last stdout line is not JSON"}
+
+
+def perf_findings(name: str, parent: dict, change: dict) -> list[str]:
+    """What differs between two driver results of one run."""
+    findings = []
+    for side, result in (("parent", parent), ("change", change)):
+        if "error" in result:
+            findings.append(f"{name}: {side} driver failed: "
+                            f"{result['error']}")
+        elif result.get("failed") != 0:
+            findings.append(f"{name}: {side} failed "
+                            f"{result.get('failed')} operations")
+    if findings:
+        return findings
+    pm, cm = parent["end_to_end"], change["end_to_end"]
+    for metric in sorted(set(pm) | set(cm)):
+        if metric in HOST_METRICS:
+            continue
+        if metric not in pm or metric not in cm:
+            only = "parent" if metric in pm else "change"
+            findings.append(f"{name}: {metric} only in the {only} run")
+        elif pm[metric]["value"] != cm[metric]["value"]:
+            findings.append(f"{name}: {metric} {pm[metric]['value']!r} "
+                            f"-> {cm[metric]['value']!r}")
+    return findings
+
+
+def compare_perf(parent_driver: pathlib.Path,
+                 change_driver: pathlib.Path, jobs: int) -> int:
+    runs = perf_runs()
+    drivers = {"parent": parent_driver, "change": change_driver}
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = {(side, run): pool.submit(run_driver, driver, *run)
+                   for run in runs for side, driver in drivers.items()}
+        results = {key: f.result() for key, f in futures.items()}
+    findings = []
+    for workload, seed in runs:
+        name = f"{workload} seed {seed}"
+        parent = results[("parent", (workload, seed))]
+        change = results[("change", (workload, seed))]
+        findings.extend(perf_findings(name, parent, change))
+        for metric in HOST_METRICS:
+            values = [r.get("end_to_end", {}).get(metric, {}).get("value")
+                      for r in (parent, change)]
+            if None not in values:
+                print(f"{name}: {metric} {values[0]:.6g} -> "
+                      f"{values[1]:.6g}")
+    print(f"compared {len(runs)} benchmark runs per side")
+    for line in findings:
+        print(line)
+    print("identical" if not findings else "DIFFERENT")
+    return 1 if findings else 0
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=pathlib.Path,
-                        help="build tree of the parent commit")
+                        help="build tree (or, with --perf, benchmark "
+                             "driver) of the parent commit")
     parser.add_argument("change", type=pathlib.Path,
-                        help="build tree of the change")
+                        help="build tree (or driver) of the change")
+    parser.add_argument("--perf", action="store_true",
+                        help="compare two rmssd_perf drivers' simulated "
+                             "end-to-end metrics")
     parser.add_argument("--jobs", type=int, default=2,
-                        help="binaries run at once per side (default 2)")
+                        help="binaries run at once (default 2)")
     parser.add_argument("--keep", action="store_true",
                         help="keep the scratch directories")
     args = parser.parse_args(argv)
+    jobs = max(1, args.jobs)
+    if args.perf:
+        for driver in (args.parent, args.change):
+            if not (driver.is_file() and os.access(driver, os.X_OK)):
+                print(f"not an executable: {driver}", file=sys.stderr)
+                return 2
+        return compare_perf(args.parent, args.change, jobs)
     for build in (args.parent, args.change):
         if not build.is_dir():
             print(f"not a directory: {build}", file=sys.stderr)
             return 2
-    return compare(args.parent, args.change, max(1, args.jobs), args.keep)
+    return compare(args.parent, args.change, jobs, args.keep)
 
 
 if __name__ == "__main__":
