@@ -16,7 +16,9 @@ RmSsdCluster::RmSsdCluster(const model::ModelConfig &config,
       options_(options),
       plan_(planTableSharding(config, options.sharding,
                               options.histograms)),
-      fullModel_(config)
+      fullModel_(config, options.device.functional
+                             ? model::Weights::Built
+                             : model::Weights::ShapesOnly)
 {
     // Each shard is an RM-SSD hosting its table subset. The sub-model
     // keeps the parent's global table ids (withTableSubset), so shard
@@ -446,7 +448,9 @@ RmSsdCluster::readyCycle(const ClusterRequest &request) const
         }
         return engine::kNeverCycle;
     };
-    Cycle ready;
+    // A request the host tier served in full has no participant; it
+    // is ready at its scatter time.
+    Cycle ready = request.t0;
     if (request.hedged.empty()) {
         // Every participant gates; the sub-request is paired by id,
         // so this holds even after out-of-order retires broke the

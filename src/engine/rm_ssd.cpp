@@ -29,11 +29,68 @@ validatePlacement(const PlacementOptions &placement,
               threshold);
 }
 
+/**
+ * Call @p visit(lba, firstRow, rows) for each flash page of a table
+ * laid out over page-aligned @p extents that holds rows, in row order.
+ * Every page holds whole rows (RmSsd's constructor checks that vectors
+ * tile a page); only the table's last page may hold fewer than a
+ * page's worth.
+ */
+template <typename Visit>
+void
+forEachTablePage(const flash::Geometry &geometry,
+                 const model::EmbeddingTableSpec &spec,
+                 const ftl::ExtentList &extents, Visit &&visit)
+{
+    const std::uint32_t sectorsPerPage = geometry.sectorsPerPage();
+    const std::uint64_t rowsPerPage =
+        geometry.pageSizeBytes.raw() / spec.vectorBytes();
+    std::uint64_t row = 0;
+    for (const ftl::Extent &e : extents.extents()) {
+        for (std::uint64_t s = 0;
+             s < e.sectorCount.raw() && row < spec.numRows;
+             s += sectorsPerPage) {
+            const std::uint64_t rows =
+                std::min(rowsPerPage, spec.numRows - row);
+            visit(e.startLba + Sectors{s}, row, rows);
+            row += rows;
+        }
+    }
+}
+
+/**
+ * Extents of every table, allocated in table order from LBA 0. Tables
+ * are keyed by their local position: a sharded sub-model keeps the
+ * parent's global ids in spec.tableId (they seed the synthetic
+ * content), but the device address space is local.
+ */
+std::vector<ftl::ExtentList>
+allocateTables(const RmSsdOptions &options,
+               const std::vector<model::EmbeddingTableSpec> &tables)
+{
+    const std::uint64_t sectorSize = options.geometry.sectorSizeBytes.raw();
+    ftl::ExtentAllocator allocator(
+        Sectors{options.geometry.capacityBytes() / sectorSize},
+        options.maxExtentSectors);
+    std::vector<ftl::ExtentList> extents;
+    for (const model::EmbeddingTableSpec &spec : tables) {
+        const Sectors sectors{(spec.totalBytes() + sectorSize - 1) /
+                              sectorSize};
+        extents.push_back(allocator.allocate(
+            sectors, options.geometry.sectorsPerPage()));
+    }
+    return extents;
+}
+
 } // namespace
 
 RmSsd::RmSsd(const model::ModelConfig &config, const RmSsdOptions &options)
     : PipelinedDevice(options.functional), config_(config),
-      options_(options), model_(config),
+      options_(options),
+      // Only a functional device runs the MLP math; a timing-only one
+      // keeps the layer shapes, which is all the kernel search reads.
+      model_(config, options.functional ? model::Weights::Built
+                                        : model::Weights::ShapesOnly),
       flash_(std::make_unique<flash::FlashArray>(options.geometry,
                                                  options.timing)),
       ftl_(std::make_unique<ftl::Ftl>(*flash_, makeMapping(options))),
@@ -51,6 +108,16 @@ RmSsd::RmSsd(const model::ModelConfig &config, const RmSsdOptions &options)
     if (config_.embeddingBytes() > options_.geometry.capacityBytes())
         fatal("embedding tables (%.1f GB) exceed device capacity",
               static_cast<double>(config_.embeddingBytes()) / 1e9);
+    // A vector read is served from one flash page, so whole vectors
+    // must tile a page; otherwise some row would straddle two pages.
+    const std::uint64_t pageSize = options_.geometry.pageSizeBytes.raw();
+    if (config_.vectorBytes() == 0 ||
+        pageSize % config_.vectorBytes() != 0)
+        fatal("embDim %u gives %u-byte embedding vectors, which do not "
+              "tile the %llu-byte flash page: the page size must be a "
+              "whole multiple of the vector size",
+              config_.embDim, config_.vectorBytes(),
+              static_cast<unsigned long long>(pageSize));
 
     if (options_.placement.enabled) {
         validatePlacement(options_.placement,
@@ -274,19 +341,40 @@ RmSsd::registerTable(TableId tableId,
 {
     RMSSD_ASSERT(tableId.raw() < config_.numTables,
                  "table id out of range");
+    const std::uint32_t sectorsPerPage =
+        options_.geometry.sectorsPerPage();
+    for (const ftl::Extent &e : extents.extents()) {
+        if (e.startLba.raw() % sectorsPerPage != 0 ||
+            e.sectorCount.raw() % sectorsPerPage != 0)
+            fatal("table %u has an extent of %llu sectors at LBA %llu; "
+                  "table extents must start and end on %u-sector flash "
+                  "pages",
+                  tableId.raw(),
+                  static_cast<unsigned long long>(e.sectorCount.raw()),
+                  static_cast<unsigned long long>(e.startLba.raw()),
+                  sectorsPerPage);
+    }
     const auto &spec = model_.embedding().tables()[tableId.raw()];
     translator_->registerTable(tableId, extents,
                                Bytes{spec.vectorBytes()}, spec.numRows);
 
     if (options_.functional) {
-        const Bytes sectorSize = options_.geometry.sectorSizeBytes;
-        std::vector<std::uint8_t> row(spec.vectorBytes());
-        for (std::uint64_t r = 0; r < spec.numRows; ++r) {
-            spec.rowBytes(r, row);
-            const auto loc = extents.locateByte(
-                Bytes{r * spec.vectorBytes()}, sectorSize);
-            ftl_->writeBytesFunctional(loc.lba, loc.byteInSector, row);
-        }
+        // One FTL write per page: the page's rows are laid out in one
+        // buffer, so only the tail of the table's last page is left
+        // for the backing store's filler.
+        const std::uint32_t rowBytes = spec.vectorBytes();
+        std::vector<std::uint8_t> page(
+            options_.geometry.pageSizeBytes.raw());
+        forEachTablePage(
+            options_.geometry, spec, extents,
+            [&](Lba lba, std::uint64_t firstRow, std::uint64_t rows) {
+                const std::span<std::uint8_t> bytes =
+                    std::span(page).first(rows * rowBytes);
+                for (std::uint64_t r = 0; r < rows; ++r)
+                    spec.rowBytes(firstRow + r,
+                                  bytes.subspan(r * rowBytes, rowBytes));
+                ftl_->writeBytesFunctional(lba, Bytes{}, bytes);
+            });
     }
     tablesLoaded_ = translator_->numTables() == config_.numTables;
 }
@@ -294,85 +382,32 @@ RmSsd::registerTable(TableId tableId,
 void
 RmSsd::loadTables()
 {
-    const std::uint64_t sectorSize =
-        options_.geometry.sectorSizeBytes.raw();
-    ftl::ExtentAllocator allocator(
-        Sectors{options_.geometry.capacityBytes() / sectorSize},
-        options_.maxExtentSectors);
-
-    // Tables are keyed by their local position: a sharded sub-model
-    // keeps the parent's global ids in spec.tableId (they seed the
-    // synthetic content), but the device address space is local.
-    const auto &tables = model_.embedding().tables();
-    for (std::uint32_t t = 0; t < tables.size(); ++t) {
-        const Sectors sectors{(tables[t].totalBytes() + sectorSize - 1) /
-                              sectorSize};
-        registerTable(TableId{t},
-                      allocator.allocate(
-                          sectors, options_.geometry.sectorsPerPage()));
-    }
+    const std::vector<ftl::ExtentList> extents =
+        allocateTables(options_, model_.embedding().tables());
+    for (std::uint32_t t = 0; t < extents.size(); ++t)
+        registerTable(TableId{t}, extents[t]);
 }
 
 Cycle
 RmSsd::loadTablesTimed()
 {
-    const std::uint64_t sectorSize =
-        options_.geometry.sectorSizeBytes.raw();
-    const std::uint64_t pageSize =
-        options_.geometry.pageSizeBytes.raw();
-    ftl::ExtentAllocator allocator(
-        Sectors{options_.geometry.capacityBytes() / sectorSize},
-        options_.maxExtentSectors);
-
-    Cycle done = deviceNow_;
-    std::vector<std::uint8_t> pageBuf(pageSize);
+    // The bytes land exactly as loadTables() lays them out; the timed
+    // write path then programs every page holding rows, striped over
+    // channels/dies by the FTL layout.
     const auto &tables = model_.embedding().tables();
-    for (std::uint32_t t = 0; t < tables.size(); ++t) {
-        const auto &spec = tables[t];
-        const Sectors sectors{(spec.totalBytes() + sectorSize - 1) /
-                              sectorSize};
-        const ftl::ExtentList extents = allocator.allocate(
-            sectors, options_.geometry.sectorsPerPage());
-        translator_->registerTable(TableId{t}, extents,
-                                   Bytes{spec.vectorBytes()},
-                                   spec.numRows);
-
-        // Program every page of the table through the timed write
-        // path; pages stripe over channels/dies via the FTL layout.
-        const std::uint32_t vecsPerPage =
-            static_cast<std::uint32_t>(pageSize / spec.vectorBytes());
-        std::uint64_t row = 0;
-        for (const ftl::Extent &e : extents.extents()) {
-            const std::uint64_t pages =
-                e.sectorCount.raw() /
-                options_.geometry.sectorsPerPage();
-            for (std::uint64_t p = 0; p < pages && row < spec.numRows;
-                 ++p) {
-                if (options_.functional) {
-                    for (std::uint32_t v = 0;
-                         v < vecsPerPage && row + v < spec.numRows; ++v)
-                        spec.rowBytes(
-                            row + v,
-                            std::span(pageBuf)
-                                .subspan(v * spec.vectorBytes(),
-                                         spec.vectorBytes()));
-                }
-                const Lba lba =
-                    e.startLba +
-                    Sectors{p * options_.geometry.sectorsPerPage()};
-                const auto loc = ftl_->translate(lba);
+    const std::vector<ftl::ExtentList> extents =
+        allocateTables(options_, tables);
+    Cycle done = deviceNow_;
+    for (std::uint32_t t = 0; t < extents.size(); ++t) {
+        registerTable(TableId{t}, extents[t]);
+        forEachTablePage(
+            options_.geometry, tables[t], extents[t],
+            [&](Lba lba, std::uint64_t, std::uint64_t) {
                 done = std::max(
-                    done,
-                    flash_->programPage(
-                        deviceNow_, loc.ppn,
-                        options_.functional
-                            ? std::span<const std::uint8_t>(pageBuf)
-                            : std::span<const std::uint8_t>()));
-                row += vecsPerPage;
-            }
-        }
+                    done, flash_->programPage(
+                              deviceNow_, ftl_->translate(lba).ppn, {}));
+            });
     }
-    tablesLoaded_ = translator_->numTables() == config_.numTables;
     deviceNow_ = done;
     lastCompletion_ = done;
     return done;

@@ -161,7 +161,9 @@ class RmSsd : public PipelinedDevice<RmSsdRequest>
     /**
      * Register one table at an externally chosen layout (the runtime
      * API's RM_open_table path). Data is written when the device is
-     * functional. Inference unlocks once all tables are registered.
+     * functional, one FTL write per flash page. Inference unlocks once
+     * all tables are registered. fatal()s unless every extent starts
+     * and ends on a flash page boundary.
      */
     void registerTable(TableId tableId,
                        const ftl::ExtentList &extents);

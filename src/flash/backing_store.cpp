@@ -32,9 +32,12 @@ BackingStore::writePartial(PageId ppn, Bytes offset,
     bool created = false;
     std::uint8_t *page = materialize(ppn, created);
     if (created) {
-        // Fill the new page with its filler content first so the
-        // untouched region keeps reading back the same bytes.
-        for (std::uint64_t i = 0; i < pageSize_.raw(); ++i)
+        // The bytes of a new page this write leaves untouched keep
+        // reading back as filler; the written range needs none.
+        const std::uint64_t end = offset.raw() + data.size();
+        for (std::uint64_t i = 0; i < offset.raw(); ++i)
+            page[i] = fillerByte(ppn, i);
+        for (std::uint64_t i = end; i < pageSize_.raw(); ++i)
             page[i] = fillerByte(ppn, i);
     }
     std::copy(data.begin(), data.end(), page + offset.raw());

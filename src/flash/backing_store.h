@@ -37,7 +37,11 @@ class BackingStore
     /** Overwrite a full page. @p data must be exactly one page. */
     void writePage(PageId ppn, std::span<const std::uint8_t> data);
 
-    /** Overwrite part of a page starting at @p offset. */
+    /**
+     * Overwrite part of a page starting at @p offset. On a page not
+     * yet written, the bytes outside the written range read back as
+     * the filler they read as before the write.
+     */
     void writePartial(PageId ppn, Bytes offset,
                       std::span<const std::uint8_t> data);
 
@@ -67,7 +71,7 @@ class BackingStore
     const std::uint8_t *find(PageId ppn) const;
     /**
      * Content of @p ppn. A new page is allocated uninitialized and
-     * @p created is set; the caller fills all of it.
+     * @p created is set; the caller writes every byte of it.
      */
     std::uint8_t *materialize(PageId ppn, bool &created);
 

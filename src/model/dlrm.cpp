@@ -129,14 +129,15 @@ ModelConfig::withTableSubset(const std::vector<std::uint32_t> &tables) const
     return sub;
 }
 
-DlrmModel::DlrmModel(const ModelConfig &config)
+DlrmModel::DlrmModel(const ModelConfig &config, Weights weights)
     : config_(config),
       bottom_(config.denseInputDim(),
               std::vector<std::uint32_t>(config.bottomWidths.begin() + 1,
                                          config.bottomWidths.end()),
-              Activation::Relu, hashCombine(config.seed, 0xb07ULL)),
+              Activation::Relu, hashCombine(config.seed, 0xb07ULL),
+              weights),
       top_(config.topInputDim(), config.topWidths, Activation::Sigmoid,
-           hashCombine(config.seed, 0x709ULL))
+           hashCombine(config.seed, 0x709ULL), weights)
 {
     std::vector<EmbeddingTableSpec> tables;
     tables.reserve(config.numTables);

@@ -102,13 +102,23 @@ struct Sample
     std::vector<std::vector<std::uint64_t>> indices;
 };
 
-/** Functional DLRM with deterministic weights. */
+/**
+ * Functional DLRM with deterministic weights. A model built with
+ * Weights::ShapesOnly (what a timing-only device holds) keeps the
+ * layer shapes and the embedding specs but no MLP weights:
+ * referenceInference() and inferenceWithPooled() fatal() on it.
+ */
 class DlrmModel
 {
   public:
-    explicit DlrmModel(const ModelConfig &config);
+    explicit DlrmModel(const ModelConfig &config,
+                       Weights weights = Weights::Built);
 
     const ModelConfig &config() const { return config_; }
+    bool hasWeights() const
+    {
+        return bottom_.layers().front().hasWeights();
+    }
     const Mlp &bottomMlp() const { return bottom_; }
     const Mlp &topMlp() const { return top_; }
     const EmbeddingLayer &embedding() const { return embedding_; }

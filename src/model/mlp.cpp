@@ -8,10 +8,14 @@
 namespace rmssd::model {
 
 FcLayer::FcLayer(std::uint32_t inputs, std::uint32_t outputs,
-                 Activation activation, std::uint64_t seed)
-    : weights_(Matrix::random(outputs, inputs, seed)),
-      bias_(outputs, 0.0f), activation_(activation)
+                 Activation activation, std::uint64_t seed,
+                 Weights weights)
+    : inputs_(inputs), outputs_(outputs), activation_(activation)
 {
+    if (weights == Weights::ShapesOnly)
+        return;
+    weights_ = Matrix::random(outputs, inputs, seed);
+    bias_.resize(outputs);
     for (std::uint32_t i = 0; i < outputs; ++i)
         bias_[i] = hashToUnitFloat(hashCombine(seed, 0xb1a5ULL + i)) * 0.1f;
 }
@@ -26,6 +30,11 @@ Vector
 FcLayer::forward(std::span<const float> head,
                  std::span<const float> tail) const
 {
+    if (!hasWeights())
+        fatal("forward pass on a shapes-only %u -> %u FC layer: the "
+              "model was built for a timing-only device, which keeps no "
+              "MLP weights; run a functional device or a host DlrmModel",
+              inputs_, outputs_);
     Vector y(outputs());
     gemv(weights_, head, tail, y);
     for (std::uint32_t i = 0; i < outputs(); ++i) {
@@ -53,7 +62,7 @@ FcLayer::paramBytes() const
 }
 
 Mlp::Mlp(std::uint32_t inputDim, const std::vector<std::uint32_t> &widths,
-         Activation lastActivation, std::uint64_t seed)
+         Activation lastActivation, std::uint64_t seed, Weights weights)
     : inputDim_(inputDim)
 {
     RMSSD_ASSERT(!widths.empty(), "MLP with no layers");
@@ -62,7 +71,7 @@ Mlp::Mlp(std::uint32_t inputDim, const std::vector<std::uint32_t> &widths,
         const bool last = (i + 1 == widths.size());
         layers_.emplace_back(in, widths[i],
                              last ? lastActivation : Activation::Relu,
-                             hashCombine(seed, i));
+                             hashCombine(seed, i), weights);
         in = widths[i];
     }
 }

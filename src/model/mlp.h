@@ -24,16 +24,35 @@ enum class Activation : std::uint8_t
     Sigmoid,
 };
 
+/**
+ * What a layer holds: its weights, or only its shape. A timing-only
+ * device builds shapes only, because kernel search, paramBytes() and
+ * the resource model read nothing more; a forward pass needs
+ * Weights::Built.
+ */
+enum class Weights : std::uint8_t
+{
+    Built,
+    ShapesOnly,
+};
+
 /** One fully-connected layer: y = act(W x + b). */
 class FcLayer
 {
   public:
+    /**
+     * With @p weights == Weights::ShapesOnly the layer keeps only its
+     * shape and activation: weights() and bias() are empty, and
+     * forward() fatal()s.
+     */
     FcLayer(std::uint32_t inputs, std::uint32_t outputs,
-            Activation activation, std::uint64_t seed);
+            Activation activation, std::uint64_t seed,
+            Weights weights = Weights::Built);
 
-    std::uint32_t inputs() const { return weights_.cols(); }
-    std::uint32_t outputs() const { return weights_.rows(); }
+    std::uint32_t inputs() const { return inputs_; }
+    std::uint32_t outputs() const { return outputs_; }
     Activation activation() const { return activation_; }
+    bool hasWeights() const { return !bias_.empty(); }
 
     const Matrix &weights() const { return weights_; }
     const Vector &bias() const { return bias_; }
@@ -52,8 +71,10 @@ class FcLayer
     std::uint64_t paramBytes() const;
 
   private:
-    Matrix weights_; //!< outputs x inputs
-    Vector bias_;
+    std::uint32_t inputs_ = 0;
+    std::uint32_t outputs_ = 0;
+    Matrix weights_; //!< outputs x inputs; empty when shapes-only
+    Vector bias_;    //!< empty when shapes-only
     Activation activation_;
 };
 
@@ -64,10 +85,11 @@ class Mlp
     /**
      * Build from @p widths: input dimension @p inputDim, then one
      * layer per width. Hidden layers use ReLU; the last layer uses
-     * @p lastActivation.
+     * @p lastActivation. @p weights applies to every layer.
      */
     Mlp(std::uint32_t inputDim, const std::vector<std::uint32_t> &widths,
-        Activation lastActivation, std::uint64_t seed);
+        Activation lastActivation, std::uint64_t seed,
+        Weights weights = Weights::Built);
 
     Mlp() = default;
 

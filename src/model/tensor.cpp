@@ -19,11 +19,12 @@ Matrix::random(std::uint32_t rows, std::uint32_t cols,
                std::uint64_t seed, float scale)
 {
     Matrix m(rows, cols);
+    float *out = m.data_.data();
     for (std::uint32_t r = 0; r < rows; ++r) {
         for (std::uint32_t c = 0; c < cols; ++c) {
             const std::uint64_t h =
                 hashCombine(seed, (static_cast<std::uint64_t>(r) << 32) | c);
-            m.at(r, c) = hashToUnitFloat(h) * scale;
+            *out++ = hashToUnitFloat(h) * scale;
         }
     }
     return m;

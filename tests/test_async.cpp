@@ -490,7 +490,10 @@ TEST(PinnedStreams, HedgedClusterBehindAHostTier)
         11);
     EXPECT_GT(fleet.hedgesIssued().value(), 0u);
     EXPECT_GT(fleet.tierSliceHits(), 0u);
-    EXPECT_EQ(hash, 0x5dc95dae814d8ec3ULL);
+    // Some requests here are served by the tier in full. They are
+    // ready at their scatter time, so a harvest probing
+    // nextDoneCycle() retires them in ready order.
+    EXPECT_EQ(hash, 0xecbad58cb0621656ULL);
 }
 
 TEST(PinnedStreams, TenantFleetOverACluster)

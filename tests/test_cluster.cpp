@@ -198,6 +198,41 @@ TEST(ClusterFunctional, CtrMatchesSingleSearchedDevice)
         EXPECT_EQ(sharded[i], reference[i]) << "sample " << i;
 }
 
+TEST(ClusterModel, TimingOnlyFleetBuildsNoWeights)
+{
+    const model::ModelConfig config = tinyConfig();
+    ClusterOptions options;
+    options.sharding.numDevices = 2;
+    const RmSsdCluster timing(config, options);
+    EXPECT_FALSE(timing.model().hasWeights());
+    for (std::uint32_t d = 0; d < 2; ++d)
+        EXPECT_FALSE(timing.shard(d).model().hasWeights());
+
+    // A functional fleet keeps its weights, and its CTRs equal a host
+    // model built on its own.
+    options.device.functional = true;
+    RmSsdCluster functional(config, options);
+    EXPECT_TRUE(functional.model().hasWeights());
+    const model::DlrmModel host(config);
+    workload::TraceGenerator gen(config, workload::localityK(0.3));
+    const auto batch = gen.nextBatch(4);
+    const std::vector<float> ctrs = functional.infer(batch).outputs;
+    ASSERT_EQ(ctrs.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        EXPECT_EQ(ctrs[i], host.referenceInference(batch[i]))
+            << "sample " << i;
+}
+
+TEST(ClusterModelDeathTest, TimingOnlyFleetRefusesAForwardPass)
+{
+    ClusterOptions options;
+    options.sharding.numDevices = 2;
+    const RmSsdCluster fleet(tinyConfig(), options);
+    const model::Sample s = fleet.model().makeSample(0);
+    EXPECT_EXIT((void)fleet.model().referenceInference(s),
+                ::testing::ExitedWithCode(1), "shapes-only");
+}
+
 class ClusterTimingFixture : public ::testing::Test
 {
   protected:

@@ -143,6 +143,38 @@ TEST(BackingStore, PartialWritePreservesFiller)
     }
 }
 
+TEST(BackingStore, NewPagePartialWriteEqualsFillThenCopy)
+{
+    // A write to a new page fills only the bytes it leaves untouched;
+    // the page must read back as if all of it were filled first.
+    constexpr std::uint64_t kPage = 4096;
+    const BackingStore filler(Bytes{kPage}); // never written
+    struct Range
+    {
+        std::uint64_t offset;
+        std::uint64_t size;
+    };
+    const Range ranges[] = {
+        {0, 128}, {3968, 128}, {100, 1000}, {0, kPage}, {4095, 1}};
+    std::uint64_t ppn = 3;
+    for (const Range &range : ranges) {
+        BackingStore store(Bytes{kPage});
+        std::vector<std::uint8_t> patch(range.size);
+        std::iota(patch.begin(), patch.end(), 7);
+        store.writePartial(PageId{ppn}, Bytes{range.offset}, patch);
+
+        std::vector<std::uint8_t> want(kPage);
+        filler.read(PageId{ppn}, Bytes{}, want);
+        std::copy(patch.begin(), patch.end(),
+                  want.begin() + static_cast<std::ptrdiff_t>(range.offset));
+        std::vector<std::uint8_t> got(kPage);
+        store.read(PageId{ppn}, Bytes{}, got);
+        EXPECT_EQ(got, want) << "offset " << range.offset << " size "
+                             << range.size;
+        ppn += 1000;
+    }
+}
+
 TEST(BackingStore, MatchesMapReferenceModel)
 {
     // Random writes, partial writes, reads and erases against a

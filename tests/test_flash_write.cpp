@@ -8,10 +8,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "engine/rm_ssd.h"
 #include "flash/flash_array.h"
+#include "ftl/extent.h"
+#include "ftl/ftl.h"
 #include "model/model_zoo.h"
 
 namespace rmssd::flash {
@@ -156,6 +159,101 @@ TEST(TimedLoad, TimingOnlyLoadDoesNotMaterializePages)
     dev.loadTablesTimed();
     EXPECT_EQ(dev.flash().store().materializedPages(), 0u);
     EXPECT_GT(dev.flash().totalPagePrograms(), 0u);
+}
+
+/** Page content keyed by physical page number. */
+using PageMap = std::map<std::uint64_t, std::vector<std::uint8_t>>;
+
+/**
+ * The row-at-a-time table loader the page composer replaced: one FTL
+ * write per row at the row's byte offset, where the first write to a
+ * page fills all of it with the page's filler and then copies the row
+ * in. Returns what every page it touched holds afterwards.
+ */
+PageMap
+rowAtATimePages(const model::ModelConfig &cfg, const RmSsdOptions &opt)
+{
+    const flash::Geometry &g = opt.geometry;
+    const Bytes sectorSize = g.sectorSizeBytes;
+    flash::FlashArray array(g, opt.timing);
+    ftl::Ftl ftl = ftl::Ftl::makeLinear(array);
+    const flash::BackingStore filler(g.pageSizeBytes); // never written
+    ftl::ExtentAllocator allocator(
+        Sectors{g.capacityBytes() / sectorSize.raw()},
+        opt.maxExtentSectors);
+    const model::DlrmModel model(cfg, model::Weights::ShapesOnly);
+
+    PageMap pages;
+    for (const model::EmbeddingTableSpec &spec :
+         model.embedding().tables()) {
+        const ftl::ExtentList extents = allocator.allocate(
+            Sectors{(spec.totalBytes() + sectorSize.raw() - 1) /
+                    sectorSize.raw()},
+            g.sectorsPerPage());
+        std::vector<std::uint8_t> row(spec.vectorBytes());
+        for (std::uint64_t r = 0; r < spec.numRows; ++r) {
+            spec.rowBytes(r, row);
+            const auto loc = extents.locateByte(
+                Bytes{r * spec.vectorBytes()}, sectorSize);
+            const ftl::Ftl::PhysLoc phys =
+                ftl.translate(loc.lba, loc.byteInSector);
+            auto [it, created] = pages.try_emplace(phys.ppn.raw());
+            if (created) {
+                it->second.resize(g.pageSizeBytes.raw());
+                filler.read(phys.ppn, Bytes{}, it->second);
+            }
+            std::copy(row.begin(), row.end(),
+                      it->second.begin() +
+                          static_cast<std::ptrdiff_t>(
+                              phys.pageByteOffset.raw()));
+        }
+    }
+    return pages;
+}
+
+/** Every materialized page of @p dev equals @p want byte for byte. */
+void
+expectPages(const RmSsd &dev, const PageMap &want)
+{
+    const flash::BackingStore &store = dev.flash().store();
+    EXPECT_EQ(store.materializedPages(), want.size());
+    std::vector<std::uint8_t> got(store.pageSizeBytes().raw());
+    for (const auto &[ppn, bytes] : want) {
+        ASSERT_TRUE(store.isWritten(PageId{ppn})) << "page " << ppn;
+        store.read(PageId{ppn}, Bytes{}, got);
+        EXPECT_EQ(got, bytes) << "page " << ppn;
+    }
+}
+
+TEST(TableLoaders, PageComposerEqualsRowAtATimeLoader)
+{
+    // 500 rows of 128 B: 15 full pages and a last page holding 20
+    // rows and a filler tail; 24-sector extents split every table
+    // into six. 77 rows of 256 B: four full pages and a fifth holding
+    // 13 rows, in one extent.
+    model::ModelConfig multiExtent = model::rmc1();
+    multiExtent.withRowsPerTable(500);
+    model::ModelConfig wide = model::rmc1();
+    wide.embDim = 64;
+    wide.numTables = 3;
+    wide.withRowsPerTable(77);
+    for (const bool fragmented : {true, false}) {
+        const model::ModelConfig &cfg = fragmented ? multiExtent : wide;
+        RmSsdOptions opt;
+        opt.functional = true;
+        if (fragmented)
+            opt.maxExtentSectors = Sectors{24};
+        const PageMap want = rowAtATimePages(cfg, opt);
+
+        RmSsd untimed(cfg, opt);
+        untimed.loadTables();
+        expectPages(untimed, want);
+
+        RmSsd timed(cfg, opt);
+        timed.loadTablesTimed();
+        expectPages(timed, want);
+        EXPECT_EQ(timed.flash().totalPagePrograms(), want.size());
+    }
 }
 
 TEST(DeviceStats, RegistryCollectsCounters)

@@ -424,6 +424,30 @@ TEST(HostTier, ResidualReshardsAroundFullyServedShard)
               plain.hostBytesWritten().value());
 }
 
+TEST(HostTier, FullyServedClusterRequestIsReadyAtItsScatter)
+{
+    // A tier of twice the table bytes serves every slice, so the
+    // request scatters to no shard. Its ready cycle is its scatter
+    // time, not cycle 0.
+    const model::ModelConfig cfg = tinyConfig();
+    cluster::ClusterOptions copt;
+    copt.sharding.numDevices = 2;
+    cluster::RmSsdCluster fleet(cfg, copt);
+    workload::TraceGenerator gen(cfg, tieredTrace());
+    fleet.attachHostTier(makeTier(fleet.model(), gen, 2.0));
+    fleet.setMaxInflight(2);
+
+    fleet.advanceHostClock(Nanos{100'000});
+    const Cycle scatter = fleet.deviceNow();
+    const engine::RequestId id = fleet.submit(gen.nextBatch(2));
+    EXPECT_EQ(fleet.subRequests().value(), 0u);
+    const Cycle done = fleet.requestDoneCycle(id);
+    ASSERT_GE(done, scatter);
+    ASSERT_GT(scatter, Cycle{});
+    EXPECT_EQ(fleet.harvestDoneBy(done - Cycle{1}), 0u);
+    EXPECT_EQ(fleet.harvestDoneBy(done), 1u);
+}
+
 // ---- Stats + serving integration -----------------------------------
 
 TEST(HostTier, StatsExportHitsMissesBytesAndResidencyGauges)

@@ -6,7 +6,8 @@ tools/lint_reachability.py, tools/diff_bench.py and
 tools/compare_outputs.py against fixtures with KNOWN findings
 (tests/lint_fixtures/ plus generated JSON dumps, fake build trees and
 fake benchmark drivers)
-and asserts both the exit codes and the findings text. A lint that silently stops seeing a
+and asserts both the exit codes and the findings text. The hostprof
+symbolizer's stripped-library branch runs on a fake symbol table. A lint that silently stops seeing a
 hazard class fails CI here instead of slipping through review.
 
 Registered with ctest as ``lint_tools`` (see tests/CMakeLists.txt);
@@ -15,6 +16,7 @@ also runnable directly: ``python3 tests/test_lint_tools.py``.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -323,6 +325,40 @@ EOF
         r = run_tool("compare_outputs.py", "--perf", REPO / "no-such-driver",
                      REPO / "no-such-driver")
         self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+
+
+
+class HostprofSymbolizeTest(unittest.TestCase):
+    """symbolize() on a stripped library: dynamic symbols only."""
+
+    def setUp(self):
+        spec = importlib.util.spec_from_file_location(
+            "hostprof", TOOLS / "hostprof" / "hostprof.py")
+        self.hostprof = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(self.hostprof)
+        # No static symbols (stripped); two exported functions.
+        table = [(0x1000, 0x1040, "memcpy@@GLIBC_2.14"),
+                 (0x2000, 0x2010, "lookup@GLIBC_2.2.5")]
+        self.hostprof.symbols = (
+            lambda obj, dynamic: table if dynamic else [])
+
+    def test_names_exported_and_unnamed_regions(self):
+        names = self.hostprof.symbolize(
+            "libfake.so", [0x10, 0x1000, 0x103f, 0x1040, 0x2008, 0x2400])
+        self.assertEqual(names, [
+            "??", "memcpy@@GLIBC_2.14", "memcpy@@GLIBC_2.14",
+            "?? (after memcpy@@GLIBC_2.14)", "lookup@GLIBC_2.2.5",
+            "?? (after lookup@GLIBC_2.2.5)"])
+
+    def test_hottest_addresses_per_unnamed_region(self):
+        addrs = ([0x2400] * 5 + [0x2480] * 3 + [0x2500] +
+                 [0x1050] * 2 + [0x1000] * 9)
+        names = self.hostprof.symbolize("libfake.so", addrs)
+        regions = self.hostprof.unnamed_hot_addresses(names, addrs, 2)
+        self.assertEqual(regions, [
+            ("?? (after lookup@GLIBC_2.2.5)", 9,
+             [(0x2400, 5), (0x2480, 3)]),
+            ("?? (after memcpy@@GLIBC_2.14)", 2, [(0x1050, 2)])])
 
 
 if __name__ == "__main__":

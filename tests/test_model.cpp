@@ -324,6 +324,52 @@ TEST(Dlrm, PooledPathEqualsFullInference)
               model.inferenceWithPooled(s.dense, pooled));
 }
 
+TEST(Dlrm, HostReferenceCtrIsPinned)
+{
+    // The weight and table seeds decide every CTR; a fixed sample's
+    // CTR pins them to the bits every earlier build produced.
+    const DlrmModel model(rmc1().withRowsPerTable(512));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                  model.referenceInference(model.makeSample(7))),
+              0x3eec0e3bu);
+}
+
+TEST(ShapesOnlyModel, KeepsShapesAndParamBytesButNoWeights)
+{
+    const ModelConfig cfg = rmc1().withRowsPerTable(512);
+    const DlrmModel shapes(cfg, Weights::ShapesOnly);
+    EXPECT_FALSE(shapes.hasWeights());
+    EXPECT_TRUE(DlrmModel(cfg).hasWeights());
+
+    std::vector<LayerShape> got;
+    std::uint64_t bytes = 0;
+    for (const Mlp *mlp : {&shapes.bottomMlp(), &shapes.topMlp()}) {
+        bytes += mlp->paramBytes();
+        for (const FcLayer &layer : mlp->layers()) {
+            EXPECT_FALSE(layer.hasWeights());
+            EXPECT_TRUE(layer.weights().data().empty());
+            EXPECT_TRUE(layer.bias().empty());
+            got.push_back(LayerShape{layer.inputs(), layer.outputs()});
+        }
+    }
+    EXPECT_TRUE(got == cfg.allShapes());
+    EXPECT_EQ(bytes, cfg.mlpParamBytes());
+}
+
+TEST(ShapesOnlyModelDeathTest, EveryForwardPassExits)
+{
+    const DlrmModel shapes(rmc1().withRowsPerTable(512),
+                           Weights::ShapesOnly);
+    const Sample s = shapes.makeSample(3);
+    const Vector pooled = shapes.embedding().pooledReference(s.indices);
+    EXPECT_EXIT((void)shapes.referenceInference(s),
+                ::testing::ExitedWithCode(1), "shapes-only");
+    EXPECT_EXIT((void)shapes.inferenceWithPooled(s.dense, pooled),
+                ::testing::ExitedWithCode(1), "timing-only device");
+    EXPECT_EXIT((void)shapes.bottomMlp().forward(s.dense),
+                ::testing::ExitedWithCode(1), "keeps no MLP weights");
+}
+
 TEST(Dlrm, WithTotalEmbeddingGbSetsRows)
 {
     ModelConfig cfg = rmc1();

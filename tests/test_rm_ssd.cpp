@@ -209,5 +209,72 @@ TEST(RmSsd, ResetTimingIdlesTheDevice)
     EXPECT_EQ(dev.deviceNow(), Cycle{});
 }
 
+TEST(RmSsdDeathTest, VectorsThatDoNotTileAPageAreFatal)
+{
+    // 96-byte vectors: 4096 / 96 is not whole, so some row would
+    // straddle two flash pages.
+    model::ModelConfig cfg = tinyConfig();
+    cfg.embDim = 24;
+    RmSsdOptions opt;
+    opt.functional = true;
+    EXPECT_EXIT(RmSsd(cfg, opt), ::testing::ExitedWithCode(1),
+                "embDim 24 gives 96-byte embedding vectors, which do not "
+                "tile the 4096-byte flash page");
+}
+
+TEST(RmSsdDeathTest, TableExtentOffAPageBoundaryIsFatal)
+{
+    // 512 rows x 128 B = 128 sectors, starting one sector into a page.
+    RmSsd dev(tinyConfig(), RmSsdOptions{});
+    const ftl::ExtentList extents(
+        std::vector<ftl::Extent>{{Lba{1}, Sectors{128}}});
+    EXPECT_EXIT(dev.registerTable(TableId{}, extents),
+                ::testing::ExitedWithCode(1),
+                "must start and end on 8-sector flash pages");
+}
+
+TEST(RmSsd, TimingOnlyDeviceBuildsNoWeights)
+{
+    RmSsdOptions opt; // timing only
+    const RmSsd timing(tinyConfig(), opt);
+    opt.functional = true;
+    const RmSsd functional(tinyConfig(), opt);
+    EXPECT_FALSE(timing.model().hasWeights());
+    EXPECT_TRUE(timing.model().topMlp().layers().front()
+                    .weights().data().empty());
+    EXPECT_TRUE(functional.model().hasWeights());
+    // The kernel search reads only the layer shapes.
+    EXPECT_EQ(timing.searchResult().notes,
+              functional.searchResult().notes);
+    EXPECT_EQ(timing.plan().microBatch, functional.plan().microBatch);
+    EXPECT_EQ(timing.searchResult().embReadCycles,
+              functional.searchResult().embReadCycles);
+}
+
+TEST(RmSsdDeathTest, TimingOnlyModelRefusesAForwardPass)
+{
+    RmSsd dev(tinyConfig(), RmSsdOptions{});
+    dev.loadTables();
+    const model::Sample s = dev.model().makeSample(0);
+    EXPECT_EXIT((void)dev.model().referenceInference(s),
+                ::testing::ExitedWithCode(1), "shapes-only");
+}
+
+TEST(RmSsd, FunctionalCtrsEqualASeparateHostModel)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    RmSsd dev = makeFunctionalDevice(cfg);
+    const model::DlrmModel host(cfg);
+    std::vector<model::Sample> batch;
+    for (std::uint64_t i = 0; i < 6; ++i)
+        batch.push_back(host.makeSample(200 + i));
+    const auto out = dev.infer(batch);
+    ASSERT_EQ(out.outputs.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        EXPECT_EQ(bits(out.outputs[i]),
+                  bits(host.referenceInference(batch[i])))
+            << "sample " << i;
+}
+
 } // namespace
 } // namespace rmssd::engine

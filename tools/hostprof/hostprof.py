@@ -13,10 +13,19 @@ pow looks, under gprof, as if that time belonged to nobody.
 
 Usage:
     hostprof.py --lib build/tools/hostprof/libhostprof.so [--top N] \\
-        [--repeat N] -- COMMAND [ARGS...]
+        [--repeat N] [--addresses N] -- COMMAND [ARGS...]
 
 ``--repeat N`` runs COMMAND N times and pools the samples, for commands
 too short to collect many.
+
+``--addresses N`` also prints the N hottest raw addresses inside each
+unnamed region ("?? (after SYMBOL)") of a stripped library, so the
+hot code can be disassembled with
+``objdump -d --start-address=ADDR --stop-address=ADDR+64 LIB``.
+On Debian's glibc 2.36 (x86-64), "?? (after
+__nss_database_lookup@GLIBC_2.2.5)" is glibc's internal AVX-512
+``memmove``: time there is mostly small (64-128-byte) copies
+stalled on their source load.
 
 COMMAND's stdout and stderr go to stderr; the report goes to stdout.
 Only COMMAND's own process is measured. Samples are self time. Without
@@ -107,7 +116,24 @@ def symbolize(obj: str, addrs: list[int]) -> list[str]:
     return [names[a] for a in addrs]
 
 
-def report(paths: list[pathlib.Path], top: int) -> None:
+def unnamed_hot_addresses(names: list[str], addrs: list[int], count: int
+                          ) -> list[tuple[str, int, list[tuple[int, int]]]]:
+    """(region, samples, [(address, samples), ...]) per unnamed region.
+
+    A region is every address symbolize() named "??..."; regions come
+    hottest first, each with its @p count hottest addresses.
+    """
+    per_region: dict[str, collections.Counter[int]] = (
+        collections.defaultdict(collections.Counter))
+    for name, addr in zip(names, addrs):
+        if name.startswith("??"):
+            per_region[name][addr] += 1
+    regions = [(name, sum(hits.values()), hits.most_common(count))
+               for name, hits in per_region.items()]
+    return sorted(regions, key=lambda r: (-r[1], r[0]))
+
+
+def report(paths: list[pathlib.Path], top: int, addresses: int = 0) -> None:
     by_object, unplaced, cpu_ns = read_samples(paths)
     total = unplaced + sum(len(a) for a in by_object.values())
     if total == 0:
@@ -115,11 +141,16 @@ def report(paths: list[pathlib.Path], top: int) -> None:
         return
     per_function: collections.Counter[tuple[str, str]] = collections.Counter()
     per_object: collections.Counter[str] = collections.Counter()
+    unnamed = []
     for obj, addrs in by_object.items():
         short = os.path.basename(obj)
         per_object[short] += len(addrs)
-        for name in symbolize(obj, addrs):
+        names = symbolize(obj, addrs)
+        for name in names:
             per_function[(name, short)] += 1
+        if addresses > 0:
+            unnamed += [(short, *region) for region in
+                        unnamed_hot_addresses(names, addrs, addresses)]
     print(f"hostprof: {total} samples over {cpu_ns / 1e9:.3f} s of CPU "
           f"(one per {cpu_ns / 1e6 / total:.2f} ms)")
     print("\nper object")
@@ -131,6 +162,12 @@ def report(paths: list[pathlib.Path], top: int) -> None:
     print(f"\ntop {top} functions (self time)")
     for (name, short), n in per_function.most_common(top):
         print(f"  {100.0 * n / total:6.2f} %  {n:8d}  {name}  [{short}]")
+    if unnamed:
+        print(f"\nhottest {addresses} addresses per unnamed region")
+    for short, name, n, hits in sorted(unnamed, key=lambda r: -r[2]):
+        print(f"  {100.0 * n / total:6.2f} %  {n:8d}  {name}  [{short}]")
+        for addr, k in hits:
+            print(f"      {100.0 * k / total:6.2f} %  {k:8d}  {addr:#x}")
 
 
 def main() -> int:
@@ -140,6 +177,9 @@ def main() -> int:
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--repeat", type=int, default=1,
                         help="run the command this many times")
+    parser.add_argument("--addresses", type=int, default=0,
+                        help="print this many hottest raw addresses per "
+                             "unnamed region of a stripped library")
     parser.add_argument("command", nargs=argparse.REMAINDER)
     args = parser.parse_args()
     command = args.command[1:] if args.command[:1] == ["--"] else args.command
@@ -148,6 +188,8 @@ def main() -> int:
         parser.error("no command to profile")
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
+    if args.addresses < 0:
+        parser.error("--addresses must be >= 0")
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
@@ -162,7 +204,7 @@ def main() -> int:
                 print("hostprof: the command wrote no samples",
                       file=sys.stderr)
                 return 1
-        report(paths, args.top)
+        report(paths, args.top, args.addresses)
     return status
 
 
