@@ -6,11 +6,34 @@
 #include "sim/log.h"
 #include "sim/rng.h"
 
+// The vector bodies of gemv() need GCC/Clang x86-64: SSE2 is part of
+// that baseline, and AVX2 is compiled per function and run only if
+// the CPU reports it. Every other target runs the portable body.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define RMSSD_GEMV_X86 1
+#include <immintrin.h>
+#else
+#define RMSSD_GEMV_X86 0
+#endif
+
 namespace rmssd::model {
+
+namespace {
+
+constexpr std::uint32_t kPanel = Matrix::kPanelRows;
+
+std::uint32_t
+panelCount(std::uint32_t rows)
+{
+    return (rows + kPanel - 1) / kPanel;
+}
+
+} // namespace
 
 Matrix::Matrix(std::uint32_t rows, std::uint32_t cols)
     : rows_(rows), cols_(cols),
-      data_(static_cast<std::size_t>(rows) * cols, 0.0f)
+      data_(static_cast<std::size_t>(panelCount(rows)) * kPanel * cols,
+            0.0f)
 {
 }
 
@@ -18,81 +41,194 @@ Matrix
 Matrix::random(std::uint32_t rows, std::uint32_t cols,
                std::uint64_t seed, float scale)
 {
+    // Written in storage order; padding rows keep their zeros.
     Matrix m(rows, cols);
-    float *out = m.data_.data();
-    for (std::uint32_t r = 0; r < rows; ++r) {
+    float *panel = m.data_.data();
+    for (std::uint32_t r0 = 0; r0 < rows; r0 += kPanel) {
+        const std::uint32_t height = std::min(kPanel, rows - r0);
         for (std::uint32_t c = 0; c < cols; ++c) {
-            const std::uint64_t h =
-                hashCombine(seed, (static_cast<std::uint64_t>(r) << 32) | c);
-            *out++ = hashToUnitFloat(h) * scale;
+            float *out = panel + static_cast<std::size_t>(c) * kPanel;
+            for (std::uint32_t i = 0; i < height; ++i) {
+                const std::uint64_t h = hashCombine(
+                    seed, (static_cast<std::uint64_t>(r0 + i) << 32) | c);
+                out[i] = hashToUnitFloat(h) * scale;
+            }
         }
+        panel += static_cast<std::size_t>(kPanel) * cols;
     }
     return m;
+}
+
+std::size_t
+Matrix::index(std::uint32_t r, std::uint32_t c) const
+{
+    RMSSD_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
+    return static_cast<std::size_t>(r / kPanel) * kPanel * cols_ +
+           static_cast<std::size_t>(c) * kPanel + r % kPanel;
 }
 
 float &
 Matrix::at(std::uint32_t r, std::uint32_t c)
 {
-    RMSSD_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
-    return data_[static_cast<std::size_t>(r) * cols_ + c];
+    return data_[index(r, c)];
 }
 
 float
 Matrix::at(std::uint32_t r, std::uint32_t c) const
 {
-    RMSSD_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
-    return data_[static_cast<std::size_t>(r) * cols_ + c];
+    return data_[index(r, c)];
 }
 
 namespace {
 
-/** Rows in flight per gemv() block: independent add chains. */
-constexpr std::uint32_t kGemvRowBlock = 8;
-
 /**
- * @p B consecutive rows of y = W (head ++ tail), starting at row
- * pointer @p w. Each row's accumulator walks the columns in order;
- * only the B rows interleave.
+ * One panel of y = W (head ++ tail): the 16 row sums of @p panel, in
+ * double, into @p acc. Every body walks the columns in order and, per
+ * column, multiplies each converted weight by double(x[c]) and then
+ * adds the product to its row's accumulator.
  */
-template <std::uint32_t B>
+using PanelKernel = void (*)(const float *panel,
+                             std::span<const float> head,
+                             std::span<const float> tail, double *acc);
+
 void
-gemvRows(const float *w, std::size_t stride, std::span<const float> head,
-         std::span<const float> tail, float *y)
+panelPortable(const float *panel, std::span<const float> head,
+              std::span<const float> tail, double *acc)
 {
-    double acc[B] = {};
-    for (std::size_t c = 0; c < head.size(); ++c) {
-        const double x = head[c];
-        for (std::uint32_t i = 0; i < B; ++i)
-            acc[i] += static_cast<double>(w[i * stride + c]) * x;
+    double a[kPanel] = {};
+    const float *w = panel;
+    for (const std::span<const float> x : {head, tail}) {
+        for (const float xc : x) {
+            const double xd = xc;
+            for (std::uint32_t i = 0; i < kPanel; ++i)
+                a[i] += static_cast<double>(w[i]) * xd;
+            w += kPanel;
+        }
     }
-    const float *wt = w + head.size();
-    for (std::size_t c = 0; c < tail.size(); ++c) {
-        const double x = tail[c];
-        for (std::uint32_t i = 0; i < B; ++i)
-            acc[i] += static_cast<double>(wt[i * stride + c]) * x;
+    std::copy(a, a + kPanel, acc);
+}
+
+#if RMSSD_GEMV_X86
+
+void
+panelSse2(const float *panel, std::span<const float> head,
+          std::span<const float> tail, double *acc)
+{
+    // a[2k] holds rows 4k, 4k+1; a[2k+1] rows 4k+2, 4k+3.
+    __m128d a[8];
+    for (__m128d &v : a)
+        v = _mm_setzero_pd();
+    const float *w = panel;
+    for (const std::span<const float> x : {head, tail}) {
+        for (const float xc : x) {
+            const __m128d xd = _mm_set1_pd(static_cast<double>(xc));
+            for (int k = 0; k < 4; ++k) {
+                const __m128 w4 = _mm_loadu_ps(w + 4 * k);
+                const __m128d lo = _mm_cvtps_pd(w4);
+                const __m128d hi = _mm_cvtps_pd(_mm_movehl_ps(w4, w4));
+                a[2 * k] = _mm_add_pd(a[2 * k], _mm_mul_pd(lo, xd));
+                a[2 * k + 1] = _mm_add_pd(a[2 * k + 1], _mm_mul_pd(hi, xd));
+            }
+            w += kPanel;
+        }
     }
-    for (std::uint32_t i = 0; i < B; ++i)
-        y[i] = static_cast<float>(acc[i]);
+    for (int k = 0; k < 8; ++k)
+        _mm_storeu_pd(acc + 2 * k, a[k]);
+}
+
+// AVX2 only, not FMA: mul and add stay two roundings of which the
+// first is exact, as in every other body.
+__attribute__((target("avx2"))) void
+panelAvx2(const float *panel, std::span<const float> head,
+          std::span<const float> tail, double *acc)
+{
+    __m256d a[4];
+    for (__m256d &v : a)
+        v = _mm256_setzero_pd();
+    const float *w = panel;
+    for (const std::span<const float> x : {head, tail}) {
+        for (const float xc : x) {
+            const __m256d xd = _mm256_set1_pd(static_cast<double>(xc));
+            for (int k = 0; k < 4; ++k) {
+                const __m256d w4 = _mm256_cvtps_pd(_mm_loadu_ps(w + 4 * k));
+                a[k] = _mm256_add_pd(a[k], _mm256_mul_pd(w4, xd));
+            }
+            w += kPanel;
+        }
+    }
+    for (int k = 0; k < 4; ++k)
+        _mm256_storeu_pd(acc + 4 * k, a[k]);
+}
+
+#endif // RMSSD_GEMV_X86
+
+/** The body of @p kernel, or nullptr if this build or CPU lacks it. */
+PanelKernel
+panelKernel(GemvKernel kernel)
+{
+    switch (kernel) {
+      case GemvKernel::Portable:
+        return panelPortable;
+#if RMSSD_GEMV_X86
+      case GemvKernel::Sse2:
+        return panelSse2;
+      case GemvKernel::Avx2:
+        return __builtin_cpu_supports("avx2") ? panelAvx2 : nullptr;
+#endif
+      default:
+        return nullptr;
+    }
+}
+
+/** The fastest body this CPU runs, chosen once per process. */
+GemvKernel
+bestKernel()
+{
+    static const GemvKernel best = [] {
+        if (gemvKernelSupported(GemvKernel::Avx2))
+            return GemvKernel::Avx2;
+        if (gemvKernelSupported(GemvKernel::Sse2))
+            return GemvKernel::Sse2;
+        return GemvKernel::Portable;
+    }();
+    return best;
 }
 
 } // namespace
+
+bool
+gemvKernelSupported(GemvKernel kernel)
+{
+    return panelKernel(kernel) != nullptr;
+}
+
+void
+gemvWith(GemvKernel kernel, const Matrix &w, std::span<const float> head,
+         std::span<const float> tail, std::span<float> y)
+{
+    RMSSD_ASSERT(head.size() + tail.size() == w.cols(),
+                 "matvec dimension mismatch");
+    RMSSD_ASSERT(y.size() == w.rows(), "matvec output size mismatch");
+    const PanelKernel body = panelKernel(kernel);
+    RMSSD_ASSERT(body != nullptr, "GEMV kernel not supported on this host");
+    const std::size_t panelFloats =
+        static_cast<std::size_t>(kPanel) * w.cols();
+    const float *panel = w.data().data();
+    double acc[kPanel];
+    for (std::uint32_t r0 = 0; r0 < w.rows(); r0 += kPanel) {
+        body(panel, head, tail, acc);
+        const std::uint32_t height = std::min(kPanel, w.rows() - r0);
+        for (std::uint32_t i = 0; i < height; ++i)
+            y[r0 + i] = static_cast<float>(acc[i]);
+        panel += panelFloats;
+    }
+}
 
 void
 gemv(const Matrix &w, std::span<const float> head,
      std::span<const float> tail, std::span<float> y)
 {
-    RMSSD_ASSERT(head.size() + tail.size() == w.cols(),
-                 "matvec dimension mismatch");
-    RMSSD_ASSERT(y.size() == w.rows(), "matvec output size mismatch");
-    const std::size_t stride = w.cols();
-    const float *data = w.data().data();
-    std::uint32_t r = 0;
-    for (; r + kGemvRowBlock <= w.rows(); r += kGemvRowBlock) {
-        gemvRows<kGemvRowBlock>(data + r * stride, stride, head, tail,
-                                &y[r]);
-    }
-    for (; r < w.rows(); ++r)
-        gemvRows<1>(data + r * stride, stride, head, tail, &y[r]);
+    gemvWith(bestKernel(), w, head, tail, y);
 }
 
 void

@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal dense tensor support: float vectors and row-major matrices
+ * Minimal dense tensor support: float vectors and panel-major matrices
  * with deterministic hash-based initialization, enough to run DLRM
  * inference functionally (the simulator's gold results).
  */
@@ -8,6 +8,7 @@
 #ifndef RMSSD_MODEL_TENSOR_H
 #define RMSSD_MODEL_TENSOR_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -16,10 +17,20 @@ namespace rmssd::model {
 
 using Vector = std::vector<float>;
 
-/** Row-major matrix of floats. */
+/**
+ * Matrix of floats stored in 16-row panels, the layout gemv() walks.
+ *
+ * Rows [16p, 16p + 16) form panel p. A panel is column-major: the 16
+ * weights of column c sit next to each other, so W[r][c] lives at
+ * p * 16 * cols + c * 16 + (r - 16p). The last panel is padded with
+ * zero rows to 16; the padding is never read out.
+ */
 class Matrix
 {
   public:
+    /** Rows per storage panel. */
+    static constexpr std::uint32_t kPanelRows = 16;
+
     Matrix() = default;
     Matrix(std::uint32_t rows, std::uint32_t cols);
 
@@ -33,9 +44,12 @@ class Matrix
     float &at(std::uint32_t r, std::uint32_t c);
     float at(std::uint32_t r, std::uint32_t c) const;
 
+    /** Storage in panel order, padding included; empty if 0 x 0. */
     const std::vector<float> &data() const { return data_; }
 
   private:
+    std::size_t index(std::uint32_t r, std::uint32_t c) const;
+
     std::uint32_t rows_ = 0;
     std::uint32_t cols_ = 0;
     std::vector<float> data_;
@@ -49,15 +63,35 @@ class Matrix
  * bottom-MLP columns without a concat copy); @p tail may be empty.
  *
  * Bit-exactness contract: every row keeps its own double accumulator,
- * starts at 0 and adds double(W[r][c]) * x[c] for c in strictly
- * increasing order, then rounds once to float. Rows are processed in
- * blocks only to overlap the add latency of independent rows; no sum
- * is reassociated, so each output is bit-identical to the naive
- * one-row loop. (A float-by-float product is exact in double, so FMA
- * contraction could not change a bit either.)
+ * starts at 0 and adds double(W[r][c]) * double(x[c]) for c in
+ * strictly increasing order, a multiply and then an add (never a fused
+ * multiply-add), then rounds once to float. A panel's 16 rows advance
+ * together, one column at a time, in vector lanes; no sum is
+ * reassociated, so each output is bit-identical to the naive one-row
+ * loop. The product of two floats is exact in double and each add
+ * rounds as IEEE 754 defines, so every body below computes the same
+ * bits and choosing one at run time cannot change a result. Only a
+ * NaN's payload is open: when two NaNs meet in an add, which one
+ * survives is the compiler's operand order (DESIGN.md section 6).
  */
 void gemv(const Matrix &w, std::span<const float> head,
           std::span<const float> tail, std::span<float> y);
+
+/** The bodies gemv() can run; it picks the fastest supported one. */
+enum class GemvKernel
+{
+    Portable, //!< plain C++ panel loop, every target
+    Sse2,     //!< SSE2 intrinsics, every x86-64 host
+    Avx2,     //!< AVX2 intrinsics (no FMA), if the CPU has AVX2
+};
+
+/** Whether this build can run @p kernel on this CPU. */
+bool gemvKernelSupported(GemvKernel kernel);
+
+/** gemv() through one named body; panics if it is not supported. */
+void gemvWith(GemvKernel kernel, const Matrix &w,
+              std::span<const float> head, std::span<const float> tail,
+              std::span<float> y);
 
 /** Element-wise vector sum: acc += v. Sizes must match. */
 void accumulate(Vector &acc, const Vector &v);

@@ -97,6 +97,18 @@ class LintDeterminismTest(unittest.TestCase):
         self.assertIn("det_flat_map.cpp:15: FlatMap::forEachUnordered",
                       findings[0])
 
+    def test_flags_isa_code_outside_tensor_cpp(self):
+        r = run_tool("lint_determinism.py", FIXTURES / "det_isa.cpp")
+        self.assertEqual(r.returncode, 1, r.stdout)
+        findings = sorted(l.strip().split(": ")[0]
+                          for l in r.stdout.splitlines()
+                          if l.startswith("  "))
+        self.assertEqual(findings, [
+            "tests/lint_fixtures/det_isa.cpp:14",
+            "tests/lint_fixtures/det_isa.cpp:6",
+            "tests/lint_fixtures/det_isa.cpp:9"], r.stdout)
+        self.assertIn("belongs only in src/model/tensor.cpp", r.stdout)
+
     def test_repo_sources_are_clean(self):
         r = run_tool("lint_determinism.py")
         self.assertEqual(r.returncode, 0, r.stdout)

@@ -9,7 +9,11 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "model/dlrm.h"
@@ -47,6 +51,66 @@ TEST(Tensor, RandomMatrixIsDeterministic)
     EXPECT_NE(a.data(), c.data());
 }
 
+TEST(Tensor, PanelLayoutRoundTripsEveryElement)
+{
+    // Partial last panel, one-row matrix, three panels with a tail.
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+        {17, 5}, {1, 64}, {33, 288}};
+    for (const auto &[rows, cols] : shapes) {
+        Matrix m(rows, cols);
+        const std::uint32_t panels =
+            (rows + Matrix::kPanelRows - 1) / Matrix::kPanelRows;
+        ASSERT_EQ(m.data().size(),
+                  std::size_t{panels} * Matrix::kPanelRows * cols);
+        const auto value = [cols](std::uint32_t r, std::uint32_t c) {
+            return static_cast<float>(r * cols + c + 1);
+        };
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            for (std::uint32_t c = 0; c < cols; ++c)
+                m.at(r, c) = value(r, c);
+        }
+        const Matrix &cm = m;
+        std::size_t nonzero = 0;
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            for (std::uint32_t c = 0; c < cols; ++c) {
+                ASSERT_EQ(cm.at(r, c), value(r, c)) << r << "," << c;
+                // Panel p, column-major inside: 16 weights per column.
+                const std::size_t at =
+                    std::size_t{r / Matrix::kPanelRows} *
+                        Matrix::kPanelRows * cols +
+                    std::size_t{c} * Matrix::kPanelRows +
+                    r % Matrix::kPanelRows;
+                ASSERT_EQ(m.data()[at], value(r, c)) << r << "," << c;
+            }
+        }
+        for (const float v : m.data())
+            nonzero += v != 0.0f;
+        EXPECT_EQ(nonzero, std::size_t{rows} * cols) << "padding not 0";
+    }
+}
+
+TEST(Tensor, RandomMatrixIsThePerElementHash)
+{
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+        {17, 5}, {1, 64}, {33, 288}};
+    for (const auto &[rows, cols] : shapes) {
+        const std::uint64_t seed = 0x5eedULL + rows;
+        for (const float scale : {0.1f, 3.0f}) {
+            const Matrix m = Matrix::random(rows, cols, seed, scale);
+            for (std::uint32_t r = 0; r < rows; ++r) {
+                for (std::uint32_t c = 0; c < cols; ++c) {
+                    const std::uint64_t h = hashCombine(
+                        seed, (static_cast<std::uint64_t>(r) << 32) | c);
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(m.at(r, c)),
+                              std::bit_cast<std::uint32_t>(
+                                  hashToUnitFloat(h) * scale))
+                        << rows << "x" << cols << " at " << r << "," << c;
+                }
+            }
+        }
+    }
+}
+
 TEST(Tensor, ConcatAndAccumulate)
 {
     Vector a{1, 2};
@@ -56,7 +120,7 @@ TEST(Tensor, ConcatAndAccumulate)
     EXPECT_EQ(a, (Vector{4, 6}));
 }
 
-/** The naive one-row loop gemv() must reproduce bit for bit. */
+/** The naive one-row loop every gemv() body must reproduce bit for bit. */
 Vector
 naiveGemv(const Matrix &w, const Vector &x)
 {
@@ -70,54 +134,193 @@ naiveGemv(const Matrix &w, const Vector &x)
     return y;
 }
 
-TEST(Gemv, BitEqualToNaiveRowLoop)
+/** Inputs of the GEMV bit-equality checks. */
+enum class GemvFill
 {
-    // Row counts below, at, between and above multiples of the row
-    // block; one column; every head/tail split including an empty tail
-    // (and an empty head). Each row adds moderate random terms between
-    // a 2^60 product in its first column and the exact negation in its
-    // last, so every partial sum rounds at 2^60's ulp: reordering any
-    // of a row's adds changes the float result, not only hidden
-    // low-order bits of the double accumulator.
-    Rng rng(0x6e3dULL);
+    Rounding, //!< every partial sum rounds: any reordered add shows
+    SpecialW, //!< +-inf, a NaN payload, +-0 and subnormals in W
+    SpecialX, //!< the same values in x
+};
+
+const float kSpecials[] = {
+    std::numeric_limits<float>::infinity(),
+    -std::numeric_limits<float>::infinity(),
+    std::bit_cast<float>(0x7fc0beefu), // quiet NaN with a payload
+    0.0f,
+    -0.0f,
+    std::numeric_limits<float>::denorm_min(),
+    -0x1.8p-140f, // subnormal
+    0x1.fffffcp-127f, // largest subnormal
+};
+
+using GemvFn = void (*)(const Matrix &, std::span<const float>,
+                       std::span<const float>, std::span<float>);
+
+/** gemvWith() one body, as a GemvFn. */
+template <GemvKernel K>
+void
+gemvBody(const Matrix &w, std::span<const float> head,
+         std::span<const float> tail, std::span<float> y)
+{
+    gemvWith(K, w, head, tail, y);
+}
+
+/**
+ * Run @p fn on @p rows x @p cols under @p fill, at every split in
+ * @p splits, and return the first output whose bits differ from
+ * naiveGemv() ("" if none; two NaNs match whatever their payloads).
+ */
+std::string
+gemvMismatch(GemvFn fn, std::uint32_t rows, std::uint32_t cols,
+             GemvFill fill, const std::vector<std::uint32_t> &splits,
+             Rng &rng)
+{
     const auto moderate = [&rng] {
         const float v = static_cast<float>(1.0 + 63.0 * rng.nextDouble());
         return rng.nextBounded(2) ? v : -v;
     };
-    const float big = 0x1.0p30f;
-    const std::uint32_t rowCounts[] = {1, 2, 3, 5, 7, 8, 9, 13, 16, 17, 31};
-    const std::uint32_t colCounts[] = {1, 2, 5, 33, 288};
-    for (const std::uint32_t rows : rowCounts) {
-        for (const std::uint32_t cols : colCounts) {
-            Matrix w(rows, cols);
-            Vector x(cols);
-            for (float &v : x)
-                v = moderate();
-            for (std::uint32_t r = 0; r < rows; ++r) {
-                for (std::uint32_t c = 0; c < cols; ++c)
-                    w.at(r, c) = moderate();
-                const float sign = rng.nextBounded(2) ? 1.0f : -1.0f;
-                w.at(r, 0) = sign * big;
-                if (cols > 1)
-                    w.at(r, cols - 1) = -sign * big;
-            }
-            x.front() = big;
-            x.back() = big;
-            const Vector want = naiveGemv(w, x);
-            const std::uint32_t splits[] = {cols, 0, cols / 2, cols - 1};
-            for (const std::uint32_t split : splits) {
-                const std::span<const float> all(x);
-                Vector got(rows);
-                gemv(w, all.first(split), all.subspan(split), got);
-                for (std::uint32_t r = 0; r < rows; ++r) {
-                    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[r]),
-                              std::bit_cast<std::uint32_t>(want[r]))
-                        << rows << "x" << cols << " split " << split
-                        << " row " << r;
-                }
+    const auto special = [&rng] {
+        return kSpecials[rng.nextBounded(std::size(kSpecials))];
+    };
+    Matrix w(rows, cols);
+    Vector x(cols);
+    for (float &v : x)
+        v = moderate();
+    for (std::uint32_t r = 0; r < rows; ++r) {
+        for (std::uint32_t c = 0; c < cols; ++c)
+            w.at(r, c) = moderate();
+    }
+    switch (fill) {
+      case GemvFill::Rounding: {
+        // Each row adds moderate terms between a 2^60 product in its
+        // first column and the exact negation in its last, so every
+        // partial sum rounds at 2^60's ulp: reordering any of a row's
+        // adds changes the float result, not only hidden low-order
+        // bits of the double accumulator.
+        const float big = 0x1.0p30f;
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            const float sign = rng.nextBounded(2) ? 1.0f : -1.0f;
+            w.at(r, 0) = sign * big;
+            if (cols > 1)
+                w.at(r, cols - 1) = -sign * big;
+        }
+        x.front() = big;
+        x.back() = big;
+        break;
+      }
+      case GemvFill::SpecialW:
+        // A few specials per row, so some rows stay finite.
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            for (std::uint64_t k = rng.nextBounded(4); k > 0; --k)
+                w.at(r, static_cast<std::uint32_t>(
+                            rng.nextBounded(cols))) = special();
+        }
+        break;
+      case GemvFill::SpecialX:
+        // Zero weights meet infinite inputs: inf * 0 is NaN.
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            if (rng.nextBounded(2))
+                w.at(r, static_cast<std::uint32_t>(
+                            rng.nextBounded(cols))) = 0.0f;
+        }
+        for (std::uint64_t k = 1 + rng.nextBounded(2); k > 0; --k)
+            x[rng.nextBounded(cols)] = special();
+        break;
+    }
+    const Vector want = naiveGemv(w, x);
+    const std::span<const float> all(x);
+    for (const std::uint32_t split : splits) {
+        Vector got(rows, 1.0f);
+        fn(w, all.first(split), all.subspan(split), got);
+        for (std::uint32_t r = 0; r < rows; ++r) {
+            const auto g = std::bit_cast<std::uint32_t>(got[r]);
+            const auto e = std::bit_cast<std::uint32_t>(want[r]);
+            // A NaN's payload is not compared: when two NaNs meet in an
+            // add, the result carries the first operand's, and GCC may
+            // emit either operand first (the naive loop's spilled
+            // accumulator goes second). Whether an output is NaN, and
+            // every other bit pattern, must match.
+            const bool bothNan = std::isnan(got[r]) && std::isnan(want[r]);
+            if (g != e && !bothNan) {
+                std::ostringstream os;
+                os << rows << "x" << cols << " fill "
+                   << static_cast<int>(fill) << " split " << split
+                   << " row " << r << ": 0x" << std::hex << g
+                   << " want 0x" << e;
+                return os.str();
             }
         }
     }
+    return "";
+}
+
+/**
+ * Every output of @p fn bit-equal to the naive row loop: row
+ * counts 1..40 around the 16-row panel, narrow and wide columns, the
+ * 256x288 RMC1 top L0 and the 2560-wide RMC3 bottom layers, each under
+ * every fill; every head/tail split up to 33 columns, and the empty,
+ * one-column and middle splits beyond.
+ */
+void
+expectBitEqualToNaive(GemvFn fn)
+{
+    Rng rng(0x6e3dULL);
+    const auto splitsOf = [](std::uint32_t cols) {
+        std::vector<std::uint32_t> s;
+        if (cols <= 33) {
+            for (std::uint32_t k = 0; k <= cols; ++k)
+                s.push_back(k);
+        } else {
+            s = {0, 1, cols / 2, cols - 1, cols};
+        }
+        return s;
+    };
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> shapes;
+    for (std::uint32_t rows = 1; rows <= 40; ++rows) {
+        for (const std::uint32_t cols : {1u, 2u, 5u, 33u, 288u})
+            shapes.emplace_back(rows, cols);
+    }
+    shapes.emplace_back(256, 288);  // RMC1 top L0
+    shapes.emplace_back(2560, 13);  // RMC3 bottom L0
+    shapes.emplace_back(1024, 2560); // RMC3 bottom L1
+    for (const auto &[rows, cols] : shapes) {
+        for (const GemvFill fill :
+             {GemvFill::Rounding, GemvFill::SpecialW, GemvFill::SpecialX}) {
+            const std::string bad =
+                gemvMismatch(fn, rows, cols, fill, splitsOf(cols), rng);
+            ASSERT_EQ(bad, "");
+        }
+    }
+}
+
+TEST(Gemv, BitEqualToNaiveRowLoop)
+{
+    // The body gemv() picks for this CPU; each body is also checked on
+    // its own below.
+    expectBitEqualToNaive(gemv);
+}
+
+TEST(Gemv, PortableBodyBitEqualToNaiveRowLoop)
+{
+    expectBitEqualToNaive(gemvBody<GemvKernel::Portable>);
+}
+
+TEST(Gemv, Sse2BodyBitEqualToNaiveRowLoop)
+{
+#if defined(__x86_64__)
+    ASSERT_TRUE(gemvKernelSupported(GemvKernel::Sse2))
+        << "every x86-64 host has SSE2";
+#endif
+    if (!gemvKernelSupported(GemvKernel::Sse2))
+        GTEST_SKIP() << "not an x86-64 build: no SSE2 body";
+    expectBitEqualToNaive(gemvBody<GemvKernel::Sse2>);
+}
+
+TEST(Gemv, Avx2BodyBitEqualToNaiveRowLoop)
+{
+    if (!gemvKernelSupported(GemvKernel::Avx2))
+        GTEST_SKIP() << "this CPU has no AVX2: the AVX2 body cannot run";
+    expectBitEqualToNaive(gemvBody<GemvKernel::Avx2>);
 }
 
 TEST(Gemv, TwoSegmentLayerEqualsConcatenatedInput)
@@ -332,6 +535,29 @@ TEST(Dlrm, HostReferenceCtrIsPinned)
     EXPECT_EQ(std::bit_cast<std::uint32_t>(
                   model.referenceInference(model.makeSample(7))),
               0x3eec0e3bu);
+}
+
+TEST(Dlrm, HostReferenceCtrIsPinnedForEveryZooModel)
+{
+    // One fixed sample per zoo model, CTR bits taken from the row-loop
+    // GEMV: every layer shape, 1-row outputs and partial panels
+    // included, must keep the bits the old kernel produced.
+    const std::pair<const char *, std::uint32_t> pinned[] = {
+        {"RMC1", 0x3eec0e3bu}, {"RMC2", 0x3f3642a9u},
+        {"RMC3", 0x3e01bd02u}, {"NCF", 0x3f02793eu},
+        {"WnD", 0x3f0baa61u},
+    };
+    const std::vector<ModelConfig> zoo = allModels();
+    ASSERT_EQ(zoo.size(), std::size(pinned));
+    for (std::size_t i = 0; i < zoo.size(); ++i) {
+        ModelConfig cfg = zoo[i];
+        ASSERT_EQ(cfg.name, pinned[i].first);
+        const DlrmModel model(cfg.withRowsPerTable(512));
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(
+                      model.referenceInference(model.makeSample(7))),
+                  pinned[i].second)
+            << cfg.name;
+    }
 }
 
 TEST(ShapesOnlyModel, KeepsShapesAndParamBytesButNoWeights)

@@ -22,9 +22,15 @@ that assumption:
    environment between runs, so results must not depend on it.
 4. Pointer-keyed ordered containers (``std::map<T*, ...>`` /
    ``std::set<T*>``): ordered by address, i.e. by ASLR.
+5. Host-dependent ISA code outside ``src/model/tensor.cpp``: an
+   intrinsics header (``<immintrin.h>``, ``<emmintrin.h>``, ...),
+   ``__builtin_cpu_supports`` or a ``target(...)`` function attribute.
+   Code chosen by the CPU it runs on must compute the same bits on
+   every host; gemv()'s bodies in tensor.cpp are the one audited place
+   where that is argued (DESIGN.md section 6) and tested bit for bit.
 
-Escape hatch: a finding whose line (or the line directly above it)
-carries ``// det-safe: <reason>`` is accepted, but only with a
+Escape hatch (rules 1-4): a finding whose line (or the line directly
+above it) carries ``// det-safe: <reason>`` is accepted, but only with a
 non-empty reason — the annotation documents WHY the fold is
 order-insensitive (e.g. a commutative sum/min/max, or a total-order
 sort re-establishing the order before it can leak). A bare
@@ -92,6 +98,16 @@ BANNED = [
 # by ASLR. ([^,<>]* keeps the match inside the key type argument.)
 PTR_KEYED_RE = re.compile(
     r"\bstd::(?:multi)?(?:map|set)\s*<\s*(?:const\s+)?[^,<>]*\*")
+
+# The one file allowed to hold host-dependent ISA code.
+ISA_FILE = "src/model/tensor.cpp"
+
+ISA_PATTERNS = [
+    re.compile(r"#\s*include\s*<\w*intrin\.h>"),
+    re.compile(r"\b__builtin_cpu_supports\b"),
+    re.compile(r"(?:__attribute__\s*\(\(|\[\[\s*gnu::)\s*"
+               r"target(?:_clones)?\s*\("),
+]
 
 
 def mask_comments_and_strings(text: str) -> str:
@@ -270,6 +286,17 @@ def lint_file(path: pathlib.Path) -> list[str]:
             path, line_of(masked, m.start()),
             "pointer-keyed ordered container orders by address "
             "(ASLR); key by a stable id instead")
+
+    # No det-safe escape: the rule is about where, not why.
+    if rel(path.resolve()).as_posix() != ISA_FILE:
+        for pattern in ISA_PATTERNS:
+            for m in pattern.finditer(masked):
+                findings.items.append(
+                    f"{rel(path)}:{line_of(masked, m.start())}: "
+                    f"host-dependent ISA code (intrinsics, CPU feature "
+                    f"checks, target attributes) belongs only in "
+                    f"{ISA_FILE}, where gemv()'s bodies are tested bit "
+                    f"for bit")
 
     return findings.items
 
