@@ -64,16 +64,6 @@ ModelCatalog::system(const std::string &name) const
 }
 
 std::vector<std::string>
-ModelCatalog::modelNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(models_.size());
-    for (const model::ModelConfig &config : models_)
-        names.push_back(config.name);
-    return names;
-}
-
-std::vector<std::string>
 ModelCatalog::systemNames() const
 {
     std::vector<std::string> names;

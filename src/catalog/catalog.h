@@ -122,9 +122,6 @@ class ModelCatalog
     /** Look up a registered system entry. Fatal on unknown names. */
     const SystemEntry &system(const std::string &name) const;
 
-    /** Model names in registration order. */
-    std::vector<std::string> modelNames() const;
-
     /** System names in registration order. */
     std::vector<std::string> systemNames() const;
 

@@ -8,6 +8,22 @@
 
 namespace rmssd::engine {
 
+namespace {
+
+/**
+ * Start pulling a flash view's host cache lines in, so the slice's
+ * reads miss in parallel before its EV sum reads them.
+ */
+void
+prefetch(std::span<const std::uint8_t> bytes)
+{
+    constexpr std::size_t kLineBytes = 64;
+    for (std::size_t off = 0; off < bytes.size(); off += kLineBytes)
+        __builtin_prefetch(bytes.data() + off);
+}
+
+} // namespace
+
 EmbeddingEngine::EmbeddingEngine(EvTranslator &translator, ftl::Ftl &ftl,
                                  EvCache *cache, bool coalesce)
     : translator_(translator), ftl_(ftl), cache_(cache),
@@ -58,16 +74,26 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
         std::size_t offset = 0;
         for (std::size_t t = 0; t < sample.indices.size(); ++t) {
             const TableId tableId{static_cast<std::uint32_t>(t)};
-            const std::size_t dim =
-                translator_.vectorBytes(tableId).raw() / sizeof(float);
+            const std::vector<std::uint64_t> &slice = sample.indices[t];
+            const std::uint64_t vecBytes =
+                translator_.vectorBytes(tableId).raw();
+            const std::size_t dim = vecBytes / sizeof(float);
             const std::span<float> acc =
                 functional ? std::span(pooledSample).subspan(offset, dim)
                            : std::span<float>();
             offset += dim;
+            if (functional) {
+                // Each flash read of the slice owns one vector of
+                // filler scratch, sized before the first read, so no
+                // pending view into it dangles.
+                if (scratch_.size() < slice.size() * vecBytes)
+                    scratch_.resize(slice.size() * vecBytes);
+                pending_.clear();
+            }
 
             Cycle tableDone = issue;
-            for (const std::uint64_t rawIndex : sample.indices[t]) {
-                const EvIndex index{rawIndex};
+            for (std::size_t i = 0; i < slice.size(); ++i) {
+                const EvIndex index{slice[i]};
                 const std::uint64_t key = evKey(tableId, index);
                 // The coalescing table's home and the cache's set both
                 // come from this one hash.
@@ -85,7 +111,8 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                     // once already; fanning it into this sample's EV
                     // Sum costs no flash or cache access.
                     done = std::max(issue, dup->done);
-                    bytes = seen_.data(*dup);
+                    if (functional)
+                        sumNow(seen_.data(*dup), acc);
                     coalesced_.inc();
                 } else {
                     const EvCache::Slot cached =
@@ -95,18 +122,26 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                         cache_->lookup(cached, key,
                                        functional ? &bytes : nullptr)) {
                         done = issue + cache_->hitCycles();
+                        if (functional)
+                            sumNow(bytes, acc);
                     } else {
                         const EvReadRequest req =
                             translator_.translate(tableId, index);
-                        std::span<std::uint8_t> out;
                         if (functional) {
-                            readBuf_.resize(req.bytes.raw());
-                            out = readBuf_;
+                            const flash::VectorRead read = ftl_.readBytes(
+                                issue, req.lba, req.byteInSector,
+                                req.bytes,
+                                std::span(scratch_).subspan(i * vecBytes,
+                                                            vecBytes));
+                            done = read.done;
+                            bytes = read.data;
+                            prefetch(bytes);
+                            pending_.push_back(bytes);
+                        } else {
+                            done = ftl_.readBytes(issue, req.lba,
+                                                  req.byteInSector,
+                                                  req.bytes);
                         }
-                        done = ftl_.readBytes(issue, req.lba,
-                                              req.byteInSector,
-                                              req.bytes, out);
-                        bytes = out;
                         flashReads_.inc();
                         lookupBytes_.inc(req.bytes.raw());
                         if (cache_)
@@ -117,11 +152,11 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                 }
 
                 tableDone = std::max(tableDone, done);
-                if (functional)
-                    EvSum::accumulateBytes(bytes, acc);
                 lookups_.inc();
                 issue += EvTranslator::kCyclesPerIndex;
             }
+            if (functional)
+                sumPending(acc);
             // fadd pipeline drains after the table's last vector.
             lastDone = std::max(lastDone, tableDone + EvSum::kDrainCycles);
         }
@@ -131,6 +166,24 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
     result.issueEndCycle = issue;
     result.doneCycle = lastDone;
     return result;
+}
+
+void
+EmbeddingEngine::sumPending(std::span<float> acc)
+{
+    for (const std::span<const std::uint8_t> bytes : pending_)
+        EvSum::accumulateBytes(bytes, acc);
+    pending_.clear();
+}
+
+void
+EmbeddingEngine::sumNow(std::span<const std::uint8_t> bytes,
+                        std::span<float> acc)
+{
+    // The slice's earlier flash reads are added first: each element
+    // still folds its rows in lookup order.
+    sumPending(acc);
+    EvSum::accumulateBytes(bytes, acc);
 }
 
 double

@@ -15,10 +15,18 @@
  *    set-associative SRAM cache before the EV-FMC, paying a short hit
  *    latency instead of the full CEV flash read.
  *
- * The host-side lookup path allocates nothing per lookup: the
- * coalescing table and the flash read buffer are engine members reused
- * across micro-batches, cache hits are read in place, and each
- * sample's pooled vector is summed straight into its output.
+ * The host-side lookup path allocates nothing per lookup and copies
+ * no vector out of flash: the coalescing table, the filler scratch and
+ * the pending-view list are engine members reused across
+ * micro-batches, and each sample's pooled vector is summed straight
+ * into its output. A flash read hands back a view into the stored
+ * page; the engine prefetches it at issue and sums a table slice's
+ * pending flash views, in order, at the end of the slice. A cache hit
+ * or coalesced duplicate first sums the pending views and then its
+ * own, so each element still folds its rows in lookup order, and only
+ * views into the backing store (or the filler scratch) are ever
+ * pending: never one into an EvCache line or the coalescing arena,
+ * which a later fill or insert may overwrite (DESIGN.md §6).
  */
 
 #ifndef RMSSD_ENGINE_EMBEDDING_ENGINE_H
@@ -114,10 +122,18 @@ class EmbeddingEngine
     EvCache *cache_;
     bool coalesce_;
 
+    /** Add the slice's pending flash views into @p acc, in order. */
+    void sumPending(std::span<float> acc);
+    /** Add the pending views, then @p bytes (a cache or coalesced
+     *  view, which must not outlive this call) into @p acc. */
+    void sumNow(std::span<const std::uint8_t> bytes, std::span<float> acc);
+
     /** Unique vectors of the running micro-batch (coalescing only). */
     CoalescingTable seen_;
-    /** Destination of functional flash reads. */
-    std::vector<std::uint8_t> readBuf_;
+    /** Filler bytes of unwritten pages: one vector per slice lookup. */
+    std::vector<std::uint8_t> scratch_;
+    /** Flash views of the running slice not yet summed. */
+    std::vector<std::span<const std::uint8_t>> pending_;
 
     Counter lookups_;
     Counter lookupBytes_;

@@ -297,12 +297,6 @@ RmSsd::plannedHitRatio() const
     return evCache_ ? plannedHitRatio_ : 0.0;
 }
 
-double
-RmSsd::measuredHitRatio() const
-{
-    return evCache_ ? evCache_->hitRatio() : 0.0;
-}
-
 bool
 RmSsd::replanIfDrifted(double threshold)
 {

@@ -178,9 +178,6 @@ class RmSsd : public PipelinedDevice<RmSsdRequest>
      */
     double plannedHitRatio() const;
 
-    /** Cumulative measured cache hit ratio; 0 when the cache is off. */
-    double measuredHitRatio() const;
-
     /**
      * Adaptive re-planning (feedback loop): compare the hit ratio
      * measured since the previous call — a fresh window, so old

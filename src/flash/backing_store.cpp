@@ -8,7 +8,10 @@
 namespace rmssd::flash {
 
 BackingStore::BackingStore(Bytes pageSizeBytes)
-    : pageSize_(pageSizeBytes)
+    : pageSize_(pageSizeBytes),
+      pagesPerChunk_(static_cast<std::uint32_t>(std::max<std::uint64_t>(
+          1, kChunkBytes.raw() /
+                 std::max<std::uint64_t>(1, pageSizeBytes.raw()))))
 {
     RMSSD_ASSERT(pageSizeBytes > Bytes{}, "zero page size");
 }
@@ -43,18 +46,29 @@ BackingStore::writePartial(PageId ppn, Bytes offset,
     std::copy(data.begin(), data.end(), page + offset.raw());
 }
 
+std::span<const std::uint8_t>
+BackingStore::view(PageId ppn, Bytes offset, Bytes bytes,
+                   std::span<std::uint8_t> scratch) const
+{
+    RMSSD_ASSERT(offset + bytes <= pageSize_,
+                 "read crosses page boundary");
+    if (const std::uint8_t *page = find(ppn))
+        return {page + offset.raw(), bytes.raw()};
+    RMSSD_ASSERT(scratch.size() >= bytes.raw(),
+                 "filler scratch is smaller than the read");
+    for (std::size_t i = 0; i < bytes.raw(); ++i)
+        scratch[i] = fillerByte(ppn, offset.raw() + i);
+    return scratch.first(bytes.raw());
+}
+
 void
 BackingStore::read(PageId ppn, Bytes offset,
                    std::span<std::uint8_t> out) const
 {
-    RMSSD_ASSERT(offset.raw() + out.size() <= pageSize_.raw(),
-                 "read crosses page boundary");
-    if (const std::uint8_t *page = find(ppn)) {
-        std::copy_n(page + offset.raw(), out.size(), out.begin());
-        return;
-    }
-    for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = fillerByte(ppn, offset.raw() + i);
+    const std::span<const std::uint8_t> bytes =
+        view(ppn, offset, Bytes{out.size()}, out);
+    if (bytes.data() != out.data())
+        std::copy(bytes.begin(), bytes.end(), out.begin());
 }
 
 bool
@@ -69,7 +83,6 @@ BackingStore::erasePage(PageId ppn)
     const std::uint32_t *slot = index_.find(ppn.raw());
     if (slot == nullptr)
         return;
-    slots_[*slot].reset();
     freeSlots_.push_back(*slot);
     index_.erase(ppn.raw());
 }
@@ -84,7 +97,7 @@ const std::uint8_t *
 BackingStore::find(PageId ppn) const
 {
     const std::uint32_t *slot = index_.find(ppn.raw());
-    return slot == nullptr ? nullptr : slots_[*slot].get();
+    return slot == nullptr ? nullptr : slotData(*slot);
 }
 
 std::uint8_t *
@@ -92,20 +105,33 @@ BackingStore::materialize(PageId ppn, bool &created)
 {
     std::uint32_t &slot = index_.findOrInsert(ppn.raw(), created);
     if (!created)
-        return slots_[slot].get();
+        return slotData(slot);
 
-    if (freeSlots_.empty()) {
-        RMSSD_ASSERT(slots_.size() < UINT32_MAX,
-                     "backing store slots exhausted");
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-    } else {
+    if (!freeSlots_.empty()) {
         slot = freeSlots_.back();
         freeSlots_.pop_back();
+        return slotData(slot);
     }
-    slots_[slot] =
-        std::make_unique_for_overwrite<std::uint8_t[]>(pageSize_.raw());
-    return slots_[slot].get();
+    RMSSD_ASSERT(slotsUsed_ < UINT32_MAX, "backing store slots exhausted");
+    slot = slotsUsed_++;
+    if (slot / pagesPerChunk_ == chunks_.size()) {
+        // The arena grows by one chunk; existing chunks stay put. The
+        // base is rounded up by hand: aligned operator new raised the
+        // peak RSS of a process that builds device after device by
+        // half, where a plain allocation does not.
+        const std::uint64_t bytes =
+            static_cast<std::uint64_t>(pagesPerChunk_) * pageSize_.raw();
+        std::uint8_t *chunk =
+            chunks_
+                .emplace_back(std::make_unique_for_overwrite<std::uint8_t[]>(
+                    bytes + kChunkAlign.raw()))
+                .get();
+        const std::uint64_t misalign =
+            reinterpret_cast<std::uintptr_t>(chunk) % kChunkAlign.raw();
+        chunkBases_.push_back(
+            chunk + (kChunkAlign.raw() - misalign) % kChunkAlign.raw());
+    }
+    return slotData(slot);
 }
 
 } // namespace rmssd::flash

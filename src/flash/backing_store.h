@@ -10,9 +10,14 @@
  *
  * Pages are found through a FlatMap index (page id -> slot): one
  * probe of a contiguous array per functional EV read instead of a
- * hash-node walk. Each materialized page is its own allocation,
- * released on erase; the slot is reused by the next new page. Nothing
- * iterates the index, so no result depends on bucket order.
+ * hash-node walk. Slots live in one arena of fixed-size chunks
+ * (kChunkBytes each), allocated as the slots fill and never
+ * relocated, so a slot's address is its chunk's base plus an offset
+ * and a view into a page stays valid until that page is written or
+ * erased. Each chunk's base is aligned to a 4 KiB OS page, so a
+ * 4 KiB flash page spans one OS page, not two. An erased page's slot
+ * is reused by the next new page. Nothing iterates the index, so no
+ * result depends on bucket order.
  */
 
 #ifndef RMSSD_FLASH_BACKING_STORE_H
@@ -32,6 +37,9 @@ namespace rmssd::flash {
 class BackingStore
 {
   public:
+    /** Bytes of one arena chunk (one page when a page is larger). */
+    static constexpr Bytes kChunkBytes{1 << 20};
+
     explicit BackingStore(Bytes pageSizeBytes);
 
     /** Overwrite a full page. @p data must be exactly one page. */
@@ -46,7 +54,18 @@ class BackingStore
                       std::span<const std::uint8_t> data);
 
     /**
-     * Read @p out.size() bytes from @p offset within page @p ppn.
+     * The @p bytes bytes at @p offset within page @p ppn, read in
+     * place: a view into the stored page, valid until that page is
+     * written or erased. An unwritten page's filler bytes are written
+     * into @p scratch (at least @p bytes long) and a view of it is
+     * returned instead.
+     */
+    std::span<const std::uint8_t> view(PageId ppn, Bytes offset,
+                                       Bytes bytes,
+                                       std::span<std::uint8_t> scratch) const;
+
+    /**
+     * Copy @p out.size() bytes from @p offset within page @p ppn.
      * Unwritten pages yield deterministic filler bytes.
      */
     void read(PageId ppn, Bytes offset,
@@ -64,20 +83,37 @@ class BackingStore
     Bytes pageSizeBytes() const { return pageSize_; }
 
   private:
+    /** Alignment of each chunk's base: one OS page. */
+    static constexpr Bytes kChunkAlign{4096};
+
     /** Deterministic filler byte for unwritten storage. */
     static std::uint8_t fillerByte(PageId ppn, std::uint64_t off);
+
+    /** First byte of @p slot's page. */
+    std::uint8_t *slotData(std::uint32_t slot) const
+    {
+        return chunkBases_[slot / pagesPerChunk_] +
+               static_cast<std::uint64_t>(slot % pagesPerChunk_) *
+                   pageSize_.raw();
+    }
 
     /** Content of @p ppn, or nullptr when unwritten. */
     const std::uint8_t *find(PageId ppn) const;
     /**
-     * Content of @p ppn. A new page is allocated uninitialized and
-     * @p created is set; the caller writes every byte of it.
+     * Content of @p ppn. A new page gets a slot whose bytes are
+     * uninitialized and @p created is set; the caller writes every
+     * byte of it.
      */
     std::uint8_t *materialize(PageId ppn, bool &created);
 
     Bytes pageSize_;
-    FlatMap<std::uint32_t> index_; //!< page id -> slot in slots_
-    std::vector<std::unique_ptr<std::uint8_t[]>> slots_;
+    std::uint32_t pagesPerChunk_;
+    FlatMap<std::uint32_t> index_; //!< page id -> slot
+    /** Chunk allocations, each kChunkAlign bytes over for alignment. */
+    std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
+    /** First page of each chunk: its allocation, rounded up. */
+    std::vector<std::uint8_t *> chunkBases_;
+    std::uint32_t slotsUsed_ = 0; //!< slots ever handed out
     std::vector<std::uint32_t> freeSlots_;
 };
 

@@ -36,7 +36,7 @@ FlashArray::readPage(Cycle issue, PageId ppn,
 
 ReadTiming
 FlashArray::readVector(Cycle issue, PageId ppn, Bytes colOffset,
-                       Bytes bytes, std::span<std::uint8_t> out)
+                       Bytes bytes)
 {
     // Only the (channel, die) pair times a read; the plane, block
     // and page fields of Geometry::decompose are never needed here.
@@ -44,17 +44,23 @@ FlashArray::readVector(Cycle issue, PageId ppn, Bytes colOffset,
     const std::uint64_t channel = ppn.raw() % geometry_.numChannels;
     const std::uint64_t die =
         ppn.raw() / geometry_.numChannels % geometry_.diesPerChannel;
-    if (!out.empty()) {
-        RMSSD_ASSERT(out.size() == bytes.raw(),
-                     "vector read size mismatch");
-    }
     RMSSD_ASSERT(colOffset + bytes <= geometry_.pageSizeBytes,
                  "vector read crosses page boundary");
-    const ReadTiming t = fmcs_[channel]->readVector(
+    return fmcs_[channel]->readVector(
         issue, static_cast<std::uint32_t>(die), bytes);
-    if (!out.empty())
-        store_.read(ppn, colOffset, out);
-    return t;
+}
+
+VectorRead
+FlashArray::readVector(Cycle issue, PageId ppn, Bytes colOffset,
+                       Bytes bytes, std::span<std::uint8_t> scratch)
+{
+    VectorRead read{readVector(issue, ppn, colOffset, bytes), {}};
+    if (!scratch.empty()) {
+        RMSSD_ASSERT(scratch.size() == bytes.raw(),
+                     "vector read size mismatch");
+        read.data = store_.view(ppn, colOffset, bytes, scratch);
+    }
+    return read;
 }
 
 Cycle

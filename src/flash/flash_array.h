@@ -5,8 +5,10 @@
  * NVMe block path, embedding lookup engine) reads from.
  *
  * Reads are both timed (die flush + channel bus contention) and
- * functional (bytes come from the sparse backing store). Passing an
- * empty output span skips the data copy for timing-only simulations.
+ * functional (bytes come from the sparse backing store). A page read
+ * copies into its output span; a vector read hands back a view into
+ * the stored page, as the EV-FMC moves only EVsize bytes off the page
+ * buffer. Passing an empty span makes either read timing-only.
  */
 
 #ifndef RMSSD_FLASH_FLASH_ARRAY_H
@@ -25,6 +27,18 @@
 #include "sim/types.h"
 
 namespace rmssd::flash {
+
+/** A timed vector read and, when functional, the bytes it read. */
+struct VectorRead : ReadTiming
+{
+    /**
+     * A view into the stored page, or into the caller's scratch when
+     * the page was never written (the scratch then holds the filler);
+     * empty when timing-only. Valid until the page is written or
+     * erased, or the scratch is reused.
+     */
+    std::span<const std::uint8_t> data;
+};
 
 /** Complete multi-channel flash device. */
 class FlashArray
@@ -45,12 +59,18 @@ class FlashArray
     ReadTiming readPage(Cycle issue, PageId ppn,
                         std::span<std::uint8_t> out);
 
-    /**
-     * Timed + functional vector-grained read of @p out.size() bytes
-     * (or @p bytes when @p out is empty) at column @p colOffset.
-     */
+    /** Timed vector-grained read of @p bytes bytes at @p colOffset. */
     ReadTiming readVector(Cycle issue, PageId ppn, Bytes colOffset,
-                          Bytes bytes, std::span<std::uint8_t> out);
+                          Bytes bytes);
+
+    /**
+     * The timed read above, read in place as well.
+     * @param scratch empty for timing-only; otherwise exactly
+     *        @p bytes long, and it receives the filler when @p ppn was
+     *        never written
+     */
+    VectorRead readVector(Cycle issue, PageId ppn, Bytes colOffset,
+                          Bytes bytes, std::span<std::uint8_t> scratch);
 
     /** Timed + functional page program (used when loading tables). */
     Cycle programPage(Cycle issue, PageId ppn,

@@ -89,22 +89,38 @@ Ftl::readSectors(Cycle issue, Lba lba, Sectors sectors,
     return done;
 }
 
-Cycle
-Ftl::readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes,
-               std::span<std::uint8_t> out)
+Ftl::PhysLoc
+Ftl::locateEvRead(Lba lba, Bytes byteInSector, Bytes bytes)
 {
     recordPath(RequestPath::Embedding);
     // One mapping call per read: it translates the page and feeds a
     // frequency-aware mapping its online heat signal, keyed by the
     // logical page so heat follows the data through relocations.
     const PageId lpn{lba.raw() / sectorsPerPage_};
-    const PageId ppn = mapping_->readPage(lpn);
-    const Bytes offset = pageByteOffset(lpn, lba, byteInSector);
-    RMSSD_ASSERT((offset + bytes).raw() <= pageSize_,
+    const PhysLoc loc{mapping_->readPage(lpn),
+                      pageByteOffset(lpn, lba, byteInSector)};
+    RMSSD_ASSERT((loc.pageByteOffset + bytes).raw() <= pageSize_,
                  "EV read crosses flash page boundary");
+    return loc;
+}
+
+Cycle
+Ftl::readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes)
+{
+    const PhysLoc loc = locateEvRead(lba, byteInSector, bytes);
     return array_
-        .readVector(issue + kTranslateCycles, ppn, offset, bytes, out)
+        .readVector(issue + kTranslateCycles, loc.ppn, loc.pageByteOffset,
+                    bytes)
         .done;
+}
+
+flash::VectorRead
+Ftl::readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes,
+               std::span<std::uint8_t> scratch)
+{
+    const PhysLoc loc = locateEvRead(lba, byteInSector, bytes);
+    return array_.readVector(issue + kTranslateCycles, loc.ppn,
+                             loc.pageByteOffset, bytes, scratch);
 }
 
 void

@@ -68,9 +68,19 @@ class Ftl
     /**
      * Timed vector-grained read of @p bytes bytes at logical byte
      * address (lba, byteInSector): the EV path. Must not cross a page.
+     * @return completion cycle
      */
-    Cycle readBytes(Cycle issue, Lba lba, Bytes byteInSector,
-                    Bytes bytes, std::span<std::uint8_t> out);
+    Cycle readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes);
+
+    /**
+     * The timed read above, read in place as well, as
+     * flash::FlashArray::readVector: @p scratch is empty for
+     * timing-only, else exactly @p bytes long.
+     * @return completion cycles and a view of the bytes read
+     */
+    flash::VectorRead readBytes(Cycle issue, Lba lba, Bytes byteInSector,
+                                Bytes bytes,
+                                std::span<std::uint8_t> scratch);
 
     /** Functional write of arbitrary bytes at a logical byte address. */
     void writeBytesFunctional(Lba lba, Bytes byteInSector,
@@ -89,6 +99,12 @@ class Ftl
     const Mapping &mapping() const { return *mapping_; }
 
   private:
+    /**
+     * Physical location of an EV read (the mapping sees the read, for
+     * its heat signal) after recording it on the EV path.
+     */
+    PhysLoc locateEvRead(Lba lba, Bytes byteInSector, Bytes bytes);
+
     /** Byte offset of (lba, byteInSector) within its page @p lpn. */
     Bytes pageByteOffset(PageId lpn, Lba lba, Bytes byteInSector) const;
 

@@ -21,6 +21,7 @@ EmbeddingTier::provision(const engine::TierPlan &plan)
         table = TableResidency{};
     residentRows_ = 0;
     residentBytes_ = Bytes{0};
+    storedRows_ = 0;
 
     const model::ModelConfig &cfg = model_.config();
     for (const engine::TierPlanEntry &entry : plan.entries) {
@@ -32,26 +33,22 @@ EmbeddingTier::provision(const engine::TierPlan &plan)
             residentRows_ += cfg.rowsPerTable;
             continue;
         }
-        table.rows.reserve(table.rows.size() + entry.rows.size());
         for (const EvIndex row : entry.rows) {
             RMSSD_ASSERT(row.raw() < cfg.rowsPerTable,
                          "tier plan row out of range");
-            table.rows.push_back(row.raw());
+            bool created = false;
+            std::uint32_t &slot =
+                table.slots.findOrInsert(row.raw(), created);
+            if (created) {
+                RMSSD_ASSERT(table.slots.size() <= UINT32_MAX,
+                             "tier table slots exhausted");
+                slot = static_cast<std::uint32_t>(table.slots.size() - 1);
+            }
         }
     }
-    for (TableResidency &table : tables_) {
-        std::sort(table.rows.begin(), table.rows.end());
-        table.rows.erase(std::unique(table.rows.begin(), table.rows.end()),
-                         table.rows.end());
-        residentRows_ += table.rows.size();
-    }
+    for (const TableResidency &table : tables_)
+        residentRows_ += table.slots.size();
     residentBytes_ = Bytes{residentRows_ * cfg.vectorBytes()};
-}
-
-bool
-EmbeddingTier::TableResidency::contains(std::uint64_t row) const
-{
-    return whole || std::binary_search(rows.begin(), rows.end(), row);
 }
 
 bool
@@ -59,7 +56,39 @@ EmbeddingTier::resident(std::uint32_t globalTable,
                         std::uint64_t row) const
 {
     RMSSD_ASSERT(globalTable < tables_.size(), "table out of range");
-    return tables_[globalTable].contains(row);
+    return tables_[globalTable].slotOf(row) != kNotResident;
+}
+
+model::Vector
+EmbeddingTier::poolStored(TableResidency &table, std::uint32_t local,
+                          std::span<const std::uint64_t> rows)
+{
+    const model::EmbeddingTableSpec &spec =
+        model_.embedding().tables()[local];
+    const std::uint64_t dim = spec.dim;
+    if (!table.values) {
+        const std::uint64_t numSlots =
+            table.whole ? model_.config().rowsPerTable : table.slots.size();
+        table.values = std::make_unique_for_overwrite<float[]>(numSlots * dim);
+        table.filled.assign(numSlots, false);
+    }
+    // Each element folds the slice's rows in lookup order, as
+    // slsReference and the device's EV sum do.
+    model::Vector acc(dim, 0.0f);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::uint64_t slot = slotBuf_[i];
+        float *row = table.values.get() + slot * dim;
+        if (!table.filled[slot]) {
+            spec.rowBytes(rows[i],
+                          {reinterpret_cast<std::uint8_t *>(row),
+                           dim * sizeof(float)});
+            table.filled[slot] = true;
+            ++storedRows_;
+        }
+        for (std::uint64_t d = 0; d < dim; ++d)
+            acc[d] += row[d];
+    }
+    return acc;
 }
 
 EmbeddingTier::Intercept
@@ -79,13 +108,16 @@ EmbeddingTier::intercept(std::span<const model::Sample> samples,
         for (std::uint32_t t = 0; t < sample.indices.size(); ++t) {
             std::vector<std::uint64_t> &slice = sample.indices[t];
             const std::uint32_t global = cfg.globalTableId(t);
-            const TableResidency &table = tables_[global];
-            const bool hit =
-                (table.whole || !table.rows.empty()) &&
-                std::all_of(slice.begin(), slice.end(),
-                            [&](std::uint64_t row) {
-                                return table.contains(row);
-                            });
+            TableResidency &table = tables_[global];
+            // One probe per row answers whether it is resident and
+            // where it is stored.
+            bool hit = table.whole || table.slots.size() > 0;
+            slotBuf_.clear();
+            for (std::size_t i = 0; hit && i < slice.size(); ++i) {
+                const std::uint64_t slot = table.slotOf(slice[i]);
+                hit = slot != kNotResident;
+                slotBuf_.push_back(slot);
+            }
             if (!hit) {
                 sliceMisses_.inc();
                 icpt.residualIndices += slice.size();
@@ -97,8 +129,7 @@ EmbeddingTier::intercept(std::span<const model::Sample> samples,
             ServedSlice &served = icpt.served[s].emplace_back();
             served.table = t;
             if (functional)
-                served.pooled =
-                    model_.embedding().tables()[t].slsReference(slice);
+                served.pooled = poolStored(table, t, slice);
             slice.clear();
         }
     }
@@ -124,7 +155,7 @@ EmbeddingTier::residentRows(std::uint32_t globalTable) const
     RMSSD_ASSERT(globalTable < tables_.size(), "table out of range");
     const TableResidency &table = tables_[globalTable];
     return table.whole ? model_.config().rowsPerTable
-                       : table.rows.size();
+                       : table.slots.size();
 }
 
 void

@@ -21,18 +21,28 @@
  * (empty-slice, all-zero) output as a placement copy — exactly the
  * mechanism that makes the cluster's scatter/gather byte-identical to
  * one device. Slices with any non-resident lookup forward whole.
+ *
+ * Stored rows: like a DRAM row cache, the tier pools a served slice
+ * from the rows it stores. A resident row's slot comes from the same
+ * probe that answers its residency (a whole table's slot is the row
+ * itself); its bytes are filled from EmbeddingTableSpec::rowBytes the
+ * first time a functional intercept reads it, and every later read
+ * pools the stored floats. A timing-only tier never allocates row
+ * storage, so a full-size or 2^18-row timing run costs no DRAM here.
  */
 
 #ifndef RMSSD_HOST_EMBEDDING_TIER_H
 #define RMSSD_HOST_EMBEDDING_TIER_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "engine/placement.h"
 #include "model/dlrm.h"
+#include "sim/flat_map.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -126,6 +136,8 @@ class EmbeddingTier
     std::uint64_t residentRows(std::uint32_t globalTable) const;
     /** Total resident DRAM bytes. */
     Bytes residentBytes() const { return residentBytes_; }
+    /** Rows whose bytes a functional intercept has stored so far. */
+    std::uint64_t storedRows() const { return storedRows_; }
 
     /** Register hit/miss/byte counters + per-table residency gauges. */
     void registerStats(StatsRegistry &registry,
@@ -135,15 +147,41 @@ class EmbeddingTier
     const TierTiming &timing() const { return timing_; }
 
   private:
-    /** Residency of one global table. */
+    /** TableResidency::slotOf() of a row that is not resident. */
+    static constexpr std::uint64_t kNotResident = ~std::uint64_t{0};
+
+    /** Residency of one global table, and its stored rows. */
     struct TableResidency
     {
         bool whole = false;
-        /** Resident row ids, sorted and unique (binary-searched). */
-        std::vector<std::uint64_t> rows;
+        /** Partially resident rows: row -> slot, slots dense from 0. */
+        FlatMap<std::uint32_t> slots;
+        /**
+         * Stored row floats, slot-major (one dim-wide row per slot);
+         * allocated uninitialized by the first functional read.
+         */
+        std::unique_ptr<float[]> values;
+        /** Whether each slot's row has been filled into values. */
+        std::vector<bool> filled;
 
-        bool contains(std::uint64_t row) const;
+        /** Slot of @p row, or kNotResident. */
+        std::uint64_t
+        slotOf(std::uint64_t row) const
+        {
+            if (whole)
+                return row;
+            const std::uint32_t *slot = slots.find(row);
+            return slot == nullptr ? kNotResident : *slot;
+        }
     };
+
+    /**
+     * Fold-left of table @p local's rows @p rows, whose slots in
+     * @p table are slotBuf_, over the stored rows; fills each row on
+     * its first read.
+     */
+    model::Vector poolStored(TableResidency &table, std::uint32_t local,
+                             std::span<const std::uint64_t> rows);
 
     const model::DlrmModel &model_;
     TierTiming timing_;
@@ -151,6 +189,9 @@ class EmbeddingTier
     std::vector<TableResidency> tables_;
     std::uint64_t residentRows_ = 0;
     Bytes residentBytes_;
+    std::uint64_t storedRows_ = 0;
+    /** Slots of the slice being intercepted (reused per slice). */
+    std::vector<std::uint64_t> slotBuf_;
 
     Counter sliceHits_;
     Counter sliceMisses_;

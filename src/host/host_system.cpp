@@ -39,8 +39,13 @@ HostFileReader::readVector(std::uint32_t fileId,
             // Functionally, a hit returns the same bytes the device
             // would: fetch without timing or traffic accounting.
             const auto loc = extents.locateByte(byteOffset, sectorSize);
-            nvme_.ftl().readBytes(Cycle{}, loc.lba, loc.byteInSector,
-                                  bytes, out);
+            const std::span<const std::uint8_t> data =
+                nvme_.ftl()
+                    .readBytes(Cycle{}, loc.lba, loc.byteInSector, bytes,
+                               out)
+                    .data;
+            if (data.data() != out.data())
+                std::copy(data.begin(), data.end(), out.begin());
             // The probe above used the EV path counters; undo timing
             // side effects by charging nothing to the host. (Flash
             // timing state is monotonic but idle-time dominated; the

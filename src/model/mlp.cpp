@@ -76,13 +76,6 @@ Mlp::Mlp(std::uint32_t inputDim, const std::vector<std::uint32_t> &widths,
     }
 }
 
-std::uint32_t
-Mlp::outputDim() const
-{
-    RMSSD_ASSERT(!layers_.empty(), "empty MLP");
-    return layers_.back().outputs();
-}
-
 Vector
 Mlp::forward(const Vector &x) const
 {

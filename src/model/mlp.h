@@ -95,7 +95,6 @@ class Mlp
 
     const std::vector<FcLayer> &layers() const { return layers_; }
     std::uint32_t inputDim() const { return inputDim_; }
-    std::uint32_t outputDim() const;
 
     Vector forward(const Vector &x) const;
 

@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <memory>
+#include <numeric>
+#include <set>
 
 #include "engine/embedding_engine.h"
 #include "engine/ev_sum.h"
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
 #include "model/tensor.h"
+#include "sim/rng.h"
 
 namespace rmssd::engine {
 namespace {
@@ -171,6 +176,185 @@ TEST_P(SteadyStateRate, AnalyticFormulaTracksSimulation)
 
 INSTANTIATE_TEST_SUITE_P(SweepEvSizes, SteadyStateRate,
                          ::testing::Values(128u, 256u, 512u));
+
+/** Float bit patterns, so vectors compare bit for bit. */
+std::vector<std::uint32_t>
+bits(std::span<const float> v)
+{
+    std::vector<std::uint32_t> out;
+    for (const float x : v)
+        out.push_back(std::bit_cast<std::uint32_t>(x));
+    return out;
+}
+
+/** Functional device with an EV cache and coalescing. */
+std::unique_ptr<RmSsd>
+cachedCoalescingDevice(const model::ModelConfig &cfg,
+                       std::uint64_t cacheLines, std::uint32_t ways)
+{
+    RmSsdOptions opt = functionalOptions();
+    opt.evCache.enabled = true;
+    opt.evCache.ways = ways;
+    opt.evCache.capacityBytes = Bytes{cacheLines * cfg.vectorBytes()};
+    opt.coalesceIndices = true;
+    auto dev = std::make_unique<RmSsd>(cfg, opt);
+    dev->loadTables();
+    return dev;
+}
+
+/** Physical page holding row @p row of table @p t. */
+PageId
+pageOf(RmSsd &dev, std::uint32_t t, std::uint64_t row)
+{
+    const EvReadRequest req = dev.embeddingEngine().translator().translate(
+        TableId{t}, EvIndex{row});
+    return dev.ftl().translate(req.lba, req.byteInSector).ppn;
+}
+
+/**
+ * Differential check of one engine run. Each table slice of each
+ * sample must be bit-equal to a host fold, in lookup order, of copies
+ * of the stored bytes (BackingStore::read), so a lookup into an
+ * erased page contributes the filler the device reads. A slice that
+ * touches no erased page must also be bit-equal to the reference
+ * SLS of EmbeddingLayer::pooledReference.
+ */
+void
+expectRunBitExact(RmSsd &dev, std::span<const model::Sample> samples,
+                  const std::set<PageId> &erased)
+{
+    const EmbeddingResult res =
+        dev.embeddingEngine().run(Cycle{}, samples, true);
+    ASSERT_EQ(res.pooled.size(), samples.size());
+    const auto &tables = dev.model().embedding().tables();
+    for (std::size_t s = 0; s < samples.size(); ++s) {
+        const model::Vector reference =
+            dev.model().embedding().pooledReference(samples[s].indices);
+        ASSERT_EQ(res.pooled[s].size(), reference.size());
+        std::size_t offset = 0;
+        for (std::uint32_t t = 0; t < tables.size(); ++t) {
+            const std::uint32_t dim = tables[t].dim;
+            model::Vector folded(dim, 0.0f);
+            bool touchesErased = false;
+            for (const std::uint64_t row : samples[s].indices[t]) {
+                const EvReadRequest req =
+                    dev.embeddingEngine().translator().translate(
+                        TableId{t}, EvIndex{row});
+                const ftl::Ftl::PhysLoc loc =
+                    dev.ftl().translate(req.lba, req.byteInSector);
+                touchesErased |= erased.contains(loc.ppn);
+                std::vector<std::uint8_t> bytes(req.bytes.raw());
+                dev.flash().store().read(loc.ppn, loc.pageByteOffset, bytes);
+                EvSum::accumulateBytes(bytes, folded);
+            }
+            const std::span<const float> got =
+                std::span(res.pooled[s]).subspan(offset, dim);
+            EXPECT_EQ(bits(got), bits(folded))
+                << "sample " << s << " table " << t;
+            if (!touchesErased) {
+                EXPECT_EQ(bits(got), bits(std::span(reference)
+                                              .subspan(offset, dim)))
+                    << "sample " << s << " table " << t;
+            }
+            offset += dim;
+        }
+    }
+}
+
+/** A sample of tinyConfig() whose table @p t looks up @p rows only. */
+model::Sample
+sliceSample(const RmSsd &dev, std::uint32_t t,
+            std::vector<std::uint64_t> rows)
+{
+    model::Sample s = dev.model().makeSample(0);
+    for (auto &slice : s.indices)
+        slice.clear();
+    s.indices[t] = std::move(rows);
+    return s;
+}
+
+TEST(EmbeddingEngineDifferential, CacheHitThenEvictionInOneSliceIsBitExact)
+{
+    // One set of 32 ways: the order of fills and hits below decides
+    // every eviction. Element values are multiples of 2^-23 in
+    // [-1, 1), so a fold only rounds once a partial sum passes 2 in
+    // magnitude; the slice is long enough that a changed add order
+    // shows in the bits.
+    const model::ModelConfig cfg = tinyConfig();
+    const auto dev = cachedCoalescingDevice(cfg, 32, 32);
+    const PageId erased = pageOf(*dev, 0, 300); // rows 288..319
+    dev->flash().store().erasePage(erased);
+    const std::set<PageId> erasedPages{erased};
+
+    // Fill the set with rows 0..31 (LRU to MRU).
+    std::vector<std::uint64_t> warmRows(32);
+    std::iota(warmRows.begin(), warmRows.end(), 0);
+    const model::Sample warm = sliceSample(*dev, 0, warmRows);
+    expectRunBitExact(*dev, std::span(&warm, 1), erasedPages);
+
+    // Rows 100..129 miss and evict 0..29, so 30 flash reads are
+    // pending when row 31 hits. Rows 200..231 then evict 30, 100..129
+    // and, with 231's fill, row 31: the line this slice hit. Rows 100
+    // and 31 repeat (coalesced views), and 300 and 301 sit on the
+    // erased page (filler scratch).
+    std::vector<std::uint64_t> rows(30);
+    std::iota(rows.begin(), rows.end(), 100);
+    rows.push_back(31);
+    for (std::uint64_t row = 200; row < 232; ++row)
+        rows.push_back(row);
+    rows.insert(rows.end(), {100, 300, 31, 301});
+    const model::Sample slice = sliceSample(*dev, 0, rows);
+
+    const EvCache &cache = *dev->embeddingEngine().cache();
+    const std::uint64_t hitsBefore = cache.hits().value();
+    const std::uint64_t coalescedBefore =
+        dev->embeddingEngine().coalescedLookups().value();
+    expectRunBitExact(*dev, std::span(&slice, 1), erasedPages);
+    EXPECT_EQ(cache.hits().value() - hitsBefore, 1u);
+    EXPECT_EQ(dev->embeddingEngine().coalescedLookups().value() -
+                  coalescedBefore,
+              2u);
+}
+
+TEST(EmbeddingEngineDifferential, RandomCachedCoalescedBatchesAreBitExact)
+{
+    // A 1024-line cache, rows drawn half the time from an 8-row head
+    // (hits, duplicates and evictions within one slice), slices of up
+    // to 200 lookups, and three erased pages in tables 0 and 5.
+    const model::ModelConfig cfg = tinyConfig();
+    const auto dev = cachedCoalescingDevice(cfg, 1024, 4);
+    std::set<PageId> erased;
+    for (const auto &[t, row] :
+         {std::pair{0u, 5ull}, std::pair{0u, 300ull}, std::pair{5u, 40ull}})
+        erased.insert(pageOf(*dev, t, row));
+    for (const PageId ppn : erased)
+        dev->flash().store().erasePage(ppn);
+
+    Rng rng(0xd1ffULL);
+    bool longSlice = false;
+    for (int batch = 0; batch < 12; ++batch) {
+        std::vector<model::Sample> samples;
+        for (int i = 0; i < 1 + batch % 3; ++i) {
+            model::Sample s = dev->model().makeSample(
+                static_cast<std::uint64_t>(batch * 3 + i));
+            for (auto &slice : s.indices) {
+                slice.resize(rng.nextBounded(201));
+                longSlice |= slice.size() > 128;
+                for (auto &row : slice)
+                    row = rng.nextBounded(2) == 0
+                              ? rng.nextBounded(8)
+                              : rng.nextBounded(cfg.rowsPerTable);
+            }
+            samples.push_back(std::move(s));
+        }
+        expectRunBitExact(*dev, samples, erased);
+    }
+    EXPECT_TRUE(longSlice);
+    const EvCache &cache = *dev->embeddingEngine().cache();
+    EXPECT_GT(cache.hits().value(), 0u);
+    EXPECT_GT(cache.evictions().value(), 0u);
+    EXPECT_GT(dev->embeddingEngine().coalescedLookups().value(), 0u);
+}
 
 } // namespace
 } // namespace rmssd::engine

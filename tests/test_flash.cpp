@@ -265,6 +265,85 @@ TEST(BackingStore, MatchesMapReferenceModel)
     }
 }
 
+TEST(BackingStore, ViewSurvivesGrowthPastChunkBoundaries)
+{
+    // Pages live in chunks that are never relocated: a view taken
+    // before the arena grows by two more chunks still reads the page.
+    constexpr std::uint64_t kPage = 4096;
+    BackingStore store(Bytes{kPage});
+    std::vector<std::uint8_t> page(kPage);
+    std::iota(page.begin(), page.end(), 3);
+    store.writePage(PageId{5}, page);
+    const std::span<const std::uint8_t> view =
+        store.view(PageId{5}, Bytes{128}, Bytes{256}, {});
+
+    const std::vector<std::uint8_t> other(kPage, 0x5a);
+    const std::uint64_t morePages =
+        2 * BackingStore::kChunkBytes.raw() / kPage + 1;
+    for (std::uint64_t p = 1; p <= morePages; ++p)
+        store.writePage(PageId{5 + 7 * p}, other);
+    ASSERT_EQ(store.materializedPages(), morePages + 1);
+
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), page.begin() + 128));
+    // The view is the stored page itself, not a copy of it.
+    EXPECT_EQ(store.view(PageId{5}, Bytes{128}, Bytes{256}, {}).data(),
+              view.data());
+}
+
+TEST(BackingStore, ErasedSlotIsReusedByTheNextNewPage)
+{
+    constexpr std::uint64_t kPage = 4096;
+    BackingStore store(Bytes{kPage});
+    const std::vector<std::uint8_t> ones(kPage, 1);
+    const std::vector<std::uint8_t> twos(kPage, 2);
+    store.writePage(PageId{10}, ones);
+    store.writePage(PageId{11}, ones);
+    const std::uint8_t *freed =
+        store.view(PageId{10}, Bytes{}, Bytes{kPage}, {}).data();
+
+    store.erasePage(PageId{10});
+    EXPECT_FALSE(store.isWritten(PageId{10}));
+    store.writePage(PageId{99}, twos);
+
+    const std::span<const std::uint8_t> reused =
+        store.view(PageId{99}, Bytes{}, Bytes{kPage}, {});
+    EXPECT_EQ(reused.data(), freed);
+    EXPECT_TRUE(std::equal(reused.begin(), reused.end(), twos.begin()));
+    EXPECT_EQ(store.materializedPages(), 2u);
+    // The page that kept its slot is untouched.
+    const std::span<const std::uint8_t> kept =
+        store.view(PageId{11}, Bytes{}, Bytes{kPage}, {});
+    EXPECT_TRUE(std::equal(kept.begin(), kept.end(), ones.begin()));
+}
+
+TEST(BackingStore, UnwrittenViewEqualsReadFiller)
+{
+    // An unwritten page's view is the caller's scratch holding exactly
+    // the filler read() copies out, and nothing past the read.
+    constexpr std::uint64_t kPage = 4096;
+    BackingStore store(Bytes{kPage});
+    store.writePage(PageId{1}, std::vector<std::uint8_t>(kPage, 9));
+    struct Range
+    {
+        std::uint64_t offset;
+        std::uint64_t size;
+    };
+    for (const Range &range :
+         {Range{0, 128}, Range{100, 64}, Range{3968, 128}, Range{0, kPage}}) {
+        std::vector<std::uint8_t> scratch(range.size + 8, 0xee);
+        const std::span<const std::uint8_t> view = store.view(
+            PageId{42}, Bytes{range.offset}, Bytes{range.size}, scratch);
+        EXPECT_EQ(view.data(), scratch.data());
+        ASSERT_EQ(view.size(), range.size);
+        std::vector<std::uint8_t> want(range.size);
+        store.read(PageId{42}, Bytes{range.offset}, want);
+        EXPECT_TRUE(std::equal(view.begin(), view.end(), want.begin()))
+            << "offset " << range.offset;
+        EXPECT_EQ(scratch[range.size], 0xee) << "offset " << range.offset;
+    }
+    EXPECT_FALSE(store.isWritten(PageId{42}));
+}
+
 TEST(FlashDie, OperationsSerialize)
 {
     FlashDie die;
@@ -342,9 +421,12 @@ TEST(FlashArray, VectorReadEqualsPageSlice)
         const std::uint32_t offset =
             static_cast<std::uint32_t>(rng.nextBounded(4096 / evBytes)) *
             evBytes;
-        std::vector<std::uint8_t> vec(evBytes);
-        array.readVector(Cycle{}, ppn, Bytes{offset}, Bytes{evBytes},
-                         vec);
+        std::vector<std::uint8_t> scratch(evBytes);
+        const std::span<const std::uint8_t> vec =
+            array.readVector(Cycle{}, ppn, Bytes{offset}, Bytes{evBytes},
+                             scratch)
+                .data;
+        ASSERT_EQ(vec.size(), evBytes);
         for (std::uint32_t i = 0; i < evBytes; ++i)
             EXPECT_EQ(vec[i], page[offset + i]);
     }

@@ -150,9 +150,11 @@ TEST_F(FtlFixture, WriteThenReadBytesRoundTrips)
         data[i] = static_cast<std::uint8_t>(i * 7);
     ftl_.writeBytesFunctional(Lba{3}, Bytes{17}, data);
 
-    std::vector<std::uint8_t> out(300);
-    ftl_.readBytes(Cycle{}, Lba{3}, Bytes{17}, Bytes{300}, out);
-    EXPECT_EQ(out, data);
+    std::vector<std::uint8_t> scratch(300);
+    const std::span<const std::uint8_t> out =
+        ftl_.readBytes(Cycle{}, Lba{3}, Bytes{17}, Bytes{300}, scratch)
+            .data;
+    EXPECT_EQ(std::vector<std::uint8_t>(out.begin(), out.end()), data);
 }
 
 TEST_F(FtlFixture, WriteSpanningPagesRoundTrips)
@@ -185,7 +187,7 @@ TEST_F(FtlFixture, ReadSectorsChargesWholePagesAndCounts)
 TEST_F(FtlFixture, EvReadUsesVectorPathAndCounts)
 {
     const Cycle done =
-        ftl_.readBytes(Cycle{}, Lba{}, Bytes{}, Bytes{128}, {});
+        ftl_.readBytes(Cycle{}, Lba{}, Bytes{}, Bytes{128}, {}).done;
     EXPECT_EQ(done,
               Ftl::kTranslateCycles +
                   array_.timing().vectorReadTotalCycles(Bytes{128}));
@@ -250,11 +252,13 @@ expectReadBytesFollowsTranslate(flash::FlashArray &array, Ftl &ftl)
         const std::uint64_t readsBefore = fmc.vectorReads().value();
         const Cycle busyBefore = fmc.dieBusyCycles(pba.die);
 
-        std::vector<std::uint8_t> out(bytes.raw());
+        std::vector<std::uint8_t> scratch(bytes.raw());
         std::vector<std::uint8_t> want(bytes.raw());
-        ftl.readBytes(Cycle{}, lba, byteInSector, bytes, out);
+        const std::span<const std::uint8_t> out =
+            ftl.readBytes(Cycle{}, lba, byteInSector, bytes, scratch).data;
         array.store().read(loc.ppn, loc.pageByteOffset, want);
-        EXPECT_EQ(out, want) << "step " << step;
+        EXPECT_EQ(std::vector<std::uint8_t>(out.begin(), out.end()), want)
+            << "step " << step;
         EXPECT_EQ(fmc.vectorReads().value(), readsBefore + 1)
             << "step " << step;
         EXPECT_EQ(fmc.dieBusyCycles(pba.die),

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <sstream>
 
@@ -219,6 +220,130 @@ TEST(EmbeddingTier, InterceptServesOnlyFullyResidentSlices)
     EXPECT_EQ(tier.sliceHits().value(), 2u);
     EXPECT_EQ(tier.sliceMisses().value(),
               static_cast<std::uint64_t>(cfg.numTables) - 2u);
+}
+
+// ---- Stored-row pooling ---------------------------------------------
+
+/** Float bit patterns, so pooled vectors compare bit for bit. */
+std::vector<std::uint32_t>
+floatBits(const model::Vector &v)
+{
+    std::vector<std::uint32_t> out;
+    for (const float x : v)
+        out.push_back(std::bit_cast<std::uint32_t>(x));
+    return out;
+}
+
+/** A sample of @p cfg whose table t looks up @p slices[t] only. */
+model::Sample
+slicesSample(const model::ModelConfig &cfg,
+             std::vector<std::vector<std::uint64_t>> slices)
+{
+    model::Sample sample;
+    sample.dense.resize(cfg.denseInputDim(), 0.5f);
+    slices.resize(cfg.numTables);
+    sample.indices = std::move(slices);
+    return sample;
+}
+
+/**
+ * Intercept @p sample functionally and expect every served slice
+ * bit-equal to the reference SLS of its rows. @return slices served
+ */
+std::size_t
+expectServedBitExact(host::EmbeddingTier &tier,
+                     const model::Sample &sample)
+{
+    const auto icpt = tier.intercept(
+        std::span<const model::Sample>(&sample, 1), true);
+    const auto &tables = tier.model().embedding().tables();
+    for (const auto &served : icpt.served[0]) {
+        const model::Vector ref =
+            tables[served.table].slsReference(sample.indices[served.table]);
+        EXPECT_EQ(floatBits(served.pooled), floatBits(ref))
+            << "table " << served.table;
+    }
+    return icpt.served[0].size();
+}
+
+TEST(EmbeddingTier, StoredRowPoolingIsBitEqualToReference)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    const model::DlrmModel model(cfg);
+    host::EmbeddingTier tier(model);
+    engine::TierPlan plan;
+    plan.entries.push_back({TableId{0}, true, {}, Bytes{}});
+    plan.entries.push_back({TableId{1},
+                            false,
+                            {EvIndex{3}, EvIndex{7}, EvIndex{11},
+                             EvIndex{7}, EvIndex{200}, EvIndex{511}},
+                            Bytes{}});
+    plan.entries.push_back({TableId{3}, false, {EvIndex{0}}, Bytes{}});
+    tier.provision(plan);
+    EXPECT_EQ(tier.residentRows(1), 5u); // the duplicate 7 folds
+    EXPECT_EQ(tier.storedRows(), 0u);
+
+    // Whole (table 0) and partial (tables 1, 3) residency, duplicate
+    // rows within a slice, and a forwarded slice (table 2).
+    const model::Sample first = slicesSample(
+        cfg, {{10, 20, 10, 500}, {7, 3, 7, 511}, {1}, {0, 0}});
+    EXPECT_EQ(expectServedBitExact(tier, first), 3u); // first reads
+    EXPECT_EQ(tier.storedRows(), 7u);
+    EXPECT_EQ(expectServedBitExact(tier, first), 3u); // repeated reads
+    EXPECT_EQ(tier.storedRows(), 7u);
+
+    // Stored and new rows mixed in one slice (table 3's empty slice is
+    // served too: every one of its zero rows is resident).
+    const model::Sample mixed =
+        slicesSample(cfg, {{10, 30, 20}, {200, 7, 11}});
+    EXPECT_EQ(expectServedBitExact(tier, mixed), 3u);
+    EXPECT_EQ(tier.storedRows(), 10u);
+}
+
+TEST(EmbeddingTier, ProvisionClearsStoredRows)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    const model::DlrmModel model(cfg);
+    host::EmbeddingTier tier(model);
+    engine::TierPlan whole;
+    whole.entries.push_back({TableId{0}, true, {}, Bytes{}});
+    tier.provision(whole);
+    EXPECT_EQ(expectServedBitExact(tier, slicesSample(cfg, {{1, 2}})), 1u);
+    EXPECT_EQ(tier.storedRows(), 2u);
+
+    // Under the new plan row 2 takes slot 1, the slot that held row 1
+    // under the whole-table plan: a row stored before provision must
+    // not be read back.
+    engine::TierPlan partial;
+    partial.entries.push_back(
+        {TableId{0}, false, {EvIndex{9}, EvIndex{2}}, Bytes{}});
+    tier.provision(partial);
+    EXPECT_EQ(tier.storedRows(), 0u);
+    EXPECT_EQ(expectServedBitExact(tier, slicesSample(cfg, {{2, 9, 2}})),
+              1u);
+    EXPECT_EQ(tier.storedRows(), 2u);
+}
+
+TEST(EmbeddingTier, TimingOnlyInterceptFillsNoRow)
+{
+    const model::ModelConfig cfg = tinyConfig();
+    const model::DlrmModel model(cfg);
+    host::EmbeddingTier tier(model);
+    engine::TierPlan plan;
+    plan.entries.push_back({TableId{0}, true, {}, Bytes{}});
+    plan.entries.push_back({TableId{1}, false, {EvIndex{4}}, Bytes{}});
+    tier.provision(plan);
+
+    const model::Sample sample = slicesSample(cfg, {{5, 6}, {4, 4}});
+    const auto icpt = tier.intercept(
+        std::span<const model::Sample>(&sample, 1), false);
+    ASSERT_EQ(icpt.served[0].size(), 2u);
+    for (const auto &served : icpt.served[0])
+        EXPECT_TRUE(served.pooled.empty());
+    EXPECT_EQ(tier.storedRows(), 0u);
+
+    EXPECT_EQ(expectServedBitExact(tier, sample), 2u);
+    EXPECT_EQ(tier.storedRows(), 3u);
 }
 
 // ---- Byte-exactness against the un-tiered device -------------------
