@@ -67,7 +67,7 @@ BM_VectorReadTiming(benchmark::State &state)
     for (auto _ : state) {
         now = array
                   .readVector(now, PageId{ppn++ % 100000}, Bytes{},
-                              Bytes{128}, {})
+                              array.vectorTransfer(Bytes{128}), {})
                   .done;
         benchmark::DoNotOptimize(now);
     }

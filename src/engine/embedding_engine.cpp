@@ -75,8 +75,10 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
         for (std::size_t t = 0; t < sample.indices.size(); ++t) {
             const TableId tableId{static_cast<std::uint32_t>(t)};
             const std::vector<std::uint64_t> &slice = sample.indices[t];
-            const std::uint64_t vecBytes =
-                translator_.vectorBytes(tableId).raw();
+            // The slice's bus share, once per slice rather than per read.
+            const flash::VectorTransfer xfer =
+                ftl_.array().vectorTransfer(translator_.vectorBytes(tableId));
+            const std::uint64_t vecBytes = xfer.bytes.raw();
             const std::size_t dim = vecBytes / sizeof(float);
             const std::span<float> acc =
                 functional ? std::span(pooledSample).subspan(offset, dim)
@@ -92,6 +94,7 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
             }
 
             Cycle tableDone = issue;
+            std::uint64_t sliceReads = 0;
             for (std::size_t i = 0; i < slice.size(); ++i) {
                 const EvIndex index{slice[i]};
                 const std::uint64_t key = evKey(tableId, index);
@@ -128,22 +131,20 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                         const EvReadRequest req =
                             translator_.translate(tableId, index);
                         if (functional) {
-                            const flash::VectorRead read = ftl_.readBytes(
-                                issue, req.lba, req.byteInSector,
-                                req.bytes,
-                                std::span(scratch_).subspan(i * vecBytes,
-                                                            vecBytes));
+                            const flash::VectorRead read =
+                                ftl_.readVector(
+                                    issue, req.lpn, req.byteInPage, xfer,
+                                    std::span(scratch_).subspan(
+                                        i * vecBytes, vecBytes));
                             done = read.done;
                             bytes = read.data;
                             prefetch(bytes);
                             pending_.push_back(bytes);
                         } else {
-                            done = ftl_.readBytes(issue, req.lba,
-                                                  req.byteInSector,
-                                                  req.bytes);
+                            done = ftl_.readVector(issue, req.lpn,
+                                                   req.byteInPage, xfer);
                         }
-                        flashReads_.inc();
-                        lookupBytes_.inc(req.bytes.raw());
+                        ++sliceReads;
                         if (cache_)
                             cache_->fill(cached, key, bytes);
                     }
@@ -152,9 +153,11 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                 }
 
                 tableDone = std::max(tableDone, done);
-                lookups_.inc();
                 issue += EvTranslator::kCyclesPerIndex;
             }
+            lookups_.inc(slice.size());
+            flashReads_.inc(sliceReads);
+            lookupBytes_.inc(sliceReads * vecBytes);
             if (functional)
                 sumPending(acc);
             // fadd pipeline drains after the table's last vector.

@@ -6,8 +6,8 @@
 
 namespace rmssd::engine {
 
-EvTranslator::EvTranslator(Bytes sectorSize)
-    : sectorSize_(sectorSize)
+EvTranslator::EvTranslator(Bytes sectorSize, Bytes pageSize)
+    : sectorSize_(sectorSize), page_(pageSize.raw())
 {
     RMSSD_ASSERT(sectorSize_ > Bytes{}, "zero sector size");
 }
@@ -24,6 +24,7 @@ EvTranslator::registerTable(TableId tableId,
     TableMeta meta;
     meta.evBytes = evBytes;
     meta.numRows = numRows;
+    meta.ranges.reserve(extents.extents().size());
     std::uint64_t nextIndex = 0;
     for (const ftl::Extent &e : extents.extents()) {
         const Bytes extentBytes{e.sectorCount.raw() * sectorSize_.raw()};
@@ -32,7 +33,8 @@ EvTranslator::registerTable(TableId tableId,
         const std::uint64_t vectors = extentBytes / evBytes;
         meta.ranges.push_back(ExtentRange{EvIndex{nextIndex},
                                           EvIndex{nextIndex + vectors},
-                                          e.startLba});
+                                          Bytes{e.startLba.raw() *
+                                                sectorSize_.raw()}});
         nextIndex += vectors;
     }
     if (nextIndex < numRows)

@@ -1,15 +1,16 @@
 /**
  * @file
  * Embedding Vector Translator (Fig. 6): device-resident per-table
- * extent metadata mapping embedding indices to LBAs.
+ * extent metadata mapping embedding indices to flash pages.
  *
  * At RM_open_table time the host pushes each table's (start LBA,
  * length) extents through the RM Registers; the translator derives the
  * index range served by each extent (fixed EVsize per table) and keeps
  * it in on-device DRAM. A lookup then runs the five steps of Fig. 6:
  * fetch index, find the covering extent (parallel range check), take
- * the extent's start LBA, add the index offset, and emit a read of
- * exactly EVsize bytes.
+ * the extent's start address, add the index offset, and emit a read of
+ * exactly EVsize bytes at a (logical page, byte in page) the FTL maps
+ * without dividing again.
  */
 
 #ifndef RMSSD_ENGINE_EV_TRANSLATOR_H
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "ftl/extent.h"
+#include "sim/divider.h"
 #include "sim/log.h"
 #include "sim/types.h"
 
@@ -28,8 +30,8 @@ namespace rmssd::engine {
 /** A vector-grained flash read emitted by the translator. */
 struct EvReadRequest
 {
-    Lba lba;
-    Bytes byteInSector;
+    PageId lpn;       //!< logical flash page holding the vector
+    Bytes byteInPage; //!< the vector's first byte within that page
     Bytes bytes;
     TableId tableId;
 };
@@ -43,7 +45,11 @@ class EvTranslator
     /** Depth of the translation pipeline (steps 2-5 of Fig. 6). */
     static constexpr Cycle kPipelineFillCycles{8};
 
-    explicit EvTranslator(Bytes sectorSize);
+    /**
+     * @param sectorSize LBA granularity of the extents
+     * @param pageSize flash page size the reads are addressed in
+     */
+    EvTranslator(Bytes sectorSize, Bytes pageSize);
 
     /**
      * Install a table's metadata (RM_open_table path).
@@ -83,13 +89,15 @@ class EvTranslator
                          index < it->lastIndex,
                      "no extent covers the index");
 
-        // Steps 4-5: start LBA plus the index offset within the extent.
-        const Bytes byteOffset{(index - it->firstIndex).raw() *
-                               m.evBytes.raw()};
+        // Steps 4-5: the extent's start address plus the index offset,
+        // split into page and byte by one exact multiply (sim/divider.h).
+        const Bytes address =
+            it->startByte +
+            Bytes{(index - it->firstIndex).raw() * m.evBytes.raw()};
+        const PageId lpn{page_.div(address.raw())};
         EvReadRequest req;
-        req.lba = it->startLba + Sectors{byteOffset.raw() /
-                                         sectorSize_.raw()};
-        req.byteInSector = byteOffset % sectorSize_.raw();
+        req.lpn = lpn;
+        req.byteInPage = Bytes{address.raw() - lpn.raw() * page_.divisor()};
         req.bytes = m.evBytes;
         req.tableId = tableId;
         return req;
@@ -110,7 +118,7 @@ class EvTranslator
     {
         EvIndex firstIndex; //!< inclusive
         EvIndex lastIndex;  //!< exclusive
-        Lba startLba;
+        Bytes startByte;    //!< start LBA x sector size
     };
 
     struct TableMeta
@@ -132,6 +140,8 @@ class EvTranslator
     [[noreturn]] static void unknownTable(TableId tableId);
 
     Bytes sectorSize_;
+    /** Divides a logical byte address by the flash page size. */
+    Divider page_;
     std::vector<TableMeta> tables_; //!< indexed by tableId
 };
 

@@ -9,18 +9,13 @@ namespace rmssd::engine {
 
 std::vector<PageId>
 planHotPages(const EvTranslator &translator,
-             std::uint32_t sectorsPerPage,
              std::span<const RowHeat> rows, std::size_t maxPages)
 {
-    RMSSD_ASSERT(sectorsPerPage > 0, "placement without page shape");
-
     std::unordered_map<PageId, double> heat;
     for (const RowHeat &row : rows) {
         if (row.weight <= 0.0)
             continue;
-        const EvReadRequest req =
-            translator.translate(row.table, row.row);
-        heat[PageId{req.lba.raw() / sectorsPerPage}] += row.weight;
+        heat[translator.translate(row.table, row.row).lpn] += row.weight;
     }
 
     // det-safe: extraction order is erased by the total-order sort

@@ -41,7 +41,6 @@ struct RowHeat
  * toward the lower page id so plans are deterministic).
  */
 std::vector<PageId> planHotPages(const EvTranslator &translator,
-                                 std::uint32_t sectorsPerPage,
                                  std::span<const RowHeat> rows,
                                  std::size_t maxPages);
 

@@ -96,7 +96,8 @@ RmSsd::RmSsd(const model::ModelConfig &config, const RmSsdOptions &options)
       ftl_(std::make_unique<ftl::Ftl>(*flash_, makeMapping(options))),
       nvme_(std::make_unique<nvme::NvmeController>(*ftl_)),
       translator_(std::make_unique<EvTranslator>(
-          options.geometry.sectorSizeBytes)),
+          options.geometry.sectorSizeBytes,
+          options.geometry.pageSizeBytes)),
       evCache_(options.evCache.enabled
                    ? std::make_unique<EvCache>(
                          options.evCache, Bytes{config.vectorBytes()})
@@ -207,9 +208,8 @@ RmSsd::planPlacement(std::span<const RowHeat> rows)
 {
     if (!freqMapping_)
         return;
-    const std::vector<PageId> hot = planHotPages(
-        *translator_, options_.geometry.sectorsPerPage(), rows,
-        options_.placement.hotPageCount);
+    const std::vector<PageId> hot =
+        planHotPages(*translator_, rows, options_.placement.hotPageCount);
     applyHotSet(hot, /*timed=*/false,
                 std::numeric_limits<std::uint64_t>::max());
     freqMapping_->resetObservation();

@@ -7,16 +7,22 @@
 namespace rmssd::flash {
 
 FlashArray::FlashArray(const Geometry &geometry, const NandTiming &timing)
-    : geometry_(geometry), timing_(timing),
-      totalPages_(geometry.totalPages()), store_(geometry.pageSizeBytes)
+    // Validated first: the FMCs and the lane divisor need no zero.
+    : geometry_((geometry.validate(), geometry)), timing_(timing),
+      totalPages_(geometry.totalPages()), store_(geometry.pageSizeBytes),
+      laneOf_(std::uint64_t{geometry.numChannels} *
+              geometry.diesPerChannel),
+      lanes_(laneOf_.divisor())
 {
-    geometry_.validate();
     if (timing_.pageSizeBytes != geometry_.pageSizeBytes)
         fatal("NAND timing page size differs from geometry page size");
     fmcs_.reserve(geometry_.numChannels);
-    for (std::uint32_t c = 0; c < geometry_.numChannels; ++c) {
-        fmcs_.push_back(
-            std::make_unique<Fmc>(geometry_.diesPerChannel, timing_));
+    for (std::uint32_t c = 0; c < geometry_.numChannels; ++c)
+        fmcs_.emplace_back(geometry_.diesPerChannel, timing_);
+    auto lane = lanes_.begin();
+    for (std::uint32_t die = 0; die < geometry_.diesPerChannel; ++die) {
+        for (std::uint32_t c = 0; c < geometry_.numChannels; ++c)
+            *lane++ = Lane{c, die};
     }
 }
 
@@ -25,7 +31,7 @@ FlashArray::readPage(Cycle issue, PageId ppn,
                      std::span<std::uint8_t> out)
 {
     const Pba pba = geometry_.decompose(ppn);
-    const ReadTiming t = fmcs_[pba.channel]->readPage(issue, pba.die);
+    const ReadTiming t = fmcs_[pba.channel].readPage(issue, pba.die);
     if (!out.empty()) {
         RMSSD_ASSERT(out.size() == geometry_.pageSizeBytes.raw(),
                      "page read buffer is not page sized");
@@ -34,31 +40,16 @@ FlashArray::readPage(Cycle issue, PageId ppn,
     return t;
 }
 
-ReadTiming
-FlashArray::readVector(Cycle issue, PageId ppn, Bytes colOffset,
-                       Bytes bytes)
-{
-    // Only the (channel, die) pair times a read; the plane, block
-    // and page fields of Geometry::decompose are never needed here.
-    RMSSD_ASSERT(ppn.raw() < totalPages_, "ppn out of range");
-    const std::uint64_t channel = ppn.raw() % geometry_.numChannels;
-    const std::uint64_t die =
-        ppn.raw() / geometry_.numChannels % geometry_.diesPerChannel;
-    RMSSD_ASSERT(colOffset + bytes <= geometry_.pageSizeBytes,
-                 "vector read crosses page boundary");
-    return fmcs_[channel]->readVector(
-        issue, static_cast<std::uint32_t>(die), bytes);
-}
-
 VectorRead
 FlashArray::readVector(Cycle issue, PageId ppn, Bytes colOffset,
-                       Bytes bytes, std::span<std::uint8_t> scratch)
+                       const VectorTransfer &xfer,
+                       std::span<std::uint8_t> scratch)
 {
-    VectorRead read{readVector(issue, ppn, colOffset, bytes), {}};
+    VectorRead read{readVector(issue, ppn, colOffset, xfer), {}};
     if (!scratch.empty()) {
-        RMSSD_ASSERT(scratch.size() == bytes.raw(),
+        RMSSD_ASSERT(scratch.size() == xfer.bytes.raw(),
                      "vector read size mismatch");
-        read.data = store_.view(ppn, colOffset, bytes, scratch);
+        read.data = store_.view(ppn, colOffset, xfer.bytes, scratch);
     }
     return read;
 }
@@ -68,7 +59,7 @@ FlashArray::programPage(Cycle issue, PageId ppn,
                         std::span<const std::uint8_t> data)
 {
     const Pba pba = geometry_.decompose(ppn);
-    const Cycle done = fmcs_[pba.channel]->programPage(issue, pba.die);
+    const Cycle done = fmcs_[pba.channel].programPage(issue, pba.die);
     // An empty span programs timing-only (bulk provisioning sweeps
     // would otherwise materialize the full device in host memory).
     if (!data.empty())
@@ -103,7 +94,7 @@ Cycle
 FlashArray::eraseBlockContaining(Cycle issue, PageId ppn)
 {
     const Pba pba = geometry_.decompose(ppn);
-    const Cycle done = fmcs_[pba.channel]->eraseBlock(issue, pba.die);
+    const Cycle done = fmcs_[pba.channel].eraseBlock(issue, pba.die);
     ++blockWear_[blockKey(pba)];
     // Functionally wipe every page of the block.
     Pba page = pba;
@@ -136,7 +127,7 @@ FlashArray::totalPageReads() const
 {
     std::uint64_t n = 0;
     for (const auto &fmc : fmcs_)
-        n += fmc->pageReads().value();
+        n += fmc.pageReads().value();
     return n;
 }
 
@@ -145,7 +136,7 @@ FlashArray::totalVectorReads() const
 {
     std::uint64_t n = 0;
     for (const auto &fmc : fmcs_)
-        n += fmc->vectorReads().value();
+        n += fmc.vectorReads().value();
     return n;
 }
 
@@ -154,7 +145,7 @@ FlashArray::totalBusBytes() const
 {
     std::uint64_t n = 0;
     for (const auto &fmc : fmcs_)
-        n += fmc->busBytes().value();
+        n += fmc.busBytes().value();
     return n;
 }
 
@@ -163,7 +154,7 @@ FlashArray::totalPagePrograms() const
 {
     std::uint64_t n = 0;
     for (const auto &fmc : fmcs_)
-        n += fmc->pagePrograms().value();
+        n += fmc.pagePrograms().value();
     return n;
 }
 
@@ -172,7 +163,7 @@ FlashArray::totalBlockErases() const
 {
     std::uint64_t n = 0;
     for (const auto &fmc : fmcs_)
-        n += fmc->blockErases().value();
+        n += fmc.blockErases().value();
     return n;
 }
 
@@ -180,14 +171,14 @@ void
 FlashArray::resetTiming()
 {
     for (auto &fmc : fmcs_)
-        fmc->resetTiming();
+        fmc.resetTiming();
 }
 
 void
 FlashArray::resetAll()
 {
     for (auto &fmc : fmcs_)
-        fmc->resetAll();
+        fmc.resetAll();
 }
 
 } // namespace rmssd::flash

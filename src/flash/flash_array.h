@@ -15,7 +15,6 @@
 #define RMSSD_FLASH_FLASH_ARRAY_H
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -24,6 +23,8 @@
 #include "flash/fmc.h"
 #include "flash/geometry.h"
 #include "flash/timing.h"
+#include "sim/divider.h"
+#include "sim/log.h"
 #include "sim/types.h"
 
 namespace rmssd::flash {
@@ -59,18 +60,40 @@ class FlashArray
     ReadTiming readPage(Cycle issue, PageId ppn,
                         std::span<std::uint8_t> out);
 
-    /** Timed vector-grained read of @p bytes bytes at @p colOffset. */
-    ReadTiming readVector(Cycle issue, PageId ppn, Bytes colOffset,
-                          Bytes bytes);
+    /** The bus share of a @p bytes vector read (Fmc::vectorTransfer). */
+    VectorTransfer
+    vectorTransfer(Bytes bytes) const
+    {
+        return fmcs_.front().vectorTransfer(bytes);
+    }
+
+    /**
+     * Timed vector-grained read of @p xfer's bytes at @p colOffset.
+     * The page's lane is one mod (channels x dies) away: Geometry
+     * stripes consecutive pages over channels first, then dies, so
+     * ppn mod (C x D) names the (channel, die) pair and the plane,
+     * block and page fields are never needed.
+     */
+    ReadTiming
+    readVector(Cycle issue, PageId ppn, Bytes colOffset,
+               const VectorTransfer &xfer)
+    {
+        RMSSD_ASSERT(ppn.raw() < totalPages_, "ppn out of range");
+        RMSSD_ASSERT(colOffset + xfer.bytes <= geometry_.pageSizeBytes,
+                     "vector read crosses page boundary");
+        const Lane lane = lanes_[laneOf_.mod(ppn.raw())];
+        return fmcs_[lane.channel].readVector(issue, lane.die, xfer);
+    }
 
     /**
      * The timed read above, read in place as well.
      * @param scratch empty for timing-only; otherwise exactly
-     *        @p bytes long, and it receives the filler when @p ppn was
-     *        never written
+     *        xfer.bytes long, and it receives the filler when @p ppn
+     *        was never written
      */
     VectorRead readVector(Cycle issue, PageId ppn, Bytes colOffset,
-                          Bytes bytes, std::span<std::uint8_t> scratch);
+                          const VectorTransfer &xfer,
+                          std::span<std::uint8_t> scratch);
 
     /** Timed + functional page program (used when loading tables). */
     Cycle programPage(Cycle issue, PageId ppn,
@@ -100,8 +123,8 @@ class FlashArray
     BackingStore &store() { return store_; }
     const BackingStore &store() const { return store_; }
 
-    Fmc &fmc(std::uint32_t channel) { return *fmcs_[channel]; }
-    const Fmc &fmc(std::uint32_t channel) const { return *fmcs_[channel]; }
+    Fmc &fmc(std::uint32_t channel) { return fmcs_[channel]; }
+    const Fmc &fmc(std::uint32_t channel) const { return fmcs_[channel]; }
 
     /** Aggregate counters across channels. */
     std::uint64_t totalPageReads() const;
@@ -120,12 +143,23 @@ class FlashArray
     /** Key identifying a block across the whole array. */
     std::uint64_t blockKey(const Pba &pba) const;
 
+    /** The (channel, die) pair a page stripes onto. */
+    struct Lane
+    {
+        std::uint32_t channel;
+        std::uint32_t die;
+    };
+
     Geometry geometry_;
     NandTiming timing_;
     /** geometry_.totalPages(), fixed at construction. */
     std::uint64_t totalPages_;
     BackingStore store_;
-    std::vector<std::unique_ptr<Fmc>> fmcs_;
+    std::vector<Fmc> fmcs_;
+    /** ppn mod (channels x dies), the index into lanes_. */
+    Divider laneOf_;
+    /** Lane l is (l mod C, l / C): Geometry::decompose's striping. */
+    std::vector<Lane> lanes_;
     // Determinism audit: point lookups plus one det-safe max fold
     // (maxBlockWear). Any future wear-leveling ranking must sort by
     // (wear, block key) — not by map order.

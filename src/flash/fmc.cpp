@@ -26,22 +26,6 @@ Fmc::readPage(Cycle issue, std::uint32_t die)
     return t;
 }
 
-ReadTiming
-Fmc::readVector(Cycle issue, std::uint32_t die, Bytes bytes)
-{
-    RMSSD_ASSERT(die < dies_.size(), "die index out of range");
-    if (dies_[die].nextFree() > issue)
-        dieConflicts_.inc();
-    ReadTiming t;
-    t.flushDone = dies_[die].acquire(issue, flushCycles_);
-    t.done = bus_.transfer(
-        t.flushDone, scaledTransferCycles(pageTransferCycles_, bytes,
-                                          timing_.pageSizeBytes));
-    vectorReads_.inc();
-    busBytes_.inc(bytes.raw());
-    return t;
-}
-
 Cycle
 Fmc::programPage(Cycle issue, std::uint32_t die)
 {

@@ -21,6 +21,7 @@
 #include "flash/channel.h"
 #include "flash/die.h"
 #include "flash/timing.h"
+#include "sim/log.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -35,6 +36,17 @@ struct ReadTiming
     Cycle done;
 };
 
+/**
+ * The bytes of one vector read and the bus cycles they take: a table's
+ * bus share, made from its EV size (Fmc::vectorTransfer) once per
+ * table slice instead of once per read.
+ */
+struct VectorTransfer
+{
+    Bytes bytes;
+    Cycle busCycles;
+};
+
 /** Per-channel controller owning the channel's dies and bus. */
 class Fmc
 {
@@ -44,8 +56,35 @@ class Fmc
     /** Read a whole page from die @p die, issued at @p issue. */
     ReadTiming readPage(Cycle issue, std::uint32_t die);
 
-    /** Read @p bytes from die @p die at some column offset. */
-    ReadTiming readVector(Cycle issue, std::uint32_t die, Bytes bytes);
+    /**
+     * The bus share of a @p bytes vector read: the same integer
+     * ceil-division NandTiming::transferCycles gives. Dies on a
+     * transfer above a page.
+     */
+    VectorTransfer
+    vectorTransfer(Bytes bytes) const
+    {
+        return VectorTransfer{bytes,
+                              scaledTransferCycles(pageTransferCycles_,
+                                                   bytes,
+                                                   timing_.pageSizeBytes)};
+    }
+
+    /** Read @p xfer's bytes from die @p die at some column offset. */
+    ReadTiming
+    readVector(Cycle issue, std::uint32_t die, const VectorTransfer &xfer)
+    {
+        RMSSD_ASSERT(die < dies_.size(), "die index out of range");
+        FlashDie &target = dies_[die];
+        if (target.nextFree() > issue)
+            dieConflicts_.inc();
+        ReadTiming t;
+        t.flushDone = target.acquire(issue, flushCycles_);
+        t.done = bus_.transfer(t.flushDone, xfer.busCycles);
+        vectorReads_.inc();
+        busBytes_.inc(xfer.bytes.raw());
+        return t;
+    }
 
     /** Program a page on die @p die (table-loading path). */
     Cycle programPage(Cycle issue, std::uint32_t die);

@@ -24,20 +24,20 @@ Ftl::makeLinear(flash::FlashArray &array)
                           array.geometry().totalPages()));
 }
 
+Ftl::PageLoc
+Ftl::locate(Lba lba, Bytes byteInSector) const
+{
+    const PageId lpn{lba.raw() / sectorsPerPage_};
+    const std::uint64_t sectorInPage =
+        lba.raw() - lpn.raw() * sectorsPerPage_;
+    return PageLoc{lpn, Bytes{sectorInPage * sectorSize_} + byteInSector};
+}
+
 Ftl::PhysLoc
 Ftl::translate(Lba lba, Bytes byteInSector) const
 {
-    const PageId lpn{lba.raw() / sectorsPerPage_};
-    return PhysLoc{mapping_->translate(lpn),
-                   pageByteOffset(lpn, lba, byteInSector)};
-}
-
-Bytes
-Ftl::pageByteOffset(PageId lpn, Lba lba, Bytes byteInSector) const
-{
-    const std::uint64_t sectorInPage =
-        lba.raw() - lpn.raw() * sectorsPerPage_;
-    return Bytes{sectorInPage * sectorSize_} + byteInSector;
+    const PageLoc loc = locate(lba, byteInSector);
+    return PhysLoc{mapping_->translate(loc.lpn), loc.byteInPage};
 }
 
 Cycle
@@ -45,7 +45,7 @@ Ftl::readSectors(Cycle issue, Lba lba, Sectors sectors,
                  std::span<std::uint8_t> out)
 {
     RMSSD_ASSERT(sectors > Sectors{}, "zero-sector read");
-    recordPath(RequestPath::BlockIo);
+    blockRequests_.inc();
 
     if (!out.empty()) {
         RMSSD_ASSERT(out.size() ==
@@ -89,38 +89,14 @@ Ftl::readSectors(Cycle issue, Lba lba, Sectors sectors,
     return done;
 }
 
-Ftl::PhysLoc
-Ftl::locateEvRead(Lba lba, Bytes byteInSector, Bytes bytes)
-{
-    recordPath(RequestPath::Embedding);
-    // One mapping call per read: it translates the page and feeds a
-    // frequency-aware mapping its online heat signal, keyed by the
-    // logical page so heat follows the data through relocations.
-    const PageId lpn{lba.raw() / sectorsPerPage_};
-    const PhysLoc loc{mapping_->readPage(lpn),
-                      pageByteOffset(lpn, lba, byteInSector)};
-    RMSSD_ASSERT((loc.pageByteOffset + bytes).raw() <= pageSize_,
-                 "EV read crosses flash page boundary");
-    return loc;
-}
-
-Cycle
-Ftl::readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes)
-{
-    const PhysLoc loc = locateEvRead(lba, byteInSector, bytes);
-    return array_
-        .readVector(issue + kTranslateCycles, loc.ppn, loc.pageByteOffset,
-                    bytes)
-        .done;
-}
-
 flash::VectorRead
-Ftl::readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes,
-               std::span<std::uint8_t> scratch)
+Ftl::readVector(Cycle issue, PageId lpn, Bytes byteInPage,
+                const flash::VectorTransfer &xfer,
+                std::span<std::uint8_t> scratch)
 {
-    const PhysLoc loc = locateEvRead(lba, byteInSector, bytes);
-    return array_.readVector(issue + kTranslateCycles, loc.ppn,
-                             loc.pageByteOffset, bytes, scratch);
+    return array_.readVector(issue + kTranslateCycles,
+                             locateEvRead(lpn, byteInPage, xfer.bytes),
+                             byteInPage, xfer, scratch);
 }
 
 void
@@ -140,15 +116,6 @@ Ftl::writeBytesFunctional(Lba lba, Bytes byteInSector,
         byteAddr += Bytes{chunk};
         pos += chunk;
     }
-}
-
-void
-Ftl::recordPath(RequestPath path)
-{
-    if (path == RequestPath::BlockIo)
-        blockRequests_.inc();
-    else
-        evRequests_.inc();
 }
 
 } // namespace rmssd::ftl

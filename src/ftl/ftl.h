@@ -19,17 +19,11 @@
 
 #include "flash/flash_array.h"
 #include "ftl/mapping.h"
+#include "sim/log.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
 namespace rmssd::ftl {
-
-/** Request source tag recorded in the path buffer (Fig. 5). */
-enum class RequestPath : std::uint8_t
-{
-    BlockIo,   //!< conventional NVMe block request
-    Embedding, //!< EV Translator-generated vector request
-};
 
 /** FTL over a flash array with a pluggable mapping. */
 class Ftl
@@ -46,6 +40,16 @@ class Ftl
     std::uint32_t sectorsPerPage() const { return sectorsPerPage_; }
     std::uint32_t sectorSize() const { return sectorSize_; }
     std::uint32_t pageSize() const { return pageSize_; }
+
+    /** Logical location of a byte: its logical page and offset. */
+    struct PageLoc
+    {
+        PageId lpn;
+        Bytes byteInPage;
+    };
+
+    /** The logical page and page offset of (lba, intra-sector offset). */
+    PageLoc locate(Lba lba, Bytes byteInSector = Bytes{}) const;
 
     /** Physical location of a logical byte address. */
     struct PhysLoc
@@ -66,29 +70,39 @@ class Ftl
                       std::span<std::uint8_t> out);
 
     /**
-     * Timed vector-grained read of @p bytes bytes at logical byte
-     * address (lba, byteInSector): the EV path. Must not cross a page.
+     * Timed vector-grained read of @p xfer's bytes at byte
+     * @p byteInPage of logical page @p lpn: the EV path, addressed
+     * the way the EV translator emits it. Must not cross a page.
+     * @param xfer the read's bus share (FlashArray::vectorTransfer)
      * @return completion cycle
      */
-    Cycle readBytes(Cycle issue, Lba lba, Bytes byteInSector, Bytes bytes);
+    Cycle
+    readVector(Cycle issue, PageId lpn, Bytes byteInPage,
+               const flash::VectorTransfer &xfer)
+    {
+        return array_
+            .readVector(issue + kTranslateCycles,
+                        locateEvRead(lpn, byteInPage, xfer.bytes),
+                        byteInPage, xfer)
+            .done;
+    }
 
     /**
      * The timed read above, read in place as well, as
      * flash::FlashArray::readVector: @p scratch is empty for
-     * timing-only, else exactly @p bytes long.
+     * timing-only, else exactly xfer.bytes long.
      * @return completion cycles and a view of the bytes read
      */
-    flash::VectorRead readBytes(Cycle issue, Lba lba, Bytes byteInSector,
-                                Bytes bytes,
-                                std::span<std::uint8_t> scratch);
+    flash::VectorRead readVector(Cycle issue, PageId lpn,
+                                 Bytes byteInPage,
+                                 const flash::VectorTransfer &xfer,
+                                 std::span<std::uint8_t> scratch);
 
     /** Functional write of arbitrary bytes at a logical byte address. */
     void writeBytesFunctional(Lba lba, Bytes byteInSector,
                               std::span<const std::uint8_t> data);
 
-    /** Note a request entering the shared MUX (for stats). */
-    void recordPath(RequestPath path);
-
+    /** Requests that entered the shared MUX, per source (Fig. 5). */
     const Counter &blockRequests() const { return blockRequests_; }
     const Counter &evRequests() const { return evRequests_; }
 
@@ -100,13 +114,21 @@ class Ftl
 
   private:
     /**
-     * Physical location of an EV read (the mapping sees the read, for
-     * its heat signal) after recording it on the EV path.
+     * Physical page of an EV read (the mapping sees the read, for its
+     * heat signal) after recording it on the EV path. One mapping call
+     * per read: it translates the page and feeds a frequency-aware
+     * mapping its online heat signal, keyed by the logical page so
+     * heat follows the data through relocations.
      */
-    PhysLoc locateEvRead(Lba lba, Bytes byteInSector, Bytes bytes);
-
-    /** Byte offset of (lba, byteInSector) within its page @p lpn. */
-    Bytes pageByteOffset(PageId lpn, Lba lba, Bytes byteInSector) const;
+    PageId
+    locateEvRead(PageId lpn, Bytes byteInPage, Bytes bytes)
+    {
+        evRequests_.inc();
+        const PageId ppn = mapping_->readPage(lpn);
+        RMSSD_ASSERT((byteInPage + bytes).raw() <= pageSize_,
+                     "EV read crosses flash page boundary");
+        return ppn;
+    }
 
     flash::FlashArray &array_;
     std::unique_ptr<Mapping> mapping_;

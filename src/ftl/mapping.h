@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "sim/log.h"
 #include "sim/types.h"
 
 namespace rmssd::ftl {
@@ -44,12 +45,18 @@ class Mapping
  * physical pages across channels/dies, a linear map already stripes
  * sequential logical data over all channels.
  */
-class LinearMapping : public Mapping
+class LinearMapping final : public Mapping
 {
   public:
     explicit LinearMapping(std::uint64_t totalPages);
 
-    PageId translate(PageId lpn) const override;
+    PageId
+    translate(PageId lpn) const override
+    {
+        RMSSD_ASSERT(lpn.raw() < totalPages_, "lpn beyond device capacity");
+        return lpn;
+    }
+
     PageId assignForWrite(PageId lpn) override;
     PageId readPage(PageId lpn) override { return translate(lpn); }
 

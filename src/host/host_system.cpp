@@ -39,10 +39,12 @@ HostFileReader::readVector(std::uint32_t fileId,
             // Functionally, a hit returns the same bytes the device
             // would: fetch without timing or traffic accounting.
             const auto loc = extents.locateByte(byteOffset, sectorSize);
+            ftl::Ftl &ftl = nvme_.ftl();
+            const ftl::Ftl::PageLoc page =
+                ftl.locate(loc.lba, loc.byteInSector);
             const std::span<const std::uint8_t> data =
-                nvme_.ftl()
-                    .readBytes(Cycle{}, loc.lba, loc.byteInSector, bytes,
-                               out)
+                ftl.readVector(Cycle{}, page.lpn, page.byteInPage,
+                               ftl.array().vectorTransfer(bytes), out)
                     .data;
             if (data.data() != out.data())
                 std::copy(data.begin(), data.end(), out.begin());

@@ -9,33 +9,17 @@
 namespace rmssd::workload {
 
 std::uint64_t
-hotRank(double u, double skew, std::uint64_t hotRows)
+hotRankPow(double u, double skew, std::uint64_t hotRows)
 {
-    const double n = static_cast<double>(hotRows);
-    if (skew == 2.0 && hotRows < (std::uint64_t{1} << 52)) {
-        // glibc's pow is within ~0.52 ULP, so pow(u, 2) and fl(u * u)
-        // are equal or adjacent doubles, and after "* n" the two
-        // products differ by a few ULP of x. Away from an integer by
-        // far more than that (2^-40 relative is ~4096 ULP), both
-        // products floor to the same rank. There is no add, so FMA
-        // contraction cannot change x either. With fewer than 2^52
-        // rows, floor(x) + 1 is exact and the signed cast floors x
-        // (x >= 0) in one instruction.
-        const double x = u * u * n;
-        const auto rank = static_cast<std::int64_t>(x);
-        const double f = static_cast<double>(rank);
-        const double guard = 0x1p-40 * std::max(x, 1.0);
-        if (x - f > guard && (f + 1.0) - x > guard)
-            return std::min(static_cast<std::uint64_t>(rank), hotRows - 1);
-    }
-    const auto rank =
-        static_cast<std::uint64_t>(std::pow(u, skew) * n);
+    const auto rank = static_cast<std::uint64_t>(
+        std::pow(u, skew) * static_cast<double>(hotRows));
     return std::min(rank, hotRows - 1);
 }
 
 TraceGenerator::TraceGenerator(const model::ModelConfig &config,
                                const TraceConfig &trace)
-    : config_(config), trace_(trace), rng_(trace.seed)
+    : config_(config), trace_(trace), rng_(trace.seed),
+      rows_(config.rowsPerTable)
 {
     RMSSD_ASSERT(trace_.hotRowsPerTable > 0, "empty hot set");
     tableSeeds_.reserve(config_.numTables);
@@ -51,7 +35,7 @@ TraceGenerator::hotRow(std::uint32_t table, std::uint64_t rank) const
     // beats a precomputed rank table: with 10k hot rows per table the
     // table falls out of the host cache while the device runs.
     RMSSD_ASSERT(table < tableSeeds_.size(), "table out of range");
-    return hashCombine(tableSeeds_[table], rank) % config_.rowsPerTable;
+    return rows_.mod(hashCombine(tableSeeds_[table], rank));
 }
 
 std::uint64_t
@@ -62,28 +46,28 @@ TraceGenerator::drawIndexWith(Rng &rng, std::uint32_t table) const
         return hotRow(table, hotRank(rng.nextDouble(), trace_.hotSkew,
                                      trace_.hotRowsPerTable));
     }
-    return rng.nextBounded(config_.rowsPerTable);
-}
-
-std::uint64_t
-TraceGenerator::drawIndex(std::uint32_t table)
-{
-    return drawIndexWith(rng_, table);
+    // Rng::nextBounded's draw, reduced without a hardware divide.
+    return rows_.mod(rng.next());
 }
 
 model::Sample
 TraceGenerator::next()
 {
+    // Draw through a local copy: the member's state would be reloaded
+    // after every index store, which the compiler cannot prove does
+    // not alias it.
+    Rng rng = rng_;
     model::Sample s;
     s.dense.resize(config_.denseInputDim());
     for (auto &v : s.dense)
-        v = static_cast<float>(rng_.nextDouble());
+        v = static_cast<float>(rng.nextDouble());
     s.indices.resize(config_.numTables);
     for (std::uint32_t t = 0; t < config_.numTables; ++t) {
         s.indices[t].resize(config_.lookupsPerTable);
         for (auto &idx : s.indices[t])
-            idx = drawIndex(t);
+            idx = drawIndexWith(rng, t);
     }
+    rng_ = rng;
     return s;
 }
 
@@ -108,7 +92,7 @@ TraceGenerator::histogram(std::uint64_t lookups, std::uint32_t topN)
 {
     FlatMap<std::uint64_t> counts;
     for (std::uint64_t i = 0; i < lookups; ++i)
-        ++counts[drawIndex(0)];
+        ++counts[drawIndexWith(rng_, 0)];
 
     HistogramSummary summary;
     summary.totalLookups = lookups;

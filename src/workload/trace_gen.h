@@ -8,23 +8,49 @@
 #ifndef RMSSD_WORKLOAD_TRACE_GEN_H
 #define RMSSD_WORKLOAD_TRACE_GEN_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "engine/placement.h"
 #include "model/dlrm.h"
+#include "sim/divider.h"
 #include "sim/rng.h"
 #include "workload/trace.h"
 
 namespace rmssd::workload {
 
+/** hotRank's reference expression, floor(pow(u, skew) * hotRows). */
+std::uint64_t hotRankPow(double u, double skew, std::uint64_t hotRows);
+
 /**
  * Hot rank of uniform draw @p u in [0, 1) over @p hotRows rows:
  * floor(pow(u, skew) * hotRows), clamped to the last row. Bit-exact
  * with that expression; at skew 2 it multiplies instead of calling
- * pow, except within a guard band around an integer boundary.
+ * pow, except within a guard band around an integer boundary
+ * (DESIGN.md §13.1).
  */
-std::uint64_t hotRank(double u, double skew, std::uint64_t hotRows);
+inline std::uint64_t
+hotRank(double u, double skew, std::uint64_t hotRows)
+{
+    if (skew == 2.0 && hotRows < (std::uint64_t{1} << 52)) {
+        // glibc's pow is within ~0.52 ULP, so pow(u, 2) and fl(u * u)
+        // are equal or adjacent doubles, and after "* n" the two
+        // products differ by a few ULP of x. Away from an integer by
+        // far more than that (2^-40 relative is ~4096 ULP), both
+        // products floor to the same rank. There is no add, so FMA
+        // contraction cannot change x either. With fewer than 2^52
+        // rows, floor(x) + 1 is exact and the signed cast floors x
+        // (x >= 0) in one instruction.
+        const double x = u * u * static_cast<double>(hotRows);
+        const auto rank = static_cast<std::int64_t>(x);
+        const double f = static_cast<double>(rank);
+        const double guard = 0x1p-40 * std::max(x, 1.0);
+        if (x - f > guard && (f + 1.0) - x > guard)
+            return std::min(static_cast<std::uint64_t>(rank), hotRows - 1);
+    }
+    return hotRankPow(u, skew, hotRows);
+}
 
 /** Deterministic sample stream for one model + locality profile. */
 class TraceGenerator
@@ -95,12 +121,13 @@ class TraceGenerator
     std::vector<engine::RowHeat> hotRowHeats() const;
 
   private:
-    std::uint64_t drawIndex(std::uint32_t table);
     std::uint64_t drawIndexWith(Rng &rng, std::uint32_t table) const;
 
     model::ModelConfig config_;
     TraceConfig trace_;
     Rng rng_;
+    /** Reduces a draw to a row: % rowsPerTable by one multiply. */
+    Divider rows_;
     /** hashCombine(seed, table) per table: hotRow's first hash. */
     std::vector<std::uint64_t> tableSeeds_;
 };

@@ -208,7 +208,7 @@ pageOf(RmSsd &dev, std::uint32_t t, std::uint64_t row)
 {
     const EvReadRequest req = dev.embeddingEngine().translator().translate(
         TableId{t}, EvIndex{row});
-    return dev.ftl().translate(req.lba, req.byteInSector).ppn;
+    return dev.ftl().mapping().translate(req.lpn);
 }
 
 /**
@@ -240,11 +240,10 @@ expectRunBitExact(RmSsd &dev, std::span<const model::Sample> samples,
                 const EvReadRequest req =
                     dev.embeddingEngine().translator().translate(
                         TableId{t}, EvIndex{row});
-                const ftl::Ftl::PhysLoc loc =
-                    dev.ftl().translate(req.lba, req.byteInSector);
-                touchesErased |= erased.contains(loc.ppn);
+                const PageId ppn = dev.ftl().mapping().translate(req.lpn);
+                touchesErased |= erased.contains(ppn);
                 std::vector<std::uint8_t> bytes(req.bytes.raw());
-                dev.flash().store().read(loc.ppn, loc.pageByteOffset, bytes);
+                dev.flash().store().read(ppn, req.byteInPage, bytes);
                 EvSum::accumulateBytes(bytes, folded);
             }
             const std::span<const float> got =

@@ -1,42 +1,84 @@
 /**
  * @file
- * Unit + property tests for the EV Translator (Fig. 6): index-to-LBA
- * translation over single- and multi-extent tables.
+ * Unit + property tests for the EV Translator (Fig. 6): index to
+ * (logical flash page, byte in page) over single- and multi-extent
+ * tables, checked against the LBA-form address the FTL translates.
  */
 
 #include <gtest/gtest.h>
 
 #include "engine/ev_translator.h"
+#include "flash/flash_array.h"
 #include "ftl/extent.h"
+#include "ftl/ftl.h"
 #include "sim/rng.h"
 
 namespace rmssd::engine {
 namespace {
 
 constexpr Bytes kSectorSize{512};
+constexpr Bytes kPageSize{4096};
+
+/**
+ * The reference for a translated read: the flat file offset of the
+ * vector located in its extents (the LBA form), then taken to its page
+ * by Ftl::translate under the linear mapping, where ppn = lpn.
+ */
+class LbaReference
+{
+  public:
+    LbaReference()
+        : array_(flash::tableIIGeometry(), flash::tableIITiming()),
+          ftl_(ftl::Ftl::makeLinear(array_))
+    {
+    }
+
+    void
+    expectSame(const EvReadRequest &req, const ftl::ExtentList &extents,
+               std::uint64_t index, Bytes evBytes)
+    {
+        const auto loc =
+            extents.locateByte(Bytes{index * evBytes.raw()}, kSectorSize);
+        const ftl::Ftl::PhysLoc want =
+            ftl_.translate(loc.lba, loc.byteInSector);
+        EXPECT_EQ(req.lpn, want.ppn) << "index " << index;
+        EXPECT_EQ(req.byteInPage, want.pageByteOffset) << "index " << index;
+        EXPECT_EQ(req.bytes, evBytes) << "index " << index;
+    }
+
+  private:
+    flash::FlashArray array_;
+    ftl::Ftl ftl_;
+};
 
 TEST(EvTranslator, SingleExtentLinearLayout)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList extents;
     extents.append(
         ftl::Extent{Lba{1000}, Sectors{64}}); // 32 KB = 256 x 128 B
     tr.registerTable(TableId{}, extents, Bytes{128}, 256);
 
+    // LBA 1000 is byte 512 000, the start of page 125.
     const EvReadRequest r0 = tr.translate(TableId{}, EvIndex{});
-    EXPECT_EQ(r0.lba, Lba{1000});
-    EXPECT_EQ(r0.byteInSector, Bytes{});
+    EXPECT_EQ(r0.lpn, PageId{125});
+    EXPECT_EQ(r0.byteInPage, Bytes{});
     EXPECT_EQ(r0.bytes, Bytes{128});
 
-    // Index 5 -> byte 640 -> sector 1, offset 128.
+    // Index 5 -> byte 640 of the same page.
     const EvReadRequest r5 = tr.translate(TableId{}, EvIndex{5});
-    EXPECT_EQ(r5.lba, Lba{1001});
-    EXPECT_EQ(r5.byteInSector, Bytes{128});
+    EXPECT_EQ(r5.lpn, PageId{125});
+    EXPECT_EQ(r5.byteInPage, Bytes{640});
+
+    // Index 32 -> the next page.
+    const EvReadRequest r32 = tr.translate(TableId{}, EvIndex{32});
+    EXPECT_EQ(r32.lpn, PageId{126});
+    EXPECT_EQ(r32.byteInPage, Bytes{});
 }
 
 TEST(EvTranslator, MultiExtentBoundaries)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList extents;
     // vectors 0..31 (128 B each), then 32..63
     extents.append(ftl::Extent{Lba{}, Sectors{8}});
@@ -44,11 +86,12 @@ TEST(EvTranslator, MultiExtentBoundaries)
     tr.registerTable(TableId{}, extents, Bytes{128}, 64);
 
     const TableId t0{};
-    EXPECT_EQ(tr.translate(t0, EvIndex{31}).lba, Lba{7});
-    EXPECT_EQ(tr.translate(t0, EvIndex{31}).byteInSector, Bytes{384});
-    EXPECT_EQ(tr.translate(t0, EvIndex{32}).lba, Lba{1000});
-    EXPECT_EQ(tr.translate(t0, EvIndex{32}).byteInSector, Bytes{});
-    EXPECT_EQ(tr.translate(t0, EvIndex{63}).lba, Lba{1007});
+    EXPECT_EQ(tr.translate(t0, EvIndex{31}).lpn, PageId{});
+    EXPECT_EQ(tr.translate(t0, EvIndex{31}).byteInPage, Bytes{3968});
+    EXPECT_EQ(tr.translate(t0, EvIndex{32}).lpn, PageId{125});
+    EXPECT_EQ(tr.translate(t0, EvIndex{32}).byteInPage, Bytes{});
+    EXPECT_EQ(tr.translate(t0, EvIndex{63}).lpn, PageId{125});
+    EXPECT_EQ(tr.translate(t0, EvIndex{63}).byteInPage, Bytes{3968});
 }
 
 class TranslatorProperty : public ::testing::TestWithParam<std::uint32_t>
@@ -61,7 +104,8 @@ TEST_P(TranslatorProperty, MatchesFlatFileOffsetForRandomExtents)
     // naive flat-file computation for arbitrary fragmentations.
     const std::uint32_t evBytes = GetParam();
     Rng rng(GetParam());
-    EvTranslator tr(kSectorSize);
+    LbaReference reference;
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList extents;
     std::uint64_t next = 0;
     for (int e = 0; e < 6; ++e) {
@@ -76,13 +120,48 @@ TEST_P(TranslatorProperty, MatchesFlatFileOffsetForRandomExtents)
 
     for (int probe = 0; probe < 200; ++probe) {
         const std::uint64_t idx = rng.nextBounded(rows);
-        const EvReadRequest req =
-            tr.translate(TableId{}, EvIndex{idx});
-        const auto loc =
-            extents.locateByte(Bytes{idx * evBytes}, kSectorSize);
-        EXPECT_EQ(req.lba, loc.lba);
-        EXPECT_EQ(req.byteInSector, loc.byteInSector);
-        EXPECT_EQ(req.bytes, Bytes{evBytes});
+        reference.expectSame(tr.translate(TableId{}, EvIndex{idx}), extents,
+                             idx, Bytes{evBytes});
+    }
+}
+
+TEST_P(TranslatorProperty, EveryExtentEdgeMatchesFtlTranslate)
+{
+    // Random extents at any sector, page-aligned or not, of random
+    // lengths that hold whole vectors: both sides of every extent edge
+    // land on the page and byte Ftl::translate gives the LBA form.
+    const std::uint32_t evBytes = GetParam();
+    const std::uint64_t sectorsPerVector =
+        evBytes >= kSectorSize.raw() ? evBytes / kSectorSize.raw() : 1;
+    Rng rng(0xed6e + GetParam());
+    LbaReference reference;
+    for (int trial = 0; trial < 20; ++trial) {
+        EvTranslator tr(kSectorSize, kPageSize);
+        ftl::ExtentList extents;
+        std::uint64_t next = rng.nextBounded(100000);
+        const int count = 1 + static_cast<int>(rng.nextBounded(8));
+        for (int e = 0; e < count; ++e) {
+            const std::uint64_t sectors =
+                sectorsPerVector * (1 + rng.nextBounded(40));
+            extents.append(ftl::Extent{Lba{next}, Sectors{sectors}});
+            next += sectors + rng.nextBounded(3000);
+        }
+        const std::uint64_t rows =
+            extents.totalSectors().raw() * kSectorSize.raw() / evBytes;
+        tr.registerTable(TableId{}, extents, Bytes{evBytes}, rows);
+
+        std::uint64_t first = 0;
+        for (const ftl::Extent &e : extents.extents()) {
+            const std::uint64_t end =
+                first + e.sectorCount.raw() * kSectorSize.raw() / evBytes;
+            for (const std::uint64_t idx : {first, first + 1, end - 1}) {
+                if (idx < end)
+                    reference.expectSame(tr.translate(TableId{}, EvIndex{idx}),
+                                         extents, idx, Bytes{evBytes});
+            }
+            first = end;
+        }
+        ASSERT_EQ(first, rows);
     }
 }
 
@@ -91,7 +170,7 @@ INSTANTIATE_TEST_SUITE_P(SweepEvSizes, TranslatorProperty,
 
 TEST(EvTranslator, MultipleTables)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList a;
     a.append(ftl::Extent{Lba{}, Sectors{8}});
     ftl::ExtentList b;
@@ -101,12 +180,14 @@ TEST(EvTranslator, MultipleTables)
     EXPECT_EQ(tr.numTables(), 2u);
     EXPECT_EQ(tr.vectorBytes(TableId{}), Bytes{128});
     EXPECT_EQ(tr.vectorBytes(TableId{1}), Bytes{256});
-    EXPECT_EQ(tr.translate(TableId{1}, EvIndex{}).lba, Lba{100});
+    // LBA 100 is byte 51 200: byte 2048 of page 12.
+    EXPECT_EQ(tr.translate(TableId{1}, EvIndex{}).lpn, PageId{12});
+    EXPECT_EQ(tr.translate(TableId{1}, EvIndex{}).byteInPage, Bytes{2048});
 }
 
 TEST(EvTranslator, MetadataScanIsWidestTable)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList one;
     one.append(ftl::Extent{Lba{}, Sectors{8}});
     ftl::ExtentList three;
@@ -120,14 +201,14 @@ TEST(EvTranslator, MetadataScanIsWidestTable)
 
 TEST(EvTranslator, UnregisteredTableIsFatal)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     EXPECT_EXIT(tr.translate(TableId{5}, EvIndex{}),
                 ::testing::ExitedWithCode(1), "not registered");
 }
 
 TEST(EvTranslator, OutOfRangeIndexDies)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList extents;
     extents.append(ftl::Extent{Lba{}, Sectors{8}});
     tr.registerTable(TableId{}, extents, Bytes{128}, 32);
@@ -137,7 +218,7 @@ TEST(EvTranslator, OutOfRangeIndexDies)
 
 TEST(EvTranslator, UndersizedExtentsAreFatal)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList extents;
     // room for 32 vectors only
     extents.append(ftl::Extent{Lba{}, Sectors{8}});
@@ -151,7 +232,8 @@ TEST(EvTranslator, EveryExtentEdgeMatchesFlatFileOffset)
     // 48 vectors (multiples of 3 sectors), and a one-extent table whose
     // rows stop short of the extent: each side of every extent edge
     // must land where the flat file offset says.
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
+    LbaReference reference;
     ftl::ExtentList multi;
     multi.append(ftl::Extent{Lba{300}, Sectors{9}});
     multi.append(ftl::Extent{Lba{20}, Sectors{3}});
@@ -166,10 +248,7 @@ TEST(EvTranslator, EveryExtentEdgeMatchesFlatFileOffset)
                                 const ftl::ExtentList &extents,
                                 std::uint64_t idx) {
         const EvReadRequest req = tr.translate(table, EvIndex{idx});
-        const auto loc = extents.locateByte(Bytes{idx * 96}, kSectorSize);
-        EXPECT_EQ(req.lba, loc.lba) << "index " << idx;
-        EXPECT_EQ(req.byteInSector, loc.byteInSector) << "index " << idx;
-        EXPECT_EQ(req.bytes, Bytes{96});
+        reference.expectSame(req, extents, idx, Bytes{96});
         EXPECT_EQ(req.tableId, table);
     };
     for (const std::uint64_t edge : {0ull, 48ull, 64ull, 96ull, 144ull}) {
@@ -184,7 +263,7 @@ TEST(EvTranslator, EveryExtentEdgeMatchesFlatFileOffset)
 
 TEST(EvTranslatorDeathTest, HoleInTheTableIdsIsFatal)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList extents;
     extents.append(ftl::Extent{Lba{}, Sectors{8}});
     tr.registerTable(TableId{2}, extents, Bytes{128}, 32);
@@ -194,7 +273,7 @@ TEST(EvTranslatorDeathTest, HoleInTheTableIdsIsFatal)
 
 TEST(EvTranslatorDeathTest, IndexPastTheLastExtentDies)
 {
-    EvTranslator tr(kSectorSize);
+    EvTranslator tr(kSectorSize, kPageSize);
     ftl::ExtentList extents;
     extents.append(ftl::Extent{Lba{}, Sectors{8}});
     extents.append(ftl::Extent{Lba{1000}, Sectors{8}});
@@ -203,7 +282,7 @@ TEST(EvTranslatorDeathTest, IndexPastTheLastExtentDies)
 
     // Rows that stop short of a one-extent table's end are still
     // bounded by the row count.
-    EvTranslator shortTable(kSectorSize);
+    EvTranslator shortTable(kSectorSize, kPageSize);
     ftl::ExtentList one;
     one.append(ftl::Extent{Lba{}, Sectors{8}});
     shortTable.registerTable(TableId{}, one, Bytes{128}, 20);

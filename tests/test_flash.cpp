@@ -11,6 +11,8 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "flash/backing_store.h"
@@ -378,7 +380,8 @@ TEST(Fmc, VectorReadTransfersOnlyEvBytes)
 {
     const NandTiming t = tableIITiming();
     Fmc fmc(4, t);
-    const ReadTiming r = fmc.readVector(Cycle{}, 0, Bytes{128});
+    const VectorTransfer xfer = fmc.vectorTransfer(Bytes{128});
+    const ReadTiming r = fmc.readVector(Cycle{}, 0, xfer);
     EXPECT_EQ(r.done, t.vectorReadTotalCycles(Bytes{128}));
     EXPECT_EQ(fmc.busBytes().value(), 128u);
 }
@@ -389,8 +392,9 @@ TEST(Fmc, FlushesOverlapAcrossDiesButBusSerializes)
     Fmc fmc(4, t);
     // Two vector reads on different dies issued together: flushes
     // overlap; transfers serialize on the shared bus.
-    const ReadTiming a = fmc.readVector(Cycle{}, 0, Bytes{128});
-    const ReadTiming b = fmc.readVector(Cycle{}, 1, Bytes{128});
+    const VectorTransfer xfer = fmc.vectorTransfer(Bytes{128});
+    const ReadTiming a = fmc.readVector(Cycle{}, 0, xfer);
+    const ReadTiming b = fmc.readVector(Cycle{}, 1, xfer);
     EXPECT_EQ(a.flushDone, b.flushDone);
     EXPECT_EQ(b.done, a.done + t.transferCycles(Bytes{128}));
 }
@@ -399,8 +403,9 @@ TEST(Fmc, SameDieReadsSerializeOnFlush)
 {
     const NandTiming t = tableIITiming();
     Fmc fmc(4, t);
-    fmc.readVector(Cycle{}, 0, Bytes{128});
-    const ReadTiming b = fmc.readVector(Cycle{}, 0, Bytes{128});
+    const VectorTransfer xfer = fmc.vectorTransfer(Bytes{128});
+    fmc.readVector(Cycle{}, 0, xfer);
+    const ReadTiming b = fmc.readVector(Cycle{}, 0, xfer);
     EXPECT_EQ(b.flushDone, 2 * t.flushCycles());
 }
 
@@ -423,8 +428,8 @@ TEST(FlashArray, VectorReadEqualsPageSlice)
             evBytes;
         std::vector<std::uint8_t> scratch(evBytes);
         const std::span<const std::uint8_t> vec =
-            array.readVector(Cycle{}, ppn, Bytes{offset}, Bytes{evBytes},
-                             scratch)
+            array.readVector(Cycle{}, ppn, Bytes{offset},
+                             array.vectorTransfer(Bytes{evBytes}), scratch)
                 .data;
         ASSERT_EQ(vec.size(), evBytes);
         for (std::uint32_t i = 0; i < evBytes; ++i)
@@ -436,7 +441,8 @@ TEST(FlashArray, StripedReadsLandOnAllChannels)
 {
     FlashArray array(tableIIGeometry(), tableIITiming());
     for (std::uint64_t ppn = 0; ppn < 16; ++ppn)
-        array.readVector(Cycle{}, PageId{ppn}, Bytes{}, Bytes{128}, {});
+        array.readVector(Cycle{}, PageId{ppn}, Bytes{},
+                         array.vectorTransfer(Bytes{128}), {});
     for (std::uint32_t c = 0; c < 4; ++c)
         EXPECT_EQ(array.fmc(c).vectorReads().value(), 4u);
     EXPECT_EQ(array.totalVectorReads(), 16u);
@@ -457,7 +463,7 @@ TEST(FlashArray, BulkVectorReadsBeatBulkPageReads)
         vecDone = std::max(
             vecDone, vectors
                          .readVector(Cycle{}, PageId{i}, Bytes{},
-                                     Bytes{128}, {})
+                                     vectors.vectorTransfer(Bytes{128}), {})
                          .done);
     }
     EXPECT_LT(vecDone, pageDone);
@@ -575,7 +581,8 @@ TEST(FlashArrayDifferential, MatchesDecomposeAndNandTimingReference)
             const ReadTiming r =
                 page ? array.readPage(issue, ppn, {})
                      : array.readVector(issue, ppn, Bytes{col},
-                                        Bytes{bytes}, {});
+                                        array.vectorTransfer(Bytes{bytes}),
+                                        {});
             ASSERT_EQ(r.flushDone, flushDone) << "step " << step;
             ASSERT_EQ(r.done, done) << "step " << step;
             if (!page)
@@ -596,12 +603,95 @@ TEST(FlashArrayDifferential, MatchesDecomposeAndNandTimingReference)
     }
 }
 
+class LaneRouting
+    : public ::testing::TestWithParam<std::pair<std::uint32_t, std::uint32_t>>
+{
+};
+
+TEST_P(LaneRouting, EveryPageOfThreeStripesMatchesDecompose)
+{
+    // A vector read finds its (channel, die) in the lane table at
+    // ppn mod (C x D). Read every page of the first three stripes and
+    // the last page, in order, 100 cycles apart, so a die's next read
+    // arrives before its flush ends, and compare every FMC counter
+    // with a reference that routes by Geometry::decompose.
+    Geometry g = oddGeometry();
+    g.numChannels = GetParam().first;
+    g.diesPerChannel = GetParam().second;
+    g.blocksPerPlane = 3;
+    g.pagesPerBlock = 4;
+    const NandTiming t = oddTiming();
+    FlashArray array(g, t);
+
+    const std::uint32_t lanes = g.numChannels * g.diesPerChannel;
+    std::vector<PageId> pages;
+    for (std::uint64_t ppn = 0; ppn < 3 * lanes; ++ppn)
+        pages.push_back(PageId{ppn});
+    pages.push_back(PageId{g.totalPages() - 1});
+
+    std::vector<Cycle> dieFree(lanes);
+    std::vector<Cycle> dieBusy(lanes);
+    std::vector<std::uint64_t> conflicts(g.numChannels);
+    std::vector<Cycle> busFree(g.numChannels);
+    std::vector<std::uint64_t> reads(g.numChannels);
+    std::vector<std::uint64_t> busBytes(g.numChannels);
+    Cycle issue;
+    for (const PageId ppn : pages) {
+        issue += Cycle{100};
+        const Bytes bytes{64 + ppn.raw() * 96 % 4000};
+        const Pba pba = g.decompose(ppn);
+        const std::uint32_t d = pba.channel * g.diesPerChannel + pba.die;
+        if (dieFree[d] > issue)
+            ++conflicts[pba.channel];
+        const Cycle flushDone = std::max(issue, dieFree[d]) + t.flushCycles();
+        dieFree[d] = flushDone;
+        dieBusy[d] += t.flushCycles();
+        const Cycle done = std::max(flushDone, busFree[pba.channel]) +
+                           t.transferCycles(bytes);
+        busFree[pba.channel] = done;
+        ++reads[pba.channel];
+        busBytes[pba.channel] += bytes.raw();
+
+        const ReadTiming r = array.readVector(issue, ppn, Bytes{},
+                                              array.vectorTransfer(bytes));
+        ASSERT_EQ(r.flushDone, flushDone) << "ppn " << ppn.raw();
+        ASSERT_EQ(r.done, done) << "ppn " << ppn.raw();
+        for (std::uint32_t c = 0; c < g.numChannels; ++c) {
+            const Fmc &fmc = array.fmc(c);
+            ASSERT_EQ(fmc.vectorReads().value(), reads[c]) << "ppn "
+                                                           << ppn.raw();
+            ASSERT_EQ(fmc.busBytes().value(), busBytes[c]);
+            ASSERT_EQ(fmc.dieConflicts().value(), conflicts[c]);
+            for (std::uint32_t die = 0; die < g.diesPerChannel; ++die)
+                ASSERT_EQ(fmc.dieBusyCycles(die),
+                          dieBusy[c * g.diesPerChannel + die])
+                    << "ppn " << ppn.raw() << " channel " << c << " die "
+                    << die;
+        }
+    }
+    // The stream queued reads behind busy dies on every geometry.
+    EXPECT_GT(std::accumulate(conflicts.begin(), conflicts.end(),
+                              std::uint64_t{0}),
+              0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, LaneRouting,
+    ::testing::Values(std::pair<std::uint32_t, std::uint32_t>{1, 1},
+                      std::pair<std::uint32_t, std::uint32_t>{3, 5},
+                      std::pair<std::uint32_t, std::uint32_t>{7, 3}),
+    [](const auto &info) {
+        return std::to_string(info.param.first) + "x" +
+               std::to_string(info.param.second);
+    });
+
 TEST(FlashArrayDeathTest, VectorReadPastLastPageDies)
 {
     const Geometry g = oddGeometry();
     FlashArray array(g, oddTiming());
     EXPECT_DEATH(array.readVector(Cycle{}, PageId{g.totalPages()},
-                                  Bytes{}, Bytes{128}, {}),
+                                  Bytes{}, array.vectorTransfer(Bytes{128}),
+                                  {}),
                  "ppn out of range");
 }
 
@@ -609,14 +699,14 @@ TEST(FlashArrayDeathTest, VectorReadAcrossPageBoundaryDies)
 {
     FlashArray array(oddGeometry(), oddTiming());
     EXPECT_DEATH(array.readVector(Cycle{}, PageId{5}, Bytes{4000},
-                                  Bytes{128}, {}),
+                                  array.vectorTransfer(Bytes{128}), {}),
                  "crosses page boundary");
 }
 
 TEST(FmcDeathTest, TransferLargerThanAPageDies)
 {
     Fmc fmc(5, oddTiming());
-    EXPECT_DEATH(fmc.readVector(Cycle{}, 0, Bytes{4097}),
+    EXPECT_DEATH(fmc.readVector(Cycle{}, 0, fmc.vectorTransfer(Bytes{4097})),
                  "transfer larger than a page");
 }
 

@@ -620,14 +620,12 @@ TEST(Placement, PlanHotPagesAggregatesRowsToPages)
         {TableId{1}, EvIndex{100}, 0.3},
     };
     const auto hot =
-        planHotPages(dev.embeddingEngine().translator(),
-                     opt.geometry.sectorsPerPage(), rows, 8);
+        planHotPages(dev.embeddingEngine().translator(), rows, 8);
     ASSERT_EQ(hot.size(), 2u);
     // 0.5 + 0.4 in one page beats 0.3.
     const auto req = dev.embeddingEngine().translator().translate(
         TableId{0}, EvIndex{0});
-    EXPECT_EQ(hot[0].raw(),
-              req.lba.raw() / opt.geometry.sectorsPerPage());
+    EXPECT_EQ(hot[0], req.lpn);
 }
 
 TEST(Placement, FrequencyLayoutInferenceMatchesLinearByteExact)
@@ -859,11 +857,12 @@ TEST(Stats, PerChannelBusyCyclesAndDieConflictsExported)
 TEST(Stats, SameDieBackToBackReadsCountAConflict)
 {
     flash::Fmc fmc(2, flash::tableIITiming());
-    fmc.readVector(Cycle{}, 0, Bytes{128});
+    const flash::VectorTransfer xfer = fmc.vectorTransfer(Bytes{128});
+    fmc.readVector(Cycle{}, 0, xfer);
     EXPECT_EQ(fmc.dieConflicts().value(), 0u);
-    fmc.readVector(Cycle{}, 0, Bytes{128}); // die still flushing
+    fmc.readVector(Cycle{}, 0, xfer); // die still flushing
     EXPECT_EQ(fmc.dieConflicts().value(), 1u);
-    fmc.readVector(Cycle{}, 1, Bytes{128}); // other die is idle
+    fmc.readVector(Cycle{}, 1, xfer); // other die is idle
     EXPECT_EQ(fmc.dieConflicts().value(), 1u);
 }
 

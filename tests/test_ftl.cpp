@@ -151,8 +151,10 @@ TEST_F(FtlFixture, WriteThenReadBytesRoundTrips)
     ftl_.writeBytesFunctional(Lba{3}, Bytes{17}, data);
 
     std::vector<std::uint8_t> scratch(300);
+    const Ftl::PageLoc loc = ftl_.locate(Lba{3}, Bytes{17});
     const std::span<const std::uint8_t> out =
-        ftl_.readBytes(Cycle{}, Lba{3}, Bytes{17}, Bytes{300}, scratch)
+        ftl_.readVector(Cycle{}, loc.lpn, loc.byteInPage,
+                        ftl_.array().vectorTransfer(Bytes{300}), scratch)
             .data;
     EXPECT_EQ(std::vector<std::uint8_t>(out.begin(), out.end()), data);
 }
@@ -186,8 +188,8 @@ TEST_F(FtlFixture, ReadSectorsChargesWholePagesAndCounts)
 
 TEST_F(FtlFixture, EvReadUsesVectorPathAndCounts)
 {
-    const Cycle done =
-        ftl_.readBytes(Cycle{}, Lba{}, Bytes{}, Bytes{128}, {}).done;
+    const Cycle done = ftl_.readVector(Cycle{}, PageId{}, Bytes{},
+                                       ftl_.array().vectorTransfer(Bytes{128}));
     EXPECT_EQ(done,
               Ftl::kTranslateCycles +
                   array_.timing().vectorReadTotalCycles(Bytes{128}));
@@ -197,9 +199,12 @@ TEST_F(FtlFixture, EvReadUsesVectorPathAndCounts)
 
 TEST_F(FtlFixture, EvReadAcrossPageBoundaryDies)
 {
-    EXPECT_DEATH(
-        ftl_.readBytes(Cycle{}, Lba{7}, Bytes{500}, Bytes{128}, {}),
-        "crosses flash page boundary");
+    // LBA 7, byte 500 is byte 4084 of page 0.
+    const Ftl::PageLoc loc = ftl_.locate(Lba{7}, Bytes{500});
+    ASSERT_EQ(loc.byteInPage, Bytes{4084});
+    EXPECT_DEATH(ftl_.readVector(Cycle{}, loc.lpn, loc.byteInPage,
+                                 ftl_.array().vectorTransfer(Bytes{128})),
+                 "crosses flash page boundary");
 }
 
 /** 3 channels x 5 dies x 2 planes: no power-of-two routing (960 pages). */
@@ -226,7 +231,8 @@ makeOddArray()
 }
 
 /**
- * Drive a fixed-seed stream of EV reads through Ftl::readBytes and
+ * Drive a fixed-seed stream of EV reads through Ftl::readVector, each
+ * addressed by Ftl::locate of a random (LBA, byte in sector), and
  * check each one reads where Ftl::translate says: the bytes equal the
  * store's at (ppn, offset) and the read lands on decompose(ppn)'s
  * channel and die. Half the reads hit 16 hot pages so a frequency
@@ -254,8 +260,12 @@ expectReadBytesFollowsTranslate(flash::FlashArray &array, Ftl &ftl)
 
         std::vector<std::uint8_t> scratch(bytes.raw());
         std::vector<std::uint8_t> want(bytes.raw());
+        const Ftl::PageLoc page = ftl.locate(lba, byteInSector);
+        EXPECT_EQ(page.byteInPage, loc.pageByteOffset) << "step " << step;
         const std::span<const std::uint8_t> out =
-            ftl.readBytes(Cycle{}, lba, byteInSector, bytes, scratch).data;
+            ftl.readVector(Cycle{}, page.lpn, page.byteInPage,
+                           ftl.array().vectorTransfer(bytes), scratch)
+                .data;
         array.store().read(loc.ppn, loc.pageByteOffset, want);
         EXPECT_EQ(std::vector<std::uint8_t>(out.begin(), out.end()), want)
             << "step " << step;
@@ -294,7 +304,7 @@ TEST(FtlDifferential, ReadBytesFollowsTranslateUnderFrequencyMapping)
 
     const std::vector<Lba> lbas = expectReadBytesFollowsTranslate(array, ftl);
 
-    // readBytes fed the heat tracker the logical page of every read.
+    // readVector fed the heat tracker the logical page of every read.
     FrequencyMapping reference(pages);
     for (const Lba lba : lbas)
         reference.readPage(PageId{lba.raw() / ftl.sectorsPerPage()});

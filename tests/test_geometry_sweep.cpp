@@ -63,7 +63,8 @@ TEST_P(GeometrySweep, ChannelsSeeBalancedStriping)
     FlashArray array(g, makeTiming());
     const std::uint32_t reads = 64 * g.numChannels;
     for (std::uint64_t i = 0; i < reads; ++i)
-        array.readVector(Cycle{}, PageId{i}, Bytes{}, Bytes{64}, {});
+        array.readVector(Cycle{}, PageId{i}, Bytes{},
+                         array.vectorTransfer(Bytes{64}), {});
     for (std::uint32_t c = 0; c < g.numChannels; ++c)
         EXPECT_EQ(array.fmc(c).vectorReads().value(), 64u);
 }
@@ -94,7 +95,7 @@ TEST_P(GeometrySweep, AnalyticRateMatchesSimulatedBulkReads)
             done,
             array
                 .readVector(Cycle{i}, PageId{i % g.totalPages()},
-                            Bytes{}, Bytes{128}, {})
+                            Bytes{}, array.vectorTransfer(Bytes{128}), {})
                 .done);
     }
     const double perRead = static_cast<double>(done.raw()) / reads;

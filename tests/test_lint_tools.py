@@ -338,6 +338,108 @@ EOF
                      REPO / "no-such-driver")
         self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
 
+    def racing_driver(self, path: pathlib.Path, log: pathlib.Path,
+                      req_per_s: list[float], setup_s: list[float], *,
+                      exit_on_call: int = 0, failed_on_call: int = 0) -> None:
+        """A driver whose k-th call reports the k-th values given.
+
+        Each call appends its side and argv to @p log. Call
+        @p exit_on_call (1-based) exits 1; call @p failed_on_call
+        reports 2 failed operations.
+        """
+        lines = [
+            '[ "$1 $3 $5 $7 $8" = "--workload --seed --seconds --trace 0" ]'
+            " || exit 3",
+            'dir=$(dirname "$0")',
+            'n=$(cat "$dir/calls" 2>/dev/null || echo 0)',
+            'n=$((n + 1))',
+            'echo $n > "$dir/calls"',
+            f'echo "{path.parent.name} $2 $4 $6" >> {log}',
+            f'[ $n = {exit_on_call} ] && exit 1',
+            f'failed=0; [ $n = {failed_on_call} ] && failed=2',
+        ]
+        for i, (rps, setup) in enumerate(zip(req_per_s, setup_s), 1):
+            lines.append(f"[ $n = {i} ] && rps={rps} && setup={setup}")
+        result = ('{"failed": $failed, "end_to_end": {'
+                  '"lat_hi.p99_us": {"value": 5.0, "unit": "us"}, '
+                  '"sim_req_per_s": {"value": $rps, "unit": "req/s"}, '
+                  '"setup_s": {"value": $setup, "unit": "s"}}}')
+        lines += ['echo "serving $2"', f"echo '{result}' | "
+                  "sed \"s/\\$failed/$failed/;s/\\$rps/$rps/;"
+                  "s/\\$setup/$setup/\""]
+        self.script(path, "\n".join(lines) + "\n")
+
+    def race(self, parent: dict, change: dict, *args: str):
+        with tempfile.TemporaryDirectory() as td:
+            root = pathlib.Path(td)
+            log = root / "order.log"
+            drivers = []
+            for side, kwargs in (("parent", parent), ("change", change)):
+                driver = root / side / "rmssd_perf"
+                self.racing_driver(driver, log, **kwargs)
+                drivers.append(driver)
+            r = run_tool("compare_outputs.py", "--perf", *drivers, *args)
+            order = log.read_text().splitlines() if log.exists() else []
+            return r, order
+
+    def test_pairs_alternate_and_report_medians_and_wins(self):
+        r, order = self.race(
+            {"req_per_s": [100, 110, 120, 130],
+             "setup_s": [0.5, 0.5, 0.5, 0.5]},
+            {"req_per_s": [150, 90, 200, 160],
+             "setup_s": [0.4, 0.6, 0.4, 0.4]},
+            "--pairs", "4", "--workload", "sls_rmc2_cold",
+            "--seconds", "2.5", "--seed", "7")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        # Parent first in odd pairs, change first in even ones, and
+        # every run gets the workload, seed and seconds asked for.
+        sides = ["parent", "change", "change", "parent",
+                 "parent", "change", "change", "parent"]
+        self.assertEqual(order, [f"{side} sls_rmc2_cold 7 2.5"
+                                 for side in sides])
+        for needle in (
+                "sls_rmc2_cold pair 1 (parent first): sim_req_per_s "
+                "100 -> 150, setup_s 0.5 -> 0.4",
+                "sls_rmc2_cold pair 2 (change first): sim_req_per_s "
+                "110 -> 90, setup_s 0.5 -> 0.6",
+                "sls_rmc2_cold sim_req_per_s: median 115 -> 155 "
+                "(1.348x), IQR 15 -> 35, change higher in 3 of 4 pairs",
+                "sls_rmc2_cold setup_s: median 0.5 -> 0.4 (0.800x), "
+                "IQR 0 -> 0.05, change lower in 3 of 4 pairs"):
+            self.assertIn(needle, r.stdout)
+
+    def test_pairs_race_every_workload_by_default(self):
+        values = {"req_per_s": [100] * 8, "setup_s": [0.5] * 8}
+        r, order = self.race(values, values, "--pairs", "1",
+                             "--seconds", "1")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertEqual(len(order), 8)
+        for workload in ("serve_rmc1_x4_cached", "sls_rmc2_cold",
+                         "sls_rmc1_drift_migrate", "rmc1_tier_functional"):
+            self.assertIn(f"parent {workload} 1 1", order)
+            self.assertIn(f"{workload} sim_req_per_s: median 100 -> 100",
+                          r.stdout)
+
+    def test_pairs_failed_run_exits_nonzero(self):
+        values = {"req_per_s": [100] * 3, "setup_s": [0.5] * 3}
+        r, _ = self.race(values, dict(values, exit_on_call=2),
+                         "--pairs", "3", "--workload", "sls_rmc2_cold")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("sls_rmc2_cold pair 2: change driver failed: "
+                      "exit status 1", r.stdout)
+        # The failed pair is left out of the medians and win counts.
+        self.assertIn("change higher in 0 of 2 pairs", r.stdout)
+
+        r, _ = self.race(dict(values, failed_on_call=1), values,
+                         "--pairs", "1", "--workload", "sls_rmc2_cold")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("sls_rmc2_cold pair 1: parent failed 2 operations",
+                      r.stdout)
+
+    def test_pairs_need_perf(self):
+        r = run_tool("compare_outputs.py", REPO, REPO, "--pairs", "2")
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+
 
 
 class HostprofSymbolizeTest(unittest.TestCase):

@@ -23,13 +23,25 @@ compared. Every simulated metric (all but the host-noisy
 and ``failed`` must be 0 on both sides. The host-noisy metrics are
 printed side by side for information only.
 
+With ``--perf --pairs N`` the two drivers instead race: N alternating
+pairs of ``--seconds S --trace 0`` runs of one workload (or of every
+workload in turn), one run at a time, the parent first in odd pairs
+and the change first in even ones. Each pair's ``sim_req_per_s`` and
+``setup_s`` are printed, then each side's median and interquartile
+range and the number of pairs the change won. Host speed drifts by
+tens of percent within minutes on a shared host, so only alternating
+pairs tell a gain from the drift. The simulated metrics must still be
+equal within every pair.
+
 Usage:
     compare_outputs.py PARENT_BUILD CHANGE_BUILD [--jobs N] [--keep]
     compare_outputs.py --perf PARENT_DRIVER CHANGE_DRIVER [--jobs N]
+    compare_outputs.py --perf PARENT_DRIVER CHANGE_DRIVER --pairs N
+                       [--workload W] [--seconds S] [--seed S]
 
 Exit status: 0 when both sides produce identical outputs, 1 on any
-difference (a binary present on one side only counts as one), 2 on
-bad arguments.
+difference (a binary present on one side only counts as one) or any
+failed run, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ import json
 import os
 import pathlib
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -148,21 +161,28 @@ def compare(parent_build: pathlib.Path, change_build: pathlib.Path,
 HOST_METRICS = ("sim_req_per_s", "setup_s", "peak_rss_mb")
 
 
-def perf_runs() -> list[tuple[str, int]]:
-    """(workload, seed) pairs: every benchmark workload at both seeds."""
+def run_py():
+    """tools/perf/run.py as a module: the workload list and defaults."""
     spec = importlib.util.spec_from_file_location(
         "perf_run", pathlib.Path(__file__).resolve().parent / "perf" /
         "run.py")
-    run_py = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_py)
-    return [(workload, seed) for workload in run_py.WORKLOADS
-            for seed in (run_py.DEFAULT_SEED, run_py.HELD_OUT_SEED)]
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def run_driver(driver: pathlib.Path, workload: str, seed: int) -> dict:
+def perf_runs() -> list[tuple[str, int]]:
+    """(workload, seed) pairs: every benchmark workload at both seeds."""
+    run = run_py()
+    return [(workload, seed) for workload in run.WORKLOADS
+            for seed in (run.DEFAULT_SEED, run.HELD_OUT_SEED)]
+
+
+def run_driver(driver: pathlib.Path, workload: str, seed: int,
+               seconds: float = 1) -> dict:
     """One driver run; its last stdout line is the JSON result."""
     cmd = [str(driver), "--workload", workload, "--seed", str(seed),
-           "--seconds", "1", "--trace", "0"]
+           "--seconds", f"{seconds:g}", "--trace", "0"]
     r = subprocess.run(cmd, capture_output=True, text=True,
                        errors="replace")
     lines = r.stdout.strip().splitlines()
@@ -226,6 +246,59 @@ def compare_perf(parent_driver: pathlib.Path,
     return 1 if findings else 0
 
 
+# Host metrics raced by --pairs, each with the direction that is better.
+RACED = (("sim_req_per_s", "higher"), ("setup_s", "lower"))
+
+
+def iqr(values: list[float]) -> float:
+    """Interquartile range (inclusive quartiles; 0 for one value)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def race(parent_driver: pathlib.Path, change_driver: pathlib.Path,
+         workload: str, pairs: int, seconds: float, seed: int) -> int:
+    """@p pairs alternating runs of one workload; 1 on any failure."""
+    drivers = {"parent": parent_driver, "change": change_driver}
+    values = {side: {metric: [] for metric, _ in RACED}
+              for side in drivers}
+    findings = []
+    for pair in range(1, pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        results = {side: run_driver(drivers[side], workload, seed, seconds)
+                   for side in order}
+        name = f"{workload} pair {pair}"
+        failed = perf_findings(name, results["parent"], results["change"])
+        findings.extend(failed)
+        if failed:
+            print(f"{name}: failed")
+            continue
+        cells = []
+        for metric, _ in RACED:
+            got = [results[side]["end_to_end"][metric]["value"]
+                   for side in drivers]
+            for side, value in zip(drivers, got):
+                values[side][metric].append(value)
+            cells.append(f"{metric} {got[0]:.6g} -> {got[1]:.6g}")
+        print(f"{name} ({order[0]} first): " + ", ".join(cells))
+    for metric, better in RACED:
+        parent, change = values["parent"][metric], values["change"][metric]
+        if not parent:
+            continue
+        wins = sum((c > p) if better == "higher" else (c < p)
+                   for p, c in zip(parent, change))
+        pm, cm = statistics.median(parent), statistics.median(change)
+        ratio = f" ({cm / pm:.3f}x)" if pm else ""
+        print(f"{workload} {metric}: median {pm:.6g} -> {cm:.6g}{ratio}, "
+              f"IQR {iqr(parent):.6g} -> {iqr(change):.6g}, "
+              f"change {better} in {wins} of {len(parent)} pairs")
+    for line in findings:
+        print(line)
+    return 1 if findings else 0
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=pathlib.Path,
@@ -240,14 +313,40 @@ def main(argv: list[str]) -> int:
                         help="binaries run at once (default 2)")
     parser.add_argument("--keep", action="store_true",
                         help="keep the scratch directories")
+    parser.add_argument("--pairs", type=int, default=0,
+                        help="with --perf: race N alternating pairs of "
+                             "timed runs instead")
+    parser.add_argument("--workload",
+                        help="with --pairs: the one workload to race "
+                             "(default: every workload in turn)")
+    parser.add_argument("--seconds", type=float,
+                        help="with --pairs: host seconds per run "
+                             "(default: the benchmark's run time)")
+    parser.add_argument("--seed", type=int,
+                        help="with --pairs: input seed (default: the "
+                             "benchmark's default seed)")
     args = parser.parse_args(argv)
     jobs = max(1, args.jobs)
+    if args.pairs and not args.perf:
+        parser.error("--pairs races two drivers: it needs --perf")
     if args.perf:
         for driver in (args.parent, args.change):
             if not (driver.is_file() and os.access(driver, os.X_OK)):
                 print(f"not an executable: {driver}", file=sys.stderr)
                 return 2
-        return compare_perf(args.parent, args.change, jobs)
+        if not args.pairs:
+            return compare_perf(args.parent, args.change, jobs)
+        run = run_py()
+        if args.workload and args.workload not in run.WORKLOADS:
+            parser.error(f"unknown workload {args.workload!r}")
+        status = 0
+        for workload in [args.workload] if args.workload else run.WORKLOADS:
+            status |= race(
+                args.parent, args.change, workload, args.pairs,
+                run.DEFAULT_SECONDS if args.seconds is None
+                else args.seconds,
+                run.DEFAULT_SEED if args.seed is None else args.seed)
+        return status
     for build in (args.parent, args.change):
         if not build.is_dir():
             print(f"not a directory: {build}", file=sys.stderr)
