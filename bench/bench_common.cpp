@@ -237,7 +237,6 @@ runMicrobenchmarks(int argc, char **argv)
         report.write(figure);
     }
 
-    setInformEnabled(false);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -2,7 +2,7 @@
  * @file
  * Table provisioning study: how long RM_create_table's block-I/O
  * write path takes to load embedding tables of various sizes into
- * the simulated flash, with program/wear accounting.
+ * the simulated flash, with program accounting.
  *
  * Usage: ./build/examples/table_provisioning [gigabytes]
  *        (default 1 GB; the paper's full models use 30 GB)
@@ -45,8 +45,6 @@ main(int argc, char **argv)
     std::printf("provisioning time:    %.2f s (simulated)\n", seconds);
     std::printf("effective bandwidth:  %.0f MB/s\n",
                 config.embeddingBytes() / 1e6 / seconds);
-    std::printf("max block wear:       %u erases\n",
-                device.flash().maxBlockWear());
 
     // The freshly provisioned device serves inference immediately.
     const double qps = device.steadyStateQps(4, 8);

@@ -50,7 +50,6 @@ PageGrainPooler::poolBatch(Cycle start,
                 // Controller processing serializes request issue.
                 issue += engine::EvTranslator::kCyclesPerIndex +
                          perReadOverheadCycles_;
-                ++flashLookups_;
             }
             lastDone = std::max(lastDone,
                                 tableDone + engine::EvSum::kDrainCycles);

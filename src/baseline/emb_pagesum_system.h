@@ -48,13 +48,10 @@ class PageGrainPooler
                     const std::vector<model::Sample> &batch,
                     const HostCached &cached);
 
-    std::uint64_t flashLookups() const { return flashLookups_; }
-
   private:
     SimulatedSsd &ssd_;
     model::ModelConfig config_;
     Cycle perReadOverheadCycles_;
-    std::uint64_t flashLookups_ = 0;
 };
 
 /** EMB-PageSum: in-SSD page-grain pooling, MLP on the host. */

@@ -33,8 +33,6 @@ class SsdNaiveSystem : public InferenceSystem
                             std::uint32_t numBatches,
                             std::uint32_t warmupBatches) override;
 
-    host::HostFileReader &reader() { return *reader_; }
-
   private:
     /** Serve one batch and charge its cost (warm-up discards it). */
     workload::Breakdown

@@ -33,18 +33,6 @@ ModelCatalog::addSystem(SystemEntry entry)
     systems_.push_back(std::move(entry));
 }
 
-bool
-ModelCatalog::hasModel(const std::string &name) const
-{
-    return modelIndex_.count(name) != 0;
-}
-
-bool
-ModelCatalog::hasSystem(const std::string &name) const
-{
-    return systemIndex_.count(name) != 0;
-}
-
 const model::ModelConfig &
 ModelCatalog::model(const std::string &name) const
 {
@@ -70,17 +58,6 @@ ModelCatalog::systemNames() const
     names.reserve(systems_.size());
     for (const SystemEntry &entry : systems_)
         names.push_back(entry.name);
-    return names;
-}
-
-std::vector<std::string>
-ModelCatalog::paperOrderNames() const
-{
-    std::vector<std::string> names;
-    for (const SystemEntry &entry : systems_) {
-        if (entry.inPaperOrder)
-            names.push_back(entry.name);
-    }
     return names;
 }
 
@@ -131,14 +108,12 @@ ModelCatalog::make(const std::string &systemName,
 namespace {
 
 SystemEntry
-entry(std::string name, std::string description, SystemRecipe recipe,
-      bool inPaperOrder = true)
+entry(std::string name, std::string description, SystemRecipe recipe)
 {
     SystemEntry e;
     e.name = std::move(name);
     e.description = std::move(description);
     e.recipe = std::move(recipe);
-    e.inPaperOrder = inPaperOrder;
     return e;
 }
 
@@ -168,8 +143,7 @@ clusterEntry(std::string name, std::string description,
     // capacity-exact and the router balances by outstanding work.
     recipe.cluster.sharding.numDevices = numDevices;
     recipe.cluster.policy = cluster::RouterPolicy::LeastOutstanding;
-    return entry(std::move(name), std::move(description), recipe,
-                 /*inPaperOrder=*/false);
+    return entry(std::move(name), std::move(description), recipe);
 }
 
 ModelCatalog
@@ -260,12 +234,6 @@ std::unique_ptr<baseline::InferenceSystem>
 makeSystem(const std::string &name, const model::ModelConfig &config)
 {
     return ModelCatalog::builtin().make(name, config);
-}
-
-std::vector<std::string>
-allSystemNames()
-{
-    return ModelCatalog::builtin().paperOrderNames();
 }
 
 } // namespace rmssd::catalog

@@ -13,8 +13,7 @@
  *
  * The paper-name strings ("DRAM", ..., "RM-SSD+part", "RM-SSD x4")
  * are builtin() entries, so every fig02–fig19 golden keeps building
- * byte-identical systems; makeSystem() and allSystemNames() look them
- * up in builtin().
+ * byte-identical systems; makeSystem() looks them up in builtin().
  */
 
 #ifndef RMSSD_CATALOG_CATALOG_H
@@ -89,12 +88,6 @@ struct SystemEntry
     std::string name;        ///< unique key (the paper name)
     std::string description; ///< one-line summary for listings
     SystemRecipe recipe;
-    /**
-     * Part of the paper's presentation-order list (the single-device
-     * sweeps iterate that list; scale-out fleets are addressable but
-     * not swept).
-     */
-    bool inPaperOrder = false;
 };
 
 /**
@@ -113,20 +106,19 @@ class ModelCatalog
     /** Register a system recipe keyed by entry.name. Fatal on dup. */
     void addSystem(SystemEntry entry);
 
-    bool hasModel(const std::string &name) const;
-    bool hasSystem(const std::string &name) const;
-
     /** Look up a registered model spec. Fatal on unknown names. */
     const model::ModelConfig &model(const std::string &name) const;
 
     /** Look up a registered system entry. Fatal on unknown names. */
     const SystemEntry &system(const std::string &name) const;
 
-    /** System names in registration order. */
+    /**
+     * System names in registration order.
+     * reachability: test-observer — the names that
+     * Catalog.EverySystemEntryServesATinyTrace and
+     * Registry.BuildsEverySystem build every registered system from.
+     */
     std::vector<std::string> systemNames() const;
-
-    /** Systems flagged inPaperOrder, in registration order. */
-    std::vector<std::string> paperOrderNames() const;
 
     /** Instantiate a system recipe for @p config. Fatal on unknown. */
     std::unique_ptr<baseline::InferenceSystem>
@@ -152,9 +144,6 @@ class ModelCatalog
 /** Shorthand for ModelCatalog::builtin().make(name, config). */
 std::unique_ptr<baseline::InferenceSystem>
 makeSystem(const std::string &name, const model::ModelConfig &config);
-
-/** Shorthand for ModelCatalog::builtin().paperOrderNames(). */
-std::vector<std::string> allSystemNames();
 
 } // namespace rmssd::catalog
 

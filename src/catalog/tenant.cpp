@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "catalog/catalog.h"
 #include "sim/log.h"
 
 namespace rmssd::catalog {
@@ -502,12 +501,6 @@ TenantFleet::resetTiming()
     lastCompletion_ = Cycle{};
 }
 
-std::uint32_t
-TenantFleet::tenantInflight(std::size_t i) const
-{
-    return tenants_[i]->inflightCount;
-}
-
 Bytes
 TenantFleet::tenantTierBudget(std::size_t i) const
 {
@@ -518,12 +511,6 @@ Bytes
 TenantFleet::tenantTierPlannedBytes(std::size_t i) const
 {
     return tenants_[i]->tierPlanned;
-}
-
-std::uint64_t
-TenantFleet::tenantRetired(std::size_t i) const
-{
-    return tenants_[i]->retired.value();
 }
 
 std::uint64_t
@@ -586,19 +573,6 @@ TenantFleet::registerStats(StatsRegistry &registry,
     }
     const ScopedStats dev = stats.scoped("device");
     device_->registerStats(dev.registry(), dev.prefix());
-}
-
-TenantFleet
-buildFleetFromCatalog(const ModelCatalog &catalog,
-                      std::vector<TenantSpec> tenants,
-                      const FleetOptions &options)
-{
-    for (TenantSpec &spec : tenants) {
-        const std::string &key =
-            spec.config.name.empty() ? spec.id : spec.config.name;
-        spec.config = catalog.model(key);
-    }
-    return TenantFleet(std::move(tenants), options);
 }
 
 } // namespace rmssd::catalog

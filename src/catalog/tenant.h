@@ -131,10 +131,6 @@ class TenantFleet : public engine::InferenceDevice
 
     std::size_t numTenants() const { return tenants_.size(); }
     const TenantSpec &tenant(std::size_t i) const;
-    const model::ModelConfig &unionConfig() const
-    {
-        return layout_.config;
-    }
     const UnionLayout &unionLayout() const { return layout_; }
     /** Union slots (lane-expanded) of tenant @p i. */
     const std::vector<std::uint32_t> &tenantSlots(std::size_t i) const
@@ -156,20 +152,10 @@ class TenantFleet : public engine::InferenceDevice
     engine::InferenceOutcome
     inferTenant(std::size_t i, std::span<const model::Sample> samples);
 
-    /** Outstanding requests of tenant @p i. */
-    std::uint32_t tenantInflight(std::size_t i) const;
     /** Carved host-DRAM budget of tenant @p i (0 without a tier). */
     Bytes tenantTierBudget(std::size_t i) const;
     /** Bytes the tier actually planned for tenant @p i. */
     Bytes tenantTierPlannedBytes(std::size_t i) const;
-    /** Requests retired for tenant @p i. */
-    std::uint64_t tenantRetired(std::size_t i) const;
-
-    /** The shared host tier; nullptr without one. */
-    const host::EmbeddingTier *sharedTier() const
-    {
-        return tier_.get();
-    }
 
     // ---- InferenceDevice contract (tenant 0 = default route) ------
 
@@ -324,14 +310,6 @@ class TenantFleet : public engine::InferenceDevice
     std::deque<FleetInflight> inflight_;
     Cycle lastCompletion_;
 };
-
-/**
- * Convenience: build a TenantFleet whose tenants are catalog models
- * looked up by name (each spec's config replaced by the catalog's).
- */
-TenantFleet buildFleetFromCatalog(const class ModelCatalog &catalog,
-                                  std::vector<TenantSpec> tenants,
-                                  const FleetOptions &options);
 
 } // namespace rmssd::catalog
 

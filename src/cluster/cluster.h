@@ -182,8 +182,6 @@ class RmSsdCluster : public engine::PipelinedDevice<ClusterRequest>
     }
     /** Fleet-level requests served. */
     const Counter &requests() const { return requests_; }
-    /** Shard sub-requests submitted by the scatter stage. */
-    const Counter &subRequests() const { return subRequests_; }
     /** Hedged table lookups issued to an alternate replica. */
     const Counter &hedgesIssued() const { return hedgesIssued_; }
     /** Hedges whose alternate replica finished strictly first. */

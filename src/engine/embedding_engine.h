@@ -114,7 +114,6 @@ class EmbeddingEngine
     /** The device-side EV cache; nullptr when disabled. */
     EvCache *cache() { return cache_; }
     const EvCache *cache() const { return cache_; }
-    bool coalesces() const { return coalesce_; }
 
   private:
     EvTranslator &translator_;

@@ -224,14 +224,6 @@ EvCache::contains(TableId tableId, EvIndex index) const
     return probe(tableId, key, splitmix64(key)).line != kNoLine;
 }
 
-void
-EvCache::invalidate()
-{
-    // A free line is never found, and install() rewrites a line's
-    // bytes flag, so the byte arrays need no clearing.
-    std::fill(lines_.begin(), lines_.end(), Line{});
-}
-
 double
 EvCache::hitRatio() const
 {

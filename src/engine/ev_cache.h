@@ -181,10 +181,10 @@ class EvCache
     /**
      * Look @p key up in its probed @p slot. On a hit the line becomes
      * most-recently-used and, when @p out is non-null, *out is set to
-     * a view of the line's bytes, valid until the next fill() or
-     * invalidate(). A non-null @p out demands data: a line installed
-     * by a timing-only run carries none and reports a miss (the caller
-     * re-reads flash and the fill refreshes the line with real bytes).
+     * a view of the line's bytes, valid until the next fill(). A
+     * non-null @p out demands data: a line installed by a timing-only
+     * run carries none and reports a miss (the caller re-reads flash
+     * and the fill refreshes the line with real bytes).
      * Under TinyLFU admission the lookup also records the key in the
      * frequency sketch (the sketch read runs in parallel with the tag
      * lookup, so it adds no cycles), on the slot's hash.
@@ -216,9 +216,6 @@ class EvCache
     /** Probe without touching LRU state (tests/debug). */
     bool contains(TableId tableId, EvIndex index) const;
 
-    /** Drop all lines; counters and the sketch are kept. */
-    void invalidate();
-
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t ways() const { return ways_; }
     Bytes lineBytes() const { return lineBytes_; }
@@ -228,8 +225,6 @@ class EvCache
     {
         return partitions_;
     }
-    /** Frequency sketch; null unless admission is TinyLfu. */
-    const FrequencySketch *sketch() const { return sketch_.get(); }
 
     const Counter &hits() const { return hits_; }
     const Counter &misses() const { return misses_; }
@@ -241,6 +236,10 @@ class EvCache
     /**
      * Bytes of line data held: zero until the first fill that carries
      * data, then every line's worth (timing-only runs never pay it).
+     * reachability: test-observer — read by
+     * EvCache.FunctionalLookupRequiresData and
+     * EvCacheLayout.LineDataOnlyForFunctionalRuns, which check that a
+     * timing-only cache allocates no line bytes.
      */
     std::size_t dataBytes() const { return data_.size(); }
 

@@ -29,9 +29,6 @@ class EvSum
     /** Reinterpret @p raw as fp32 and add element-wise into @p acc. */
     static void accumulateBytes(std::span<const std::uint8_t> raw,
                                 std::span<float> acc);
-
-    /** Resource cost of the unit: one fadd per vector dimension. */
-    static std::uint32_t numAdders(std::uint32_t dim) { return dim; }
 };
 
 } // namespace rmssd::engine

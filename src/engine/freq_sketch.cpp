@@ -92,7 +92,6 @@ FrequencySketch::halve()
     for (std::uint8_t &byte : table_)
         byte = static_cast<std::uint8_t>((byte >> 1) & 0x77);
     additions_ /= 2;
-    halvings_.inc();
 }
 
 void

@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "sim/rng.h"
-#include "sim/stats.h"
 
 namespace rmssd::engine {
 
@@ -78,13 +77,7 @@ class FrequencySketch
     /** estimate() with @p hash = splitmix64(key) supplied. */
     std::uint32_t estimate(std::uint64_t key, std::uint64_t hash) const;
 
-    /** Actual counter count after power-of-two rounding. */
-    std::uint64_t numCounters() const { return mask_ + 1; }
     std::uint64_t sampleSize() const { return sampleSize_; }
-    /** Accesses recorded since the last halving. */
-    std::uint64_t additions() const { return additions_; }
-    /** Periodic halvings performed so far. */
-    const Counter &halvings() const { return halvings_; }
 
     /** Forget everything (tests / cache invalidation). */
     void clear();
@@ -109,10 +102,9 @@ class FrequencySketch
     void halve();
 
     std::vector<std::uint8_t> table_; //!< two 4-bit counters per byte
-    std::uint64_t mask_;              //!< numCounters - 1 (pow2 size)
+    std::uint64_t mask_;              //!< counter count - 1 (pow2 size)
     std::uint64_t sampleSize_;
     std::uint64_t additions_ = 0;
-    Counter halvings_;
 };
 
 } // namespace rmssd::engine

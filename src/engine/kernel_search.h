@@ -81,7 +81,13 @@ class KernelSearch
     SearchResult search(const model::ModelConfig &model,
                         double readCyclesPerVector) const;
 
-    /** Eq. 3/4 validity check used by tests. */
+    /**
+     * Eq. 3/4 validity check of a plan, written apart from search().
+     * reachability: test-observer — the oracle of
+     * ConstraintTest.SearchedPlanSatisfiesEq2Through5,
+     * RandomModelSearch.PlanIsStructurallyValid and
+     * SearchOptimality.GreedyWithinFactorOfExhaustiveOnTinyModel.
+     */
     static bool satisfiesChainConstraints(const MlpPlan &plan,
                                           std::uint32_t ii);
 

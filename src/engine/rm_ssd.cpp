@@ -714,7 +714,6 @@ RmSsd::registerStats(StatsRegistry &registry,
         ch.addCounter("vectorReads", &fmc->vectorReads());
         ch.addCounter("busBytes", &fmc->busBytes());
         ch.addCounter("pagePrograms", &fmc->pagePrograms());
-        ch.addCounter("blockErases", &fmc->blockErases());
         ch.addCounter("dieConflicts", &fmc->dieConflicts());
         // Busy cycles live inside occupancy trackers that reset with
         // timing state, so they export as gauges, sampled at dump.

@@ -212,8 +212,6 @@ class RmSsd : public PipelinedDevice<RmSsdRequest>
         return migratedPages_.value();
     }
 
-    /** Migration passes that actually moved pages. */
-    const Counter &migrationPasses() const { return migrationPasses_; }
     /** Pages relocated (hot page + displaced partner count as 2). */
     const Counter &migratedPages() const { return migratedPages_; }
 
@@ -229,13 +227,6 @@ class RmSsd : public PipelinedDevice<RmSsdRequest>
         chargeActualIndexBytes_ = on;
     }
 
-    /** Frequency mapping; nullptr when placement is off. */
-    ftl::FrequencyMapping *frequencyMapping() { return freqMapping_; }
-    const ftl::FrequencyMapping *frequencyMapping() const
-    {
-        return freqMapping_;
-    }
-
     /** Number of adaptive re-plans performed. */
     const Counter &replans() const { return replans_; }
     const model::DlrmModel &model() const override { return model_; }
@@ -243,6 +234,14 @@ class RmSsd : public PipelinedDevice<RmSsdRequest>
     const flash::FlashArray &flash() const { return *flash_; }
     ftl::Ftl &ftl() { return *ftl_; }
     nvme::NvmeController &nvme() { return *nvme_; }
+    /**
+     * The device's embedding engine.
+     * reachability: test-observer — the engine that
+     * EmbeddingEngineDifferential.RandomCachedCoalescedBatchesAreBitExact,
+     * SweepEvSizes/SteadyStateRate.AnalyticFormulaTracksSimulation and
+     * the EvCache device tests run and read inside a fully built
+     * device.
+     */
     EmbeddingEngine &embeddingEngine() { return *embeddingEngine_; }
     /** Device-side EV cache; nullptr when the option is off. */
     EvCache *evCache() { return evCache_.get(); }

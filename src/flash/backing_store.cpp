@@ -71,22 +71,6 @@ BackingStore::read(PageId ppn, Bytes offset,
         std::copy(bytes.begin(), bytes.end(), out.begin());
 }
 
-bool
-BackingStore::isWritten(PageId ppn) const
-{
-    return find(ppn) != nullptr;
-}
-
-void
-BackingStore::erasePage(PageId ppn)
-{
-    const std::uint32_t *slot = index_.find(ppn.raw());
-    if (slot == nullptr)
-        return;
-    freeSlots_.push_back(*slot);
-    index_.erase(ppn.raw());
-}
-
 std::uint8_t
 BackingStore::fillerByte(PageId ppn, std::uint64_t off)
 {
@@ -106,12 +90,6 @@ BackingStore::materialize(PageId ppn, bool &created)
     std::uint32_t &slot = index_.findOrInsert(ppn.raw(), created);
     if (!created)
         return slotData(slot);
-
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        return slotData(slot);
-    }
     RMSSD_ASSERT(slotsUsed_ < UINT32_MAX, "backing store slots exhausted");
     slot = slotsUsed_++;
     if (slot / pagesPerChunk_ == chunks_.size()) {

@@ -13,11 +13,11 @@
  * hash-node walk. Slots live in one arena of fixed-size chunks
  * (kChunkBytes each), allocated as the slots fill and never
  * relocated, so a slot's address is its chunk's base plus an offset
- * and a view into a page stays valid until that page is written or
- * erased. Each chunk's base is aligned to a 4 KiB OS page, so a
- * 4 KiB flash page spans one OS page, not two. An erased page's slot
- * is reused by the next new page. Nothing iterates the index, so no
- * result depends on bucket order.
+ * and a view into a page stays valid until that page is written. A
+ * page keeps its slot for the store's lifetime: the image is
+ * provisioned once and never erased. Each chunk's base is aligned to
+ * a 4 KiB OS page, so a 4 KiB flash page spans one OS page, not two.
+ * Nothing iterates the index, so no result depends on bucket order.
  */
 
 #ifndef RMSSD_FLASH_BACKING_STORE_H
@@ -56,9 +56,9 @@ class BackingStore
     /**
      * The @p bytes bytes at @p offset within page @p ppn, read in
      * place: a view into the stored page, valid until that page is
-     * written or erased. An unwritten page's filler bytes are written
-     * into @p scratch (at least @p bytes long) and a view of it is
-     * returned instead.
+     * written. An unwritten page's filler bytes are written into
+     * @p scratch (at least @p bytes long) and a view of it is returned
+     * instead.
      */
     std::span<const std::uint8_t> view(PageId ppn, Bytes offset,
                                        Bytes bytes,
@@ -71,13 +71,14 @@ class BackingStore
     void read(PageId ppn, Bytes offset,
               std::span<std::uint8_t> out) const;
 
-    /** Whether a page has ever been written. */
-    bool isWritten(PageId ppn) const;
-
-    /** Drop a page's content (block erase path). */
-    void erasePage(PageId ppn);
-
-    /** Number of pages currently materialized. */
+    /**
+     * Number of pages written so far.
+     * reachability: test-observer — read by
+     * TimedLoad.TimingOnlyLoadDoesNotMaterializePages and
+     * TableLoaders.PageComposerEqualsRowAtATimeLoader, which count the
+     * pages a table load writes: nothing else sees a page that should
+     * not exist.
+     */
     std::size_t materializedPages() const { return index_.size(); }
 
     Bytes pageSizeBytes() const { return pageSize_; }
@@ -113,8 +114,7 @@ class BackingStore
     std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
     /** First page of each chunk: its allocation, rounded up. */
     std::vector<std::uint8_t *> chunkBases_;
-    std::uint32_t slotsUsed_ = 0; //!< slots ever handed out
-    std::vector<std::uint32_t> freeSlots_;
+    std::uint32_t slotsUsed_ = 0; //!< slots handed out
 };
 
 } // namespace rmssd::flash

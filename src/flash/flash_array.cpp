@@ -1,7 +1,5 @@
 #include "flash/flash_array.h"
 
-#include <algorithm>
-
 #include "sim/log.h"
 
 namespace rmssd::flash {
@@ -68,58 +66,10 @@ FlashArray::programPage(Cycle issue, PageId ppn,
 }
 
 void
-FlashArray::writePageFunctional(PageId ppn,
-                                std::span<const std::uint8_t> data)
-{
-    store_.writePage(ppn, data);
-}
-
-void
 FlashArray::writePartialFunctional(PageId ppn, Bytes offset,
                                    std::span<const std::uint8_t> data)
 {
     store_.writePartial(ppn, offset, data);
-}
-
-std::uint64_t
-FlashArray::blockKey(const Pba &pba) const
-{
-    // Collapse the page dimension: same key for every page of a block.
-    Pba block = pba;
-    block.page = 0;
-    return geometry_.flatten(block).raw();
-}
-
-Cycle
-FlashArray::eraseBlockContaining(Cycle issue, PageId ppn)
-{
-    const Pba pba = geometry_.decompose(ppn);
-    const Cycle done = fmcs_[pba.channel].eraseBlock(issue, pba.die);
-    ++blockWear_[blockKey(pba)];
-    // Functionally wipe every page of the block.
-    Pba page = pba;
-    for (std::uint32_t p = 0; p < geometry_.pagesPerBlock; ++p) {
-        page.page = p;
-        store_.erasePage(geometry_.flatten(page));
-    }
-    return done;
-}
-
-std::uint32_t
-FlashArray::blockWear(PageId ppn) const
-{
-    const auto it = blockWear_.find(blockKey(geometry_.decompose(ppn)));
-    return it == blockWear_.end() ? 0 : it->second;
-}
-
-std::uint32_t
-FlashArray::maxBlockWear() const
-{
-    std::uint32_t wear = 0;
-    // det-safe: max is a commutative, order-insensitive fold.
-    for (const auto &[key, count] : blockWear_)
-        wear = std::max(wear, count);
-    return wear;
 }
 
 std::uint64_t
@@ -155,15 +105,6 @@ FlashArray::totalPagePrograms() const
     std::uint64_t n = 0;
     for (const auto &fmc : fmcs_)
         n += fmc.pagePrograms().value();
-    return n;
-}
-
-std::uint64_t
-FlashArray::totalBlockErases() const
-{
-    std::uint64_t n = 0;
-    for (const auto &fmc : fmcs_)
-        n += fmc.blockErases().value();
     return n;
 }
 

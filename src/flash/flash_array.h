@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "flash/backing_store.h"
@@ -36,7 +35,7 @@ struct VectorRead : ReadTiming
      * A view into the stored page, or into the caller's scratch when
      * the page was never written (the scratch then holds the filler);
      * empty when timing-only. Valid until the page is written or
-     * erased, or the scratch is reused.
+     * the scratch is reused.
      */
     std::span<const std::uint8_t> data;
 };
@@ -99,23 +98,6 @@ class FlashArray
     Cycle programPage(Cycle issue, PageId ppn,
                       std::span<const std::uint8_t> data);
 
-    /**
-     * Timed + functional block erase: the whole block containing
-     * @p ppn is wiped and its wear count incremented.
-     * @return completion cycle
-     */
-    Cycle eraseBlockContaining(Cycle issue, PageId ppn);
-
-    /** Erase count of the block containing @p ppn. */
-    std::uint32_t blockWear(PageId ppn) const;
-
-    /** Highest erase count across all blocks (endurance headline). */
-    std::uint32_t maxBlockWear() const;
-
-    /** Functional-only page write (bulk table loading, no timing). */
-    void writePageFunctional(PageId ppn,
-                             std::span<const std::uint8_t> data);
-
     /** Functional-only sub-page write. */
     void writePartialFunctional(PageId ppn, Bytes offset,
                                 std::span<const std::uint8_t> data);
@@ -131,7 +113,6 @@ class FlashArray
     std::uint64_t totalVectorReads() const;
     std::uint64_t totalBusBytes() const;
     std::uint64_t totalPagePrograms() const;
-    std::uint64_t totalBlockErases() const;
 
     /** Forget all timing state (counters preserved). */
     void resetTiming();
@@ -140,9 +121,6 @@ class FlashArray
     void resetAll();
 
   private:
-    /** Key identifying a block across the whole array. */
-    std::uint64_t blockKey(const Pba &pba) const;
-
     /** The (channel, die) pair a page stripes onto. */
     struct Lane
     {
@@ -160,10 +138,6 @@ class FlashArray
     Divider laneOf_;
     /** Lane l is (l mod C, l / C): Geometry::decompose's striping. */
     std::vector<Lane> lanes_;
-    // Determinism audit: point lookups plus one det-safe max fold
-    // (maxBlockWear). Any future wear-leveling ranking must sort by
-    // (wear, block key) — not by map order.
-    std::unordered_map<std::uint64_t, std::uint32_t> blockWear_;
 };
 
 } // namespace rmssd::flash

@@ -38,14 +38,6 @@ Fmc::programPage(Cycle issue, std::uint32_t die)
 }
 
 Cycle
-Fmc::eraseBlock(Cycle issue, std::uint32_t die)
-{
-    RMSSD_ASSERT(die < dies_.size(), "die index out of range");
-    blockErases_.inc();
-    return dies_[die].acquire(issue, timing_.blockEraseCycles);
-}
-
-Cycle
 Fmc::dieBusyCycles(std::uint32_t die) const
 {
     RMSSD_ASSERT(die < dies_.size(), "die index out of range");
@@ -68,7 +60,6 @@ Fmc::resetAll()
     vectorReads_.reset();
     busBytes_.reset();
     pagePrograms_.reset();
-    blockErases_.reset();
     dieConflicts_.reset();
 }
 

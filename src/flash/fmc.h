@@ -89,9 +89,6 @@ class Fmc
     /** Program a page on die @p die (table-loading path). */
     Cycle programPage(Cycle issue, std::uint32_t die);
 
-    /** Erase a block on die @p die. */
-    Cycle eraseBlock(Cycle issue, std::uint32_t die);
-
     std::uint32_t numDies() const
     {
         return static_cast<std::uint32_t>(dies_.size());
@@ -101,7 +98,6 @@ class Fmc
     const Counter &vectorReads() const { return vectorReads_; }
     const Counter &busBytes() const { return busBytes_; }
     const Counter &pagePrograms() const { return pagePrograms_; }
-    const Counter &blockErases() const { return blockErases_; }
     /**
      * Reads that arrived while their target die was still busy and
      * queued behind it — the die-contention signal that motivates
@@ -130,7 +126,6 @@ class Fmc
     Counter vectorReads_;
     Counter busBytes_;
     Counter pagePrograms_;
-    Counter blockErases_;
     Counter dieConflicts_;
 };
 

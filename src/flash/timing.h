@@ -53,9 +53,6 @@ struct NandTiming
     /** Program (write) delay; exercised by the table-load path. */
     Cycle pageProgramCycles{40000};
 
-    /** Block erase delay (~3 ms at 5 ns/cycle). */
-    Cycle blockEraseCycles{600000};
-
     /** Cycles to flush a page from the cell array to the page buffer. */
     Cycle flushCycles() const;
 

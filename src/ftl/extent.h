@@ -82,8 +82,6 @@ class ExtentAllocator
      */
     ExtentList allocate(Sectors sectors, std::uint32_t sectorsPerPage);
 
-    Sectors usedSectors() const { return distance(Lba{}, nextLba_); }
-
   private:
     Sectors totalSectors_;
     Sectors maxFragmentSectors_;

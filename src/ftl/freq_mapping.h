@@ -135,7 +135,12 @@ class FrequencyMapping final : public Mapping
     /** Start a fresh observation window (after a migration pass). */
     void resetObservation();
 
-    /** Non-identity entries currently materialized (both maps). */
+    /**
+     * Non-identity entries currently materialized (both maps).
+     * reachability: test-observer — read by
+     * FrequencyMappingDifferential.MatchesMapReferenceModel, which
+     * checks that no identity entry lingers after a swap.
+     */
     std::size_t remappedEntries() const
     {
         return l2p_.size() + p2l_.size();

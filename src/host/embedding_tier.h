@@ -125,10 +125,6 @@ class EmbeddingTier
     const Counter &sliceHits() const { return sliceHits_; }
     /** Slices forwarded to the device (>= 1 non-resident lookup). */
     const Counter &sliceMisses() const { return sliceMisses_; }
-    /** Rows served from DRAM. */
-    const Counter &rowsServed() const { return rowsServed_; }
-    /** Embedding bytes served from DRAM. */
-    const Counter &bytesServed() const { return bytesServed_; }
     /** Requests intercepted. */
     const Counter &requests() const { return requests_; }
 
@@ -136,7 +132,13 @@ class EmbeddingTier
     std::uint64_t residentRows(std::uint32_t globalTable) const;
     /** Total resident DRAM bytes. */
     Bytes residentBytes() const { return residentBytes_; }
-    /** Rows whose bytes a functional intercept has stored so far. */
+    /**
+     * Rows whose bytes a functional intercept has stored so far.
+     * reachability: test-observer — read by
+     * EmbeddingTier.TimingOnlyInterceptFillsNoRow and
+     * EmbeddingTier.ProvisionClearsStoredRows, which check that rows
+     * fill lazily, only on a functional read.
+     */
     std::uint64_t storedRows() const { return storedRows_; }
 
     /** Register hit/miss/byte counters + per-table residency gauges. */

@@ -27,8 +27,6 @@ HostFileReader::readVector(std::uint32_t fileId,
     RMSSD_ASSERT(byteOffset.raw() % pageSize + bytes.raw() <= pageSize,
                  "host vector read straddles a cache page");
 
-    requestedBytes_.inc(bytes.raw());
-
     IoCost cost;
     cost.fsNanos += costs_.syscallNanos;
 
@@ -90,7 +88,6 @@ HostFileReader::resetStats()
 {
     cache_.resetStats();
     deviceBytes_.reset();
-    requestedBytes_.reset();
 }
 
 } // namespace rmssd::host

@@ -49,8 +49,6 @@ class HostFileReader
 
     /** Bytes actually fetched from the device (read amplification). */
     const Counter &deviceBytes() const { return deviceBytes_; }
-    /** Bytes the application asked for (ideal byte-addressable). */
-    const Counter &requestedBytes() const { return requestedBytes_; }
 
     void resetStats();
 
@@ -60,7 +58,6 @@ class HostFileReader
     IoStackCosts costs_;
 
     Counter deviceBytes_;
-    Counter requestedBytes_;
 };
 
 } // namespace rmssd::host

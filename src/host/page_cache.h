@@ -54,7 +54,6 @@ class PageCache
     bool contains(const PageKey &key) const;
 
     std::uint64_t capacityPages() const { return capacity_; }
-    std::size_t residentPages() const { return slots_.size(); }
 
     const Counter &hits() const { return hits_; }
     const Counter &misses() const { return misses_; }

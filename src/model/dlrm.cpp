@@ -80,17 +80,6 @@ ModelConfig::allShapes() const
     return shapes;
 }
 
-std::uint64_t
-ModelConfig::mlpParamBytes() const
-{
-    std::uint64_t params = 0;
-    for (const LayerShape &s : allShapes()) {
-        params += static_cast<std::uint64_t>(s.inputs) * s.outputs +
-                  s.outputs;
-    }
-    return params * sizeof(float);
-}
-
 ModelConfig &
 ModelConfig::withTotalEmbeddingGB(double gb)
 {

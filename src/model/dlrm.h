@@ -74,7 +74,6 @@ struct ModelConfig
     std::vector<LayerShape> topShapes() const;
     /** All FC shapes, bottom then top. */
     std::vector<LayerShape> allShapes() const;
-    std::uint64_t mlpParamBytes() const;
 
     /** Set rowsPerTable so the embedding layer totals @p gb gigabytes. */
     ModelConfig &withTotalEmbeddingGB(double gb);

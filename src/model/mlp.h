@@ -42,7 +42,7 @@ class FcLayer
   public:
     /**
      * With @p weights == Weights::ShapesOnly the layer keeps only its
-     * shape and activation: weights() and bias() are empty, and
+     * shape and activation: weights() and the bias are empty, and
      * forward() fatal()s.
      */
     FcLayer(std::uint32_t inputs, std::uint32_t outputs,
@@ -55,7 +55,6 @@ class FcLayer
     bool hasWeights() const { return !bias_.empty(); }
 
     const Matrix &weights() const { return weights_; }
-    const Vector &bias() const { return bias_; }
 
     Vector forward(const Vector &x) const;
 

@@ -1,7 +1,6 @@
 #include "model/tensor.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sim/log.h"
 #include "sim/rng.h"
@@ -247,16 +246,6 @@ concat(const Vector &a, const Vector &b)
     out.insert(out.end(), a.begin(), a.end());
     out.insert(out.end(), b.begin(), b.end());
     return out;
-}
-
-float
-maxAbsDiff(const Vector &a, const Vector &b)
-{
-    RMSSD_ASSERT(a.size() == b.size(), "maxAbsDiff size mismatch");
-    float m = 0.0f;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        m = std::max(m, std::fabs(a[i] - b[i]));
-    return m;
 }
 
 } // namespace rmssd::model

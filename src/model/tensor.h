@@ -99,9 +99,6 @@ void accumulate(Vector &acc, const Vector &v);
 /** Concatenate b onto the end of a copy of a. */
 Vector concat(const Vector &a, const Vector &b);
 
-/** Max absolute element-wise difference (test tolerance checks). */
-float maxAbsDiff(const Vector &a, const Vector &b);
-
 } // namespace rmssd::model
 
 #endif // RMSSD_MODEL_TENSOR_H

@@ -1,7 +1,5 @@
 #include "nvme/nvme.h"
 
-#include "sim/log.h"
-
 namespace rmssd::nvme {
 
 NvmeController::NvmeController(ftl::Ftl &ftl, const NvmeConfig &config)
@@ -13,21 +11,11 @@ Cycle
 NvmeController::readBlocks(Cycle issue, Lba lba, Sectors sectors,
                            std::span<std::uint8_t> out)
 {
-    readCommands_.inc();
     hostBytesRead_.inc(sectors.raw() * ftl_.sectorSize());
     const Cycle flashDone =
         ftl_.readSectors(issue + config_.submissionCycles, lba, sectors,
                          out);
     return flashDone + config_.completionCycles;
-}
-
-void
-NvmeController::writeBlocksFunctional(Lba lba,
-                                      std::span<const std::uint8_t> data)
-{
-    RMSSD_ASSERT(data.size() % ftl_.sectorSize() == 0,
-                 "block write is not sector aligned");
-    ftl_.writeBytesFunctional(lba, Bytes{}, data);
 }
 
 Cycle

@@ -42,17 +42,12 @@ class NvmeController
     Cycle readBlocks(Cycle issue, Lba lba, Sectors sectors,
                      std::span<std::uint8_t> out);
 
-    /** Functional block write (timing of loads is not modelled). */
-    void writeBlocksFunctional(Lba lba,
-                               std::span<const std::uint8_t> data);
-
     /** Uncontended QD1 latency of a 4K random read, in cycles. */
     Cycle randomReadLatencyCycles() const;
 
     /** Implied QD1 random-4K IOPS (Table II reports 45 K). */
     double randomReadIops() const;
 
-    const Counter &readCommands() const { return readCommands_; }
     const Counter &hostBytesRead() const { return hostBytesRead_; }
 
     ftl::Ftl &ftl() { return ftl_; }
@@ -61,7 +56,6 @@ class NvmeController
     ftl::Ftl &ftl_;
     NvmeConfig config_;
 
-    Counter readCommands_;
     Counter hostBytesRead_;
 };
 

@@ -7,8 +7,6 @@ namespace rmssd {
 
 namespace {
 
-bool informEnabled = true;
-
 void
 vreport(const char *prefix, const char *fmt, va_list args)
 {
@@ -46,23 +44,6 @@ warn(const char *fmt, ...)
     va_start(args, fmt);
     vreport("warn", fmt, args);
     va_end(args);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (!informEnabled)
-        return;
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
-}
-
-void
-setInformEnabled(bool enabled)
-{
-    informEnabled = enabled;
 }
 
 } // namespace rmssd

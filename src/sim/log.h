@@ -4,7 +4,7 @@
  *
  * panic() is for simulator bugs (conditions that should never happen
  * regardless of user input); fatal() is for user errors (bad
- * configuration); warn()/inform() are advisory.
+ * configuration); warn() is advisory.
  */
 
 #ifndef RMSSD_SIM_LOG_H
@@ -25,12 +25,6 @@ namespace rmssd {
 
 /** Print a warning to stderr; simulation continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print an informational message to stderr; simulation continues. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Enable/disable inform() output globally (benches silence it). */
-void setInformEnabled(bool enabled);
 
 } // namespace rmssd
 

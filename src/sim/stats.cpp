@@ -94,11 +94,4 @@ StatsRegistry::gaugeValue(const std::string &name) const
     return it == gauges_.end() ? 0 : it->second();
 }
 
-double
-StatsRegistry::ratioValue(const std::string &name) const
-{
-    auto it = ratios_.find(name);
-    return it == ratios_.end() ? 0.0 : it->second.value();
-}
-
 } // namespace rmssd

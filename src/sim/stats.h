@@ -98,14 +98,22 @@ class StatsRegistry
     /** Dump all registered stats as "name value" lines. */
     void dump(std::ostream &os) const;
 
-    /** Look up a registered counter's value; 0 if absent. */
+    /**
+     * Look up a registered counter's value; 0 if absent.
+     * reachability: test-observer — read by
+     * DeviceStats.RegistryCollectsCounters,
+     * TenantFleet.StatsExportUnderTenantNamespaces and the other tests
+     * that check one stat by its exported name.
+     */
     std::uint64_t counterValue(const std::string &name) const;
 
-    /** Current value of a registered gauge; 0 if absent. */
+    /**
+     * Current value of a registered gauge; 0 if absent.
+     * reachability: test-observer — read by
+     * Stats.PerChannelBusyCyclesAndDieConflictsExported and the
+     * host-tier residency and fleet latency tests, by gauge name.
+     */
     std::uint64_t gaugeValue(const std::string &name) const;
-
-    /** Current value of a registered ratio; 0 if absent or unsampled. */
-    double ratioValue(const std::string &name) const;
 
   private:
     struct Ratio

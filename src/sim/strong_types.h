@@ -228,13 +228,6 @@ operator-(Lba a, Sectors n) noexcept
     return Lba{a.raw() - n.raw()};
 }
 
-/** Distance between two sector positions. */
-constexpr Sectors
-distance(Lba from, Lba to) noexcept
-{
-    return Sectors{to.raw() - from.raw()};
-}
-
 } // namespace rmssd
 
 // Hash support so tagged ids key unordered containers directly.

@@ -72,7 +72,6 @@ class TraceGenerator
     std::uint64_t hotRow(std::uint32_t table, std::uint64_t rank) const;
 
     const TraceConfig &traceConfig() const { return trace_; }
-    const model::ModelConfig &modelConfig() const { return config_; }
 
     /** Fig. 4 style summary of a generated index stream. */
     struct HistogramSummary

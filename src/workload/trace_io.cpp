@@ -1,9 +1,11 @@
 #include "workload/trace_io.h"
 
+#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "sim/log.h"
 
@@ -62,22 +64,44 @@ loadTrace(std::istream &is, const model::ModelConfig &config)
               config.name.c_str());
     }
 
-    std::vector<model::Sample> samples(count);
-    for (model::Sample &s : samples) {
+    // Samples are appended as they are read: the header's count sizes
+    // nothing, so a count the file cannot back ends in "truncated".
+    std::vector<model::Sample> samples;
+    for (std::size_t n = 0; n < count; ++n) {
+        model::Sample s;
         s.dense.resize(denseDim);
         for (float &v : s.dense) {
             std::string token;
-            is >> token;
-            v = std::strtof(token.c_str(), nullptr);
+            if (!(is >> token))
+                fatal("trace file truncated");
+            char *end = nullptr;
+            v = std::strtof(token.c_str(), &end);
+            if (*end != '\0')
+                fatal("trace sample %zu has a malformed dense value '%s'",
+                      n, token.c_str());
         }
         s.indices.assign(tables, {});
-        for (auto &table : s.indices) {
-            table.resize(lookups);
-            for (std::uint64_t &idx : table)
-                is >> idx;
+        for (std::uint32_t t = 0; t < tables; ++t) {
+            s.indices[t].resize(lookups);
+            for (std::uint64_t &row : s.indices[t]) {
+                if (!(is >> row)) {
+                    if (is.eof())
+                        fatal("trace file truncated");
+                    fatal("trace sample %zu table %u has a malformed row "
+                          "index", n, t);
+                }
+                // Rows come from the file: one past the table is bad
+                // input, rejected here as RM_send_inputs rejects it.
+                if (row >= config.rowsPerTable)
+                    fatal("trace sample %zu table %u reads row %llu; the "
+                          "tables of %s have %llu rows",
+                          n, t, static_cast<unsigned long long>(row),
+                          config.name.c_str(),
+                          static_cast<unsigned long long>(
+                              config.rowsPerTable));
+            }
         }
-        if (!is)
-            fatal("trace file truncated");
+        samples.push_back(std::move(s));
     }
     return samples;
 }

@@ -31,7 +31,10 @@ void saveTrace(std::ostream &os, const model::ModelConfig &config,
  * Parse a trace saved by saveTrace. The header must match
  * @p config's shape (tables, lookups, dense dim); mismatches are
  * fatal (replaying a trace against the wrong model is never what
- * anyone wants).
+ * anyone wants). So is malformed input: a file shorter than its
+ * header's sample count, a dense value that is not one whole float
+ * token, and a row index that is not a number or not below
+ * @p config's rowsPerTable.
  */
 std::vector<model::Sample> loadTrace(std::istream &is,
                                      const model::ModelConfig &config);

@@ -1,3 +1,11 @@
+#include "core/square.h"
 #include "core/used.h"
+#include "core/widget.h"
 
-int main() { return used(); }
+int
+main()
+{
+    const Square square;
+    const Shape &shape = square;
+    return used() + Widget().size() + shape.area();
+}

@@ -310,6 +310,8 @@ TEST(AsyncCluster, PipeliningRaisesSaturatedClusterThroughput)
 // FNV-1a fingerprint. The pinned values were taken from the code
 // before the device and the cluster shared one request queue; any
 // reordering of intercept, backpressure, issue or retire moves them.
+// The dump has no flash.ch<N>.blockErases lines; filtering those
+// always-zero lines out of the older code's dump gives these values.
 
 namespace rmssd::engine {
 namespace {
@@ -464,7 +466,7 @@ TEST(PinnedStreams, FunctionalDeviceBehindAHostTier)
         },
         7);
     EXPECT_GT(device->tierSliceHits(), 0u);
-    EXPECT_EQ(hash, 0xd9232212e8ab55e4ULL);
+    EXPECT_EQ(hash, 0x890c9d5206457ad4ULL);
 }
 
 TEST(PinnedStreams, HedgedClusterBehindAHostTier)
@@ -493,7 +495,7 @@ TEST(PinnedStreams, HedgedClusterBehindAHostTier)
     // Some requests here are served by the tier in full. They are
     // ready at their scatter time, so a harvest probing
     // nextDoneCycle() retires them in ready order.
-    EXPECT_EQ(hash, 0xecbad58cb0621656ULL);
+    EXPECT_EQ(hash, 0xc4c7a4266c9637b6ULL);
 }
 
 TEST(PinnedStreams, TenantFleetOverACluster)
@@ -523,7 +525,7 @@ TEST(PinnedStreams, TenantFleetOverACluster)
         },
         13);
     EXPECT_GT(fleet.tierSliceHits(), 0u);
-    EXPECT_EQ(hash, 0xaa8a35ec88a3246cULL);
+    EXPECT_EQ(hash, 0xb79df4164e2e3054ULL);
 }
 
 } // namespace

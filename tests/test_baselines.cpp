@@ -41,7 +41,8 @@ miniTrace()
 TEST(Registry, BuildsEverySystem)
 {
     const model::ModelConfig cfg = miniConfig();
-    for (const std::string &name : catalog::allSystemNames()) {
+    for (const std::string &name :
+         catalog::ModelCatalog::builtin().systemNames()) {
         const auto sys = catalog::makeSystem(name, cfg);
         ASSERT_NE(sys, nullptr) << name;
         EXPECT_EQ(sys->name(), name);

@@ -54,20 +54,14 @@ tinyWideConfig()
 TEST(Catalog, BuiltinListsZooModelsAndPaperSystems)
 {
     const ModelCatalog &c = ModelCatalog::builtin();
-    for (const char *m : {"RMC1", "RMC2", "RMC3", "NCF", "WnD"}) {
-        EXPECT_TRUE(c.hasModel(m)) << m;
+    for (const char *m : {"RMC1", "RMC2", "RMC3", "NCF", "WnD"})
         EXPECT_EQ(c.model(m).name, m);
-    }
-    // The paper sweep order the goldens iterate, verbatim.
-    const std::vector<std::string> paper = c.paperOrderNames();
-    ASSERT_GE(paper.size(), 10u);
-    EXPECT_EQ(paper.front(), "DRAM");
-    EXPECT_EQ(paper.back(), "RM-SSD+part");
-    // Fleet variants are addressable but not part of the sweep.
-    EXPECT_TRUE(c.hasSystem("RM-SSD x2"));
-    EXPECT_TRUE(c.hasSystem("RM-SSD x4"));
-    for (const std::string &name : paper)
-        EXPECT_NE(name.find("x4"), 0u);
+    // The paper systems, then the fleet variants.
+    const std::vector<std::string> names = c.systemNames();
+    ASSERT_GE(names.size(), 12u);
+    EXPECT_EQ(names.front(), "DRAM");
+    for (const char *s : {"RM-SSD+part", "RM-SSD x2", "RM-SSD x4"})
+        EXPECT_EQ(c.system(s).name, s);
 }
 
 TEST(Catalog, EverySystemEntryServesATinyTrace)
@@ -126,8 +120,6 @@ TEST(Catalog, UserCatalogRegistersModelsAndRecipes)
     entry.recipe.kind = SystemRecipe::Kind::Dram;
     c.addSystem(entry);
 
-    ASSERT_TRUE(c.hasModel("tiny"));
-    ASSERT_TRUE(c.hasSystem("tiny-dram"));
     auto system = c.make("tiny-dram", "tiny");
     workload::TraceGenerator gen(config, workload::localityK(0.3));
     EXPECT_EQ(system->run(gen, 1, 2, 0).batches, 2u);
@@ -200,6 +192,14 @@ functionalOptions()
     FleetOptions options;
     options.device.functional = true;
     return options;
+}
+
+/** Outstanding requests of tenant @p id, read from fleet @p stats. */
+std::uint64_t
+tenantInflight(const StatsRegistry &stats, const std::string &id)
+{
+    return stats.counterValue("fleet.tenant." + id + ".submitted") -
+           stats.counterValue("fleet.tenant." + id + ".retired");
 }
 
 std::vector<TenantSpec>
@@ -297,7 +297,8 @@ TEST(TenantFleet, LaneSplitPooledMatchesTableSubsetReference)
         // model's subset of this tenant's slots, fed the lane-expanded
         // index lists (the cluster's withTableSubset idiom).
         const model::ModelConfig sub =
-            fleet.unionConfig().withTableSubset(fleet.tenantSlots(i));
+            fleet.unionLayout().config.withTableSubset(
+                fleet.tenantSlots(i));
         engine::RmSsdOptions refOptions;
         refOptions.variant = engine::EngineVariant::EmbeddingOnly;
         refOptions.functional = true;
@@ -370,8 +371,10 @@ TEST(TenantFleet, LoopCapBoundsATenantsOutstandingWork)
     for (std::uint64_t r = 1; r <= 6; ++r)
         arrivals.push_back({Cycle{r}, 0});
 
-    const auto run = [&](std::uint32_t cap, std::uint32_t &peak) {
+    const auto run = [&](std::uint32_t cap, std::uint64_t &peak) {
         TenantFleet fleet(twoTenants(), FleetOptions{});
+        StatsRegistry stats;
+        fleet.registerStats(stats);
         std::vector<workload::TraceGenerator> gens;
         for (std::size_t i = 0; i < fleet.numTenants(); ++i)
             gens.emplace_back(fleet.tenant(i).config,
@@ -387,11 +390,11 @@ TEST(TenantFleet, LoopCapBoundsATenantsOutstandingWork)
             fleet, arrivals,
             [&](std::uint32_t t) {
                 if (cap > 0 && t == 1) {
-                    EXPECT_LT(fleet.tenantInflight(1), cap);
+                    EXPECT_LT(tenantInflight(stats, "wide"), cap);
                 }
                 const engine::RequestId id =
                     fleet.submitTenant(t, gens[t].nextBatch(1));
-                peak = std::max(peak, fleet.tenantInflight(1));
+                peak = std::max(peak, tenantInflight(stats, "wide"));
                 EXPECT_LE(fleet.inflight(), 8u);
                 return id;
             },
@@ -399,11 +402,11 @@ TEST(TenantFleet, LoopCapBoundsATenantsOutstandingWork)
         EXPECT_EQ(r.requests, 18u);
         EXPECT_EQ(r.classes[1].requests, 12u);
         EXPECT_EQ(fleet.inflight(), 0u);
-        EXPECT_EQ(fleet.tenantRetired(1), 12u);
+        EXPECT_EQ(stats.counterValue("fleet.tenant.wide.retired"), 12u);
         return r;
     };
-    std::uint32_t cappedPeak = 0;
-    std::uint32_t uncappedPeak = 0;
+    std::uint64_t cappedPeak = 0;
+    std::uint64_t uncappedPeak = 0;
     const workload::ServingResult capped = run(kCap, cappedPeak);
     const workload::ServingResult uncapped = run(0, uncappedPeak);
     EXPECT_LE(cappedPeak, kCap);
@@ -482,7 +485,6 @@ TEST(TenantFleet, TierBudgetsFollowSharesAndStayInPool)
     options.hostTierBytes = Bytes{1u << 20};
     TenantFleet fleet(std::move(specs), options);
 
-    ASSERT_NE(fleet.sharedTier(), nullptr);
     const Bytes a = fleet.tenantTierBudget(0);
     const Bytes b = fleet.tenantTierBudget(1);
     EXPECT_LE(a.raw() + b.raw(), options.hostTierBytes.raw());
@@ -571,26 +573,6 @@ TEST(TenantFleet, ClusterBackendServesBothTenants)
     EXPECT_GT(r.classes[1].achievedQps, 0.0);
 }
 
-TEST(TenantFleet, BuildFleetFromCatalogResolvesModelNames)
-{
-    ModelCatalog c;
-    model::ModelConfig narrow = tinyConfig();
-    narrow.name = "tiny-narrow";
-    model::ModelConfig wide = tinyWideConfig();
-    wide.name = "tiny-wide";
-    c.addModel(narrow);
-    c.addModel(wide);
-
-    std::vector<TenantSpec> specs(2);
-    specs[0].id = "tiny-narrow";
-    specs[1].id = "tiny-wide";
-    TenantFleet fleet =
-        buildFleetFromCatalog(c, std::move(specs), FleetOptions{});
-    EXPECT_EQ(fleet.tenant(0).config.name, "tiny-narrow");
-    EXPECT_EQ(fleet.tenant(1).config.name, "tiny-wide");
-    EXPECT_EQ(fleet.unionConfig().embDim, 32u);
-}
-
 TEST(TenantFleetFuzz, InvariantsHoldUnderRandomOps)
 {
     // Seeded random interleavings of every fleet entry point, on a
@@ -604,6 +586,8 @@ TEST(TenantFleetFuzz, InvariantsHoldUnderRandomOps)
             options.numDevices = devices;
             TenantFleet fleet(twoTenants(), options);
             fleet.setMaxInflight(4);
+            StatsRegistry stats;
+            fleet.registerStats(stats);
 
             std::vector<workload::TraceGenerator> gens;
             for (std::size_t i = 0; i < fleet.numTenants(); ++i)
@@ -632,13 +616,14 @@ TEST(TenantFleetFuzz, InvariantsHoldUnderRandomOps)
                         << "id " << completion.id;
                 };
             const auto checkLedger = [&] {
-                std::uint32_t sum = 0;
+                std::uint64_t sum = 0;
                 for (std::size_t i = 0; i < fleet.numTenants(); ++i) {
+                    const std::string &id = fleet.tenant(i).id;
                     EXPECT_EQ(submittedPerTenant[i],
-                              fleet.tenantRetired(i) +
-                                  fleet.tenantInflight(i))
+                              stats.counterValue("fleet.tenant." + id +
+                                                 ".submitted"))
                         << "tenant " << i;
-                    sum += fleet.tenantInflight(i);
+                    sum += tenantInflight(stats, id);
                 }
                 EXPECT_EQ(sum, fleet.inflight());
                 EXPECT_LE(fleet.inflight(), fleet.maxInflight());

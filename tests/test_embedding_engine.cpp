@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -41,6 +42,17 @@ tinyConfig()
     return cfg;
 }
 
+/** Max absolute element-wise difference of two equal-length vectors. */
+float
+maxAbsDiff(const model::Vector &a, const model::Vector &b)
+{
+    EXPECT_EQ(a.size(), b.size());
+    float m = 0.0f;
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i)
+        m = std::max(m, std::fabs(a[i] - b[i]));
+    return m;
+}
+
 TEST(EvSum, AccumulateBytesAddsFloats)
 {
     std::vector<float> acc{1.0f, 2.0f};
@@ -65,7 +77,7 @@ TEST(EmbeddingEngine, PooledResultMatchesReference)
 
     const model::Vector ref =
         dev.model().embedding().pooledReference(s.indices);
-    EXPECT_LT(model::maxAbsDiff(res.pooled[0], ref), 1e-4f);
+    EXPECT_LT(maxAbsDiff(res.pooled[0], ref), 1e-4f);
 }
 
 TEST(EmbeddingEngine, PoolingIsOrderInvariant)
@@ -81,7 +93,7 @@ TEST(EmbeddingEngine, PoolingIsOrderInvariant)
         std::reverse(idx.begin(), idx.end());
     const EmbeddingResult b =
         dev.embeddingEngine().run(a.doneCycle, std::span(&s, 1), true);
-    EXPECT_LT(model::maxAbsDiff(a.pooled[0], b.pooled[0]), 1e-4f);
+    EXPECT_LT(maxAbsDiff(a.pooled[0], b.pooled[0]), 1e-4f);
 }
 
 TEST(EmbeddingEngine, TimingCoversAtLeastOneVectorRead)
@@ -212,16 +224,43 @@ pageOf(RmSsd &dev, std::uint32_t t, std::uint64_t row)
 }
 
 /**
+ * Rebuild @p dev's backing store without @p unwritten. Every other
+ * page that holds table rows keeps its bytes; a page of @p unwritten
+ * is never written, so a lookup into it reads the store's filler.
+ */
+void
+dropPages(RmSsd &dev, const std::set<PageId> &unwritten)
+{
+    flash::BackingStore &store = dev.flash().store();
+    flash::BackingStore rebuilt(store.pageSizeBytes());
+    std::vector<std::uint8_t> page(store.pageSizeBytes().raw());
+    std::set<PageId> copied;
+    const auto &tables = dev.model().embedding().tables();
+    for (std::uint32_t t = 0; t < tables.size(); ++t) {
+        for (std::uint64_t row = 0; row < tables[t].numRows; ++row) {
+            const PageId ppn = pageOf(dev, t, row);
+            if (unwritten.contains(ppn) || !copied.insert(ppn).second)
+                continue;
+            store.read(ppn, Bytes{}, page);
+            rebuilt.writePage(ppn, page);
+        }
+    }
+    ASSERT_EQ(rebuilt.materializedPages() + unwritten.size(),
+              store.materializedPages());
+    store = std::move(rebuilt);
+}
+
+/**
  * Differential check of one engine run. Each table slice of each
  * sample must be bit-equal to a host fold, in lookup order, of copies
  * of the stored bytes (BackingStore::read), so a lookup into an
- * erased page contributes the filler the device reads. A slice that
- * touches no erased page must also be bit-equal to the reference
+ * unwritten page contributes the filler the device reads. A slice
+ * that touches no unwritten page must also be bit-equal to the reference
  * SLS of EmbeddingLayer::pooledReference.
  */
 void
 expectRunBitExact(RmSsd &dev, std::span<const model::Sample> samples,
-                  const std::set<PageId> &erased)
+                  const std::set<PageId> &unwritten)
 {
     const EmbeddingResult res =
         dev.embeddingEngine().run(Cycle{}, samples, true);
@@ -235,13 +274,13 @@ expectRunBitExact(RmSsd &dev, std::span<const model::Sample> samples,
         for (std::uint32_t t = 0; t < tables.size(); ++t) {
             const std::uint32_t dim = tables[t].dim;
             model::Vector folded(dim, 0.0f);
-            bool touchesErased = false;
+            bool touchesUnwritten = false;
             for (const std::uint64_t row : samples[s].indices[t]) {
                 const EvReadRequest req =
                     dev.embeddingEngine().translator().translate(
                         TableId{t}, EvIndex{row});
                 const PageId ppn = dev.ftl().mapping().translate(req.lpn);
-                touchesErased |= erased.contains(ppn);
+                touchesUnwritten |= unwritten.contains(ppn);
                 std::vector<std::uint8_t> bytes(req.bytes.raw());
                 dev.flash().store().read(ppn, req.byteInPage, bytes);
                 EvSum::accumulateBytes(bytes, folded);
@@ -250,7 +289,7 @@ expectRunBitExact(RmSsd &dev, std::span<const model::Sample> samples,
                 std::span(res.pooled[s]).subspan(offset, dim);
             EXPECT_EQ(bits(got), bits(folded))
                 << "sample " << s << " table " << t;
-            if (!touchesErased) {
+            if (!touchesUnwritten) {
                 EXPECT_EQ(bits(got), bits(std::span(reference)
                                               .subspan(offset, dim)))
                     << "sample " << s << " table " << t;
@@ -281,21 +320,21 @@ TEST(EmbeddingEngineDifferential, CacheHitThenEvictionInOneSliceIsBitExact)
     // shows in the bits.
     const model::ModelConfig cfg = tinyConfig();
     const auto dev = cachedCoalescingDevice(cfg, 32, 32);
-    const PageId erased = pageOf(*dev, 0, 300); // rows 288..319
-    dev->flash().store().erasePage(erased);
-    const std::set<PageId> erasedPages{erased};
+    // Rows 288..319 share a page that is never written.
+    const std::set<PageId> unwritten{pageOf(*dev, 0, 300)};
+    dropPages(*dev, unwritten);
 
     // Fill the set with rows 0..31 (LRU to MRU).
     std::vector<std::uint64_t> warmRows(32);
     std::iota(warmRows.begin(), warmRows.end(), 0);
     const model::Sample warm = sliceSample(*dev, 0, warmRows);
-    expectRunBitExact(*dev, std::span(&warm, 1), erasedPages);
+    expectRunBitExact(*dev, std::span(&warm, 1), unwritten);
 
     // Rows 100..129 miss and evict 0..29, so 30 flash reads are
     // pending when row 31 hits. Rows 200..231 then evict 30, 100..129
     // and, with 231's fill, row 31: the line this slice hit. Rows 100
     // and 31 repeat (coalesced views), and 300 and 301 sit on the
-    // erased page (filler scratch).
+    // unwritten page (filler scratch).
     std::vector<std::uint64_t> rows(30);
     std::iota(rows.begin(), rows.end(), 100);
     rows.push_back(31);
@@ -308,7 +347,7 @@ TEST(EmbeddingEngineDifferential, CacheHitThenEvictionInOneSliceIsBitExact)
     const std::uint64_t hitsBefore = cache.hits().value();
     const std::uint64_t coalescedBefore =
         dev->embeddingEngine().coalescedLookups().value();
-    expectRunBitExact(*dev, std::span(&slice, 1), erasedPages);
+    expectRunBitExact(*dev, std::span(&slice, 1), unwritten);
     EXPECT_EQ(cache.hits().value() - hitsBefore, 1u);
     EXPECT_EQ(dev->embeddingEngine().coalescedLookups().value() -
                   coalescedBefore,
@@ -319,15 +358,14 @@ TEST(EmbeddingEngineDifferential, RandomCachedCoalescedBatchesAreBitExact)
 {
     // A 1024-line cache, rows drawn half the time from an 8-row head
     // (hits, duplicates and evictions within one slice), slices of up
-    // to 200 lookups, and three erased pages in tables 0 and 5.
+    // to 200 lookups, and three unwritten pages in tables 0 and 5.
     const model::ModelConfig cfg = tinyConfig();
     const auto dev = cachedCoalescingDevice(cfg, 1024, 4);
-    std::set<PageId> erased;
+    std::set<PageId> unwritten;
     for (const auto &[t, row] :
          {std::pair{0u, 5ull}, std::pair{0u, 300ull}, std::pair{5u, 40ull}})
-        erased.insert(pageOf(*dev, t, row));
-    for (const PageId ppn : erased)
-        dev->flash().store().erasePage(ppn);
+        unwritten.insert(pageOf(*dev, t, row));
+    dropPages(*dev, unwritten);
 
     Rng rng(0xd1ffULL);
     bool longSlice = false;
@@ -346,7 +384,7 @@ TEST(EmbeddingEngineDifferential, RandomCachedCoalescedBatchesAreBitExact)
             }
             samples.push_back(std::move(s));
         }
-        expectRunBitExact(*dev, samples, erased);
+        expectRunBitExact(*dev, samples, unwritten);
     }
     EXPECT_TRUE(longSlice);
     const EvCache &cache = *dev->embeddingEngine().cache();

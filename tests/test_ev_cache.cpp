@@ -117,16 +117,6 @@ TEST(EvCache, FunctionalLookupRequiresData)
     EXPECT_TRUE(cache.lookup(TableId{}, EvIndex{1}, nullptr));
 }
 
-TEST(EvCache, InvalidateDropsLinesKeepsCounters)
-{
-    EvCache cache = oneSetCache(2);
-    cache.fill(TableId{}, EvIndex{1}, {});
-    EXPECT_TRUE(cache.lookup(TableId{}, EvIndex{1}, nullptr));
-    cache.invalidate();
-    EXPECT_FALSE(cache.contains(TableId{}, EvIndex{1}));
-    EXPECT_EQ(cache.hits().value(), 1u);
-}
-
 TEST(EffectiveCyclesPerRead, ShrinksWithHitRatioAndFloors)
 {
     const flash::Geometry g = flash::tableIIGeometry();
@@ -372,11 +362,15 @@ TEST(FrequencySketch, PeriodicHalvingDecays)
     for (int i = 0; i < 7; ++i)
         sketch.record(7);
     EXPECT_EQ(sketch.estimate(7), 7u);
-    EXPECT_EQ(sketch.halvings().value(), 0u);
     sketch.record(7); // 8th addition triggers the halving
-    EXPECT_EQ(sketch.halvings().value(), 1u);
     EXPECT_EQ(sketch.estimate(7), 4u); // (7+1)/2
-    EXPECT_EQ(sketch.additions(), 4u);
+    // The halving halves the addition count too, to 4: the next one
+    // comes 4 records later, not 8.
+    for (int i = 0; i < 3; ++i)
+        sketch.record(7);
+    EXPECT_EQ(sketch.estimate(7), 7u);
+    sketch.record(7);
+    EXPECT_EQ(sketch.estimate(7), 4u);
 }
 
 /** One-set TinyLFU cache of @p ways lines. */
@@ -394,7 +388,6 @@ oneSetLfuCache(std::uint32_t ways)
 TEST(TinyLfuAdmission, OneHitWonderRejectedHotKeyAdmitted)
 {
     EvCache cache = oneSetLfuCache(2);
-    ASSERT_NE(cache.sketch(), nullptr);
 
     // Establish two resident keys and give them some popularity.
     cache.fill(TableId{}, EvIndex{1}, {});
@@ -427,7 +420,6 @@ TEST(TinyLfuAdmission, AlwaysAdmitKeepsPr1Behaviour)
     // The default policy has no sketch and admits every fill — the
     // exact PR-1 LRU cache.
     EvCache cache = oneSetCache(2);
-    EXPECT_EQ(cache.sketch(), nullptr);
     cache.fill(TableId{}, EvIndex{1}, {});
     cache.fill(TableId{}, EvIndex{2}, {});
     cache.fill(TableId{}, EvIndex{9}, {}); // one-hit wonder admitted
@@ -721,13 +713,6 @@ class ReferenceCache
         return findIn(set(table, key), key) != nullptr;
     }
 
-    void invalidate()
-    {
-        for (auto &s : sets_)
-            for (Line &line : s)
-                line = Line{};
-    }
-
     std::uint64_t hits = 0, misses = 0, fills = 0, evictions = 0,
                   rejects = 0;
 
@@ -825,7 +810,7 @@ TEST(EvCacheDifferential, FlatLayoutMatchesReferenceModel)
             } else if (action < 800) {
                 cache.fill(table, index, {});
                 ref.fill(table, index, {});
-            } else if (action < 999) {
+            } else {
                 // Each fill carries distinct bytes, so a line serving a
                 // stale or foreign payload cannot go unnoticed.
                 std::vector<std::uint8_t> bytes(kLineBytes);
@@ -835,9 +820,6 @@ TEST(EvCacheDifferential, FlatLayoutMatchesReferenceModel)
                         splitmix64(serial * kLineBytes + b));
                 cache.fill(table, index, bytes);
                 ref.fill(table, index, bytes);
-            } else {
-                cache.invalidate();
-                ref.invalidate();
             }
         }
         EXPECT_EQ(cache.hits().value(), ref.hits);

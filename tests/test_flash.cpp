@@ -112,8 +112,7 @@ TEST(BackingStore, PageRoundTrip)
     std::vector<std::uint8_t> out(4096);
     store.read(PageId{42}, Bytes{}, out);
     EXPECT_EQ(out, page);
-    EXPECT_TRUE(store.isWritten(PageId{42}));
-    EXPECT_FALSE(store.isWritten(PageId{43}));
+    EXPECT_EQ(store.materializedPages(), 1u);
 }
 
 TEST(BackingStore, UnwrittenReadsAreDeterministic)
@@ -179,10 +178,9 @@ TEST(BackingStore, NewPagePartialWriteEqualsFillThenCopy)
 
 TEST(BackingStore, MatchesMapReferenceModel)
 {
-    // Random writes, partial writes, reads and erases against a
-    // std::map model: hundreds of live pages grow the index through
-    // several rehashes, erase-then-rewrite reuses slots, and unwritten
-    // pages must keep reading as filler.
+    // Random writes, partial writes and reads against a std::map
+    // model: hundreds of live pages grow the index through several
+    // rehashes, and unwritten pages must keep reading as filler.
     constexpr std::uint64_t kPage = 64;
     constexpr std::uint64_t kIdSpace = 400;
     BackingStore store(Bytes{kPage});
@@ -230,13 +228,6 @@ TEST(BackingStore, MatchesMapReferenceModel)
             model[id] = page;
             break;
           }
-          case 2:
-            // Erases lag writes early on so the store keeps growing.
-            if (step < 10000 && rng.nextBounded(3) != 0)
-                break;
-            store.erasePage(ppn);
-            model.erase(id);
-            break;
           default: {
             const std::uint64_t off = rng.nextBounded(kPage);
             std::vector<std::uint8_t> out(rng.nextBounded(kPage - off + 1));
@@ -249,8 +240,6 @@ TEST(BackingStore, MatchesMapReferenceModel)
             break;
           }
         }
-        ASSERT_EQ(store.isWritten(ppn), model.contains(id))
-            << "step " << step;
         ASSERT_EQ(store.materializedPages(), model.size())
             << "step " << step;
         peakPages = std::max(peakPages, model.size());
@@ -263,7 +252,6 @@ TEST(BackingStore, MatchesMapReferenceModel)
         std::vector<std::uint8_t> out(kPage);
         store.read(pageOf(id), Bytes{}, out);
         EXPECT_EQ(out, expected(id)) << "page " << id;
-        EXPECT_EQ(store.isWritten(pageOf(id)), model.contains(id));
     }
 }
 
@@ -292,32 +280,6 @@ TEST(BackingStore, ViewSurvivesGrowthPastChunkBoundaries)
               view.data());
 }
 
-TEST(BackingStore, ErasedSlotIsReusedByTheNextNewPage)
-{
-    constexpr std::uint64_t kPage = 4096;
-    BackingStore store(Bytes{kPage});
-    const std::vector<std::uint8_t> ones(kPage, 1);
-    const std::vector<std::uint8_t> twos(kPage, 2);
-    store.writePage(PageId{10}, ones);
-    store.writePage(PageId{11}, ones);
-    const std::uint8_t *freed =
-        store.view(PageId{10}, Bytes{}, Bytes{kPage}, {}).data();
-
-    store.erasePage(PageId{10});
-    EXPECT_FALSE(store.isWritten(PageId{10}));
-    store.writePage(PageId{99}, twos);
-
-    const std::span<const std::uint8_t> reused =
-        store.view(PageId{99}, Bytes{}, Bytes{kPage}, {});
-    EXPECT_EQ(reused.data(), freed);
-    EXPECT_TRUE(std::equal(reused.begin(), reused.end(), twos.begin()));
-    EXPECT_EQ(store.materializedPages(), 2u);
-    // The page that kept its slot is untouched.
-    const std::span<const std::uint8_t> kept =
-        store.view(PageId{11}, Bytes{}, Bytes{kPage}, {});
-    EXPECT_TRUE(std::equal(kept.begin(), kept.end(), ones.begin()));
-}
-
 TEST(BackingStore, UnwrittenViewEqualsReadFiller)
 {
     // An unwritten page's view is the caller's scratch holding exactly
@@ -343,7 +305,7 @@ TEST(BackingStore, UnwrittenViewEqualsReadFiller)
             << "offset " << range.offset;
         EXPECT_EQ(scratch[range.size], 0xee) << "offset " << range.offset;
     }
-    EXPECT_FALSE(store.isWritten(PageId{42}));
+    EXPECT_EQ(store.materializedPages(), 1u);
 }
 
 TEST(FlashDie, OperationsSerialize)
@@ -420,7 +382,7 @@ TEST(FlashArray, VectorReadEqualsPageSlice)
         std::vector<std::uint8_t> page(4096);
         for (auto &b : page)
             b = static_cast<std::uint8_t>(rng.next());
-        array.writePageFunctional(ppn, page);
+        array.store().writePage(ppn, page);
 
         const std::uint32_t evBytes = 128;
         const std::uint32_t offset =
@@ -484,7 +446,7 @@ TEST(FlashArray, ResetTimingKeepsData)
 {
     FlashArray array(tableIIGeometry(), tableIITiming());
     std::vector<std::uint8_t> page(4096, 0x11);
-    array.writePageFunctional(PageId{3}, page);
+    array.store().writePage(PageId{3}, page);
     array.readPage(Cycle{}, PageId{3}, {});
     array.resetTiming();
     std::vector<std::uint8_t> out(4096);

@@ -35,7 +35,7 @@ TEST(FlashWrite, EmptySpanProgramsTimingOnly)
 {
     FlashArray array(tableIIGeometry(), tableIITiming());
     array.programPage(Cycle{}, PageId{5}, {});
-    EXPECT_FALSE(array.store().isWritten(PageId{5}));
+    EXPECT_EQ(array.store().materializedPages(), 0u);
     EXPECT_EQ(array.totalPagePrograms(), 1u);
 }
 
@@ -49,66 +49,6 @@ TEST(FlashWrite, ProgramsToOneDieSerialize)
     const Cycle a = array.programPage(Cycle{}, PageId{}, {});
     const Cycle b = array.programPage(Cycle{}, samePpn, {});
     EXPECT_GE(b, a + t.pageProgramCycles);
-}
-
-TEST(FlashErase, WipesEveryPageOfTheBlock)
-{
-    const Geometry g = tableIIGeometry();
-    FlashArray array(g, tableIITiming());
-    // Two pages of the same block (page dimension stride).
-    Pba pba = g.decompose(PageId{});
-    pba.page = 0;
-    const PageId p0 = g.flatten(pba);
-    pba.page = 7;
-    const PageId p7 = g.flatten(pba);
-
-    std::vector<std::uint8_t> data(4096, 0x5A);
-    array.writePageFunctional(p0, data);
-    array.writePageFunctional(p7, data);
-
-    const Cycle done = array.eraseBlockContaining(Cycle{}, p0);
-    EXPECT_EQ(done, array.timing().blockEraseCycles);
-    EXPECT_FALSE(array.store().isWritten(p0));
-    EXPECT_FALSE(array.store().isWritten(p7));
-    EXPECT_EQ(array.totalBlockErases(), 1u);
-}
-
-TEST(FlashErase, WearTracksPerBlock)
-{
-    const Geometry g = tableIIGeometry();
-    FlashArray array(g, tableIITiming());
-    Pba pba = g.decompose(PageId{});
-
-    // Erase block 0 twice, block 1 once.
-    const PageId inBlock0 = g.flatten(pba);
-    pba.block = 1;
-    const PageId inBlock1 = g.flatten(pba);
-
-    array.eraseBlockContaining(Cycle{}, inBlock0);
-    array.eraseBlockContaining(Cycle{}, inBlock0);
-    array.eraseBlockContaining(Cycle{}, inBlock1);
-
-    EXPECT_EQ(array.blockWear(inBlock0), 2u);
-    EXPECT_EQ(array.blockWear(inBlock1), 1u);
-    EXPECT_EQ(array.maxBlockWear(), 2u);
-
-    // Pages of the same block share the wear count.
-    Pba sibling = g.decompose(inBlock0);
-    sibling.page = 3;
-    EXPECT_EQ(array.blockWear(g.flatten(sibling)), 2u);
-}
-
-TEST(FlashErase, EraseThenProgramRestoresData)
-{
-    FlashArray array(tableIIGeometry(), tableIITiming());
-    std::vector<std::uint8_t> data(4096, 0x11);
-    array.programPage(Cycle{}, PageId{9}, data);
-    array.eraseBlockContaining(Cycle{}, PageId{9});
-    std::vector<std::uint8_t> fresh(4096, 0x22);
-    array.programPage(Cycle{}, PageId{9}, fresh);
-    std::vector<std::uint8_t> out(4096);
-    array.readPage(Cycle{}, PageId{9}, out);
-    EXPECT_EQ(out, fresh);
 }
 
 } // namespace
@@ -219,7 +159,6 @@ expectPages(const RmSsd &dev, const PageMap &want)
     EXPECT_EQ(store.materializedPages(), want.size());
     std::vector<std::uint8_t> got(store.pageSizeBytes().raw());
     for (const auto &[ppn, bytes] : want) {
-        ASSERT_TRUE(store.isWritten(PageId{ppn})) << "page " << ppn;
         store.read(PageId{ppn}, Bytes{}, got);
         EXPECT_EQ(got, bytes) << "page " << ppn;
     }

@@ -225,7 +225,7 @@ makeOddArray()
     for (std::uint64_t ppn = 0; ppn < g.totalPages(); ++ppn) {
         for (auto &b : page)
             b = static_cast<std::uint8_t>(fill.next());
-        array.writePageFunctional(PageId{ppn}, page);
+        array.store().writePage(PageId{ppn}, page);
     }
     return array;
 }

@@ -455,9 +455,11 @@ class MlpSizeTest : public ::testing::TestWithParam<MlpSizeCase>
 TEST_P(MlpSizeTest, MatchesTableIII)
 {
     const auto param = GetParam();
-    const ModelConfig c = modelByName(param.name);
+    const DlrmModel shapes(modelByName(param.name), Weights::ShapesOnly);
     const double mb =
-        static_cast<double>(c.mlpParamBytes()) / (1024.0 * 1024.0);
+        static_cast<double>(shapes.bottomMlp().paramBytes() +
+                            shapes.topMlp().paramBytes()) /
+        (1024.0 * 1024.0);
     // Within 10% of the paper's reported MLP size.
     EXPECT_NEAR(mb, param.paperMb, param.paperMb * 0.10)
         << param.name;
@@ -574,12 +576,14 @@ TEST(ShapesOnlyModel, KeepsShapesAndParamBytesButNoWeights)
         for (const FcLayer &layer : mlp->layers()) {
             EXPECT_FALSE(layer.hasWeights());
             EXPECT_TRUE(layer.weights().data().empty());
-            EXPECT_TRUE(layer.bias().empty());
             got.push_back(LayerShape{layer.inputs(), layer.outputs()});
         }
     }
     EXPECT_TRUE(got == cfg.allShapes());
-    EXPECT_EQ(bytes, cfg.mlpParamBytes());
+    std::uint64_t params = 0;
+    for (const LayerShape &s : got)
+        params += std::uint64_t{s.inputs} * s.outputs + s.outputs;
+    EXPECT_EQ(bytes, params * sizeof(float));
 }
 
 TEST(ShapesOnlyModelDeathTest, EveryForwardPassExits)

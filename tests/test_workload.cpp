@@ -31,9 +31,8 @@ smallConfig()
 class HotSet
 {
   public:
-    explicit HotSet(const TraceGenerator &gen)
+    HotSet(const TraceGenerator &gen, std::uint32_t tables)
     {
-        const std::uint32_t tables = gen.modelConfig().numTables;
         const std::uint64_t ranks = gen.traceConfig().hotRowsPerTable;
         sorted_.resize(tables);
         for (std::uint32_t t = 0; t < tables; ++t) {
@@ -87,7 +86,7 @@ TEST(TraceGenerator, StreamMatchesPinnedFingerprint)
     TraceConfig trace = localityK(0.3);
     trace.seed = 7;
     TraceGenerator gen(cfg, trace);
-    const HotSet hotSet(gen);
+    const HotSet hotSet(gen, cfg.numTables);
     std::uint64_t fingerprint = 0;
     std::uint64_t hotDraws = 0;
     for (int i = 0; i < 64; ++i) {
@@ -311,7 +310,7 @@ TEST_P(HotFractionTest, EmpiricalHotShareMatchesConfig)
     const model::ModelConfig cfg = smallConfig();
     const TraceConfig tc = localityK(GetParam());
     TraceGenerator gen(cfg, tc);
-    const HotSet hotSet(gen);
+    const HotSet hotSet(gen, cfg.numTables);
 
     std::uint64_t hot = 0;
     std::uint64_t total = 0;

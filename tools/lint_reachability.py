@@ -1,24 +1,45 @@
 #!/usr/bin/env python3
-"""Reachability lint for the simulator headers.
+"""Reachability lint for the simulator headers and the functions they
+declare.
 
-A header under ``src/`` that nothing includes except its own ``.cpp``
-and the unit tests is code no figure, example, tool or other module
-runs: tests keep it compiling and passing, but nobody needs it. This
-lint fails on every such header, so dead subsystems get deleted
-instead of maintained.
+Code that only the unit tests call is code no figure, example, tool or
+other module runs: tests keep it compiling and passing, but nobody
+needs it. This lint fails on it at two levels, so dead code gets
+deleted instead of maintained.
 
-A header counts as reached when some file under ``src/``, ``bench/``,
-``examples/`` or ``tools/`` other than its own ``.cpp`` (same path,
-``.cpp`` suffix) includes it. Includes may name the header by its
-``src/``-relative path (``#include "engine/rm_ssd.h"``) or, from the
-same directory, by its bare file name. Files under ``tests/`` never
-count.
+Header level. A header under ``src/`` counts as reached when some file
+under ``src/``, ``bench/``, ``examples/`` or ``tools/`` other than its
+own ``.cpp`` (same path, ``.cpp`` suffix) includes it. Includes may
+name the header by its ``src/``-relative path (``#include
+"engine/rm_ssd.h"``) or, from the same directory, by its bare file
+name.
 
-Escape hatch: a header that is a public entry point — called from
-outside the repo, not from it — carries the marker
-``reachability: entry-point <reason>`` in a comment. The reason must
-say who the outside caller is; a marker without one is itself a
-finding.
+Function level. Every function and method a ``src/`` header declares
+counts as reached when some file under those four directories names
+it, other than at a declaration or definition. Matching is by name:
+a call of any function with the same name counts, so an override is
+reached through a call of its base's virtual, and an overload through
+a call of any of its siblings. The lint can therefore miss dead code,
+but it never flags a name that something outside the tests uses.
+Constructors, destructors, operators and ``= delete`` declarations are
+not checked. A function declared in a header that the header level
+already flags is not reported again.
+
+Files under ``tests/`` never count, and comments and string literals
+name nothing.
+
+Two markers, each in a comment, accept what the rules would flag. Each
+must give a reason; a marker without one is itself a finding.
+
+- ``reachability: entry-point <reason>`` anywhere in a header marks a
+  public entry point, called from outside the repo, not from it. The
+  reason says who the outside caller is. It covers the header and
+  every function it declares.
+- ``reachability: test-observer <reason>`` on a declaration (in the
+  comment block directly above it, or trailing on its line) accepts an
+  accessor, or a check kept apart from the code it checks, that only
+  tests use to observe state. The reason names the test whose check
+  would otherwise be lost.
 
 Usage:
     lint_reachability.py [--root DIR]
@@ -32,9 +53,11 @@ Exit status: 0 when clean, 1 with a findings report otherwise.
 from __future__ import annotations
 
 import argparse
+import bisect
 import pathlib
 import re
 import sys
+from dataclasses import dataclass
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -42,7 +65,190 @@ INCLUDER_DIRS = ["src", "bench", "examples", "tools"]
 SOURCE_SUFFIXES = {".h", ".hpp", ".cpp", ".cc"}
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"(?P<path>[^"]+)"', re.M)
-MARKER_RE = re.compile(r"reachability:\s*entry-point\b(?P<reason>[^\n]*)")
+ENTRY_RE = re.compile(r"reachability:\s*entry-point\b(?P<reason>[^\n]*)")
+OBSERVER_RE = re.compile(
+    r"reachability:\s*test-observer\b(?P<reason>[^\n]*)")
+
+# Comments, string and character literals, blanked by mask().
+# A quote after a digit or letter is a digit separator (1'000), not a
+# character literal.
+LEXEMES_RE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|R"(?P<d>[^(\s]*)\(.*?\)(?P=d)"'
+    r'|"(?:\\.|[^"\\\n])*"|(?<![\w])\'(?:\\.|[^\'\\\n])+\'',
+    re.S)
+PREPROCESSOR_RE = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.M)
+TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d[\w'.]*|::|->|&&|\S")
+
+SCOPE_KEYWORDS = {"namespace", "class", "struct", "union", "extern"}
+CLASS_KEYWORDS = {"class", "struct", "union"}
+# Identifiers that cannot be the type in front of a declared name, or
+# that are never function names.
+KEYWORDS = {
+    "alignas", "alignof", "auto", "bool", "break", "case", "catch",
+    "char", "class", "const", "constexpr", "continue", "decltype",
+    "default", "delete", "do", "double", "else", "enum", "explicit",
+    "extern", "false", "float", "for", "friend", "goto", "if", "inline",
+    "int", "long", "namespace", "new", "noexcept", "nullptr", "operator",
+    "private", "protected", "public", "return", "short", "signed",
+    "sizeof", "static", "static_assert", "struct", "switch", "template",
+    "this", "throw", "true", "try", "typedef", "typeid", "typename",
+    "union", "unsigned", "using", "virtual", "void", "volatile", "while",
+}
+TYPE_KEYWORDS = {"auto", "bool", "char", "double", "float", "int",
+                 "long", "short", "signed", "unsigned", "void", "const"}
+ACCESS = {"public", "private", "protected"}
+
+
+def mask(text: str) -> str:
+    """``text`` with comments and literals blanked (newlines kept)."""
+    def blank(m: re.Match) -> str:
+        return re.sub(r"[^\n]", " ", m.group(0))
+    return LEXEMES_RE.sub(blank, text)
+
+
+@dataclass
+class Decl:
+    name: str
+    qualname: str
+    line: int       # 1-based line of the name
+    first_line: int  # 1-based line where the declaration starts
+
+
+class Unit:
+    """One source file: its tokens and the functions it declares."""
+
+    def __init__(self, path: pathlib.Path):
+        self.path = path
+        self.text = path.read_text(errors="replace")
+        masked = mask(self.text)
+        self.line_starts = [0] + [i + 1 for i, c in enumerate(masked)
+                                  if c == "\n"]
+        code = PREPROCESSOR_RE.sub(
+            lambda m: re.sub(r"[^\n]", " ", m.group(0)), masked)
+        # Identifiers in macro bodies still name what they call.
+        self.idents = [(m.group(0), m.start()) for m in
+                       re.finditer(r"[A-Za-z_]\w*", masked)]
+        self.tokens = [(m.group(0), m.start())
+                       for m in TOKEN_RE.finditer(code)]
+        self.decls: list[Decl] = []
+        self.decl_offsets: set[int] = set()
+        self._scan()
+
+    def line_of(self, offset: int) -> int:
+        return bisect.bisect_right(self.line_starts, offset)
+
+    def _scan(self) -> None:
+        """Find declarations and definitions at namespace/class scope.
+
+        A brace opens either a scope (namespace, class, struct, union,
+        ``extern "C"``), whose statements are scanned, or code (a
+        function body, an initializer, an enum), which is skipped.
+        """
+        scopes: list[str | None] = []  # class name, "" or None for code
+        stmt: list[int] = []
+        for i, (tok, _) in enumerate(self.tokens):
+            in_code = bool(scopes) and scopes[-1] is None
+            if tok == "{":
+                if not in_code:
+                    kind = self._scope_name(stmt)
+                    if kind is None:
+                        self._record(stmt, scopes)
+                    scopes.append(kind)
+                    stmt = []
+                else:
+                    scopes.append(None)
+            elif tok == "}":
+                if scopes:
+                    scopes.pop()
+                if not scopes or scopes[-1] is not None:
+                    stmt = []
+            elif in_code:
+                continue
+            elif tok == ";":
+                self._record(stmt, scopes)
+                stmt = []
+            else:
+                stmt.append(i)
+
+    def _words(self, stmt: list[int]) -> list[str]:
+        return [self.tokens[i][0] for i in stmt]
+
+    def _scope_name(self, stmt: list[int]) -> str | None:
+        """Class name, "" for a namespace, None if the brace opens code."""
+        words = self._words(stmt)
+        if words[:1] == ["template"]:
+            depth = 0
+            for k, w in enumerate(words):
+                depth += (w == "<") - (w == ">")
+                if w == ">" and depth == 0:
+                    words = words[k + 1:]
+                    break
+        if words[:1] == ["inline"]:
+            words = words[1:]
+        if not words or words[0] not in SCOPE_KEYWORDS:
+            return None
+        if words[0] not in CLASS_KEYWORDS:
+            return ""
+        k = 1
+        while k < len(words):
+            w = words[k]
+            if w == "alignas":
+                k = words.index(")", k) + 1
+            elif w == "[":
+                k = words.index("]", words.index("]", k) + 1) + 1
+            elif re.fullmatch(r"[A-Za-z_]\w*", w):
+                return w
+            else:
+                k += 1
+        return ""
+
+    def _record(self, stmt: list[int], scopes: list[str | None]) -> None:
+        words = self._words(stmt)
+        while len(words) >= 2 and words[0] in ACCESS and words[1] == ":":
+            stmt, words = stmt[2:], words[2:]
+        if "(" not in words or words[-2:] == ["=", "delete"]:
+            return
+        k = words.index("(") - 1
+        name = words[k] if k >= 0 else ""
+        if (not re.fullmatch(r"[A-Za-z_]\w*", name)
+                or name in KEYWORDS):
+            return
+        quals = []
+        j = k
+        while j >= 2 and words[j - 1] == "::":
+            quals.insert(0, words[j - 2])
+            j -= 2
+        if j == 0:
+            return  # A macro or constructor call, not a declaration.
+        prev = words[j - 1]
+        typeish = (prev in TYPE_KEYWORDS or prev in {">", "*", "&", "&&"}
+                   or (re.fullmatch(r"[A-Za-z_]\w*", prev)
+                       and prev not in KEYWORDS))
+        cls = next((s for s in reversed(scopes) if s), "")
+        owner = quals[-1] if quals else cls
+        if not typeish or name == owner:
+            return
+        offset = self.tokens[stmt[k]][1]
+        self.decl_offsets.add(offset)
+        self.decls.append(Decl(
+            name=name,
+            qualname="::".join(q for q in [owner, name] if q),
+            line=self.line_of(offset),
+            first_line=self.line_of(self.tokens[stmt[0]][1])))
+
+    def observer_reason(self, decl: Decl) -> str | None:
+        """The test-observer marker's reason, or None without a marker."""
+        lines = self.text.splitlines()
+        marked = lines[decl.first_line - 1:decl.line]
+        above = decl.first_line - 2
+        while above >= 0 and re.match(r"\s*(//|/\*|\*)", lines[above]):
+            marked.append(lines[above])
+            above -= 1
+        for line in marked:
+            m = OBSERVER_RE.search(line)
+            if m:
+                return m.group("reason")
+        return None
 
 
 def sources(root: pathlib.Path) -> list[pathlib.Path]:
@@ -68,21 +274,27 @@ def included_headers(path: pathlib.Path, src: pathlib.Path) -> set[str]:
     return out
 
 
-def lint(root: pathlib.Path) -> list[str]:
+def bare_reason(reason: str) -> bool:
+    return not reason.strip(" \t-—:*/")
+
+
+def lint_headers(root: pathlib.Path) -> tuple[list[str], set]:
+    """Header-level findings, and the headers whose functions need no
+    check: the flagged ones and the marked entry points."""
     src = root / "src"
     includers: dict[str, set[pathlib.Path]] = {}
     for path in sources(root):
         for header in included_headers(path, src):
             includers.setdefault(header, set()).add(path)
 
-    findings = []
+    findings, skip = [], set()
     for header in sorted(src.rglob("*.h")):
         key = header.relative_to(src).as_posix()
         own_cpp = header.with_suffix(".cpp")
         users = includers.get(key, set()) - {own_cpp}
-        marker = MARKER_RE.search(header.read_text(errors="replace"))
+        marker = ENTRY_RE.search(header.read_text(errors="replace"))
         where = header.relative_to(root).as_posix()
-        if marker and not marker.group("reason").strip(" \t-—:*/"):
+        if marker and bare_reason(marker.group("reason")):
             findings.append(
                 f"{where}: entry-point marker has no reason (say who "
                 f"calls it from outside the repo)")
@@ -91,7 +303,43 @@ def lint(root: pathlib.Path) -> list[str]:
                 f"{where}: no includer in {', '.join(INCLUDER_DIRS)} "
                 f"besides its own .cpp (delete it, or mark a public "
                 f"entry point with 'reachability: entry-point <reason>')")
+        if marker or not users:
+            skip.add(header)
+    return findings, skip
+
+
+def lint_functions(root: pathlib.Path, skip: set) -> list[str]:
+    units = [Unit(p) for p in sources(root)]
+    used: set[str] = set()
+    for u in units:
+        used.update(name for name, off in u.idents
+                    if off not in u.decl_offsets)
+
+    findings = []
+    for u in units:
+        if (u.path.suffix not in {".h", ".hpp"} or u.path in skip
+                or not u.path.is_relative_to(root / "src")):
+            continue
+        where = u.path.relative_to(root).as_posix()
+        for d in u.decls:
+            reason = u.observer_reason(d)
+            if reason is not None and bare_reason(reason):
+                findings.append(
+                    f"{where}:{d.line}: {d.qualname}: test-observer "
+                    f"marker has no reason (name the test that reads it)")
+            elif d.name not in used and reason is None:
+                findings.append(
+                    f"{where}:{d.line}: {d.qualname} is named nowhere in "
+                    f"{', '.join(INCLUDER_DIRS)} besides its declarations "
+                    f"and definitions (delete it, or mark an accessor "
+                    f"that tests read with "
+                    f"'reachability: test-observer <reason>')")
     return findings
+
+
+def lint(root: pathlib.Path) -> list[str]:
+    findings, skip = lint_headers(root)
+    return findings + lint_functions(root, skip)
 
 
 def main() -> int:
