@@ -50,7 +50,6 @@ class InferenceSystem
      * device MLP stages are skipped.
      */
     void setSlsOnly(bool slsOnly) { slsOnly_ = slsOnly; }
-    bool slsOnly() const { return slsOnly_; }
 
   protected:
     explicit InferenceSystem(std::string name) : name_(std::move(name)) {}

@@ -107,35 +107,24 @@ ModelCatalog::make(const std::string &systemName,
 
 namespace {
 
-SystemEntry
-entry(std::string name, std::string description, SystemRecipe recipe)
-{
-    SystemEntry e;
-    e.name = std::move(name);
-    e.description = std::move(description);
-    e.recipe = std::move(recipe);
-    return e;
-}
-
 /**
  * The cache variants differ by exactly one EvCacheConfig delta (and
  * the "+part" even-share fill); everything else about the recipe is
  * shared here instead of copy-pasted.
  */
 SystemEntry
-cachedEntry(std::string name, std::string description,
-            engine::EvCacheConfig evCache, bool evenTableShares = false)
+cachedEntry(std::string name, engine::EvCacheConfig evCache,
+            bool evenTableShares = false)
 {
     SystemRecipe recipe;
     recipe.kind = SystemRecipe::Kind::RmSsdCached;
     recipe.evCache = evCache;
     recipe.evenTableShares = evenTableShares;
-    return entry(std::move(name), std::move(description), recipe);
+    return SystemEntry{std::move(name), recipe};
 }
 
 SystemEntry
-clusterEntry(std::string name, std::string description,
-             std::uint32_t numDevices)
+clusterEntry(std::string name, std::uint32_t numDevices)
 {
     SystemRecipe recipe;
     recipe.kind = SystemRecipe::Kind::Cluster;
@@ -143,7 +132,7 @@ clusterEntry(std::string name, std::string description,
     // capacity-exact and the router balances by outstanding work.
     recipe.cluster.sharding.numDevices = numDevices;
     recipe.cluster.policy = cluster::RouterPolicy::LeastOutstanding;
-    return entry(std::move(name), std::move(description), recipe);
+    return SystemEntry{std::move(name), recipe};
 }
 
 ModelCatalog
@@ -155,69 +144,56 @@ makeBuiltin()
 
     SystemRecipe dram;
     dram.kind = SystemRecipe::Kind::Dram;
-    c.addSystem(entry("DRAM", "host DRAM baseline", dram));
+    c.addSystem({"DRAM", dram});
 
     SystemRecipe ssdS;
     ssdS.kind = SystemRecipe::Kind::SsdNaive;
     ssdS.ssdUtilization = 0.25;
-    c.addSystem(entry("SSD-S", "block SSD, small-read utilization",
-                      ssdS));
+    c.addSystem({"SSD-S", ssdS});
 
     SystemRecipe ssdM;
     ssdM.kind = SystemRecipe::Kind::SsdNaive;
     ssdM.ssdUtilization = 0.5;
-    c.addSystem(entry("SSD-M", "block SSD, medium-read utilization",
-                      ssdM));
+    c.addSystem({"SSD-M", ssdM});
 
     SystemRecipe embMmio;
     embMmio.kind = SystemRecipe::Kind::EmbMmio;
-    c.addSystem(entry("EMB-MMIO", "embedding offload over MMIO",
-                      embMmio));
+    c.addSystem({"EMB-MMIO", embMmio});
 
     SystemRecipe embPage;
     embPage.kind = SystemRecipe::Kind::EmbPageSum;
-    c.addSystem(entry("EMB-PageSum", "page-granular pooled offload",
-                      embPage));
+    c.addSystem({"EMB-PageSum", embPage});
 
     SystemRecipe embVec;
     embVec.kind = SystemRecipe::Kind::EmbVectorSum;
-    c.addSystem(entry("EMB-VectorSum", "vector-granular pooled offload",
-                      embVec));
+    c.addSystem({"EMB-VectorSum", embVec});
 
     SystemRecipe recssd;
     recssd.kind = SystemRecipe::Kind::Recssd;
-    c.addSystem(entry("RecSSD", "RecSSD-style host-managed offload",
-                      recssd));
+    c.addSystem({"RecSSD", recssd});
 
     SystemRecipe naive;
     naive.kind = SystemRecipe::Kind::RmSsd;
     naive.variant = engine::EngineVariant::Naive;
-    c.addSystem(entry("RM-SSD-Naive", "full offload, naive kernels",
-                      naive));
+    c.addSystem({"RM-SSD-Naive", naive});
 
     SystemRecipe searched;
     searched.kind = SystemRecipe::Kind::RmSsd;
     searched.variant = engine::EngineVariant::Searched;
-    c.addSystem(entry("RM-SSD", "full offload, searched kernels",
-                      searched));
+    c.addSystem({"RM-SSD", searched});
 
-    c.addSystem(cachedEntry("RM-SSD+cache",
-                            "device EV cache, LRU admission",
-                            engine::EvCacheConfig{}));
+    c.addSystem(cachedEntry("RM-SSD+cache", engine::EvCacheConfig{}));
 
     // Same capacity as RM-SSD+cache, but fills must earn their slot:
     // TinyLFU admission keeps the cold tail out.
     engine::EvCacheConfig lfu;
     lfu.admission = engine::EvCacheAdmission::TinyLfu;
-    c.addSystem(cachedEntry("RM-SSD+lfu",
-                            "device EV cache, TinyLFU admission", lfu));
+    c.addSystem(cachedEntry("RM-SSD+lfu", lfu));
 
-    c.addSystem(cachedEntry("RM-SSD+part",
-                            "TinyLFU + per-table partitioning", lfu,
-                            /*evenTableShares=*/true));
+    c.addSystem(cachedEntry("RM-SSD+part", lfu, /*evenTableShares=*/true));
 
-    c.addSystem(clusterEntry("RM-SSD x2", "two-shard fleet", 2));
-    c.addSystem(clusterEntry("RM-SSD x4", "four-shard fleet", 4));
+    c.addSystem(clusterEntry("RM-SSD x2", 2));
+    c.addSystem(clusterEntry("RM-SSD x4", 4));
     return c;
 }
 

@@ -85,8 +85,7 @@ struct SystemRecipe
 /** A named system recipe. */
 struct SystemEntry
 {
-    std::string name;        ///< unique key (the paper name)
-    std::string description; ///< one-line summary for listings
+    std::string name; ///< unique key (the paper name)
     SystemRecipe recipe;
 };
 

@@ -175,7 +175,17 @@ class RmSsdCluster : public engine::PipelinedDevice<ClusterRequest>
 
     const ShardPlan &shardPlan() const { return plan_; }
     std::uint32_t numDevices() const { return plan_.numDevices(); }
+    /**
+     * reachability: test-observer — used by
+     * AsyncCluster.DepthPropagatesToShards and
+     * HostTier.ResidualReshardsAroundFullyServedShard to reach into
+     * one shard.
+     */
     engine::RmSsd &shard(std::uint32_t d) { return *shards_[d]; }
+    /**
+     * reachability: test-observer — read by
+     * ClusterModel.TimingOnlyFleetBuildsNoWeights on a const fleet.
+     */
     const engine::RmSsd &shard(std::uint32_t d) const
     {
         return *shards_[d];

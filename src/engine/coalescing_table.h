@@ -88,7 +88,12 @@ class CoalescingTable
 
     /** Unique keys recorded this batch. */
     std::size_t size() const { return size_; }
-    /** Slots allocated (a power of two; 0 before the first reset). */
+    /**
+     * Slots allocated (a power of two; 0 before the first reset).
+     * reachability: test-observer — read by
+     * CoalescingTable.GrowsToTheLargestBatchAtHalfLoad, which checks
+     * the growth rule.
+     */
     std::size_t capacity() const { return slots_.size(); }
 
   private:

@@ -56,6 +56,11 @@ struct EmbeddingResult
     /** Per-sample pooled vectors (numTables*dim); empty if timing-only. */
     std::vector<model::Vector> pooled;
 
+    /**
+     * reachability: test-observer — read by
+     * EmbeddingEngine.TimingCoversAtLeastOneVectorRead and
+     * EvCacheTiming.WarmBatchFinishesEarlier, which time one batch.
+     */
     Cycle elapsed() const { return doneCycle - startCycle; }
 };
 
@@ -110,9 +115,19 @@ class EmbeddingEngine
     /** Lookups folded by intra-batch coalescing. */
     const Counter &coalescedLookups() const { return coalesced_; }
 
+    /**
+     * reachability: test-observer — read by
+     * Placement.PlanHotPagesAggregatesRowsToPages and
+     * SteadyStateRate.AnalyticFormulaTracksSimulation, which translate
+     * rows as the engine does.
+     */
     EvTranslator &translator() { return translator_; }
-    /** The device-side EV cache; nullptr when disabled. */
-    EvCache *cache() { return cache_; }
+    /**
+     * The device-side EV cache; nullptr when disabled.
+     * reachability: test-observer — read by
+     * EmbeddingEngineDifferential.RandomCachedCoalescedBatchesAreBitExact,
+     * which compares cache state with its reference.
+     */
     const EvCache *cache() const { return cache_; }
 
   private:

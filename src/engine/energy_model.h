@@ -70,6 +70,7 @@ class EnergyModel
   public:
     explicit EnergyModel(const EnergyCosts &costs = {});
 
+    /** reachability: test-observer — EnergyModel.HostWindowChargesCpu. */
     const EnergyCosts &costs() const { return costs_; }
 
     /** MAC count of one sample through every FC layer of @p config. */

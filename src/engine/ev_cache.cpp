@@ -224,13 +224,4 @@ EvCache::contains(TableId tableId, EvIndex index) const
     return probe(tableId, key, splitmix64(key)).line != kNoLine;
 }
 
-double
-EvCache::hitRatio() const
-{
-    const std::uint64_t probes = hits_.value() + misses_.value();
-    return probes ? static_cast<double>(hits_.value()) /
-                        static_cast<double>(probes)
-                  : 0.0;
-}
-
 } // namespace rmssd::engine

@@ -213,14 +213,25 @@ class EvCache
     void fill(TableId tableId, EvIndex index,
               std::span<const std::uint8_t> data);
 
-    /** Probe without touching LRU state (tests/debug). */
+    /**
+     * Probe without touching LRU state.
+     * reachability: test-observer — EvCache.LruEvictsOldestLine and
+     * EvCache.TablesDoNotAlias read residency.
+     */
     bool contains(TableId tableId, EvIndex index) const;
 
+    // reachability: test-observer — EvCache.GeometryFromConfig.
     std::uint32_t numSets() const { return numSets_; }
+    // reachability: test-observer — EvCache.GeometryFromConfig.
     std::uint32_t ways() const { return ways_; }
+    // reachability: test-observer — EvCache.GeometryFromConfig.
     Bytes lineBytes() const { return lineBytes_; }
     Cycle hitCycles() const { return hitCycles_; }
-    /** Per-table set regions; empty when the cache is shared. */
+    /**
+     * Per-table set regions; empty when the cache is shared.
+     * reachability: test-observer — read by
+     * Partitioning.TableTrafficCannotCrossPartitions.
+     */
     const std::vector<EvCachePartition> &partitions() const
     {
         return partitions_;
@@ -242,9 +253,6 @@ class EvCache
      * timing-only cache allocates no line bytes.
      */
     std::size_t dataBytes() const { return data_.size(); }
-
-    /** Measured hit ratio so far (0 when never probed). */
-    double hitRatio() const;
 
   private:
     /** One way: its tag and LRU stamp (0 = free; stamps start at 1). */

@@ -77,8 +77,6 @@ class FrequencySketch
     /** estimate() with @p hash = splitmix64(key) supplied. */
     std::uint32_t estimate(std::uint64_t key, std::uint64_t hash) const;
 
-    std::uint64_t sampleSize() const { return sampleSize_; }
-
     /** Forget everything (tests / cache invalidation). */
     void clear();
 

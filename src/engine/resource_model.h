@@ -87,6 +87,7 @@ class ResourceModel
   public:
     explicit ResourceModel(const ResourceCosts &costs = {});
 
+    /** reachability: test-observer — ResourceModel.IiReuseDividesPeCount. */
     const ResourceCosts &costs() const { return costs_; }
 
     /**

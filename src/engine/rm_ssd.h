@@ -243,8 +243,12 @@ class RmSsd : public PipelinedDevice<RmSsdRequest>
      * device.
      */
     EmbeddingEngine &embeddingEngine() { return *embeddingEngine_; }
-    /** Device-side EV cache; nullptr when the option is off. */
-    EvCache *evCache() { return evCache_.get(); }
+    /**
+     * Device-side EV cache; nullptr when the option is off.
+     * reachability: test-observer — read by
+     * EvCacheHitRatio.TracksLocalityKTraceEstimate and
+     * TinyLfuAdmission.PooledOutputsBitIdentical.
+     */
     const EvCache *evCache() const { return evCache_.get(); }
 
     /** Host bytes read from the device per inference accounting. */

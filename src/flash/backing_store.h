@@ -81,6 +81,10 @@ class BackingStore
      */
     std::size_t materializedPages() const { return index_.size(); }
 
+    /**
+     * reachability: test-observer — read by
+     * TimedLoad.TimingOnlyLoadDoesNotMaterializePages.
+     */
     Bytes pageSizeBytes() const { return pageSize_; }
 
   private:

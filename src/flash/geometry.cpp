@@ -48,17 +48,6 @@ Geometry::decompose(PageId page) const
     return pba;
 }
 
-PageId
-Geometry::flatten(const Pba &pba) const
-{
-    std::uint64_t ppn = pba.block;
-    ppn = ppn * pagesPerBlock + pba.page;
-    ppn = ppn * planesPerDie + pba.plane;
-    ppn = ppn * diesPerChannel + pba.die;
-    ppn = ppn * numChannels + pba.channel;
-    return PageId{ppn};
-}
-
 void
 Geometry::validate() const
 {

@@ -61,9 +61,6 @@ struct Geometry
      */
     Pba decompose(PageId ppn) const;
 
-    /** Inverse of decompose(). */
-    PageId flatten(const Pba &pba) const;
-
     /** Validate the configuration; calls fatal() on nonsense. */
     void validate() const;
 };

@@ -42,6 +42,7 @@ class ExtentList
     void append(const Extent &extent);
 
     const std::vector<Extent> &extents() const { return extents_; }
+    /** reachability: test-observer — ExtentList.LocatesBytesAcrossExtents. */
     Sectors totalSectors() const { return totalSectors_; }
     Bytes totalBytes(Bytes sectorSize) const;
     bool empty() const { return extents_.empty(); }

@@ -56,6 +56,7 @@ class CpuModel
   public:
     explicit CpuModel(const CpuCosts &costs = {});
 
+    /** reachability: test-observer — CpuModel.SlsCostPerLookup. */
     const CpuCosts &costs() const { return costs_; }
 
     /** Dense forward through @p layers for @p batch samples. */

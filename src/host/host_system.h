@@ -44,7 +44,10 @@ class HostFileReader
                       Bytes byteOffset, Bytes bytes, Nanos now,
                       std::span<std::uint8_t> out);
 
-    PageCache &cache() { return cache_; }
+    /**
+     * reachability: test-observer — read by
+     * ReaderFixture.MissPaysDeviceAndKernelCosts.
+     */
     const PageCache &cache() const { return cache_; }
 
     /** Bytes actually fetched from the device (read amplification). */

@@ -50,15 +50,25 @@ class PageCache
      */
     bool access(const PageKey &key);
 
-    /** Non-mutating membership probe. */
+    /**
+     * Non-mutating membership probe.
+     * reachability: test-observer — read by
+     * PageCache.EvictsLeastRecentlyUsed and
+     * PageCacheDifferential.MatchesListMapReference.
+     */
     bool contains(const PageKey &key) const;
 
+    /**
+     * reachability: test-observer — read by
+     * ReaderFixture.MissPaysDeviceAndKernelCosts.
+     */
     std::uint64_t capacityPages() const { return capacity_; }
 
     const Counter &hits() const { return hits_; }
     const Counter &misses() const { return misses_; }
     const Counter &evictions() const { return evictions_; }
 
+    /** reachability: test-observer — PageCache.HitAfterInsert. */
     double hitRatio() const;
 
     /** Reset the hit/miss/eviction counters only. */

@@ -40,7 +40,10 @@ struct EmbeddingTableSpec
     /** Deterministic value of element (row, d). */
     float value(std::uint64_t row, std::uint32_t d) const;
 
-    /** Materialize one row. */
+    /**
+     * Materialize one row.
+     * reachability: test-observer — Embedding.SlsReferenceIsRowOrderFold.
+     */
     Vector row(std::uint64_t rowIndex) const;
 
     /** Serialize one row's fp32 bytes into @p out (vectorBytes()). */

@@ -63,7 +63,6 @@ FcLayer::paramBytes() const
 
 Mlp::Mlp(std::uint32_t inputDim, const std::vector<std::uint32_t> &widths,
          Activation lastActivation, std::uint64_t seed, Weights weights)
-    : inputDim_(inputDim)
 {
     RMSSD_ASSERT(!widths.empty(), "MLP with no layers");
     std::uint32_t in = inputDim;

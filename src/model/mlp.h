@@ -51,9 +51,13 @@ class FcLayer
 
     std::uint32_t inputs() const { return inputs_; }
     std::uint32_t outputs() const { return outputs_; }
-    Activation activation() const { return activation_; }
     bool hasWeights() const { return !bias_.empty(); }
 
+    /**
+     * reachability: test-observer — read by
+     * ShapesOnlyModel.KeepsShapesAndParamBytesButNoWeights and
+     * RmSsd.TimingOnlyDeviceBuildsNoWeights.
+     */
     const Matrix &weights() const { return weights_; }
 
     Vector forward(const Vector &x) const;
@@ -93,14 +97,12 @@ class Mlp
     Mlp() = default;
 
     const std::vector<FcLayer> &layers() const { return layers_; }
-    std::uint32_t inputDim() const { return inputDim_; }
 
     Vector forward(const Vector &x) const;
 
     std::uint64_t paramBytes() const;
 
   private:
-    std::uint32_t inputDim_ = 0;
     std::vector<FcLayer> layers_;
 };
 

@@ -1,9 +1,13 @@
 #include "workload/serving.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <exception>
+#include <limits>
 #include <map>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "sim/log.h"
@@ -462,6 +466,167 @@ simulateServing(engine::InferenceDevice &device,
     return result;
 }
 
+namespace {
+
+/**
+ * Batch slots of the trace-ahead ring at @p batchSize samples a
+ * batch: 16 samples, but never fewer than three batches. Three slots
+ * let the producer sleep through two releases (one wake per two
+ * batches) and still leave the consumer a batch ready when it wakes.
+ */
+std::uint32_t
+traceAheadSlots(std::uint32_t batchSize)
+{
+    constexpr std::uint32_t kRingSamples = 16;
+    return std::max<std::uint32_t>(3, kRingSamples /
+                                          std::max(batchSize, 1u));
+}
+
+/**
+ * A serving run's batches, drawn ahead on a second thread (DESIGN.md
+ * §13.4). The producer owns the generator from construction to
+ * destruction and draws batch r into slot r % slots once the consumer
+ * has released batch r - slots. Two counters carry the handoff:
+ * produced_ (batches drawn, written by the producer) and released_
+ * (batches handed back, written by the consumer), so a slot's bytes
+ * are complete before the other side sees its number. Every access is
+ * sequentially consistent: notify skips the wake when it sees no
+ * waiter, and only a full fence after the store keeps that check from
+ * passing a waiter that read the old count. The producer sleeps on a
+ * full ring and is woken once every wakeStride_ releases, so in
+ * steady state neither side makes a system call per batch; after its
+ * last draw it sleeps until the last release, then frees the ring.
+ */
+class TraceAhead
+{
+  public:
+    TraceAhead(TraceGenerator &gen, std::uint32_t batchSize,
+               std::uint32_t batches)
+        : slots_(std::min(traceAheadSlots(batchSize), batches)),
+          batches_(batches),
+          wakeStride_(std::max<std::uint32_t>(2, slots_ / 2)),
+          producer_([this, &gen, batchSize] { produce(gen, batchSize); })
+    {
+    }
+
+    TraceAhead(const TraceAhead &) = delete;
+    TraceAhead &operator=(const TraceAhead &) = delete;
+
+    /**
+     * Stops a producer still drawing (a loop unwinding early leaves
+     * one asleep on a full ring); producer_ joins it.
+     */
+    ~TraceAhead()
+    {
+        released_.store(kStopped);
+        released_.notify_one();
+    }
+
+    /**
+     * The next batch in draw order; valid until release(). Rethrows a
+     * failure to allocate the ring.
+     */
+    std::span<const model::Sample>
+    acquire()
+    {
+        RMSSD_ASSERT(next_ < batches_, "more dispatches than batches drawn");
+        std::uint32_t ready = produced_.load();
+        while (ready <= next_) {
+            produced_.wait(ready);
+            ready = produced_.load();
+        }
+        if (ready == kStopped)
+            std::rethrow_exception(failure_);
+        return ring_[next_ % slots_];
+    }
+
+    /** Hand the acquired batch's slot back to the producer. */
+    void
+    release()
+    {
+        ++next_;
+        released_.store(next_);
+        if (next_ % wakeStride_ == 0 || next_ == batches_)
+            released_.notify_one();
+    }
+
+  private:
+    /**
+     * A counter's value once its writer has stopped: released_ when
+     * the consumer is gone, produced_ when the ring could not be
+     * allocated.
+     */
+    static constexpr std::uint32_t kStopped =
+        std::numeric_limits<std::uint32_t>::max();
+
+    /** Wait until released_ reaches @p count or kStopped; returns it. */
+    std::uint32_t
+    awaitReleased(std::uint32_t count)
+    {
+        std::uint32_t done = released_.load();
+        while (done < count) {
+            released_.wait(done);
+            done = released_.load();
+        }
+        return done;
+    }
+
+    /**
+     * The ring is allocated, filled and freed on this thread, so its
+     * buffers come from this thread's malloc arena: the caller's
+     * later allocations never reuse lines that this core wrote last.
+     * The first lap's fills size the slots; later laps allocate
+     * nothing.
+     */
+    void
+    produce(TraceGenerator &gen, std::uint32_t batchSize)
+    {
+        try {
+            ring_.assign(slots_, std::vector<model::Sample>(batchSize));
+            for (std::uint32_t r = 0; r < batches_; ++r) {
+                std::uint32_t done = released_.load();
+                if (done != kStopped && r - done >= slots_) {
+                    // Full ring: sleep until the consumer's next wake
+                    // point past the release that frees slot r % slots_.
+                    const std::uint32_t need = r - slots_ + 1;
+                    done = awaitReleased((need + wakeStride_ - 1) /
+                                         wakeStride_ * wakeStride_);
+                }
+                if (done == kStopped)
+                    break;
+                for (model::Sample &sample : ring_[r % slots_])
+                    gen.fill(sample);
+                produced_.store(r + 1);
+                produced_.notify_one();
+            }
+        } catch (...) {
+            failure_ = std::current_exception();
+            produced_.store(kStopped);
+            produced_.notify_one();
+            return;
+        }
+        // The consumer reads the slots until its last release.
+        awaitReleased(batches_);
+        ring_ = {};
+    }
+
+    const std::uint32_t slots_;
+    const std::uint32_t batches_;
+    const std::uint32_t wakeStride_;
+    std::vector<std::vector<model::Sample>> ring_; //!< producer's
+    std::exception_ptr failure_;
+    std::uint32_t next_ = 0; //!< consumer only: batches acquired
+    alignas(64) std::atomic<std::uint32_t> produced_{0};
+    alignas(64) std::atomic<std::uint32_t> released_{0};
+    // det-safe: the producer is the generator's only user until the
+    // join and draws batches in the order the consumer takes them; the
+    // ring moves the draw to another core, not its order. Declared
+    // last: started after every other member, joined before they go.
+    std::jthread producer_;
+};
+
+} // namespace
+
 ServingResult
 simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
                 const ServingConfig &config)
@@ -498,10 +663,15 @@ simulateServing(engine::InferenceDevice &device, TraceGenerator &gen,
             }
         }
     }
+    TraceAhead trace(gen, config.batchSize, config.numRequests);
     return simulateServing(
         device, arrivals,
         [&](std::uint32_t) {
-            return device.submit(gen.nextBatch(config.batchSize));
+            // The slot outlives submit as nextBatch's temporary did:
+            // a device copies what it keeps of a request.
+            const engine::RequestId id = device.submit(trace.acquire());
+            trace.release();
+            return id;
         },
         config);
 }

@@ -248,7 +248,16 @@ ServingResult simulateServing(engine::InferenceDevice &device,
 /**
  * The loop over Poisson arrivals drawn from Rng(config.seed): per
  * request one exponential gap, then (two or more classes) one class
- * pick by share. Each dispatch submits gen.nextBatch(batchSize).
+ * pick by share. Dispatch r submits the generator's r-th batch of
+ * config.batchSize samples, exactly what gen.nextBatch would return.
+ *
+ * A second thread draws the batches ahead (DESIGN.md §13.4): for the
+ * length of the call it owns @p gen, drawing exactly
+ * config.numRequests batches into a ring of reused batch slots (16
+ * samples' worth, at least three batches, at most one per request),
+ * and it is joined before the call returns or unwinds. The
+ * caller must not touch @p gen meanwhile; afterwards @p gen is where
+ * config.numRequests inline nextBatch calls would have left it.
  */
 ServingResult simulateServing(engine::InferenceDevice &device,
                               TraceGenerator &gen,

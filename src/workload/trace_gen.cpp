@@ -50,14 +50,13 @@ TraceGenerator::drawIndexWith(Rng &rng, std::uint32_t table) const
     return rows_.mod(rng.next());
 }
 
-model::Sample
-TraceGenerator::next()
+void
+TraceGenerator::fill(model::Sample &s)
 {
     // Draw through a local copy: the member's state would be reloaded
     // after every index store, which the compiler cannot prove does
     // not alias it.
     Rng rng = rng_;
-    model::Sample s;
     s.dense.resize(config_.denseInputDim());
     for (auto &v : s.dense)
         v = static_cast<float>(rng.nextDouble());
@@ -68,16 +67,22 @@ TraceGenerator::next()
             idx = drawIndexWith(rng, t);
     }
     rng_ = rng;
+}
+
+model::Sample
+TraceGenerator::next()
+{
+    model::Sample s;
+    fill(s);
     return s;
 }
 
 std::vector<model::Sample>
 TraceGenerator::nextBatch(std::uint32_t n)
 {
-    std::vector<model::Sample> batch;
-    batch.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i)
-        batch.push_back(next());
+    std::vector<model::Sample> batch(n);
+    for (model::Sample &s : batch)
+        fill(s);
     return batch;
 }
 

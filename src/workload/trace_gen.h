@@ -65,6 +65,13 @@ class TraceGenerator
     /** Next @p n samples as a request batch. */
     std::vector<model::Sample> nextBatch(std::uint32_t n);
 
+    /**
+     * Draw the next sample into @p s, reusing its buffers: the one
+     * draw body next() and nextBatch() run. Whatever @p s held
+     * (any shape) is overwritten; the result equals next().
+     */
+    void fill(model::Sample &s);
+
     /** Restart the stream from its seed. */
     void reset();
 

@@ -5,5 +5,6 @@ int
 main()
 {
     const Widget w;
-    return w.testOnlyCount() + w.calls() + w.probes() + bindingTestHook();
+    return w.testOnlyCount() + w.calls() + w.probes() + w.hidden() +
+           bindingTestHook();
 }

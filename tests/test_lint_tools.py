@@ -109,6 +109,15 @@ class LintDeterminismTest(unittest.TestCase):
             "tests/lint_fixtures/det_isa.cpp:9"], r.stdout)
         self.assertIn("belongs only in src/model/tensor.cpp", r.stdout)
 
+    def test_flags_threads_without_a_reason(self):
+        r = run_tool("lint_determinism.py", FIXTURES / "det_thread.cpp")
+        self.assertEqual(r.returncode, 1, r.stdout)
+        findings = [l.strip() for l in r.stdout.splitlines()
+                    if l.startswith("  ")]
+        self.assertEqual(len(findings), 1, r.stdout)
+        self.assertIn("det_thread.cpp:10: thread schedules are host "
+                      "state", findings[0])
+
     def test_repo_sources_are_clean(self):
         r = run_tool("lint_determinism.py")
         self.assertEqual(r.returncode, 0, r.stdout)
@@ -122,21 +131,27 @@ class LintReachabilityTest(unittest.TestCase):
         # Header level: reached by bench/, by a same-directory include,
         # or marked with a reason (used.h, sibling.h, entry.h) is
         # clean. Function level: a call through the base reaches the
-        # override (square.h), an entry-point header covers its
-        # test-only function (binding.h), and a test observer with a
-        # reason is accepted (Widget::calls).
+        # override (square.h), an unqualified call in a derived class
+        # reaches the base's helper (Shape::unit) and one in its own
+        # class a private helper (Widget::tally), an entry-point header
+        # covers its test-only function (binding.h), and a test
+        # observer with a reason is accepted (Widget::calls). A free
+        # function named like a method does not reach it
+        # (Widget::hidden).
         findings = [l.strip().split(" (")[0] for l in r.stdout.splitlines()
                     if l.startswith("  ")]
+        called = ("is called nowhere in src, bench, examples, tools as "
+                  "a member")
         self.assertEqual(findings, [
             "src/core/bad_marker.h: entry-point marker has no reason",
             "src/core/orphan.h: no includer in src, bench, examples, "
             "tools besides its own .cpp",
-            "src/core/widget.h:9: Widget::testOnlyCount is named nowhere "
-            "in src, bench, examples, tools besides its declarations "
-            "and definitions",
-            "src/core/widget.h:15: Widget::probes: test-observer marker "
+            f"src/core/widget.h:12: Widget::testOnlyCount {called}",
+            "src/core/widget.h:18: Widget::probes: test-observer marker "
             "has no reason",
+            f"src/core/widget.h:20: Widget::hidden {called}",
         ], r.stdout)
+
 
     def test_repo_headers_are_reachable(self):
         r = run_tool("lint_reachability.py")

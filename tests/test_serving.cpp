@@ -15,6 +15,8 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "host/embedding_tier.h"
 #include "model/model_zoo.h"
 #include "sim/rng.h"
+#include "sim/stats.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -433,13 +436,51 @@ expectSameResult(const ServingResult &a, const ServingResult &b)
     }
 }
 
+/**
+ * The arrivals the Poisson form draws from Rng(sc.seed) for zero, one
+ * or two classes: one exponential gap per request, then a class pick
+ * by share with two classes.
+ */
+std::vector<Arrival>
+poissonTwoClassArrivals(const ServingConfig &sc)
+{
+    const std::vector<ServingClass> &classes = sc.slo.classes;
+    Rng rng(sc.seed);
+    double arrivalNanos = 0.0;
+    std::vector<Arrival> arrivals;
+    for (std::uint32_t r = 0; r < sc.numRequests; ++r) {
+        const double u = std::max(rng.nextDouble(), 1e-12);
+        arrivalNanos += -1e9 / sc.arrivalQps * std::log(u);
+        Arrival arrival;
+        arrival.at = nanosToCycles(
+            Nanos{static_cast<std::uint64_t>(arrivalNanos)});
+        if (classes.size() > 1) {
+            const double pick =
+                rng.nextDouble() * (classes[0].share + classes[1].share);
+            arrival.cls = pick < classes[0].share ? 0 : 1;
+        }
+        arrivals.push_back(arrival);
+    }
+    return arrivals;
+}
+
 TEST(ServingLoop, PoissonFormReplaysFromSeed)
 {
     // The Poisson form is the explicit-list form over arrivals drawn
     // from Rng(config.seed): one exponential gap per request, then a
     // class pick by share only with two or more classes. The
     // benchmark's latency check replays exactly this sequence.
+    //
+    // The generator form also draws its batches ahead on a second
+    // thread, while the list form below draws each inline at
+    // dispatch. Around the ring's wrap (one slot short, exact, one
+    // over, ten laps) the device must see the same bytes in the same
+    // order: equal results, equal stats dumps, and generators left at
+    // the same stream position. The ring holds 16 samples' worth of
+    // batches, at least three (serving.h).
     const model::ModelConfig config = tinyConfig();
+    TraceConfig trace = localityK(0.3);
+    trace.hotRowsPerTable = 32;
     ServingClass premium;
     premium.name = "premium";
     premium.priority = 1;
@@ -447,53 +488,64 @@ TEST(ServingLoop, PoissonFormReplaysFromSeed)
     ServingClass bulk;
     bulk.name = "bulk";
     bulk.share = 3.0;
+    const auto makeDevice = [&] {
+        engine::RmSsdOptions options;
+        options.functional = true;
+        options.evCache.enabled = true;
+        auto device = std::make_unique<engine::RmSsd>(config, options);
+        device->loadTables();
+        return device;
+    };
+    const auto statsDump = [](const engine::InferenceDevice &device) {
+        StatsRegistry registry;
+        device.registerStats(registry, "dev");
+        std::ostringstream dump;
+        registry.dump(dump);
+        return dump.str();
+    };
     const std::vector<std::vector<ServingClass>> classSets = {
         {}, {premium, bulk}};
     for (const std::vector<ServingClass> &classes : classSets) {
-        SCOPED_TRACE(std::to_string(classes.size()) + " class(es)");
-        ServingConfig sc;
-        sc.arrivalQps = 20'000.0;
-        sc.numRequests = 80;
-        sc.queueDepth = 4;
-        sc.slo.classes = classes;
+        for (const std::uint32_t batch : {1u, 3u, 8u}) {
+            const std::uint32_t ring = std::max(3u, 16u / batch);
+            for (const std::uint32_t requests :
+                 {1u, ring - 1, ring, ring + 1, 10 * ring}) {
+                SCOPED_TRACE(std::to_string(classes.size()) +
+                             " class(es), batch " + std::to_string(batch) +
+                             ", " + std::to_string(requests) +
+                             " requests");
+                ServingConfig sc;
+                sc.arrivalQps = 20'000.0;
+                sc.batchSize = batch;
+                sc.numRequests = requests;
+                sc.queueDepth = 4;
+                sc.slo.classes = classes;
 
-        engine::RmSsd poissonDevice(config, engine::RmSsdOptions{});
-        poissonDevice.loadTables();
-        TraceGenerator poissonGen(config, localityK(0.3));
-        const ServingResult poisson =
-            simulateServing(poissonDevice, poissonGen, sc);
+                const auto poissonDevice = makeDevice();
+                TraceGenerator poissonGen(config, trace);
+                const ServingResult poisson =
+                    simulateServing(*poissonDevice, poissonGen, sc);
 
-        Rng rng(sc.seed);
-        double shareSum = 0.0;
-        for (const ServingClass &cls : classes)
-            shareSum += cls.share;
-        double arrivalNanos = 0.0;
-        std::vector<Arrival> arrivals;
-        for (std::uint32_t r = 0; r < sc.numRequests; ++r) {
-            const double u = std::max(rng.nextDouble(), 1e-12);
-            arrivalNanos += -1e9 / sc.arrivalQps * std::log(u);
-            Arrival arrival;
-            arrival.at = nanosToCycles(
-                Nanos{static_cast<std::uint64_t>(arrivalNanos)});
-            if (classes.size() > 1) {
-                const double pick = rng.nextDouble() * shareSum;
-                arrival.cls = pick < classes[0].share ? 0 : 1;
+                const auto listDevice = makeDevice();
+                TraceGenerator listGen(config, trace);
+                const ServingResult listed = simulateServing(
+                    *listDevice, poissonTwoClassArrivals(sc),
+                    [&](std::uint32_t) {
+                        return listDevice->submit(listGen.nextBatch(batch));
+                    },
+                    sc);
+
+                expectSameResult(poisson, listed);
+                EXPECT_EQ(statsDump(*poissonDevice), statsDump(*listDevice));
+                const model::Sample x = poissonGen.next();
+                const model::Sample y = listGen.next();
+                EXPECT_EQ(x.dense, y.dense);
+                EXPECT_EQ(x.indices, y.indices);
+                if (classes.size() > 1 && requests == 10 * ring) {
+                    EXPECT_GT(poisson.classes[0].requests, 0u);
+                    EXPECT_GT(poisson.classes[1].requests, 0u);
+                }
             }
-            arrivals.push_back(arrival);
-        }
-        engine::RmSsd listDevice(config, engine::RmSsdOptions{});
-        listDevice.loadTables();
-        TraceGenerator listGen(config, localityK(0.3));
-        const ServingResult listed = simulateServing(
-            listDevice, arrivals,
-            [&](std::uint32_t) {
-                return listDevice.submit(listGen.nextBatch(sc.batchSize));
-            },
-            sc);
-        expectSameResult(poisson, listed);
-        if (classes.size() > 1) {
-            EXPECT_GT(poisson.classes[0].requests, 0u);
-            EXPECT_GT(poisson.classes[1].requests, 0u);
         }
     }
 }
@@ -514,6 +566,8 @@ class RecordingDevice final : public engine::InferenceDevice
     engine::InferenceOutcome
     infer(std::span<const model::Sample> samples) override
     {
+        if (batches.size() == failAt)
+            throw std::runtime_error("injected submit failure");
         batches.emplace_back(samples.begin(), samples.end());
         const Cycle start = now_;
         now_ = now_ + service_;
@@ -543,6 +597,8 @@ class RecordingDevice final : public engine::InferenceDevice
     std::uint32_t pipelineMicroBatch() const override { return 1; }
 
     std::vector<std::vector<model::Sample>> batches;
+    /** The submit that throws instead of recording (none by default). */
+    std::size_t failAt = SIZE_MAX;
 
   private:
     model::DlrmModel model_;
@@ -589,6 +645,23 @@ TEST(ServingLoop, BatchesFollowDispatchOrder)
             EXPECT_EQ(got[s].indices, expected[s].indices) << i;
         }
     }
+}
+
+TEST(Serving, TraceAheadStopsWhenTheLoopUnwinds)
+{
+    // A submit that throws unwinds the loop with most of the run
+    // still to draw, the producer drawing or asleep on a full ring.
+    // The exception must reach the caller: the producer is stopped
+    // and joined, not left to hang or to terminate the process.
+    const model::ModelConfig config = tinyConfig();
+    RecordingDevice device(config, Nanos{10'000});
+    device.failAt = 2;
+    TraceGenerator gen(config, localityK(0.3));
+    ServingConfig sc;
+    sc.arrivalQps = 5e6;
+    sc.numRequests = 160; // ten laps of the 16-sample ring
+    EXPECT_THROW(simulateServing(device, gen, sc), std::runtime_error);
+    EXPECT_EQ(device.batches.size(), 2u);
 }
 
 } // namespace

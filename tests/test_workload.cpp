@@ -286,6 +286,33 @@ TEST(TraceGenerator, ResetRestartsTheStream)
     EXPECT_EQ(gen.next().indices, first.indices);
 }
 
+TEST(TraceGenerator, FillIntoDirtyBuffersEqualsNext)
+{
+    // fill() reuses whatever buffers it is handed: too long, too
+    // short, wrong table count, stale values. Each must come out as
+    // exactly the sample next() draws at the same stream position.
+    const model::ModelConfig cfg = smallConfig();
+    TraceGenerator filled(cfg, localityK(0.3));
+    TraceGenerator fresh(cfg, localityK(0.3));
+    std::vector<model::Sample> dirty(4);
+    dirty[0].dense.assign(cfg.denseInputDim() + 7, -1.0f);
+    dirty[0].indices.assign(cfg.numTables + 3,
+                            std::vector<std::uint64_t>(5, 99));
+    dirty[1].dense.assign(1, 42.0f);
+    dirty[1].indices.assign(1, std::vector<std::uint64_t>(
+                                   cfg.lookupsPerTable * 2, 7));
+    dirty[2].indices.resize(cfg.numTables);
+    dirty[2].indices.back().assign(1, 3);
+    for (int round = 0; round < 2; ++round) {
+        for (model::Sample &sample : dirty) {
+            filled.fill(sample);
+            const model::Sample expected = fresh.next();
+            EXPECT_EQ(sample.dense, expected.dense);
+            EXPECT_EQ(sample.indices, expected.indices);
+        }
+    }
+}
+
 TEST(TraceGenerator, IndicesAreInRange)
 {
     const model::ModelConfig cfg = smallConfig();

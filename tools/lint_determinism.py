@@ -28,13 +28,18 @@ that assumption:
    Code chosen by the CPU it runs on must compute the same bits on
    every host; gemv()'s bodies in tensor.cpp are the one audited place
    where that is argued (DESIGN.md section 6) and tested bit for bit.
+6. Threads: ``std::thread``, ``std::jthread`` and ``std::async``. The
+   order in which threads run is host state; a thread is accepted only
+   where the code says why no result can depend on it (one owner per
+   piece of state, results joined in a fixed order).
 
-Escape hatch (rules 1-4): a finding whose line (or the line directly
-above it) carries ``// det-safe: <reason>`` is accepted, but only with a
-non-empty reason — the annotation documents WHY the fold is
-order-insensitive (e.g. a commutative sum/min/max, or a total-order
-sort re-establishing the order before it can leak). A bare
-``det-safe`` with no reason is itself a finding.
+Escape hatch (rules 1-4 and 6): a finding whose line (or the
+contiguous ``//`` comment block directly above it) carries
+``// det-safe: <reason>`` is accepted, but only with a non-empty reason
+— the annotation documents WHY the fold is order-insensitive (e.g. a
+commutative sum/min/max, or a total-order sort re-establishing the
+order before it can leak) or why a thread's schedule cannot reach a
+result. A bare ``det-safe`` with no reason is itself a finding.
 
 Usage:
     lint_determinism.py [PATH...]
@@ -92,6 +97,9 @@ BANNED = [
     (re.compile(r"\bgetenv\s*\("),
      "environment reads make results depend on the launch "
      "environment (the determinism gate varies it)"),
+    (re.compile(r"\bstd::(?:j?thread|async)\b"),
+     "thread schedules are host state; say why no result depends on "
+     "them (annotate det-safe with a reason)"),
 ]
 
 # Ordered containers keyed by a pointer type order by address — i.e.

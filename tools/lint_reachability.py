@@ -15,15 +15,24 @@ name the header by its ``src/``-relative path (``#include
 name.
 
 Function level. Every function and method a ``src/`` header declares
-counts as reached when some file under those four directories names
-it, other than at a declaration or definition. Matching is by name:
-a call of any function with the same name counts, so an override is
-reached through a call of its base's virtual, and an overload through
-a call of any of its siblings. The lint can therefore miss dead code,
-but it never flags a name that something outside the tests uses.
-Constructors, destructors, operators and ``= delete`` declarations are
-not checked. A function declared in a header that the header level
-already flags is not reported again.
+must be reached from some file under those four directories, other
+than at a declaration or definition. A free function is reached when
+its name appears at all. A method is reached only through a member
+use of its name: ``obj.name(``, ``ptr->name(``, ``Class::name`` (a
+call or ``&Class::name``), or an unqualified ``name(`` inside the
+body of a class related to its own by inheritance (its own class, a
+base or a derived class: a member calling its sibling, an override
+called by its base's code). A free function ``name(`` elsewhere does
+not reach a method of that name. Matching is still by name: a member
+call of any function with the same name counts, so an override is
+reached through a call of its base's virtual, an overload through a
+call of any of its siblings, and a method through a same-named method
+of any other class (``std::map::contains`` hides a ``contains`` of
+ours). The lint can therefore miss dead code, but it never flags a
+name that something outside the tests uses. Constructors,
+destructors, operators and ``= delete`` declarations are not checked.
+A function declared in a header that the header level already flags
+is not reported again.
 
 Files under ``tests/`` never count, and comments and string literals
 name nothing.
@@ -78,6 +87,12 @@ LEXEMES_RE = re.compile(
     re.S)
 PREPROCESSOR_RE = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.M)
 TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\d[\w'.]*|::|->|&&|\S")
+# A member use of a name: obj.name( / ptr->name( (or a template call,
+# name<), or X::name (a qualified call or a member pointer). Matched on
+# the masked text, so macro bodies count.
+MEMBER_USE_RE = re.compile(
+    r"(?:(?:\.|->)\s*(?P<name>[A-Za-z_]\w*)\s*[(<]"
+    r"|::\s*(?P<qname>[A-Za-z_]\w*))")
 
 SCOPE_KEYWORDS = {"namespace", "class", "struct", "union", "extern"}
 CLASS_KEYWORDS = {"class", "struct", "union"}
@@ -112,6 +127,17 @@ class Decl:
     qualname: str
     line: int       # 1-based line of the name
     first_line: int  # 1-based line where the declaration starts
+    is_method: bool  # declared inside a class body
+    owner: str       # the class of a method, "" for a free function
+
+
+@dataclass
+class Scope:
+    """One open brace: a class (``name``), a namespace (``name`` ""),
+    or code (``code``) inside the classes ``context``."""
+    name: str
+    code: bool
+    context: tuple[str, ...]
 
 
 class Unit:
@@ -132,7 +158,17 @@ class Unit:
                        for m in TOKEN_RE.finditer(code)]
         self.decls: list[Decl] = []
         self.decl_offsets: set[int] = set()
+        # Unqualified calls with the classes whose code makes them, and
+        # the base classes of the classes defined here.
+        self.bare_calls: set[tuple[str, tuple[str, ...]]] = set()
+        self.bases: dict[str, set[str]] = {}
         self._scan()
+        # Names used as members: obj.name(, ptr->name(, X::name.
+        self.member_uses: set[str] = set()
+        for m in MEMBER_USE_RE.finditer(masked):
+            group = "name" if m.group("name") else "qname"
+            if m.start(group) not in self.decl_offsets:
+                self.member_uses.add(m.group(group))
 
     def line_of(self, offset: int) -> int:
         return bisect.bisect_right(self.line_starts, offset)
@@ -144,31 +180,93 @@ class Unit:
         ``extern "C"``), whose statements are scanned, or code (a
         function body, an initializer, an enum), which is skipped.
         """
-        scopes: list[str | None] = []  # class name, "" or None for code
+        scopes: list[Scope] = []
         stmt: list[int] = []
         for i, (tok, _) in enumerate(self.tokens):
-            in_code = bool(scopes) and scopes[-1] is None
+            in_code = bool(scopes) and scopes[-1].code
+            if in_code and self._is_bare_call(i):
+                self.bare_calls.add((tok, scopes[-1].context))
             if tok == "{":
                 if not in_code:
                     kind = self._scope_name(stmt)
+                    classes = tuple(s.name for s in scopes if s.name)
                     if kind is None:
-                        self._record(stmt, scopes)
-                    scopes.append(kind)
+                        # A function body (or an initializer): its code
+                        # runs inside the classes around it, or those
+                        # its qualified name names (C::f).
+                        self._record(stmt, classes)
+                        context = classes + self._qualifiers(stmt)
+                        for j in stmt:
+                            if self._is_bare_call(j):
+                                self.bare_calls.add(
+                                    (self.tokens[j][0], context))
+                        scopes.append(Scope("", True, context))
+                    else:
+                        if kind:
+                            self._record_bases(kind, stmt)
+                        scopes.append(Scope(kind, False, classes))
                     stmt = []
                 else:
-                    scopes.append(None)
+                    scopes.append(Scope("", True, scopes[-1].context))
             elif tok == "}":
                 if scopes:
                     scopes.pop()
-                if not scopes or scopes[-1] is not None:
+                if not scopes or not scopes[-1].code:
                     stmt = []
             elif in_code:
                 continue
             elif tok == ";":
-                self._record(stmt, scopes)
+                self._record(stmt,
+                             tuple(s.name for s in scopes if s.name))
                 stmt = []
             else:
                 stmt.append(i)
+
+    def _qualifiers(self, stmt: list[int]) -> tuple[str, ...]:
+        """The scopes a definition's name is qualified with (``C`` in
+        ``C::f(`` or ``C::C(``)."""
+        words = self._words(stmt)
+        if "(" not in words:
+            return ()
+        j = words.index("(") - 1
+        quals: list[str] = []
+        while j >= 2 and words[j - 1] == "::":
+            quals.insert(0, words[j - 2])
+            j -= 2
+        return tuple(quals)
+
+    def _is_bare_call(self, i: int) -> bool:
+        """Token i is an unqualified call: ``name(``, not ``.name(``,
+        ``->name(`` or ``X::name(``."""
+        tok = self.tokens[i][0]
+        return (re.fullmatch(r"[A-Za-z_]\w*", tok) is not None
+                and tok not in KEYWORDS
+                and i + 1 < len(self.tokens)
+                and self.tokens[i + 1][0] == "("
+                and (i == 0 or self.tokens[i - 1][0] not in
+                     {".", "->", "::"})
+                and self.tokens[i][1] not in self.decl_offsets)
+
+    def _record_bases(self, name: str, stmt: list[int]) -> None:
+        """The base classes after ``class name :`` (last component of
+        each qualified name, template arguments skipped)."""
+        words = self._words(stmt)
+        if ":" not in words:
+            return
+        bases, depth = set(), 0
+        last = None
+        for w in words[words.index(":") + 1:] + [","]:
+            depth += (w == "<") - (w == ">")
+            if depth:
+                continue
+            if w == ",":
+                if last:
+                    bases.add(last)
+                last = None
+            elif (re.fullmatch(r"[A-Za-z_]\w*", w) and w not in ACCESS
+                  and w != "virtual"):
+                last = w
+        self.bases.setdefault(name, set()).update(bases)
 
     def _words(self, stmt: list[int]) -> list[str]:
         return [self.tokens[i][0] for i in stmt]
@@ -202,7 +300,9 @@ class Unit:
                 k += 1
         return ""
 
-    def _record(self, stmt: list[int], scopes: list[str | None]) -> None:
+    def _record(self, stmt: list[int], classes: tuple[str, ...]) -> None:
+        """Record the function this statement declares or defines, if
+        any; ``classes`` are the class bodies around it."""
         words = self._words(stmt)
         while len(words) >= 2 and words[0] in ACCESS and words[1] == ":":
             stmt, words = stmt[2:], words[2:]
@@ -224,7 +324,7 @@ class Unit:
         typeish = (prev in TYPE_KEYWORDS or prev in {">", "*", "&", "&&"}
                    or (re.fullmatch(r"[A-Za-z_]\w*", prev)
                        and prev not in KEYWORDS))
-        cls = next((s for s in reversed(scopes) if s), "")
+        cls = classes[-1] if classes else ""
         owner = quals[-1] if quals else cls
         if not typeish or name == owner:
             return
@@ -234,7 +334,9 @@ class Unit:
             name=name,
             qualname="::".join(q for q in [owner, name] if q),
             line=self.line_of(offset),
-            first_line=self.line_of(self.tokens[stmt[0]][1])))
+            first_line=self.line_of(self.tokens[stmt[0]][1]),
+            is_method=bool(cls),
+            owner=owner))
 
     def observer_reason(self, decl: Decl) -> str | None:
         """The test-observer marker's reason, or None without a marker."""
@@ -308,12 +410,50 @@ def lint_headers(root: pathlib.Path) -> tuple[list[str], set]:
     return findings, skip
 
 
+def ancestors(units: list[Unit]) -> dict[str, set[str]]:
+    """Each class that has bases, with all of them (transitively) and
+    itself."""
+    bases: dict[str, set[str]] = {}
+    for u in units:
+        for cls, direct in u.bases.items():
+            bases.setdefault(cls, set()).update(direct)
+
+    def up(cls: str) -> set[str]:
+        seen, todo = {cls}, [cls]
+        while todo:
+            for base in bases.get(todo.pop(), set()) - seen:
+                seen.add(base)
+                todo.append(base)
+        return seen
+
+    return {cls: up(cls) for cls in bases}
+
+
+def method_reached(d: Decl, member_uses: set[str],
+                   bare_calls: dict[str, list[tuple[str, ...]]],
+                   lineage: dict[str, set[str]]) -> bool:
+    """A member use of the name, or an unqualified call of it in the
+    code of the method's class, a base or a derived class."""
+    if d.name in member_uses:
+        return True
+    owner_up = lineage.get(d.owner, {d.owner})
+    return any(cls in owner_up or d.owner in lineage.get(cls, {cls})
+               for context in bare_calls.get(d.name, [])
+               for cls in context)
+
+
 def lint_functions(root: pathlib.Path, skip: set) -> list[str]:
     units = [Unit(p) for p in sources(root)]
     used: set[str] = set()
+    member_uses: set[str] = set()
+    bare_calls: dict[str, list[tuple[str, ...]]] = {}
     for u in units:
         used.update(name for name, off in u.idents
                     if off not in u.decl_offsets)
+        member_uses |= u.member_uses
+        for name, context in u.bare_calls:
+            bare_calls.setdefault(name, []).append(context)
+    lineage = ancestors(units)
 
     findings = []
     for u in units:
@@ -327,7 +467,18 @@ def lint_functions(root: pathlib.Path, skip: set) -> list[str]:
                 findings.append(
                     f"{where}:{d.line}: {d.qualname}: test-observer "
                     f"marker has no reason (name the test that reads it)")
-            elif d.name not in used and reason is None:
+            elif reason is not None:
+                continue
+            elif d.is_method and not method_reached(
+                    d, member_uses, bare_calls, lineage):
+                findings.append(
+                    f"{where}:{d.line}: {d.qualname} is called nowhere in "
+                    f"{', '.join(INCLUDER_DIRS)} as a member (obj.name(, "
+                    f"ptr->name(, Class::name, or unqualified inside a "
+                    f"related class) (delete it, or mark an accessor "
+                    f"that tests read with "
+                    f"'reachability: test-observer <reason>')")
+            elif not d.is_method and d.name not in used:
                 findings.append(
                     f"{where}:{d.line}: {d.qualname} is named nowhere in "
                     f"{', '.join(INCLUDER_DIRS)} besides its declarations "
