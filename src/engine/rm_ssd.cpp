@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "ftl/extent.h"
 #include "sim/log.h"
@@ -157,14 +156,11 @@ RmSsd::makeMapping(const RmSsdOptions &options)
 }
 
 std::uint64_t
-RmSsd::applyHotSet(std::span<const PageId> hot, bool timed,
-                   std::uint64_t maxSwaps)
+RmSsd::applySwaps(std::span<const ftl::FrequencyMapping::Swap> swaps,
+                  bool timed)
 {
     RMSSD_ASSERT(freqMapping_ != nullptr,
                  "placement pass without a frequency mapping");
-    const std::vector<ftl::FrequencyMapping::Swap> swaps =
-        freqMapping_->planHotSet(hot, maxSwaps);
-
     // Only a functional device keeps page bytes, so only it has
     // content to move: a timing-only device writes no table bytes and
     // returns no outputs, so copies there would be unobservable.
@@ -210,44 +206,26 @@ RmSsd::planPlacement(std::span<const RowHeat> rows)
         return;
     const std::vector<PageId> hot =
         planHotPages(*translator_, rows, options_.placement.hotPageCount);
-    applyHotSet(hot, /*timed=*/false,
-                std::numeric_limits<std::uint64_t>::max());
+    applySwaps(freqMapping_->planHotSet(hot), /*timed=*/false);
     freqMapping_->resetObservation();
 }
 
 std::uint64_t
 RmSsd::migrateIfDrifted()
 {
-    if (!freqMapping_)
-        return 0;
-    if (freqMapping_->observedReads() <
-        options_.placement.minObservedReads)
-        return 0;
-
-    const std::vector<PageId> hot =
-        freqMapping_->observedHot(options_.placement.hotPageCount);
-    if (hot.empty())
+    const PlacementOptions &placement = options_.placement;
+    if (!freqMapping_ ||
+        freqMapping_->observedReads() < placement.minObservedReads)
         return 0;
 
-    // Drift = fraction of the observed hot set living outside the
-    // striped hot tier. Membership is what balances dies, so pages
-    // already inside the tier (any slot) are not drift.
-    std::uint64_t missing = 0;
-    for (const PageId lpn : hot) {
-        if (freqMapping_->translate(lpn).raw() >=
-            options_.placement.hotPageCount)
-            ++missing;
-    }
-    const double drift = static_cast<double>(missing) /
-                         static_cast<double>(hot.size());
-    if (missing == 0 ||
-        drift <= options_.placement.migrationDriftThreshold) {
-        freqMapping_->resetObservation();
+    const ftl::FrequencyMapping::MigrationPlan plan =
+        freqMapping_->planMigration(placement.hotPageCount,
+                                    placement.migrationDriftThreshold,
+                                    placement.maxSwapsPerPass);
+    if (plan.observed == 0)
         return 0;
-    }
 
-    const std::uint64_t moved = applyHotSet(
-        hot, /*timed=*/true, options_.placement.maxSwapsPerPass);
+    const std::uint64_t moved = applySwaps(plan.swaps, /*timed=*/true);
     if (moved > 0) {
         migrationPasses_.inc();
         migratedPages_.inc(moved);

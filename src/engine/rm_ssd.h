@@ -350,14 +350,15 @@ class RmSsd : public PipelinedDevice<RmSsdRequest>
     makeMapping(const RmSsdOptions &options);
 
     /**
-     * Execute a hot-set plan, up to @p maxSwaps relocations: per swap,
-     * the page-byte copy (functional devices only; a timing-only
-     * device keeps no bytes to move), the timed flash reads and
-     * programs (when @p timed), then the mapping commit.
+     * Execute planned relocations: per swap, the page-byte copy
+     * (functional devices only; a timing-only device keeps no bytes to
+     * move), the timed flash reads and programs (when @p timed), then
+     * the mapping commit.
      * @return pages moved (2 per swap)
      */
-    std::uint64_t applyHotSet(std::span<const PageId> hot, bool timed,
-                              std::uint64_t maxSwaps);
+    std::uint64_t
+    applySwaps(std::span<const ftl::FrequencyMapping::Swap> swaps,
+               bool timed);
 
     model::ModelConfig config_;
     RmSsdOptions options_;

@@ -1,11 +1,85 @@
 #include "ftl/freq_mapping.h"
 
 #include <algorithm>
-#include <utility>
+#include <cstddef>
 
 #include "sim/rng.h"
 
 namespace rmssd::ftl {
+
+namespace {
+
+/** One hot page: its heat count, logical page and physical page. */
+struct HotPage
+{
+    std::uint64_t count;
+    PageId lpn;
+    PageId ppn;
+};
+
+/** Hotter first: count descending, then LPN ascending (a total order). */
+bool
+hotter(const HotPage &a, const HotPage &b)
+{
+    return a.count > b.count || (a.count == b.count && a.lpn < b.lpn);
+}
+
+/**
+ * Keep the @p k hottest of @p pages, in no particular order. The order
+ * is total, so they are the k first of a full sort.
+ */
+void
+keepHottest(std::vector<HotPage> &pages, std::uint64_t k)
+{
+    if (pages.size() <= k)
+        return;
+    std::nth_element(pages.begin(),
+                     pages.begin() + static_cast<std::ptrdiff_t>(k),
+                     pages.end(), hotter);
+    pages.resize(static_cast<std::size_t>(k));
+}
+
+/**
+ * Drop from @p pages, order kept, every page already inside the tier
+ * [0, slotTaken.size()), and mark its slot taken: hot pages in the
+ * tier keep their slot, so it is not free for incoming pages.
+ */
+void
+keepMovers(std::vector<HotPage> &pages, std::vector<bool> &slotTaken)
+{
+    const std::uint64_t tier = slotTaken.size();
+    std::erase_if(pages, [&](const HotPage &page) {
+        if (page.ppn.raw() >= tier)
+            return false;
+        slotTaken[page.ppn.raw()] = true;
+        return true;
+    });
+}
+
+/**
+ * One swap per page of @p movers, in order, into the free slots of
+ * @p slotTaken in ascending order; each slot's occupant is displaced.
+ */
+std::vector<FrequencyMapping::Swap>
+swapsIntoFreeSlots(const FrequencyMapping &mapping,
+                   std::span<const HotPage> movers,
+                   const std::vector<bool> &slotTaken)
+{
+    std::vector<FrequencyMapping::Swap> swaps;
+    swaps.reserve(movers.size());
+    std::uint64_t slot = 0;
+    for (const HotPage &page : movers) {
+        while (slot < slotTaken.size() && slotTaken[slot])
+            ++slot;
+        RMSSD_ASSERT(slot < slotTaken.size(), "hot tier ran out of slots");
+        const PageId target{slot++};
+        swaps.push_back(FrequencyMapping::Swap{page.lpn, page.ppn, target,
+                                               mapping.inverse(target)});
+    }
+    return swaps;
+}
+
+} // namespace
 
 FrequencyMapping::FrequencyMapping(std::uint64_t totalPages)
     : FrequencyMapping(totalPages, Options{})
@@ -44,13 +118,12 @@ FrequencyMapping::readPage(PageId lpn)
 }
 
 std::vector<FrequencyMapping::Swap>
-FrequencyMapping::planHotSet(std::span<const PageId> hotLpnsByHeat,
-                             std::uint64_t maxSwaps) const
+FrequencyMapping::planHotSet(std::span<const PageId> hotLpnsByHeat) const
 {
     // Dedup while keeping heat order; the hot tier is one slot per
     // distinct page. Each page is hashed and translated once here: the
     // dedup set and the overlay share its hash.
-    std::vector<std::pair<PageId, PageId>> hot; // (lpn, ppn)
+    std::vector<HotPage> hot;
     hot.reserve(hotLpnsByHeat.size());
     FlatMap<bool> seen;
     for (const PageId lpn : hotLpnsByHeat) {
@@ -61,37 +134,56 @@ FrequencyMapping::planHotSet(std::span<const PageId> hotLpnsByHeat,
         seen.findOrInsert(lpn.raw(), hash, created);
         if (created) {
             const PageId *ppn = l2p_.find(lpn.raw(), hash);
-            hot.emplace_back(lpn, ppn == nullptr ? lpn : *ppn);
+            hot.push_back(HotPage{0, lpn, ppn == nullptr ? lpn : *ppn});
         }
     }
-    const std::uint64_t tier =
-        std::min<std::uint64_t>(hot.size(), totalPages_);
-    hot.resize(tier);
+    std::vector<bool> slotTaken(hot.size(), false);
+    keepMovers(hot, slotTaken);
+    return swapsIntoFreeSlots(*this, hot, slotTaken);
+}
 
-    // Hot pages already inside [0, tier) keep their slot; their slots
-    // are not free for incoming pages.
-    std::vector<bool> slotTaken(tier, false);
-    for (const auto &[lpn, ppn] : hot) {
-        if (ppn.raw() < tier)
-            slotTaken[ppn.raw()] = true;
-    }
+FrequencyMapping::MigrationPlan
+FrequencyMapping::planMigration(std::uint64_t hotPageCount,
+                                double driftThreshold,
+                                std::uint64_t maxSwaps) const
+{
+    std::vector<HotPage> hot;
+    hot.reserve(candidates_.size());
+    // det-safe: extraction order is erased before it can reach a
+    // result: the hot set is selected by the total order hotter() and
+    // used as a set, and the pages that move are sorted by it.
+    candidates_.forEachUnordered(
+        [&](std::uint64_t lpn, std::uint64_t count) {
+            hot.push_back(HotPage{count, PageId{lpn}, PageId{lpn}});
+        });
+    keepHottest(hot, hotPageCount);
 
-    std::vector<Swap> swaps;
-    std::uint64_t slot = 0;
-    for (const auto &[lpn, from] : hot) {
-        if (swaps.size() >= maxSwaps)
-            break;
-        if (from.raw() < tier)
-            continue; // already striped
-        while (slot < tier && slotTaken[slot])
-            ++slot;
-        RMSSD_ASSERT(slot < tier, "hot tier ran out of slots");
-        const PageId target{slot};
-        slotTaken[slot] = true;
-        swaps.push_back(
-            Swap{lpn, from, target, inverse(target)});
+    MigrationPlan plan;
+    plan.observed = hot.size();
+    for (HotPage &page : hot) {
+        page.ppn = translate(page.lpn);
+        if (page.ppn.raw() >= hotPageCount)
+            ++plan.missing;
     }
-    return swaps;
+    // Drift = fraction of the observed hot set living outside the
+    // striped hot tier. Membership is what balances dies, so pages
+    // already inside the tier (any slot) are not drift.
+    if (plan.missing == 0 ||
+        static_cast<double>(plan.missing) /
+                static_cast<double>(plan.observed) <=
+            driftThreshold)
+        return plan;
+
+    // planHotSet over the hot set in heat order would skip the pages
+    // already in its tier and move the rest in heat order, so the
+    // first maxSwaps of those are the bounded plan: only they need
+    // ordering.
+    std::vector<bool> slotTaken(hot.size(), false);
+    keepMovers(hot, slotTaken);
+    keepHottest(hot, maxSwaps);
+    std::sort(hot.begin(), hot.end(), hotter);
+    plan.swaps = swapsIntoFreeSlots(*this, hot, slotTaken);
+    return plan;
 }
 
 void
@@ -115,38 +207,6 @@ FrequencyMapping::setMapping(PageId lpn, PageId ppn)
         l2p_[lpn.raw()] = ppn;
         p2l_[ppn.raw()] = lpn;
     }
-}
-
-std::vector<PageId>
-FrequencyMapping::observedHot(std::size_t k) const
-{
-    std::vector<std::pair<std::uint64_t, PageId>> byCount;
-    byCount.reserve(candidates_.size());
-    // det-safe: extraction order is erased by the total-order
-    // selection and sort below (count desc, PageId asc).
-    candidates_.forEachUnordered(
-        [&](std::uint64_t lpn, std::uint64_t count) {
-            byCount.emplace_back(count, PageId{lpn});
-        });
-    const auto hotter = [](const auto &a, const auto &b) {
-        if (a.first != b.first)
-            return a.first > b.first;
-        return a.second < b.second;
-    };
-    // The order is total, so the k survivors of the selection are the
-    // k first of a full sort; only they need sorting.
-    if (byCount.size() > k) {
-        std::nth_element(byCount.begin(),
-                         byCount.begin() + static_cast<std::ptrdiff_t>(k),
-                         byCount.end(), hotter);
-        byCount.resize(k);
-    }
-    std::sort(byCount.begin(), byCount.end(), hotter);
-    std::vector<PageId> hot;
-    hot.reserve(byCount.size());
-    for (const auto &[count, lpn] : byCount)
-        hot.push_back(lpn);
-    return hot;
 }
 
 void

@@ -113,24 +113,40 @@ class FrequencyMapping final : public Mapping
      * dies — so a re-plan over a stable hot set yields zero swaps.
      * Swaps touch pairwise-disjoint pages, so they can be committed
      * (and their data copied) one at a time in any prefix order.
-     * Planning stops after @p maxSwaps swaps: the result is the first
-     * @p maxSwaps swaps of the unbounded plan.
      */
     std::vector<Swap> planHotSet(
-        std::span<const PageId> hotLpnsByHeat,
-        std::uint64_t maxSwaps = UINT64_MAX) const;
+        std::span<const PageId> hotLpnsByHeat) const;
+
+    /** What one migration pass observed and the swaps it plans. */
+    struct MigrationPlan
+    {
+        /** Pages in the observed hot set: min(k, candidates). */
+        std::uint64_t observed = 0;
+        /** Observed hot pages living outside [0, k). */
+        std::uint64_t missing = 0;
+        /** Empty unless missing / observed exceeds the threshold. */
+        std::vector<Swap> swaps;
+    };
+
+    /**
+     * One migration pass over the online heat counters, in one walk:
+     * the @p hotPageCount (k) hottest candidates by (count desc, LPN
+     * asc) are the observed hot set, and a page is missing when its
+     * PPN is >= k. When missing > 0 and missing / observed exceeds
+     * @p driftThreshold, the swaps are planHotSet()'s over the hot set
+     * in heat order, cut to the first @p maxSwaps. Each page is
+     * translated once, and only the out-of-tier pages that move are
+     * put in heat order.
+     */
+    MigrationPlan planMigration(std::uint64_t hotPageCount,
+                                double driftThreshold,
+                                std::uint64_t maxSwaps) const;
 
     /** Apply one planned swap to the mapping (after the data copy). */
     void commitSwap(const Swap &swap);
 
     /** Reads observed through readPage since the last reset. */
     std::uint64_t observedReads() const { return observedReads_; }
-
-    /**
-     * The @p k hottest pages by exact candidate count (count
-     * descending, LPN ascending for determinism).
-     */
-    std::vector<PageId> observedHot(std::size_t k) const;
 
     /** Start a fresh observation window (after a migration pass). */
     void resetObservation();
@@ -159,9 +175,9 @@ class FrequencyMapping final : public Mapping
     engine::FrequencySketch sketch_;
     /**
      * Exact read counts for pages past the sketch admission bar.
-     * Determinism audit: the only iteration (observedHot) ranks by
-     * a (count desc, PageId asc) total order before any rank leaks
-     * out; keep it that way.
+     * Determinism audit: the only iteration (planMigration) selects
+     * and ranks by a (count desc, PageId asc) total order before any
+     * rank leaks out; keep it that way.
      */
     FlatMap<std::uint64_t> candidates_;
     std::uint64_t observedReads_ = 0;

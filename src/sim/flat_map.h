@@ -3,12 +3,13 @@
  * Flat open-addressed hash map from a 64-bit key to a small value.
  *
  * One contiguous bucket array, homes by splitmix64, linear probing,
- * load factor at most 3/4 (at least 16 buckets, doubling), and
- * backward-shift deletion, so lookups never see tombstones. A hit or
- * miss is one hash plus a short scan of adjacent buckets instead of
- * a hash-node walk, which is what the per-EV-read paths (the
- * backing store's page index, the frequency mapping's overlays and
- * heat counters) need.
+ * at most 1/2 full (at least 16 buckets, doubling), and backward-shift
+ * deletion, so lookups never see tombstones. A hit or miss is one hash
+ * plus a short scan of adjacent buckets instead of a hash-node walk,
+ * which is what the per-EV-read paths (the backing store's page index,
+ * the frequency mapping's overlays and heat counters) need. Most
+ * overlay lookups miss, and a linear-probing miss scans about
+ * (1 + 1/(1-a)^2)/2 buckets at load a: 2.5 at 1/2, 8.5 at 3/4.
  *
  * Bucket order depends on the insertion history, so the only way to
  * visit entries is forEachUnordered(); tools/lint_determinism.py
@@ -76,9 +77,9 @@ class FlatMap
     findOrInsert(std::uint64_t key, std::uint64_t hash, bool &created)
     {
         RMSSD_ASSERT(key != kEmptyKey, "flat map key is the empty mark");
-        // Grow before probing, so the load factor stays at most 3/4
+        // Grow before probing, so the map stays at most 1/2 full
         // after this insertion.
-        if (4 * (size_ + 1) > 3 * buckets_.size())
+        if (2 * (size_ + 1) > buckets_.size())
             grow();
         Bucket &bucket = buckets_[probe(key, hash)];
         created = bucket.key == kEmptyKey;

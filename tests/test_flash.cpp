@@ -259,7 +259,7 @@ TEST(BackingStore, MatchesMapReferenceModel)
             << "step " << step;
         peakPages = std::max(peakPages, model.size());
     }
-    // From 16 buckets at load factor 3/4: at least four rehashes.
+    // From 16 buckets, at most 1/2 full: at least five rehashes.
     EXPECT_GT(peakPages, 128u);
 
     // Final sweep over the whole id space, written or not.

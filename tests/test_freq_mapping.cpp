@@ -140,7 +140,7 @@ TEST(FrequencyMapping, ReplanOverStableHotSetPlansNoSwaps)
     EXPECT_TRUE(mapping.planHotSet(hot).empty());
 }
 
-TEST(FrequencyMapping, ObservedHotRanksByReadFrequency)
+TEST(FrequencyMapping, MigrationPlanRanksByReadFrequency)
 {
     ftl::FrequencyMapping::Options opt;
     opt.candidateEstimate = 1;
@@ -153,15 +153,50 @@ TEST(FrequencyMapping, ObservedHotRanksByReadFrequency)
     for (int i = 0; i < 2; ++i)
         mapping.readPage(PageId{13});
 
+    // The two hottest pages are the hot set; both live outside the
+    // two-slot tier, so both move, hottest into slot 0.
     EXPECT_EQ(mapping.observedReads(), 17u);
-    const std::vector<PageId> hot = mapping.observedHot(2);
-    ASSERT_EQ(hot.size(), 2u);
-    EXPECT_EQ(hot[0], PageId{7});
-    EXPECT_EQ(hot[1], PageId{11});
+    const auto plan = mapping.planMigration(2, 0.0, UINT64_MAX);
+    EXPECT_EQ(plan.observed, 2u);
+    EXPECT_EQ(plan.missing, 2u);
+    ASSERT_EQ(plan.swaps.size(), 2u);
+    EXPECT_EQ(plan.swaps[0].hotLpn, PageId{7});
+    EXPECT_EQ(plan.swaps[0].toPpn, PageId{0});
+    EXPECT_EQ(plan.swaps[1].hotLpn, PageId{11});
+    EXPECT_EQ(plan.swaps[1].toPpn, PageId{1});
 
     mapping.resetObservation();
     EXPECT_EQ(mapping.observedReads(), 0u);
-    EXPECT_TRUE(mapping.observedHot(2).empty());
+    const auto empty = mapping.planMigration(2, 0.0, UINT64_MAX);
+    EXPECT_EQ(empty.observed, 0u);
+    EXPECT_TRUE(empty.swaps.empty());
+}
+
+TEST(FrequencyMapping, DriftCountsAgainstHotPageCountButPlansAgainstObservedTier)
+{
+    // The drift-vs-tier quirk of DESIGN.md §12.2, pinned as it stands:
+    // a pass counts a page as missing when its PPN is >= hotPageCount,
+    // but plans over a tier the size of the observed hot set. With two
+    // hot pages and hotPageCount 8, page 5 (at PPN 5, inside [2, 8))
+    // is not missing, yet it is swapped into slot 0. ROADMAP.md item 7
+    // makes the two agree; that change updates this test on purpose.
+    ftl::FrequencyMapping::Options opt;
+    opt.candidateEstimate = 1;
+    ftl::FrequencyMapping mapping(64, opt);
+    for (int i = 0; i < 3; ++i)
+        mapping.readPage(PageId{5});
+    for (int i = 0; i < 2; ++i)
+        mapping.readPage(PageId{40});
+
+    const auto plan = mapping.planMigration(8, 0.0, UINT64_MAX);
+    EXPECT_EQ(plan.observed, 2u);
+    EXPECT_EQ(plan.missing, 1u); // page 40 only
+    ASSERT_EQ(plan.swaps.size(), 2u);
+    EXPECT_EQ(plan.swaps[0].hotLpn, PageId{5});
+    EXPECT_EQ(plan.swaps[0].fromPpn, PageId{5});
+    EXPECT_EQ(plan.swaps[0].toPpn, PageId{0});
+    EXPECT_EQ(plan.swaps[1].hotLpn, PageId{40});
+    EXPECT_EQ(plan.swaps[1].toPpn, PageId{1});
 }
 
 /**
@@ -312,9 +347,10 @@ TEST(FrequencySketchDifferential, FusedRecordMatchesTwoPassReference)
 /**
  * The node-based FrequencyMapping the flat tables replaced, kept as a
  * reference model: std::unordered_map overlays and counters, an
- * unordered_set dedup in planHotSet, a full sort in observedHot, and
- * the two-pass sketch behind a noteRead() that the caller follows
- * with translate(), as the FTL's read path did before readPage().
+ * unordered_set dedup in planHotSet, a full sort in observedHot, the
+ * migration pass as rank-then-drift-then-plan, and the two-pass
+ * sketch behind a noteRead() that the caller follows with
+ * translate(), as the FTL's read path did before readPage().
  */
 class ReferenceMapping
 {
@@ -418,6 +454,34 @@ class ReferenceMapping
         return hot;
     }
 
+    /**
+     * The migration pass as RmSsd::migrateIfDrifted ran it before the
+     * one-walk planner: the k hottest candidates by a full sort, a
+     * drift count against k, then planHotSet over them in heat order,
+     * cut to its first @p maxSwaps swaps.
+     */
+    ftl::FrequencyMapping::MigrationPlan
+    planMigration(std::uint64_t k, double driftThreshold,
+                  std::uint64_t maxSwaps) const
+    {
+        ftl::FrequencyMapping::MigrationPlan plan;
+        const std::vector<PageId> hot = observedHot(k);
+        plan.observed = hot.size();
+        for (const PageId lpn : hot) {
+            if (translate(lpn).raw() >= k)
+                ++plan.missing;
+        }
+        if (plan.missing == 0 ||
+            static_cast<double>(plan.missing) /
+                    static_cast<double>(plan.observed) <=
+                driftThreshold)
+            return plan;
+        plan.swaps = planHotSet(hot);
+        if (plan.swaps.size() > maxSwaps)
+            plan.swaps.resize(maxSwaps);
+        return plan;
+    }
+
     void
     resetObservation()
     {
@@ -471,7 +535,9 @@ TEST(FrequencyMapping, BoundedPlanIsPrefixOfUnboundedPlan)
 {
     // A device partly placed already, so the plan mixes pages that
     // stay, pages that move and slots held by earlier hot pages.
-    ftl::FrequencyMapping mapping(2048);
+    ftl::FrequencyMapping::Options opt;
+    opt.candidateEstimate = 1;
+    ftl::FrequencyMapping mapping(2048, opt);
     std::vector<PageId> earlier;
     for (std::uint64_t i = 0; i < 24; ++i)
         earlier.push_back(PageId{700 + 29 * i});
@@ -480,17 +546,21 @@ TEST(FrequencyMapping, BoundedPlanIsPrefixOfUnboundedPlan)
 
     Rng rng(0xb0dULL);
     for (int round = 0; round < 40; ++round) {
-        std::vector<PageId> hot;
-        for (std::uint64_t n = 1 + rng.nextBounded(80); n > 0; --n) {
-            hot.push_back(rng.nextBounded(3) == 0
-                              ? earlier[rng.nextBounded(earlier.size())]
-                              : PageId{rng.nextBounded(2048)});
+        mapping.resetObservation();
+        for (std::uint64_t n = 1 + rng.nextBounded(200); n > 0; --n) {
+            mapping.readPage(
+                rng.nextBounded(3) == 0
+                    ? earlier[rng.nextBounded(earlier.size())]
+                    : PageId{rng.nextBounded(4) == 0
+                                 ? rng.nextBounded(2048)
+                                 : 300 + rng.nextBounded(60)});
         }
-        const auto full = mapping.planHotSet(hot);
+        const std::uint64_t k = 1 + rng.nextBounded(80);
+        const auto full = mapping.planMigration(k, 0.0, UINT64_MAX).swaps;
         for (const std::uint64_t m :
              {std::uint64_t{0}, std::uint64_t{1}, full.size() / 2,
               full.size(), full.size() + 3}) {
-            const auto bounded = mapping.planHotSet(hot, m);
+            const auto bounded = mapping.planMigration(k, 0.0, m).swaps;
             const std::size_t want =
                 std::min<std::size_t>(m, full.size());
             ASSERT_EQ(bounded.size(), want) << "round " << round;
@@ -501,7 +571,8 @@ TEST(FrequencyMapping, BoundedPlanIsPrefixOfUnboundedPlan)
                 << "round " << round << " bound " << m;
         }
         // Commit a prefix so later rounds plan over a moved mapping.
-        const auto some = mapping.planHotSet(hot, rng.nextBounded(8));
+        const auto some =
+            mapping.planMigration(k, 0.0, rng.nextBounded(8)).swaps;
         for (const auto &swap : some)
             mapping.commitSwap(swap);
     }
@@ -509,8 +580,8 @@ TEST(FrequencyMapping, BoundedPlanIsPrefixOfUnboundedPlan)
 
 TEST(FrequencyMappingDifferential, MatchesMapReferenceModel)
 {
-    // A random stream of reads, plans, prefix commits, resets and
-    // top-k queries against the reference model. The device is small
+    // A random stream of reads, plans, migration passes, prefix
+    // commits and resets against the reference model. The device is small
     // next to the hot pool so plans keep displacing each other's
     // pages, a small sketch ages often, and read counts stay low so
     // ties at the top-k boundary are common.
@@ -529,9 +600,8 @@ TEST(FrequencyMappingDifferential, MatchesMapReferenceModel)
             return PageId{(rng.nextBounded(96) * 37) % kPages};
         return PageId{rng.nextBounded(kPages)};
     };
-    const auto plan = [&](const std::vector<PageId> &hot) {
-        const auto swaps = mapping.planHotSet(hot);
-        ASSERT_EQ(swapPages(swaps), swapPages(reference.planHotSet(hot)));
+    const auto commitPrefix =
+        [&](const std::vector<ftl::FrequencyMapping::Swap> &swaps) {
         const std::size_t prefix = rng.nextBounded(swaps.size() + 1);
         for (std::size_t i = 0; i < prefix; ++i) {
             mapping.commitSwap(swaps[i]);
@@ -570,17 +640,26 @@ TEST(FrequencyMappingDifferential, MatchesMapReferenceModel)
             if (k > 0 && k < ranked.size() &&
                 ranked[k - 1].first == ranked[k].first)
                 sawBoundaryTie = true;
-            const std::vector<PageId> hot = mapping.observedHot(k);
-            ASSERT_EQ(hot, reference.observedHot(k)) << "step " << step;
+            // A zero threshold migrates on any drift, so every pass
+            // with a missing page lists each out-of-tier hot page.
+            const auto got = mapping.planMigration(k, 0.0, UINT64_MAX);
+            const auto want = reference.planMigration(k, 0.0, UINT64_MAX);
+            ASSERT_EQ(got.observed, want.observed) << "step " << step;
+            ASSERT_EQ(got.missing, want.missing) << "step " << step;
+            ASSERT_EQ(swapPages(got.swaps), swapPages(want.swaps))
+                << "step " << step;
             if (op == 12)
-                plan(hot);
+                commitPrefix(got.swaps);
         } else if (op < 15) {
             // An offline-style plan with duplicates, not ranked by
             // observation.
             std::vector<PageId> hot;
             for (std::uint64_t n = rng.nextBounded(48); n > 0; --n)
                 hot.push_back(randomPage());
-            plan(hot);
+            const auto swaps = mapping.planHotSet(hot);
+            ASSERT_EQ(swapPages(swaps),
+                      swapPages(reference.planHotSet(hot)));
+            commitPrefix(swaps);
         } else {
             mapping.resetObservation();
             reference.resetObservation();
@@ -604,6 +683,104 @@ TEST(FrequencyMappingDifferential, MatchesMapReferenceModel)
     EXPECT_TRUE(sawBoundaryTie);
     EXPECT_FALSE(touched.empty());
     EXPECT_GT(mapping.remappedEntries(), 0u);
+}
+
+TEST(FrequencyMappingDifferential, MigrationPlanMatchesRankThenPlan)
+{
+    // Random read histories, each planned by the one-walk planner and
+    // by the chain it replaced: a full sort of the candidates, the
+    // drift loop against k, then planHotSet over the hot set in heat
+    // order, cut to maxSwaps. Read counts stay low so counts tie, and
+    // each round commits a prefix of its plan, so later rounds see hot
+    // pages inside the tier, inside [observed, k) and beyond k.
+    constexpr std::uint64_t kPages = 1024;
+    ftl::FrequencyMapping::Options opt;
+    opt.sketchCounters = 1u << 10;
+    opt.sketchSampleSize = 1u << 12;
+    ftl::FrequencyMapping mapping(kPages, opt);
+    ReferenceMapping reference(kPages, opt);
+    Rng rng(0x30a1ULL);
+
+    bool sawBelowK = false, sawAboveK = false, sawBoundaryTie = false;
+    bool sawMoverTie = false, sawQuirk = false, sawHeld = false;
+    bool sawThresholdAtDrift = false;
+    for (int round = 0; round < 400; ++round) {
+        mapping.resetObservation();
+        reference.resetObservation();
+        const std::uint64_t pool = 16 + rng.nextBounded(240);
+        for (std::uint64_t n = 50 + rng.nextBounded(1500); n > 0; --n) {
+            const PageId lpn =
+                rng.nextBounded(4) != 0
+                    ? PageId{(rng.nextBounded(pool) * 37) % kPages}
+                    : PageId{rng.nextBounded(kPages)};
+            reference.noteRead(lpn);
+            mapping.readPage(lpn);
+        }
+
+        // The reference chain. Only the ranking comes from the
+        // reference model; translate and planHotSet are the mapping's.
+        const auto ranked = reference.ranked();
+        const std::uint64_t k = 1 + rng.nextBounded(2 * ranked.size() + 8);
+        std::vector<PageId> hot;
+        std::unordered_map<PageId, std::uint64_t> countOf;
+        for (const auto &[count, lpn] : ranked) {
+            if (hot.size() == k)
+                break;
+            hot.push_back(lpn);
+            countOf[lpn] = count;
+        }
+        std::uint64_t missing = 0;
+        for (const PageId lpn : hot) {
+            if (mapping.translate(lpn).raw() >= k)
+                ++missing;
+        }
+        const double drift =
+            hot.empty() ? 0.0
+                        : static_cast<double>(missing) /
+                              static_cast<double>(hot.size());
+        const double threshold =
+            std::array{0.0, 0.25, 0.6, drift}[rng.nextBounded(4)];
+        const bool migrates = missing > 0 && drift > threshold;
+        const std::vector<ftl::FrequencyMapping::Swap> unbounded =
+            migrates ? mapping.planHotSet(hot)
+                     : std::vector<ftl::FrequencyMapping::Swap>{};
+
+        for (const std::uint64_t m :
+             {std::uint64_t{0}, std::uint64_t{1}, unbounded.size() / 2,
+              unbounded.size(), unbounded.size() + 3}) {
+            const auto plan = mapping.planMigration(k, threshold, m);
+            ASSERT_EQ(plan.observed, hot.size()) << "round " << round;
+            ASSERT_EQ(plan.missing, missing) << "round " << round;
+            const std::size_t want =
+                std::min<std::size_t>(m, unbounded.size());
+            ASSERT_EQ(swapPages(plan.swaps),
+                      swapPages({unbounded.begin(),
+                                 unbounded.begin() +
+                                     static_cast<std::ptrdiff_t>(want)}))
+                << "round " << round << " bound " << m;
+        }
+
+        sawBelowK |= ranked.size() < k;
+        sawAboveK |= ranked.size() > k;
+        sawBoundaryTie |= k < ranked.size() &&
+                          ranked[k - 1].first == ranked[k].first;
+        sawHeld |= missing > 0 && !migrates;
+        sawThresholdAtDrift |= missing > 0 && threshold == drift;
+        for (std::size_t i = 0; i < unbounded.size(); ++i) {
+            sawQuirk |= unbounded[i].fromPpn.raw() < k;
+            sawMoverTie |= i > 0 && countOf[unbounded[i - 1].hotLpn] ==
+                                        countOf[unbounded[i].hotLpn];
+        }
+
+        // Commit a prefix so later rounds plan over a moved mapping.
+        const std::size_t prefix = rng.nextBounded(unbounded.size() + 1);
+        for (std::size_t i = 0; i < prefix; ++i)
+            mapping.commitSwap(unbounded[i]);
+    }
+    EXPECT_TRUE(sawBelowK && sawAboveK);
+    EXPECT_TRUE(sawBoundaryTie && sawMoverTie);
+    EXPECT_TRUE(sawQuirk);
+    EXPECT_TRUE(sawHeld && sawThresholdAtDrift);
 }
 
 /** @p dev's frequency mapping; nullptr when placement is off. */

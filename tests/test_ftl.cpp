@@ -304,13 +304,28 @@ TEST(FtlDifferential, ReadBytesFollowsTranslateUnderFrequencyMapping)
 
     const std::vector<Lba> lbas = expectReadBytesFollowsTranslate(array, ftl);
 
-    // readVector fed the heat tracker the logical page of every read.
+    // readVector fed the heat tracker the logical page of every read:
+    // a mapping placed the same way and fed those pages directly plans
+    // the same migration.
     FrequencyMapping reference(pages);
+    for (const auto &swap : swaps)
+        reference.commitSwap(swap);
     for (const Lba lba : lbas)
         reference.readPage(PageId{lba.raw() / ftl.sectorsPerPage()});
     EXPECT_EQ(mapping.observedReads(), reference.observedReads());
-    EXPECT_EQ(mapping.observedHot(32), reference.observedHot(32));
-    EXPECT_FALSE(mapping.observedHot(32).empty());
+    const auto plan = mapping.planMigration(32, 0.0, UINT64_MAX);
+    const auto want = reference.planMigration(32, 0.0, UINT64_MAX);
+    EXPECT_EQ(plan.observed, 32u);
+    EXPECT_EQ(plan.observed, want.observed);
+    EXPECT_EQ(plan.missing, want.missing);
+    ASSERT_EQ(plan.swaps.size(), want.swaps.size());
+    ASSERT_FALSE(plan.swaps.empty());
+    for (std::size_t i = 0; i < plan.swaps.size(); ++i) {
+        EXPECT_EQ(plan.swaps[i].hotLpn, want.swaps[i].hotLpn);
+        EXPECT_EQ(plan.swaps[i].fromPpn, want.swaps[i].fromPpn);
+        EXPECT_EQ(plan.swaps[i].toPpn, want.swaps[i].toPpn);
+        EXPECT_EQ(plan.swaps[i].displacedLpn, want.swaps[i].displacedLpn);
+    }
 }
 
 } // namespace

@@ -7,7 +7,8 @@ tools/compare_outputs.py against fixtures with KNOWN findings
 (tests/lint_fixtures/ plus generated JSON dumps, fake build trees and
 fake benchmark drivers)
 and asserts both the exit codes and the findings text. The hostprof
-symbolizer's stripped-library branch runs on a fake symbol table. A lint that silently stops seeing a
+symbolizer's stripped-library branch and its per-thread report run on
+a fake symbol table and fake sample files. A lint that silently stops seeing a
 hazard class fails CI here instead of slipping through review.
 
 Registered with ctest as ``lint_tools`` (see tests/CMakeLists.txt);
@@ -16,7 +17,9 @@ also runnable directly: ``python3 tests/test_lint_tools.py``.
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
 import subprocess
@@ -496,6 +499,69 @@ class HostprofSymbolizeTest(unittest.TestCase):
             ("?? (after lookup@GLIBC_2.2.5)", 9,
              [(0x2400, 5), (0x2480, 3)]),
             ("?? (after memcpy@@GLIBC_2.14)", 2, [(0x1050, 2)])])
+
+
+class HostprofTest(unittest.TestCase):
+    """read_samples() and report() on fake three-field sample lines."""
+
+    def setUp(self):
+        spec = importlib.util.spec_from_file_location(
+            "hostprof", TOOLS / "hostprof" / "hostprof.py")
+        self.hostprof = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(self.hostprof)
+        table = [(0x1000, 0x1040, "memcpy@@GLIBC_2.14"),
+                 (0x2000, 0x2010, "lookup@GLIBC_2.2.5")]
+        self.hostprof.symbols = (
+            lambda obj, dynamic: table if dynamic else [])
+        self.tmp = tempfile.TemporaryDirectory()
+        # Two runs: pid 100 with threads 103 and 107, pid 200 with 201.
+        runs = {
+            "a": ["libfake.so\t1000\t100"] * 3 +
+                 ["libfake.so\t2008\t107"] * 2 +
+                 ["libfake.so\t1010\t103", "?\t1\t107", "?\t2",
+                  "=pid\t100", "=cpu_ns\t6000000"],
+            "b": ["libfake.so\t1000\t200", "libfake.so\t2008\t201",
+                  "=pid\t200", "=cpu_ns\t2000000"],
+        }
+        self.paths = []
+        for name, lines in runs.items():
+            path = pathlib.Path(self.tmp.name) / name
+            path.write_text("\n".join(lines) + "\n")
+            self.paths.append(path)
+
+    def tearDown(self):
+        self.tmp.cleanup()
+
+    def test_names_threads_by_role(self):
+        by_object, unplaced, cpu_ns = self.hostprof.read_samples(self.paths)
+        self.assertEqual(by_object["libfake.so"], [
+            (0x1000, "main"), (0x1000, "main"), (0x1000, "main"),
+            (0x2008, "thread 2"), (0x2008, "thread 2"),
+            (0x1010, "thread 1"),
+            (0x1000, "main"), (0x2008, "thread 1")])
+        self.assertEqual(unplaced, {"thread 2": 1, None: 2})
+        self.assertEqual(cpu_ns, 8000000)
+
+    def test_reports_each_threads_share_and_functions(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.hostprof.report(self.paths, top=5)
+        text = out.getvalue()
+        # 11 samples: main 4, thread 1 2 (pooled over both runs),
+        # thread 2 3 (one unplaced), 2 past the buffer.
+        self.assertIn("per thread (main: the thread whose tid is the pid)\n"
+                      "   36.36 %         4  main\n"
+                      "   45.45 %         5  other threads (2)\n"
+                      "     27.27 %         3  thread 2\n"
+                      "     18.18 %         2  thread 1\n", text)
+        self.assertIn("top 10 functions of main (self time)\n"
+                      "   36.36 %         4  memcpy@@GLIBC_2.14  "
+                      "[libfake.so]\n", text)
+        self.assertIn("top 10 functions of other threads (2) (self time)\n"
+                      "   27.27 %         3  lookup@GLIBC_2.2.5  "
+                      "[libfake.so]\n"
+                      "    9.09 %         1  memcpy@@GLIBC_2.14  "
+                      "[libfake.so]\n", text)
 
 
 if __name__ == "__main__":

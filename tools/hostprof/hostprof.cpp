@@ -6,15 +6,19 @@
  *
  * At load it arms setitimer(ITIMER_PROF) with a 1 ms interval of the
  * CPU time the process spends, in user or kernel mode, and the SIGPROF
- * handler stores the interrupted program counter. The kernel checks
- * the timer on its scheduler tick, so a sample may stand for more than
- * 1 ms (4 ms at 250 Hz). At exit each sample is attributed to the
- * loaded object whose executable segment holds it (dl_iterate_phdr),
- * and written as one "object-path<TAB>hex-address" line, the address
- * relative to the object's link-time base, to $HOSTPROF_OUT (default
- * hostprof.out). A last line "=cpu_ns<TAB>N" gives the process's CPU
- * time. tools/hostprof/hostprof.py runs a command this way and
- * symbolizes the lines.
+ * handler stores the interrupted program counter and the id of the
+ * thread it interrupted. The kernel checks the timer on its scheduler
+ * tick, so a sample may stand for more than 1 ms (4 ms at 250 Hz). At
+ * exit each sample is attributed to the loaded object whose executable
+ * segment holds it (dl_iterate_phdr), and written as one
+ * "object-path<TAB>hex-address<TAB>tid" line, the address relative to
+ * the object's link-time base, to $HOSTPROF_OUT (default
+ * hostprof.out). A sample outside every object is written as
+ * "?<TAB>1<TAB>tid", and samples past the buffer as "?<TAB>N". The
+ * last lines "=pid<TAB>P" and "=cpu_ns<TAB>N" give the process id (the
+ * main thread's tid) and the process's CPU time.
+ * tools/hostprof/hostprof.py runs a command this way and symbolizes
+ * the lines.
  *
  * Nothing is instrumented, so time in libm, libc or libstdc++ is
  * sampled like time in the program itself. gprof (-pg) cannot do that:
@@ -28,6 +32,7 @@
 
 #include <link.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -44,8 +49,17 @@ namespace {
 constexpr std::size_t kMaxSamples = std::size_t{1} << 20;
 constexpr long kIntervalUs = 1000;
 
-/** Sampled program counters; written only by the signal handler. */
-std::uintptr_t samples[kMaxSamples];
+/** One sample: where the timer interrupted which thread. */
+struct Sample
+{
+    std::uintptr_t pc;
+    pid_t tid;
+};
+
+/** Samples; written only by the signal handler. */
+Sample samples[kMaxSamples];
+/** Whether sample i fell inside a loaded object; set at exit. */
+bool placed[kMaxSamples];
 std::atomic<std::size_t> taken{0};
 /** Where the samples go, read from the environment at load. */
 char outPath[4096] = "hostprof.out";
@@ -64,7 +78,7 @@ onProf(int, siginfo_t *, void *context)
 #endif
     const std::size_t i = taken.fetch_add(1, std::memory_order_relaxed);
     if (i < kMaxSamples)
-        samples[i] = pc;
+        samples[i] = {pc, static_cast<pid_t>(syscall(SYS_gettid))};
 }
 
 __attribute__((constructor)) void
@@ -89,7 +103,6 @@ struct Writer
 {
     std::FILE *out = nullptr;
     std::size_t count = 0;
-    std::size_t placed = 0;
 };
 
 int
@@ -113,11 +126,13 @@ writeObject(dl_phdr_info *info, std::size_t, void *data)
         const std::uintptr_t lo = info->dlpi_addr + ph.p_vaddr;
         const std::uintptr_t hi = lo + ph.p_memsz;
         for (std::size_t i = 0; i < w.count; ++i) {
-            if (samples[i] >= lo && samples[i] < hi) {
-                std::fprintf(w.out, "%s\t%jx\n", path,
-                             static_cast<std::uintmax_t>(samples[i] -
-                                                         info->dlpi_addr));
-                ++w.placed;
+            const std::uintptr_t pc = samples[i].pc;
+            if (pc >= lo && pc < hi) {
+                std::fprintf(w.out, "%s\t%jx\t%d\n", path,
+                             static_cast<std::uintmax_t>(pc -
+                                                         info->dlpi_addr),
+                             static_cast<int>(samples[i].tid));
+                placed[i] = true;
             }
         }
     }
@@ -138,7 +153,14 @@ stopSampling()
     dl_iterate_phdr(writeObject, &w);
     // Samples outside every object (the vDSO, generated code) and
     // samples past the buffer are still counted in the total.
-    std::fprintf(w.out, "?\t%zu\n", total - w.placed);
+    for (std::size_t i = 0; i < w.count; ++i) {
+        if (!placed[i])
+            std::fprintf(w.out, "?\t1\t%d\n",
+                         static_cast<int>(samples[i].tid));
+    }
+    if (total > w.count)
+        std::fprintf(w.out, "?\t%zu\n", total - w.count);
+    std::fprintf(w.out, "=pid\t%d\n", static_cast<int>(getpid()));
     timespec cpu = {};
     clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu);
     std::fprintf(w.out, "=cpu_ns\t%jd\n",

@@ -27,6 +27,12 @@ __nss_database_lookup@GLIBC_2.2.5)" is glibc's internal AVX-512
 ``memmove``: time there is mostly small (64-128-byte) copies
 stalled on their source load.
 
+The report also splits the samples by thread: each thread's share and
+its top functions. The main thread is the one whose tid equals the
+process id; the others are named "thread N", N counting their tids in
+ascending order (Linux hands tids out in creation order), so
+``--repeat`` pools each role across runs.
+
 COMMAND's stdout and stderr go to stderr; the report goes to stdout.
 Only COMMAND's own process is measured. Samples are self time. Without
 debug info an inlined callee is charged to the function it was inlined
@@ -45,21 +51,51 @@ import sys
 import tempfile
 
 
+MAIN_THREAD = "main"
+PER_THREAD_TOP = 10
+
+
 def read_samples(paths: list[pathlib.Path]
-                 ) -> tuple[dict[str, list[int]], int, int]:
-    """{object path: [address, ...]}, unplaced samples and CPU ns."""
-    by_object: dict[str, list[int]] = collections.defaultdict(list)
-    unplaced = 0
+                 ) -> tuple[dict[str, list[tuple[int, str]]],
+                            collections.Counter[str | None], int]:
+    """{object path: [(address, thread), ...]}, unplaced samples per
+    thread (None: past the sample buffer, no tid kept) and CPU ns.
+
+    Each file is one run. A thread is named by its role in its run:
+    MAIN_THREAD where its tid is the run's pid, else "thread N" by the
+    rank of its tid among the run's other tids.
+    """
+    by_object: dict[str, list[tuple[int, str]]] = (
+        collections.defaultdict(list))
+    unplaced: collections.Counter[str] = collections.Counter()
     cpu_ns = 0
     for path in paths:
+        placed: list[tuple[str, int, int]] = []
+        lost: list[tuple[int, int | None]] = []
+        pid = None
         for line in path.read_text().splitlines():
-            obj, _, value = line.partition("\t")
-            if obj == "?":
-                unplaced += int(value)
-            elif obj == "=cpu_ns":
-                cpu_ns += int(value)
+            fields = line.split("\t")
+            if fields[0] == "?":
+                lost.append((int(fields[1]),
+                             int(fields[2]) if len(fields) > 2 else None))
+            elif fields[0] == "=cpu_ns":
+                cpu_ns += int(fields[1])
+            elif fields[0] == "=pid":
+                pid = int(fields[1])
             else:
-                by_object[obj].append(int(value, 16))
+                placed.append((fields[0], int(fields[1], 16),
+                               int(fields[2])))
+        tids = ({tid for _, _, tid in placed} |
+                {tid for _, tid in lost if tid is not None})
+        others = sorted(tids - {pid})
+        names = {tid: f"thread {rank}"
+                 for rank, tid in enumerate(others, start=1)}
+        names[pid] = MAIN_THREAD
+        names[None] = None
+        for obj, addr, tid in placed:
+            by_object[obj].append((addr, names[tid]))
+        for n, tid in lost:
+            unplaced[names[tid]] += n
     return by_object, unplaced, cpu_ns
 
 
@@ -135,37 +171,75 @@ def unnamed_hot_addresses(names: list[str], addrs: list[int], count: int
 
 def report(paths: list[pathlib.Path], top: int, addresses: int = 0) -> None:
     by_object, unplaced, cpu_ns = read_samples(paths)
-    total = unplaced + sum(len(a) for a in by_object.values())
+    total = sum(unplaced.values()) + sum(len(h) for h in by_object.values())
     if total == 0:
         print("hostprof: no samples (the command used too little CPU)")
         return
     per_function: collections.Counter[tuple[str, str]] = collections.Counter()
     per_object: collections.Counter[str] = collections.Counter()
+    per_thread: collections.Counter[str] = collections.Counter(
+        {thread: n for thread, n in unplaced.items() if thread is not None})
+    thread_functions: dict[str, collections.Counter[tuple[str, str]]] = (
+        collections.defaultdict(collections.Counter))
     unnamed = []
-    for obj, addrs in by_object.items():
+    for obj, hits in by_object.items():
         short = os.path.basename(obj)
-        per_object[short] += len(addrs)
+        per_object[short] += len(hits)
+        addrs = [addr for addr, _ in hits]
         names = symbolize(obj, addrs)
-        for name in names:
+        for name, (_, thread) in zip(names, hits):
             per_function[(name, short)] += 1
+            per_thread[thread] += 1
+            thread_functions[thread][(name, short)] += 1
         if addresses > 0:
             unnamed += [(short, *region) for region in
                         unnamed_hot_addresses(names, addrs, addresses)]
+
+    def line(n: int, label: str) -> str:
+        return f"{100.0 * n / total:6.2f} %  {n:8d}  {label}"
+
     print(f"hostprof: {total} samples over {cpu_ns / 1e9:.3f} s of CPU "
           f"(one per {cpu_ns / 1e6 / total:.2f} ms)")
     print("\nper object")
     for short, n in per_object.most_common():
-        print(f"  {100.0 * n / total:6.2f} %  {n:8d}  {short}")
-    if unplaced:
-        print(f"  {100.0 * unplaced / total:6.2f} %  {unplaced:8d}  "
-              "(outside every object, or past the sample buffer)")
+        print("  " + line(n, short))
+    lost = sum(unplaced.values())
+    if lost:
+        print("  " + line(lost, "(outside every object, or past the "
+                                "sample buffer)"))
     print(f"\ntop {top} functions (self time)")
     for (name, short), n in per_function.most_common(top):
-        print(f"  {100.0 * n / total:6.2f} %  {n:8d}  {name}  [{short}]")
+        print("  " + line(n, f"{name}  [{short}]"))
+    # Each simulateServing call runs its own trace producer, so a
+    # driver serving many points has many short-lived threads: list
+    # them, but give top functions for the main thread and the rest
+    # pooled.
+    main_n = per_thread.pop(MAIN_THREAD, 0)
+    others = sorted(per_thread.items(), key=lambda t: (-t[1], t[0]))
+    rest = f"other threads ({len(others)})"
+    print(f"\nper thread ({MAIN_THREAD}: the thread whose tid is the pid)")
+    print("  " + line(main_n, MAIN_THREAD))
+    if others:
+        print("  " + line(sum(n for _, n in others), rest))
+        for thread, n in others[:PER_THREAD_TOP]:
+            print("    " + line(n, thread))
+        if len(others) > PER_THREAD_TOP:
+            print(f"    ({len(others) - PER_THREAD_TOP} more)")
+    for label, threads in ((MAIN_THREAD, [MAIN_THREAD]),
+                           (rest, [t for t, _ in others])):
+        functions: collections.Counter[tuple[str, str]] = (
+            collections.Counter())
+        for thread in threads:
+            functions.update(thread_functions[thread])
+        if not functions:
+            continue
+        print(f"\ntop {PER_THREAD_TOP} functions of {label} (self time)")
+        for (name, short), n in functions.most_common(PER_THREAD_TOP):
+            print("  " + line(n, f"{name}  [{short}]"))
     if unnamed:
         print(f"\nhottest {addresses} addresses per unnamed region")
     for short, name, n, hits in sorted(unnamed, key=lambda r: -r[2]):
-        print(f"  {100.0 * n / total:6.2f} %  {n:8d}  {name}  [{short}]")
+        print("  " + line(n, f"{name}  [{short}]"))
         for addr, k in hits:
             print(f"      {100.0 * k / total:6.2f} %  {k:8d}  {addr:#x}")
 
