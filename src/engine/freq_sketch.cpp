@@ -49,22 +49,23 @@ FrequencySketch::record(std::uint64_t key, std::uint64_t hash)
     for (const std::uint64_t slot : slots)
         minCount = std::min(minCount, counterAt(slot));
     // Conservative update: only the row counters equal to the current
-    // minimum grow, which tightens the count-min overestimate. A row
-    // that shares another row's slot sees it already grown and skips
-    // it. Every grown counter is below kMaxCount, so adding one at its
-    // nibble never carries into the neighbour.
-    if (minCount < kMaxCount) {
-        for (const std::uint64_t slot : slots) {
-            if (counterAt(slot) == minCount) {
-                std::uint8_t &byte = table_[slot >> 1];
-                byte = static_cast<std::uint8_t>(
-                    byte + (1u << nibbleShift(slot)));
-            }
-        }
-        // Every counter now reads at least minCount + 1, and the grown
-        // ones exactly that: the post-update estimate.
-        ++minCount;
+    // minimum grow, which tightens the count-min overestimate. Each
+    // slot's byte gets (counter == min) at its nibble, with no branch
+    // on the data. Rows are visited in order and each re-reads its
+    // counter, so a row that shares another row's slot sees it
+    // already grown and adds 0. Every grown counter is below
+    // kMaxCount, so adding one at its nibble never carries into the
+    // neighbour; a saturated minimum grows nothing.
+    const std::uint32_t grows = minCount < kMaxCount ? 1u : 0u;
+    for (const std::uint64_t slot : slots) {
+        std::uint8_t &byte = table_[slot >> 1];
+        const std::uint32_t grow =
+            (counterAt(slot) == minCount ? 1u : 0u) & grows;
+        byte = static_cast<std::uint8_t>(byte + (grow << nibbleShift(slot)));
     }
+    // Every counter now reads at least minCount + 1, and the grown
+    // ones exactly that: the post-update estimate.
+    minCount += grows;
     if (++additions_ >= sampleSize_) {
         halve();
         // Halving every counter halves their minimum.

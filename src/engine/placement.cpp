@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "sim/flat_map.h"
 #include "sim/log.h"
 
 namespace rmssd::engine {
@@ -113,36 +114,35 @@ planHostTier(std::uint64_t rowsPerTable, Bytes vectorBytes,
     // Weights accumulate per row (hot ranks can alias onto one row),
     // and rows with no positive weight are never bought — the tier
     // pays off per intercepted lookup, so cold rows are dead weight.
-    struct TableHeat
+    // Per table, (weight, row) in first-seen order; a row's weight
+    // adds up in heats order, from 0.
+    std::vector<std::vector<std::pair<double, std::uint64_t>>> heat(
+        tables);
     {
-        std::vector<std::pair<double, std::uint64_t>> rows;
-        double totalWeight = 0.0;
-    };
-    std::vector<TableHeat> heat(tables);
-    {
-        std::vector<std::unordered_map<std::uint64_t, double>> acc(
-            tables);
+        std::vector<FlatMap<std::uint32_t>> slotOf(tables); // row -> slot
         for (const RowHeat &row : heats) {
             if (row.weight <= 0.0 || row.table.raw() >= tables)
                 continue;
-            acc[row.table.raw()][row.row.raw()] += row.weight;
-        }
-        for (std::uint32_t t = 0; t < tables; ++t) {
-            // det-safe: extraction order is erased by the total-order
-            // sort below (weight desc, row asc); totalWeight is a
-            // commutative sum.
-            for (const auto &[row, weight] : acc[t]) {
-                heat[t].rows.emplace_back(weight, row);
-                heat[t].totalWeight += weight;
+            auto &rows = heat[row.table.raw()];
+            bool created = false;
+            std::uint32_t &slot = slotOf[row.table.raw()].findOrInsert(
+                row.row.raw(), created);
+            if (created) {
+                RMSSD_ASSERT(rows.size() < UINT32_MAX,
+                             "too many rows in one table's heat");
+                slot = static_cast<std::uint32_t>(rows.size());
+                rows.emplace_back(0.0, row.row.raw());
             }
-            std::sort(heat[t].rows.begin(), heat[t].rows.end(),
-                      [](const auto &a, const auto &b) {
-                          if (a.first != b.first)
-                              return a.first > b.first;
-                          return a.second < b.second;
-                      });
+            rows[slot].first += row.weight;
         }
     }
+    // Total order (weight desc, row asc; rows are distinct), so the
+    // selected prefix and its order are those of a full sort.
+    const auto hotterFirst = [](const auto &a, const auto &b) {
+        if (a.first != b.first)
+            return a.first > b.first;
+        return a.second < b.second;
+    };
 
     std::vector<TierPlanEntry> entries(tables);
     std::vector<double> covered(tables, 0.0);
@@ -155,12 +155,17 @@ planHostTier(std::uint64_t rowsPerTable, Bytes vectorBytes,
             spent += rowsPerTable;
             continue;
         }
+        // Select the quota's hottest rows, then sort only those.
+        auto &rows = heat[t];
         const std::uint64_t take =
-            std::min<std::uint64_t>(quota[t], heat[t].rows.size());
+            std::min<std::uint64_t>(quota[t], rows.size());
+        const auto kept = rows.begin() + static_cast<std::ptrdiff_t>(take);
+        std::nth_element(rows.begin(), kept, rows.end(), hotterFirst);
+        std::sort(rows.begin(), kept, hotterFirst);
         entries[t].rows.reserve(take);
         for (std::uint64_t i = 0; i < take; ++i) {
-            entries[t].rows.push_back(EvIndex{heat[t].rows[i].second});
-            covered[t] += heat[t].rows[i].first;
+            entries[t].rows.push_back(EvIndex{rows[i].second});
+            covered[t] += rows[i].first;
         }
         spent += take;
     }

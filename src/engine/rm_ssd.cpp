@@ -105,9 +105,11 @@ RmSsd::RmSsd(const model::ModelConfig &config, const RmSsdOptions &options)
           *translator_, *ftl_, evCache_.get(),
           options.coalesceIndices))
 {
-    if (config_.embeddingBytes() > options_.geometry.capacityBytes())
+    if (!tablesFit(config_, options_.geometry))
         fatal("embedding tables (%.1f GB) exceed device capacity",
-              static_cast<double>(config_.embeddingBytes()) / 1e9);
+              static_cast<double>(config_.rowsPerTable) *
+                  static_cast<double>(config_.numTables) *
+                  static_cast<double>(config_.vectorBytes()) / 1e9);
     // A vector read is served from one flash page, so whole vectors
     // must tile a page; otherwise some row would straddle two pages.
     const std::uint64_t pageSize = options_.geometry.pageSizeBytes.raw();
@@ -142,6 +144,18 @@ RmSsd::RmSsd(const model::ModelConfig &config, const RmSsdOptions &options)
                   options_.geometry, options_.timing,
                   Bytes{config_.vectorBytes()});
     buildPlan(rcpv);
+}
+
+bool
+RmSsd::tablesFit(const model::ModelConfig &config,
+                 const flash::Geometry &geometry)
+{
+    // rows * bytesPerRow <= capacity, as a division: the product of
+    // two u32 fits in u64, the product with the row count may not.
+    const std::uint64_t bytesPerRow =
+        static_cast<std::uint64_t>(config.numTables) * config.vectorBytes();
+    return bytesPerRow == 0 ||
+           config.rowsPerTable <= geometry.capacityBytes() / bytesPerRow;
 }
 
 std::unique_ptr<ftl::Mapping>
@@ -331,21 +345,22 @@ RmSsd::registerTable(TableId tableId,
                                Bytes{spec.vectorBytes()}, spec.numRows);
 
     if (options_.functional) {
-        // One FTL write per page: the page's rows are laid out in one
-        // buffer, so only the tail of the table's last page is left
-        // for the backing store's filler.
-        const std::uint32_t rowBytes = spec.vectorBytes();
-        std::vector<std::uint8_t> page(
-            options_.geometry.pageSizeBytes.raw());
+        // One FTL write per page: the page's rows are synthesised
+        // into one buffer in one call, so only the tail of the
+        // table's last page is left for the backing store's filler.
+        // Whole vectors tile the page (checked at construction).
+        std::vector<float> page(options_.geometry.pageSizeBytes.raw() /
+                                sizeof(float));
         forEachTablePage(
             options_.geometry, spec, extents,
             [&](Lba lba, std::uint64_t firstRow, std::uint64_t rows) {
-                const std::span<std::uint8_t> bytes =
-                    std::span(page).first(rows * rowBytes);
-                for (std::uint64_t r = 0; r < rows; ++r)
-                    spec.rowBytes(firstRow + r,
-                                  bytes.subspan(r * rowBytes, rowBytes));
-                ftl_->writeBytesFunctional(lba, Bytes{}, bytes);
+                const std::span<float> values =
+                    std::span(page).first(rows * spec.dim);
+                spec.fillRows(firstRow, rows, values);
+                ftl_->writeBytesFunctional(
+                    lba, Bytes{},
+                    {reinterpret_cast<const std::uint8_t *>(values.data()),
+                     values.size_bytes()});
             });
     }
     tablesLoaded_ = translator_->numTables() == config_.numTables;

@@ -147,6 +147,14 @@ class RmSsd : public PipelinedDevice<RmSsdRequest>
   public:
     RmSsd(const model::ModelConfig &config, const RmSsdOptions &options);
 
+    /**
+     * Whether @p config's embedding tables fit @p geometry's capacity.
+     * The constructor is fatal when they do not; this is its check,
+     * free of the u64 product ModelConfig::embeddingBytes() wraps on.
+     */
+    static bool tablesFit(const model::ModelConfig &config,
+                          const flash::Geometry &geometry);
+
     /** Allocate, register and (optionally) load all embedding tables. */
     void loadTables();
 

@@ -79,9 +79,7 @@ EmbeddingTier::poolStored(TableResidency &table, std::uint32_t local,
         const std::uint64_t slot = slotBuf_[i];
         float *row = table.values.get() + slot * dim;
         if (!table.filled[slot]) {
-            spec.rowBytes(rows[i],
-                          {reinterpret_cast<std::uint8_t *>(row),
-                           dim * sizeof(float)});
+            spec.fillRows(rows[i], 1, {row, dim});
             table.filled[slot] = true;
             ++storedRows_;
         }

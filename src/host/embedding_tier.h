@@ -25,7 +25,7 @@
  * Stored rows: like a DRAM row cache, the tier pools a served slice
  * from the rows it stores. A resident row's slot comes from the same
  * probe that answers its residency (a whole table's slot is the row
- * itself); its bytes are filled from EmbeddingTableSpec::rowBytes the
+ * itself); its bytes are filled from EmbeddingTableSpec::fillRows the
  * first time a functional intercept reads it, and every later read
  * pools the stored floats. A timing-only tier never allocates row
  * storage, so a full-size or 2^18-row timing run costs no DRAM here.

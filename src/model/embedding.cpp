@@ -1,34 +1,15 @@
 #include "model/embedding.h"
 
-#include <cstring>
-
 #include "sim/log.h"
-#include "sim/rng.h"
 
 namespace rmssd::model {
-
-namespace {
-
-/**
- * Element (row, d) of the table whose hashCombine(seed, tableId) is
- * @p tableHash. Hoisting that inner hash out of a per-element loop
- * changes no value: it depends on neither the row nor the dimension.
- */
-float
-elementValue(std::uint64_t tableHash, std::uint64_t rowIndex,
-             std::uint32_t d)
-{
-    return hashToUnitFloat(hashCombine(tableHash, (rowIndex << 8) ^ d));
-}
-
-} // namespace
 
 float
 EmbeddingTableSpec::value(std::uint64_t rowIndex, std::uint32_t d) const
 {
     RMSSD_ASSERT(rowIndex < numRows, "embedding row out of range");
     RMSSD_ASSERT(d < dim, "embedding dim out of range");
-    return elementValue(hashCombine(seed, tableId), rowIndex, d);
+    return syntheticElement(hashCombine(seed, tableId), rowIndex, d);
 }
 
 Vector
@@ -38,21 +19,27 @@ EmbeddingTableSpec::row(std::uint64_t rowIndex) const
     const std::uint64_t tableHash = hashCombine(seed, tableId);
     Vector v(dim);
     for (std::uint32_t d = 0; d < dim; ++d)
-        v[d] = elementValue(tableHash, rowIndex, d);
+        v[d] = syntheticElement(tableHash, rowIndex, d);
     return v;
 }
 
 void
-EmbeddingTableSpec::rowBytes(std::uint64_t rowIndex,
-                             std::span<std::uint8_t> out) const
+EmbeddingTableSpec::fillRows(std::uint64_t firstRow, std::uint64_t count,
+                             std::span<float> out) const
 {
-    RMSSD_ASSERT(rowIndex < numRows, "embedding row out of range");
-    RMSSD_ASSERT(out.size() == vectorBytes(), "rowBytes size mismatch");
-    const std::uint64_t tableHash = hashCombine(seed, tableId);
-    for (std::uint32_t d = 0; d < dim; ++d) {
-        const float v = elementValue(tableHash, rowIndex, d);
-        std::memcpy(out.data() + d * sizeof(float), &v, sizeof(float));
-    }
+    fillRowsWith(bestRowKernel(), firstRow, count, out);
+}
+
+void
+EmbeddingTableSpec::fillRowsWith(RowKernel kernel, std::uint64_t firstRow,
+                                 std::uint64_t count,
+                                 std::span<float> out) const
+{
+    RMSSD_ASSERT(firstRow <= numRows && count <= numRows - firstRow,
+                 "embedding rows out of range");
+    RMSSD_ASSERT(out.size() == count * dim, "fillRows size mismatch");
+    synthesizeRows(kernel, hashCombine(seed, tableId), firstRow, count,
+                   dim, out.data());
 }
 
 Vector
@@ -66,7 +53,7 @@ EmbeddingTableSpec::slsReference(
     for (const std::uint64_t idx : indices) {
         RMSSD_ASSERT(idx < numRows, "embedding row out of range");
         for (std::uint32_t d = 0; d < dim; ++d)
-            acc[d] += elementValue(tableHash, idx, d);
+            acc[d] += syntheticElement(tableHash, idx, d);
     }
     return acc;
 }

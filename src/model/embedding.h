@@ -17,8 +17,24 @@
 #include <vector>
 
 #include "model/tensor.h"
+#include "sim/rng.h"
 
 namespace rmssd::model {
+
+/**
+ * Element (row, d) of the synthetic table whose hashCombine(seed,
+ * tableId) is @p tableHash: integer hashing, then one exact float
+ * step (DESIGN.md §13). Hoisting that table hash out of a per-element
+ * loop changes no value: it depends on neither the row nor the
+ * dimension. value(), row() and slsReference() evaluate it one scalar
+ * at a time; fillRows() runs it through synthesizeRows()' bodies.
+ */
+constexpr float
+syntheticElement(std::uint64_t tableHash, std::uint64_t row,
+                 std::uint32_t d)
+{
+    return hashToUnitFloat(hashCombine(tableHash, (row << 8) ^ d));
+}
 
 /** Static description of one embedding table. */
 struct EmbeddingTableSpec
@@ -46,9 +62,17 @@ struct EmbeddingTableSpec
      */
     Vector row(std::uint64_t rowIndex) const;
 
-    /** Serialize one row's fp32 bytes into @p out (vectorBytes()). */
-    void rowBytes(std::uint64_t rowIndex,
-                  std::span<std::uint8_t> out) const;
+    /**
+     * Materialize rows [firstRow, firstRow + count) into @p out, row
+     * after row (count * dim floats), through the fastest body this
+     * CPU runs. Every element is bit-equal to value() (DESIGN.md §13).
+     */
+    void fillRows(std::uint64_t firstRow, std::uint64_t count,
+                  std::span<float> out) const;
+
+    /** fillRows() through one named body; panics if it is not supported. */
+    void fillRowsWith(RowKernel kernel, std::uint64_t firstRow,
+                      std::uint64_t count, std::span<float> out) const;
 
     /** Reference SparseLengthsSum: pool the given rows. */
     Vector slsReference(std::span<const std::uint64_t> indices) const;

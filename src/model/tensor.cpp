@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "model/embedding.h"
 #include "sim/log.h"
 #include "sim/rng.h"
 
 // The vector bodies of gemv() need GCC/Clang x86-64: SSE2 is part of
 // that baseline, and AVX2 is compiled per function and run only if
-// the CPU reports it. Every other target runs the portable body.
+// the CPU reports it. Every other target runs the portable body. The
+// row synthesiser's AVX-512 body is compiled and chosen the same way.
 #if defined(__x86_64__) && defined(__GNUC__)
 #define RMSSD_GEMV_X86 1
 #include <immintrin.h>
@@ -228,6 +230,97 @@ gemv(const Matrix &w, std::span<const float> head,
      std::span<const float> tail, std::span<float> y)
 {
     gemvWith(bestKernel(), w, head, tail, y);
+}
+
+namespace {
+
+/**
+ * The one synthesiser loop, inlined into every body so that each
+ * target compiles the same source; the compiler vectorises the inner
+ * loop over d.
+ */
+[[gnu::always_inline]] inline void
+synthesizeLoop(std::uint64_t tableHash, std::uint64_t firstRow,
+               std::uint64_t count, std::uint32_t dim, float *out)
+{
+    for (std::uint64_t r = 0; r < count; ++r) {
+        float *row = out + r * dim;
+        for (std::uint32_t d = 0; d < dim; ++d)
+            row[d] = syntheticElement(tableHash, firstRow + r, d);
+    }
+}
+
+using RowsBody = void (*)(std::uint64_t tableHash, std::uint64_t firstRow,
+                          std::uint64_t count, std::uint32_t dim,
+                          float *out);
+
+void
+rowsPortable(std::uint64_t tableHash, std::uint64_t firstRow,
+             std::uint64_t count, std::uint32_t dim, float *out)
+{
+    synthesizeLoop(tableHash, firstRow, count, dim, out);
+}
+
+#if RMSSD_GEMV_X86
+
+// AVX-512 DQ brings the 64-bit vector multiply and the u64 -> double
+// conversion the loop needs. AVX2 has neither, and an AVX2 body ran no
+// faster than the default one.
+__attribute__((target("avx512f,avx512dq,avx512vl"))) void
+rowsAvx512(std::uint64_t tableHash, std::uint64_t firstRow,
+           std::uint64_t count, std::uint32_t dim, float *out)
+{
+    synthesizeLoop(tableHash, firstRow, count, dim, out);
+}
+
+#endif // RMSSD_GEMV_X86
+
+/** The body of @p kernel, or nullptr if this build or CPU lacks it. */
+RowsBody
+rowsBody(RowKernel kernel)
+{
+    switch (kernel) {
+      case RowKernel::Portable:
+        return rowsPortable;
+#if RMSSD_GEMV_X86
+      case RowKernel::Avx512:
+        return __builtin_cpu_supports("avx512f") &&
+                       __builtin_cpu_supports("avx512dq") &&
+                       __builtin_cpu_supports("avx512vl")
+                   ? rowsAvx512
+                   : nullptr;
+#endif
+      default:
+        return nullptr;
+    }
+}
+
+} // namespace
+
+bool
+rowKernelSupported(RowKernel kernel)
+{
+    return rowsBody(kernel) != nullptr;
+}
+
+RowKernel
+bestRowKernel()
+{
+    static const RowKernel best = rowKernelSupported(RowKernel::Avx512)
+                                      ? RowKernel::Avx512
+                                      : RowKernel::Portable;
+    return best;
+}
+
+void
+synthesizeRows(RowKernel kernel, std::uint64_t tableHash,
+               std::uint64_t firstRow, std::uint64_t count,
+               std::uint32_t dim, float *out)
+{
+    const RowsBody body = rowsBody(kernel);
+    RMSSD_ASSERT(body != nullptr,
+                 "row synthesiser body not supported on this host");
+    body(tableHash, firstRow, count, dim, out);
 }
 
 void

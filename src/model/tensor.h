@@ -93,6 +93,36 @@ void gemvWith(GemvKernel kernel, const Matrix &w,
               std::span<const float> head, std::span<const float> tail,
               std::span<float> y);
 
+/**
+ * The bodies of the embedding-row synthesiser: one loop, compiled once
+ * per target. Like gemv()'s bodies they live in tensor.cpp, and
+ * EmbeddingTableSpec::fillRows() picks the fastest supported one once
+ * per process.
+ */
+enum class RowKernel
+{
+    Portable, //!< the loop compiled for the default target
+    Avx512,   //!< the same loop for AVX-512 F/DQ/VL, if the CPU has them
+};
+
+/** Whether this build can run @p kernel on this CPU. */
+bool rowKernelSupported(RowKernel kernel);
+
+/** The fastest row body this CPU runs, chosen once per process. */
+RowKernel bestRowKernel();
+
+/**
+ * Rows [firstRow, firstRow + count) of the synthetic table whose
+ * hashCombine(seed, tableId) is @p tableHash, row after row into
+ * @p out (count * dim floats): element (r, d) is syntheticElement()
+ * (model/embedding.h), bit for bit, through @p kernel, which panics
+ * if it is not supported. The hash is integer-only and its float step
+ * exact, so every body computes the same bits (DESIGN.md §13).
+ */
+void synthesizeRows(RowKernel kernel, std::uint64_t tableHash,
+                    std::uint64_t firstRow, std::uint64_t count,
+                    std::uint32_t dim, float *out);
+
 /** Element-wise vector sum: acc += v. Sizes must match. */
 void accumulate(Vector &acc, const Vector &v);
 

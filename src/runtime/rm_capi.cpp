@@ -4,6 +4,7 @@
 #include <span>
 #include <string>
 
+#include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
 #include "runtime/rm_api.h"
 
@@ -47,6 +48,9 @@ rm_session_create(const char *model_name, uint64_t rows_per_table,
 
     rmssd::engine::RmSsdOptions options;
     options.functional = functional != 0;
+    // The device would exit the process on tables it cannot hold.
+    if (!rmssd::engine::RmSsd::tablesFit(config, options.geometry))
+        return nullptr;
     return new rm_session(config, options, uid);
 }
 

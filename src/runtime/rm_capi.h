@@ -34,7 +34,9 @@ typedef struct rm_session rm_session;
  *        otherwise tables shrink to this many rows (functional runs)
  * @param functional nonzero loads real table bytes into flash
  * @param uid caller identity for table ownership checks
- * @return session handle, or NULL for an unknown model
+ * @return session handle, or NULL for an unknown model or for tables
+ *         that do not fit the device's flash capacity (including a
+ *         row count whose byte size overflows 64 bits)
  */
 rm_session *rm_session_create(const char *model_name,
                               uint64_t rows_per_table, int functional,

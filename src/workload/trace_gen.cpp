@@ -141,32 +141,46 @@ TraceGenerator::tableHistograms(std::uint64_t lookupsPerTable) const
     Rng rng(hashCombine(trace_.seed, 0x7ab1e815ULL));
 
     std::vector<TableHistogram> hist(config_.numTables);
-    std::vector<std::uint64_t> hotSorted;
-    hotSorted.reserve(trace_.hotRowsPerTable);
-    std::vector<bool> seen; // per hotSorted entry: drawn this table
+    // Two ranks may hash to the same row, so each distinct hot row
+    // gets an id: a hot draw finds it by rank, a cold draw (which can
+    // land on a hot row too) by one probe.
+    FlatMap<std::uint32_t> hotIds;      // hot row -> id
+    std::vector<std::uint32_t> rankIds; // hot rank -> id
+    rankIds.reserve(trace_.hotRowsPerTable);
+    std::vector<bool> seen; // per id: drawn this table
     for (std::uint32_t t = 0; t < config_.numTables; ++t) {
-        // Two ranks may hash to the same row; membership keeps one.
-        hotSorted.clear();
-        for (std::uint64_t r = 0; r < trace_.hotRowsPerTable; ++r)
-            hotSorted.push_back(hotRow(t, r));
-        std::sort(hotSorted.begin(), hotSorted.end());
-        hotSorted.erase(std::unique(hotSorted.begin(), hotSorted.end()),
-                        hotSorted.end());
-        seen.assign(hotSorted.size(), false);
+        hotIds.clear();
+        rankIds.clear();
+        for (std::uint64_t r = 0; r < trace_.hotRowsPerTable; ++r) {
+            bool created = false;
+            std::uint32_t &id = hotIds.findOrInsert(hotRow(t, r), created);
+            if (created) {
+                RMSSD_ASSERT(hotIds.size() <= UINT32_MAX,
+                             "hot set too large to profile");
+                id = static_cast<std::uint32_t>(hotIds.size() - 1);
+            }
+            rankIds.push_back(id);
+        }
+        seen.assign(hotIds.size(), false);
 
+        // drawIndexWith's draws, in its order, resolved to an id.
+        const double hotFraction = trace_.tableHotFraction(t);
         TableHistogram &h = hist[t];
         h.totalLookups = lookupsPerTable;
         for (std::uint64_t i = 0; i < lookupsPerTable; ++i) {
-            const std::uint64_t idx = drawIndexWith(rng, t);
-            const auto it =
-                std::lower_bound(hotSorted.begin(), hotSorted.end(), idx);
-            if (it == hotSorted.end() || *it != idx)
-                continue;
+            std::uint32_t id = 0;
+            if (rng.nextDouble() < hotFraction) {
+                id = rankIds[hotRank(rng.nextDouble(), trace_.hotSkew,
+                                     trace_.hotRowsPerTable)];
+            } else {
+                const std::uint32_t *hot = hotIds.find(rows_.mod(rng.next()));
+                if (hot == nullptr)
+                    continue;
+                id = *hot;
+            }
             ++h.hotLookups;
-            const auto pos =
-                static_cast<std::size_t>(it - hotSorted.begin());
-            if (!seen[pos]) {
-                seen[pos] = true;
+            if (!seen[id]) {
+                seen[id] = true;
                 ++h.uniqueHotIndices;
             }
         }
@@ -183,11 +197,16 @@ TraceGenerator::hotRowHeats() const
     const double n = static_cast<double>(trace_.hotRowsPerTable);
     const double invSkew = 1.0 / trace_.hotSkew;
     for (std::uint32_t t = 0; t < config_.numTables; ++t) {
+        // Rank r's upper term pow((r + 1) / n) is rank r + 1's lower
+        // term pow(r' / n): double(r) + 1.0 == double(r + 1) exactly
+        // below 2^53, so one pow per rank gives the same bits.
+        double lower = std::pow(0.0 / n, invSkew);
         for (std::uint64_t r = 0; r < trace_.hotRowsPerTable; ++r) {
+            const double upper =
+                std::pow((static_cast<double>(r) + 1.0) / n, invSkew);
             const double weight =
-                trace_.tableHotFraction(t) *
-                (std::pow((static_cast<double>(r) + 1.0) / n, invSkew) -
-                 std::pow(static_cast<double>(r) / n, invSkew));
+                trace_.tableHotFraction(t) * (upper - lower);
+            lower = upper;
             heats.push_back(engine::RowHeat{TableId{t},
                                             EvIndex{hotRow(t, r)},
                                             weight});

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
 #include "runtime/rm_capi.h"
 
@@ -214,6 +215,53 @@ TEST(CApi, ProductionSizingWhenRowsZero)
     rm_session *s = session.get();
     ASSERT_NE(s, nullptr);
     EXPECT_EQ(rm_num_tables(s), 32u);
+}
+
+/** RMC1's rows per table that fill the default device exactly. */
+std::uint64_t
+rmc1RowsAtCapacity()
+{
+    const model::ModelConfig cfg = model::rmc1();
+    const std::uint64_t bytesPerRow =
+        std::uint64_t{cfg.numTables} * cfg.vectorBytes();
+    return engine::RmSsdOptions{}.geometry.capacityBytes() / bytesPerRow;
+}
+
+TEST(CApi, OversizedTablesReturnNull)
+{
+    // 8 tables of 128-byte rows: 2^54 rows is 2^64 bytes, which an
+    // unchecked u64 product wraps to 0.
+    EXPECT_EQ(rm_session_create("RMC1", std::uint64_t{1} << 54, 0, 1),
+              nullptr);
+    EXPECT_EQ(rm_session_create("RMC1", UINT64_MAX, 0, 1), nullptr);
+    // One row past the device is refused, not a process exit.
+    const std::uint64_t full = rmc1RowsAtCapacity();
+    EXPECT_EQ(rm_session_create("RMC1", full + 1, 0, 1), nullptr);
+    EXPECT_EQ(rm_session_create("RMC1", full + 1, 1, 1), nullptr);
+    Session exact("RMC1", full, 0);
+    EXPECT_NE(exact.get(), nullptr);
+}
+
+TEST(CApi, SmallTablesStillServeAfterRefusedSizes)
+{
+    ASSERT_EQ(rm_session_create("RMC1", rmc1RowsAtCapacity() + 1, 1, 42),
+              nullptr);
+    Session session("RMC1", 64, 1);
+    rm_session *s = session.get();
+    ASSERT_NE(s, nullptr);
+    setupTables(s);
+    const model::DlrmModel reference(model::rmc1().withRowsPerTable(64));
+    const model::Sample sample = reference.makeSample(3);
+    std::vector<uint64_t> sparse;
+    for (const auto &table : sample.indices)
+        sparse.insert(sparse.end(), table.begin(), table.end());
+    ASSERT_EQ(rm_send_inputs(s, 0, rm_lookups_per_table(s), sparse.data(),
+                             sparse.size(), sample.dense.data(),
+                             sample.dense.size()),
+              0);
+    float out = 0.0f;
+    ASSERT_EQ(rm_read_outputs(s, &out, 1), 1);
+    EXPECT_EQ(bits(out), bits(reference.referenceInference(sample)));
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -132,7 +133,9 @@ rowAtATimePages(const model::ModelConfig &cfg, const RmSsdOptions &opt)
             g.sectorsPerPage());
         std::vector<std::uint8_t> row(spec.vectorBytes());
         for (std::uint64_t r = 0; r < spec.numRows; ++r) {
-            spec.rowBytes(r, row);
+            // The scalar formula, not the device's multi-row load.
+            const model::Vector values = spec.row(r);
+            std::memcpy(row.data(), values.data(), row.size());
             const auto loc = extents.locateByte(
                 Bytes{r * spec.vectorBytes()}, sectorSize);
             const ftl::Ftl::PhysLoc phys =

@@ -8,15 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "engine/placement.h"
 #include "engine/rm_ssd.h"
 #include "host/embedding_tier.h"
 #include "model/model_zoo.h"
+#include "sim/rng.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -161,6 +166,314 @@ TEST(TierPlanner, UpgradesChaseUncoveredTraffic)
     EXPECT_FALSE(plan.entries[0].wholeTable);
     EXPECT_EQ(plan.entries[0].rows.size(), 5u);
     EXPECT_TRUE(plan.entries[1].wholeTable);
+}
+
+/**
+ * engine::planHostTier as it was before the flat heat map and the
+ * quota selection, kept verbatim as the reference: row heat summed in
+ * unordered_maps, then a full sort of every table's rows.
+ */
+engine::TierPlan
+referencePlanHostTier(std::uint64_t rowsPerTable, Bytes vectorBytes,
+             std::span<const double> shares,
+             std::span<const engine::RowHeat> heats, Bytes budgetBytes)
+{
+    RMSSD_ASSERT(!shares.empty(), "empty table shares");
+    RMSSD_ASSERT(rowsPerTable > 0, "empty tables");
+    RMSSD_ASSERT(vectorBytes.raw() > 0, "zero-byte embedding vector");
+
+    engine::TierPlan plan;
+    plan.budgetBytes = budgetBytes;
+    const auto tables = static_cast<std::uint32_t>(shares.size());
+    const std::uint64_t slots = budgetBytes.raw() / vectorBytes.raw();
+    if (slots == 0)
+        return plan;
+
+    // Budget split: largest-remainder apportionment of row slots over
+    // the table shares (planTablePartitions' quota scheme), iterated
+    // with per-table caps — a table whose quota reaches its row count
+    // is pinned whole and its surplus re-apportions to the rest.
+    std::vector<std::uint64_t> quota(tables, 0);
+    std::uint64_t pool = slots;
+    while (pool > 0) {
+        double total = 0.0;
+        std::uint32_t open = 0;
+        for (std::uint32_t t = 0; t < tables; ++t) {
+            if (quota[t] >= rowsPerTable)
+                continue;
+            RMSSD_ASSERT(shares[t] > 0.0, "non-positive table share");
+            total += shares[t];
+            ++open;
+        }
+        if (open == 0)
+            break; // every table already whole; surplus stays unused
+
+        std::uint64_t assigned = 0;
+        std::vector<std::pair<double, std::uint32_t>> remainders;
+        remainders.reserve(open);
+        for (std::uint32_t t = 0; t < tables; ++t) {
+            if (quota[t] >= rowsPerTable)
+                continue;
+            const double exact =
+                static_cast<double>(pool) * shares[t] / total;
+            const auto whole = static_cast<std::uint64_t>(exact);
+            const std::uint64_t take =
+                std::min(whole, rowsPerTable - quota[t]);
+            quota[t] += take;
+            assigned += take;
+            if (quota[t] < rowsPerTable)
+                remainders.emplace_back(exact - static_cast<double>(whole),
+                                        t);
+        }
+        std::sort(remainders.begin(), remainders.end(),
+                  [](const auto &a, const auto &b) {
+                      // Ties broken by table id for determinism.
+                      if (a.first != b.first)
+                          return a.first > b.first;
+                      return a.second < b.second;
+                  });
+        for (const auto &[rem, t] : remainders) {
+            if (assigned >= pool)
+                break;
+            ++quota[t];
+            ++assigned;
+        }
+        if (assigned == 0)
+            break; // nothing placeable (all floors zero, all capped)
+        pool -= assigned;
+    }
+
+    // Vector granularity: each table's quota buys its hottest rows.
+    // Weights accumulate per row (hot ranks can alias onto one row),
+    // and rows with no positive weight are never bought — the tier
+    // pays off per intercepted lookup, so cold rows are dead weight.
+    struct TableHeat
+    {
+        std::vector<std::pair<double, std::uint64_t>> rows;
+        double totalWeight = 0.0;
+    };
+    std::vector<TableHeat> heat(tables);
+    {
+        std::vector<std::unordered_map<std::uint64_t, double>> acc(
+            tables);
+        for (const engine::RowHeat &row : heats) {
+            if (row.weight <= 0.0 || row.table.raw() >= tables)
+                continue;
+            acc[row.table.raw()][row.row.raw()] += row.weight;
+        }
+        for (std::uint32_t t = 0; t < tables; ++t) {
+            // det-safe: extraction order is erased by the total-order
+            // sort below (weight desc, row asc); totalWeight is a
+            // commutative sum.
+            for (const auto &[row, weight] : acc[t]) {
+                heat[t].rows.emplace_back(weight, row);
+                heat[t].totalWeight += weight;
+            }
+            std::sort(heat[t].rows.begin(), heat[t].rows.end(),
+                      [](const auto &a, const auto &b) {
+                          if (a.first != b.first)
+                              return a.first > b.first;
+                          return a.second < b.second;
+                      });
+        }
+    }
+
+    std::vector<engine::TierPlanEntry> entries(tables);
+    std::vector<double> covered(tables, 0.0);
+    std::uint64_t spent = 0;
+    for (std::uint32_t t = 0; t < tables; ++t) {
+        entries[t].table = TableId{t};
+        if (quota[t] >= rowsPerTable) {
+            entries[t].wholeTable = true;
+            covered[t] = 1.0;
+            spent += rowsPerTable;
+            continue;
+        }
+        const std::uint64_t take =
+            std::min<std::uint64_t>(quota[t], heat[t].rows.size());
+        entries[t].rows.reserve(take);
+        for (std::uint64_t i = 0; i < take; ++i) {
+            entries[t].rows.push_back(EvIndex{heat[t].rows[i].second});
+            covered[t] += heat[t].rows[i].first;
+        }
+        spent += take;
+    }
+
+    // Table granularity: slots the hot rows could not absorb upgrade
+    // tables to whole pins, chasing *uncovered* traffic — the heat
+    // mass (hot tail + cold accesses) residency does not serve yet. A
+    // fully-hot table whose hot set is already resident has nothing
+    // left to cover and never steals an upgrade from a half-cold one.
+    std::uint64_t leftover = slots - spent;
+    std::vector<std::pair<double, std::uint32_t>> upgrade;
+    for (std::uint32_t t = 0; t < tables; ++t) {
+        if (!entries[t].wholeTable)
+            upgrade.emplace_back(1.0 - covered[t], t);
+    }
+    std::sort(upgrade.begin(), upgrade.end(),
+              [](const auto &a, const auto &b) {
+                  if (a.first != b.first)
+                      return a.first > b.first;
+                  return a.second < b.second;
+              });
+    for (const auto &[uncovered, t] : upgrade) {
+        if (uncovered <= 0.0)
+            break;
+        const std::uint64_t cost =
+            rowsPerTable - entries[t].rows.size();
+        if (cost > leftover)
+            continue;
+        entries[t].wholeTable = true;
+        entries[t].rows.clear();
+        leftover -= cost;
+        spent += cost;
+    }
+
+    for (engine::TierPlanEntry &entry : entries) {
+        entry.bytes =
+            Bytes{(entry.wholeTable ? rowsPerTable
+                                    : entry.rows.size()) *
+                  vectorBytes.raw()};
+        if (entry.wholeTable || !entry.rows.empty())
+            plan.entries.push_back(std::move(entry));
+    }
+    plan.plannedBytes = Bytes{spent * vectorBytes.raw()};
+    return plan;
+}
+
+/** "" when two plans are equal field by field, else the first difference. */
+std::string
+planMismatch(const engine::TierPlan &got, const engine::TierPlan &want)
+{
+    std::ostringstream os;
+    if (got.budgetBytes != want.budgetBytes ||
+        got.plannedBytes != want.plannedBytes)
+        os << "planned bytes " << got.plannedBytes.raw() << " vs "
+           << want.plannedBytes.raw();
+    else if (got.entries.size() != want.entries.size())
+        os << got.entries.size() << " entries vs " << want.entries.size();
+    for (std::size_t e = 0; os.str().empty() && e < got.entries.size();
+         ++e) {
+        const engine::TierPlanEntry &a = got.entries[e];
+        const engine::TierPlanEntry &b = want.entries[e];
+        if (a.table != b.table || a.wholeTable != b.wholeTable ||
+            a.bytes != b.bytes || a.rows != b.rows)
+            os << "entry " << e << " (table " << b.table.raw() << ")";
+    }
+    return os.str();
+}
+
+TEST(TierPlannerDifferential, MatchesFullSortReference)
+{
+    // Random plans built to hit the selection's edges: few distinct
+    // weights (ties at the quota boundary), rows drawn from a narrow
+    // range (aliased entries), budgets from zero past every table
+    // (quotas below and above a table's hot-row count, whole-table
+    // pins and upgrades).
+    Rng rng(0x71e4);
+    const double weights[] = {0.25, 0.5, 0.125, 1.0 / 3.0, 0.0, -0.5};
+    int belowHotRows = 0, allHotRows = 0, upgraded = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const auto tables = static_cast<std::uint32_t>(1 + rng.nextBounded(6));
+        const std::uint64_t rowsPerTable =
+            std::uint64_t{1} << (2 + rng.nextBounded(9));
+        const std::uint64_t rowRange = 1 + rng.nextBounded(rowsPerTable);
+        std::vector<double> shares;
+        for (std::uint32_t t = 0; t < tables; ++t)
+            shares.push_back(static_cast<double>(1 + rng.nextBounded(4)));
+        std::vector<engine::RowHeat> heats;
+        const std::uint64_t count = rng.nextBounded(3 * rowRange + 8);
+        for (std::uint64_t i = 0; i < count; ++i) {
+            const double w = rng.nextBounded(4) == 0
+                                 ? rng.nextDouble()
+                                 : weights[rng.nextBounded(6)];
+            heats.push_back({TableId{static_cast<std::uint32_t>(
+                                 rng.nextBounded(tables + 1))},
+                             EvIndex{rng.nextBounded(rowRange)}, w});
+        }
+        const std::uint64_t slots =
+            rng.nextBounded(tables * rowsPerTable * 5 / 4 + 2);
+        const Bytes budget{slots * 4 + rng.nextBounded(4)};
+        const engine::TierPlan got =
+            engine::planHostTier(rowsPerTable, Bytes{4}, shares, heats,
+                                 budget);
+        const engine::TierPlan want = referencePlanHostTier(
+            rowsPerTable, Bytes{4}, shares, heats, budget);
+        ASSERT_EQ(planMismatch(got, want), "") << "trial " << trial;
+
+        // What the trial covered: per table, the distinct rows with
+        // positive heat against the rows bought.
+        for (const engine::TierPlanEntry &entry : want.entries) {
+            std::vector<std::uint64_t> hot;
+            for (const engine::RowHeat &h : heats) {
+                if (h.table == entry.table && h.weight > 0.0)
+                    hot.push_back(h.row.raw());
+            }
+            std::sort(hot.begin(), hot.end());
+            hot.erase(std::unique(hot.begin(), hot.end()), hot.end());
+            if (entry.wholeTable)
+                upgraded += hot.size() < rowsPerTable ? 1 : 0;
+            else if (entry.rows.size() < hot.size())
+                ++belowHotRows;
+            else
+                ++allHotRows;
+        }
+    }
+    EXPECT_GT(belowHotRows, 50);
+    EXPECT_GT(allHotRows, 50);
+    EXPECT_GT(upgraded, 50);
+}
+
+TEST(TierPlannerDifferential, TiesAtTheQuotaKeepTheLowestRows)
+{
+    // 40 rows of one weight, listed from the highest row down, and a
+    // quota of 10: the plan keeps rows 0..9 in ascending order.
+    std::vector<engine::RowHeat> heats;
+    for (std::uint64_t r = 40; r-- > 0;)
+        heats.push_back({TableId{0}, EvIndex{r}, 0.25});
+    heats.push_back({TableId{0}, EvIndex{33}, 0.25}); // 33 now hottest
+    const std::vector<double> shares{1.0};
+    const engine::TierPlan got =
+        engine::planHostTier(1000, Bytes{4}, shares, heats, Bytes{10 * 4});
+    ASSERT_EQ(planMismatch(got, referencePlanHostTier(
+                                    1000, Bytes{4}, shares, heats,
+                                    Bytes{10 * 4})),
+              "");
+    ASSERT_EQ(got.entries.size(), 1u);
+    std::vector<std::uint64_t> rows;
+    for (const EvIndex row : got.entries[0].rows)
+        rows.push_back(row.raw());
+    EXPECT_EQ(rows, (std::vector<std::uint64_t>{33, 0, 1, 2, 3, 4, 5, 6,
+                                                 7, 8}));
+}
+
+TEST(TierPlannerDifferential, TraceHeatsAtBenchScaleMatchReference)
+{
+    // Analytic heats of an RMC1-like trace: 8 tables of 10 000 hot
+    // ranks, budgets from a sliver (every quota below the hot set) to
+    // past the hot set (every hot row kept, upgrades).
+    model::ModelConfig cfg = model::rmc1();
+    cfg.withRowsPerTable(std::uint64_t{1} << 16);
+    workload::TraceConfig trace;
+    trace.tableHotFractions = {1.0, 0.9, 0.2};
+    const workload::TraceGenerator gen(cfg, trace);
+    const std::vector<engine::RowHeat> heats = gen.hotRowHeats();
+    const std::vector<double> shares =
+        workload::planTierShares(gen.tableHistograms(4096));
+    for (const std::uint64_t slots :
+         {std::uint64_t{1000}, std::uint64_t{40000}, std::uint64_t{90000},
+          std::uint64_t{200000}, std::uint64_t{400000}}) {
+        const Bytes budget{slots * cfg.vectorBytes()};
+        ASSERT_EQ(planMismatch(
+                      engine::planHostTier(cfg.rowsPerTable,
+                                           Bytes{cfg.vectorBytes()}, shares,
+                                           heats, budget),
+                      referencePlanHostTier(cfg.rowsPerTable,
+                                            Bytes{cfg.vectorBytes()}, shares,
+                                            heats, budget)),
+                  "")
+            << slots << " slots";
+    }
 }
 
 // ---- Tier residency and interception -------------------------------

@@ -389,7 +389,8 @@ EOF
         result = ('{"failed": $failed, "end_to_end": {'
                   '"lat_hi.p99_us": {"value": 5.0, "unit": "us"}, '
                   '"sim_req_per_s": {"value": $rps, "unit": "req/s"}, '
-                  '"setup_s": {"value": $setup, "unit": "s"}}}')
+                  '"setup_s": {"value": $setup, "unit": "s"}, '
+                  '"peak_rss_mb": {"value": 20.5, "unit": "MB"}}}')
         lines += ['echo "serving $2"', f"echo '{result}' | "
                   "sed \"s/\\$failed/$failed/;s/\\$rps/$rps/;"
                   "s/\\$setup/$setup/\""]
@@ -431,7 +432,9 @@ EOF
                 "sls_rmc2_cold sim_req_per_s: median 115 -> 155 "
                 "(1.348x), IQR 15 -> 35, change higher in 3 of 4 pairs",
                 "sls_rmc2_cold setup_s: median 0.5 -> 0.4 (0.800x), "
-                "IQR 0 -> 0.05, change lower in 3 of 4 pairs"):
+                "IQR 0 -> 0.05, change lower in 3 of 4 pairs",
+                "sls_rmc2_cold peak_rss_mb: median 20.5 -> 20.5 (1.000x), "
+                "IQR 0 -> 0, change lower in 0 of 4 pairs"):
             self.assertIn(needle, r.stdout)
 
     def test_pairs_race_every_workload_by_default(self):
@@ -465,6 +468,80 @@ EOF
     def test_pairs_need_perf(self):
         r = run_tool("compare_outputs.py", REPO, REPO, "--pairs", "2")
         self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+
+    GOLDENS = sorted((REPO / "bench" / "goldens").glob("BENCH_*.json"))
+    FIGURES = [g.name[len("BENCH_"):-len(".json")] for g in GOLDENS]
+
+    def figure_tree(self, root: pathlib.Path, log: pathlib.Path, *,
+                    slow: str = "", wrong: str = "",
+                    missing: str = "") -> pathlib.Path:
+        """One fake binary per golden figure, like a build tree's bench/.
+
+        Each logs its side, name and argv to @p log and copies its
+        golden into the working directory. Figure @p slow sleeps 0.3 s
+        first, figure @p wrong writes another dump, and figure
+        @p missing is not built.
+        """
+        for golden, fig in zip(self.GOLDENS, self.FIGURES):
+            if fig == missing:
+                continue
+            body = f'echo "{root.name} {fig} $*" >> {log}\n'
+            if fig == slow:
+                body += "sleep 0.3\n"
+            body += (f"echo '{{}}' > {golden.name}\n" if fig == wrong
+                     else f"cp {golden} .\n")
+            self.script(root / "bench" / fig, body)
+        return root
+
+    def race_figures(self, parent: dict, change: dict, *args: str):
+        with tempfile.TemporaryDirectory() as td:
+            root = pathlib.Path(td)
+            log = root / "order.log"
+            trees = [self.figure_tree(root / side, log, **kwargs)
+                     for side, kwargs in (("parent", parent),
+                                          ("change", change))]
+            r = run_tool("compare_outputs.py", "--figures", *trees, *args)
+            order = log.read_text().splitlines() if log.exists() else []
+            return r, order
+
+    def test_figures_race_alternates_and_checks_goldens(self):
+        r, order = self.race_figures({"slow": "fig14_locality"}, {},
+                                     "--pairs", "2")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        # Every figure once per side and pair, one after another, with
+        # the microbenchmarks skipped; parent first in odd pairs.
+        runs = {side: [f"{side} {fig} --benchmark_filter=NONE_"
+                       for fig in self.FIGURES]
+                for side in ("parent", "change")}
+        self.assertEqual(order, runs["parent"] + runs["change"] +
+                         runs["change"] + runs["parent"])
+        self.assertIn("figures pair 1 (parent first): total ", r.stdout)
+        self.assertIn("figures pair 2 (change first): total ", r.stdout)
+        # The parent's sleep loses it fig14 and the total, every pair.
+        for label in ("fig14_locality", "total"):
+            self.assertRegex(
+                r.stdout, rf"{label} wall_s: median [0-9.e-]+ -> "
+                rf"[0-9.e-]+ \([0-9.]+x\), IQR [0-9.e-]+ -> [0-9.e-]+, "
+                rf"change lower in 2 of 2 pairs")
+        for fig in self.FIGURES:
+            self.assertIn(f"{fig} wall_s: median ", r.stdout)
+        self.assertIn("goldens identical", r.stdout)
+
+    def test_figures_race_reports_a_dump_off_its_golden(self):
+        r, _ = self.race_figures({}, {"wrong": "fig19_tiering"},
+                                 "--pairs", "1")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("pair 1 change: fig19_tiering: "
+                      "BENCH_fig19_tiering.json differs from bench/goldens",
+                      r.stdout)
+        self.assertNotIn("pair 1 parent:", r.stdout)
+        self.assertIn("DIFFERENT", r.stdout)
+
+    def test_figures_race_needs_every_figure_binary(self):
+        r, order = self.race_figures({}, {"missing": "fig12_throughput"})
+        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
+        self.assertIn("change: no bench/fig12_throughput", r.stderr)
+        self.assertEqual(order, [])
 
 
 

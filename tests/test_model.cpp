@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -379,14 +380,128 @@ TEST(Embedding, ValuesAreDeterministicAndBounded)
 TEST(Embedding, RowBytesRoundTripsThroughFloats)
 {
     EmbeddingTableSpec spec{1, 10, 8, 5};
+    std::vector<float> filled(spec.dim);
+    spec.fillRows(3, 1, filled);
     std::vector<std::uint8_t> raw(spec.vectorBytes());
-    spec.rowBytes(3, raw);
+    std::memcpy(raw.data(), filled.data(), raw.size());
     const Vector row = spec.row(3);
     for (std::uint32_t d = 0; d < 8; ++d) {
         float v;
         std::memcpy(&v, raw.data() + d * sizeof(float), sizeof(float));
         EXPECT_EQ(v, row[d]);
     }
+}
+
+/**
+ * The per-row serializer fillRows() replaced, kept as the reference:
+ * one scalar element at a time, exactly as the table load wrote rows.
+ */
+std::vector<float>
+referenceRows(const EmbeddingTableSpec &spec, std::uint64_t firstRow,
+              std::uint64_t count)
+{
+    const std::uint64_t tableHash = hashCombine(spec.seed, spec.tableId);
+    std::vector<float> out;
+    for (std::uint64_t r = firstRow; r < firstRow + count; ++r) {
+        for (std::uint32_t d = 0; d < spec.dim; ++d)
+            out.push_back(
+                hashToUnitFloat(hashCombine(tableHash, (r << 8) ^ d)));
+    }
+    return out;
+}
+
+/**
+ * "" when @p kernel's rows [firstRow, firstRow + count) of @p spec
+ * equal value() and the reference element by element, bit for bit;
+ * otherwise the first mismatch.
+ */
+std::string
+rowsMismatch(RowKernel kernel, const EmbeddingTableSpec &spec,
+             std::uint64_t firstRow, std::uint64_t count)
+{
+    // Poisoned, so an element the body skips cannot pass by luck.
+    std::vector<float> got(count * spec.dim,
+                           std::numeric_limits<float>::quiet_NaN());
+    spec.fillRowsWith(kernel, firstRow, count, got);
+    const std::vector<float> want = referenceRows(spec, firstRow, count);
+    for (std::uint64_t r = 0; r < count; ++r) {
+        for (std::uint32_t d = 0; d < spec.dim; ++d) {
+            const std::size_t i = r * spec.dim + d;
+            const float value = spec.value(firstRow + r, d);
+            if (std::bit_cast<std::uint32_t>(got[i]) !=
+                    std::bit_cast<std::uint32_t>(value) ||
+                std::bit_cast<std::uint32_t>(want[i]) !=
+                    std::bit_cast<std::uint32_t>(value)) {
+                std::ostringstream os;
+                os << "table " << spec.tableId << " dim " << spec.dim
+                   << " row " << firstRow + r << " d " << d << ": got "
+                   << got[i] << ", value() " << value << ", reference "
+                   << want[i];
+                return os.str();
+            }
+        }
+    }
+    return "";
+}
+
+/** Every shape the synthesiser sees, through one body. */
+void
+expectRowsBitEqual(RowKernel kernel)
+{
+    // Whole tables: odd and even dims around every vector width, and
+    // past 256, where d reaches into the row's bits of the key.
+    for (const std::uint32_t dim : {1u, 3u, 4u, 7u, 8u, 16u, 17u, 32u,
+                                    64u, 100u, 300u}) {
+        const EmbeddingTableSpec spec{dim % 5, 41, dim, 0x5eed + dim};
+        ASSERT_EQ(rowsMismatch(kernel, spec, 0, spec.numRows), "");
+        ASSERT_EQ(rowsMismatch(kernel, spec, 17, 1), "");
+    }
+    // A table whose last flash page is partial: 1000 RMC1 rows are
+    // 31 full 4 KiB pages of 32 rows and a last page of 8.
+    const EmbeddingTableSpec rmc1Table{6, 1000, 32, 99};
+    for (std::uint64_t first = 0; first < rmc1Table.numRows; first += 32) {
+        const std::uint64_t count =
+            std::min<std::uint64_t>(32, rmc1Table.numRows - first);
+        ASSERT_EQ(rowsMismatch(kernel, rmc1Table, first, count), "");
+    }
+    // Rows far out in a production-sized table, and zero rows.
+    const EmbeddingTableSpec big{3, std::uint64_t{1} << 40, 64, 7};
+    ASSERT_EQ(rowsMismatch(kernel, big, big.numRows - 5, 5), "");
+    ASSERT_EQ(rowsMismatch(kernel, big, 0, 0), "");
+    // A sharded sub-model keeps the parent's global table ids, which
+    // seed the content.
+    const ModelConfig sub =
+        rmc2().withRowsPerTable(96).withTableSubset({29, 4, 17});
+    const DlrmModel model(sub, Weights::ShapesOnly);
+    ASSERT_EQ(model.embedding().tables()[0].tableId, 29u);
+    for (const EmbeddingTableSpec &spec : model.embedding().tables())
+        ASSERT_EQ(rowsMismatch(kernel, spec, 0, spec.numRows), "");
+}
+
+TEST(EmbeddingRows, FillRowsBitEqualToValue)
+{
+    // The body fillRows() picks for this CPU.
+    const EmbeddingTableSpec spec{2, 300, 32, 11};
+    std::vector<float> got(spec.numRows * spec.dim);
+    spec.fillRows(0, spec.numRows, got);
+    const std::vector<float> want = referenceRows(spec, 0, spec.numRows);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(float)),
+              0);
+}
+
+TEST(EmbeddingRows, PortableBodyBitEqualToValue)
+{
+    ASSERT_TRUE(rowKernelSupported(RowKernel::Portable));
+    expectRowsBitEqual(RowKernel::Portable);
+}
+
+TEST(EmbeddingRows, Avx512BodyBitEqualToValue)
+{
+    if (!rowKernelSupported(RowKernel::Avx512))
+        GTEST_SKIP() << "this CPU has no AVX-512 F/DQ/VL: the AVX-512 "
+                        "body cannot run";
+    expectRowsBitEqual(RowKernel::Avx512);
 }
 
 TEST(Embedding, SlsReferenceSumsRows)

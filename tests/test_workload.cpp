@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -376,6 +377,185 @@ TEST(TraceGenerator, HistogramIsSkewed)
         EXPECT_LE(h.top[i].first, h.top[i - 1].first);
     // A large one-hit-wonder tail, like Fig. 4.
     EXPECT_GT(h.onceAccessed, h.uniqueIndices / 2);
+}
+
+/**
+ * TraceGenerator::tableHistograms as it was before the rank-to-id
+ * table, kept as the reference: the profile stream's draws resolved
+ * to rows, then a binary search over the sorted, deduplicated hot set.
+ */
+std::vector<TraceGenerator::TableHistogram>
+referenceTableHistograms(const TraceGenerator &gen,
+                         const model::ModelConfig &cfg,
+                         std::uint64_t lookupsPerTable)
+{
+    const TraceConfig &trace = gen.traceConfig();
+    Rng rng(hashCombine(trace.seed, 0x7ab1e815ULL));
+    std::vector<TraceGenerator::TableHistogram> hist(cfg.numTables);
+    for (std::uint32_t t = 0; t < cfg.numTables; ++t) {
+        std::vector<std::uint64_t> hotSorted;
+        for (std::uint64_t r = 0; r < trace.hotRowsPerTable; ++r)
+            hotSorted.push_back(gen.hotRow(t, r));
+        std::sort(hotSorted.begin(), hotSorted.end());
+        hotSorted.erase(std::unique(hotSorted.begin(), hotSorted.end()),
+                        hotSorted.end());
+        std::vector<bool> seen(hotSorted.size(), false);
+        TraceGenerator::TableHistogram &h = hist[t];
+        h.totalLookups = lookupsPerTable;
+        for (std::uint64_t i = 0; i < lookupsPerTable; ++i) {
+            std::uint64_t idx = 0;
+            if (rng.nextDouble() < trace.tableHotFraction(t)) {
+                idx = gen.hotRow(t, hotRankPow(rng.nextDouble(),
+                                               trace.hotSkew,
+                                               trace.hotRowsPerTable));
+            } else {
+                idx = rng.nextBounded(cfg.rowsPerTable);
+            }
+            const auto it =
+                std::lower_bound(hotSorted.begin(), hotSorted.end(), idx);
+            if (it == hotSorted.end() || *it != idx)
+                continue;
+            ++h.hotLookups;
+            const auto pos = static_cast<std::size_t>(it - hotSorted.begin());
+            if (!seen[pos]) {
+                seen[pos] = true;
+                ++h.uniqueHotIndices;
+            }
+        }
+    }
+    return hist;
+}
+
+/** A trace shape for the profile differentials. */
+struct ProfileShape
+{
+    const char *name;
+    std::uint32_t tables;
+    std::uint64_t rowsPerTable;
+    std::uint64_t hotRows;
+    double skew;
+    std::vector<double> hotFractions; //!< empty: uniform 0.65
+};
+
+std::vector<ProfileShape>
+profileShapes()
+{
+    return {
+        // The benchmark-like shape: 10 000 hot rows in 2^20.
+        {"rmc1-like", 8, std::uint64_t{1} << 20, 10000, 2.0, {}},
+        // Hot fractions 0 and 1 side by side, skew 1.5.
+        {"all-or-nothing", 4, 50000, 3000, 1.5, {0.0, 1.0, 0.3, 1.0}},
+        // More hot ranks than rows: ranks alias onto one row, and
+        // most cold draws land on a hot row.
+        {"aliased", 3, 4096, 4000, 2.0, {0.5, 0.1, 0.9}},
+        {"over-full", 2, 512, 2000, 1.5, {}},
+        // Steeper skews, one hot row, and a one-row table.
+        {"steep", 2, 100000, 700, 3.0, {}},
+        {"single-hot-row", 2, 1000, 1, 2.0, {0.8, 0.2}},
+        {"one-row-table", 2, 1, 5, 2.0, {}},
+    };
+}
+
+TEST(TableHistogramsDifferential, MatchesSortedSearchReference)
+{
+    for (const ProfileShape &shape : profileShapes()) {
+        model::ModelConfig cfg = model::rmc1();
+        cfg.numTables = shape.tables;
+        cfg.withRowsPerTable(shape.rowsPerTable);
+        TraceConfig trace;
+        trace.hotRowsPerTable = shape.hotRows;
+        trace.hotSkew = shape.skew;
+        trace.tableHotFractions = shape.hotFractions;
+        trace.seed = 0xd1ff + shape.hotRows;
+        const TraceGenerator gen(cfg, trace);
+        for (const std::uint64_t lookups : {0u, 1u, 7u, 20000u}) {
+            const auto got = gen.tableHistograms(lookups);
+            const auto want = referenceTableHistograms(gen, cfg, lookups);
+            ASSERT_EQ(got.size(), want.size()) << shape.name;
+            for (std::size_t t = 0; t < got.size(); ++t) {
+                SCOPED_TRACE(::testing::Message()
+                             << shape.name << " table " << t << ", "
+                             << lookups << " lookups");
+                EXPECT_EQ(got[t].totalLookups, want[t].totalLookups);
+                EXPECT_EQ(got[t].hotLookups, want[t].hotLookups);
+                EXPECT_EQ(got[t].uniqueHotIndices,
+                          want[t].uniqueHotIndices);
+            }
+        }
+    }
+}
+
+TEST(TableHistogramsDifferential, ShapesReachEveryBranch)
+{
+    // The shapes above are only worth something if cold draws do hit
+    // hot rows somewhere and hot fractions 0 and 1 profile as such.
+    model::ModelConfig cfg = model::rmc1();
+    cfg.numTables = 4;
+    cfg.withRowsPerTable(4096);
+    TraceConfig trace;
+    trace.hotRowsPerTable = 4000;
+    trace.tableHotFractions = {0.0, 1.0, 0.5, 0.5};
+    const auto hist = TraceGenerator(cfg, trace).tableHistograms(5000);
+    // Fraction 0: every lookup is a cold draw, and most hit a hot row.
+    EXPECT_GT(hist[0].hotLookups, 2500u);
+    EXPECT_LT(hist[0].hotLookups, 5000u);
+    // Fraction 1: every lookup is a hot draw.
+    EXPECT_EQ(hist[1].hotLookups, 5000u);
+    // 4000 ranks alias onto fewer distinct rows.
+    EXPECT_LT(hist[1].uniqueHotIndices, 4000u);
+}
+
+/**
+ * TraceGenerator::hotRowHeats as it was, kept as the reference: two
+ * pow calls per rank.
+ */
+std::vector<engine::RowHeat>
+referenceHotRowHeats(const TraceGenerator &gen, std::uint32_t tables)
+{
+    const TraceConfig &trace = gen.traceConfig();
+    std::vector<engine::RowHeat> heats;
+    const double n = static_cast<double>(trace.hotRowsPerTable);
+    const double invSkew = 1.0 / trace.hotSkew;
+    for (std::uint32_t t = 0; t < tables; ++t) {
+        for (std::uint64_t r = 0; r < trace.hotRowsPerTable; ++r) {
+            const double weight =
+                trace.tableHotFraction(t) *
+                (std::pow((static_cast<double>(r) + 1.0) / n, invSkew) -
+                 std::pow(static_cast<double>(r) / n, invSkew));
+            heats.push_back(engine::RowHeat{TableId{t},
+                                            EvIndex{gen.hotRow(t, r)},
+                                            weight});
+        }
+    }
+    return heats;
+}
+
+TEST(HotRowHeatsDifferential, OnePowPerRankIsBitExact)
+{
+    for (const double skew : {1.5, 2.0, 3.0, 1.0, 0.7}) {
+        for (const std::uint64_t hotRows : {1u, 2u, 3u, 1000u, 10000u}) {
+            model::ModelConfig cfg = model::rmc1();
+            cfg.numTables = 3;
+            cfg.withRowsPerTable(50000);
+            TraceConfig trace;
+            trace.hotRowsPerTable = hotRows;
+            trace.hotSkew = skew;
+            trace.tableHotFractions = {0.65, 0.0, 1.0};
+            const TraceGenerator gen(cfg, trace);
+            const std::vector<engine::RowHeat> got = gen.hotRowHeats();
+            const std::vector<engine::RowHeat> want =
+                referenceHotRowHeats(gen, cfg.numTables);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].table, want[i].table) << i;
+                ASSERT_EQ(got[i].row, want[i].row) << i;
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].weight),
+                          std::bit_cast<std::uint64_t>(want[i].weight))
+                    << "skew " << skew << ", " << hotRows
+                    << " hot rows, entry " << i;
+            }
+        }
+    }
 }
 
 TEST(RunResult, QpsAndAmplificationMath)

@@ -26,18 +26,29 @@ printed side by side for information only.
 With ``--perf --pairs N`` the two drivers instead race: N alternating
 pairs of ``--seconds S --trace 0`` runs of one workload (or of every
 workload in turn), one run at a time, the parent first in odd pairs
-and the change first in even ones. Each pair's ``sim_req_per_s`` and
-``setup_s`` are printed, then each side's median and interquartile
-range and the number of pairs the change won. Host speed drifts by
-tens of percent within minutes on a shared host, so only alternating
-pairs tell a gain from the drift. The simulated metrics must still be
+and the change first in even ones. Each pair's ``sim_req_per_s``,
+``setup_s`` and ``peak_rss_mb`` are printed, then each side's median
+and interquartile range and the number of pairs the change won. Host
+speed drifts by tens of percent within minutes on a shared host, so
+only alternating pairs tell a gain from the drift. The simulated metrics must still be
 equal within every pair.
+
+With ``--figures`` the two arguments are build trees again, and their
+golden figure binaries (one per ``bench/goldens/BENCH_*.json``) race:
+N alternating pairs (``--pairs``, default 3), parent first in odd
+pairs. Each side runs every figure once, one after another with
+``--benchmark_filter=NONE_``, the way ``tools/perf/run.py --figures``
+times them, and every ``BENCH_*.json`` a run writes must equal its
+golden byte for byte. Each pair's total is printed, then per figure
+and for the total each side's median and interquartile range of the
+wall seconds and the number of pairs the change won.
 
 Usage:
     compare_outputs.py PARENT_BUILD CHANGE_BUILD [--jobs N] [--keep]
     compare_outputs.py --perf PARENT_DRIVER CHANGE_DRIVER [--jobs N]
     compare_outputs.py --perf PARENT_DRIVER CHANGE_DRIVER --pairs N
                        [--workload W] [--seconds S] [--seed S]
+    compare_outputs.py --figures PARENT_BUILD CHANGE_BUILD [--pairs N]
 
 Exit status: 0 when both sides produce identical outputs, 1 on any
 difference (a binary present on one side only counts as one) or any
@@ -57,8 +68,10 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 SUITES = {"bench": ["--benchmark_filter=NONE_"], "examples": []}
+GOLDENS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "goldens"
 
 
 def binaries(build: pathlib.Path) -> dict[str, list[str]]:
@@ -247,7 +260,8 @@ def compare_perf(parent_driver: pathlib.Path,
 
 
 # Host metrics raced by --pairs, each with the direction that is better.
-RACED = (("sim_req_per_s", "higher"), ("setup_s", "lower"))
+RACED = (("sim_req_per_s", "higher"), ("setup_s", "lower"),
+         ("peak_rss_mb", "lower"))
 
 
 def iqr(values: list[float]) -> float:
@@ -285,17 +299,85 @@ def race(parent_driver: pathlib.Path, change_driver: pathlib.Path,
         print(f"{name} ({order[0]} first): " + ", ".join(cells))
     for metric, better in RACED:
         parent, change = values["parent"][metric], values["change"][metric]
-        if not parent:
-            continue
-        wins = sum((c > p) if better == "higher" else (c < p)
-                   for p, c in zip(parent, change))
-        pm, cm = statistics.median(parent), statistics.median(change)
-        ratio = f" ({cm / pm:.3f}x)" if pm else ""
-        print(f"{workload} {metric}: median {pm:.6g} -> {cm:.6g}{ratio}, "
-              f"IQR {iqr(parent):.6g} -> {iqr(change):.6g}, "
-              f"change {better} in {wins} of {len(parent)} pairs")
+        if parent:
+            print(verdict(f"{workload} {metric}", parent, change, better))
     for line in findings:
         print(line)
+    return 1 if findings else 0
+
+
+def verdict(label: str, parent: list[float], change: list[float],
+            better: str) -> str:
+    """Medians, IQRs and wins of one raced metric over its pairs."""
+    wins = sum((c > p) if better == "higher" else (c < p)
+               for p, c in zip(parent, change))
+    pm, cm = statistics.median(parent), statistics.median(change)
+    ratio = f" ({cm / pm:.3f}x)" if pm else ""
+    return (f"{label}: median {pm:.6g} -> {cm:.6g}{ratio}, "
+            f"IQR {iqr(parent):.6g} -> {iqr(change):.6g}, "
+            f"change {better} in {wins} of {len(parent)} pairs")
+
+
+def run_figures(build: pathlib.Path, workdir: pathlib.Path,
+                figs: list[str]) -> tuple[dict[str, float], list[str]]:
+    """Every figure of @p build once, in turn: its wall seconds, and
+    what went wrong (a failed run, a dump that is not the golden)."""
+    walls, findings = {}, []
+    for fig in figs:
+        dump = workdir / f"BENCH_{fig}.json"
+        dump.unlink(missing_ok=True)
+        start = time.perf_counter()
+        proc = subprocess.run([str((build / "bench" / fig).resolve()),
+                               "--benchmark_filter=NONE_"], cwd=workdir,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+        walls[fig] = time.perf_counter() - start
+        if proc.returncode:
+            findings.append(f"{fig}: exit status {proc.returncode}")
+        elif not dump.is_file():
+            findings.append(f"{fig}: wrote no {dump.name}")
+        elif dump.read_bytes() != (GOLDENS / dump.name).read_bytes():
+            findings.append(f"{fig}: {dump.name} differs from bench/goldens")
+    return walls, findings
+
+
+def race_figures(parent_build: pathlib.Path, change_build: pathlib.Path,
+                 pairs: int) -> int:
+    """@p pairs alternating runs of every golden figure; 1 on any
+    failed run or golden mismatch."""
+    builds = {"parent": parent_build, "change": change_build}
+    figs = run_py().golden_figures()
+    missing = [f"{side}: no bench/{fig}" for side, build in builds.items()
+               for fig in figs if not (build / "bench" / fig).is_file()]
+    if missing:
+        print("\n".join(missing), file=sys.stderr)
+        return 2
+    walls = {side: {fig: [] for fig in [*figs, "total"]} for side in builds}
+    findings = []
+    scratch = pathlib.Path(tempfile.mkdtemp(prefix="compare_figures_"))
+    try:
+        for pair in range(1, pairs + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                workdir = scratch / side
+                workdir.mkdir(exist_ok=True)
+                got, failed = run_figures(builds[side], workdir, figs)
+                findings.extend(f"pair {pair} {side}: {line}"
+                                for line in failed)
+                for fig, wall in got.items():
+                    walls[side][fig].append(wall)
+                walls[side]["total"].append(sum(got.values()))
+            print(f"figures pair {pair} ({order[0]} first): total "
+                  f"{walls['parent']['total'][-1]:.3f} -> "
+                  f"{walls['change']['total'][-1]:.3f} s", flush=True)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    for fig in [*figs, "total"]:
+        print(verdict(f"{fig} wall_s", walls["parent"][fig],
+                      walls["change"][fig], "lower"))
+    for line in findings:
+        print(line)
+    print("goldens identical" if not findings else "DIFFERENT")
     return 1 if findings else 0
 
 
@@ -313,9 +395,13 @@ def main(argv: list[str]) -> int:
                         help="binaries run at once (default 2)")
     parser.add_argument("--keep", action="store_true",
                         help="keep the scratch directories")
+    parser.add_argument("--figures", action="store_true",
+                        help="race the golden figure binaries of two "
+                             "build trees")
     parser.add_argument("--pairs", type=int, default=0,
                         help="with --perf: race N alternating pairs of "
-                             "timed runs instead")
+                             "timed runs instead; with --figures: the "
+                             "number of pairs (default 3)")
     parser.add_argument("--workload",
                         help="with --pairs: the one workload to race "
                              "(default: every workload in turn)")
@@ -327,8 +413,11 @@ def main(argv: list[str]) -> int:
                              "benchmark's default seed)")
     args = parser.parse_args(argv)
     jobs = max(1, args.jobs)
-    if args.pairs and not args.perf:
-        parser.error("--pairs races two drivers: it needs --perf")
+    if args.perf and args.figures:
+        parser.error("--perf and --figures race different things")
+    if args.pairs and not (args.perf or args.figures):
+        parser.error("--pairs races two drivers or two builds' figures: "
+                     "it needs --perf or --figures")
     if args.perf:
         for driver in (args.parent, args.change):
             if not (driver.is_file() and os.access(driver, os.X_OK)):
@@ -351,6 +440,8 @@ def main(argv: list[str]) -> int:
         if not build.is_dir():
             print(f"not a directory: {build}", file=sys.stderr)
             return 2
+    if args.figures:
+        return race_figures(args.parent, args.change, args.pairs or 3)
     return compare(args.parent, args.change, jobs, args.keep)
 
 
