@@ -39,7 +39,7 @@ runAblation()
         {
             engine::RmSsd dev(cfg, {});
             dev.loadTables();
-            const double qps = dev.steadyStateQps(4, 16);
+            const double qps = workload::steadyStateQps(dev, 4, 16);
             const std::uint64_t samples = dev.inferences().value();
             const Nanos elapsed{static_cast<std::uint64_t>(
                 1e9 * static_cast<double>(samples) / qps)};
@@ -90,7 +90,7 @@ BM_EnergyAccounting(benchmark::State &state)
     const model::ModelConfig cfg = model::rmc1();
     engine::RmSsd dev(cfg, {});
     dev.loadTables();
-    dev.steadyStateQps(4, 4);
+    workload::steadyStateQps(dev, 4, 4);
     const engine::EnergyModel energy;
     for (auto _ : state) {
         benchmark::DoNotOptimize(

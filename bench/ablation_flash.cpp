@@ -49,7 +49,7 @@ runGeometrySweep()
                     Bytes{cfg.vectorBytes()});
             table.addRow({std::to_string(channels),
                           std::to_string(dies), bench::fmt(rcpv, 1),
-                          bench::fmt(dev.steadyStateQps(4, 8), 0),
+                          bench::fmt(workload::steadyStateQps(dev, 4, 8), 0),
                           bench::fmt(geom.capacityBytes() / 1e9, 0)});
         }
     }
@@ -87,7 +87,7 @@ runEvSizeSweep()
                  timing.vectorReadTotalCycles(Bytes{cfg.vectorBytes()})
                      .raw()),
              bench::fmt(rcpv, 1),
-             bench::fmt(dev.steadyStateQps(4, 8), 0)});
+             bench::fmt(workload::steadyStateQps(dev, 4, 8), 0)});
     }
     table.print();
     std::printf("\nReading: CEV is flush-dominated, so small vectors "

@@ -205,23 +205,30 @@ defaultTrace()
     return workload::localityK(0.3);
 }
 
-double
-traceQps(engine::InferenceDevice &dev, const workload::TraceConfig &tc,
-         std::uint32_t batches)
+workload::ClosedLoopRun
+traceProbe(engine::InferenceDevice &dev, const workload::TraceConfig &tc,
+           std::uint32_t requests)
 {
-    const model::ModelConfig &cfg = dev.model().config();
-    workload::TraceGenerator gen(cfg, tc);
+    workload::TraceGenerator gen(dev.model().config(), tc);
     dev.resetTiming();
-    dev.setMaxInflight(4);
-    const Cycle start = dev.deviceNow();
-    for (std::uint32_t r = 0; r < batches; ++r)
-        dev.submit(gen.nextBatch(4));
-    Cycle completed = start;
-    for (const engine::AsyncCompletion &c : dev.drain())
-        completed = std::max(completed, c.outcome.completionCycle);
-    const double seconds =
-        nanosToSeconds(cyclesToNanos(completed - start));
-    return static_cast<double>(batches) * 4.0 / seconds;
+    return workload::runClosedLoop(dev, 4, requests, 4,
+                                   [&](std::uint32_t) {
+                                       dev.submit(gen.nextBatch(4));
+                                   });
+}
+
+engine::EvCacheConfig
+cacheForTrace(const model::ModelConfig &cfg,
+              const workload::TraceConfig &tc, std::uint64_t divisor)
+{
+    engine::EvCacheConfig cc;
+    cc.enabled = true;
+    cc.capacityBytes = Bytes{tc.hotRowsPerTable * cfg.numTables *
+                             cfg.vectorBytes() / divisor};
+    const std::uint64_t rowsPerTable =
+        cc.capacityBytes.raw() / cfg.vectorBytes() / cfg.numTables;
+    cc.expectedHitRatio = workload::expectedHitRatio(tc, rowsPerTable);
+    return cc;
 }
 
 int

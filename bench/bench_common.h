@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/ev_cache.h"
 #include "engine/inference_device.h"
 #include "model/dlrm.h"
 #include "workload/driver.h"
@@ -93,15 +94,25 @@ struct RunScale
 workload::TraceConfig defaultTrace();
 
 /**
- * Closed-loop throughput on the trace itself (samples/s, batch 4,
- * depth 4, @p batches requests). InferenceDevice::steadyStateQps()
- * feeds a uniform sample stream, which scatters evenly over the dies
- * no matter the layout; placement and tiering only show up under the
- * skewed trace they were planned for.
+ * Closed-loop probe on the trace itself from an idle device: batch 4,
+ * depth 4, @p requests requests drawn from @p tc.
+ * workload::steadyStateQps() feeds a uniform sample stream, which
+ * scatters evenly over the dies no matter the layout; placement and
+ * tiering only show up under the skewed trace they were planned for.
  */
-double traceQps(engine::InferenceDevice &dev,
-                const workload::TraceConfig &tc,
-                std::uint32_t batches = 32);
+workload::ClosedLoopRun traceProbe(engine::InferenceDevice &dev,
+                                   const workload::TraceConfig &tc,
+                                   std::uint32_t requests = 32);
+
+/**
+ * EV cache sized to hold 1/@p divisor of the trace's per-table hot
+ * set. divisor 1 covers the whole hot set (capacity misses vanish);
+ * larger divisors create the capacity pressure under which the
+ * admission policy decides the hit ratio.
+ */
+engine::EvCacheConfig cacheForTrace(const model::ModelConfig &cfg,
+                                    const workload::TraceConfig &tc,
+                                    std::uint64_t divisor = 1);
 
 /**
  * Hand control to google-benchmark for the cases the binary

@@ -77,8 +77,8 @@ BM_RmSsdSteadyState(benchmark::State &state)
     dev.loadTables();
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            dev.steadyStateQps(static_cast<std::uint32_t>(state.range(0)),
-                               4));
+            workload::steadyStateQps(
+                dev, static_cast<std::uint32_t>(state.range(0)), 4));
     }
 }
 BENCHMARK(BM_RmSsdSteadyState)->Arg(1)->Arg(8);

@@ -32,27 +32,6 @@ namespace {
 
 using namespace rmssd;
 
-/**
- * EV cache sized to hold 1/@p divisor of the trace's per-table hot
- * set. divisor 1 covers the whole hot set (capacity misses vanish);
- * larger divisors create the capacity pressure under which the
- * admission policy decides the hit ratio.
- */
-engine::EvCacheConfig
-cacheForTrace(const model::ModelConfig &cfg,
-              const workload::TraceConfig &tc,
-              std::uint64_t divisor = 1)
-{
-    engine::EvCacheConfig cc;
-    cc.enabled = true;
-    cc.capacityBytes = Bytes{tc.hotRowsPerTable * cfg.numTables *
-                             cfg.vectorBytes() / divisor};
-    const std::uint64_t rowsPerTable =
-        cc.capacityBytes.raw() / cfg.vectorBytes() / cfg.numTables;
-    cc.expectedHitRatio = workload::expectedHitRatio(tc, rowsPerTable);
-    return cc;
-}
-
 void
 runFigure()
 {
@@ -83,7 +62,7 @@ runFigure()
 
             // The EV cache is cold at construction; a longer window
             // lets it warm to its steady-state hit ratio.
-            baseline::RmSsdSystem cached(cfg, cacheForTrace(cfg, tc));
+            baseline::RmSsdSystem cached(cfg, bench::cacheForTrace(cfg, tc));
             workload::TraceGenerator genC(cfg, tc);
             const double qCache = cached.run(genC, 4, 32, 8).qps();
 
@@ -92,7 +71,7 @@ runFigure()
             // LRU lets the cold tail churn the Zipf head out, while
             // TinyLFU admission keeps it resident.
             const engine::EvCacheConfig qCfg =
-                cacheForTrace(cfg, tc, 4);
+                bench::cacheForTrace(cfg, tc, 4);
             baseline::RmSsdSystem lruQ(cfg, qCfg, "RM-SSD+cache/4");
             workload::TraceGenerator genQ(cfg, tc);
             const auto rLru = lruQ.run(genQ, 4, 32, 16);
@@ -160,7 +139,7 @@ BM_RmssdCacheHotTrace(benchmark::State &state)
 {
     const model::ModelConfig cfg = model::rmc1();
     const workload::TraceConfig tc = workload::localityK(0.0);
-    baseline::RmSsdSystem sys(cfg, cacheForTrace(cfg, tc));
+    baseline::RmSsdSystem sys(cfg, bench::cacheForTrace(cfg, tc));
     workload::TraceGenerator gen(cfg, tc);
     sys.run(gen, 4, 8, 4);
     for (auto _ : state) {

@@ -73,7 +73,7 @@ runFigure()
         for (const std::uint32_t numDevices : fleets) {
             cluster::RmSsdCluster fleet(
                 cfg, fleetOptions(numDevices, profile));
-            const double qps = fleet.steadyStateQps(8, 16);
+            const double qps = workload::steadyStateQps(fleet, 8, 16);
             if (numDevices == 1) {
                 qps1 = qps;
                 // Fixed offered load for every fleet size: ~60 % of
@@ -121,7 +121,7 @@ runFigure()
         cluster::RmSsdCluster fleet(
             cfg, fleetOptions(4, profile, policy,
                               /*replicateHottest=*/1));
-        const double qps = fleet.steadyStateQps(8, 16);
+        const double qps = workload::steadyStateQps(fleet, 8, 16);
 
         workload::TraceGenerator gen(cfg, bench::defaultTrace());
         workload::ServingConfig sc;

@@ -48,20 +48,6 @@ flashCrowdTrace(std::uint64_t seed = 0xf1a5c12ULL)
     return tc;
 }
 
-engine::EvCacheConfig
-cacheForTrace(const model::ModelConfig &cfg,
-              const workload::TraceConfig &tc, std::uint64_t divisor)
-{
-    engine::EvCacheConfig cc;
-    cc.enabled = true;
-    cc.capacityBytes = Bytes{tc.hotRowsPerTable * cfg.numTables *
-                             cfg.vectorBytes() / divisor};
-    const std::uint64_t rowsPerTable =
-        cc.capacityBytes.raw() / cfg.vectorBytes() / cfg.numTables;
-    cc.expectedHitRatio = workload::expectedHitRatio(tc, rowsPerTable);
-    return cc;
-}
-
 std::unique_ptr<engine::RmSsd>
 makeDevice(const model::ModelConfig &cfg,
            const engine::EvCacheConfig &cache, bool frequencyMapped)
@@ -135,7 +121,7 @@ measure(engine::RmSsd &dev, const workload::TraceConfig &tc,
 {
     const model::ModelConfig &cfg = dev.model().config();
     MeasuredDevice m;
-    m.qps = bench::traceQps(dev, tc);
+    m.qps = bench::traceProbe(dev, tc).samplesPerSecond();
 
     workload::TraceGenerator gen(cfg, tc);
     workload::ServingConfig sc;
@@ -179,7 +165,7 @@ runFigure()
           CacheLevel{"/4", 4}, CacheLevel{"/16", 16}}) {
         engine::EvCacheConfig cache;
         if (level.divisor > 0)
-            cache = cacheForTrace(cfg, tc, level.divisor);
+            cache = bench::cacheForTrace(cfg, tc, level.divisor);
 
         auto linear = makeDevice(cfg, cache, false);
         auto freq = makeDevice(cfg, cache, true);
@@ -189,7 +175,8 @@ runFigure()
         // Same offered load for both mappings: a fixed fraction of
         // the linear device's capacity, so p99 differences are purely
         // the layout's doing.
-        const double lanes = bench::traceQps(*linear, tc, 8) * 0.7;
+        const double lanes =
+            bench::traceProbe(*linear, tc, 8).samplesPerSecond() * 0.7;
         const MeasuredDevice l = measure(*linear, tc, lanes);
         const MeasuredDevice f = measure(*freq, tc, lanes);
 
@@ -230,7 +217,8 @@ runFigure()
     drift.setCaption("RMC1 drift (planned for A, serving B)");
 
     auto linearD = makeDevice(cfg, {}, false);
-    const double driftLoad = bench::traceQps(*linearD, drifted, 8) * 0.7;
+    const double driftLoad =
+        bench::traceProbe(*linearD, drifted, 8).samplesPerSecond() * 0.7;
     const MeasuredDevice lD = measure(*linearD, drifted, driftLoad);
     drift.addRow({"linear", bench::fmt(lD.qps, 0),
                   bench::fmt(lD.serving.p99.raw() / 1e3, 1),

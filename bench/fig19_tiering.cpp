@@ -26,8 +26,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench_common.h"
 #include "engine/placement.h"
@@ -74,20 +76,6 @@ hotHeadTrace(const model::ModelConfig &cfg,
     return tc;
 }
 
-engine::EvCacheConfig
-cacheForTrace(const model::ModelConfig &cfg,
-              const workload::TraceConfig &tc, std::uint64_t divisor)
-{
-    engine::EvCacheConfig cc;
-    cc.enabled = true;
-    cc.capacityBytes = Bytes{tc.hotRowsPerTable * cfg.numTables *
-                             cfg.vectorBytes() / divisor};
-    const std::uint64_t rowsPerTable =
-        cc.capacityBytes.raw() / cfg.vectorBytes() / cfg.numTables;
-    cc.expectedHitRatio = workload::expectedHitRatio(tc, rowsPerTable);
-    return cc;
-}
-
 std::unique_ptr<engine::RmSsd>
 makeDevice(const model::ModelConfig &cfg,
            const engine::EvCacheConfig &cache,
@@ -106,19 +94,47 @@ makeDevice(const model::ModelConfig &cfg,
     return dev;
 }
 
-/** Provision a tier for @p frac of the embedding bytes and attach. */
-std::shared_ptr<host::EmbeddingTier>
-attachTier(engine::RmSsd &dev, const workload::TraceConfig &tc,
-           double frac)
+/** A tier budget of the sweep, as a fraction of the embedding bytes. */
+struct Budget
 {
-    const model::ModelConfig &cfg = dev.model().config();
+    double fraction;
+    const char *label;
+};
+
+constexpr std::array<Budget, 3> kBudgets{
+    {{1.0 / 64, "1/64"}, {1.0 / 16, "1/16"}, {1.0 / 4, "1/4"}}};
+
+/** The tier planner's view of a trace: table shares and row heats. */
+struct HeatProfile
+{
+    std::vector<double> shares;
+    std::vector<engine::RowHeat> heats;
+};
+
+HeatProfile
+profileTrace(const model::ModelConfig &cfg, const workload::TraceConfig &tc)
+{
     workload::TraceGenerator heat(cfg, tc);
-    const auto hist = heat.tableHistograms(4096);
-    const engine::TierPlan plan = engine::planHostTier(
-        cfg.rowsPerTable, Bytes{cfg.vectorBytes()},
-        workload::planTierShares(hist), heat.hotRowHeats(),
+    return {workload::planTierShares(heat.tableHistograms(4096)),
+            heat.hotRowHeats()};
+}
+
+/** Tier plan for @p fraction of the embedding bytes. */
+engine::TierPlan
+planTier(const model::ModelConfig &cfg, const HeatProfile &profile,
+         double fraction)
+{
+    return engine::planHostTier(
+        cfg.rowsPerTable, Bytes{cfg.vectorBytes()}, profile.shares,
+        profile.heats,
         Bytes{static_cast<std::uint64_t>(
-            static_cast<double>(cfg.embeddingBytes()) * frac)});
+            static_cast<double>(cfg.embeddingBytes()) * fraction)});
+}
+
+/** Provision a tier on @p dev from @p plan and attach it. */
+std::shared_ptr<host::EmbeddingTier>
+attachTier(engine::RmSsd &dev, const engine::TierPlan &plan)
+{
     auto tier = std::make_shared<host::EmbeddingTier>(dev.model());
     tier->provision(plan);
     dev.attachHostTier(tier);
@@ -137,7 +153,7 @@ measure(engine::RmSsd &dev, const workload::TraceConfig &tc,
 {
     const model::ModelConfig &cfg = dev.model().config();
     Measured m;
-    m.qps = bench::traceQps(dev, tc);
+    m.qps = bench::traceProbe(dev, tc).samplesPerSecond();
     workload::TraceGenerator gen(cfg, tc);
     workload::ServingConfig sc;
     sc.arrivalQps = arrivalQps;
@@ -164,61 +180,64 @@ runFigure()
     sweep.setCaption("DRAM budget sweep");
     double acceptQpsGain = 0.0;
     double acceptP99Gain = 0.0;
+    engine::TierPlan acceptPlan;
     for (const bool rmc2 : {false, true}) {
         const model::ModelConfig cfg = scaledModel(rmc2);
         const workload::TraceConfig tc = hotHeadTrace(cfg);
+        // One heat profile per model, one plan per budget: every
+        // device provisioned at a budget shares its plan.
+        const HeatProfile profile = profileTrace(cfg, tc);
+        std::vector<engine::TierPlan> plans;
+        for (const Budget &b : kBudgets)
+            plans.push_back(planTier(cfg, profile, b.fraction));
         for (const std::uint64_t cacheDiv : {0ull, 16ull}) {
             engine::EvCacheConfig cache;
             if (cacheDiv > 0)
-                cache = cacheForTrace(cfg, tc, cacheDiv);
+                cache = bench::cacheForTrace(cfg, tc, cacheDiv);
+            const auto addRow = [&](const char *label, double residentMb,
+                                    const Measured &m, double qpsGain,
+                                    double p99Gain) {
+                sweep.addRow({cfg.name, cacheDiv == 0 ? "none" : "/16",
+                              label, bench::fmt(residentMb, 1),
+                              bench::fmt(m.serving.tierHitRatio * 100.0, 1),
+                              bench::fmt(m.qps, 0),
+                              bench::fmt(m.serving.p99.raw() / 1e3, 1),
+                              bench::fmt(qpsGain, 3) + "x",
+                              bench::fmt(p99Gain, 3) + "x"});
+            };
+            // Same offered load at every budget — a fixed fraction of
+            // the bare device's capacity — so p99 differences are
+            // purely the tier's doing.
             double offeredQps = 0.0;
-            double baseQps = 0.0;
-            std::uint64_t baseP99 = 0;
-            for (const double frac : {0.0, 1.0 / 64, 1.0 / 16,
-                                      1.0 / 4}) {
+            Measured base;
+            {
                 auto dev = makeDevice(cfg, cache);
-                std::shared_ptr<host::EmbeddingTier> tier;
-                if (frac > 0.0)
-                    tier = attachTier(*dev, tc, frac);
-                // Same offered load at every budget — a fixed
-                // fraction of the bare device's capacity — so p99
-                // differences are purely the tier's doing.
-                if (frac == 0.0)
-                    offeredQps = bench::traceQps(*dev, tc, 8) * 0.7;
+                offeredQps =
+                    bench::traceProbe(*dev, tc, 8).samplesPerSecond() * 0.7;
+                base = measure(*dev, tc, offeredQps);
+            }
+            addRow("0", 0.0, base, 1.0, 1.0);
+            for (std::size_t i = 0; i < kBudgets.size(); ++i) {
+                auto dev = makeDevice(cfg, cache);
+                const auto tier = attachTier(*dev, plans[i]);
                 const Measured m = measure(*dev, tc, offeredQps);
-                if (frac == 0.0) {
-                    baseQps = m.qps;
-                    baseP99 = m.serving.p99.raw();
-                }
                 const double qpsGain =
-                    baseQps > 0.0 && frac > 0.0 ? m.qps / baseQps
-                                                : 1.0;
+                    base.qps > 0.0 ? m.qps / base.qps : 1.0;
                 const double p99Gain =
-                    frac > 0.0 && m.serving.p99.raw() > 0
-                        ? static_cast<double>(baseP99) /
+                    m.serving.p99.raw() > 0
+                        ? static_cast<double>(base.serving.p99.raw()) /
                               static_cast<double>(m.serving.p99.raw())
                         : 1.0;
-                if (!rmc2 && cacheDiv == 0 && frac == 1.0 / 16) {
+                if (!rmc2 && cacheDiv == 0 &&
+                    kBudgets[i].fraction == 1.0 / 16) {
                     acceptQpsGain = qpsGain;
                     acceptP99Gain = p99Gain;
+                    acceptPlan = plans[i];
                 }
-                const char *label = frac == 0.0        ? "0"
-                                    : frac == 1.0 / 64 ? "1/64"
-                                    : frac == 1.0 / 16 ? "1/16"
-                                                       : "1/4";
-                sweep.addRow(
-                    {cfg.name, cacheDiv == 0 ? "none" : "/16", label,
-                     bench::fmt(tier ? static_cast<double>(
-                                           tier->residentBytes()
-                                               .raw()) /
-                                           (1024.0 * 1024.0)
-                                     : 0.0,
-                                1),
-                     bench::fmt(m.serving.tierHitRatio * 100.0, 1),
-                     bench::fmt(m.qps, 0),
-                     bench::fmt(m.serving.p99.raw() / 1e3, 1),
-                     bench::fmt(qpsGain, 3) + "x",
-                     bench::fmt(p99Gain, 3) + "x"});
+                addRow(kBudgets[i].label,
+                       static_cast<double>(tier->residentBytes().raw()) /
+                           (1024.0 * 1024.0),
+                       m, qpsGain, p99Gain);
             }
         }
     }
@@ -238,7 +257,7 @@ runFigure()
     interact.setCaption("RMC1 EV-cache re-tuning with the tier on");
     const model::ModelConfig cfg = scaledModel(false);
     const workload::TraceConfig tc = hotHeadTrace(cfg);
-    const engine::EvCacheConfig cache = cacheForTrace(cfg, tc, 16);
+    const engine::EvCacheConfig cache = bench::cacheForTrace(cfg, tc, 16);
 
     struct Scenario
     {
@@ -254,9 +273,9 @@ runFigure()
         auto dev = makeDevice(cfg, cache,
                               engine::EngineVariant::Searched);
         if (sc.tiered)
-            attachTier(*dev, tc, 1.0 / 16);
+            attachTier(*dev, acceptPlan);
         if (sc.replanThreshold == 0.0 && !sc.tiered)
-            load = bench::traceQps(*dev, tc, 8) * 0.7;
+            load = bench::traceProbe(*dev, tc, 8).samplesPerSecond() * 0.7;
         const Measured m =
             measure(*dev, tc, load, sc.replanThreshold);
         interact.addRow(
@@ -284,7 +303,8 @@ BM_TierIntercept(benchmark::State &state)
     const model::ModelConfig cfg = scaledModel(false);
     const workload::TraceConfig tc = hotHeadTrace(cfg);
     auto dev = makeDevice(cfg, {});
-    const auto tier = attachTier(*dev, tc, 1.0 / 16);
+    const auto tier =
+        attachTier(*dev, planTier(cfg, profileTrace(cfg, tc), 1.0 / 16));
     workload::TraceGenerator gen(cfg, tc);
     const auto batch = gen.nextBatch(4);
     for (auto _ : state) {
@@ -301,7 +321,7 @@ BM_TieredServing(benchmark::State &state)
     const model::ModelConfig cfg = scaledModel(false);
     const workload::TraceConfig tc = hotHeadTrace(cfg);
     auto dev = makeDevice(cfg, {});
-    attachTier(*dev, tc, 1.0 / 16);
+    attachTier(*dev, planTier(cfg, profileTrace(cfg, tc), 1.0 / 16));
     workload::TraceGenerator gen(cfg, tc);
     for (auto _ : state) {
         benchmark::DoNotOptimize(

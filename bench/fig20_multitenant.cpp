@@ -80,29 +80,6 @@ makeSpecs()
     return specs;
 }
 
-/** Closed-loop fleet capacity in requests/s (batch 1, depth 8). */
-double
-closedLoopQps(catalog::TenantFleet &fleet,
-              std::uint32_t requests = 64)
-{
-    std::vector<workload::TraceGenerator> gens;
-    for (std::size_t i = 0; i < fleet.numTenants(); ++i)
-        gens.emplace_back(fleet.tenant(i).config,
-                          fleet.tenant(i).trace);
-    fleet.resetTiming();
-    fleet.setMaxInflight(8);
-    const Cycle start = fleet.deviceNow();
-    for (std::uint32_t r = 0; r < requests; ++r) {
-        const std::size_t t = r % fleet.numTenants();
-        fleet.submitTenant(t, gens[t].nextBatch(1));
-    }
-    Cycle done = start;
-    for (const engine::AsyncCompletion &c : fleet.drain())
-        done = std::max(done, c.outcome.completionCycle);
-    return static_cast<double>(requests) /
-           nanosToSeconds(cyclesToNanos(done - start));
-}
-
 void
 addTenantRows(bench::TextTable &table, const std::string &label,
               const catalog::FleetServingConfig &load,
@@ -129,7 +106,8 @@ runFigure()
     catalog::FleetOptions shared;
     shared.numDevices = 4;
     catalog::TenantFleet consolidated(makeSpecs(), shared);
-    const double capacity = closedLoopQps(consolidated);
+    const double capacity =
+        catalog::fleetClosedLoop(consolidated).requestsPerSecond();
 
     // Calibrate each tenant's *dedicated* half-fleet, then offer the
     // heavy tenant 30% more than its static half can serve while the
@@ -144,7 +122,8 @@ runFigure()
     double dedicatedCapacity[2] = {0.0, 0.0};
     for (std::size_t i = 0; i < 2; ++i) {
         catalog::TenantFleet probe({makeSpecs()[i]}, half);
-        dedicatedCapacity[i] = closedLoopQps(probe);
+        dedicatedCapacity[i] =
+            catalog::fleetClosedLoop(probe).requestsPerSecond();
     }
 
     catalog::FleetServingConfig load;
@@ -249,7 +228,8 @@ runFigure()
             16;
         tiered.hostTierBytes = Bytes{poolBytes};
         catalog::TenantFleet fleet(std::move(specs), tiered);
-        const double soloCapacity = closedLoopQps(fleet);
+        const double soloCapacity =
+            catalog::fleetClosedLoop(fleet).requestsPerSecond();
 
         catalog::FleetServingConfig sc;
         sc.queueDepth = 4;

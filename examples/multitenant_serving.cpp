@@ -20,7 +20,6 @@
 #include "catalog/tenant_serving.h"
 #include "model/model_zoo.h"
 #include "workload/trace.h"
-#include "workload/trace_gen.h"
 
 namespace {
 
@@ -41,27 +40,6 @@ makeSpecs()
     specs[1].trace.seed = 11;
     specs[1].tierShare = 1.0;
     return specs;
-}
-
-/** Closed-loop capacity of the shared fleet in requests/s. */
-double
-fleetCapacity(catalog::TenantFleet &fleet)
-{
-    std::vector<workload::TraceGenerator> gens;
-    for (std::size_t i = 0; i < fleet.numTenants(); ++i)
-        gens.emplace_back(fleet.tenant(i).config,
-                          fleet.tenant(i).trace);
-    fleet.resetTiming();
-    fleet.setMaxInflight(8);
-    const Cycle start = fleet.deviceNow();
-    constexpr std::uint32_t kRequests = 64;
-    for (std::uint32_t r = 0; r < kRequests; ++r)
-        fleet.submitTenant(r % 2, gens[r % 2].nextBatch(1));
-    Cycle done = start;
-    for (const engine::AsyncCompletion &c : fleet.drain())
-        done = std::max(done, c.outcome.completionCycle);
-    return static_cast<double>(kRequests) /
-           nanosToSeconds(cyclesToNanos(done - start));
 }
 
 } // namespace
@@ -105,7 +83,8 @@ main(int argc, char **argv)
                         (1024.0 * 1024.0));
     }
 
-    const double capacity = fleetCapacity(fleet);
+    const double capacity =
+        catalog::fleetClosedLoop(fleet).requestsPerSecond();
     std::printf("\nshared fleet capacity ~ %.0f requests/s "
                 "(%u device(s))\n",
                 capacity, numDevices);

@@ -19,6 +19,7 @@
 
 #include "cluster/cluster.h"
 #include "model/model_zoo.h"
+#include "workload/driver.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -61,7 +62,7 @@ main(int argc, char **argv)
     }
     std::printf("  (* = replicated on multiple devices)\n\n");
 
-    const double peak = fleet.steadyStateQps(8, 16);
+    const double peak = workload::steadyStateQps(fleet, 8, 16);
     std::printf("fleet saturation throughput ~ %.0f QPS "
                 "(%.0f requests/s at batch %u)\n\n",
                 peak, peak / batch, batch);

@@ -21,6 +21,7 @@
 
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
+#include "workload/driver.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -50,7 +51,7 @@ main(int argc, char **argv)
     workload::TraceGenerator gen(config, workload::localityK(0.3));
 
     // Saturation throughput tells us where to sweep.
-    const double peak = device.steadyStateQps(batch, 16);
+    const double peak = workload::steadyStateQps(device, batch, 16);
     std::printf("%s, batch %u: saturation throughput ~ %.0f QPS "
                 "(%.0f requests/s)\n\n",
                 modelName.c_str(), batch, peak, peak / batch);

@@ -14,6 +14,7 @@
 
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
+#include "workload/driver.h"
 
 int
 main(int argc, char **argv)
@@ -47,7 +48,7 @@ main(int argc, char **argv)
                 config.embeddingBytes() / 1e6 / seconds);
 
     // The freshly provisioned device serves inference immediately.
-    const double qps = device.steadyStateQps(4, 8);
+    const double qps = workload::steadyStateQps(device, 4, 8);
     std::printf("post-load throughput: %.0f QPS\n", qps);
     return 0;
 }

@@ -13,8 +13,9 @@ RmSsdSystem::RmSsdSystem(const model::ModelConfig &config,
 {
     engine::RmSsdOptions options;
     options.variant = variant;
-    device_ = std::make_unique<engine::RmSsd>(config, options);
-    device_->loadTables();
+    auto device = std::make_unique<engine::RmSsd>(config, options);
+    device->loadTables();
+    device_ = std::move(device);
 }
 
 RmSsdSystem::RmSsdSystem(const model::ModelConfig &config,
@@ -27,8 +28,17 @@ RmSsdSystem::RmSsdSystem(const model::ModelConfig &config,
     options.evCache = evCache;
     options.evCache.enabled = true;
     options.coalesceIndices = true;
-    device_ = std::make_unique<engine::RmSsd>(config, options);
-    device_->loadTables();
+    auto device = std::make_unique<engine::RmSsd>(config, options);
+    device->loadTables();
+    device_ = std::move(device);
+}
+
+RmSsdSystem::RmSsdSystem(const model::ModelConfig &config,
+                         const cluster::ClusterOptions &options,
+                         const std::string &name)
+    : InferenceSystem(name), config_(config),
+      device_(std::make_unique<cluster::RmSsdCluster>(config, options))
+{
 }
 
 Nanos
@@ -49,11 +59,47 @@ workload::RunResult
 RmSsdSystem::run(workload::TraceGenerator &gen, std::uint32_t batchSize,
                  std::uint32_t numBatches, std::uint32_t warmupBatches)
 {
-    // The device-clocked measurement loop (watermark warm-up, traffic
-    // and hit-ratio window deltas) lives in the shared driver.
-    return workload::runDeviceLoop(*device_, name_, config_, gen,
-                                   batchSize, numBatches,
-                                   warmupBatches);
+    engine::InferenceDevice &device = *device_;
+    // At least one unmeasured request establishes the completion
+    // watermark the measured window starts from (otherwise work
+    // queued by earlier runs would be charged to this one).
+    const std::uint32_t warm = std::max<std::uint32_t>(warmupBatches, 1);
+    Cycle start = device.deviceNow();
+    for (std::uint32_t b = 0; b < warm; ++b)
+        start = std::max(
+            start, device.infer(gen.nextBatch(batchSize)).completionCycle);
+
+    const std::uint64_t trafficBefore = device.hostBytesRead().value();
+    const std::uint64_t hitsBefore = device.cacheHits();
+    const std::uint64_t missesBefore = device.cacheMisses();
+    const workload::ClosedLoopRun loop = workload::runClosedLoop(
+        device, 1, numBatches, batchSize, [&](std::uint32_t) {
+            device.submit(gen.nextBatch(batchSize));
+        });
+
+    workload::RunResult result;
+    result.system = name_;
+    result.batches = loop.requests;
+    result.samples = loop.samples;
+    // Requests pipeline through the device, so wall-clock is the span
+    // from the watermark to the last completion.
+    result.totalNanos = cyclesToNanos(std::max(start, loop.last) - start);
+    // Whole run is in-device; report it as device time. Individual
+    // request latency is available as embSsd / batches.
+    result.breakdown.embSsd = loop.latencySum;
+    result.hostTrafficBytes =
+        Bytes{device.hostBytesRead().value() - trafficBefore};
+    result.idealTrafficBytes =
+        Bytes{loop.samples * config_.lookupsPerSample() *
+              config_.vectorBytes()};
+    // Hit ratio over the measured window only (the warm-up requests
+    // already populated the cache, so this is the warm figure).
+    const std::uint64_t hits = device.cacheHits() - hitsBefore;
+    const std::uint64_t misses = device.cacheMisses() - missesBefore;
+    if (hits + misses > 0)
+        result.cacheHitRatio = static_cast<double>(hits) /
+                               static_cast<double>(hits + misses);
+    return result;
 }
 
 } // namespace rmssd::baseline

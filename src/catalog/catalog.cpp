@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "baseline/cluster_system.h"
 #include "baseline/dram_system.h"
 #include "baseline/emb_mmio_system.h"
 #include "baseline/emb_pagesum_system.h"
@@ -92,7 +91,7 @@ ModelCatalog::make(const std::string &name,
                                                        entry.name);
     }
     case SystemRecipe::Kind::Cluster:
-        return std::make_unique<baseline::ClusterSystem>(
+        return std::make_unique<baseline::RmSsdSystem>(
             config, recipe.cluster, entry.name);
     }
     fatal("unhandled recipe kind for system '%s'", name.c_str());

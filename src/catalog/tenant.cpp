@@ -283,8 +283,7 @@ TenantFleet::provisionSharedTier(
         }
     }
 
-    tier_ = std::make_shared<host::EmbeddingTier>(device_->model(),
-                                                  options.tierTiming);
+    tier_ = std::make_shared<host::EmbeddingTier>(device_->model());
     tier_->provision(plan);
     device_->attachHostTier(tier_);
 }

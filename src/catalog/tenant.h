@@ -91,7 +91,6 @@ struct FleetOptions
     engine::RmSsdOptions device;
     /** Shared host-DRAM embedding pool; 0 = no tier. */
     Bytes hostTierBytes;
-    host::TierTiming tierTiming;
 };
 
 /**

@@ -74,4 +74,20 @@ simulateFleetServing(TenantFleet &fleet,
         serving);
 }
 
+workload::ClosedLoopRun
+fleetClosedLoop(TenantFleet &fleet)
+{
+    constexpr std::uint32_t kDepth = 8;
+    constexpr std::uint32_t kRequests = 64;
+    std::vector<workload::TraceGenerator> gens;
+    for (std::size_t i = 0; i < fleet.numTenants(); ++i)
+        gens.emplace_back(fleet.tenant(i).config, fleet.tenant(i).trace);
+    fleet.resetTiming();
+    return workload::runClosedLoop(
+        fleet, kDepth, kRequests, 1, [&](std::uint32_t r) {
+            const std::size_t t = r % fleet.numTenants();
+            fleet.submitTenant(t, gens[t].nextBatch(1));
+        });
+}
+
 } // namespace rmssd::catalog

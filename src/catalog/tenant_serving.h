@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "catalog/tenant.h"
+#include "workload/driver.h"
 #include "workload/serving.h"
 
 namespace rmssd::catalog {
@@ -67,6 +68,13 @@ struct FleetServingConfig
 workload::ServingResult
 simulateFleetServing(TenantFleet &fleet,
                      const FleetServingConfig &config);
+
+/**
+ * Closed-loop capacity probe of @p fleet from an idle start: 64
+ * single-sample requests, round-robin over the tenants, each drawn
+ * from its tenant's own trace, 8 in flight.
+ */
+workload::ClosedLoopRun fleetClosedLoop(TenantFleet &fleet);
 
 } // namespace rmssd::catalog
 

@@ -8,8 +8,9 @@
  * device), and the MLP runs on a router-chosen home device.
  *
  * The facade implements the full InferenceDevice contract, so the
- * shared serving drivers (workload::runDeviceLoop, simulateServing,
- * steadyStateQps) drive a fleet exactly like a single device.
+ * shared drivers (simulateServing, the closed-loop probe
+ * workload::runClosedLoop and steadyStateQps) drive a fleet exactly
+ * like a single device.
  */
 
 #ifndef RMSSD_CLUSTER_CLUSTER_H

@@ -124,7 +124,7 @@ EmbeddingEngine::run(Cycle start, std::span<const model::Sample> samples,
                     if (cache_ &&
                         cache_->lookup(cached, key,
                                        functional ? &bytes : nullptr)) {
-                        done = issue + cache_->hitCycles();
+                        done = issue + kEvCacheHitCycles;
                         if (functional)
                             sumNow(bytes, acc);
                     } else {

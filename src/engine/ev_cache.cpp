@@ -56,8 +56,7 @@ planTablePartitions(std::uint32_t numSets, std::span<const double> shares)
 }
 
 EvCache::EvCache(const EvCacheConfig &config, Bytes lineBytes)
-    : lineBytes_(lineBytes), ways_(config.ways),
-      hitCycles_(config.hitCycles)
+    : lineBytes_(lineBytes), ways_(config.ways)
 {
     RMSSD_ASSERT(lineBytes_ > Bytes{}, "zero EV cache line size");
     RMSSD_ASSERT(ways_ > 0, "zero EV cache associativity");

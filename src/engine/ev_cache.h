@@ -61,6 +61,12 @@
 
 namespace rmssd::engine {
 
+/**
+ * Latency of an EV-cache hit (SRAM read + mux back into the EV Sum
+ * path).
+ */
+inline constexpr Cycle kEvCacheHitCycles{4};
+
 /** Fill-admission policy on a conflict miss. */
 enum class EvCacheAdmission : std::uint8_t
 {
@@ -82,8 +88,6 @@ struct EvCacheConfig
     Bytes capacityBytes{4ull << 20};
     /** Set associativity. */
     std::uint32_t ways = 8;
-    /** Latency of a hit (SRAM read + mux back into the EV Sum path). */
-    Cycle hitCycles{4};
     /**
      * Hit ratio assumed by the kernel search when sizing the MLP
      * kernels against the cache-accelerated T_emb (see
@@ -226,7 +230,6 @@ class EvCache
     std::uint32_t ways() const { return ways_; }
     // reachability: test-observer — EvCache.GeometryFromConfig.
     Bytes lineBytes() const { return lineBytes_; }
-    Cycle hitCycles() const { return hitCycles_; }
     /**
      * Per-table set regions; empty when the cache is shared.
      * reachability: test-observer — read by
@@ -280,7 +283,6 @@ class EvCache
 
     Bytes lineBytes_;
     std::uint32_t ways_;
-    Cycle hitCycles_;
     std::uint32_t numSets_ = 0;
     std::uint64_t tick_ = 0; //!< LRU clock, pre-incremented: stamps >= 1
     std::vector<Line> lines_; //!< every set's ways, set-major

@@ -4,10 +4,11 @@
  * backend satisfies — a single RM-SSD (engine::RmSsd), a sharded
  * multi-SSD cluster (cluster::RmSsdCluster), or any future backend.
  *
- * The serving simulator (workload::simulateServing), the shared
- * run-loop driver (workload::runDeviceLoop) and the steady-state QPS
- * probe are written against this interface only, so an experiment can
- * drive 1..N devices without knowing what is behind the queue.
+ * The serving simulator (workload::simulateServing) and the
+ * closed-loop probe (workload::runClosedLoop, behind steadyStateQps
+ * and the device-backed baseline system) are written against this
+ * interface only, so an experiment can drive 1..N devices without
+ * knowing what is behind the queue.
  */
 
 #ifndef RMSSD_ENGINE_INFERENCE_DEVICE_H
@@ -91,11 +92,9 @@ class InferenceDevice
     /**
      * Issue one request asynchronously. Retires the oldest
      * outstanding request first when maxInflight() are already in
-     * flight. The base implementation is a synchronous fallback
-     * (serve inline, queue the completion) for backends without an
-     * async pipeline.
+     * flight.
      */
-    virtual RequestId submit(std::span<const model::Sample> samples);
+    virtual RequestId submit(std::span<const model::Sample> samples) = 0;
 
     /**
      * Pop the oldest retired completion, FIFO; std::nullopt when none
@@ -124,9 +123,8 @@ class InferenceDevice
 
     /**
      * Force-retire the oldest outstanding request into the completion
-     * queue. @return false when nothing is in flight. Base backends
-     * complete synchronously inside submit(), so the default is a
-     * no-op.
+     * queue. @return false when nothing is in flight. Backends that
+     * complete inside submit() keep the no-op default.
      */
     virtual bool retireNext() { return false; }
 
@@ -284,18 +282,6 @@ class InferenceDevice
      */
     virtual void setChargeActualIndexBytes(bool on) { (void)on; }
 
-    /**
-     * Steady-state throughput in queries (samples) per second for a
-     * continuous stream of requests of @p batchSize. Shared across
-     * backends: built purely on the virtual hooks above.
-     * @param measureBatches micro-batch count in the measured window
-     * @param queueDepth requests kept in flight (submit/poll); 1
-     *        reproduces the blocking infer() loop bit-for-bit
-     */
-    double steadyStateQps(std::uint32_t batchSize,
-                          std::uint32_t measureBatches = 32,
-                          std::uint32_t queueDepth = 1);
-
   protected:
     /**
      * drain(), then return the outcome of request @p id (the tail of
@@ -313,7 +299,7 @@ class InferenceDevice
     /** Whether an already-retired completion awaits poll(). */
     bool hasQueuedCompletion() const { return !completed_.empty(); }
 
-    /** Async submissions (including synchronous fallbacks). */
+    /** Async submissions. */
     Counter submitted_;
     /** Requests retired through the async surface. */
     Counter retired_;

@@ -7,9 +7,8 @@
 
 namespace rmssd::host {
 
-EmbeddingTier::EmbeddingTier(const model::DlrmModel &model,
-                             const TierTiming &timing)
-    : model_(model), timing_(timing)
+EmbeddingTier::EmbeddingTier(const model::DlrmModel &model)
+    : model_(model)
 {
     tables_.resize(model_.config().numTables);
 }
@@ -139,11 +138,11 @@ EmbeddingTier::intercept(std::span<const model::Sample> samples,
     // All-integer DRAM cost: fixed dispatch + per-row random access +
     // streamed bytes (ceil so a served byte never rounds to free).
     icpt.hostNanos = Nanos{
-        timing_.perRequestNanos.raw() +
-        icpt.servedRows * timing_.perRowNanos.raw() +
+        kTierPerRequestNanos.raw() +
+        icpt.servedRows * kTierPerRowNanos.raw() +
         static_cast<std::uint64_t>(
             std::ceil(static_cast<double>(icpt.servedBytes.raw()) *
-                      timing_.nanosPerByte))};
+                      kTierNanosPerByte))};
     return icpt;
 }
 

@@ -48,22 +48,18 @@
 
 namespace rmssd::host {
 
-/**
- * DRAM service-time model of the tier (strong-typed, mirroring
- * host::CpuCosts). The tier path is leaner than the PyTorch SLS
- * operator of the DRAM baseline — no framework dispatch, wide SIMD
- * pooling — so the per-row cost sits well under CpuCosts'
- * slsFixedNanos while the streaming rate matches commodity DDR.
- */
-struct TierTiming
-{
-    /** Fixed probe/dispatch cost per intercepted request. */
-    Nanos perRequestNanos{500};
-    /** Amortized DRAM random-access cost per served row. */
-    Nanos perRowNanos{2};
-    /** Streaming cost per served byte (0.01 ns/B = 100 GB/s). */
-    double nanosPerByte = 0.01;
-};
+// DRAM service-time model of the tier (strong-typed, mirroring
+// host::CpuCosts). The tier path is leaner than the PyTorch SLS
+// operator of the DRAM baseline — no framework dispatch, wide SIMD
+// pooling — so the per-row cost sits well under CpuCosts'
+// slsFixedNanos while the streaming rate matches commodity DDR.
+
+/** Fixed probe/dispatch cost per intercepted request. */
+inline constexpr Nanos kTierPerRequestNanos{500};
+/** Amortized DRAM random-access cost per served row. */
+inline constexpr Nanos kTierPerRowNanos{2};
+/** Streaming cost per served byte (0.01 ns/B = 100 GB/s). */
+inline constexpr double kTierNanosPerByte = 0.01;
 
 /** Host-DRAM embedding store in front of an InferenceDevice. */
 class EmbeddingTier
@@ -74,8 +70,7 @@ class EmbeddingTier
      * sharding); row bytes are synthesized from its specs, so tier
      * partials are bit-identical to flash reads of the same rows.
      */
-    explicit EmbeddingTier(const model::DlrmModel &model,
-                           const TierTiming &timing = {});
+    explicit EmbeddingTier(const model::DlrmModel &model);
 
     /** Load a planned residency (replaces any previous plan). */
     void provision(const engine::TierPlan &plan);
@@ -146,7 +141,6 @@ class EmbeddingTier
                        const std::string &prefix) const;
 
     const model::DlrmModel &model() const { return model_; }
-    const TierTiming &timing() const { return timing_; }
 
   private:
     /** TableResidency::slotOf() of a row that is not resident. */
@@ -186,7 +180,6 @@ class EmbeddingTier
                              std::span<const std::uint64_t> rows);
 
     const model::DlrmModel &model_;
-    TierTiming timing_;
     /** Indexed by global table id. */
     std::vector<TableResidency> tables_;
     std::uint64_t residentRows_ = 0;

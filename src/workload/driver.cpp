@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/inference_device.h"
+#include "sim/log.h"
 #include "workload/trace_gen.h"
 
 namespace rmssd::workload {
@@ -72,75 +73,65 @@ runHostLoop(const std::string &system,
     return result;
 }
 
-RunResult
-runDeviceLoop(engine::InferenceDevice &device,
-              const std::string &system,
-              const model::ModelConfig &config, TraceGenerator &gen,
-              std::uint32_t batchSize, std::uint32_t numBatches,
-              std::uint32_t warmupBatches, std::uint32_t queueDepth)
+double
+ClosedLoopRun::requestsPerSecond() const
 {
-    // At least one unmeasured request establishes the completion
-    // watermark the measured window starts from (otherwise work
-    // queued by earlier runs would be charged to this one). Warm-up
-    // is synchronous regardless of depth, so deeper queues measure
-    // the same warm state.
-    const std::uint32_t warm = std::max<std::uint32_t>(warmupBatches, 1);
-    Cycle start = device.deviceNow();
-    for (std::uint32_t b = 0; b < warm; ++b) {
-        const auto out = device.infer(gen.nextBatch(batchSize));
-        start = std::max(start, out.completionCycle);
-    }
+    return static_cast<double>(requests) /
+           nanosToSeconds(cyclesToNanos(last - first));
+}
 
-    RunResult result;
-    result.system = system;
-    const std::uint64_t trafficBefore = device.hostBytesRead().value();
-    const bool cached = device.hasEvCache();
-    const std::uint64_t hitsBefore = cached ? device.cacheHits() : 0;
-    const std::uint64_t missesBefore =
-        cached ? device.cacheMisses() : 0;
+double
+ClosedLoopRun::samplesPerSecond() const
+{
+    return static_cast<double>(samples) /
+           nanosToSeconds(cyclesToNanos(last - first));
+}
 
-    device.setMaxInflight(std::max<std::uint32_t>(queueDepth, 1));
-    Cycle lastCompletion = start;
-    Nanos latencySum;
-    for (std::uint32_t b = 0; b < numBatches; ++b) {
-        device.submit(gen.nextBatch(batchSize));
-        while (const auto completion = device.poll()) {
-            lastCompletion =
-                std::max(lastCompletion,
-                         completion->outcome.completionCycle);
-            latencySum += completion->outcome.latency;
-        }
-        ++result.batches;
-        result.samples += batchSize;
-        result.idealTrafficBytes +=
-            Bytes{static_cast<std::uint64_t>(batchSize) *
-                  config.lookupsPerSample() * config.vectorBytes()};
+ClosedLoopRun
+runClosedLoop(engine::InferenceDevice &device, std::uint32_t depth,
+              std::uint32_t requests, std::uint32_t batchSize,
+              const SubmitFn &submit)
+{
+    device.setMaxInflight(depth);
+    ClosedLoopRun run;
+    run.first = device.deviceNow();
+    run.last = run.first;
+    run.requests = requests;
+    run.samples = std::uint64_t{requests} * batchSize;
+    const auto retire = [&run](const engine::AsyncCompletion &c) {
+        run.last = std::max(run.last, c.outcome.completionCycle);
+        run.latencySum += c.outcome.latency;
+    };
+    for (std::uint32_t r = 0; r < requests; ++r) {
+        submit(r);
+        while (const auto completion = device.poll())
+            retire(*completion);
     }
-    for (const engine::AsyncCompletion &completion : device.drain()) {
-        lastCompletion = std::max(
-            lastCompletion, completion.outcome.completionCycle);
-        latencySum += completion.outcome.latency;
-    }
-    // Requests pipeline through the device, so wall-clock is the span
-    // from the stream start to the last completion.
-    result.totalNanos = cyclesToNanos(lastCompletion - start);
-    // Whole run is in-device; report it as device time. Individual
-    // request latency is available as latencySum / batches.
-    result.breakdown.embSsd = latencySum;
-    result.hostTrafficBytes =
-        Bytes{device.hostBytesRead().value() - trafficBefore};
-    if (cached) {
-        // Hit ratio over the measured window only (the warmup batches
-        // already populated the cache, so this is the warm figure).
-        const std::uint64_t hits = device.cacheHits() - hitsBefore;
-        const std::uint64_t misses =
-            device.cacheMisses() - missesBefore;
-        if (hits + misses > 0)
-            result.cacheHitRatio =
-                static_cast<double>(hits) /
-                static_cast<double>(hits + misses);
-    }
-    return result;
+    for (const engine::AsyncCompletion &completion : device.drain())
+        retire(completion);
+    return run;
+}
+
+double
+steadyStateQps(engine::InferenceDevice &device, std::uint32_t batchSize,
+               std::uint32_t measureBatches)
+{
+    RMSSD_ASSERT(batchSize > 0, "zero batch size");
+    device.resetTiming();
+    const std::uint32_t mbSize =
+        std::min<std::uint32_t>(batchSize, device.pipelineMicroBatch());
+    const std::uint32_t requests = std::max<std::uint32_t>(
+        1, (measureBatches * mbSize + batchSize - 1) / batchSize);
+    std::vector<model::Sample> batch(batchSize);
+    return runClosedLoop(device, 1, requests, batchSize,
+                         [&](std::uint32_t r) {
+                             for (std::uint32_t s = 0; s < batchSize;
+                                  ++s)
+                                 batch[s] = device.model().makeSample(
+                                     r * 131071ULL + s);
+                             device.submit(batch);
+                         })
+        .samplesPerSecond();
 }
 
 } // namespace rmssd::workload

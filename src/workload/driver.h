@@ -3,16 +3,18 @@
  * Measurement types shared by the benchmark harness — the Fig. 2 time
  * breakdown categories and the per-run result record (throughput,
  * latency, I/O traffic, read amplification) — plus the two shared
- * run-loop drivers every baseline system builds on:
+ * loops every measurement builds on:
  *
  *  - runHostLoop():   host-clocked systems (DRAM, SSD-S/M, EMB-*,
  *                     RecSSD) serve one batch at a time and charge a
  *                     Breakdown; the driver owns the per-batch
  *                     accumulation all of them used to copy-paste.
- *  - runDeviceLoop(): device-clocked backends (RM-SSD, clusters)
- *                     pipeline requests through an InferenceDevice;
- *                     wall-clock is the stream span to the last
- *                     completion.
+ *  - runClosedLoop(): the one closed-loop probe of a device-clocked
+ *                     backend (RM-SSD, clusters, tenant fleets): a
+ *                     fixed request stream kept @c depth deep, timed
+ *                     from its start to its last completion.
+ *                     steadyStateQps() and the device-backed system's
+ *                     run() are built on it.
  */
 
 #ifndef RMSSD_WORKLOAD_DRIVER_H
@@ -98,21 +100,54 @@ RunResult runHostLoop(const std::string &system,
                       const ServeBatchFn &serveBatch);
 
 /**
- * The measured loop shared by all device-clocked backends: requests
- * pipeline through @p device, wall-clock spans the post-warmup
- * watermark to the last completion, host traffic and the EV-cache hit
- * ratio are window deltas of the device counters. At least one
- * warm-up request always runs to establish the watermark. The
- * measured window keeps @p queueDepth requests in flight
- * (submit/poll); 1 reproduces the blocking infer() loop bit-for-bit.
+ * Span and counts of one closed-loop request stream: the device clock
+ * at its start, its last completion, and what it issued.
  */
-RunResult runDeviceLoop(engine::InferenceDevice &device,
-                        const std::string &system,
-                        const model::ModelConfig &config,
-                        TraceGenerator &gen, std::uint32_t batchSize,
-                        std::uint32_t numBatches,
-                        std::uint32_t warmupBatches,
-                        std::uint32_t queueDepth = 1);
+struct ClosedLoopRun
+{
+    /** Device clock when the stream started. */
+    Cycle first;
+    /** Latest completion cycle (first when nothing completed). */
+    Cycle last;
+    std::uint64_t requests = 0;
+    std::uint64_t samples = 0;
+    /** Sum of the requests' latencies. */
+    Nanos latencySum;
+
+    /** Requests per second of simulated time, first to last. */
+    double requestsPerSecond() const;
+    /** Samples per second of simulated time, first to last. */
+    double samplesPerSecond() const;
+};
+
+/** Submit request @p r of a closed-loop stream to the device. */
+using SubmitFn = std::function<void(std::uint32_t r)>;
+
+/**
+ * The closed-loop probe: keep @p depth requests in flight on
+ * @p device, issuing request r = 0..@p requests-1 (each of
+ * @p batchSize samples) through @p submit — `device.submit(batch)`, or
+ * `fleet.submitTenant(t, batch)` for a tenant fleet — and collecting
+ * completions with poll() as it goes, then drain(). poll() never moves
+ * a device clock, so the run is the same as submitting everything and
+ * draining once. The device is not reset: a probe of an idle device
+ * calls resetTiming() first.
+ */
+ClosedLoopRun runClosedLoop(engine::InferenceDevice &device,
+                            std::uint32_t depth, std::uint32_t requests,
+                            std::uint32_t batchSize,
+                            const SubmitFn &submit);
+
+/**
+ * Steady-state throughput in samples per second of @p device for a
+ * continuous stream of requests of @p batchSize, one in flight, from
+ * an idle device. The stream is deterministic: sample s of request r
+ * is model().makeSample(r * 131071 + s).
+ * @param measureBatches micro-batches in the measured window
+ */
+double steadyStateQps(engine::InferenceDevice &device,
+                      std::uint32_t batchSize,
+                      std::uint32_t measureBatches = 32);
 
 } // namespace rmssd::workload
 

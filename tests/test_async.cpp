@@ -146,19 +146,6 @@ TEST(AsyncDevice, BackpressureBoundsQueueDepth)
     device->drain();
 }
 
-TEST(AsyncDevice, SteadyQpsNeverWorseWithDeeperQueue)
-{
-    model::ModelConfig config = model::rmc1().withRowsPerTable(100000);
-    RmSsd device(config, RmSsdOptions{});
-    device.loadTables();
-    const double qps1 = device.steadyStateQps(4, 8, 1);
-    const double qps4 = device.steadyStateQps(4, 8, 4);
-    EXPECT_GT(qps1, 0.0);
-    // A single flash-bound device is already saturated by the §IV-D
-    // presend at depth 1; deeper queues must not lose throughput.
-    EXPECT_GE(qps4, qps1 * 0.999);
-}
-
 } // namespace
 } // namespace rmssd::engine
 

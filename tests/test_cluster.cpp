@@ -15,6 +15,7 @@
 #include "cluster/sharding.h"
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
+#include "workload/driver.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -259,8 +260,8 @@ TEST_F(ClusterTimingFixture, TwoDevicesScaleThroughput)
 {
     auto one = makeFleet(1);
     auto two = makeFleet(2);
-    const double qps1 = one->steadyStateQps(8, 8);
-    const double qps2 = two->steadyStateQps(8, 8);
+    const double qps1 = workload::steadyStateQps(*one, 8, 8);
+    const double qps2 = workload::steadyStateQps(*two, 8, 8);
     EXPECT_GT(qps1, 0.0);
     // Loose bound: the tests guard the mechanism, the fig16 bench
     // guards the >1.7x acceptance number.

@@ -9,6 +9,7 @@
 #include "engine/energy_model.h"
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
+#include "workload/driver.h"
 
 namespace rmssd::engine {
 namespace {
@@ -92,7 +93,7 @@ TEST(EnergyModel, InDeviceBeatsHostPerInference)
     small.withRowsPerTable(100000);
     RmSsd dev(small, {});
     dev.loadTables();
-    const double qps = dev.steadyStateQps(4, 8);
+    const double qps = workload::steadyStateQps(dev, 4, 8);
     const std::uint64_t n = dev.inferences().value();
     const Nanos elapsed{static_cast<std::uint64_t>(
         1e9 * static_cast<double>(n) / qps)};

@@ -22,6 +22,7 @@
 #include "model/model_zoo.h"
 #include "model/tensor.h"
 #include "runtime/rm_api.h"
+#include "workload/driver.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
 
@@ -206,8 +207,8 @@ TEST(Integration, NaiveEngineIsNoFasterThanSearched)
     engine::RmSsd naive(cfg, naiveOpt);
     naive.loadTables();
 
-    const double qSearched = searched.steadyStateQps(8, 8);
-    const double qNaive = naive.steadyStateQps(8, 8);
+    const double qSearched = workload::steadyStateQps(searched, 8, 8);
+    const double qNaive = workload::steadyStateQps(naive, 8, 8);
     EXPECT_GT(qSearched, qNaive);
 }
 
@@ -220,8 +221,8 @@ TEST(Integration, EmbeddingDominatedThroughputFlatInBatch)
     engine::RmSsdOptions opt;
     engine::RmSsd dev(cfg, opt);
     dev.loadTables();
-    const double q1 = dev.steadyStateQps(1, 8);
-    const double q16 = dev.steadyStateQps(16, 8);
+    const double q1 = workload::steadyStateQps(dev, 1, 8);
+    const double q16 = workload::steadyStateQps(dev, 16, 8);
     EXPECT_NEAR(q16 / q1, 1.0, 0.25);
 }
 
@@ -234,12 +235,12 @@ TEST(Integration, MlpDominatedThroughputGrowsWithBatch)
     engine::RmSsdOptions opt;
     engine::RmSsd dev(cfg, opt);
     dev.loadTables();
-    const double q1 = dev.steadyStateQps(1, 8);
-    const double q4 = dev.steadyStateQps(4, 8);
+    const double q1 = workload::steadyStateQps(dev, 1, 8);
+    const double q4 = workload::steadyStateQps(dev, 4, 8);
     EXPECT_GT(q4, 3.0 * q1);
     // And it plateaus once embedding-bound.
-    const double q8 = dev.steadyStateQps(8, 8);
-    const double q32 = dev.steadyStateQps(32, 8);
+    const double q8 = workload::steadyStateQps(dev, 8, 8);
+    const double q32 = workload::steadyStateQps(dev, 32, 8);
     EXPECT_NEAR(q32 / q8, 1.0, 0.30);
 }
 

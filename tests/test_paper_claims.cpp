@@ -137,7 +137,7 @@ TEST(PaperClaims, SectionIVB_ReadAmplificationEliminated)
     baseline::RmSsdSystem sys(cfg);
     workload::TraceGenerator gen(cfg, workload::localityK(0.3));
     sys.run(gen, 1, 4, 1);
-    auto &dev = sys.device();
+    auto &dev = dynamic_cast<engine::RmSsd &>(sys.device());
     EXPECT_EQ(dev.flash().totalBusBytes(),
               dev.embeddingEngine().lookups().value() *
                   cfg.vectorBytes());

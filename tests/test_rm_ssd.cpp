@@ -14,6 +14,7 @@
 #include "engine/rm_ssd.h"
 #include "model/model_zoo.h"
 #include "model/tensor.h"
+#include "workload/driver.h"
 
 namespace rmssd::engine {
 namespace {
@@ -188,8 +189,8 @@ TEST(RmSsd, SteadyStateQpsIsPositiveAndStable)
     RmSsdOptions opt; // timing only
     RmSsd dev(cfg, opt);
     dev.loadTables();
-    const double q1 = dev.steadyStateQps(1, 8);
-    const double q8 = dev.steadyStateQps(8, 8);
+    const double q1 = workload::steadyStateQps(dev, 1, 8);
+    const double q8 = workload::steadyStateQps(dev, 8, 8);
     EXPECT_GT(q1, 0.0);
     // Embedding-dominated mini-model: throughput roughly flat.
     EXPECT_GT(q8, q1 * 0.5);

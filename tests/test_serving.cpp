@@ -28,6 +28,7 @@
 #include "model/model_zoo.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
+#include "workload/driver.h"
 #include "workload/serving.h"
 #include "workload/trace.h"
 #include "workload/trace_gen.h"
@@ -126,7 +127,7 @@ TEST_F(ServingFixture, LowLoadLatencyNearServiceTime)
 
 TEST_F(ServingFixture, TailGrowsWithLoad)
 {
-    const double peak = device_->steadyStateQps(1, 8);
+    const double peak = workload::steadyStateQps(*device_, 1, 8);
 
     ServingConfig low;
     low.arrivalQps = 0.3 * peak;
@@ -551,9 +552,9 @@ TEST(ServingLoop, PoissonFormReplaysFromSeed)
 }
 
 /**
- * Synchronous fake backend (the base submit fallback): every request
- * takes a fixed service time, and each batch is recorded in the order
- * it reaches the device.
+ * Synchronous fake backend: submit() serves each request inline at a
+ * fixed service time, and each batch is recorded in the order it
+ * reaches the device.
  */
 class RecordingDevice final : public engine::InferenceDevice
 {
@@ -576,6 +577,14 @@ class RecordingDevice final : public engine::InferenceDevice
         outcome.latency = cyclesToNanos(now_ - start);
         outcome.completionCycle = now_;
         return outcome;
+    }
+    /** Serves inline and queues the completion: depth is always 1. */
+    engine::RequestId
+    submit(std::span<const model::Sample> samples) override
+    {
+        const engine::RequestId id = allocateRequestId();
+        pushCompletion({id, infer(samples)});
+        return id;
     }
     const model::DlrmModel &model() const override { return model_; }
     Cycle deviceNow() const override { return now_; }
